@@ -146,7 +146,8 @@ def validate_bicategory(
         for x in graph.objects:
             for y in graph.objects:
                 for z in graph.objects:
-                    hx, hy = graph.hom_at(x, y), graph.hom_at(y, z)
+                    hx, hy, hz = graph.hom_at(x, y), graph.hom_at(y, z), graph.hom_at(x, z)
+                    names = {m.name for m in hz.morphisms}
                     for alpha in hx.morphisms:
                         for beta in hy.morphisms:
                             res = hcompose2.get(((x, y, z), beta.name, alpha.name))
@@ -154,7 +155,11 @@ def validate_bicategory(
                                 raise MissingCompositionData(
                                     f"hcompose2 missing at (({x},{y},{z}), {beta.name}, {alpha.name})"
                                 )
-                            hz = graph.hom_at(x, z)
+                            if res not in names:
+                                raise MissingCompositionData(
+                                    f"hcompose2 at (({x},{y},{z}), {beta.name}, {alpha.name}) "
+                                    f"names unknown 2-cell {res!r}"
+                                )
                             want_src = bi.c1(x, y, z, beta.src, alpha.src)
                             want_dst = bi.c1(x, y, z, beta.dst, alpha.dst)
                             if hz.src(res) != want_src or hz.dst(res) != want_dst:
@@ -174,13 +179,18 @@ def _validate_associator(bi: Bicategory, associator: Mapping):
         for y in g.objects:
             for z in g.objects:
                 for w in g.objects:
+                    hom = g.hom_at(x, w)
+                    names = {m.name for m in hom.morphisms}
                     for f in g.onecells(x, y):
                         for gg in g.onecells(y, z):
                             for h in g.onecells(z, w):
                                 cell = associator.get(((x, y, z, w), h, gg, f))
                                 if cell is None:
                                     raise MissingCompositionData(f"associator missing at ({h},{gg},{f})")
-                                hom = g.hom_at(x, w)
+                                if cell not in names:
+                                    raise MissingCompositionData(
+                                        f"associator at ({h},{gg},{f}) names unknown 2-cell {cell!r}"
+                                    )
                                 src = bi.c1(x, z, w, h, bi.c1(x, y, z, gg, f))
                                 dst = bi.c1(x, y, w, bi.c1(y, z, w, h, gg), f)
                                 if hom.src(cell) != src or hom.dst(cell) != dst or hom.inverse_of(cell) is None:
@@ -191,15 +201,20 @@ def _validate_unitors(bi: Bicategory, unitor_l: Mapping, unitor_r: Mapping):
     g = bi.graph
     for x in g.objects:
         for y in g.objects:
+            hom = g.hom_at(x, y)
+            names = {m.name for m in hom.morphisms}
             for f in g.onecells(x, y):
-                hom = g.hom_at(x, y)
                 left = unitor_l.get((x, y, f))
                 if left is not None:
+                    if left not in names:
+                        raise MissingCompositionData(f"left unitor at {f} names unknown 2-cell {left!r}")
                     src = bi.c1(x, y, y, bi.id1(y), f)
                     if hom.src(left) != src or hom.dst(left) != f or hom.inverse_of(left) is None:
                         raise MissingCompositionData(f"left unitor at {f} has a bad frame")
                 right = unitor_r.get((x, y, f))
                 if right is not None:
+                    if right not in names:
+                        raise MissingCompositionData(f"right unitor at {f} names unknown 2-cell {right!r}")
                     src = bi.c1(x, x, y, f, bi.id1(x))
                     if hom.src(right) != src or hom.dst(right) != f or hom.inverse_of(right) is None:
                         raise MissingCompositionData(f"right unitor at {f} has a bad frame")

@@ -1,14 +1,20 @@
 """Exact rational linear algebra over label-indexed matrices.
 
-Everything here is a pure function over immutable values; entries are
-`fractions.Fraction` throughout and no floating point is ever introduced.
+Everything here is a pure function over immutable values.  Entries are
+`fractions.Fraction` at the API; the one elimination kernel, `_solve`,
+works internally on Python ints (fraction-free Bareiss elimination), and
+no floating point is ever introduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
+
+
+_ZERO = Fraction(0)
 
 
 class IndexMismatch(Exception):
@@ -50,7 +56,7 @@ class QVector:
         return self.entries[self.index.index(label)]
 
     def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
+        return sum(self.entries, _ZERO)
 
     def to_json(self) -> dict:
         return {label: format_rational(v) for label, v in zip(self.index, self.entries)}
@@ -89,12 +95,8 @@ class QMatrix:
         return self.entries[self.rows.index(row)][self.cols.index(col)]
 
     def transpose(self) -> "QMatrix":
-        n, m = len(self.rows), len(self.cols)
-        return QMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(n)) for j in range(m)),
-        )
+        columns = tuple(zip(*self.entries)) if self.entries else ((),) * len(self.cols)
+        return QMatrix(self.cols, self.rows, columns)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -127,48 +129,50 @@ class MatrixEuler:
         return tuple(out)
 
 
-def _solve_linear(a: list[list[Fraction]], b: list[Fraction], free_value: Fraction) -> Optional[list[Fraction]]:
-    """Solve a·x = b exactly by Gaussian elimination.
+def _solve(a: Sequence[Sequence], b: Sequence[Sequence], free_value: Fraction) -> Optional[list[tuple]]:
+    """Some X with a·X = b exactly, or None when a column of b is inconsistent.
 
-    Pivots on the first nonzero entry in column order (magnitude is
-    irrelevant in exact arithmetic).  Returns None when inconsistent;
-    free variables of underdetermined systems are set to `free_value`.
+    Fraction-free Gauss–Jordan (Bareiss) elimination of the augmented rows
+    [a | b], each first scaled to integers by the lcm of its denominators.
+    A step with pivot p (the first nonzero entry in column order) replaces
+    every other row by (p·row − f·pivot_row) // prev, an exact division by
+    the previous pivot `prev`.  Afterwards each pivot row holds the last
+    pivot in its own column and zero in every other pivot column, so it is
+    that pivot times a row of the unique reduced echelon form.  The free
+    variables (columns without a pivot) are set to `free_value`.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    a = [list(row) for row in a]
-    b = list(b)
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r][col] != 0:
-                pivot = r
+    width = len(a[0]) if a else 0
+    rows = []
+    for ra, rb in zip(a, b):
+        row = [*ra, *rb]
+        scale = lcm(*[v.denominator for v in row])
+        rows.append([v.numerator * scale // v.denominator for v in row])
+    pivots: list[int] = []
+    prev = 1
+    for col in range(width):
+        rank = len(pivots)
+        for pivot in range(rank, len(rows)):
+            if rows[pivot][col]:
                 break
-        if pivot is None:
+        else:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        b[rank], b[pivot] = b[pivot], b[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        b[rank] = b[rank] * inv
-        for r in range(rows):
-            if r != rank and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[rank])]
-                b[r] = b[r] - factor * b[rank]
-        pivot_of_col[col] = rank
-        rank += 1
-    for r in range(rank, rows):
-        if b[r] != 0:
-            return None
-    x = [free_value] * cols
-    for col, r in pivot_of_col.items():
-        x[col] = b[r] - sum(
-            (a[r][c] * x[c] for c in range(cols) if c != col and a[r][c] != 0),
-            Fraction(0),
-        )
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != rank and (f or p != prev):  # else the update would leave the row as it is
+                rows[r] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+        pivots.append(col)
+        prev = p
+    if any(any(row[width:]) for row in rows[len(pivots):]):
+        return None
+    free = [c for c in range(width) if c not in pivots]
+    x = [(free_value,) * (len(b[0]) if b else 0)] * width
+    num, den = free_value.numerator, free_value.denominator
+    for row, col in zip(rows, pivots):
+        moved = num * sum([row[c] for c in free])
+        x[col] = tuple([Fraction(v * den - moved, prev * den) for v in row[width:]])
     return x
 
 
@@ -178,11 +182,10 @@ def solve_weighting(m: QMatrix, free_value: Fraction = Fraction(0)) -> Optional[
     `free_value` is a testing hook for the choice-independence property;
     production callers rely on the deterministic free-variables-zero default.
     """
-    ones = [Fraction(1)] * len(m.rows)
-    solution = _solve_linear([list(row) for row in m.entries], ones, free_value)
+    solution = _solve(m.entries, [(1,)] * len(m.rows), free_value)
     if solution is None:
         return None
-    return QVector(m.cols, tuple(solution))
+    return QVector(m.cols, tuple([row[0] for row in solution]))
 
 
 def solve_coweighting(m: QMatrix, free_value: Fraction = Fraction(0)) -> Optional[QVector]:
@@ -210,31 +213,15 @@ def matrix_euler(m: QMatrix) -> MatrixEuler:
 
 
 def invert(m: QMatrix) -> Optional[QMatrix]:
-    """Exact inverse by Gauss-Jordan elimination; None when singular."""
+    """Exact inverse, solving m·X = I with the same kernel; None when singular."""
     if m.rows != m.cols:
         raise IndexMismatch(f"row labels {m.rows} != col labels {m.cols}")
     n = len(m.rows)
-    a = [list(row) for row in m.entries]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = 1 / a[col][col]
-        a[col] = [v * scale for v in a[col]]
-        inv[col] = [v * scale for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    return QMatrix(m.rows, m.cols, tuple(tuple(row) for row in inv))
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    inverse = _solve(m.entries, identity, Fraction(0))
+    if inverse is None:
+        return None
+    return QMatrix(m.rows, m.cols, tuple(inverse))
 
 
 def entry_sum(m: QMatrix) -> Fraction:

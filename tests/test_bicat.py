@@ -290,6 +290,21 @@ def test_optional_coherence_cells_frame_checked():
         )
 
 
+@pytest.mark.parametrize("field", ["hcompose2", "associator", "unitor_l", "unitor_r"])
+def test_unknown_2cell_names_are_rejected(field):
+    cells = {
+        "hcompose2": {(("*", "*", "*"), "idI", "idI"): "idI"},
+        "associator": {(("*", "*", "*", "*"), "I", "I", "I"): "idI"},
+        "unitor_l": {("*", "*", "I"): "idI"},
+        "unitor_r": {("*", "*", "I"): "idI"},
+    }
+    cells[field] = {key: "zz" for key in cells[field]}
+    with pytest.raises(MissingCompositionData, match="unknown 2-cell 'zz'"):
+        validate_bicategory(
+            ["*"], {("*", "*"): fx.one_object_cat("I")}, {"*": "I"}, {(("*", "*", "*"), "I", "I"): "I"}, **cells
+        )
+
+
 def test_phi_psi_frames_validated():
     from bicat_euler.bicat import MissingCompositionData as MCD
     from bicat_euler.fincat import validate_functor as vf

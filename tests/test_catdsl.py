@@ -73,6 +73,7 @@ NEGATIVE_CODES = {
     "law-assoc.catj": "AssociativityViolation",
     "law-dangling.catj": "DanglingEndpoint",
     "missing-composition-data.catj": "MissingCompositionData",
+    "unknown-2cell.catj": "MissingCompositionData",
     "incoherent-laxcat.catj": "IncoherentData",
     "illtyped-trihom.catj": "IllTypedComponent",
 }

@@ -51,6 +51,11 @@ def test_chi_parse_failure_exits_2(capsys, negative_dir):
     assert code == 2 and "E001" in err
 
 
+def test_unknown_2cell_is_input_error(capsys, negative_dir):
+    code, _, err = run(capsys, "chi", str(negative_dir / "unknown-2cell.catj"))
+    assert code == 2 and "MissingCompositionData" in err and "'zz'" in err
+
+
 def test_check_fib_groupoids(capsys, fixture_dir):
     code, out, _ = run(capsys, "check", str(fixture_dir / "ez2-to-bz2.catj"), "fib-groupoids")
     assert code == 0 and out.strip() == "pass"

@@ -1,8 +1,11 @@
 """Exact linear algebra: frozen oracles and seeded property checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+import fraction_oracle
 
 from bicat_euler.exactq import (
     IndexMismatch,
@@ -170,3 +173,80 @@ def test_choice_independence_of_chi():
             assert all(x == 1 for x in _mul(m, k1))
         assert k0.total() == k1.total()
     assert hits > 0  # at least some underdetermined consistent systems appeared
+
+
+def _seeded_matrix(seed: int, kind: str) -> QMatrix:
+    """Seeded rational matrix of one shape class, for the oracle cross-check.
+
+    Entries are p/q with q in 1..6, so a row mixes denominators and the
+    kernel's row scaling by the lcm is exercised.
+    """
+    rng = random.Random(f"{kind}:{seed}")
+    n = rng.randint(2, 7)
+    width = n + rng.randint(1, 3) if kind == "underdetermined" else n
+    rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(width)] for _ in range(n)]
+    if kind == "singular":  # a repeated equation: rank drops, the ones system stays consistent
+        rows[-1] = list(rows[0])
+    elif kind == "inconsistent":  # r·x = 1 and 2r·x = 1 cannot both hold
+        rows[-1] = [2 * v for v in rows[0]]
+    return QMatrix(tuple(map(str, range(n))), tuple(map(str, range(width))), tuple(tuple(r) for r in rows))
+
+
+def _oracle_weighting(m: QMatrix, free_value=Fraction(0)):
+    x = fraction_oracle.solve_linear([list(r) for r in m.entries], [Fraction(1)] * len(m.rows), free_value)
+    return None if x is None else tuple(x)
+
+
+def _kernel_weighting(m: QMatrix, free_value=Fraction(0)):
+    k = solve_weighting(m, free_value)
+    return None if k is None else k.entries
+
+
+@pytest.mark.parametrize("kind", ["nonsingular", "singular", "inconsistent", "underdetermined"])
+@pytest.mark.parametrize("free_value", [Fraction(0), Fraction(3, 5)])
+def test_kernel_matches_fraction_oracle(kind, free_value):
+    mixed = 0
+    for seed in range(60):
+        m = _seeded_matrix(seed, kind)
+        if kind == "nonsingular" and fraction_oracle.invert([list(r) for r in m.entries]) is None:
+            continue
+        if any(len({v.denominator for v in row}) > 1 for row in m.entries):
+            mixed += 1
+        expected = _oracle_weighting(m, free_value)
+        assert _kernel_weighting(m, free_value) == expected, seed
+        assert (expected is None) == (kind == "inconsistent"), seed
+        t = m.transpose()
+        assert _kernel_weighting(t, free_value) == _oracle_weighting(t, free_value), seed
+    assert mixed > 40  # most matrices mix denominators within a row
+
+
+def test_kernel_matches_fraction_oracle_on_generator_stream():
+    for seed in range(200):
+        m = random_rational_matrix(seed)
+        for free_value in (Fraction(0), Fraction(1), Fraction(3, 5)):
+            assert _kernel_weighting(m, free_value) == _oracle_weighting(m, free_value), seed
+        expected = fraction_oracle.invert([list(r) for r in m.entries])
+        inv = invert(m)
+        assert (None if inv is None else [list(r) for r in inv.entries]) == expected, seed
+
+
+def test_invert_matches_oracle_and_is_an_inverse():
+    inverted = 0
+    for kind in ("nonsingular", "singular", "inconsistent"):
+        for seed in range(60):
+            m = _seeded_matrix(seed, kind)
+            expected = fraction_oracle.invert([list(r) for r in m.entries])
+            inv = invert(m)
+            assert (None if inv is None else [list(r) for r in inv.entries]) == expected, (kind, seed)
+            if kind != "nonsingular":
+                assert inv is None, (kind, seed)
+            if inv is None:
+                continue
+            inverted += 1
+            n = len(m.rows)
+            product = [
+                [sum((inv.entries[i][k] * m.entries[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert product == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], (kind, seed)
+    assert inverted > 50
