@@ -25,6 +25,7 @@ IllTypedComponent).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -86,166 +87,154 @@ class _SyntaxProblem(Exception):
         super().__init__(message)
 
 
+# A value or key with the whitespace before it, in one match: a string with
+# no escape or raw newline, a number, a literal, any other character, or ""
+# at the end of the text.  Every position matches, so `match` never fails.
+_TOKEN = re.compile(
+    r'([ \t\r\n]*)(?:"([^"\\\n]*)"|((?:-\d|[0-9])\d*(?:\.\d*)?(?:[eE][+-]?\d*)?)|(true|false|null)|([^ \t\r\n]|\Z))'
+)
+_SPACE = re.compile(r"[ \t\r\n]*")
+_SPACE_CHARS = frozenset(" \t\r\n")
+_STRING_RUN = re.compile(r'[^"\\]*')
+_HEX4 = re.compile(r"[0-9a-fA-F]{4}")
+_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+_LITERALS = {"true": True, "false": False, "null": None}
+# What the token at the scan position may be: a value, a value or "]", a key, or a key or "}".
+_VALUE, _FIRST_ITEM, _KEY, _FIRST_KEY = range(4)
+
+
 class _Scanner:
-    """Recursive-descent JSON reader that records the position of every value."""
+    """JSON reader that records the position of every value.
+
+    Each value or key is read, with the whitespace before it, in one regex
+    match; separators are read by peeking at one character.  Open containers
+    sit on an explicit stack, so nesting depth is bounded by memory, not by
+    the recursion limit.  Line and column are 1-based and count characters;
+    the line count changes only when consumed text holds a newline.
+    """
 
     def __init__(self, text: str):
         self.text = text
-        self.i = 0
-        self.line = 1
-        self.col = 1
 
-    def _fail(self, message):
-        raise _SyntaxProblem(self.line, self.col, message)
+    def _fail(self, i: int, message: str):
+        text = self.text
+        raise _SyntaxProblem(text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i), message)
 
-    def _advance(self, n=1):
-        for _ in range(n):
-            if self.i < len(self.text):
-                if self.text[self.i] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.i += 1
-
-    def _skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i] in " \t\r\n":
-            self._advance()
-
-    def _peek(self):
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def _expect(self, ch):
-        if self._peek() != ch:
-            self._fail(f"expected {ch!r}")
-        self._advance()
+    def _lines(self, start: int, end: int, line: int, line_start: int) -> tuple[int, int]:
+        """The line, and the index where it starts, after consuming text[start:end]."""
+        newlines = self.text.count("\n", start, end)
+        if newlines:
+            return line + newlines, self.text.rfind("\n", start, end) + 1
+        return line, line_start
 
     def parse(self) -> JNode:
-        self._skip_ws()
-        node = self._value()
-        self._skip_ws()
-        if self.i != len(self.text):
-            self._fail("trailing data after document")
-        return node
-
-    def _value(self) -> JNode:
-        self._skip_ws()
-        ch = self._peek()
-        if ch == "{":
-            return self._object()
-        if ch == "[":
-            return self._array()
-        if ch == '"':
-            line, col = self.line, self.col
-            return JNode(self._string(), line, col)
-        if ch in "-0123456789":
-            return self._number()
-        for literal, value in (("true", True), ("false", False), ("null", None)):
-            if self.text.startswith(literal, self.i):
-                node = JNode(value, self.line, self.col)
-                self._advance(len(literal))
-                return node
-        self._fail("expected a JSON value")
-
-    def _object(self) -> JNode:
-        line, col = self.line, self.col
-        self._expect("{")
-        out: dict[str, JNode] = {}
-        key_pos: dict[str, tuple[int, int]] = {}
-        self._skip_ws()
-        if self._peek() == "}":
-            self._advance()
-            return JNode(out, line, col, key_pos)
+        text, match = self.text, _TOKEN.match
+        line, line_start, pos = 1, 0, 0
+        # Open containers, innermost last, each with its key in its parent and its parent's members.
+        stack: list[tuple[JNode, Optional[str], object]] = []
+        members = None  # the list or dict of the innermost open container
+        key = None  # the member being read, while that container is an object
+        expect = _VALUE
         while True:
-            self._skip_ws()
-            if self._peek() != '"':
-                self._fail("expected a string key")
-            kline, kcol = self.line, self.col
-            key = self._string()
-            if key in out:
-                self._fail(f"duplicate key {key!r}")
-            key_pos[key] = (kline, kcol)
-            self._skip_ws()
-            self._expect(":")
-            out[key] = self._value()
-            self._skip_ws()
-            if self._peek() == ",":
-                self._advance()
+            m = match(text, pos)
+            ws, s, num, lit, ch = m.groups()
+            tok = pos + len(ws)
+            if "\n" in ws:
+                line += ws.count("\n")
+                line_start = pos + ws.rfind("\n") + 1
+            pos = m.end()
+            row, col = line, tok - line_start + 1
+            if ch == '"':  # a string with escapes, raw newlines or no closing quote
+                s, pos = self._string(tok + 1)
+                line, line_start = self._lines(tok, pos, line, line_start)
+            if expect >= _KEY and not (ch == "}" and expect == _FIRST_KEY):
+                if s is None:
+                    self._fail(tok, "expected a string key")
+                if s in members:
+                    self._fail(pos, f"duplicate key {s!r}")
+                stack[-1][0].key_pos[s] = (row, col)
+                key = s
+                c = text[pos : pos + 1]
+                if c in _SPACE_CHARS:
+                    end = _SPACE.match(text, pos).end()
+                    line, line_start = self._lines(pos, end, line, line_start)
+                    pos = end
+                    c = text[pos : pos + 1]
+                if c != ":":
+                    self._fail(pos, "expected ':'")
+                pos += 1
+                expect = _VALUE
                 continue
-            self._expect("}")
-            return JNode(out, line, col, key_pos)
-
-    def _array(self) -> JNode:
-        line, col = self.line, self.col
-        self._expect("[")
-        out: list[JNode] = []
-        self._skip_ws()
-        if self._peek() == "]":
-            self._advance()
-            return JNode(out, line, col)
-        while True:
-            out.append(self._value())
-            self._skip_ws()
-            if self._peek() == ",":
-                self._advance()
+            if s is not None:
+                node = JNode(s, row, col)
+            elif ch == "{" or ch == "[":
+                node = JNode({}, row, col, {}) if ch == "{" else JNode([], row, col)
+                stack.append((node, key, members))
+                members = node.value
+                key, expect = None, _FIRST_KEY if ch == "{" else _FIRST_ITEM
                 continue
-            self._expect("]")
-            return JNode(out, line, col)
-
-    def _string(self) -> str:
-        self._expect('"')
-        chars = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                self._fail("unterminated string")
-            if ch == '"':
-                self._advance()
-                return "".join(chars)
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                mapping = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
-                if esc in mapping:
-                    chars.append(mapping[esc])
-                    self._advance()
-                elif esc == "u":
-                    self._advance()
-                    hexa = self.text[self.i : self.i + 4]
-                    if len(hexa) != 4 or any(c not in "0123456789abcdefABCDEF" for c in hexa):
-                        self._fail("bad unicode escape")
-                    chars.append(chr(int(hexa, 16)))
-                    self._advance(4)
-                else:
-                    self._fail(f"bad escape \\{esc}")
+            elif ch == "}" and expect == _FIRST_KEY or ch == "]" and expect == _FIRST_ITEM:
+                node, key, members = stack.pop()
+            elif num is not None:
+                try:
+                    node = JNode(int(num) if num.lstrip("-").isdigit() else float(num), row, col)
+                except ValueError:  # an exponent with no digits, or an integer past int's digit limit
+                    self._fail(tok, "malformed number")
+            elif lit is not None:
+                node = JNode(_LITERALS[lit], row, col)
+            elif ch == "-" or ch == "":  # a "-" with no digit, or the end where a value should start
+                self._fail(tok + len(ch), "malformed number")
             else:
-                chars.append(ch)
-                self._advance()
+                self._fail(tok, "expected a JSON value")
+            # A value is complete: attach it, then read "," or closing brackets.
+            while stack:
+                if key is None:
+                    members.append(node)
+                else:
+                    members[key] = node
+                c = text[pos : pos + 1]
+                if c in _SPACE_CHARS:
+                    end = _SPACE.match(text, pos).end()
+                    line, line_start = self._lines(pos, end, line, line_start)
+                    pos = end
+                    c = text[pos : pos + 1]
+                if c == ",":
+                    pos += 1
+                    expect = _VALUE if key is None else _KEY
+                    break
+                close = "]" if key is None else "}"
+                if c != close:
+                    self._fail(pos, f"expected {close!r}")
+                pos += 1
+                node, key, members = stack.pop()
+            else:
+                pos = _SPACE.match(text, pos).end()
+                if pos != len(text):
+                    self._fail(pos, "trailing data after document")
+                return node
 
-    def _number(self) -> JNode:
-        line, col = self.line, self.col
-        start = self.i
-        if self._peek() == "-":
-            self._advance()
-        if not self._peek().isdigit():
-            self._fail("malformed number")
-        while self._peek().isdigit():
-            self._advance()
-        is_int = True
-        if self._peek() == ".":
-            is_int = False
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE":
-            is_int = False
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.text[start : self.i]
-        return JNode(int(text) if is_int else float(text), line, col)
+    def _string(self, i: int) -> tuple[str, int]:
+        """The string whose opening quote is at i - 1, and the index after its closing quote."""
+        text = self.text
+        parts = []
+        while True:
+            end = _STRING_RUN.match(text, i).end()
+            parts.append(text[i:end])
+            if end == len(text):
+                self._fail(end, "unterminated string")
+            if text[end] == '"':
+                return "".join(parts), end + 1
+            esc = text[end + 1 : end + 2]
+            if esc == "u":
+                if not _HEX4.match(text, end + 2):
+                    self._fail(end + 2, "bad unicode escape")
+                parts.append(chr(int(text[end + 2 : end + 6], 16)))
+                i = end + 6
+            elif esc in _ESCAPES:
+                parts.append(_ESCAPES[esc])
+                i = end + 2
+            else:
+                self._fail(end + 1, f"bad escape \\{esc}")
 
 
 class _Builder:

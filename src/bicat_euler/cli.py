@@ -30,7 +30,7 @@ class InputError(Exception):
 def _load(path: str) -> tuple[Document, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}")
     result = parse(text)
     if result.document is None:

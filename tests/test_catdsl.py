@@ -63,6 +63,7 @@ NEGATIVE_CODES = {
     "e003-missing-field.catj": "E003",
     "e004-unknown-kind.catj": "E004",
     "e005-syntax.catj": "E005",
+    "e005-bad-exponent.catj": "E005",
     "e006-bad-key.catj": "E006",
     "e010-incomplete-map.catj": "E010",
     "e012-missing-pullback.catj": "E012",
@@ -93,6 +94,19 @@ def test_every_diagnostic_carries_a_span(negative_dir):
         assert result.diagnostics, path.name
         for diag in result.diagnostics:
             assert diag.line >= 1 and diag.col >= 1, path.name
+
+
+@pytest.mark.parametrize("text", ['{"kind": 1e}', '{"kind": 1e+}', '{"kind": 1E-}'])
+def test_exponent_without_digits_is_e005(text):
+    result = parse(text)
+    assert result.document is None
+    assert [str(d) for d in result.diagnostics] == ["1:10 E005 malformed number"]
+
+
+def test_deep_nesting_is_a_diagnostic_not_a_recursion_error():
+    assert [str(d) for d in parse("[" * 5000).diagnostics] == ["1:5001 E005 malformed number"]
+    closed = parse("[" * 5000 + "]" * 5000)
+    assert [str(d) for d in closed.diagnostics] == ["1:1 E003 document must be a JSON object"]
 
 
 def test_e014_names_alpha_and_fiber_object(negative_dir):

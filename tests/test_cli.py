@@ -56,6 +56,18 @@ def test_unknown_2cell_is_input_error(capsys, negative_dir):
     assert code == 2 and "MissingCompositionData" in err and "'zz'" in err
 
 
+def test_bad_exponent_is_input_error(capsys, negative_dir):
+    code, _, err = run(capsys, "chi", str(negative_dir / "e005-bad-exponent.catj"))
+    assert code == 2 and "7:12 E005 malformed number" in err and "Traceback" not in err
+
+
+def test_non_utf8_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.catj"
+    path.write_bytes('{"kind": "category", "objects": ["\u00e9"]}'.encode("latin-1"))
+    code, _, err = run(capsys, "chi", str(path))
+    assert code == 2 and err.startswith(f"{path}: ") and "utf-8" in err and "Traceback" not in err
+
+
 def test_check_fib_groupoids(capsys, fixture_dir):
     code, out, _ = run(capsys, "check", str(fixture_dir / "ez2-to-bz2.catj"), "fib-groupoids")
     assert code == 0 and out.strip() == "pass"
