@@ -16,6 +16,8 @@ from .fincat import (
     EMPTY_CATEGORY,
     FinCategory,
     Functor,
+    MissingEulerCharacteristic,
+    NotAcyclic,
     check_equivalence_functor,
     euler_char_cat,
     pair_label,
@@ -34,19 +36,11 @@ class MissingCompositionData(Exception):
     pass
 
 
-class NotAcyclic(Exception):
-    pass
-
-
 class NotPseudogroupoid(Exception):
     pass
 
 
 class NotBiequivalence(Exception):
-    pass
-
-
-class MissingEulerCharacteristic(Exception):
     pass
 
 
@@ -134,12 +128,13 @@ def validate_bicategory(
     for x in graph.objects:
         for y in graph.objects:
             for z in graph.objects:
+                xz = set(graph.onecells(x, z))
                 for f in graph.onecells(x, y):
                     for g in graph.onecells(y, z):
                         h = compose1.get(((x, y, z), g, f))
                         if h is None:
                             raise MissingCompositionData(f"compose1 missing at (({x},{y},{z}), {g}, {f})")
-                        if h not in graph.onecells(x, z):
+                        if h not in xz:
                             raise MissingCompositionData(f"compose1 at (({x},{y},{z}), {g}, {f}) leaves hom({x},{z})")
     bi = Bicategory(graph, dict(identity1), dict(compose1), hcompose2, associator, unitor_l, unitor_r)
     if hcompose2 is not None:

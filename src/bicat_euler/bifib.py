@@ -11,8 +11,6 @@ characteristic here.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -40,24 +38,6 @@ class IllTypedComponent(Exception):
 
 class MissingCoweighting(Exception):
     pass
-
-
-def worker_count() -> int:
-    """Thread cap from BICAT_EULER_THREADS; defaults to serial execution."""
-    raw = os.environ.get("BICAT_EULER_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -464,7 +444,7 @@ def _pseudo_flags(p: LaxFunctorBicat) -> tuple[bool, bool, bool, dict]:
                     witnesses.setdefault("no_1cell_lift", (f, e_obj))
     strict_eqs = _strict_equations_available(p)
     cells = [(x, y, f) for x in e.objects for y in e.objects for f in e.onecells(x, y)]
-    results = _map_ordered(lambda c: _check_cartesian_1cell(p, c[0], c[1], c[2], strict_eqs), cells)
+    results = [_check_cartesian_1cell(p, x, y, f, strict_eqs) for x, y, f in cells]
     cart = True
     for cell, res in zip(cells, results):
         if res is not None:

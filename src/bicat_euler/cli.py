@@ -331,7 +331,6 @@ def main(argv=None) -> int:
         fib1.NotBiFibered,
         fib1.ObjectNotInBase,
         fib1.MorphismNotInCategory,
-        fib1.MissingEulerCharacteristic,
         fib1.IncoherentData,
         bifib.IllTypedComponent,
         bifib.MissingCoweighting,

@@ -1,13 +1,15 @@
 """Fibrations of finite categories and the Grothendieck construction.
 
-Cartesianness and all fibration predicates are decided by exhaustive
-search over the finite hom-sets.  The cartesian-morphism definition
-follows the standard Grothendieck convention; the literal reading of the
-source material is kept behind convention="paper" for auditability.
+Cartesianness is decided by one counting pass over the lifts into each
+object, and the fibration predicates by search over the finite hom-sets.
+The cartesian-morphism definition follows the standard Grothendieck
+convention; the literal reading of the source material is kept behind
+convention="paper" for auditability.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -17,6 +19,7 @@ from .fincat import (
     FinCategory,
     Functor,
     InvalidCategory,
+    MissingEulerCharacteristic,
     Morphism,
     category_components,
     euler_char_cat,
@@ -47,44 +50,40 @@ class NotBiFibered(Exception):
     pass
 
 
-class MissingEulerCharacteristic(Exception):
-    """Names the structure whose weighting or coweighting is absent."""
-
-
 class IncoherentData(Exception):
     pass
 
 
 def is_cartesian_morphism(p: Functor, f: str, convention: str = "standard") -> bool:
-    """Decide cartesianness of the morphism named f by exhaustive search.
+    """Decide cartesianness of the morphism named f by counting lifts.
 
     standard: f: x -> y is cartesian iff every g: z -> y together with
     h: P(z) -> P(x) satisfying P(f)∘h = P(g) admits exactly one lift
-    h̃: z -> x with P(h̃) = h and f∘h̃ = g.  The "paper" convention flips
-    the lift out of x instead (g∘h̃ = f with h: P(x) -> P(z)).
+    h̃: z -> x with P(h̃) = h and f∘h̃ = g.  For each z, one pass over
+    hom(z, x) counts the lifts by (P(h̃), f∘h̃).  The "paper" convention flips
+    the lift out of x instead (g∘h̃ = f with h: P(x) -> P(z)) and counts the
+    pairs (h̃, g) with g∘h̃ = f by (P(h̃), g).
     """
     e, b = p.source, p.target
-    if f not in {m.name for m in e.morphisms}:
+    if f not in e._by_name:
         raise MorphismNotInCategory(f)
     x, y = e.src(f), e.dst(f)
-    pf = p.mor(f)
+    px, pf = p.ob(x), p.mor(f)
     for z in e.objects:
-        for g in e.hom(z, y):
-            pg = p.mor(g)
-            if convention == "standard":
-                for h in b.hom(p.ob(z), p.ob(x)):
-                    if b.compose2(pf, h) != pg:
-                        continue
-                    lifts = [t for t in e.hom(z, x) if p.mor(t) == h and e.compose2(f, t) == g]
-                    if len(lifts) != 1:
-                        return False
-            else:
-                for h in b.hom(p.ob(x), p.ob(z)):
-                    if b.compose2(pg, h) != pf:
-                        continue
-                    lifts = [t for t in e.hom(x, z) if p.mor(t) == h and e.compose2(g, t) == f]
-                    if len(lifts) != 1:
-                        return False
+        pz = p.ob(z)
+        if convention == "standard":
+            lifts = Counter((p.mor(t), e.compose2(f, t)) for t in e.hom(z, x))
+            over: dict[str, list[str]] = {}  # P(f)∘h -> every h: P(z) -> P(x) with that composite
+            for h in b.hom(pz, px):
+                over.setdefault(b.compose2(pf, h), []).append(h)
+            if any(lifts[(h, g)] != 1 for g in e.hom(z, y) for h in over.get(p.mor(g), ())):
+                return False
+        else:
+            lifts = Counter((p.mor(t), g) for g in e.hom(z, y) for t in e.hom(x, z) if e.compose2(g, t) == f)
+            for g in e.hom(z, y):
+                pg = p.mor(g)
+                if any(b.compose2(pg, h) == pf and lifts[(h, g)] != 1 for h in b.hom(px, pz)):
+                    return False
     return True
 
 
@@ -127,21 +126,31 @@ def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict]:
     fibered = True
     all_cartesian = True
     lifts_exist = True
+    cartesian: dict[str, bool] = {}
+
+    def is_cartesian(m: str) -> bool:
+        if m not in cartesian:
+            cartesian[m] = is_cartesian_morphism(p, m, convention)
+        return cartesian[m]
+
     for m in e.morphisms:
-        if not is_cartesian_morphism(p, m.name, convention):
+        if not is_cartesian(m.name):
             all_cartesian = False
             witnesses.setdefault("non_cartesian", (m.name,))
             break
+    lifts: dict[tuple[str, str], list[str]] = {}
+    for m in e.morphisms:
+        lifts.setdefault((m.dst, p.mor(m.name)), []).append(m.name)
     for e_obj in e.objects:
         target_obj = p.ob(e_obj)
         for b_obj in b.objects:
             for f in b.hom(b_obj, target_obj):
-                candidates = [m.name for m in e.morphisms if m.dst == e_obj and p.mor(m.name) == f]
+                candidates = lifts.get((e_obj, f))
                 if not candidates:
                     lifts_exist = False
                     fibered = False
                     witnesses.setdefault("no_lift", (f, e_obj))
-                elif not any(is_cartesian_morphism(p, c, convention) for c in candidates):
+                elif not any(is_cartesian(c) for c in candidates):
                     fibered = False
                     witnesses.setdefault("no_cartesian_lift", (f, e_obj))
     return fibered, all_cartesian and lifts_exist, witnesses

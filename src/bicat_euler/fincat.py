@@ -2,7 +2,8 @@
 
 Categories are validated exhaustively (identity, endpoint and
 associativity laws) and immutable afterwards; every downstream module
-builds on the similarity matrix ζ_A(i,j) = #A(i,j).
+builds on the similarity matrix ζ_A(i,j) = #A(i,j).  Hom-sets are indexed
+once per category, so `hom(x, y)` is a lookup.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from .exactq import MatrixEuler, QMatrix, matrix_euler
 
 class NotAcyclic(Exception):
     pass
+
+
+class MissingEulerCharacteristic(Exception):
+    """Names the structure whose weighting or coweighting is absent."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +67,15 @@ class FinCategory:
     identity: Mapping[str, str]
     compose: Mapping[tuple[str, str], str]
     _by_name: Mapping[str, Morphism] = field(default=None, repr=False, compare=False)
+    _homs: Mapping[tuple[str, str], tuple[str, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self._by_name is None:
             object.__setattr__(self, "_by_name", {m.name: m for m in self.morphisms})
+        homs: dict[tuple[str, str], list[str]] = {}
+        for m in self.morphisms:
+            homs.setdefault((m.src, m.dst), []).append(m.name)
+        object.__setattr__(self, "_homs", {k: tuple(v) for k, v in homs.items()})
 
     def morphism(self, name: str) -> Morphism:
         return self._by_name[name]
@@ -77,7 +87,7 @@ class FinCategory:
         return self._by_name[name].dst
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(m.name for m in self.morphisms if m.src == x and m.dst == y)
+        return self._homs.get((x, y), ())
 
     def is_identity(self, name: str) -> bool:
         m = self._by_name[name]
@@ -164,9 +174,12 @@ def validate_category(
     if violations:
         raise InvalidCategory(violations)
 
+    into: dict[str, list[Morphism]] = {x: [] for x in objects}
+    for m in morphs:
+        into[m.dst].append(m)
     for g in morphs:
-        for f in morphs:
-            if g.src == f.dst and (g.name, f.name) not in compose:
+        for f in into[g.src]:
+            if (g.name, f.name) not in compose:
                 violations.append(
                     Violation("MissingComposite", f"compose({g.name}, {f.name}) undefined", (g.name, f.name))
                 )
@@ -176,14 +189,15 @@ def validate_category(
     for m in morphs:
         if compose[(m.name, identity[m.src])] != m.name or compose[(identity[m.dst], m.name)] != m.name:
             violations.append(Violation("IdentityLawViolation", f"identity laws fail at {m.name}", (m.name,)))
+    after: dict[str, dict[str, str]] = {m.name: {} for m in morphs}  # after[g][f] = g∘f
+    for (g, f), h in compose.items():
+        after[g][f] = h
     for h in morphs:
-        for g in morphs:
-            if h.src != g.dst:
-                continue
-            for f in morphs:
-                if g.src != f.dst:
-                    continue
-                if compose[(compose[(h.name, g.name)], f.name)] != compose[(h.name, compose[(g.name, f.name)])]:
+        h_after = after[h.name]
+        for g in into[h.src]:
+            g_after, hg_after = after[g.name], after[h_after[g.name]]
+            for f in into[g.src]:
+                if hg_after[f.name] != h_after[g_after[f.name]]:
                     violations.append(
                         Violation(
                             "AssociativityViolation",
@@ -331,7 +345,7 @@ def validate_functor(
             violations.append(Violation("DanglingEndpoint", f"object {x} has no valid image", (x,)))
     for m in source.morphisms:
         img = morphism_map.get(m.name)
-        if img is None or img not in {t.name for t in target.morphisms}:
+        if img is None or img not in target._by_name:
             violations.append(Violation("DanglingEndpoint", f"morphism {m.name} has no valid image", (m.name,)))
     if violations:
         raise InvalidFunctor(violations)

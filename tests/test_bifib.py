@@ -27,7 +27,6 @@ from bicat_euler.bifib import (
     verify_fiber_biequivalence,
     verify_gr_formula_bicat,
     verify_product_formula_bicat,
-    worker_count,
 )
 from bicat_euler.fib1 import NotBiFibered
 from bicat_euler.fincat import validate_functor
@@ -279,20 +278,3 @@ def test_generated_trihoms_pass_everything():
             assert pseudogroupoid_check(t.fiber[b])
         rep = verify_gr_formula_bicat(t)
         assert rep.equal and rep.product_coweighting_valid, seed
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("BICAT_EULER_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("BICAT_EULER_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("BICAT_EULER_THREADS", "junk")
-    assert worker_count() == 1
-
-
-def test_classify_deterministic_under_threads(monkeypatch):
-    monkeypatch.setenv("BICAT_EULER_THREADS", "3")
-    rep_threaded = classify_bifibration(fx.PSG_COLLAPSE)
-    monkeypatch.delenv("BICAT_EULER_THREADS")
-    rep_serial = classify_bifibration(fx.PSG_COLLAPSE)
-    assert rep_threaded == rep_serial

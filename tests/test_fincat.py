@@ -130,6 +130,14 @@ def test_nerve_requires_acyclic():
         nerve_euler(fx.BZ2)
 
 
+def test_each_error_class_is_defined_once():
+    from bicat_euler import bicat, bifib, fib1, fincat
+
+    assert bicat.NotAcyclic is fincat.NotAcyclic
+    for mod in (bicat, fib1, bifib):
+        assert mod.MissingEulerCharacteristic is fincat.MissingEulerCharacteristic
+
+
 def test_coproduct_chi():
     assert euler_char_cat(coproduct_cat([fx.PT, fx.PT])).chi == 2
     assert euler_char_cat(coproduct_cat([fx.ARROW, fx.BZ2])).chi == Fraction(3, 2)
