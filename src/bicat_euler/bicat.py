@@ -16,6 +16,7 @@ from .fincat import (
     EMPTY_CATEGORY,
     FinCategory,
     Functor,
+    InvalidInput,
     MissingEulerCharacteristic,
     NotAcyclic,
     check_equivalence_functor,
@@ -28,19 +29,19 @@ from .fincat import (
 from .fincat import is_acyclic as cat_is_acyclic
 
 
-class HomWithoutEuler(Exception):
+class HomWithoutEuler(InvalidInput):
     pass
 
 
-class MissingCompositionData(Exception):
+class MissingCompositionData(InvalidInput):
     pass
 
 
-class NotPseudogroupoid(Exception):
+class NotPseudogroupoid(InvalidInput):
     pass
 
 
-class NotBiequivalence(Exception):
+class NotBiequivalence(InvalidInput):
     pass
 
 

@@ -29,14 +29,14 @@ from .bicat import (
 )
 from .exactq import QMatrix, QVector, format_rational, matrix_euler
 from .fib1 import NotBiFibered, ObjectNotInBase, NonUniqueLift, classify_fibration, is_cartesian_morphism
-from .fincat import FinCategory, pair_label, similarity_matrix, validate_functor
+from .fincat import FinCategory, InvalidInput, pair_label, similarity_matrix, validate_functor
 
 
-class IllTypedComponent(Exception):
+class IllTypedComponent(InvalidInput):
     pass
 
 
-class MissingCoweighting(Exception):
+class MissingCoweighting(InvalidInput):
     pass
 
 

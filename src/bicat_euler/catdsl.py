@@ -27,20 +27,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .bicat import (
-    Bicategory,
-    CatGraph,
-    LaxFunctorBicat,
-    MissingCompositionData,
-    make_catgraph,
-    validate_bicategory,
-    validate_lax_functor,
-)
-from .bifib import IllTypedComponent, Trihomomorphism, validate_trihomomorphism
-from .fib1 import IncoherentData, LaxFunctorToCat, validate_laxcat
 from .fincat import FinCategory, Functor, InvalidCategory, validate_category, validate_functor
+
+# Builders and `serialize` import other kind modules when run: a category loads none.
+if TYPE_CHECKING:
+    from .bicat import Bicategory, CatGraph, LaxFunctorBicat
+    from .bifib import Trihomomorphism
+    from .fib1 import LaxFunctorToCat
 
 KINDS = ("category", "functor", "catgraph", "bicategory", "laxfunctor", "laxcat", "trihom")
 
@@ -432,6 +427,7 @@ def _build_hom_table(b: _Builder, node: JNode, objects: list[str]) -> Optional[d
 
 
 def _build_catgraph(b: _Builder, node: JNode) -> Optional[CatGraph]:
+    from .bicat import make_catgraph
     obj = b.object_of(node, "catgraph")
     if obj is None:
         return None
@@ -466,6 +462,7 @@ def _keyed_triples(b: _Builder, node: JNode, what: str, key_arity: int, width: i
 
 
 def _build_bicategory(b: _Builder, node: JNode) -> Optional[Bicategory]:
+    from .bicat import MissingCompositionData, validate_bicategory
     obj = b.object_of(node, "bicategory")
     if obj is None:
         return None
@@ -520,6 +517,7 @@ def _build_bicategory(b: _Builder, node: JNode) -> Optional[Bicategory]:
 
 
 def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
+    from .bicat import MissingCompositionData, validate_lax_functor
     obj = b.object_of(node, "laxfunctor")
     if obj is None:
         return None
@@ -573,6 +571,7 @@ def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
 
 
 def _build_laxcat(b: _Builder, node: JNode) -> Optional[LaxFunctorToCat]:
+    from .fib1 import IncoherentData, LaxFunctorToCat, validate_laxcat
     obj = b.object_of(node, "laxcat")
     if obj is None:
         return None
@@ -636,6 +635,7 @@ def _build_laxcat(b: _Builder, node: JNode) -> Optional[LaxFunctorToCat]:
 
 
 def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
+    from .bifib import IllTypedComponent, Trihomomorphism, validate_trihomomorphism
     obj = b.object_of(node, "trihom")
     if obj is None:
         return None
@@ -703,6 +703,7 @@ def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
 
 
 def _build_fiber_lax_functor(b: _Builder, node: JNode, source: Bicategory, target: Bicategory):
+    from .bicat import MissingCompositionData, validate_lax_functor
     obj = b.object_of(node, "pullback lax functor")
     if obj is None:
         return None
@@ -885,16 +886,19 @@ def serialize(value) -> str:
         body, kind = _category_body(value), "category"
     elif isinstance(value, Functor):
         body, kind = _functor_body(value), "functor"
-    elif isinstance(value, Trihomomorphism):
-        body, kind = _trihom_body(value), "trihom"
-    elif isinstance(value, LaxFunctorToCat):
-        body, kind = _laxcat_body(value), "laxcat"
-    elif isinstance(value, LaxFunctorBicat):
-        body, kind = _laxfunctor_body(value), "laxfunctor"
-    elif isinstance(value, Bicategory):
-        body, kind = _bicategory_body(value), "bicategory"
-    elif isinstance(value, CatGraph):
-        body, kind = _catgraph_body(value), "catgraph"
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        from . import bicat, bifib, fib1
+
+        if isinstance(value, bifib.Trihomomorphism):
+            body, kind = _trihom_body(value), "trihom"
+        elif isinstance(value, fib1.LaxFunctorToCat):
+            body, kind = _laxcat_body(value), "laxcat"
+        elif isinstance(value, bicat.LaxFunctorBicat):
+            body, kind = _laxfunctor_body(value), "laxfunctor"
+        elif isinstance(value, bicat.Bicategory):
+            body, kind = _bicategory_body(value), "bicategory"
+        elif isinstance(value, bicat.CatGraph):
+            body, kind = _catgraph_body(value), "catgraph"
+        else:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
     return json.dumps({"kind": kind, **body}, indent=2, sort_keys=True) + "\n"

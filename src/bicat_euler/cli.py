@@ -1,19 +1,26 @@
 """Command line front end: chi, check, verify, gen.
 
 All numeric output is exact rational text; exit codes are 0 (pass),
-1 (check or verification failed), 2 (input error), 3 (internal assertion
-or generator failure).  --json emits a machine-readable RunReport.
+1 (check or verification failed), 2 (input error), 3 (internal error:
+any other exception, with its traceback, or a generator failure).  --json
+emits a machine-readable RunReport.  Commands reach the kind modules
+through the package's lazy attributes, so each loads only what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
+import os
 import sys
+import traceback
 from pathlib import Path
 
-from . import bicat, bifib, fib1, fincat, generators
+import bicat_euler
+
+from . import fincat
 from .catdsl import Document, parse, serialize
 from .exactq import format_rational
 
@@ -23,7 +30,7 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-class InputError(Exception):
+class InputError(fincat.InvalidInput):
     pass
 
 
@@ -67,11 +74,11 @@ def cmd_chi(args) -> int:
             graph = doc.value.graph
         else:
             raise InputError(f"{args.file}: expected a catgraph or bicategory document")
-        euler = bicat.euler_char_cg(graph)
+        euler = bicat_euler.bicat.euler_char_cg(graph)
     elif kind == "bicategory":
         if doc.kind != "bicategory":
             raise InputError(f"{args.file}: expected a bicategory document")
-        euler = bicat.euler_char_cg(doc.value.graph)
+        euler = bicat_euler.bicat.euler_char_cg(doc.value.graph)
     else:
         raise InputError(f"unknown kind {kind!r}")
     report = {
@@ -114,29 +121,29 @@ def cmd_check(args) -> int:
         if doc.kind == "category":
             ok = fincat.is_acyclic(doc.value)
         elif doc.kind == "bicategory":
-            ok = bicat.is_acyclic_bicat(doc.value)
+            ok = bicat_euler.bicat.is_acyclic_bicat(doc.value)
         else:
             raise InputError("acyclic expects a category or bicategory document")
     elif args.predicate in ("fibered", "fib-groupoids"):
         if doc.kind != "functor":
             raise InputError(f"{args.predicate} expects a functor document")
-        rep = fib1.classify_fibration(doc.value)
+        rep = bicat_euler.fib1.classify_fibration(doc.value)
         ok = rep.fibered if args.predicate == "fibered" else rep.fibered_in_groupoids
         witnesses = rep.to_json()["witnesses"]
     elif args.predicate == "pseudogroupoid":
         if doc.kind != "bicategory":
             raise InputError("pseudogroupoid expects a bicategory document")
-        ok = bicat.pseudogroupoid_check(doc.value)
+        ok = bicat_euler.bicat.pseudogroupoid_check(doc.value)
         if not ok:
             witnesses = _pseudogroupoid_witness(doc.value)
     elif args.predicate == "biequivalence":
         if doc.kind != "laxfunctor":
             raise InputError("biequivalence expects a laxfunctor document")
-        ok = bicat.check_biequivalence(doc.value)
+        ok = bicat_euler.bicat.check_biequivalence(doc.value)
     elif args.predicate == "fib-pseudogroupoids":
         if doc.kind != "laxfunctor":
             raise InputError("fib-pseudogroupoids expects a laxfunctor document")
-        rep = bifib.classify_bifibration(doc.value)
+        rep = bicat_euler.bifib.classify_bifibration(doc.value)
         ok = rep.fibered_in_pseudogroupoids
         witnesses = rep.to_json()["witnesses"]
     else:
@@ -161,7 +168,7 @@ def _pseudogroupoid_witness(b) -> dict:
                 if hom.inverse_of(m.name) is None:
                     return {"non_invertible_2cell": [x, y, m.name]}
             for f in hom.objects:
-                if not bicat.is_equivalence_1cell(b, x, y, f):
+                if not bicat_euler.bicat.is_equivalence_1cell(b, x, y, f):
                     return {"non_equivalence_1cell": [x, y, f]}
     return {}
 
@@ -171,7 +178,7 @@ def cmd_verify(args) -> int:
     if args.theorem == "gr":
         if doc.kind != "laxcat":
             raise InputError("verify gr expects a laxcat document")
-        rep = fib1.verify_gr_formula(doc.value)
+        rep = bicat_euler.fib1.verify_gr_formula(doc.value)
         summary = f"{format_rational(rep.lhs)} = " + " + ".join(
             f"{format_rational(rep.coweighting[b])}·{format_rational(rep.fiber_chi[b])}"
             for b in rep.coweighting.index
@@ -180,7 +187,7 @@ def cmd_verify(args) -> int:
     elif args.theorem == "product-cat":
         if doc.kind != "functor":
             raise InputError("verify product-cat expects a functor document")
-        rep = fib1.verify_product_formula_cat(doc.value)
+        rep = bicat_euler.fib1.verify_product_formula_cat(doc.value)
         summary = f"{format_rational(rep.chi_total)} = " + " + ".join(
             f"{format_rational(cb)} · {format_rational(cf)}" for _, cb, cf in rep.components
         )
@@ -188,16 +195,13 @@ def cmd_verify(args) -> int:
     elif args.theorem == "biequivalence":
         if doc.kind != "laxfunctor":
             raise InputError("verify biequivalence expects a laxfunctor document")
-        rep = bicat.verify_biequivalence_invariance(doc.value)
+        rep = bicat_euler.bicat.verify_biequivalence_invariance(doc.value)
         summary = f"{format_rational(rep.chi_source)} = {format_rational(rep.chi_target)}"
         ok = rep.equal and rep.transported_valid
     elif args.theorem == "gr-bicat":
-        if doc.kind == "trihom":
-            rep = bifib.verify_gr_formula_bicat(doc.value)
-        elif doc.kind == "laxfunctor":
-            rep = bifib.verify_gr_formula_bicat(doc.value)
-        else:
+        if doc.kind not in ("trihom", "laxfunctor"):
             raise InputError("verify gr-bicat expects a trihom or laxfunctor document")
+        rep = bicat_euler.bifib.verify_gr_formula_bicat(doc.value)
         summary = f"{format_rational(rep.chi_gr)} = " + " + ".join(
             f"{format_rational(rep.base_coweighting[b])}·{format_rational(rep.fiber_chi[b])}"
             for b in rep.base_coweighting.index
@@ -206,7 +210,7 @@ def cmd_verify(args) -> int:
     elif args.theorem == "product-bicat":
         if doc.kind != "laxfunctor":
             raise InputError("verify product-bicat expects a laxfunctor document")
-        rep = bifib.verify_product_formula_bicat(doc.value)
+        rep = bicat_euler.bifib.verify_product_formula_bicat(doc.value)
         summary = f"{format_rational(rep.chi_total)} = " + " + ".join(
             f"{format_rational(cb)} · {format_rational(cf)}" for _, cb, cf in rep.components
         )
@@ -227,22 +231,27 @@ def cmd_verify(args) -> int:
     return _emit(args, report, status)
 
 
+def _generator(name: str):
+    """The builder `generators.<name>`, imported only when `gen` runs it."""
+    return lambda seed, size: getattr(bicat_euler.generators, name)(seed, size)
+
+
 _GEN_KINDS = {
-    "acyclic-cat": (generators.gen_acyclic_category, lambda v: fincat.is_acyclic(v)),
+    "acyclic-cat": (_generator("gen_acyclic_category"), lambda v: fincat.is_acyclic(v)),
     "groupoid-valued-laxcat": (
-        generators.gen_groupoid_valued_laxcat,
+        _generator("gen_groupoid_valued_laxcat"),
         lambda v: all(
             cat.inverse_of(m.name) is not None for cat in v.fiber.values() for m in cat.morphisms
         ),
     ),
     "fib-groupoids-functor": (
-        generators.gen_fib_groupoids_functor,
-        lambda v: fib1.classify_fibration(v).fibered_in_groupoids,
+        _generator("gen_fib_groupoids_functor"),
+        lambda v: bicat_euler.fib1.classify_fibration(v).fibered_in_groupoids,
     ),
-    "pseudogroupoid": (generators.gen_pseudogroupoid, bicat.pseudogroupoid_check),
+    "pseudogroupoid": (_generator("gen_pseudogroupoid"), lambda v: bicat_euler.bicat.pseudogroupoid_check(v)),
     "trihom-psgrpd": (
-        generators.gen_trihom,
-        lambda v: all(bicat.pseudogroupoid_check(f) for f in v.fiber.values()),
+        _generator("gen_trihom"),
+        lambda v: all(bicat_euler.bicat.pseudogroupoid_check(f) for f in v.fiber.values()),
     ),
 }
 
@@ -319,28 +328,22 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except (
-        fincat.InvalidCategory,
-        bicat.MissingCompositionData,
-        bicat.HomWithoutEuler,
-        bicat.NotAcyclic,
-        bicat.NotPseudogroupoid,
-        bicat.NotBiequivalence,
-        bicat.MissingEulerCharacteristic,
-        fib1.NotFibered,
-        fib1.NotBiFibered,
-        fib1.ObjectNotInBase,
-        fib1.MorphismNotInCategory,
-        fib1.IncoherentData,
-        bifib.IllTypedComponent,
-        bifib.MissingCoweighting,
-    ) as exc:
+    except fincat.InvalidInput as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (AssertionError, fib1.NonUniqueLift) as exc:
-        print(f"internal assertion failure: {exc}", file=sys.stderr)
+    except Exception:
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """Process entry point: `main` without cyclic GC, ended without interpreter teardown."""
+    gc.disable()
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -19,6 +19,7 @@ from .fincat import (
     FinCategory,
     Functor,
     InvalidCategory,
+    InvalidInput,
     MissingEulerCharacteristic,
     Morphism,
     category_components,
@@ -30,11 +31,11 @@ from .fincat import (
 )
 
 
-class MorphismNotInCategory(Exception):
+class MorphismNotInCategory(InvalidInput):
     pass
 
 
-class NotFibered(Exception):
+class NotFibered(InvalidInput):
     pass
 
 
@@ -42,15 +43,15 @@ class NonUniqueLift(Exception):
     pass
 
 
-class ObjectNotInBase(Exception):
+class ObjectNotInBase(InvalidInput):
     pass
 
 
-class NotBiFibered(Exception):
+class NotBiFibered(InvalidInput):
     pass
 
 
-class IncoherentData(Exception):
+class IncoherentData(InvalidInput):
     pass
 
 
@@ -110,13 +111,12 @@ def reverse_functor(p: Functor) -> Functor:
     return Functor(p.source.opposite(), p.target.opposite(), dict(p.object_map), dict(p.morphism_map))
 
 
-def _cartesian_lift_candidates(p: Functor, f: str, e_obj: str, convention: str) -> list[str]:
-    e, b = p.source, p.target
-    return sorted(
-        m.name
-        for m in e.morphisms
-        if m.dst == e_obj and p.mor(m.name) == f and is_cartesian_morphism(p, m.name, convention)
-    )
+def _lifts_by_target(p: Functor) -> dict[tuple[str, str], list[str]]:
+    """Morphisms of the total category keyed by (target, image), in morphism order."""
+    lifts: dict[tuple[str, str], list[str]] = {}
+    for m in p.source.morphisms:
+        lifts.setdefault((m.dst, p.mor(m.name)), []).append(m.name)
+    return lifts
 
 
 def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict]:
@@ -138,9 +138,7 @@ def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict]:
             all_cartesian = False
             witnesses.setdefault("non_cartesian", (m.name,))
             break
-    lifts: dict[tuple[str, str], list[str]] = {}
-    for m in e.morphisms:
-        lifts.setdefault((m.dst, p.mor(m.name)), []).append(m.name)
+    lifts = _lifts_by_target(p)
     for e_obj in e.objects:
         target_obj = p.ob(e_obj)
         for b_obj in b.objects:
@@ -181,11 +179,12 @@ class Cleavage:
 def choose_cleavage(p: Functor, policy: str = "min", convention: str = "standard") -> Cleavage:
     """Deterministic cleavage: lexicographically smallest (or largest) valid lift."""
     e, b = p.source, p.target
+    over = _lifts_by_target(p)
     lifts: dict[tuple[str, str], str] = {}
     for e_obj in e.objects:
         for b_obj in b.objects:
             for f in b.hom(b_obj, p.ob(e_obj)):
-                candidates = _cartesian_lift_candidates(p, f, e_obj, convention)
+                candidates = sorted(c for c in over.get((e_obj, f), ()) if is_cartesian_morphism(p, c, convention))
                 if not candidates:
                     raise NotFibered(f"no cartesian lift of {f} at {e_obj}")
                 lifts[(f, e_obj)] = candidates[0] if policy == "min" else candidates[-1]

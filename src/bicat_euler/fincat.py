@@ -15,11 +15,15 @@ from typing import Mapping, Optional, Sequence
 from .exactq import MatrixEuler, QMatrix, matrix_euler
 
 
-class NotAcyclic(Exception):
+class InvalidInput(Exception):
+    """Base of every error a malformed or unsuitable input causes (CLI exit 2)."""
+
+
+class NotAcyclic(InvalidInput):
     pass
 
 
-class MissingEulerCharacteristic(Exception):
+class MissingEulerCharacteristic(InvalidInput):
     """Names the structure whose weighting or coweighting is absent."""
 
 
@@ -35,7 +39,7 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-class InvalidCategory(Exception):
+class InvalidCategory(InvalidInput):
     """Raised with the complete list of violated laws, not just the first."""
 
     def __init__(self, violations: Sequence[Violation]):

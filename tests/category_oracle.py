@@ -3,14 +3,15 @@
 These are the loops the library used before it indexed hom-sets and
 in-arrows and before it counted cartesian lifts in one pass: `hom` scans
 every morphism, `validate_category` tries every pair and triple of
-morphisms, and `is_cartesian_morphism` lists the lifts of every (g, h)
-separately.  They stay here, test-only, as the slow paths the indexed code
+morphisms, `is_cartesian_morphism` lists the lifts of every (g, h)
+separately, and `choose_cleavage` scans every morphism for the lifts of each
+(base morphism, object).  They stay here, test-only, as the slow paths the indexed code
 must agree with.
 """
 
 from typing import Mapping, Sequence
 
-from bicat_euler.fib1 import FibrationReport, MorphismNotInCategory, reverse_functor
+from bicat_euler.fib1 import Cleavage, FibrationReport, MorphismNotInCategory, NotFibered, reverse_functor
 from bicat_euler.fincat import FinCategory, Functor, InvalidCategory, Morphism, Violation
 
 
@@ -177,3 +178,26 @@ def classify_fibration(p: Functor, convention: str = "standard") -> FibrationRep
     assert not report.fibered_in_groupoids or report.fibered
     assert not report.cofibered_in_groupoids or report.cofibered
     return report
+
+
+def _cartesian_lift_candidates(p: Functor, f: str, e_obj: str, convention: str) -> list[str]:
+    e, b = p.source, p.target
+    return sorted(
+        m.name
+        for m in e.morphisms
+        if m.dst == e_obj and p.mor(m.name) == f and is_cartesian_morphism(p, m.name, convention)
+    )
+
+
+def choose_cleavage(p: Functor, policy: str = "min", convention: str = "standard") -> Cleavage:
+    """Deterministic cleavage: lexicographically smallest (or largest) valid lift."""
+    e, b = p.source, p.target
+    lifts: dict[tuple[str, str], str] = {}
+    for e_obj in e.objects:
+        for b_obj in b.objects:
+            for f in b.hom(b_obj, p.ob(e_obj)):
+                candidates = _cartesian_lift_candidates(p, f, e_obj, convention)
+                if not candidates:
+                    raise NotFibered(f"no cartesian lift of {f} at {e_obj}")
+                lifts[(f, e_obj)] = candidates[0] if policy == "min" else candidates[-1]
+    return Cleavage(lifts)

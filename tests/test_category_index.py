@@ -4,8 +4,9 @@
 same order.  `validate_category` must accept what the exhaustive law loops
 accept, and report the same violations in the same order on seeded mutants
 of composition tables.  `is_cartesian_morphism`, in both conventions, and
-`classify_fibration` must agree with the lift-by-lift search on seeded
-functors that include non-cartesian morphisms.
+`classify_fibration` and `choose_cleavage` must agree with the
+lift-by-lift search on seeded functors that include non-cartesian
+morphisms.
 """
 
 import random
@@ -16,7 +17,7 @@ import category_oracle as oracle
 from bicat_euler import fib1
 from bicat_euler import fixtures as fx
 from bicat_euler import generators as gen
-from bicat_euler.fib1 import classify_fibration, is_cartesian_morphism, reverse_functor
+from bicat_euler.fib1 import NotFibered, choose_cleavage, classify_fibration, is_cartesian_morphism, reverse_functor
 from bicat_euler.fincat import (
     FinCategory,
     InvalidCategory,
@@ -199,6 +200,24 @@ def test_classify_fibration_matches_oracle(functors):
             assert report == oracle.classify_fibration(p, convention)
             flags.add((report.fibered, report.fibered_in_groupoids))
     assert len(flags) > 1
+
+
+def _cleavage_outcome(choose, p, policy, convention):
+    try:
+        return "cleavage", choose(p, policy, convention).lifts
+    except NotFibered as exc:
+        return "not fibered", str(exc)
+
+
+def test_choose_cleavage_matches_scan(functors):
+    kinds = set()
+    for p in functors:
+        for policy in ("min", "max"):
+            for convention in CONVENTIONS:
+                got = _cleavage_outcome(choose_cleavage, p, policy, convention)
+                assert got == _cleavage_outcome(oracle.choose_cleavage, p, policy, convention)
+                kinds.add(got[0])
+    assert kinds == {"cleavage", "not fibered"}
 
 
 def test_classify_fibration_tests_each_morphism_once(functors, monkeypatch):

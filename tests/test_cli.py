@@ -170,11 +170,76 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def _python(fixture_dir, *args, **kwargs):
+    """A fresh interpreter with PYTHONPATH=src, run from the root of the checkout."""
+    env = dict(os.environ, PYTHONPATH="src")
+    return subprocess.run([sys.executable, *args], cwd=fixture_dir.parent, env=env, capture_output=True, **kwargs)
+
+
+def _loaded_after(fixture_dir, code):
+    """The names in sys.modules after running code in a fresh interpreter."""
+    proc = _python(fixture_dir, "-c", code + "\nimport sys; print(' '.join(sys.modules))", text=True, check=True)
+    return set(proc.stdout.split())
+
+
+LAZY_MODULES = {f"bicat_euler.{m}" for m in ("bicat", "fib1", "bifib", "generators", "fixtures")}
+
+
 def test_cli_import_loads_no_thread_pool(fixture_dir):
     # The bifibration sweep is serial: on a GIL build a thread pool gave it no speedup.
-    code = "import bicat_euler.cli, sys; print('concurrent.futures' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=fixture_dir.parent, env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "False"
+    assert "concurrent.futures" not in _loaded_after(fixture_dir, "import bicat_euler.cli")
+
+
+def test_cli_import_loads_no_kind_module(fixture_dir):
+    assert not _loaded_after(fixture_dir, "import bicat_euler.cli") & LAZY_MODULES
+
+
+def test_each_command_loads_only_the_modules_it_runs(fixture_dir):
+    chi = _loaded_after(fixture_dir, "from bicat_euler.cli import main; main(['chi', 'fixtures/bz2.catj'])")
+    assert not chi & {"bicat_euler.bicat", "bicat_euler.fib1"}
+    check = "from bicat_euler.cli import main; main(['check', 'fixtures/ez2-to-bz2.catj', 'fib-groupoids'])"
+    loaded = _loaded_after(fixture_dir, check)
+    assert "bicat_euler.fib1" in loaded and not loaded & {"bicat_euler.bicat", "bicat_euler.bifib"}
+
+
+def test_package_attributes_import_submodules(fixture_dir):
+    code = "import bicat_euler; print(bicat_euler.bifib.__name__); print(hasattr(bicat_euler, 'nosuch'))"
+    proc = _python(fixture_dir, "-c", code, text=True, check=True)
+    assert proc.stdout.split() == ["bicat_euler.bifib", "False"]
+
+
+def test_process_exit_codes(fixture_dir):
+    cases = [
+        (["chi", "fixtures/bz2.catj"], 0, b"1/2\n"),
+        (["check", "fixtures/acyclic2.catj", "pseudogroupoid"], 1, None),
+        (["chi", "fixtures/negative/e005-syntax.catj"], 2, b""),
+    ]
+    for argv, code, out in cases:
+        proc = _python(fixture_dir, "-m", "bicat_euler.cli", *argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert out is None or proc.stdout == out
+
+
+def test_process_output_through_a_pipe_is_complete(fixture_dir, tmp_path):
+    from bicat_euler.catdsl import serialize
+    from bicat_euler.generators import gen_trihom
+
+    argv = ["-m", "bicat_euler.cli", "gen", "trihom-psgrpd", "--size", "3"]
+    piped = _python(fixture_dir, *argv)
+    target = tmp_path / "trihom.catj"
+    written = _python(fixture_dir, *argv, "--out", str(target))
+    assert piped.returncode == 0 and written.returncode == 0
+    assert piped.stdout == target.read_bytes()
+    assert target.read_text(encoding="utf-8") == serialize(gen_trihom(0, 3))
+
+
+def test_unexpected_exception_exits_3_with_traceback(capsys, fixture_dir, monkeypatch):
+    from bicat_euler import fib1
+
+    def broken(p):
+        raise fib1.NonUniqueLift("two lifts")
+
+    monkeypatch.setattr(fib1, "classify_fibration", broken)
+    code, out, err = run(capsys, "check", str(fixture_dir / "ez2-to-bz2.catj"), "fibered")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback") and "NonUniqueLift: two lifts" in err

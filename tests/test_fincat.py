@@ -138,6 +138,23 @@ def test_each_error_class_is_defined_once():
         assert mod.MissingEulerCharacteristic is fincat.MissingEulerCharacteristic
 
 
+def test_input_errors_share_one_base():
+    from bicat_euler import bicat, bifib, cli, fib1, fincat
+
+    input_errors = {
+        fincat: ("InvalidCategory", "InvalidFunctor", "NotAcyclic", "MissingEulerCharacteristic"),
+        bicat: ("MissingCompositionData", "HomWithoutEuler", "NotPseudogroupoid", "NotBiequivalence"),
+        fib1: ("NotFibered", "NotBiFibered", "ObjectNotInBase", "MorphismNotInCategory", "IncoherentData"),
+        bifib: ("IllTypedComponent", "MissingCoweighting"),
+        cli: ("InputError",),
+    }
+    for mod, names in input_errors.items():
+        for name in names:
+            assert issubclass(getattr(mod, name), fincat.InvalidInput), name
+    # A lift that is not unique is a bug in the library, not bad input: the CLI exits 3 on it.
+    assert not issubclass(fib1.NonUniqueLift, fincat.InvalidInput)
+
+
 def test_coproduct_chi():
     assert euler_char_cat(coproduct_cat([fx.PT, fx.PT])).chi == 2
     assert euler_char_cat(coproduct_cat([fx.ARROW, fx.BZ2])).chi == Fraction(3, 2)
