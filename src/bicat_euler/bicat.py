@@ -14,6 +14,7 @@ from typing import Mapping, Optional, Sequence
 from .exactq import MatrixEuler, QMatrix, QVector, format_rational, matrix_euler
 from .fincat import (
     EMPTY_CATEGORY,
+    PT,
     FinCategory,
     Functor,
     InvalidInput,
@@ -217,14 +218,21 @@ def _validate_unitors(bi: Bicategory, unitor_l: Mapping, unitor_r: Mapping):
 
 
 def similarity_matrix_cg(g: CatGraph) -> QMatrix:
-    """ζ over the object set with chi(hom(i,j)) entries; empty homs contribute 0."""
+    """ζ over the object set with chi(hom(i,j)) entries; empty homs contribute 0.
+
+    Each distinct hom object is solved once: the graph keeps every hom
+    alive for the call, so `id(hom)` names it.
+    """
     chi = {}
+    by_hom: dict[int, Optional[Fraction]] = {}
     for i in g.objects:
         for j in g.objects:
-            e = euler_char_cat(g.hom_at(i, j))
-            if e.chi is None:
+            hom = g.hom_at(i, j)
+            if id(hom) not in by_hom:
+                by_hom[id(hom)] = euler_char_cat(hom).chi
+            chi[(i, j)] = by_hom[id(hom)]
+            if chi[(i, j)] is None:
                 raise HomWithoutEuler(f"hom({i},{j}) has no Euler characteristic")
-            chi[(i, j)] = e.chi
     return QMatrix.build(g.objects, g.objects, lambda i, j: chi[(i, j)])
 
 
@@ -244,8 +252,6 @@ def coproduct_cg(parts: Sequence[CatGraph]) -> CatGraph:
 
 
 def product_cg(parts: Sequence[CatGraph]) -> CatGraph:
-    from .fixtures import PT  # unit for the empty product; deferred to avoid a cycle
-
     if not parts:
         return make_catgraph(("*",), {("*", "*"): PT})
     result = parts[0]
@@ -266,8 +272,6 @@ def product_cg(parts: Sequence[CatGraph]) -> CatGraph:
 def _hom_equivalent_to_point(hom: FinCategory) -> bool:
     if not hom.objects:
         return False
-    from .fixtures import PT
-
     to_point = validate_functor(
         hom,
         PT,

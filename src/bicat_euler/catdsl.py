@@ -235,6 +235,8 @@ class _Scanner:
 class _Builder:
     def __init__(self):
         self.diags: list[Diagnostic] = []
+        # Extracted tables -> validated category: identical sub-documents are validated once.
+        self.categories: dict[tuple, FinCategory] = {}
 
     def err(self, node: JNode, code: str, message: str):
         self.diags.append(Diagnostic("error", node.line, node.col, code, message))
@@ -350,12 +352,16 @@ def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
         compose[(g, f)] = h
     if b.diags:
         return None
-    try:
-        return validate_category(objects, morphisms, identity, compose)
-    except InvalidCategory as exc:
-        for violation in exc.violations:
-            b.err(node, violation.code, violation.message)
-        return None
+    key = (tuple(objects), tuple(morphisms), tuple(identity.items()), tuple(compose.items()))
+    cat = b.categories.get(key)
+    if cat is None:
+        try:
+            cat = b.categories[key] = validate_category(objects, morphisms, identity, compose)
+        except InvalidCategory as exc:
+            for violation in exc.violations:
+                b.err(node, violation.code, violation.message)
+            return None
+    return cat
 
 
 def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: FinCategory) -> Optional[Functor]:

@@ -35,15 +35,18 @@ class InputError(fincat.InvalidInput):
 
 
 def _load(path: str) -> tuple[Document, str]:
+    """The parsed document and the sha256 of the file's bytes, as read."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}")
-    result = parse(text)
+    # Newlines as text mode reads them, so that parse positions do not depend on the line ending.
+    result = parse(text.replace("\r\n", "\n").replace("\r", "\n"))
     if result.document is None:
         lines = [f"{path}:{d}" for d in result.diagnostics]
         raise InputError("\n".join(lines) or f"{path}: unreadable document")
-    return result.document, hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return result.document, hashlib.sha256(data).hexdigest()
 
 
 def _emit(args, report: dict, status: int) -> int:

@@ -125,6 +125,8 @@ class FinCategory:
 
 
 EMPTY_CATEGORY = FinCategory((), (), {}, {})
+# The one-object category; lawful by inspection, so built without validation.
+PT = FinCategory(("*",), (Morphism("id*", "*", "*"),), {"*": "id*"}, {("id*", "id*"): "id*"})
 
 
 def validate_category(

@@ -19,7 +19,7 @@ from .bicat import (
     validate_lax_functor,
 )
 from .fib1 import LaxFunctorToCat, validate_laxcat
-from .fincat import FinCategory, Functor, validate_category, validate_functor
+from .fincat import PT, FinCategory, Functor, validate_category, validate_functor
 
 
 def discrete_category(labels: Sequence[str]) -> FinCategory:
@@ -74,7 +74,6 @@ def klein_group() -> tuple[tuple[str, ...], dict[tuple[str, str], str], str]:
     return elements, mult, "g0"
 
 
-PT = one_object_cat("*")
 D2 = discrete_category(["x", "y"])
 
 ARROW = validate_category(

@@ -1,5 +1,6 @@
 """End-to-end CLI: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +70,19 @@ def test_non_utf8_file_is_input_error(capsys, tmp_path):
     path.write_bytes('{"kind": "category", "objects": ["\u00e9"]}'.encode("latin-1"))
     code, _, err = run(capsys, "chi", str(path))
     assert code == 2 and err.startswith(f"{path}: ") and "utf-8" in err and "Traceback" not in err
+
+
+def test_digest_is_of_the_file_bytes_whatever_the_line_ending(capsys, fixture_dir, tmp_path):
+    lf = fixture_dir / "bz2.catj"
+    report = json.loads(run(capsys, "chi", str(lf), "--json", "--weighting", "--coweighting")[1])
+    for name, newline in (("crlf.catj", b"\r\n"), ("cr.catj", b"\r")):
+        path = tmp_path / name
+        path.write_bytes(lf.read_bytes().replace(b"\n", newline))
+        code, out, _ = run(capsys, "chi", str(path), "--json", "--weighting", "--coweighting")
+        copy = json.loads(out)
+        assert code == 0 and copy["inputs"][0]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert copy["inputs"][0]["sha256"] != report["inputs"][0]["sha256"]
+        assert copy["results"] == report["results"]
 
 
 def test_check_fib_groupoids(capsys, fixture_dir):
@@ -200,6 +214,9 @@ def test_each_command_loads_only_the_modules_it_runs(fixture_dir):
     check = "from bicat_euler.cli import main; main(['check', 'fixtures/ez2-to-bz2.catj', 'fib-groupoids'])"
     loaded = _loaded_after(fixture_dir, check)
     assert "bicat_euler.fib1" in loaded and not loaded & {"bicat_euler.bicat", "bicat_euler.bifib"}
+    acyclic = "from bicat_euler.cli import main; main(['check', 'fixtures/bpt.catj', 'acyclic'])"
+    loaded = _loaded_after(fixture_dir, acyclic)
+    assert "bicat_euler.bicat" in loaded and not loaded & {"bicat_euler.fixtures", "bicat_euler.fib1"}
 
 
 def test_package_attributes_import_submodules(fixture_dir):
