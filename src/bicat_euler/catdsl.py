@@ -5,6 +5,12 @@ nested category objects keyed "x|y" and composition tables are arrays of
 [g, f, g∘f] triples.  Parsing recovers and continues: every problem in a
 document is reported, each with a line/column span.
 
+A document in strict JSON with no `\\u` escape is read by the C JSON
+decoder and built from its plain values.  Positions are computed only when
+a problem is reported: at the first problem, or when the decoder rejects
+the text, the positional scanner reads it again and the builders run on its
+nodes.  The accepted language and every diagnostic are the same either way.
+
 Diagnostic codes:
   E001 reference to an undeclared object/morphism/cell
   E002 duplicate label
@@ -241,6 +247,11 @@ class _Builder:
     def err(self, node: JNode, code: str, message: str):
         self.diags.append(Diagnostic("error", node.line, node.col, code, message))
 
+    def key_err(self, node: JNode, key: str, code: str, message: str):
+        """A diagnostic at the position of `key` in the object `node`."""
+        line, col = (node.key_pos or {}).get(key, (node.line, node.col))
+        self.diags.append(Diagnostic("error", line, col, code, message))
+
     def object_of(self, node: JNode, what: str) -> Optional[dict]:
         if not isinstance(node.value, dict):
             self.err(node, "E003", f"{what} must be a JSON object")
@@ -280,10 +291,7 @@ class _Builder:
     def split_key(self, node: JNode, key: str, arity: int) -> Optional[tuple[str, ...]]:
         parts = tuple(key.split("|"))
         if len(parts) != arity or any(not p for p in parts):
-            line, col = (node.key_pos or {}).get(key, (node.line, node.col))
-            self.diags.append(
-                Diagnostic("error", line, col, "E006", f"key {key!r} must have {arity} |-separated parts")
-            )
+            self.key_err(node, key, "E006", f"key {key!r} must have {arity} |-separated parts")
             return None
         return parts
 
@@ -303,7 +311,78 @@ class _Builder:
         return out
 
 
+class _NeedsPositions(Exception):
+    """The plain reading met a problem: only the scanner can say where it is."""
+
+
+class _PlainBuilder(_Builder):
+    """The builders on the decoder's plain values; the first problem ends the build."""
+
+    def err(self, *_):
+        raise _NeedsPositions
+
+    key_err = err
+
+    def object_of(self, node, what: str) -> dict:
+        if not isinstance(node, dict):
+            raise _NeedsPositions
+        return node
+
+    def array_of(self, node, what: str) -> list:
+        if not isinstance(node, list):
+            raise _NeedsPositions
+        return node
+
+    def string_of(self, node, what: str) -> str:
+        if not isinstance(node, str):
+            raise _NeedsPositions
+        return node
+
+    def triples(self, node, what: str, width: int = 3) -> list[tuple]:
+        out = []
+        for row in self.array_of(node, what):
+            if not isinstance(row, list) or len(row) != width:
+                raise _NeedsPositions
+            for cell in row:
+                if not isinstance(cell, str):
+                    raise _NeedsPositions
+            out.append(tuple(row))
+        return out
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise _NeedsPositions
+    return obj
+
+
+def _no_constant(name: str):
+    raise _NeedsPositions
+
+
+def _read_plain(text: str) -> Optional[ParseResult]:
+    """The result of a well-formed document read by the C JSON decoder, or None.
+
+    None means the text needs the scanner: the decoder rejects it, it holds a
+    `\\u` escape (the decoder merges a surrogate pair, the scanner keeps two
+    characters), or the builders find a problem, whose position only the
+    scanner knows.  Whatever this accepts, the scanner reads as the same values.
+    """
+    if "\\u" in text:
+        return None
+    try:
+        root = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant, strict=False)
+    except (ValueError, RecursionError, _NeedsPositions):
+        return None
+    try:
+        return _build_document(_PlainBuilder(), root)
+    except _NeedsPositions:
+        return None
+
+
 def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
+    reported = len(b.diags)
     obj = b.object_of(node, "category")
     if obj is None:
         return None
@@ -350,7 +429,7 @@ def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
             if ref not in names:
                 b.err(compose_node, "E001", f"compose entry references undeclared morphism {ref!r}")
         compose[(g, f)] = h
-    if b.diags:
+    if len(b.diags) != reported:
         return None
     key = (tuple(objects), tuple(morphisms), tuple(identity.items()), tuple(compose.items()))
     cat = b.categories.get(key)
@@ -422,10 +501,7 @@ def _build_hom_table(b: _Builder, node: JNode, objects: list[str]) -> Optional[d
         x, y = parts
         for obj_label in parts:
             if obj_label not in objects:
-                line, col = (node.key_pos or {}).get(key, (node.line, node.col))
-                b.diags.append(
-                    Diagnostic("error", line, col, "E001", f"hom key references undeclared object {obj_label!r}")
-                )
+                b.key_err(node, key, "E001", f"hom key references undeclared object {obj_label!r}")
         cat = _build_category(b, sub)
         if cat is not None:
             hom[(x, y)] = cat
@@ -758,11 +834,17 @@ _BUILDERS = {
 
 def parse(text: str) -> ParseResult:
     """Parse a .catj document; never raises, always reports every problem found."""
+    result = _read_plain(text)
+    if result is not None:
+        return result
     try:
         root = _Scanner(text).parse()
     except _SyntaxProblem as exc:
         return ParseResult(None, (Diagnostic("error", exc.line, exc.col, "E005", exc.message),))
-    builder = _Builder()
+    return _build_document(_Builder(), root)
+
+
+def _build_document(builder: _Builder, root) -> ParseResult:
     obj = builder.object_of(root, "document")
     if obj is None:
         return ParseResult(None, tuple(builder.diags))

@@ -8,7 +8,7 @@ derivable by hand from the similarity matrices.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .bicat import (
     Bicategory,
@@ -20,6 +20,23 @@ from .bicat import (
 )
 from .fib1 import LaxFunctorToCat, validate_laxcat
 from .fincat import PT, FinCategory, Functor, validate_category, validate_functor
+
+# The named values (D2, ARROW, PSG, ...) are built on first access, through the
+# module `__getattr__` below: importing this module validates nothing.
+_CATALOG: dict[str, Callable[[], object]] = {}
+
+
+def __getattr__(name: str):
+    """PEP 562: build the catalog value `name` on its first access and keep it."""
+    if name not in _CATALOG:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = _CATALOG[name]()
+    return value
+
+
+def _fx(name: str):
+    """A catalog value, from inside this module, where a global lookup does not reach `__getattr__`."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def discrete_category(labels: Sequence[str]) -> FinCategory:
@@ -74,9 +91,9 @@ def klein_group() -> tuple[tuple[str, ...], dict[tuple[str, str], str], str]:
     return elements, mult, "g0"
 
 
-D2 = discrete_category(["x", "y"])
+_CATALOG["D2"] = lambda: discrete_category(["x", "y"])
 
-ARROW = validate_category(
+_CATALOG["ARROW"] = lambda: validate_category(
     ["0", "1"],
     [("id0", "0", "0"), ("id1", "1", "1"), ("a", "0", "1")],
     {"0": "id0", "1": "id1"},
@@ -88,7 +105,7 @@ ARROW = validate_category(
     },
 )
 
-PAIR = validate_category(
+_CATALOG["PAIR"] = lambda: validate_category(
     ["0", "1"],
     [("id0", "0", "0"), ("id1", "1", "1"), ("a", "0", "1"), ("b", "0", "1")],
     {"0": "id0", "1": "id1"},
@@ -102,7 +119,7 @@ PAIR = validate_category(
     },
 )
 
-SPAN = validate_category(
+_CATALOG["SPAN"] = lambda: validate_category(
     ["c", "l", "r"],
     [("idc", "c", "c"), ("idl", "l", "l"), ("idr", "r", "r"), ("f", "c", "l"), ("g", "c", "r")],
     {"c": "idc", "l": "idl", "r": "idr"},
@@ -118,18 +135,18 @@ SPAN = validate_category(
 )
 
 _Z2 = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
-BZ2 = group_category("*", ["e", "g"], _Z2, "e")
+_CATALOG["BZ2"] = lambda: group_category("*", ["e", "g"], _Z2, "e")
 
-EZ2 = indiscrete_category(["0", "1"])
+_CATALOG["EZ2"] = lambda: indiscrete_category(["0", "1"])
 
-EZ2_TO_BZ2 = validate_functor(
-    EZ2,
-    BZ2,
+_CATALOG["EZ2_TO_BZ2"] = lambda: validate_functor(
+    _fx("EZ2"),
+    _fx("BZ2"),
     {"0": "*", "1": "*"},
     {"id0": "e", "id1": "e", "m01": "g", "m10": "g"},
 )
 
-D2_TO_PT = validate_functor(D2, PT, {"x": "*", "y": "*"}, {"idx": "id*", "idy": "id*"})
+_CATALOG["D2_TO_PT"] = lambda: validate_functor(_fx("D2"), PT, {"x": "*", "y": "*"}, {"idx": "id*", "idy": "id*"})
 
 
 def thin_bicategory(
@@ -165,7 +182,7 @@ def _thin_from_category(cat: FinCategory) -> Bicategory:
 
 
 # One object, one 1-cell named I, one 2-cell: the point bicategory.
-BPT = validate_bicategory(
+_CATALOG["BPT"] = lambda: validate_bicategory(
     ["*"],
     {("*", "*"): one_object_cat("I")},
     {"*": "I"},
@@ -173,11 +190,11 @@ BPT = validate_bicategory(
     {(("*", "*", "*"), "idI", "idI"): "idI"},
 )
 
-ARROW_BICAT = _thin_from_category(ARROW)
-EZ2_BICAT = _thin_from_category(EZ2)
+_CATALOG["ARROW_BICAT"] = lambda: _thin_from_category(_fx("ARROW"))
+_CATALOG["EZ2_BICAT"] = lambda: _thin_from_category(_fx("EZ2"))
 
 # Two objects, hom(0,1) the walking 2-cell (s => t), endo-homs trivial.
-_ACYCLIC2_HOM01 = validate_category(
+_CATALOG["_ACYCLIC2_HOM01"] = lambda: validate_category(
     ["s", "t"],
     [("ids", "s", "s"), ("idt", "t", "t"), ("a2", "s", "t")],
     {"s": "ids", "t": "idt"},
@@ -189,9 +206,9 @@ _ACYCLIC2_HOM01 = validate_category(
     },
 )
 
-ACYCLIC2 = validate_bicategory(
+_CATALOG["ACYCLIC2"] = lambda: validate_bicategory(
     ["0", "1"],
-    {("0", "0"): one_object_cat("id0"), ("1", "1"): one_object_cat("id1"), ("0", "1"): _ACYCLIC2_HOM01},
+    {("0", "0"): one_object_cat("id0"), ("1", "1"): one_object_cat("id1"), ("0", "1"): _fx("_ACYCLIC2_HOM01")},
     {"0": "id0", "1": "id1"},
     {
         (("0", "0", "0"), "id0", "id0"): "id0",
@@ -259,34 +276,35 @@ def discrete_suspension(
 
 
 _Z2_ELTS, _Z2_MULT, _Z2_UNIT = cyclic_group(2)
-PSG = suspension_two_group(["p", "q"], _Z2_ELTS, _Z2_MULT, _Z2_UNIT)
-BZ2_TWOGROUP = suspension_two_group(["*"], _Z2_ELTS, _Z2_MULT, _Z2_UNIT)
+_CATALOG["PSG"] = lambda: suspension_two_group(["p", "q"], _Z2_ELTS, _Z2_MULT, _Z2_UNIT)
+_CATALOG["BZ2_TWOGROUP"] = lambda: suspension_two_group(["*"], _Z2_ELTS, _Z2_MULT, _Z2_UNIT)
 
 
 def collapse_to_point(b: Bicategory) -> LaxFunctorBicat:
     """The unique lax functor b -> BPT."""
+    bpt = _fx("BPT")
     hom_functors = {}
     for x in b.objects:
         for y in b.objects:
             src = b.hom_at(x, y)
             hom_functors[(x, y)] = validate_functor(
                 src,
-                BPT.hom_at("*", "*"),
+                bpt.hom_at("*", "*"),
                 {f: "I" for f in src.objects},
                 {m.name: "idI" for m in src.morphisms},
             )
-    return validate_lax_functor(b, BPT, {x: "*" for x in b.objects}, hom_functors)
+    return validate_lax_functor(b, bpt, {x: "*" for x in b.objects}, hom_functors)
 
 
-PSG_COLLAPSE = collapse_to_point(PSG)
+_CATALOG["PSG_COLLAPSE"] = lambda: collapse_to_point(_fx("PSG"))
 
-GR_PSG_OVER_ARROW = product_projection(ARROW_BICAT, PSG)
+_CATALOG["GR_PSG_OVER_ARROW"] = lambda: product_projection(_fx("ARROW_BICAT"), _fx("PSG"))
 
 # Similarity matrix [[1,1],[2,2]]: the weighting system is inconsistent, so
 # this cat-graph has a coweighting but no Euler characteristic.
-NOCHI_CATGRAPH = make_catgraph(
+_CATALOG["NOCHI_CATGRAPH"] = lambda: make_catgraph(
     ["0", "1"],
-    {("0", "0"): PT, ("0", "1"): PT, ("1", "0"): D2, ("1", "1"): D2},
+    {("0", "0"): PT, ("0", "1"): PT, ("1", "0"): _fx("D2"), ("1", "1"): _fx("D2")},
 )
 
 
@@ -296,25 +314,27 @@ def identity_functor(cat: FinCategory) -> Functor:
     )
 
 
-_D2_SWAP = validate_functor(D2, D2, {"x": "y", "y": "x"}, {"idx": "idy", "idy": "idx"})
+_CATALOG["_D2_SWAP"] = lambda: validate_functor(
+    _fx("D2"), _fx("D2"), {"x": "y", "y": "x"}, {"idx": "idy", "idy": "idx"}
+)
 
-ARROW_BASE_LAXCAT = validate_laxcat(
+_CATALOG["ARROW_BASE_LAXCAT"] = lambda: validate_laxcat(
     LaxFunctorToCat(
-        base=ARROW,
-        fiber={"0": D2, "1": PT},
+        base=_fx("ARROW"),
+        fiber={"0": _fx("D2"), "1": PT},
         pullback={
-            "id0": identity_functor(D2),
+            "id0": identity_functor(_fx("D2")),
             "id1": identity_functor(PT),
-            "a": validate_functor(PT, D2, {"*": "x"}, {"id*": "idx"}),
+            "a": validate_functor(PT, _fx("D2"), {"*": "x"}, {"id*": "idx"}),
         },
     )
 )
 
-BZ2_BASE_LAXCAT = validate_laxcat(
+_CATALOG["BZ2_BASE_LAXCAT"] = lambda: validate_laxcat(
     LaxFunctorToCat(
-        base=BZ2,
-        fiber={"*": D2},
-        pullback={"e": identity_functor(D2), "g": _D2_SWAP},
+        base=_fx("BZ2"),
+        fiber={"*": _fx("D2")},
+        pullback={"e": identity_functor(_fx("D2")), "g": _fx("_D2_SWAP")},
     )
 )
 
@@ -350,26 +370,26 @@ def write_fixture_corpus(directory) -> list:
     directory.mkdir(parents=True, exist_ok=True)
     corpus = {
         "pt": PT,
-        "d2": D2,
-        "arrow": ARROW,
-        "pair": PAIR,
-        "span": SPAN,
-        "bz2": BZ2,
-        "ez2": EZ2,
-        "psg": PSG,
-        "bpt": BPT,
-        "acyclic2": ACYCLIC2,
-        "arrow-bicat": ARROW_BICAT,
-        "ez2-bicat": EZ2_BICAT,
-        "bz2-2group": BZ2_TWOGROUP,
-        "ez2-to-bz2": EZ2_TO_BZ2,
-        "d2-to-pt": D2_TO_PT,
-        "arrow-base-laxcat": ARROW_BASE_LAXCAT,
-        "bz2-base-laxcat": BZ2_BASE_LAXCAT,
-        "gr-psg-over-arrow": GR_PSG_OVER_ARROW,
-        "psg-collapse": PSG_COLLAPSE,
-        "trihom-const-psg-arrow": constant_trihomomorphism(ARROW_BICAT, PSG),
-        "nochi-catgraph": NOCHI_CATGRAPH,
+        "d2": _fx("D2"),
+        "arrow": _fx("ARROW"),
+        "pair": _fx("PAIR"),
+        "span": _fx("SPAN"),
+        "bz2": _fx("BZ2"),
+        "ez2": _fx("EZ2"),
+        "psg": _fx("PSG"),
+        "bpt": _fx("BPT"),
+        "acyclic2": _fx("ACYCLIC2"),
+        "arrow-bicat": _fx("ARROW_BICAT"),
+        "ez2-bicat": _fx("EZ2_BICAT"),
+        "bz2-2group": _fx("BZ2_TWOGROUP"),
+        "ez2-to-bz2": _fx("EZ2_TO_BZ2"),
+        "d2-to-pt": _fx("D2_TO_PT"),
+        "arrow-base-laxcat": _fx("ARROW_BASE_LAXCAT"),
+        "bz2-base-laxcat": _fx("BZ2_BASE_LAXCAT"),
+        "gr-psg-over-arrow": _fx("GR_PSG_OVER_ARROW"),
+        "psg-collapse": _fx("PSG_COLLAPSE"),
+        "trihom-const-psg-arrow": constant_trihomomorphism(_fx("ARROW_BICAT"), _fx("PSG")),
+        "nochi-catgraph": _fx("NOCHI_CATGRAPH"),
     }
     written = []
     for name, value in corpus.items():

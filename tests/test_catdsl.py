@@ -131,6 +131,22 @@ def test_parser_recovers_and_reports_every_error():
     assert len(e001) >= 3  # two bad endpoints and one unknown compose operand
 
 
+def test_every_hom_reports_its_own_law_violations():
+    # An arrow a -> b whose compose table lacks ib∘f; a failing hom must not hide a later one's violations.
+    arrow = {
+        "objects": ["a", "b"],
+        "morphisms": [["ia", "a", "a"], ["ib", "b", "b"], ["f", "a", "b"]],
+        "identity": {"a": "ia", "b": "ib"},
+        "compose": [["ia", "ia", "ia"], ["ib", "ib", "ib"], ["f", "ia", "f"]],
+    }
+    text = json.dumps({"kind": "catgraph", "objects": ["x", "y"], "hom": {"x|x": arrow, "y|y": arrow}}, indent=1)
+    result = parse(text)
+    lines = enumerate(text.splitlines(), 1)
+    homs = [(n, line.index("{") + 1) for n, line in lines if '"x|x"' in line or '"y|y"' in line]
+    assert result.document is None and len(homs) == 2
+    assert [(d.code, (d.line, d.col)) for d in result.diagnostics] == [("MissingComposite", pos) for pos in homs]
+
+
 def test_e001_span_points_into_the_document(negative_dir):
     result = parse((negative_dir / "e001-undeclared-object.catj").read_text())
     diag = result.diagnostics[0]

@@ -219,6 +219,21 @@ def test_each_command_loads_only_the_modules_it_runs(fixture_dir):
     assert "bicat_euler.bicat" in loaded and not loaded & {"bicat_euler.fixtures", "bicat_euler.fib1"}
 
 
+def test_generators_import_validates_nothing(fixture_dir):
+    # The fixture catalog builds each named value on first access, not when `gen` imports it.
+    code = """import sys
+calls = []
+sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code.co_name.startswith("validate_")
+               and calls.append(frame.f_code.co_name))
+import bicat_euler.generators
+sys.setprofile(None)
+from bicat_euler import fixtures
+print(len(calls), "bicat_euler.fixtures" in sys.modules, fixtures.PSG_COLLAPSE.source is fixtures.PSG)
+"""
+    proc = _python(fixture_dir, "-c", code, text=True, check=True)
+    assert proc.stdout.split() == ["0", "True", "True"]
+
+
 def test_package_attributes_import_submodules(fixture_dir):
     code = "import bicat_euler; print(bicat_euler.bifib.__name__); print(hasattr(bicat_euler, 'nosuch'))"
     proc = _python(fixture_dir, "-c", code, text=True, check=True)

@@ -1,0 +1,122 @@
+"""The C-decoder reading of `.catj` documents against the scanner-only path.
+
+`parse` first reads a text with `json.loads` and builds it through the
+plain builder; a text the decoder rejects, one holding a `\\u` escape, and
+one the builders find a problem in go through the positional scanner.  The
+slow path is the fast one switched off here by a monkeypatch: on every
+input both must give the same diagnostics and an equal document.  Every
+positive fixture and every `gen` output must take the fast path, or the
+speedup would be lost while every result stayed right.
+"""
+
+import json
+import sys
+
+import pytest
+
+from bicat_euler import catdsl, cli
+from test_scanner import CORPUS, EDGE_CASES, mutants
+
+
+def _scanner_only(monkeypatch, text):
+    with monkeypatch.context() as m:
+        m.setattr(catdsl, "_read_plain", lambda text: None)
+        return catdsl.parse(text)
+
+
+def _agrees(monkeypatch, text) -> bool:
+    fast, slow = catdsl.parse(text), _scanner_only(monkeypatch, text)
+    return fast.diagnostics == slow.diagnostics and fast.document == slow.document
+
+
+def _scanned(monkeypatch, text) -> bool:
+    """Whether parsing text constructs a `_Scanner`; the result must be a document."""
+    made = []
+
+    class Recorded(catdsl._Scanner):
+        def __init__(self, text):
+            made.append(text)
+            super().__init__(text)
+
+    with monkeypatch.context() as m:
+        m.setattr(catdsl, "_Scanner", Recorded)
+        result = catdsl.parse(text)
+    assert result.ok, result.diagnostics[:3]
+    return bool(made)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_fast_path_matches_scanner_on_corpus(monkeypatch, name):
+    assert _agrees(monkeypatch, CORPUS[name])
+
+
+@pytest.mark.parametrize("text", EDGE_CASES, ids=range(len(EDGE_CASES)))
+def test_fast_path_matches_scanner_on_edge_cases(monkeypatch, text):
+    assert _agrees(monkeypatch, text)
+
+
+def test_fast_path_matches_scanner_on_mutants(monkeypatch):
+    failures = [text for text in mutants(1200, seed=20141001) if not _agrees(monkeypatch, text)]
+    assert not failures, failures[:3]
+
+
+ARROW = CORPUS["arrow.catj"]
+
+
+def _noted(value: str) -> str:
+    """The arrow category with an extra field, which the builders ignore, holding value."""
+    return ARROW.replace("{", '{"note": ' + value + ", ", 1)
+
+
+def _labelled(label: str) -> str:
+    """The arrow category with its object "0" renamed to label, written raw."""
+    return ARROW.replace('"0"', '"' + label + '"')
+
+
+# Each text, and whether the scanner-only path accepts it.
+TARGETED = {
+    "nan": (_noted("NaN"), False),
+    "infinity": (_noted("Infinity"), False),
+    "minus-infinity": (_noted("-Infinity"), False),
+    "bare-nan": ("NaN", False),
+    "duplicate-key": (ARROW.replace("{", '{"kind": "category", ', 1), False),
+    "surrogate-pair": (_labelled("\\ud83d\\ude00"), True),
+    "bom": ("\ufeff" + ARROW, False),
+    # Past the int conversion limit where the interpreter has one (4,300 digits by default).
+    "long-integer": (_noted("1" * 5000), not hasattr(sys, "get_int_max_str_digits")),
+    "deep-nesting": (_noted("[" * 5000 + "]" * 5000), True),
+    "raw-tab-and-nul": (_labelled("a\tb\x00c"), True),
+    "number-in-a-triple": (ARROW.replace('"a"', "7"), False),
+    "bare-point": (_noted("1."), True),
+    "leading-zeros": (_noted("007"), True),
+    "arabic-indic-digit": (_noted("-\u0663"), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETED))
+def test_fast_path_matches_scanner_on_targeted_texts(monkeypatch, name):
+    text, accepted = TARGETED[name]
+    assert _agrees(monkeypatch, text)
+    assert catdsl.parse(text).ok == accepted
+
+
+def test_surrogate_pair_escape_stays_two_characters():
+    category = catdsl.parse(TARGETED["surrogate-pair"][0]).document.value
+    assert "\ud83d\ude00" in category.objects and "\U0001f600" not in category.objects
+
+
+POSITIVE = sorted(name for name in CORPUS if not name.startswith("negative/"))
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_positive_fixtures_take_the_fast_path(monkeypatch, name):
+    compact = json.dumps(json.loads(CORPUS[name]), separators=(",", ":"))
+    assert not _scanned(monkeypatch, CORPUS[name])
+    assert not _scanned(monkeypatch, compact)
+
+
+@pytest.mark.parametrize("kind", sorted(cli._GEN_KINDS))
+def test_gen_outputs_take_the_fast_path(monkeypatch, kind):
+    build = cli._GEN_KINDS[kind][0]
+    for seed, size in ((0, 1), (1, 2), (2, 3)):
+        assert not _scanned(monkeypatch, catdsl.serialize(build(seed, size)))

@@ -24,15 +24,20 @@ class _Forgetful(dict):
         pass
 
 
-class _NoMemoBuilder(catdsl._Builder):
-    def __init__(self):
-        super().__init__()
-        self.categories = _Forgetful()
+def _without_memo(builder: type) -> type:
+    class NoMemo(builder):
+        def __init__(self):
+            super().__init__()
+            self.categories = _Forgetful()
+
+    return NoMemo
 
 
 def _slow_parse(monkeypatch, text):
+    # Both builders: well-formed documents go through the plain one, the rest through the positional one.
     with monkeypatch.context() as m:
-        m.setattr(catdsl, "_Builder", _NoMemoBuilder)
+        m.setattr(catdsl, "_Builder", _without_memo(catdsl._Builder))
+        m.setattr(catdsl, "_PlainBuilder", _without_memo(catdsl._PlainBuilder))
         return catdsl.parse(text)
 
 
@@ -117,12 +122,13 @@ def test_identical_invalid_homs_each_report_at_their_own_position(monkeypatch):
     assert result.diagnostics == _slow_parse(monkeypatch, text).diagnostics
     e001 = [(d.line, d.col) for d in result.diagnostics if d.code == "E001"]
     assert len(e001) == 2 and e001[0] != e001[1]
-    # A law violation, not an E00x error: the first copy is the one validated, as without the memo.
+    # A law violation, not an E00x error: each copy is validated and reports at its own position.
     lawless = _hom(["u"])
     lawless["compose"] = []
     text = _catgraph({"a|a": lawless, "b|b": lawless})
     result = catdsl.parse(text)
-    assert [d.code for d in result.diagnostics] == ["MissingComposite"]
+    assert [d.code for d in result.diagnostics] == ["MissingComposite"] * 2
+    assert result.diagnostics[0].line != result.diagnostics[1].line
     assert result.diagnostics == _slow_parse(monkeypatch, text).diagnostics
 
 
