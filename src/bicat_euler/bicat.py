@@ -7,11 +7,10 @@ decided by exhaustive search in the finite hom categories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .exactq import MatrixEuler, QMatrix, QVector, format_rational, matrix_euler
+from .exactq import MatrixEuler, QMatrix, QVector, Record, format_rational, matrix_euler
 from .fincat import (
     EMPTY_CATEGORY,
     PT,
@@ -46,8 +45,7 @@ class NotBiequivalence(InvalidInput):
     pass
 
 
-@dataclass(frozen=True)
-class CatGraph:
+class CatGraph(Record):
     """Finite object set with a finite category of morphisms per ordered pair."""
 
     objects: tuple[str, ...]
@@ -70,8 +68,7 @@ def make_catgraph(objects: Sequence[str], hom: Mapping[tuple[str, str], FinCateg
     return CatGraph(objs, table)
 
 
-@dataclass(frozen=True)
-class Bicategory:
+class Bicategory(Record):
     """Cat-graph plus 1-cell composition data.
 
     compose1 is keyed ((x, y, z), g, f) with f: x -> y and g: y -> z;
@@ -345,8 +342,7 @@ def is_equivalence_1cell(b: Bicategory, x: str, y: str, f: str) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class EquivalenceClasses:
+class EquivalenceClasses(Record):
     classes: tuple[tuple[str, ...], ...]
 
     def class_of(self, x: str) -> tuple[str, ...]:
@@ -420,8 +416,7 @@ def pseudogroupoid_euler(b: Bicategory) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class LaxFunctorBicat:
+class LaxFunctorBicat(Record):
     """Object map plus one functor per hom category; phi/psi optional."""
 
     source: Bicategory
@@ -514,8 +509,7 @@ def check_biequivalence(l: LaxFunctorBicat) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BiequivalenceReport:
+class BiequivalenceReport(Record):
     chi_source: Fraction
     chi_target: Fraction
     equal: bool

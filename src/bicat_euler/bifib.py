@@ -11,7 +11,6 @@ characteristic here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -27,7 +26,7 @@ from .bicat import (
     restrict_catgraph,
     validate_bicategory,
 )
-from .exactq import QMatrix, QVector, format_rational, matrix_euler
+from .exactq import QMatrix, QVector, Record, format_rational, matrix_euler
 from .fib1 import NotBiFibered, ObjectNotInBase, NonUniqueLift, classify_fibration, is_cartesian_morphism
 from .fincat import FinCategory, InvalidInput, pair_label, similarity_matrix, validate_functor
 
@@ -40,8 +39,7 @@ class MissingCoweighting(InvalidInput):
     pass
 
 
-@dataclass(frozen=True)
-class Trihomomorphism:
+class Trihomomorphism(Record):
     """Base-indexed fiber bicategories with pullback lax functors and 2-cell components.
 
     pullback1[(b, c, f)] is a lax functor fiber(c) -> fiber(b);
@@ -88,8 +86,7 @@ def validate_trihomomorphism(t: Trihomomorphism) -> Trihomomorphism:
     return t
 
 
-@dataclass(frozen=True)
-class GrHom:
+class GrHom(Record):
     """One hom category of the Grothendieck cat-graph, in counting mode."""
 
     onecells: tuple[str, ...]
@@ -102,8 +99,7 @@ class GrHom:
         )
 
 
-@dataclass(frozen=True)
-class GrothendieckCG:
+class GrothendieckCG(Record):
     """Grothendieck construction of a trihomomorphism, as counted data.
 
     The projection is the first-coordinate map on every level; 2-cells are
@@ -217,8 +213,7 @@ def solve_coweighting_or_raise(zeta: QMatrix, what: str) -> QVector:
     return cw
 
 
-@dataclass(frozen=True)
-class GrBicatReport:
+class GrBicatReport(Record):
     """chi(Gr) against sum of k_b·chi(Fb), plus the Lemma-style product coweighting check."""
 
     chi_gr: Fraction
@@ -399,8 +394,7 @@ def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
     return _check_cartesian_1cell(p, x, y, f, _strict_equations_available(p)) is None
 
 
-@dataclass(frozen=True)
-class BiFibrationReport:
+class BiFibrationReport(Record):
     locally_fibered_in_groupoids: bool
     one_lifts: bool
     all_1cells_cartesian: bool
@@ -628,8 +622,7 @@ def fiber_pullback(
     return LaxFunctorBicat(fib_c, fib_b, object_map, hom_functors), lifts
 
 
-@dataclass(frozen=True)
-class FiberBiequivalenceReport:
+class FiberBiequivalenceReport(Record):
     biequivalence: bool
     chi_source_fiber: Fraction
     chi_target_fiber: Fraction
@@ -712,8 +705,7 @@ def induced_trihomomorphism(p: LaxFunctorBicat, policy: str = "min") -> Trihomom
     return validate_trihomomorphism(Trihomomorphism(b, fibers, pullback1, pullback2))
 
 
-@dataclass(frozen=True)
-class ProductBicatReport:
+class ProductBicatReport(Record):
     """chi(E) against the per-component sum, and the empirical Gr comparison."""
 
     chi_total: Fraction

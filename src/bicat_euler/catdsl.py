@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from .exactq import Record
 from .fincat import FinCategory, Functor, InvalidCategory, validate_category, validate_functor
 
 # Builders and `serialize` import other kind modules when run: a category loads none.
@@ -46,8 +46,7 @@ if TYPE_CHECKING:
 KINDS = ("category", "functor", "catgraph", "bicategory", "laxfunctor", "laxcat", "trihom")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     severity: str
     line: int
     col: int
@@ -58,14 +57,12 @@ class Diagnostic:
         return f"{self.line}:{self.col} {self.code} {self.message}"
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     kind: str
     value: object
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(Record):
     document: Optional[Document]
     diagnostics: tuple[Diagnostic, ...]
 
@@ -74,12 +71,11 @@ class ParseResult:
         return self.document is not None and not self.diagnostics
 
 
-@dataclass
-class JNode:
+class JNode(Record):
     value: object
     line: int
     col: int
-    key_pos: Optional[dict] = field(default=None)
+    key_pos: Optional[dict] = None
 
 
 class _SyntaxProblem(Exception):
@@ -444,6 +440,7 @@ def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
 
 
 def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: FinCategory) -> Optional[Functor]:
+    reported = len(b.diags)
     obj = b.object_of(node, "functor maps")
     if obj is None:
         return None
@@ -466,7 +463,7 @@ def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: 
     for m, img in morphism_map.items():
         if img not in target_names:
             b.err(morphism_node, "E001", f"morphism_map[{m!r}] references undeclared morphism {img!r}")
-    if b.diags:
+    if len(b.diags) != reported:
         return None
     try:
         return validate_functor(source, target, object_map, morphism_map)
@@ -786,6 +783,7 @@ def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
 
 def _build_fiber_lax_functor(b: _Builder, node: JNode, source: Bicategory, target: Bicategory):
     from .bicat import MissingCompositionData, validate_lax_functor
+    reported = len(b.diags)
     obj = b.object_of(node, "pullback lax functor")
     if obj is None:
         return None
@@ -797,7 +795,7 @@ def _build_fiber_lax_functor(b: _Builder, node: JNode, source: Bicategory, targe
     for x in source.objects:
         if x not in object_map:
             b.err(object_node, "E010", f"object_map is missing {x!r}")
-    if b.diags:
+    if len(b.diags) != reported:
         return None
     hom_functors = {}
     table = b.object_of(hf_node, "hom_functors") or {}
@@ -812,7 +810,7 @@ def _build_fiber_lax_functor(b: _Builder, node: JNode, source: Bicategory, targe
             )
             if fun is not None:
                 hom_functors[(x, y)] = fun
-    if b.diags:
+    if len(b.diags) != reported:
         return None
     try:
         return validate_lax_functor(source, target, object_map, hom_functors)

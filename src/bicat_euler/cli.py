@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-import traceback
 from pathlib import Path
 
 import bicat_euler
@@ -335,6 +334,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:
+        import traceback  # here, not at the top: only exit 3 needs it
         traceback.print_exc()
         return EXIT_INTERNAL
 

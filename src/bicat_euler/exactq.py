@@ -4,17 +4,71 @@ Everything here is a pure function over immutable values.  Entries are
 `fractions.Fraction` at the API; the one elimination kernel, `_solve`,
 works internally on Python ints (fraction-free Bareiss elimination), and
 no floating point is ever introduced.
+
+`Record` is the base of every value class in the package.  A subclass
+lists its fields as class annotations, in order, with optional class-level
+defaults; an annotated name starting with `_` is an attribute that
+`__post_init__` sets, not a field.  Instances are built by position or
+keyword, run `__post_init__` last, compare, hash and print by their fields
+as frozen dataclasses do, and refuse assignment and deletion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Optional, Sequence
 
 
 _ZERO = Fraction(0)
+
+
+class Record:
+    """Immutable value with the fields its class annotates; defining a subclass generates no code."""
+
+    def __init_subclass__(cls):
+        names = cls._fields = tuple(name for name in cls.__annotations__ if not name.startswith("_"))
+        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        # A tuple of the fields, also for one field, as a dataclass compares and hashes.
+        cls._key = staticmethod(attrgetter(*names) if len(names) > 1 else lambda self: (getattr(self, names[0]),))
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in names[len(args):]:
+                problem = "multiple values for" if name in names else "an unexpected keyword"
+                raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        values = {**cls._defaults, **kwargs}
+        for name in names[len(args):]:
+            if name not in values:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+            object.__setattr__(self, name, values[name])
+        if cls._post_init is not None:
+            cls._post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete attribute {name!r} of an immutable record")
+
+    __delattr__ = __setattr__
 
 
 class IndexMismatch(Exception):
@@ -39,8 +93,7 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
-class QVector:
+class QVector(Record):
     """Exact rational vector indexed by an ordered tuple of labels."""
 
     index: tuple[str, ...]
@@ -62,8 +115,7 @@ class QVector:
         return {label: format_rational(v) for label, v in zip(self.index, self.entries)}
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(Record):
     """Exact rational matrix indexed by ordered row/column label tuples.
 
     `entries` is row-major and total: one Fraction per (row, col) pair.
@@ -109,8 +161,7 @@ class QMatrix:
         }
 
 
-@dataclass(frozen=True)
-class MatrixEuler:
+class MatrixEuler(Record):
     """Weighting/coweighting pair and their common sum, when both exist."""
 
     weighting: Optional[QVector]

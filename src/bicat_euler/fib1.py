@@ -10,11 +10,10 @@ convention="paper" for auditability.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .exactq import MatrixEuler, QMatrix, QVector, format_rational, matrix_euler
+from .exactq import MatrixEuler, QMatrix, QVector, Record, format_rational, matrix_euler
 from .fincat import (
     FinCategory,
     Functor,
@@ -88,8 +87,7 @@ def is_cartesian_morphism(p: Functor, f: str, convention: str = "standard") -> b
     return True
 
 
-@dataclass(frozen=True)
-class FibrationReport:
+class FibrationReport(Record):
     fibered: bool
     cofibered: bool
     fibered_in_groupoids: bool
@@ -166,8 +164,7 @@ def classify_fibration(p: Functor, convention: str = "standard") -> FibrationRep
     return report
 
 
-@dataclass(frozen=True)
-class Cleavage:
+class Cleavage(Record):
     """Chosen cartesian lift for every (base morphism, endpoint object) pair."""
 
     lifts: Mapping[tuple[str, str], str]
@@ -208,8 +205,7 @@ def fiber_category(p: Functor, b_obj: str) -> FinCategory:
     )
 
 
-@dataclass(frozen=True)
-class LaxFunctorToCat:
+class LaxFunctorToCat(Record):
     """Contravariant Cat-valued lax functor: fibers plus pullback functors.
 
     pullback[f] for f: b -> c is a functor fiber(c) -> fiber(b); identities
@@ -309,8 +305,7 @@ def is_strict(f: LaxFunctorToCat) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GrothendieckCat:
+class GrothendieckCat(Record):
     """Total category of a Cat-valued lax functor.
 
     Counting mode (total is None) still carries the objects and hom-sets,
@@ -445,8 +440,7 @@ def induced_fiber_pseudofunctor(p: Functor, c: Cleavage) -> LaxFunctorToCat:
     return LaxFunctorToCat(base, fibers, pullbacks)
 
 
-@dataclass(frozen=True)
-class GrFormulaReport:
+class GrFormulaReport(Record):
     """Both sides of chi(Gr(F)) = sum_b k_b chi(Fb), with the intermediates."""
 
     lhs: Fraction
@@ -486,8 +480,7 @@ def verify_gr_formula(f: LaxFunctorToCat) -> GrFormulaReport:
     return GrFormulaReport(gr_euler.chi, rhs, base_euler.coweighting, fiber_chi, gr_euler.chi == rhs)
 
 
-@dataclass(frozen=True)
-class ProductFormulaReport:
+class ProductFormulaReport(Record):
     """chi(E) against the per-component sum of chi(B_i)·chi(F_i)."""
 
     chi_total: Fraction

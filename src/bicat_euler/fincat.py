@@ -8,11 +8,10 @@ once per category, so `hom(x, y)` is a lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .exactq import MatrixEuler, QMatrix, matrix_euler
+from .exactq import MatrixEuler, QMatrix, Record, matrix_euler
 
 
 class InvalidInput(Exception):
@@ -27,8 +26,7 @@ class MissingEulerCharacteristic(InvalidInput):
     """Names the structure whose weighting or coweighting is absent."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One violated category/functor law, machine-readable."""
 
     code: str
@@ -51,15 +49,13 @@ class InvalidFunctor(InvalidCategory):
     pass
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     name: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
-class FinCategory:
+class FinCategory(Record):
     """Finite category: objects, named morphisms, identity and composition tables.
 
     Construct through `validate_category` (or a validated constructor like
@@ -70,12 +66,11 @@ class FinCategory:
     morphisms: tuple[Morphism, ...]
     identity: Mapping[str, str]
     compose: Mapping[tuple[str, str], str]
-    _by_name: Mapping[str, Morphism] = field(default=None, repr=False, compare=False)
-    _homs: Mapping[tuple[str, str], tuple[str, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _by_name: Mapping[str, Morphism]
+    _homs: Mapping[tuple[str, str], tuple[str, ...]]
 
     def __post_init__(self):
-        if self._by_name is None:
-            object.__setattr__(self, "_by_name", {m.name: m for m in self.morphisms})
+        object.__setattr__(self, "_by_name", {m.name: m for m in self.morphisms})
         homs: dict[tuple[str, str], list[str]] = {}
         for m in self.morphisms:
             homs.setdefault((m.src, m.dst), []).append(m.name)
@@ -255,8 +250,7 @@ def is_acyclic(a: FinCategory) -> bool:
     return not any(state.get(x, 0) == 0 and has_cycle(x) for x in a.objects)
 
 
-@dataclass(frozen=True)
-class ChainComplexCount:
+class ChainComplexCount(Record):
     """Nondegenerate n-chain counts of the nerve and their alternating sum."""
 
     counts: tuple[int, ...]
@@ -325,8 +319,7 @@ def product_cat(a: FinCategory, b: FinCategory) -> FinCategory:
     return validate_category(objects, morphisms, identity, compose)
 
 
-@dataclass(frozen=True)
-class Functor:
+class Functor(Record):
     source: FinCategory
     target: FinCategory
     object_map: Mapping[str, str]
@@ -372,8 +365,7 @@ def validate_functor(
     return Functor(source, target, dict(object_map), dict(morphism_map))
 
 
-@dataclass(frozen=True)
-class NatTransformation:
+class NatTransformation(Record):
     source: Functor
     target: Functor
     components: Mapping[str, str]

@@ -147,6 +147,31 @@ def test_every_hom_reports_its_own_law_violations():
     assert [(d.code, (d.line, d.col)) for d in result.diagnostics] == [("MissingComposite", pos) for pos in homs]
 
 
+def _positions(diagnostics):
+    return [(d.line, d.col) for d in diagnostics]
+
+
+def test_every_pullback_functor_reports_its_own_law_violations(fixture_dir):
+    # Both pullback functors of the laxcat break functoriality; the second must not be skipped.
+    doc = json.loads((fixture_dir / "bz2-base-laxcat.catj").read_text())
+    doc["pullbacks"]["e"]["morphism_map"] = {"idx": "idy", "idy": "idy"}
+    doc["pullbacks"]["g"]["morphism_map"] = {"idx": "idx", "idy": "idy"}
+    result = parse(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert result.document is None
+    assert _positions(result.diagnostics) == [(82, 10)] * 2 + [(92, 10)] * 4
+
+
+def test_every_fiber_hom_functor_reports_its_own_law_violations(fixture_dir):
+    # Two pullback lax functors of the trihom each have one hom functor that sends g0 to g1.
+    doc = json.loads((fixture_dir / "trihom-const-psg-arrow.catj").read_text())
+    for key, hom in (("0|0|id0", "p|p"), ("1|1|id1", "q|q")):
+        doc["pullback1"][key]["hom_functors"][hom]["morphism_map"] = {"g0": "g1", "g1": "g1"}
+    result = parse(json.dumps(doc, indent=1))
+    assert result.document is None
+    assert [d.code for d in result.diagnostics] == (["IdentityLawViolation"] + ["AssociativityViolation"] * 4) * 2
+    assert _positions(result.diagnostics) == [(978, 12)] * 5 + [(1093, 12)] * 5
+
+
 def test_e001_span_points_into_the_document(negative_dir):
     result = parse((negative_dir / "e001-undeclared-object.catj").read_text())
     diag = result.diagnostics[0]

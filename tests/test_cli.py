@@ -197,6 +197,14 @@ def _loaded_after(fixture_dir, code):
 
 
 LAZY_MODULES = {f"bicat_euler.{m}" for m in ("bicat", "fib1", "bifib", "generators", "fixtures")}
+# Stdlib modules no command needs: the value classes are built without `dataclasses` (which
+# imports `inspect`), and `traceback` is imported only on exit 3.
+UNNEEDED_STDLIB = {"dataclasses", "inspect", "traceback"}
+
+
+def _unneeded_stdlib_after(fixture_dir, code):
+    """The unneeded stdlib modules that code loads beyond what a bare interpreter has (a site hook may load some)."""
+    return (_loaded_after(fixture_dir, code) - _loaded_after(fixture_dir, "pass")) & UNNEEDED_STDLIB
 
 
 def test_cli_import_loads_no_thread_pool(fixture_dir):
@@ -206,9 +214,10 @@ def test_cli_import_loads_no_thread_pool(fixture_dir):
 
 def test_cli_import_loads_no_kind_module(fixture_dir):
     assert not _loaded_after(fixture_dir, "import bicat_euler.cli") & LAZY_MODULES
+    assert not _unneeded_stdlib_after(fixture_dir, "import bicat_euler.cli")
 
 
-def test_each_command_loads_only_the_modules_it_runs(fixture_dir):
+def test_each_command_loads_only_the_modules_it_runs(fixture_dir, tmp_path):
     chi = _loaded_after(fixture_dir, "from bicat_euler.cli import main; main(['chi', 'fixtures/bz2.catj'])")
     assert not chi & {"bicat_euler.bicat", "bicat_euler.fib1"}
     check = "from bicat_euler.cli import main; main(['check', 'fixtures/ez2-to-bz2.catj', 'fib-groupoids'])"
@@ -217,6 +226,15 @@ def test_each_command_loads_only_the_modules_it_runs(fixture_dir):
     acyclic = "from bicat_euler.cli import main; main(['check', 'fixtures/bpt.catj', 'acyclic'])"
     loaded = _loaded_after(fixture_dir, acyclic)
     assert "bicat_euler.bicat" in loaded and not loaded & {"bicat_euler.fixtures", "bicat_euler.fib1"}
+    commands = [
+        ["chi", "fixtures/bz2.catj"],
+        ["check", "fixtures/ez2-to-bz2.catj", "fib-groupoids"],
+        ["verify", "product-bicat", "fixtures/gr-psg-over-arrow.catj"],
+        ["gen", "trihom-psgrpd", "--out", str(tmp_path / "trihom.catj")],
+    ]
+    for argv in commands:
+        code = f"from bicat_euler.cli import main; assert main({argv!r}) == 0"
+        assert not _unneeded_stdlib_after(fixture_dir, code), argv
 
 
 def test_generators_import_validates_nothing(fixture_dir):
