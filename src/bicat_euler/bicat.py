@@ -701,7 +701,7 @@ def op1_bicategory(b: Bicategory) -> Bicategory:
     hcompose2 = None
     if b.hcompose2 is not None:
         hcompose2 = {((x, y, z), bb, aa): b.hcompose2[((z, y, x), aa, bb)] for ((z, y, x), aa, bb) in b.hcompose2}
-    return Bicategory(graph, dict(b.identity1) if b.identity1 else None, compose1, hcompose2)
+    return Bicategory(graph, dict(b.identity1) if b.identity1 is not None else None, compose1, hcompose2)
 
 
 def op2_bicategory(b: Bicategory) -> Bicategory:
@@ -711,7 +711,7 @@ def op2_bicategory(b: Bicategory) -> Bicategory:
     )
     return Bicategory(
         graph,
-        dict(b.identity1) if b.identity1 else None,
+        dict(b.identity1) if b.identity1 is not None else None,
         dict(b.compose1) if b.compose1 is not None else None,
         dict(b.hcompose2) if b.hcompose2 is not None else None,
     )

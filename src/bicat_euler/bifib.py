@@ -3,16 +3,19 @@
 Cartesian 1-cells are decided frame by frame: lift existence is always
 checked, and the pasting equations (plus unique 2-cell lifts) are checked
 on the nose exactly when both bicategories carry horizontal composition
-and the lax functor is strict; otherwise the up-to-2-isomorphism reading
-applies.  The Grothendieck construction is built in counting mode: the
-objects, 1-cells and 2-cell counts fully determine every Euler
-characteristic here.
+and the lax functor is strict and carries no phi or psi data; otherwise the
+up-to-2-isomorphism reading applies.  The Grothendieck construction is built
+in counting mode: the objects, 1-cells and 2-cell counts fully determine
+every Euler characteristic here.  Each public entry point decides each fact
+about its lax functor once, in one private per-call analysis (`_Sweep`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Mapping, Union
+from operator import attrgetter
+from typing import Callable, Mapping, Union
 
 from .bicat import (
     Bicategory,
@@ -27,7 +30,14 @@ from .bicat import (
     validate_bicategory,
 )
 from .exactq import QMatrix, QVector, Record, format_rational, matrix_euler
-from .fib1 import NotBiFibered, ObjectNotInBase, NonUniqueLift, classify_fibration, is_cartesian_morphism
+from .fib1 import (
+    FibrationReport,
+    NotBiFibered,
+    ObjectNotInBase,
+    NonUniqueLift,
+    classify_fibration,
+    is_cartesian_morphism,
+)
 from .fincat import FinCategory, InvalidInput, pair_label, similarity_matrix, validate_functor
 
 
@@ -266,8 +276,70 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
     )
 
 
-def _isos(hom: FinCategory, u: str, v: str) -> list[str]:
-    return sorted(m for m in hom.hom(u, v) if hom.inverse_of(m) is not None)
+class _Sweep:
+    """What one call decides about the lax functor p, each fact on first use.
+
+    Public entry points make one and pass it to the private helpers: the
+    fiber over each base object, one `classify_fibration` report per hom
+    functor, p's strictness, the sorted iso list of each (hom, u, v) and the
+    cartesian verdicts of p's hom functors are found once per call.
+    """
+
+    __slots__ = ("p", "_fibers", "_local", "_strict", "_isos", "_cartesian")
+
+    def __init__(self, p: LaxFunctorBicat):
+        self.p = p
+        self._fibers: dict[str, Bicategory] = {}
+        self._local: dict[tuple[str, str], FibrationReport] = {}
+        self._strict = None
+        self._isos: dict[tuple[int, str, str], list[str]] = {}
+        self._cartesian: dict[tuple[str, str, str], bool] = {}
+
+    def fiber(self, b_obj: str) -> Bicategory:
+        fib = self._fibers.get(b_obj)
+        if fib is None:
+            fib = self._fibers[b_obj] = fiber_bicategory(self.p, b_obj)
+        return fib
+
+    def local(self, x: str, y: str) -> FibrationReport:
+        rep = self._local.get((x, y))
+        if rep is None:
+            rep = self._local[(x, y)] = classify_fibration(self.p.hom_functors[(x, y)])
+        return rep
+
+    def strict(self) -> bool:
+        if self._strict is None:
+            self._strict = is_strict_lax_functor(self.p)
+        return self._strict
+
+    def strict_equations(self) -> bool:
+        p = self.p
+        return (
+            p.source.hcompose2 is not None
+            and p.target.hcompose2 is not None
+            and p.phi is None
+            and p.psi is None
+            and self.strict()
+        )
+
+    def isos(self, hom: FinCategory, u: str, v: str) -> list[str]:
+        """The invertible morphisms u -> v of hom, sorted; hom is one of p's hom categories, kept alive by p."""
+        key = (id(hom), u, v)
+        found = self._isos.get(key)
+        if found is None:
+            found = self._isos[key] = sorted(m for m in hom.hom(u, v) if hom.inverse_of(m) is not None)
+        return found
+
+    def cartesian(self, x: str, y: str, m: str) -> bool:
+        """Cartesianness of m for p's hom functor at (x, y); a local classification that tested m answers."""
+        rep = self._local.get((x, y))
+        if rep is not None and m in rep._cartesian:
+            return rep._cartesian[m]
+        key = (x, y, m)
+        verdict = self._cartesian.get(key)
+        if verdict is None:
+            verdict = self._cartesian[key] = is_cartesian_morphism(self.p.hom_functors[(x, y)], m)
+        return verdict
 
 
 def is_strict_lax_functor(p: LaxFunctorBicat) -> bool:
@@ -296,18 +368,9 @@ def is_strict_lax_functor(p: LaxFunctorBicat) -> bool:
     return True
 
 
-def _strict_equations_available(p: LaxFunctorBicat) -> bool:
-    return (
-        p.source.hcompose2 is not None
-        and p.target.hcompose2 is not None
-        and p.phi is None
-        and p.psi is None
-        and is_strict_lax_functor(p)
-    )
-
-
-def _lift_candidates(p, x, y, z, f, g, h, alpha, strict_eqs):
+def _lift_candidates(s: _Sweep, x, y, z, f, g, h, alpha, strict_eqs):
     """All (h̃, α̃, β̃) with iso α̃: f∘h̃ => g and iso β̃: P h̃ => h (plus the strict pasting equation)."""
+    p = s.p
     e, b = p.source, p.target
     px, py, pz = p.ob(x), p.ob(y), p.ob(z)
     pf = p.cell1(x, y, f)
@@ -315,8 +378,8 @@ def _lift_candidates(p, x, y, z, f, g, h, alpha, strict_eqs):
     for h_tilde in e.onecells(z, x):
         fh = e.c1(z, x, y, f, h_tilde)
         ph_tilde = p.cell1(z, x, h_tilde)
-        for a_tilde in _isos(e.hom_at(z, y), fh, g):
-            for b_tilde in _isos(b.hom_at(pz, px), ph_tilde, h):
+        for a_tilde in s.isos(e.hom_at(z, y), fh, g):
+            for b_tilde in s.isos(b.hom_at(pz, px), ph_tilde, h):
                 if strict_eqs:
                     whisker = b.h2(pz, px, py, b.hom_at(px, py).identity[pf], b_tilde)
                     lhs = b.hom_at(pz, py).compose2(alpha, whisker)
@@ -326,8 +389,9 @@ def _lift_candidates(p, x, y, z, f, g, h, alpha, strict_eqs):
     return out
 
 
-def _check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str, strict_eqs: bool):
-    """None when cartesian, else the failing frame."""
+def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str, strict_eqs: bool):
+    """None when the 1-cell f: x -> y of s.p is cartesian, else the failing frame."""
+    p = s.p
     e, b = p.source, p.target
     px, py = p.ob(x), p.ob(y)
     pf = p.cell1(x, y, f)
@@ -338,52 +402,55 @@ def _check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str, strict_eq
             pg = p.cell1(z, y, g)
             for h in b.onecells(pz, px):
                 comp = b.c1(pz, px, py, pf, h)
-                for alpha in _isos(b.hom_at(pz, py), comp, pg):
-                    lifts = _lift_candidates(p, x, y, z, f, g, h, alpha, strict_eqs)
+                for alpha in s.isos(b.hom_at(pz, py), comp, pg):
+                    lifts = _lift_candidates(s, x, y, z, f, g, h, alpha, strict_eqs)
                     if not lifts:
                         return ("no_lift", z, g, h, alpha)
                     chosen[(z, g, h, alpha)] = lifts[0]
     if not strict_eqs:
         return None
+    id_f = e.hom_at(x, y).identity[f]
+    id_pf = b.hom_at(px, py).identity[pf]
     for z in e.objects:
         pz = p.ob(z)
         hom_e = e.hom_at(z, y)
+        hom_e_zx = e.hom_at(z, x)
         hom_b_zx = b.hom_at(pz, px)
         hom_b_zy = b.hom_at(pz, py)
+        # (h̃, h̃₂, α̃₂, β̃₂) -> how many δ̃: h̃ => h̃₂ give each pair (α̃₂∘(id_f∗δ̃), β̃₂∘Pδ̃)
+        lift_counts: dict[tuple[str, str, str, str], Counter] = {}
         for sigma in hom_e.morphisms:
             g, g2 = sigma.src, sigma.dst
             for h in b.onecells(pz, px):
                 for h2 in b.onecells(pz, px):
-                    for alpha in _isos(hom_b_zy, b.c1(pz, px, py, pf, h), p.cell1(z, y, g)):
+                    for alpha in s.isos(hom_b_zy, b.c1(pz, px, py, pf, h), p.cell1(z, y, g)):
                         key1 = (z, g, h, alpha)
                         if key1 not in chosen:
                             continue
-                        for alpha2 in _isos(hom_b_zy, b.c1(pz, px, py, pf, h2), p.cell1(z, y, g2)):
+                        for alpha2 in s.isos(hom_b_zy, b.c1(pz, px, py, pf, h2), p.cell1(z, y, g2)):
                             key2 = (z, g2, h2, alpha2)
                             if key2 not in chosen:
                                 continue
                             h_t, a_t, b_t = chosen[key1]
-                            h_t2, a_t2, b_t2 = chosen[key2]
-                            id_pf = b.hom_at(px, py).identity[pf]
+                            frame = (h_t, *chosen[key2])
                             for delta in hom_b_zx.hom(h, h2):
                                 lhs = hom_b_zy.compose2(alpha2, b.h2(pz, px, py, id_pf, delta))
                                 rhs = hom_b_zy.compose2(p.cell2(z, y, sigma.name), alpha)
                                 if lhs != rhs:
                                     continue
-                                id_f = e.hom_at(x, y).identity[f]
-                                hom_e_zx = e.hom_at(z, x)
-                                matches = []
-                                for delta_t in hom_e_zx.hom(h_t, h_t2):
-                                    eq1 = hom_e.compose2(
-                                        a_t2, e.h2(z, x, y, id_f, delta_t)
-                                    ) == hom_e.compose2(sigma.name, a_t)
-                                    eq2 = hom_b_zx.compose2(delta, b_t) == hom_b_zx.compose2(
-                                        b_t2, p.cell2(z, x, delta_t)
+                                counts = lift_counts.get(frame)
+                                if counts is None:
+                                    _, h_t2, a_t2, b_t2 = frame
+                                    counts = lift_counts[frame] = Counter(
+                                        (
+                                            hom_e.compose2(a_t2, e.h2(z, x, y, id_f, delta_t)),
+                                            hom_b_zx.compose2(b_t2, p.cell2(z, x, delta_t)),
+                                        )
+                                        for delta_t in hom_e_zx.hom(h_t, h_t2)
                                     )
-                                    if eq1 and eq2:
-                                        matches.append(delta_t)
-                                if len(matches) != 1:
-                                    return ("bad_2cell_lift", z, sigma.name, h, h2, delta, len(matches))
+                                n = counts[(hom_e.compose2(sigma.name, a_t), hom_b_zx.compose2(delta, b_t))]
+                                if n != 1:
+                                    return ("bad_2cell_lift", z, sigma.name, h, h2, delta, n)
     return None
 
 
@@ -391,7 +458,8 @@ def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
     """Buckley cartesianness of the 1-cell f: x -> y, decided by finite search."""
     p.source.require_composition()
     p.target.require_composition()
-    return _check_cartesian_1cell(p, x, y, f, _strict_equations_available(p)) is None
+    s = _Sweep(p)
+    return _check_cartesian_1cell(s, x, y, f, s.strict_equations()) is None
 
 
 class BiFibrationReport(Record):
@@ -413,14 +481,16 @@ class BiFibrationReport(Record):
         }
 
 
-def _pseudo_flags(p: LaxFunctorBicat) -> tuple[bool, bool, bool, dict]:
+def _pseudo_flags(
+    s: _Sweep, locally_fibered: Callable[[str, str], bool], strict_eqs: bool
+) -> tuple[bool, bool, bool, dict]:
+    p = s.p
     e, b = p.source, p.target
     witnesses: dict[str, tuple] = {}
     local = True
     for x in e.objects:
         for y in e.objects:
-            rep = classify_fibration(p.hom_functors[(x, y)])
-            if not rep.fibered_in_groupoids:
+            if not locally_fibered(x, y):
                 local = False
                 witnesses.setdefault("not_locally_fibered", (x, y))
     one = True
@@ -436,9 +506,8 @@ def _pseudo_flags(p: LaxFunctorBicat) -> tuple[bool, bool, bool, dict]:
                 if not found:
                     one = False
                     witnesses.setdefault("no_1cell_lift", (f, e_obj))
-    strict_eqs = _strict_equations_available(p)
     cells = [(x, y, f) for x in e.objects for y in e.objects for f in e.onecells(x, y)]
-    results = [_check_cartesian_1cell(p, x, y, f, strict_eqs) for x, y, f in cells]
+    results = [_check_cartesian_1cell(s, x, y, f, strict_eqs) for x, y, f in cells]
     cart = True
     for cell, res in zip(cells, results):
         if res is not None:
@@ -449,10 +518,24 @@ def _pseudo_flags(p: LaxFunctorBicat) -> tuple[bool, bool, bool, dict]:
 
 
 def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
+    return _classify(_Sweep(p))
+
+
+def _classify(s: _Sweep) -> BiFibrationReport:
+    p = s.p
     p.source.require_composition()
     p.target.require_composition()
-    local, one, cart, witnesses = _pseudo_flags(p)
-    co_local, co_one, co_cart, co_wit = _pseudo_flags(coop_lax_functor(p))
+    local, one, cart, witnesses = _pseudo_flags(
+        s, lambda x, y: s.local(x, y).fibered_in_groupoids, s.strict_equations()
+    )
+    # coop_lax_functor(p) reverses 1- and 2-cells and drops phi and psi.  Its hom
+    # functor at (x, y) is p's at (y, x) on opposite categories, fibered in
+    # groupoids exactly when p's is cofibered in groupoids, and its strictness
+    # equations are p's reindexed.
+    co_strict = p.source.hcompose2 is not None and p.target.hcompose2 is not None and s.strict()
+    co_local, co_one, co_cart, co_wit = _pseudo_flags(
+        _Sweep(coop_lax_functor(p)), lambda x, y: s.local(y, x).cofibered_in_groupoids, co_strict
+    )
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
     return BiFibrationReport(
         local,
@@ -492,14 +575,17 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
                 if m.src in cell_set and m.dst in cell_set and p.cell2(x, y, m.name) == id2b
             ]
             names = {m.name for m in morphs}
-            from .fincat import validate_category
-
-            hom[(x, y)] = validate_category(
-                cells,
-                morphs,
+            # The preimage of id_{id_b} under a hom functor is a subcategory of the
+            # validated total hom: it holds the identities and the composites of its
+            # morphisms, so its laws hold without a check.  Sorted as validation stores it.
+            cells.sort()
+            hom[(x, y)] = FinCategory(
+                tuple(cells),
+                tuple(sorted(morphs, key=attrgetter("name"))),
                 {h: total_hom.identity[h] for h in cells},
                 {(g, f): h for (g, f), h in total_hom.compose.items() if g in names and f in names},
             )
+    s = _Sweep(p)  # cartesian verdicts for the phi-corrected composites
     identity1 = {}
     for x in objects:
         if p.cell1(x, x, e.id1(x)) != id1b:
@@ -516,7 +602,7 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
                             compose1[((x, y, z), g, f)] = gf
                         elif p.phi is not None:
                             compose1[((x, y, z), g, f)] = _phi_corrected_composite(
-                                p, b_obj, x, y, z, g, f, gf
+                                s, b_obj, x, y, z, g, f, gf
                             )
                         else:
                             raise NotBiFibered(
@@ -525,8 +611,9 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
     return validate_bicategory(objects, hom, identity1, compose1)
 
 
-def _phi_corrected_composite(p, b_obj, x, y, z, g, f, gf):
+def _phi_corrected_composite(s: _Sweep, b_obj, x, y, z, g, f, gf):
     """Domain of the chosen cartesian lift of phi: id_b => P(g∘f) at g∘f."""
+    p = s.p
     btarget = p.target
     phi_cell = p.phi.get(((x, y, z), g, f))
     if phi_cell is None:
@@ -534,11 +621,10 @@ def _phi_corrected_composite(p, b_obj, x, y, z, g, f, gf):
     hom_b = btarget.hom_at(b_obj, b_obj)
     if hom_b.src(phi_cell) != btarget.id1(b_obj):
         raise NotBiFibered("phi component does not start at the identity 1-cell")
-    q = p.hom_functors[(x, z)]
     candidates = sorted(
         m.name
         for m in p.source.hom_at(x, z).morphisms
-        if m.dst == gf and p.cell2(x, z, m.name) == phi_cell and is_cartesian_morphism(q, m.name)
+        if m.dst == gf and p.cell2(x, z, m.name) == phi_cell and s.cartesian(x, z, m.name)
     )
     if not candidates:
         raise NotBiFibered(f"no cartesian lift of phi at {gf}")
@@ -567,10 +653,16 @@ def fiber_pullback(
     p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str, policy: str = "min"
 ) -> tuple[LaxFunctorBicat, dict[str, tuple[str, str]]]:
     """The lax functor f*: fiber(c) -> fiber(b) induced by chosen lifts of f."""
+    return _pullback(_Sweep(p), b_obj, c_obj, f, policy)
+
+
+def _pullback(
+    s: _Sweep, b_obj: str, c_obj: str, f: str, policy: str
+) -> tuple[LaxFunctorBicat, dict[str, tuple[str, str]]]:
+    p = s.p
     e, b = p.source, p.target
-    fib_c = fiber_bicategory(p, c_obj)
-    fib_b = fiber_bicategory(p, b_obj)
-    id1b = b.id1(b_obj)
+    fib_c = s.fiber(c_obj)
+    fib_b = s.fiber(b_obj)
     id_f = b.hom_at(b_obj, c_obj).identity[f]
     lifts = _onecell_lifts(p, b_obj, c_obj, f, policy)
     object_map = {y: lifts[y][0] for y in fib_c.objects}
@@ -589,9 +681,9 @@ def fiber_pullback(
                 for w in tgt_cat.objects:
                     composite_w = e.c1(fe1, fe2, e2, lift2, w)
                     isos = [
-                        s
-                        for s in _isos(e.hom_at(fe1, e2), composite_h, composite_w)
-                        if p.cell2(fe1, e2, s) == id_f
+                        iso
+                        for iso in s.isos(e.hom_at(fe1, e2), composite_h, composite_w)
+                        if p.cell2(fe1, e2, iso) == id_f
                     ]
                     if isos:
                         found = (w, isos[0])
@@ -652,14 +744,19 @@ def verify_fiber_biequivalence(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: st
 
 def induced_trihomomorphism(p: LaxFunctorBicat, policy: str = "min") -> Trihomomorphism:
     """Fiber bicategories, cleavage pullbacks and 2-cell components of a bifibration."""
+    return _trihomomorphism(_Sweep(p), policy)
+
+
+def _trihomomorphism(s: _Sweep, policy: str) -> Trihomomorphism:
+    p = s.p
     e, b = p.source, p.target
-    fibers = {x: fiber_bicategory(p, x) for x in b.objects}
+    fibers = {x: s.fiber(x) for x in b.objects}
     pullback1 = {}
     lift_tables = {}
     for b_obj in b.objects:
         for c_obj in b.objects:
             for f in b.onecells(b_obj, c_obj):
-                lax, lifts = fiber_pullback(p, b_obj, c_obj, f, policy)
+                lax, lifts = _pullback(s, b_obj, c_obj, f, policy)
                 pullback1[(b_obj, c_obj, f)] = lax
                 lift_tables[(b_obj, c_obj, f)] = lifts
     pullback2 = {}
@@ -675,13 +772,10 @@ def induced_trihomomorphism(p: LaxFunctorBicat, policy: str = "min") -> Trihomom
                 for y in fibers[c_obj].objects:
                     gy, g_lift = g_lifts[y]
                     fy, f_lift = f_lifts[y]
-                    q = p.hom_functors[(gy, y)]
                     sigma_lifts = sorted(
                         m.name
                         for m in e.hom_at(gy, y).morphisms
-                        if m.dst == g_lift
-                        and p.cell2(gy, y, m.name) == alpha.name
-                        and is_cartesian_morphism(q, m.name)
+                        if m.dst == g_lift and p.cell2(gy, y, m.name) == alpha.name and s.cartesian(gy, y, m.name)
                     )
                     if not sigma_lifts:
                         raise NotBiFibered(f"no cartesian 2-cell lift of {alpha.name} at {g_lift}")
@@ -692,10 +786,8 @@ def induced_trihomomorphism(p: LaxFunctorBicat, policy: str = "min") -> Trihomom
                         for u in e.onecells(gy, fy)
                         if p.cell1(gy, fy, u) == id1b
                         and any(
-                            p.cell2(gy, y, s) == id_f
-                            for s in _isos(
-                                e.hom_at(gy, y), e.c1(gy, fy, y, f_lift, u), w
-                            )
+                            p.cell2(gy, y, iso) == id_f
+                            for iso in s.isos(e.hom_at(gy, y), e.c1(gy, fy, y, f_lift, u), w)
                         )
                     )
                     if not candidates:
@@ -734,7 +826,8 @@ class ProductBicatReport(Record):
 
 
 def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
-    report = classify_bifibration(p)
+    s = _Sweep(p)
+    report = _classify(s)
     if not (report.fibered_in_pseudogroupoids and report.cofibered_in_pseudogroupoids):
         raise NotBiFibered(f"not fibered+cofibered in pseudogroupoids: {report.witnesses}")
     chi_total = euler_char_cg(p.source.graph).chi
@@ -748,7 +841,7 @@ def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
             raise MissingEulerCharacteristic(f"base component {comp} has no Euler characteristic")
         fiber_chis = []
         for b_obj in comp:
-            fib = fiber_bicategory(p, b_obj)
+            fib = s.fiber(b_obj)
             assert pseudogroupoid_check(fib), f"fiber over {b_obj} is not a pseudogroupoid"
             chi_f = euler_char_cg(fib.graph).chi
             if chi_f is None:
@@ -757,7 +850,7 @@ def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
         assert len(set(fiber_chis)) == 1, f"fiber chi not constant on component {comp}"
         components.append((comp, chi_base, fiber_chis[0]))
         rhs += chi_base * fiber_chis[0]
-    gr = grothendieck_cg(induced_trihomomorphism(p))
+    gr = grothendieck_cg(_trihomomorphism(s, "min"))
     chi_gr = gr.euler().chi
     if chi_gr is None:
         raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")

@@ -88,11 +88,19 @@ def is_cartesian_morphism(p: Functor, f: str, convention: str = "standard") -> b
 
 
 class FibrationReport(Record):
+    """The four fibration flags with witnesses.
+
+    A report from `classify_fibration` also keeps, in `_cartesian`, the
+    verdict on every morphism its covariant side tested, so a caller that
+    holds the report need not test those morphisms again.
+    """
+
     fibered: bool
     cofibered: bool
     fibered_in_groupoids: bool
     cofibered_in_groupoids: bool
     witnesses: Mapping[str, tuple]
+    _cartesian: Mapping[str, bool]
 
     def to_json(self) -> dict:
         return {
@@ -117,8 +125,8 @@ def _lifts_by_target(p: Functor) -> dict[tuple[str, str], list[str]]:
     return lifts
 
 
-def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict]:
-    """(fibered, fibered_in_groupoids, witnesses) for the covariant side."""
+def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict, dict]:
+    """(fibered, fibered_in_groupoids, witnesses, cartesian verdicts) for the covariant side."""
     e, b = p.source, p.target
     witnesses: dict[str, tuple] = {}
     fibered = True
@@ -149,16 +157,17 @@ def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict]:
                 elif not any(is_cartesian(c) for c in candidates):
                     fibered = False
                     witnesses.setdefault("no_cartesian_lift", (f, e_obj))
-    return fibered, all_cartesian and lifts_exist, witnesses
+    return fibered, all_cartesian and lifts_exist, witnesses, cartesian
 
 
 def classify_fibration(p: Functor, convention: str = "standard") -> FibrationReport:
     """Decide the four fibration flags; cofibered flags reuse the same code on reversed data."""
-    fibered, fig, wit = _one_sided_flags(p, convention)
-    co_fibered, co_fig, co_wit = _one_sided_flags(reverse_functor(p), convention)
+    fibered, fig, wit, cartesian = _one_sided_flags(p, convention)
+    co_fibered, co_fig, co_wit, _ = _one_sided_flags(reverse_functor(p), convention)
     witnesses = dict(wit)
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
     report = FibrationReport(fibered, co_fibered, fig, co_fig, witnesses)
+    object.__setattr__(report, "_cartesian", cartesian)
     assert not report.fibered_in_groupoids or report.fibered
     assert not report.cofibered_in_groupoids or report.cofibered
     return report

@@ -1,0 +1,448 @@
+"""The bifibration sweep as it was before it decided each fact once per call.
+
+`bifib` used these loops before one analysis per call shared its fibers,
+local classifications, strictness verdict, iso lists and cartesian
+verdicts: every fiber is rebuilt, and each fiber hom re-validated, on each
+use; `classify_bifibration` classifies the hom functors and checks
+strictness on p and again on `coop_lax_functor(p)`; every iso list is an
+exhaustive inverse search; every 2-cell lift search re-tests cartesianness;
+and `_check_cartesian_1cell` counts the 2-cell lifts of each (σ, δ) by
+scanning a whole hom-set.  They stay here, test-only, as the slow path the
+sweep must agree with, witnesses included.  The value classes and the
+Grothendieck construction, which did not change, come from `bifib`.
+"""
+
+from fractions import Fraction
+
+from bicat_euler.bicat import (
+    LaxFunctorBicat,
+    MissingEulerCharacteristic,
+    coop_lax_functor,
+    euler_char_cg,
+    graph_components,
+    pseudogroupoid_check,
+    restrict_catgraph,
+    validate_bicategory,
+)
+from bicat_euler.bifib import (
+    BiFibrationReport,
+    GrBicatReport,
+    ProductBicatReport,
+    Trihomomorphism,
+    grothendieck_cg,
+    validate_trihomomorphism,
+)
+from bicat_euler.fib1 import NonUniqueLift, NotBiFibered, ObjectNotInBase, classify_fibration, is_cartesian_morphism
+from bicat_euler.fincat import FinCategory, validate_category, validate_functor
+
+
+def _isos(hom: FinCategory, u: str, v: str) -> list[str]:
+    return sorted(m for m in hom.hom(u, v) if hom.inverse_of(m) is not None)
+
+
+def is_strict_lax_functor(p: LaxFunctorBicat) -> bool:
+    e, b = p.source, p.target
+    if e.identity1 is None or e.compose1 is None or b.identity1 is None or b.compose1 is None:
+        return False
+    for x in e.objects:
+        if p.cell1(x, x, e.id1(x)) != b.id1(p.ob(x)):
+            return False
+    for x in e.objects:
+        for y in e.objects:
+            for z in e.objects:
+                for f in e.onecells(x, y):
+                    for g in e.onecells(y, z):
+                        lhs = p.cell1(x, z, e.c1(x, y, z, g, f))
+                        rhs = b.c1(p.ob(x), p.ob(y), p.ob(z), p.cell1(y, z, g), p.cell1(x, y, f))
+                        if lhs != rhs:
+                            return False
+    if e.hcompose2 is not None and b.hcompose2 is not None:
+        for ((x, y, z), beta, alpha), res in e.hcompose2.items():
+            lhs = p.cell2(x, z, res)
+            rhs = b.h2(p.ob(x), p.ob(y), p.ob(z), p.cell2(y, z, beta), p.cell2(x, y, alpha))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def _strict_equations_available(p: LaxFunctorBicat) -> bool:
+    return (
+        p.source.hcompose2 is not None
+        and p.target.hcompose2 is not None
+        and p.phi is None
+        and p.psi is None
+        and is_strict_lax_functor(p)
+    )
+
+
+def _lift_candidates(p, x, y, z, f, g, h, alpha, strict_eqs):
+    e, b = p.source, p.target
+    px, py, pz = p.ob(x), p.ob(y), p.ob(z)
+    pf = p.cell1(x, y, f)
+    out = []
+    for h_tilde in e.onecells(z, x):
+        fh = e.c1(z, x, y, f, h_tilde)
+        ph_tilde = p.cell1(z, x, h_tilde)
+        for a_tilde in _isos(e.hom_at(z, y), fh, g):
+            for b_tilde in _isos(b.hom_at(pz, px), ph_tilde, h):
+                if strict_eqs:
+                    whisker = b.h2(pz, px, py, b.hom_at(px, py).identity[pf], b_tilde)
+                    lhs = b.hom_at(pz, py).compose2(alpha, whisker)
+                    if lhs != p.cell2(z, y, a_tilde):
+                        continue
+                out.append((h_tilde, a_tilde, b_tilde))
+    return out
+
+
+def check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str, strict_eqs: bool):
+    """None when cartesian, else the failing frame."""
+    e, b = p.source, p.target
+    px, py = p.ob(x), p.ob(y)
+    pf = p.cell1(x, y, f)
+    chosen = {}
+    for z in e.objects:
+        pz = p.ob(z)
+        for g in e.onecells(z, y):
+            pg = p.cell1(z, y, g)
+            for h in b.onecells(pz, px):
+                comp = b.c1(pz, px, py, pf, h)
+                for alpha in _isos(b.hom_at(pz, py), comp, pg):
+                    lifts = _lift_candidates(p, x, y, z, f, g, h, alpha, strict_eqs)
+                    if not lifts:
+                        return ("no_lift", z, g, h, alpha)
+                    chosen[(z, g, h, alpha)] = lifts[0]
+    if not strict_eqs:
+        return None
+    for z in e.objects:
+        pz = p.ob(z)
+        hom_e = e.hom_at(z, y)
+        hom_b_zx = b.hom_at(pz, px)
+        hom_b_zy = b.hom_at(pz, py)
+        for sigma in hom_e.morphisms:
+            g, g2 = sigma.src, sigma.dst
+            for h in b.onecells(pz, px):
+                for h2 in b.onecells(pz, px):
+                    for alpha in _isos(hom_b_zy, b.c1(pz, px, py, pf, h), p.cell1(z, y, g)):
+                        key1 = (z, g, h, alpha)
+                        if key1 not in chosen:
+                            continue
+                        for alpha2 in _isos(hom_b_zy, b.c1(pz, px, py, pf, h2), p.cell1(z, y, g2)):
+                            key2 = (z, g2, h2, alpha2)
+                            if key2 not in chosen:
+                                continue
+                            h_t, a_t, b_t = chosen[key1]
+                            h_t2, a_t2, b_t2 = chosen[key2]
+                            id_pf = b.hom_at(px, py).identity[pf]
+                            for delta in hom_b_zx.hom(h, h2):
+                                lhs = hom_b_zy.compose2(alpha2, b.h2(pz, px, py, id_pf, delta))
+                                rhs = hom_b_zy.compose2(p.cell2(z, y, sigma.name), alpha)
+                                if lhs != rhs:
+                                    continue
+                                id_f = e.hom_at(x, y).identity[f]
+                                hom_e_zx = e.hom_at(z, x)
+                                matches = []
+                                for delta_t in hom_e_zx.hom(h_t, h_t2):
+                                    eq1 = hom_e.compose2(
+                                        a_t2, e.h2(z, x, y, id_f, delta_t)
+                                    ) == hom_e.compose2(sigma.name, a_t)
+                                    eq2 = hom_b_zx.compose2(delta, b_t) == hom_b_zx.compose2(
+                                        b_t2, p.cell2(z, x, delta_t)
+                                    )
+                                    if eq1 and eq2:
+                                        matches.append(delta_t)
+                                if len(matches) != 1:
+                                    return ("bad_2cell_lift", z, sigma.name, h, h2, delta, len(matches))
+    return None
+
+
+def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
+    p.source.require_composition()
+    p.target.require_composition()
+    return check_cartesian_1cell(p, x, y, f, _strict_equations_available(p)) is None
+
+
+def _pseudo_flags(p: LaxFunctorBicat):
+    e, b = p.source, p.target
+    witnesses = {}
+    local = True
+    for x in e.objects:
+        for y in e.objects:
+            rep = classify_fibration(p.hom_functors[(x, y)])
+            if not rep.fibered_in_groupoids:
+                local = False
+                witnesses.setdefault("not_locally_fibered", (x, y))
+    one = True
+    for e_obj in e.objects:
+        pe = p.ob(e_obj)
+        for b_obj in b.objects:
+            for f in b.onecells(b_obj, pe):
+                found = any(
+                    p.cell1(e2, e_obj, t) == f and p.ob(e2) == b_obj
+                    for e2 in e.objects
+                    for t in e.onecells(e2, e_obj)
+                )
+                if not found:
+                    one = False
+                    witnesses.setdefault("no_1cell_lift", (f, e_obj))
+    strict_eqs = _strict_equations_available(p)
+    cells = [(x, y, f) for x in e.objects for y in e.objects for f in e.onecells(x, y)]
+    results = [check_cartesian_1cell(p, x, y, f, strict_eqs) for x, y, f in cells]
+    cart = True
+    for cell, res in zip(cells, results):
+        if res is not None:
+            cart = False
+            witnesses.setdefault("non_cartesian_1cell", (cell, res))
+            break
+    return local, one, cart, witnesses
+
+
+def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
+    p.source.require_composition()
+    p.target.require_composition()
+    local, one, cart, witnesses = _pseudo_flags(p)
+    co_local, co_one, co_cart, co_wit = _pseudo_flags(coop_lax_functor(p))
+    witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
+    return BiFibrationReport(local, one, cart, local and one and cart, co_local and co_one and co_cart, witnesses)
+
+
+def fiber_bicategory(p: LaxFunctorBicat, b_obj: str):
+    e, b = p.source, p.target
+    e.require_composition()
+    b.require_composition()
+    if b_obj not in b.objects:
+        raise ObjectNotInBase(b_obj)
+    id1b = b.id1(b_obj)
+    id2b = b.hom_at(b_obj, b_obj).identity[id1b]
+    objects = sorted(x for x in e.objects if p.ob(x) == b_obj)
+    hom = {}
+    for x in objects:
+        for y in objects:
+            total_hom = e.hom_at(x, y)
+            cells = [h for h in total_hom.objects if p.cell1(x, y, h) == id1b]
+            cell_set = set(cells)
+            morphs = [
+                m
+                for m in total_hom.morphisms
+                if m.src in cell_set and m.dst in cell_set and p.cell2(x, y, m.name) == id2b
+            ]
+            names = {m.name for m in morphs}
+            hom[(x, y)] = validate_category(
+                cells,
+                morphs,
+                {h: total_hom.identity[h] for h in cells},
+                {(g, f): h for (g, f), h in total_hom.compose.items() if g in names and f in names},
+            )
+    identity1 = {}
+    for x in objects:
+        if p.cell1(x, x, e.id1(x)) != id1b:
+            raise NotBiFibered(f"identity 1-cell of {x} does not sit over id_{b_obj}")
+        identity1[x] = e.id1(x)
+    compose1 = {}
+    for x in objects:
+        for y in objects:
+            for z in objects:
+                for f in hom[(x, y)].objects:
+                    for g in hom[(y, z)].objects:
+                        gf = e.c1(x, y, z, g, f)
+                        if p.cell1(x, z, gf) == id1b:
+                            compose1[((x, y, z), g, f)] = gf
+                        elif p.phi is not None:
+                            compose1[((x, y, z), g, f)] = _phi_corrected_composite(p, b_obj, x, y, z, g, f, gf)
+                        else:
+                            raise NotBiFibered(f"composite {g}∘{f} leaves the fiber and no phi data is supplied")
+    return validate_bicategory(objects, hom, identity1, compose1)
+
+
+def _phi_corrected_composite(p, b_obj, x, y, z, g, f, gf):
+    btarget = p.target
+    phi_cell = p.phi.get(((x, y, z), g, f))
+    if phi_cell is None:
+        raise NotBiFibered(f"missing phi component at (({x},{y},{z}), {g}, {f})")
+    hom_b = btarget.hom_at(b_obj, b_obj)
+    if hom_b.src(phi_cell) != btarget.id1(b_obj):
+        raise NotBiFibered("phi component does not start at the identity 1-cell")
+    q = p.hom_functors[(x, z)]
+    candidates = sorted(
+        m.name
+        for m in p.source.hom_at(x, z).morphisms
+        if m.dst == gf and p.cell2(x, z, m.name) == phi_cell and is_cartesian_morphism(q, m.name)
+    )
+    if not candidates:
+        raise NotBiFibered(f"no cartesian lift of phi at {gf}")
+    return p.source.hom_at(x, z).src(candidates[0])
+
+
+def _onecell_lifts(p, b_obj, c_obj, f, policy):
+    e = p.source
+    lifts = {}
+    for y in sorted(x for x in e.objects if p.ob(x) == c_obj):
+        candidates = sorted(
+            (e2, m) for e2 in e.objects if p.ob(e2) == b_obj for m in e.onecells(e2, y) if p.cell1(e2, y, m) == f
+        )
+        if not candidates:
+            raise NotBiFibered(f"no 1-cell lift of {f} ending at {y}")
+        lifts[y] = candidates[0] if policy == "min" else candidates[-1]
+    return lifts
+
+
+def fiber_pullback(p, b_obj, c_obj, f, policy="min"):
+    e, b = p.source, p.target
+    fib_c = fiber_bicategory(p, c_obj)
+    fib_b = fiber_bicategory(p, b_obj)
+    id_f = b.hom_at(b_obj, c_obj).identity[f]
+    lifts = _onecell_lifts(p, b_obj, c_obj, f, policy)
+    object_map = {y: lifts[y][0] for y in fib_c.objects}
+    hom_functors = {}
+    for e1 in fib_c.objects:
+        for e2 in fib_c.objects:
+            src_cat = fib_c.hom_at(e1, e2)
+            tgt_cat = fib_b.hom_at(object_map[e1], object_map[e2])
+            fe1, lift1 = lifts[e1]
+            fe2, lift2 = lifts[e2]
+            obj_map = {}
+            tau = {}
+            for h in src_cat.objects:
+                composite_h = e.c1(fe1, e1, e2, h, lift1)
+                found = None
+                for w in tgt_cat.objects:
+                    composite_w = e.c1(fe1, fe2, e2, lift2, w)
+                    isos = [
+                        s for s in _isos(e.hom_at(fe1, e2), composite_h, composite_w) if p.cell2(fe1, e2, s) == id_f
+                    ]
+                    if isos:
+                        found = (w, isos[0])
+                        break
+                if found is None:
+                    raise NonUniqueLift(f"no pullback 1-cell for {h} along {f}")
+                obj_map[h] = found[0]
+                tau[h] = found[1]
+            mor_map = {}
+            for sigma in src_cat.morphisms:
+                candidates = list(tgt_cat.hom(obj_map[sigma.src], obj_map[sigma.dst]))
+                if len(candidates) > 1 and e.hcompose2 is not None:
+                    id_l1 = e.hom_at(fe1, e1).identity[lift1]
+                    id_l2 = e.hom_at(fe2, e2).identity[lift2]
+                    hom_total = e.hom_at(fe1, e2)
+                    lhs = hom_total.compose2(tau[sigma.dst], e.h2(fe1, e1, e2, sigma.name, id_l1))
+                    candidates = [
+                        w
+                        for w in candidates
+                        if hom_total.compose2(e.h2(fe1, fe2, e2, id_l2, w), tau[sigma.src]) == lhs
+                    ]
+                if len(candidates) != 1:
+                    raise NonUniqueLift(f"pullback of 2-cell {sigma.name} along {f}: {len(candidates)} candidates")
+                mor_map[sigma.name] = candidates[0]
+            hom_functors[(e1, e2)] = validate_functor(src_cat, tgt_cat, obj_map, mor_map)
+    return LaxFunctorBicat(fib_c, fib_b, object_map, hom_functors), lifts
+
+
+def induced_trihomomorphism(p, policy="min"):
+    e, b = p.source, p.target
+    fibers = {x: fiber_bicategory(p, x) for x in b.objects}
+    pullback1 = {}
+    lift_tables = {}
+    for b_obj in b.objects:
+        for c_obj in b.objects:
+            for f in b.onecells(b_obj, c_obj):
+                lax, lifts = fiber_pullback(p, b_obj, c_obj, f, policy)
+                pullback1[(b_obj, c_obj, f)] = lax
+                lift_tables[(b_obj, c_obj, f)] = lifts
+    pullback2 = {}
+    for b_obj in b.objects:
+        for c_obj in b.objects:
+            id1b = b.id1(b_obj)
+            base_hom = b.hom_at(b_obj, c_obj)
+            for alpha in base_hom.morphisms:
+                f, g = alpha.src, alpha.dst
+                f_lifts = lift_tables[(b_obj, c_obj, f)]
+                g_lifts = lift_tables[(b_obj, c_obj, g)]
+                comps = {}
+                for y in fibers[c_obj].objects:
+                    gy, g_lift = g_lifts[y]
+                    fy, f_lift = f_lifts[y]
+                    q = p.hom_functors[(gy, y)]
+                    sigma_lifts = sorted(
+                        m.name
+                        for m in e.hom_at(gy, y).morphisms
+                        if m.dst == g_lift
+                        and p.cell2(gy, y, m.name) == alpha.name
+                        and is_cartesian_morphism(q, m.name)
+                    )
+                    if not sigma_lifts:
+                        raise NotBiFibered(f"no cartesian 2-cell lift of {alpha.name} at {g_lift}")
+                    w = e.hom_at(gy, y).src(sigma_lifts[0])
+                    id_f = base_hom.identity[f]
+                    candidates = sorted(
+                        u
+                        for u in e.onecells(gy, fy)
+                        if p.cell1(gy, fy, u) == id1b
+                        and any(
+                            p.cell2(gy, y, s) == id_f for s in _isos(e.hom_at(gy, y), e.c1(gy, fy, y, f_lift, u), w)
+                        )
+                    )
+                    if not candidates:
+                        raise NotBiFibered(f"no component 1-cell for {alpha.name} at {y}")
+                    comps[y] = candidates[0]
+                pullback2[(b_obj, c_obj, alpha.name)] = comps
+    return validate_trihomomorphism(Trihomomorphism(b, fibers, pullback1, pullback2))
+
+
+def verify_gr_formula_bicat(data) -> GrBicatReport:
+    t = data if isinstance(data, Trihomomorphism) else induced_trihomomorphism(data)
+    base_euler = euler_char_cg(t.base.graph)
+    if base_euler.coweighting is None:
+        raise MissingEulerCharacteristic("base bicategory has no coweighting")
+    gr = grothendieck_cg(t)
+    gr_euler = gr.euler()
+    if gr_euler.chi is None:
+        raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")
+    fiber_chi = {}
+    fiber_cw = {}
+    for b in t.base.objects:
+        e = euler_char_cg(t.fiber[b].graph)
+        if e.chi is None or e.coweighting is None:
+            raise MissingEulerCharacteristic(f"fiber over {b} has no Euler characteristic")
+        fiber_chi[b] = e.chi
+        fiber_cw[b] = e.coweighting
+    rhs = sum((base_euler.coweighting[b] * fiber_chi[b] for b in t.base.objects), Fraction(0))
+    zeta = gr.zeta()
+    product_valid = True
+    for o2 in gr.objects:
+        total = Fraction(0)
+        for o1 in gr.objects:
+            b, x = gr.object_pairs[o1]
+            total += base_euler.coweighting[b] * fiber_cw[b][x] * zeta.at(o1, o2)
+        if total != 1:
+            product_valid = False
+    return GrBicatReport(gr_euler.chi, rhs, base_euler.coweighting, fiber_chi, product_valid, gr_euler.chi == rhs)
+
+
+def verify_product_formula_bicat(p) -> ProductBicatReport:
+    report = classify_bifibration(p)
+    if not (report.fibered_in_pseudogroupoids and report.cofibered_in_pseudogroupoids):
+        raise NotBiFibered(f"not fibered+cofibered in pseudogroupoids: {report.witnesses}")
+    chi_total = euler_char_cg(p.source.graph).chi
+    if chi_total is None:
+        raise MissingEulerCharacteristic("total bicategory has no Euler characteristic")
+    components = []
+    rhs = Fraction(0)
+    for comp in graph_components(p.target.graph):
+        chi_base = euler_char_cg(restrict_catgraph(p.target.graph, comp)).chi
+        if chi_base is None:
+            raise MissingEulerCharacteristic(f"base component {comp} has no Euler characteristic")
+        fiber_chis = []
+        for b_obj in comp:
+            fib = fiber_bicategory(p, b_obj)
+            assert pseudogroupoid_check(fib), f"fiber over {b_obj} is not a pseudogroupoid"
+            chi_f = euler_char_cg(fib.graph).chi
+            if chi_f is None:
+                raise MissingEulerCharacteristic(f"fiber over {b_obj} has no Euler characteristic")
+            fiber_chis.append(chi_f)
+        assert len(set(fiber_chis)) == 1, f"fiber chi not constant on component {comp}"
+        components.append((comp, chi_base, fiber_chis[0]))
+        rhs += chi_base * fiber_chis[0]
+    gr = grothendieck_cg(induced_trihomomorphism(p))
+    chi_gr = gr.euler().chi
+    if chi_gr is None:
+        raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")
+    return ProductBicatReport(chi_total, rhs, tuple(components), chi_gr, chi_gr == chi_total, chi_total == rhs)

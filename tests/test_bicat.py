@@ -11,6 +11,7 @@ from bicat_euler.bicat import (
     NotBiequivalence,
     NotPseudogroupoid,
     check_biequivalence,
+    coop_lax_functor,
     coproduct_cg,
     equivalence_classes,
     euler_acyclic_bicat,
@@ -18,6 +19,8 @@ from bicat_euler.bicat import (
     identity_lax_functor,
     is_acyclic_bicat,
     make_catgraph,
+    op1_bicategory,
+    op2_bicategory,
     product_cg,
     pseudogroupoid_check,
     pseudogroupoid_euler,
@@ -352,3 +355,14 @@ def test_generated_biequivalences_verify():
         lax = gen_biequivalence(seed, 2)
         rep = verify_biequivalence_invariance(lax)
         assert rep.equal and rep.transported_valid
+
+
+def test_op_of_the_empty_bicategory_keeps_its_composition_data():
+    # No objects means an empty identity table, which is still composition data.
+    empty = validate_bicategory([], {}, {}, {})
+    for op in (op1_bicategory(empty), op2_bicategory(empty), op1_bicategory(op2_bicategory(empty))):
+        op.require_composition()
+        assert op.identity1 == {} and op.compose1 == {}
+    coop = coop_lax_functor(identity_lax_functor(empty))
+    coop.source.require_composition()
+    coop.target.require_composition()

@@ -1,0 +1,352 @@
+"""The bifibration sweep decides each fact once per call and agrees with its slow path.
+
+`bifib` shares one analysis per call of a lax functor: fibers, local
+classifications, the strictness verdict, iso lists and cartesian verdicts.
+`bifib_oracle` keeps the sweep as it was before, recomputing all of them
+on each use.  Both must give equal values and reports, witnesses included,
+and raise the same error with the same message.
+"""
+
+import contextlib
+import io
+import re
+
+import pytest
+
+import bifib_oracle as oracle
+from bicat_euler import bifib, catdsl, cli, fib1
+from bicat_euler import fixtures as fx
+from bicat_euler.bicat import (
+    LaxFunctorBicat,
+    disjoint_union_lax_functor,
+    identity_lax_functor,
+    product_projection,
+    validate_bicategory,
+    validate_lax_functor,
+)
+from bicat_euler.fib1 import NotBiFibered
+from bicat_euler.fincat import validate_category, validate_functor
+from bicat_euler.generators import gen_fib_pseudogroupoids_laxfunctor, gen_pseudogroupoid, gen_trihom
+from conftest import FIXTURE_DIR
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return ("value", fn(*args, **kwargs))
+    except Exception as exc:  # the slow path must fail the same way
+        return ("raises", type(exc), str(exc))
+
+
+def _assert_agrees(p: LaxFunctorBicat):
+    """Every public sweep entry point on p against the oracle."""
+    e, b = p.source, p.target
+    pairs = [
+        (bifib.classify_bifibration, oracle.classify_bifibration, ()),
+        (bifib.induced_trihomomorphism, oracle.induced_trihomomorphism, ()),
+        (bifib.verify_gr_formula_bicat, oracle.verify_gr_formula_bicat, ()),
+        (bifib.verify_product_formula_bicat, oracle.verify_product_formula_bicat, ()),
+    ]
+    pairs += [(bifib.fiber_bicategory, oracle.fiber_bicategory, (x,)) for x in b.objects]
+    pairs += [
+        (bifib.fiber_pullback, oracle.fiber_pullback, (x, y, f, policy))
+        for x in b.objects
+        for y in b.objects
+        for f in b.onecells(x, y)
+        for policy in ("min", "max")
+    ]
+    pairs += [
+        (bifib.is_cartesian_1cell, oracle.is_cartesian_1cell, (x, y, f))
+        for x in e.objects
+        for y in e.objects
+        for f in e.onecells(x, y)
+    ]
+    for fast, slow, args in pairs:
+        assert _outcome(fast, p, *args) == _outcome(slow, p, *args), (fast.__name__, args)
+
+
+def _collapse_of_suspension(n: int, k: int) -> LaxFunctorBicat:
+    elements, mult, unit = fx.cyclic_group(n)
+    return fx.collapse_to_point(fx.suspension_two_group([f"o{i}" for i in range(k)], elements, mult, unit))
+
+
+def _fixture_values(kinds):
+    values = []
+    for path in sorted(FIXTURE_DIR.glob("*.catj")):
+        doc = catdsl.parse(path.read_text(encoding="utf-8")).document
+        if doc is not None and doc.kind in kinds:
+            values.append(pytest.param(doc.value, id=path.stem))
+    return values
+
+
+# ---------------------------------------------------------------- phi data
+
+def _phi_identity_collapse() -> LaxFunctorBicat:
+    """The strict collapse of PSG, carrying identity phi and psi components."""
+    p = fx.PSG_COLLAPSE
+    phi = {key: "idI" for key in p.source.compose1}
+    psi = {x: "idI" for x in p.source.objects}
+    return validate_lax_functor(p.source, p.target, p.object_map, p.hom_functors, phi, psi)
+
+
+def _phi_leaving_fiber(variant: str = "ok") -> LaxFunctorBicat:
+    """One object over one object; the composite a∘a = b lies over J, off the fiber over I.
+
+    phi at (a, a) is the 2-cell ph: I => J of the base, and c: a => b over
+    ph is its cartesian lift, so the fiber composes a∘a to a.  The variants
+    break one step of that search: `missing` drops the phi component,
+    `off_identity` makes it start at J, and `no_lift` removes c.
+    """
+    base_hom = validate_category(
+        ["I", "J"],
+        [("idI", "I", "I"), ("idJ", "J", "J"), ("ph", "I", "J")],
+        {"I": "idI", "J": "idJ"},
+        {("idI", "idI"): "idI", ("idJ", "idJ"): "idJ", ("ph", "idI"): "ph", ("idJ", "ph"): "ph"},
+    )
+    base = validate_bicategory(
+        ["*"],
+        {("*", "*"): base_hom},
+        {"*": "I"},
+        {(("*", "*", "*"), g, f): "I" if g == f == "I" else "J" for g in "IJ" for f in "IJ"},
+    )
+    morphisms = [("ide", "e", "e"), ("ida", "a", "a"), ("idb", "b", "b")]
+    compose = {("ide", "ide"): "ide", ("ida", "ida"): "ida", ("idb", "idb"): "idb"}
+    morphism_map = {"ide": "idI", "ida": "idI", "idb": "idJ"}
+    if variant != "no_lift":
+        morphisms.append(("c", "a", "b"))
+        compose.update({("c", "ida"): "c", ("idb", "c"): "c"})
+        morphism_map["c"] = "ph"
+    total_hom = validate_category(["a", "b", "e"], morphisms, {"a": "ida", "b": "idb", "e": "ide"}, compose)
+    cells = ("a", "b", "e")
+    compose1 = {(("x", "x", "x"), g, f): f if g == "e" else g if f == "e" else "b" for g in cells for f in cells}
+    total = validate_bicategory(["x"], {("x", "x"): total_hom}, {"x": "e"}, compose1)
+    over = {"e": "I", "a": "I", "b": "J"}
+    hom_functors = {("x", "x"): validate_functor(total_hom, base_hom, over, morphism_map)}
+    phi = {}
+    for (_, g, f), gf in compose1.items():
+        src, dst = base.c1("*", "*", "*", over[g], over[f]), over[gf]
+        phi[(("x", "x", "x"), g, f)] = "ph" if src != dst else f"id{src}"
+    if variant == "missing":
+        del phi[(("x", "x", "x"), "a", "a")]
+    if variant == "off_identity":
+        phi[(("x", "x", "x"), "a", "a")] = "idJ"
+        return LaxFunctorBicat(total, base, {"x": "*"}, hom_functors, phi)
+    return validate_lax_functor(total, base, {"x": "*"}, hom_functors, phi)
+
+
+def test_phi_identity_collapse_keeps_strict_equations_on_the_coop_side(monkeypatch):
+    p = _phi_identity_collapse()
+    s = bifib._Sweep(p)
+    assert s.strict() and not s.strict_equations()  # phi switches p's strict equations off, not coop's
+    flags = {"fast": [], "slow": []}
+
+    def recording(module, name, key):
+        check = getattr(module, name)
+
+        def wrapper(*args):
+            flags[key].append(args[-1])
+            return check(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(bifib, "_check_cartesian_1cell", "fast")
+    recording(oracle, "check_cartesian_1cell", "slow")
+    rep = bifib.classify_bifibration(p)
+    assert rep == oracle.classify_bifibration(p)
+    assert rep.fibered_in_pseudogroupoids and rep.cofibered_in_pseudogroupoids
+    # Every 1-cell of p without the strict equations, then every 1-cell of coop with them.
+    assert flags["fast"] == flags["slow"] == [False] * 4 + [True] * 4
+    _assert_agrees(p)
+
+
+def test_phi_corrects_a_composite_that_leaves_the_fiber():
+    p = _phi_leaving_fiber()
+    assert bifib.classify_bifibration(p) == oracle.classify_bifibration(p)
+    fib = bifib.fiber_bicategory(p, "*")
+    assert fib.hom_at("x", "x").objects == ("a", "e")
+    assert fib.c1("x", "x", "x", "a", "a") == "a"  # the domain of c, the cartesian lift of phi
+    _assert_agrees(p)
+
+
+@pytest.mark.parametrize(
+    "variant, message",
+    [
+        ("missing", "missing phi component at ((x,x,x), a, a)"),
+        ("off_identity", "phi component does not start at the identity 1-cell"),
+        ("no_lift", "no cartesian lift of phi at b"),
+    ],
+)
+def test_phi_search_failures(variant, message):
+    p = _phi_leaving_fiber(variant)
+    with pytest.raises(NotBiFibered, match=re.escape(message)):
+        bifib.fiber_bicategory(p, "*")
+    assert bifib.classify_bifibration(p) == oracle.classify_bifibration(p)
+    _assert_agrees(p)
+
+
+# ---------------------------------------------------------------- 2-cell lift counts
+
+def _flat_whiskering_collapse(elements, mult, unit) -> LaxFunctorBicat:
+    """The collapse of the suspension of a group with every horizontal composite the unit 2-cell.
+
+    Whiskering by id_f then forgets δ̃, so in a strict cartesian check the
+    2-cells δ̃: m => m solve the pasting equations for σ = unit all at once
+    and for any other σ not at all: no 2-cell lift is unique.  Frames are
+    all that `validate_bicategory` checks.
+    """
+    hom = validate_category(["m"], [(a, "m", "m") for a in elements], {"m": unit}, dict(mult))
+    flat = {(("x", "x", "x"), b, a): unit for a in elements for b in elements}
+    compose1 = {(("x", "x", "x"), "m", "m"): "m"}
+    return fx.collapse_to_point(validate_bicategory(["x"], {("x", "x"): hom}, {"x": "m"}, compose1, flat))
+
+
+@pytest.mark.parametrize(
+    "group, sigma, count",
+    [
+        (fx.cyclic_group(2), "g0", 2),
+        (fx.cyclic_group(3), "g0", 3),
+        # The unit named last, so the first σ tried is not the unit.
+        ((("a", "u"), {("a", "a"): "u", ("a", "u"): "a", ("u", "a"): "a", ("u", "u"): "u"}, "u"), "a", 0),
+    ],
+)
+def test_two_cell_lift_counts_match_oracle(group, sigma, count):
+    p = _flat_whiskering_collapse(*group)
+    rep = bifib.classify_bifibration(p)
+    assert rep == oracle.classify_bifibration(p)
+    witness = ("bad_2cell_lift", "x", sigma, "I", "I", "idI", count)
+    assert rep.witnesses["non_cartesian_1cell"] == (("x", "x", "m"), witness)
+    _assert_agrees(p)
+
+
+@pytest.mark.parametrize("total_order, base_order", [(2, 1), (1, 2)])
+def test_sweep_matches_oracle_when_total_and_base_share_labels(total_order, base_order):
+    # Source and target homs both have the 1-cell m** and the 2-cell g0, with different iso sets.
+    total, base = (fx.suspension_two_group(["*"], *fx.cyclic_group(n)) for n in (total_order, base_order))
+    cells = {f"g{k}": f"g{k % base_order}" for k in range(total_order)}
+    hom = validate_functor(total.hom_at("*", "*"), base.hom_at("*", "*"), {"m**": "m**"}, cells)
+    _assert_agrees(validate_lax_functor(total, base, {"*": "*"}, {("*", "*"): hom}))
+
+
+# ---------------------------------------------------------------- agreement
+
+@pytest.mark.parametrize("p", _fixture_values({"laxfunctor"}))
+def test_sweep_matches_oracle_on_fixtures(p):
+    _assert_agrees(p)
+
+
+@pytest.mark.parametrize("t", _fixture_values({"trihom"}))
+def test_gr_formula_matches_oracle_on_trihom_fixtures(t):
+    assert _outcome(bifib.verify_gr_formula_bicat, t) == _outcome(oracle.verify_gr_formula_bicat, t)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sweep_matches_oracle_on_generated_pseudogroupoids(seed):
+    b = gen_pseudogroupoid(seed, 1 + seed % 3)
+    _assert_agrees(fx.collapse_to_point(b))
+    _assert_agrees(identity_lax_functor(b))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sweep_matches_oracle_on_generated_trihoms(seed):
+    t = gen_trihom(seed, 2)
+    assert _outcome(bifib.verify_gr_formula_bicat, t) == _outcome(oracle.verify_gr_formula_bicat, t)
+    if seed % 3 == 2:  # the collapse family is built by `induced_trihomomorphism`
+        p = fx.collapse_to_point(gen_pseudogroupoid(seed, 2))
+        assert t == oracle.induced_trihomomorphism(p)
+        _assert_agrees(p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 4))
+def test_sweep_matches_oracle_on_suspension_collapses(n, k):
+    _assert_agrees(_collapse_of_suspension(n, k))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_matches_oracle_on_generated_bifibrations(seed):
+    _assert_agrees(gen_fib_pseudogroupoids_laxfunctor(seed, 2))
+
+
+def test_sweep_matches_oracle_on_non_fibered_functors():
+    # The point into the arrow bicategory at object 1: the base 1-cell a has no lift.
+    hom = validate_functor(fx.BPT.hom_at("*", "*"), fx.ARROW_BICAT.hom_at("1", "1"), {"I": "id1"}, {"idI": "idid1"})
+    point_into_arrow = validate_lax_functor(fx.BPT, fx.ARROW_BICAT, {"*": "1"}, {("*", "*"): hom})
+    for p in (
+        fx.collapse_to_point(fx.ACYCLIC2),
+        fx.collapse_to_point(fx.ARROW_BICAT),
+        point_into_arrow,
+        disjoint_union_lax_functor(fx.PSG_COLLAPSE, fx.collapse_to_point(fx.ACYCLIC2)),
+        product_projection(fx.BZ2_TWOGROUP, fx.ACYCLIC2),
+    ):
+        _assert_agrees(p)
+
+
+# ---------------------------------------------------------------- once per command
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    """Record each sweep, fiber build, local classification and cartesian test the CLI makes."""
+    calls = {"sweep": [], "fiber": [], "classify": [], "cartesian": []}
+    build, classify, cartesian = bifib.fiber_bicategory, bifib.classify_fibration, fib1.is_cartesian_morphism
+
+    class CountedSweep(bifib._Sweep):
+        __slots__ = ()
+
+        def __init__(self, p):
+            super().__init__(p)
+            calls["sweep"].append(p)
+
+    def counted_build(p, b_obj):
+        calls["fiber"].append((id(p), b_obj))
+        return build(p, b_obj)
+
+    def counted_classify(q, convention="standard"):
+        calls["classify"].append(id(q))
+        return classify(q, convention)
+
+    def counted_cartesian(q, f, convention="standard"):
+        calls["cartesian"].append((id(q), f, convention))
+        return cartesian(q, f, convention)
+
+    monkeypatch.setattr(bifib, "_Sweep", CountedSweep)
+    monkeypatch.setattr(bifib, "fiber_bicategory", counted_build)
+    monkeypatch.setattr(bifib, "classify_fibration", counted_classify)
+    monkeypatch.setattr(bifib, "is_cartesian_morphism", counted_cartesian)
+    monkeypatch.setattr(fib1, "is_cartesian_morphism", counted_cartesian)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "product-bicat", "psg-collapse.catj"],
+        ["verify", "product-bicat", "gr-psg-over-arrow.catj"],
+        ["verify", "gr-bicat", "psg-collapse.catj"],
+        ["verify", "gr-bicat", "gr-psg-over-arrow.catj"],
+        ["check", "psg-collapse.catj", "fib-pseudogroupoids"],
+        ["check", "gr-psg-over-arrow.catj", "fib-pseudogroupoids"],
+    ],
+)
+def test_each_fact_is_decided_once_per_command(counters, argv):
+    argv = [str(FIXTURE_DIR / a) if a.endswith(".catj") else a for a in argv]
+    assert _run([*argv, "--json"]) == 0
+    p = counters["sweep"][0]  # the command's lax functor; later sweeps are of its coop or of one fiber build
+    assert len(counters["fiber"]) == len(set(counters["fiber"]))
+    assert {lax for lax, _ in counters["fiber"]} <= {id(p)}
+    if argv[1] == "gr-bicat":
+        assert counters["classify"] == []
+    else:
+        assert sorted(counters["classify"]) == sorted(map(id, p.hom_functors.values()))
+    assert len(counters["cartesian"]) == len(set(counters["cartesian"]))
+
+
+def test_product_bicat_on_psg_collapse_builds_one_fiber_and_classifies_four_homs(counters):
+    assert _run(["verify", "product-bicat", str(FIXTURE_DIR / "psg-collapse.catj"), "--json"]) == 0
+    p = counters["sweep"][0]
+    assert counters["fiber"] == [(id(p), "*")]
+    assert len(counters["classify"]) == 4
+    assert sorted(counters["classify"]) == sorted(map(id, p.hom_functors.values()))
