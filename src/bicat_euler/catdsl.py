@@ -11,6 +11,14 @@ a problem is reported: at the first problem, or when the decoder rejects
 the text, the positional scanner reads it again and the builders run on its
 nodes.  The accepted language and every diagnostic are the same either way.
 
+Each table shape has one reader, and each shape the serializer writes has
+one writer, its inverse: `_Builder.fields` reads an object with required
+fields; `_labels` reads an object-label array; `_split_items` reads a
+`|`-keyed object; `_keyed_triples` reads a `|`-keyed table of rows, which
+`_keyed_triple_body` writes; `_label_table` reads an object keyed by
+declared labels (fibers, pullbacks); and `_lax_functor_maps` reads the
+object map and hom functors of a lax functor, which `_fiber_lax_body` writes.
+
 Diagnostic codes:
   E001 reference to an undeclared object/morphism/cell
   E002 duplicate label
@@ -266,12 +274,19 @@ class _Builder:
             return None
         return node.value
 
-    def fieldnode(self, node: JNode, obj: dict, key: str, required=True) -> Optional[JNode]:
-        if key not in obj:
-            if required:
-                self.err(node, "E003", f"missing field {key!r}")
+    def fields(self, node: JNode, what: str, *keys: str) -> Optional[tuple]:
+        """The object `what` and the nodes of its required fields `keys`, or None.
+
+        None when `node` is no object or lacks a field: E003 for each one missing.
+        """
+        obj = self.object_of(node, what)
+        if obj is None:
             return None
-        return obj[key]
+        for key in keys:
+            if key not in obj:
+                self.err(node, "E003", f"missing field {key!r}")
+        nodes = tuple(map(obj.get, keys))
+        return None if None in nodes else (obj, *nodes)
 
     def string_map(self, node: JNode, what: str) -> dict[str, str]:
         out = {}
@@ -283,13 +298,6 @@ class _Builder:
             if val is not None:
                 out[key] = val
         return out
-
-    def split_key(self, node: JNode, key: str, arity: int) -> Optional[tuple[str, ...]]:
-        parts = tuple(key.split("|"))
-        if len(parts) != arity or any(not p for p in parts):
-            self.key_err(node, key, "E006", f"key {key!r} must have {arity} |-separated parts")
-            return None
-        return parts
 
     def triples(self, node: JNode, what: str, width: int = 3) -> list[tuple]:
         out = []
@@ -377,27 +385,70 @@ def _read_plain(text: str) -> Optional[ParseResult]:
         return None
 
 
+def _labels(b: _Builder, node: JNode) -> list[str]:
+    """The object labels of an "objects" array, in order; E002 on a repeated label."""
+    labels = []
+    for item in b.array_of(node, "objects") or []:
+        label = b.string_of(item, "object label")
+        if label is not None:
+            if label in labels:
+                b.err(item, "E002", f"duplicate object {label!r}")
+            else:
+                labels.append(label)
+    return labels
+
+
+def _split_items(b: _Builder, node: JNode, what: str, arity: int):
+    """Yield (parts, key, sub) for each entry of the `|`-keyed object `what` whose key has `arity` parts.
+
+    Any other key gets E006 and is skipped.
+    """
+    for key, sub in (b.object_of(node, what) or {}).items():
+        parts = tuple(key.split("|"))
+        if len(parts) != arity or not all(parts):
+            b.key_err(node, key, "E006", f"key {key!r} must have {arity} |-separated parts")
+        else:
+            yield parts, key, sub
+
+
+def _keyed_triples(b: _Builder, node: JNode, what: str, key_arity: int, width: int = 3) -> dict:
+    """A `|`-keyed table of rows: {"x|y|...": [[*rest, value], ...]} -> {(parts, *rest): value}."""
+    out = {}
+    for parts, key, sub in _split_items(b, node, what, key_arity):
+        for row in b.triples(sub, f"{what}[{key}]", width):
+            out[(parts,) + row[:-1]] = row[-1]
+    return out
+
+
+def _label_table(b: _Builder, node: JNode, what: str, labels, build, stray: str, code: str, missing: str) -> dict:
+    """The object `what` keyed by the declared `labels`, each entry read by build(key, sub).
+
+    A key outside `labels` gets E001 with the message `stray`, and each label
+    with no key gets `code` with the message `missing`; both messages are
+    format strings that take the key or label.
+    """
+    out = {}
+    table = b.object_of(node, what) or {}
+    for key, sub in table.items():
+        if key not in labels:
+            b.err(sub, "E001", stray.format(key))
+            continue
+        value = build(key, sub)
+        if value is not None:
+            out[key] = value
+    for label in labels:
+        if label not in table:
+            b.err(node, code, missing.format(label))
+    return out
+
+
 def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
     reported = len(b.diags)
-    obj = b.object_of(node, "category")
-    if obj is None:
+    fields = b.fields(node, "category", "objects", "morphisms", "identity", "compose")
+    if fields is None:
         return None
-    objects_node = b.fieldnode(node, obj, "objects")
-    morphisms_node = b.fieldnode(node, obj, "morphisms")
-    identity_node = b.fieldnode(node, obj, "identity")
-    compose_node = b.fieldnode(node, obj, "compose")
-    if None in (objects_node, morphisms_node, identity_node, compose_node):
-        return None
-    objects = []
-    arr = b.array_of(objects_node, "objects") or []
-    for item in arr:
-        label = b.string_of(item, "object label")
-        if label is None:
-            continue
-        if label in objects:
-            b.err(item, "E002", f"duplicate object {label!r}")
-        else:
-            objects.append(label)
+    _, objects_node, morphisms_node, identity_node, compose_node = fields
+    objects = _labels(b, objects_node)
     morphisms = []
     names = set()
     for name, src, dst in b.triples(morphisms_node, "morphisms"):
@@ -441,13 +492,10 @@ def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
 
 def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: FinCategory) -> Optional[Functor]:
     reported = len(b.diags)
-    obj = b.object_of(node, "functor maps")
-    if obj is None:
+    fields = b.fields(node, "functor maps", "object_map", "morphism_map")
+    if fields is None:
         return None
-    object_node = b.fieldnode(node, obj, "object_map")
-    morphism_node = b.fieldnode(node, obj, "morphism_map")
-    if None in (object_node, morphism_node):
-        return None
+    _, object_node, morphism_node = fields
     object_map = b.string_map(object_node, "object_map")
     morphism_map = b.string_map(morphism_node, "morphism_map")
     for x in source.objects:
@@ -474,13 +522,10 @@ def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: 
 
 
 def _build_functor(b: _Builder, node: JNode) -> Optional[Functor]:
-    obj = b.object_of(node, "functor")
-    if obj is None:
+    fields = b.fields(node, "functor", "source", "target")
+    if fields is None:
         return None
-    source_node = b.fieldnode(node, obj, "source")
-    target_node = b.fieldnode(node, obj, "target")
-    if None in (source_node, target_node):
-        return None
+    _, source_node, target_node = fields
     source = _build_category(b, source_node)
     target = _build_category(b, target_node)
     if source is None or target is None:
@@ -488,128 +533,66 @@ def _build_functor(b: _Builder, node: JNode) -> Optional[Functor]:
     return _build_plain_functor(b, node, source, target)
 
 
-def _build_hom_table(b: _Builder, node: JNode, objects: list[str]) -> Optional[dict]:
+def _objects_and_hom(b: _Builder, objects_node: JNode, hom_node: JNode) -> tuple[list[str], dict]:
+    """The object labels and the hom categories, keyed (x, y), of a catgraph or bicategory."""
+    objects = _labels(b, objects_node)
     hom = {}
-    table = b.object_of(node, "hom") or {}
-    for key, sub in table.items():
-        parts = b.split_key(node, key, 2)
-        if parts is None:
-            continue
-        x, y = parts
-        for obj_label in parts:
-            if obj_label not in objects:
-                b.key_err(node, key, "E001", f"hom key references undeclared object {obj_label!r}")
+    for parts, key, sub in _split_items(b, hom_node, "hom", 2):
+        for label in parts:
+            if label not in objects:
+                b.key_err(hom_node, key, "E001", f"hom key references undeclared object {label!r}")
         cat = _build_category(b, sub)
         if cat is not None:
-            hom[(x, y)] = cat
-    return hom
+            hom[parts] = cat
+    return objects, hom
 
 
 def _build_catgraph(b: _Builder, node: JNode) -> Optional[CatGraph]:
     from .bicat import make_catgraph
-    obj = b.object_of(node, "catgraph")
-    if obj is None:
+    fields = b.fields(node, "catgraph", "objects", "hom")
+    if fields is None:
         return None
-    objects_node = b.fieldnode(node, obj, "objects")
-    hom_node = b.fieldnode(node, obj, "hom")
-    if None in (objects_node, hom_node):
-        return None
-    objects = []
-    for item in b.array_of(objects_node, "objects") or []:
-        label = b.string_of(item, "object label")
-        if label is not None:
-            if label in objects:
-                b.err(item, "E002", f"duplicate object {label!r}")
-            else:
-                objects.append(label)
-    hom = _build_hom_table(b, hom_node, objects)
-    if b.diags or hom is None:
+    _, objects_node, hom_node = fields
+    objects, hom = _objects_and_hom(b, objects_node, hom_node)
+    if b.diags:
         return None
     return make_catgraph(objects, hom)
 
 
-def _keyed_triples(b: _Builder, node: JNode, what: str, key_arity: int, width: int = 3) -> dict:
-    out = {}
-    table = b.object_of(node, what) or {}
-    for key, sub in table.items():
-        parts = b.split_key(node, key, key_arity)
-        if parts is None:
-            continue
-        for row in b.triples(sub, f"{what}[{key}]", width):
-            out[(parts,) + row[:-1]] = row[-1]
-    return out
-
-
 def _build_bicategory(b: _Builder, node: JNode) -> Optional[Bicategory]:
     from .bicat import MissingCompositionData, validate_bicategory
-    obj = b.object_of(node, "bicategory")
-    if obj is None:
+    fields = b.fields(node, "bicategory", "objects", "hom", "identity1", "compose1")
+    if fields is None:
         return None
-    objects_node = b.fieldnode(node, obj, "objects")
-    hom_node = b.fieldnode(node, obj, "hom")
-    identity_node = b.fieldnode(node, obj, "identity1")
-    compose_node = b.fieldnode(node, obj, "compose1")
-    if None in (objects_node, hom_node, identity_node, compose_node):
-        return None
-    objects = []
-    for item in b.array_of(objects_node, "objects") or []:
-        label = b.string_of(item, "object label")
-        if label is not None:
-            if label in objects:
-                b.err(item, "E002", f"duplicate object {label!r}")
-            else:
-                objects.append(label)
-    hom = _build_hom_table(b, hom_node, objects)
+    obj, objects_node, hom_node, identity_node, compose_node = fields
+    objects, hom = _objects_and_hom(b, objects_node, hom_node)
     identity1 = b.string_map(identity_node, "identity1")
     compose1 = _keyed_triples(b, compose_node, "compose1", 3)
-    hcompose2 = None
-    hc_node = b.fieldnode(node, obj, "hcompose2", required=False)
-    if hc_node is not None:
-        hcompose2 = _keyed_triples(b, hc_node, "hcompose2", 3)
-    associator = None
-    assoc_node = b.fieldnode(node, obj, "associator", required=False)
-    if assoc_node is not None:
-        associator = _keyed_triples(b, assoc_node, "associator", 4, width=4)
+    hcompose2 = _keyed_triples(b, obj["hcompose2"], "hcompose2", 3) if "hcompose2" in obj else None
+    associator = _keyed_triples(b, obj["associator"], "associator", 4, width=4) if "associator" in obj else None
     unitors = {}
     for key in ("unitor_l", "unitor_r"):
-        sub = b.fieldnode(node, obj, key, required=False)
-        if sub is None:
-            unitors[key] = None
-            continue
-        table = {}
-        for hom_key, entries in (b.object_of(sub, key) or {}).items():
-            parts = b.split_key(sub, hom_key, 2)
-            if parts is None:
-                continue
-            for f, cell in b.triples(entries, key, width=2):
-                table[(parts[0], parts[1], f)] = cell
-        unitors[key] = table
-    if b.diags or hom is None:
+        if key in obj:
+            rows = _keyed_triples(b, obj[key], key, 2, width=2)
+            unitors[key] = {(x, y, f): cell for ((x, y), f), cell in rows.items()}
+    if b.diags:
         return None
     try:
         return validate_bicategory(
-            objects, hom, identity1, compose1, hcompose2, associator, unitors["unitor_l"], unitors["unitor_r"]
+            objects, hom, identity1, compose1, hcompose2, associator, unitors.get("unitor_l"), unitors.get("unitor_r")
         )
     except MissingCompositionData as exc:
         b.err(node, "MissingCompositionData", str(exc))
         return None
 
 
-def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
-    from .bicat import MissingCompositionData, validate_lax_functor
-    obj = b.object_of(node, "laxfunctor")
-    if obj is None:
-        return None
-    source_node = b.fieldnode(node, obj, "source")
-    target_node = b.fieldnode(node, obj, "target")
-    object_node = b.fieldnode(node, obj, "object_map")
-    hf_node = b.fieldnode(node, obj, "hom_functors")
-    if None in (source_node, target_node, object_node, hf_node):
-        return None
-    source = _build_bicategory(b, source_node)
-    target = _build_bicategory(b, target_node)
-    if source is None or target is None:
-        return None
+def _lax_functor_maps(b: _Builder, object_node: JNode, hf_node: JNode, source: Bicategory, target: Bicategory):
+    """The object map and the hom functors, keyed (x, y), of a lax functor source -> target.
+
+    None when the object map misses a source object (E010) or sends one
+    outside `target` (E001); a missing hom functor gets E010.
+    """
+    reported = len(b.diags)
     object_map = b.string_map(object_node, "object_map")
     for x in source.objects:
         if x not in object_map:
@@ -617,7 +600,7 @@ def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
     for x, img in object_map.items():
         if img not in target.objects:
             b.err(object_node, "E001", f"object_map[{x!r}] references undeclared object {img!r}")
-    if b.diags:
+    if len(b.diags) != reported:
         return None
     hom_functors = {}
     table = b.object_of(hf_node, "hom_functors") or {}
@@ -632,18 +615,28 @@ def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
             )
             if fun is not None:
                 hom_functors[(x, y)] = fun
-    phi = None
-    phi_node = b.fieldnode(node, obj, "phi", required=False)
-    if phi_node is not None:
-        phi = _keyed_triples(b, phi_node, "phi", 3)
-    psi = None
-    psi_node = b.fieldnode(node, obj, "psi", required=False)
-    if psi_node is not None:
-        psi = b.string_map(psi_node, "psi")
+    return object_map, hom_functors
+
+
+def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
+    from .bicat import MissingCompositionData, validate_lax_functor
+    fields = b.fields(node, "laxfunctor", "source", "target", "object_map", "hom_functors")
+    if fields is None:
+        return None
+    obj, source_node, target_node, object_node, hf_node = fields
+    source = _build_bicategory(b, source_node)
+    target = _build_bicategory(b, target_node)
+    if source is None or target is None:
+        return None
+    maps = _lax_functor_maps(b, object_node, hf_node, source, target)
+    if maps is None:
+        return None
+    phi = _keyed_triples(b, obj["phi"], "phi", 3) if "phi" in obj else None
+    psi = b.string_map(obj["psi"], "psi") if "psi" in obj else None
     if b.diags:
         return None
     try:
-        return validate_lax_functor(source, target, object_map, hom_functors, phi, psi)
+        return validate_lax_functor(source, target, *maps, phi, psi)
     except MissingCompositionData as exc:
         b.err(node, "MissingCompositionData", str(exc))
         return None
@@ -651,59 +644,36 @@ def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
 
 def _build_laxcat(b: _Builder, node: JNode) -> Optional[LaxFunctorToCat]:
     from .fib1 import IncoherentData, LaxFunctorToCat, validate_laxcat
-    obj = b.object_of(node, "laxcat")
-    if obj is None:
+    fields = b.fields(node, "laxcat", "base", "fibers", "pullbacks")
+    if fields is None:
         return None
-    base_node = b.fieldnode(node, obj, "base")
-    fibers_node = b.fieldnode(node, obj, "fibers")
-    pullbacks_node = b.fieldnode(node, obj, "pullbacks")
-    if None in (base_node, fibers_node, pullbacks_node):
-        return None
+    obj, base_node, fibers_node, pullbacks_node = fields
     base = _build_category(b, base_node)
     if base is None:
         return None
-    fibers = {}
-    fiber_table = b.object_of(fibers_node, "fibers") or {}
-    for key, sub in fiber_table.items():
-        if key not in base.objects:
-            b.err(sub, "E001", f"fiber key {key!r} is not a base object")
-            continue
-        cat = _build_category(b, sub)
-        if cat is not None:
-            fibers[key] = cat
-    for x in base.objects:
-        if x not in fiber_table:
-            b.err(fibers_node, "E013", f"missing fiber for base object {x!r}")
+    fibers = _label_table(
+        b, fibers_node, "fibers", base.objects, lambda _, sub: _build_category(b, sub),
+        "fiber key {!r} is not a base object", "E013", "missing fiber for base object {!r}",
+    )
     if b.diags:
         return None
-    pullbacks = {}
-    pb_table = b.object_of(pullbacks_node, "pullbacks") or {}
-    base_names = {m.name for m in base.morphisms}
-    for key, sub in pb_table.items():
-        if key not in base_names:
-            b.err(sub, "E001", f"pullback key {key!r} is not a base morphism")
-            continue
-        m = base.morphism(key)
-        fun = _build_plain_functor(b, sub, fibers[m.dst], fibers[m.src])
-        if fun is not None:
-            pullbacks[key] = fun
-    for m in base.morphisms:
-        if m.name not in pb_table:
-            b.err(pullbacks_node, "E012", f"missing pullback functor for base morphism {m.name!r}")
-    comp_iso = None
-    comp_node = b.fieldnode(node, obj, "comp_iso", required=False)
-    if comp_node is not None:
-        comp_iso = {}
-        for key, sub in (b.object_of(comp_node, "comp_iso") or {}).items():
-            parts = b.split_key(comp_node, key, 2)
-            if parts is not None:
-                comp_iso[parts] = b.string_map(sub, f"comp_iso[{key}]")
-    unit_iso = None
-    unit_node = b.fieldnode(node, obj, "unit_iso", required=False)
-    if unit_node is not None:
-        unit_iso = {}
-        for key, sub in (b.object_of(unit_node, "unit_iso") or {}).items():
-            unit_iso[key] = b.string_map(sub, f"unit_iso[{key}]")
+    morphisms = {m.name: m for m in base.morphisms}
+    pullbacks = _label_table(
+        b, pullbacks_node, "pullbacks", morphisms,
+        lambda key, sub: _build_plain_functor(b, sub, fibers[morphisms[key].dst], fibers[morphisms[key].src]),
+        "pullback key {!r} is not a base morphism", "E012", "missing pullback functor for base morphism {!r}",
+    )
+    comp_iso = unit_iso = None
+    if "comp_iso" in obj:
+        comp_iso = {
+            parts: b.string_map(sub, f"comp_iso[{key}]")
+            for parts, key, sub in _split_items(b, obj["comp_iso"], "comp_iso", 2)
+        }
+    if "unit_iso" in obj:
+        unit_iso = {
+            key: b.string_map(sub, f"unit_iso[{key}]")
+            for key, sub in (b.object_of(obj["unit_iso"], "unit_iso") or {}).items()
+        }
     if b.diags:
         return None
     try:
@@ -715,30 +685,17 @@ def _build_laxcat(b: _Builder, node: JNode) -> Optional[LaxFunctorToCat]:
 
 def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
     from .bifib import IllTypedComponent, Trihomomorphism, validate_trihomomorphism
-    obj = b.object_of(node, "trihom")
-    if obj is None:
+    fields = b.fields(node, "trihom", "base", "fibers", "pullback1", "pullback2")
+    if fields is None:
         return None
-    base_node = b.fieldnode(node, obj, "base")
-    fibers_node = b.fieldnode(node, obj, "fibers")
-    pb1_node = b.fieldnode(node, obj, "pullback1")
-    pb2_node = b.fieldnode(node, obj, "pullback2")
-    if None in (base_node, fibers_node, pb1_node, pb2_node):
-        return None
+    _, base_node, fibers_node, pb1_node, pb2_node = fields
     base = _build_bicategory(b, base_node)
     if base is None:
         return None
-    fibers = {}
-    fiber_table = b.object_of(fibers_node, "fibers") or {}
-    for key, sub in fiber_table.items():
-        if key not in base.objects:
-            b.err(sub, "E001", f"fiber key {key!r} is not a base object")
-            continue
-        bicat = _build_bicategory(b, sub)
-        if bicat is not None:
-            fibers[key] = bicat
-    for x in base.objects:
-        if x not in fiber_table:
-            b.err(fibers_node, "E013", f"missing fiber for base object {x!r}")
+    fibers = _label_table(
+        b, fibers_node, "fibers", base.objects, lambda _, sub: _build_bicategory(b, sub),
+        "fiber key {!r} is not a base object", "E013", "missing fiber for base object {!r}",
+    )
     if b.diags:
         return None
     pullback1 = {}
@@ -784,36 +741,15 @@ def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
 def _build_fiber_lax_functor(b: _Builder, node: JNode, source: Bicategory, target: Bicategory):
     from .bicat import MissingCompositionData, validate_lax_functor
     reported = len(b.diags)
-    obj = b.object_of(node, "pullback lax functor")
-    if obj is None:
+    fields = b.fields(node, "pullback lax functor", "object_map", "hom_functors")
+    if fields is None:
         return None
-    object_node = b.fieldnode(node, obj, "object_map")
-    hf_node = b.fieldnode(node, obj, "hom_functors")
-    if None in (object_node, hf_node):
-        return None
-    object_map = b.string_map(object_node, "object_map")
-    for x in source.objects:
-        if x not in object_map:
-            b.err(object_node, "E010", f"object_map is missing {x!r}")
-    if len(b.diags) != reported:
-        return None
-    hom_functors = {}
-    table = b.object_of(hf_node, "hom_functors") or {}
-    for x in source.objects:
-        for y in source.objects:
-            key = f"{x}|{y}"
-            if key not in table:
-                b.err(hf_node, "E010", f"hom_functors is missing {key!r}")
-                continue
-            fun = _build_plain_functor(
-                b, table[key], source.hom_at(x, y), target.hom_at(object_map[x], object_map[y])
-            )
-            if fun is not None:
-                hom_functors[(x, y)] = fun
-    if len(b.diags) != reported:
+    _, object_node, hf_node = fields
+    maps = _lax_functor_maps(b, object_node, hf_node, source, target)
+    if maps is None or len(b.diags) != reported:
         return None
     try:
-        return validate_lax_functor(source, target, object_map, hom_functors)
+        return validate_lax_functor(source, target, *maps)
     except MissingCompositionData as exc:
         b.err(node, "MissingCompositionData", str(exc))
         return None
@@ -843,12 +779,10 @@ def parse(text: str) -> ParseResult:
 
 
 def _build_document(builder: _Builder, root) -> ParseResult:
-    obj = builder.object_of(root, "document")
-    if obj is None:
+    fields = builder.fields(root, "document", "kind")
+    if fields is None:
         return ParseResult(None, tuple(builder.diags))
-    kind_node = builder.fieldnode(root, obj, "kind")
-    if kind_node is None:
-        return ParseResult(None, tuple(builder.diags))
+    _, kind_node = fields
     kind = builder.string_of(kind_node, "kind")
     if kind is None:
         return ParseResult(None, tuple(builder.diags))
@@ -870,17 +804,12 @@ def _category_body(cat: FinCategory) -> dict:
     }
 
 
-def _functor_body(fun: Functor) -> dict:
-    return {
-        "source": _category_body(fun.source),
-        "target": _category_body(fun.target),
-        "object_map": dict(fun.object_map),
-        "morphism_map": dict(fun.morphism_map),
-    }
-
-
 def _maps_body(fun: Functor) -> dict:
     return {"object_map": dict(fun.object_map), "morphism_map": dict(fun.morphism_map)}
+
+
+def _functor_body(fun: Functor) -> dict:
+    return {"source": _category_body(fun.source), "target": _category_body(fun.target), **_maps_body(fun)}
 
 
 def _catgraph_body(g: CatGraph) -> dict:
@@ -896,9 +825,9 @@ def _catgraph_body(g: CatGraph) -> dict:
 
 
 def _keyed_triple_body(table: Mapping, key_arity: int) -> dict:
+    """The inverse of `_keyed_triples`: {(parts, *rest): value} -> {"x|y|...": sorted [[*rest, value], ...]}."""
     out: dict[str, list] = {}
-    for key, value in table.items():
-        parts, rest = key[0], list(key[1:])
+    for (parts, *rest), value in table.items():
         assert len(parts) == key_arity
         out.setdefault("|".join(parts), []).append(rest + [value])
     return {k: sorted(v) for k, v in sorted(out.items())}
@@ -914,20 +843,19 @@ def _bicategory_body(b: Bicategory) -> dict:
         body["associator"] = _keyed_triple_body(b.associator, 4)
     for name, table in (("unitor_l", b.unitor_l), ("unitor_r", b.unitor_r)):
         if table is not None:
-            out: dict[str, list] = {}
-            for (x, y, f), cell in table.items():
-                out.setdefault(f"{x}|{y}", []).append([f, cell])
-            body[name] = {k: sorted(v) for k, v in sorted(out.items())}
+            body[name] = _keyed_triple_body({((x, y), f): cell for (x, y, f), cell in table.items()}, 2)
     return body
 
 
-def _laxfunctor_body(l: LaxFunctorBicat) -> dict:
-    body = {
-        "source": _bicategory_body(l.source),
-        "target": _bicategory_body(l.target),
+def _fiber_lax_body(l: LaxFunctorBicat) -> dict:
+    return {
         "object_map": dict(l.object_map),
         "hom_functors": {f"{x}|{y}": _maps_body(fun) for (x, y), fun in l.hom_functors.items()},
     }
+
+
+def _laxfunctor_body(l: LaxFunctorBicat) -> dict:
+    body = {"source": _bicategory_body(l.source), "target": _bicategory_body(l.target), **_fiber_lax_body(l)}
     if l.phi is not None:
         body["phi"] = _keyed_triple_body(l.phi, 3)
     if l.psi is not None:
@@ -946,13 +874,6 @@ def _laxcat_body(f: LaxFunctorToCat) -> dict:
     if f.unit_iso is not None:
         body["unit_iso"] = {b: dict(comps) for b, comps in sorted(f.unit_iso.items())}
     return body
-
-
-def _fiber_lax_body(l: LaxFunctorBicat) -> dict:
-    return {
-        "object_map": dict(l.object_map),
-        "hom_functors": {f"{x}|{y}": _maps_body(fun) for (x, y), fun in l.hom_functors.items()},
-    }
 
 
 def _trihom_body(t: Trihomomorphism) -> dict:

@@ -181,3 +181,159 @@ def test_e001_span_points_into_the_document(negative_dir):
 def test_serializer_rejects_unknown_values():
     with pytest.raises(TypeError):
         serialize(42)
+
+
+def _bpt_with_coherence_cells():
+    """BPT with its (unique) associator and unitors attached."""
+    from bicat_euler.bicat import validate_bicategory
+
+    unitors = {("*", "*", "I"): "idI"}
+    return validate_bicategory(
+        ["*"], {("*", "*"): fx.one_object_cat("I")}, {"*": "I"}, {(("*", "*", "*"), "I", "I"): "I"},
+        hcompose2={(("*", "*", "*"), "idI", "idI"): "idI"},
+        associator={(("*", "*", "*", "*"), "I", "I", "I"): "idI"},
+        unitor_l=unitors,
+        unitor_r=unitors,
+    )
+
+
+def _bpt_identity_with_phi_psi():
+    from bicat_euler.bicat import validate_lax_functor
+    from bicat_euler.fincat import validate_functor
+
+    hom = fx.BPT.hom_at("*", "*")
+    return validate_lax_functor(
+        fx.BPT, fx.BPT, {"*": "*"}, {("*", "*"): validate_functor(hom, hom, {"I": "I"}, {"idI": "idI"})},
+        phi={(("*", "*", "*"), "I", "I"): "idI"}, psi={"*": "idI"},
+    )
+
+
+def _arrow_base_laxcat_with_identity_isos():
+    from bicat_euler.fib1 import LaxFunctorToCat, validate_laxcat
+
+    f = fx.ARROW_BASE_LAXCAT
+    base = f.base
+    comp_iso = {
+        (g.name, h.name): {
+            z: f.fiber[h.src].identity[f.pullback[base.compose2(g.name, h.name)].ob(z)] for z in f.fiber[g.dst].objects
+        }
+        for g in base.morphisms
+        for h in base.morphisms
+        if g.src == h.dst
+    }
+    unit_iso = {b: dict(f.fiber[b].identity) for b in base.objects}
+    return validate_laxcat(LaxFunctorToCat(base, f.fiber, f.pullback, comp_iso, unit_iso))
+
+
+# Values that carry the optional fields no file in fixtures/ has, with those fields.
+COHERENCE_VALUES = {
+    "bpt-associator-unitors": (_bpt_with_coherence_cells, ("associator", "unitor_l", "unitor_r")),
+    "bpt-identity-phi-psi": (_bpt_identity_with_phi_psi, ("phi", "psi")),
+    "arrow-base-laxcat-isos": (_arrow_base_laxcat_with_identity_isos, ("comp_iso", "unit_iso")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHERENCE_VALUES))
+def test_round_trip_of_optional_coherence_fields(name):
+    build, fields = COHERENCE_VALUES[name]
+    value = build()
+    text = serialize(value)
+    assert all(field in json.loads(text) for field in fields)
+    result = parse(text)
+    assert result.ok, result.diagnostics
+    assert result.document.value == value
+    assert serialize(result.document.value) == text
+
+
+def _doc(value) -> dict:
+    return json.loads(serialize(value))
+
+
+def _set(*path_and_value):
+    """An edit that sets doc[path...] to the last argument."""
+    *path, value = path_and_value
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+# One ill-typed entry for each table shape the reader has: (value, edit, expected (code, message) list).
+E003_CASES = {
+    "object-labels": (lambda: fx.ARROW, _set("objects", ["0", "1", 7]), [("E003", "object label must be a string")]),
+    "hom-table": (lambda: fx.PSG.graph, _set("hom", []), [("E003", "hom must be a JSON object")]),
+    "compose1-rows": (
+        lambda: fx.BPT, _set("compose1", "*|*|*", [["I", "I"]]),
+        [("E003", "compose1[*|*|*] entries must be arrays of 3 strings")],
+    ),
+    "associator-rows": (
+        _bpt_with_coherence_cells, _set("associator", "*|*|*|*", [["I", "I", "I"]]),
+        [("E003", "associator[*|*|*|*] entries must be arrays of 4 strings")],
+    ),
+    "unitor-rows": (
+        _bpt_with_coherence_cells, _set("unitor_l", "*|*", [["I"]]),
+        [("E003", "unitor_l[*|*] entries must be arrays of 2 strings")],
+    ),
+    "phi-rows": (
+        _bpt_identity_with_phi_psi, _set("phi", "*|*|*", "I"), [("E003", "phi[*|*|*] must be a JSON array")],
+    ),
+    "fibers-table": (
+        lambda: fx.ARROW_BASE_LAXCAT, _set("fibers", []),
+        [
+            ("E003", "fibers must be a JSON object"),
+            ("E013", "missing fiber for base object '0'"),
+            ("E013", "missing fiber for base object '1'"),
+        ],
+    ),
+    "pullbacks-table": (
+        lambda: fx.ARROW_BASE_LAXCAT, _set("pullbacks", "a", "x"), [("E003", "functor maps must be a JSON object")],
+    ),
+    "comp-iso-table": (
+        _arrow_base_laxcat_with_identity_isos, _set("comp_iso", "a|id0", []),
+        [("E003", "comp_iso[a|id0] must be a JSON object")],
+    ),
+    "unit-iso-table": (
+        _arrow_base_laxcat_with_identity_isos, _set("unit_iso", "0", []),
+        [("E003", "unit_iso[0] must be a JSON object")],
+    ),
+    "hom-functors-table": (
+        _bpt_identity_with_phi_psi, _set("hom_functors", []),
+        [("E003", "hom_functors must be a JSON object"), ("E010", "hom_functors is missing '*|*'")],
+    ),
+    "pullback1-object-map": (
+        lambda: fx.constant_trihomomorphism(fx.ARROW_BICAT, fx.PSG), _set("pullback1", "0|0|id0", "object_map", []),
+        [
+            ("E003", "object_map must be a JSON object"),
+            ("E010", "object_map is missing 'p'"),
+            ("E010", "object_map is missing 'q'"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(E003_CASES))
+def test_each_table_shape_reports_an_ill_typed_entry(name):
+    value, edit, expected = E003_CASES[name]
+    doc = _doc(value())
+    edit(doc)
+    result = parse(json.dumps(doc, indent=1))
+    assert result.document is None
+    assert [(d.code, d.message) for d in result.diagnostics] == expected
+
+
+def test_pullback_object_map_outside_the_target_fiber_is_one_e001(fixture_dir):
+    # As for a top-level laxfunctor: no hom functor is checked against the empty hom of an unknown object.
+    doc = json.loads((fixture_dir / "trihom-const-psg-arrow.catj").read_text())
+    doc["pullback1"]["0|0|id0"]["object_map"]["p"] = "nowhere"
+    result = parse(json.dumps(doc, indent=1))
+    assert [str(d) for d in result.diagnostics] == ["1015:18 E001 object_map['p'] references undeclared object 'nowhere'"]
+
+
+def test_write_fixture_corpus_reproduces_every_positive_fixture(tmp_path, fixture_dir):
+    written = fx.write_fixture_corpus(tmp_path)
+    assert sorted(path.name for path in written) == sorted(path.name for path in fixture_dir.glob("*.catj"))
+    for path in written:
+        assert path.read_bytes() == (fixture_dir / path.name).read_bytes(), path.name

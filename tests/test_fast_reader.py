@@ -90,6 +90,8 @@ TARGETED = {
     "bare-point": (_noted("1."), True),
     "leading-zeros": (_noted("007"), True),
     "arabic-indic-digit": (_noted("-\u0663"), True),
+    # An optional field holding null is ill-typed, not absent.
+    "null-optional-field": (CORPUS["bpt.catj"].replace("{", '{"associator": null, ', 1), False),
 }
 
 
