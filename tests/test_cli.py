@@ -105,6 +105,34 @@ def test_check_biequivalence_fixture(capsys, fixture_dir):
     assert code == 0 and out.strip() == "pass"
 
 
+def test_check_reports_nested_witnesses(capsys, tmp_path, monkeypatch):
+    # Each witness of this collapse nests tuples: the failing 1-cell and the reason it fails.
+    from bicat_euler import fixtures as fx
+    from bicat_euler.catdsl import serialize
+
+    (tmp_path / "collapse.catj").write_text(serialize(fx.collapse_to_point(fx.ARROW_BICAT)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    witnesses = {
+        "co_non_cartesian_1cell": [["1", "0", "a"], ["no_lift", "0", "id0", "I", "idI"]],
+        "non_cartesian_1cell": [["0", "1", "a"], ["no_lift", "1", "id1", "I", "idI"]],
+    }
+    code, out, _ = run(capsys, "check", "collapse.catj", "fib-pseudogroupoids")
+    assert code == 1 and out == (
+        'fail {"co_non_cartesian_1cell": [["1", "0", "a"], ["no_lift", "0", "id0", "I", "idI"]], '
+        '"non_cartesian_1cell": [["0", "1", "a"], ["no_lift", "1", "id1", "I", "idI"]]}\n'
+    )
+    code, out, _ = run(capsys, "check", "collapse.catj", "fib-pseudogroupoids", "--json")
+    report = {
+        "command": "check fib-pseudogroupoids",
+        "inputs": [
+            {"path": "collapse.catj", "sha256": "bc8d90c36b437ae9fc66d46e8d2cbd0e2ab2be3e6f154d992c201ee0630bd22a"}
+        ],
+        "results": {"pass": False, "witnesses": witnesses},
+        "status": 1,
+    }
+    assert code == 1 and out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_product_cat(capsys, fixture_dir):
     code, out, _ = run(capsys, "verify", "product-cat", str(fixture_dir / "ez2-to-bz2.catj"))
     assert code == 0 and out.strip() == "1 = 1/2 · 2"

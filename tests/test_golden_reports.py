@@ -2,12 +2,14 @@
 
 `golden_reports.json` maps each run
 
-    bicat-euler check fixtures/<file> <predicate> --json
-    bicat-euler verify <theorem> fixtures/<file> --json
+    bicat-euler check fixtures/<file> <predicate> [--json]
+    bicat-euler verify <theorem> fixtures/<file> [--json]
 
 over every fixture and negative fixture, run from the repository root, to
-its exit code and the sha256 of its stdout and of its stderr.  A run that
-exits 3 (internal error) is never pinned: it fails the test.
+its exit code and the sha256 of its stdout and of its stderr.  A `--json`
+run is keyed by its command without `--json`, and the same run without
+`--json` by that key followed by ` (plain)`.  A run that exits 3 (internal
+error) is never pinned: it fails the test.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden_reports.py` only
 when a report is meant to change, and say which one in the change log.
@@ -35,10 +37,11 @@ def _argvs() -> dict[str, list[str]]:
     for path in paths:
         rel = path.relative_to(REPO).as_posix()
         for predicate in PREDICATES:
-            argvs[f"check {rel} {predicate}"] = ["check", rel, predicate, "--json"]
+            argvs[f"check {rel} {predicate}"] = ["check", rel, predicate]
         for theorem in THEOREMS:
-            argvs[f"verify {theorem} {rel}"] = ["verify", theorem, rel, "--json"]
-    return argvs
+            argvs[f"verify {theorem} {rel}"] = ["verify", theorem, rel]
+    return {**{name: [*argv, "--json"] for name, argv in argvs.items()},
+            **{f"{name} (plain)": argv for name, argv in argvs.items()}}
 
 
 def _sha256(text: str) -> str:
