@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .exactq import MatrixEuler, QMatrix, QVector, Record, format_rational, matrix_euler
+from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
 from .fincat import (
     EMPTY_CATEGORY,
     PT,
@@ -141,7 +141,6 @@ def validate_bicategory(
             for y in graph.objects:
                 for z in graph.objects:
                     hx, hy, hz = graph.hom_at(x, y), graph.hom_at(y, z), graph.hom_at(x, z)
-                    names = {m.name for m in hz.morphisms}
                     for alpha in hx.morphisms:
                         for beta in hy.morphisms:
                             res = hcompose2.get(((x, y, z), beta.name, alpha.name))
@@ -149,7 +148,7 @@ def validate_bicategory(
                                 raise MissingCompositionData(
                                     f"hcompose2 missing at (({x},{y},{z}), {beta.name}, {alpha.name})"
                                 )
-                            if res not in names:
+                            if res not in hz._by_name:
                                 raise MissingCompositionData(
                                     f"hcompose2 at (({x},{y},{z}), {beta.name}, {alpha.name}) "
                                     f"names unknown 2-cell {res!r}"
@@ -174,14 +173,13 @@ def _validate_associator(bi: Bicategory, associator: Mapping):
             for z in g.objects:
                 for w in g.objects:
                     hom = g.hom_at(x, w)
-                    names = {m.name for m in hom.morphisms}
                     for f in g.onecells(x, y):
                         for gg in g.onecells(y, z):
                             for h in g.onecells(z, w):
                                 cell = associator.get(((x, y, z, w), h, gg, f))
                                 if cell is None:
                                     raise MissingCompositionData(f"associator missing at ({h},{gg},{f})")
-                                if cell not in names:
+                                if cell not in hom._by_name:
                                     raise MissingCompositionData(
                                         f"associator at ({h},{gg},{f}) names unknown 2-cell {cell!r}"
                                     )
@@ -196,18 +194,17 @@ def _validate_unitors(bi: Bicategory, unitor_l: Mapping, unitor_r: Mapping):
     for x in g.objects:
         for y in g.objects:
             hom = g.hom_at(x, y)
-            names = {m.name for m in hom.morphisms}
             for f in g.onecells(x, y):
                 left = unitor_l.get((x, y, f))
                 if left is not None:
-                    if left not in names:
+                    if left not in hom._by_name:
                         raise MissingCompositionData(f"left unitor at {f} names unknown 2-cell {left!r}")
                     src = bi.c1(x, y, y, bi.id1(y), f)
                     if hom.src(left) != src or hom.dst(left) != f or hom.inverse_of(left) is None:
                         raise MissingCompositionData(f"left unitor at {f} has a bad frame")
                 right = unitor_r.get((x, y, f))
                 if right is not None:
-                    if right not in names:
+                    if right not in hom._by_name:
                         raise MissingCompositionData(f"right unitor at {f} names unknown 2-cell {right!r}")
                     src = bi.c1(x, x, y, f, bi.id1(x))
                     if hom.src(right) != src or hom.dst(right) != f or hom.inverse_of(right) is None:
@@ -375,19 +372,24 @@ def equivalence_classes(b: Bicategory) -> EquivalenceClasses:
     return EquivalenceClasses(zigzag_components(objs, adj))
 
 
-def pseudogroupoid_check(b: Bicategory) -> bool:
-    """Every 1-cell an equivalence and every 2-cell an isomorphism."""
+def pseudogroupoid_witness(b: Bicategory) -> dict[str, tuple[str, str, str]]:
+    """{} for a pseudogroupoid, else the first 2-cell that is no isomorphism or 1-cell that is no equivalence."""
     b.require_composition()
     for x in b.objects:
         for y in b.objects:
             hom = b.hom_at(x, y)
             for m in hom.morphisms:
                 if hom.inverse_of(m.name) is None:
-                    return False
+                    return {"non_invertible_2cell": (x, y, m.name)}
             for f in hom.objects:
                 if not is_equivalence_1cell(b, x, y, f):
-                    return False
-    return True
+                    return {"non_equivalence_1cell": (x, y, f)}
+    return {}
+
+
+def pseudogroupoid_check(b: Bicategory) -> bool:
+    """Every 1-cell an equivalence and every 2-cell an isomorphism."""
+    return not pseudogroupoid_witness(b)
 
 
 def graph_components(g: CatGraph) -> tuple[tuple[str, ...], ...]:
@@ -460,8 +462,7 @@ def validate_lax_functor(
         for x in source.objects:
             cell = psi.get(x)
             hom = target.hom_at(object_map[x], object_map[x])
-            names = {m.name for m in hom.morphisms}
-            if cell is None or cell not in names or hom.src(cell) != target.id1(object_map[x]):
+            if cell is None or cell not in hom._by_name or hom.src(cell) != target.id1(object_map[x]):
                 raise MissingCompositionData(f"psi at {x} has a bad frame")
             if source.identity1 is not None and hom.dst(cell) != lax.cell1(x, x, source.id1(x)):
                 raise MissingCompositionData(f"psi at {x} has a bad frame")
@@ -470,11 +471,10 @@ def validate_lax_functor(
         target.require_composition()
         for ((x, y, z), g, f), cell in phi.items():
             hom = target.hom_at(object_map[x], object_map[z])
-            names = {m.name for m in hom.morphisms}
             lx, ly, lz = object_map[x], object_map[y], object_map[z]
             src = target.c1(lx, ly, lz, lax.cell1(y, z, g), lax.cell1(x, y, f))
             dst = lax.cell1(x, z, source.c1(x, y, z, g, f))
-            if cell not in names or hom.src(cell) != src or hom.dst(cell) != dst:
+            if cell not in hom._by_name or hom.src(cell) != src or hom.dst(cell) != dst:
                 raise MissingCompositionData(f"phi at (({x},{y},{z}), {g}, {f}) has a bad frame")
     return lax
 
@@ -516,15 +516,6 @@ class BiequivalenceReport(Record):
     transported_weighting: QVector
     transported_valid: bool
 
-    def to_json(self) -> dict:
-        return {
-            "chi_source": format_rational(self.chi_source),
-            "chi_target": format_rational(self.chi_target),
-            "equal": self.equal,
-            "transported_weighting": self.transported_weighting.to_json(),
-            "transported_valid": self.transported_valid,
-        }
-
 
 def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
     """chi equality plus the transported-weighting identity from the invariance proof."""
@@ -565,15 +556,6 @@ def product_bicategory(a: Bicategory, b: Bicategory) -> Bicategory:
     """Componentwise product; strict data (compose1/hcompose2) stays strict."""
     a.require_composition()
     b.require_composition()
-    objects = [pair_label(x, y) for x in a.objects for y in b.objects]
-    hom = {}
-    for x1 in a.objects:
-        for y1 in b.objects:
-            for x2 in a.objects:
-                for y2 in b.objects:
-                    hom[(pair_label(x1, y1), pair_label(x2, y2))] = product_cat(
-                        a.hom_at(x1, x2), b.hom_at(y1, y2)
-                    )
     identity1 = {
         pair_label(x, y): pair_label(a.id1(x), b.id1(y)) for x in a.objects for y in b.objects
     }
@@ -597,8 +579,7 @@ def product_bicategory(a: Bicategory, b: Bicategory) -> Bicategory:
                     pair_label(aa, ab),
                 )
                 hcompose2[key] = pair_label(ra, rb)
-    graph = make_catgraph(objects, hom)
-    return Bicategory(graph, identity1, compose1, hcompose2)
+    return Bicategory(product_cg([a.graph, b.graph]), identity1, compose1, hcompose2)
 
 
 def product_projection(a: Bicategory, b: Bicategory) -> LaxFunctorBicat:
@@ -635,14 +616,6 @@ def disjoint_union_bicategory(a: Bicategory, b: Bicategory) -> Bicategory:
             out[((tag + x, tag + y, tag + z), g, f)] = h
         return out
 
-    objects = [f"0:{x}" for x in a.objects] + [f"1:{x}" for x in b.objects]
-    hom = {}
-    for x in a.objects:
-        for y in a.objects:
-            hom[(f"0:{x}", f"0:{y}")] = a.hom_at(x, y)
-    for x in b.objects:
-        for y in b.objects:
-            hom[(f"1:{x}", f"1:{y}")] = b.hom_at(x, y)
     identity1 = {f"0:{x}": a.id1(x) for x in a.objects}
     identity1.update({f"1:{x}": b.id1(x) for x in b.objects})
     compose1 = tag_keyed(a.compose1, "0:")
@@ -651,7 +624,7 @@ def disjoint_union_bicategory(a: Bicategory, b: Bicategory) -> Bicategory:
     if a.hcompose2 is not None and b.hcompose2 is not None:
         hcompose2 = tag_keyed(a.hcompose2, "0:")
         hcompose2.update(tag_keyed(b.hcompose2, "1:"))
-    return Bicategory(make_catgraph(objects, hom), identity1, compose1, hcompose2)
+    return Bicategory(coproduct_cg([a.graph, b.graph]), identity1, compose1, hcompose2)
 
 
 def disjoint_union_lax_functor(p: LaxFunctorBicat, q: LaxFunctorBicat) -> LaxFunctorBicat:

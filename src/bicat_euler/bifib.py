@@ -29,8 +29,9 @@ from .bicat import (
     restrict_catgraph,
     validate_bicategory,
 )
-from .exactq import QMatrix, QVector, Record, format_rational, matrix_euler
+from .exactq import QMatrix, QVector, Record, matrix_euler
 from .fib1 import (
+    Component,
     FibrationReport,
     NotBiFibered,
     ObjectNotInBase,
@@ -226,22 +227,12 @@ def solve_coweighting_or_raise(zeta: QMatrix, what: str) -> QVector:
 class GrBicatReport(Record):
     """chi(Gr) against sum of k_b·chi(Fb), plus the Lemma-style product coweighting check."""
 
-    chi_gr: Fraction
-    rhs: Fraction
+    chi_grothendieck: Fraction
+    sum_k_b_chi_fiber: Fraction
     base_coweighting: QVector
     fiber_chi: Mapping[str, Fraction]
     product_coweighting_valid: bool
     equal: bool
-
-    def to_json(self) -> dict:
-        return {
-            "chi_grothendieck": format_rational(self.chi_gr),
-            "sum_k_b_chi_fiber": format_rational(self.rhs),
-            "base_coweighting": self.base_coweighting.to_json(),
-            "fiber_chi": {b: format_rational(v) for b, v in self.fiber_chi.items()},
-            "product_coweighting_valid": self.product_coweighting_valid,
-            "equal": self.equal,
-        }
 
 
 def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> GrBicatReport:
@@ -469,16 +460,6 @@ class BiFibrationReport(Record):
     fibered_in_pseudogroupoids: bool
     cofibered_in_pseudogroupoids: bool
     witnesses: Mapping[str, tuple]
-
-    def to_json(self) -> dict:
-        return {
-            "locally_fibered_in_groupoids": self.locally_fibered_in_groupoids,
-            "one_lifts": self.one_lifts,
-            "all_1cells_cartesian": self.all_1cells_cartesian,
-            "fibered_in_pseudogroupoids": self.fibered_in_pseudogroupoids,
-            "cofibered_in_pseudogroupoids": self.cofibered_in_pseudogroupoids,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
 
 
 def _pseudo_flags(
@@ -716,17 +697,9 @@ def _pullback(
 
 class FiberBiequivalenceReport(Record):
     biequivalence: bool
-    chi_source_fiber: Fraction
-    chi_target_fiber: Fraction
+    chi_fiber_over_target: Fraction
+    chi_fiber_over_source: Fraction
     equal: bool
-
-    def to_json(self) -> dict:
-        return {
-            "biequivalence": self.biequivalence,
-            "chi_fiber_over_target": format_rational(self.chi_source_fiber),
-            "chi_fiber_over_source": format_rational(self.chi_target_fiber),
-            "equal": self.equal,
-        }
 
 
 def verify_fiber_biequivalence(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str) -> FiberBiequivalenceReport:
@@ -801,28 +774,11 @@ class ProductBicatReport(Record):
     """chi(E) against the per-component sum, and the empirical Gr comparison."""
 
     chi_total: Fraction
-    rhs: Fraction
-    components: tuple[tuple[tuple[str, ...], Fraction, Fraction], ...]
+    sum_of_products: Fraction
+    components: tuple[Component, ...]
     chi_grothendieck: Fraction
     grothendieck_matches_total: bool
     equal: bool
-
-    def to_json(self) -> dict:
-        return {
-            "chi_total": format_rational(self.chi_total),
-            "sum_of_products": format_rational(self.rhs),
-            "components": [
-                {
-                    "objects": list(objs),
-                    "chi_base": format_rational(cb),
-                    "chi_fiber": format_rational(cf),
-                }
-                for objs, cb, cf in self.components
-            ],
-            "chi_grothendieck": format_rational(self.chi_grothendieck),
-            "grothendieck_matches_total": self.grothendieck_matches_total,
-            "equal": self.equal,
-        }
 
 
 def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
@@ -848,7 +804,7 @@ def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
                 raise MissingEulerCharacteristic(f"fiber over {b_obj} has no Euler characteristic")
             fiber_chis.append(chi_f)
         assert len(set(fiber_chis)) == 1, f"fiber chi not constant on component {comp}"
-        components.append((comp, chi_base, fiber_chis[0]))
+        components.append(Component(comp, chi_base, fiber_chis[0]))
         rhs += chi_base * fiber_chis[0]
     gr = grothendieck_cg(_trihomomorphism(s, "min"))
     chi_gr = gr.euler().chi

@@ -282,11 +282,10 @@ class _Builder:
         obj = self.object_of(node, what)
         if obj is None:
             return None
-        for key in keys:
-            if key not in obj:
-                self.err(node, "E003", f"missing field {key!r}")
-        nodes = tuple(map(obj.get, keys))
-        return None if None in nodes else (obj, *nodes)
+        missing = [key for key in keys if key not in obj]
+        for key in missing:
+            self.err(node, "E003", f"missing field {key!r}")
+        return None if missing else (obj, *map(obj.get, keys))
 
     def string_map(self, node: JNode, what: str) -> dict[str, str]:
         out = {}
@@ -507,9 +506,8 @@ def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: 
     for x, img in object_map.items():
         if img not in target.objects:
             b.err(object_node, "E001", f"object_map[{x!r}] references undeclared object {img!r}")
-    target_names = {m.name for m in target.morphisms}
     for m, img in morphism_map.items():
-        if img not in target_names:
+        if img not in target._by_name:
             b.err(morphism_node, "E001", f"morphism_map[{m!r}] references undeclared morphism {img!r}")
     if len(b.diags) != reported:
         return None

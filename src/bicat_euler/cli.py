@@ -21,7 +21,6 @@ import bicat_euler
 
 from . import fincat
 from .catdsl import Document, parse, serialize
-from .exactq import format_rational
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -54,10 +53,6 @@ def _emit(args, report: dict, status: int) -> int:
     return status
 
 
-def _vector_json(vector) -> dict:
-    return vector.to_json() if vector is not None else None
-
-
 def cmd_chi(args) -> int:
     doc, digest = _load(args.file)
     kind = args.kind
@@ -83,18 +78,13 @@ def cmd_chi(args) -> int:
         euler = bicat_euler.bicat.euler_char_cg(doc.value.graph)
     else:
         raise InputError(f"unknown kind {kind!r}")
+    values = euler.to_json()
+    shown = {side: values[side] for side in ("weighting", "coweighting") if getattr(args, side)}
     report = {
         "command": "chi",
         "inputs": [{"path": args.file, "sha256": digest}],
-        "results": {
-            "chi": format_rational(euler.chi) if euler.chi is not None else None,
-            "missing": list(euler.missing()),
-        },
+        "results": {"chi": values["chi"], "missing": list(euler.missing()), **shown},
     }
-    if args.weighting:
-        report["results"]["weighting"] = _vector_json(euler.weighting)
-    if args.coweighting:
-        report["results"]["coweighting"] = _vector_json(euler.coweighting)
     if euler.chi is None:
         report["status"] = EXIT_FAIL
         if not args.json:
@@ -102,14 +92,12 @@ def cmd_chi(args) -> int:
         return _emit(args, report, EXIT_FAIL)
     report["status"] = EXIT_PASS
     if not args.json:
-        line = format_rational(euler.chi)
+        line = values["chi"]
         if args.decimal:
             line += f"  (approx {float(euler.chi):.6g})"
         print(line)
-        if args.weighting and euler.weighting is not None:
-            print("weighting:", json.dumps(euler.weighting.to_json(), sort_keys=True))
-        if args.coweighting and euler.coweighting is not None:
-            print("coweighting:", json.dumps(euler.coweighting.to_json(), sort_keys=True))
+        for side, vector in shown.items():  # both vectors exist when chi does
+            print(f"{side}:", json.dumps(vector, sort_keys=True))
     return _emit(args, report, EXIT_PASS)
 
 
@@ -135,9 +123,8 @@ def cmd_check(args) -> int:
     elif args.predicate == "pseudogroupoid":
         if doc.kind != "bicategory":
             raise InputError("pseudogroupoid expects a bicategory document")
-        ok = bicat_euler.bicat.pseudogroupoid_check(doc.value)
-        if not ok:
-            witnesses = _pseudogroupoid_witness(doc.value)
+        witnesses = bicat_euler.bicat.pseudogroupoid_witness(doc.value)
+        ok = not witnesses
     elif args.predicate == "biequivalence":
         if doc.kind != "laxfunctor":
             raise InputError("biequivalence expects a laxfunctor document")
@@ -162,17 +149,16 @@ def cmd_check(args) -> int:
     return _emit(args, report, status)
 
 
-def _pseudogroupoid_witness(b) -> dict:
-    for x in b.objects:
-        for y in b.objects:
-            hom = b.hom_at(x, y)
-            for m in hom.morphisms:
-                if hom.inverse_of(m.name) is None:
-                    return {"non_invertible_2cell": [x, y, m.name]}
-            for f in hom.objects:
-                if not bicat_euler.bicat.is_equivalence_1cell(b, x, y, f):
-                    return {"non_equivalence_1cell": [x, y, f]}
-    return {}
+def _gr_summary(results: dict) -> str:
+    """`chi(Gr) = k_b·chi(F_b) + …` over the base objects, from a Grothendieck formula report."""
+    terms = [f"{k}·{results['fiber_chi'][b]}" for b, k in results["base_coweighting"].items()]
+    return f"{results['chi_grothendieck']} = " + " + ".join(terms)
+
+
+def _product_summary(results: dict) -> str:
+    """`chi(E) = chi(B_i) · chi(F_i) + …` over the base components, from a product formula report."""
+    terms = [f"{c['chi_base']} · {c['chi_fiber']}" for c in results["components"]]
+    return f"{results['chi_total']} = " + " + ".join(terms)
 
 
 def cmd_verify(args) -> int:
@@ -181,55 +167,45 @@ def cmd_verify(args) -> int:
         if doc.kind != "laxcat":
             raise InputError("verify gr expects a laxcat document")
         rep = bicat_euler.fib1.verify_gr_formula(doc.value)
-        summary = f"{format_rational(rep.lhs)} = " + " + ".join(
-            f"{format_rational(rep.coweighting[b])}·{format_rational(rep.fiber_chi[b])}"
-            for b in rep.coweighting.index
-        )
-        ok = rep.equal
+        summary, ok = _gr_summary, rep.equal
     elif args.theorem == "product-cat":
         if doc.kind != "functor":
             raise InputError("verify product-cat expects a functor document")
         rep = bicat_euler.fib1.verify_product_formula_cat(doc.value)
-        summary = f"{format_rational(rep.chi_total)} = " + " + ".join(
-            f"{format_rational(cb)} · {format_rational(cf)}" for _, cb, cf in rep.components
-        )
-        ok = rep.equal
+        summary, ok = _product_summary, rep.equal
     elif args.theorem == "biequivalence":
         if doc.kind != "laxfunctor":
             raise InputError("verify biequivalence expects a laxfunctor document")
         rep = bicat_euler.bicat.verify_biequivalence_invariance(doc.value)
-        summary = f"{format_rational(rep.chi_source)} = {format_rational(rep.chi_target)}"
-        ok = rep.equal and rep.transported_valid
+        summary, ok = "{chi_source} = {chi_target}".format_map, rep.equal and rep.transported_valid
     elif args.theorem == "gr-bicat":
         if doc.kind not in ("trihom", "laxfunctor"):
             raise InputError("verify gr-bicat expects a trihom or laxfunctor document")
-        rep = bicat_euler.bifib.verify_gr_formula_bicat(doc.value)
-        summary = f"{format_rational(rep.chi_gr)} = " + " + ".join(
-            f"{format_rational(rep.base_coweighting[b])}·{format_rational(rep.fiber_chi[b])}"
-            for b in rep.base_coweighting.index
-        )
-        ok = rep.equal and rep.product_coweighting_valid
+        fib1 = bicat_euler.fib1
+        try:
+            rep = bicat_euler.bifib.verify_gr_formula_bicat(doc.value)
+        except fib1.NonUniqueLift as exc:  # only a laxfunctor's cleavage raises it: an unsuitable input
+            raise fib1.NotBiFibered(str(exc)) from exc
+        summary, ok = _gr_summary, rep.equal and rep.product_coweighting_valid
     elif args.theorem == "product-bicat":
         if doc.kind != "laxfunctor":
             raise InputError("verify product-bicat expects a laxfunctor document")
         rep = bicat_euler.bifib.verify_product_formula_bicat(doc.value)
-        summary = f"{format_rational(rep.chi_total)} = " + " + ".join(
-            f"{format_rational(cb)} · {format_rational(cf)}" for _, cb, cf in rep.components
-        )
-        ok = rep.equal and rep.grothendieck_matches_total
+        summary, ok = _product_summary, rep.equal and rep.grothendieck_matches_total
     else:
         raise InputError(f"unknown theorem {args.theorem!r}")
     status = EXIT_PASS if ok else EXIT_FAIL
+    results = rep.to_json()
     report = {
         "command": f"verify {args.theorem}",
         "inputs": [{"path": args.file, "sha256": digest}],
-        "results": rep.to_json(),
+        "results": results,
         "status": status,
     }
     if not args.json:
-        print(summary)
+        print(summary(results))
         if not ok:
-            print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
+            print(json.dumps(results, indent=2, sort_keys=True))
     return _emit(args, report, status)
 
 

@@ -10,7 +10,8 @@ lists its fields as class annotations, in order, with optional class-level
 defaults; an annotated name starting with `_` is an attribute that
 `__post_init__` sets, not a field.  Instances are built by position or
 keyword, run `__post_init__` last, compare, hash and print by their fields
-as frozen dataclasses do, and refuse assignment and deletion.
+as frozen dataclasses do, and refuse assignment and deletion.  Their JSON
+form maps each field to a key of the same name.
 """
 
 from __future__ import annotations
@@ -69,6 +70,30 @@ class Record:
         raise AttributeError(f"cannot assign to or delete attribute {name!r} of an immutable record")
 
     __delattr__ = __setattr__
+
+    def to_json(self) -> dict:
+        """Each field, in order, under its own name, with its value as `_json` writes it."""
+        return {name: _json(getattr(self, name)) for name in self._fields}
+
+
+def _json(value):
+    """A value as JSON reports write it.
+
+    A Fraction is 'p/q' text, a record is its `to_json`, a named tuple is an
+    object of its fields, a tuple or list is an array and a dict is an
+    object; any other value is written unchanged.
+    """
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _json(v) for name, v in zip(value._fields, value)}
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _json(v) for key, v in value.items()}
+    return value
 
 
 class IndexMismatch(Exception):
@@ -152,13 +177,6 @@ class QMatrix(Record):
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def to_json(self) -> dict:
-        return {
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-            "entries": [[format_rational(v) for v in row] for row in self.entries],
-        }
 
 
 class MatrixEuler(Record):

@@ -9,11 +9,11 @@ convention="paper" for auditability.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .exactq import MatrixEuler, QMatrix, QVector, Record, format_rational, matrix_euler
+from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
 from .fincat import (
     FinCategory,
     Functor,
@@ -101,15 +101,6 @@ class FibrationReport(Record):
     cofibered_in_groupoids: bool
     witnesses: Mapping[str, tuple]
     _cartesian: Mapping[str, bool]
-
-    def to_json(self) -> dict:
-        return {
-            "fibered": self.fibered,
-            "cofibered": self.cofibered,
-            "fibered_in_groupoids": self.fibered_in_groupoids,
-            "cofibered_in_groupoids": self.cofibered_in_groupoids,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
 
 
 def reverse_functor(p: Functor) -> Functor:
@@ -452,20 +443,11 @@ def induced_fiber_pseudofunctor(p: Functor, c: Cleavage) -> LaxFunctorToCat:
 class GrFormulaReport(Record):
     """Both sides of chi(Gr(F)) = sum_b k_b chi(Fb), with the intermediates."""
 
-    lhs: Fraction
-    rhs: Fraction
-    coweighting: QVector
+    chi_grothendieck: Fraction
+    sum_k_b_chi_fiber: Fraction
+    base_coweighting: QVector
     fiber_chi: Mapping[str, Fraction]
     equal: bool
-
-    def to_json(self) -> dict:
-        return {
-            "chi_grothendieck": format_rational(self.lhs),
-            "sum_k_b_chi_fiber": format_rational(self.rhs),
-            "base_coweighting": self.coweighting.to_json(),
-            "fiber_chi": {b: format_rational(v) for b, v in self.fiber_chi.items()},
-            "equal": self.equal,
-        }
 
 
 def verify_gr_formula(f: LaxFunctorToCat) -> GrFormulaReport:
@@ -489,28 +471,17 @@ def verify_gr_formula(f: LaxFunctorToCat) -> GrFormulaReport:
     return GrFormulaReport(gr_euler.chi, rhs, base_euler.coweighting, fiber_chi, gr_euler.chi == rhs)
 
 
+# One connected component of a base, with its chi and the chi of each fiber over it.
+Component = namedtuple("Component", "objects chi_base chi_fiber")
+
+
 class ProductFormulaReport(Record):
     """chi(E) against the per-component sum of chi(B_i)·chi(F_i)."""
 
     chi_total: Fraction
-    rhs: Fraction
-    components: tuple[tuple[tuple[str, ...], Fraction, Fraction], ...]
+    sum_of_products: Fraction
+    components: tuple[Component, ...]
     equal: bool
-
-    def to_json(self) -> dict:
-        return {
-            "chi_total": format_rational(self.chi_total),
-            "sum_of_products": format_rational(self.rhs),
-            "components": [
-                {
-                    "objects": list(objs),
-                    "chi_base": format_rational(cb),
-                    "chi_fiber": format_rational(cf),
-                }
-                for objs, cb, cf in self.components
-            ],
-            "equal": self.equal,
-        }
 
 
 def verify_product_formula_cat(p: Functor, convention: str = "standard") -> ProductFormulaReport:
@@ -533,6 +504,6 @@ def verify_product_formula_cat(p: Functor, convention: str = "standard") -> Prod
                 raise MissingEulerCharacteristic(f"fiber over {b} has no Euler characteristic")
             fiber_chis.append(chi_fb)
         assert len(set(fiber_chis)) == 1, f"fiber chi not constant on component {comp}"
-        components.append((comp, chi_base, fiber_chis[0]))
+        components.append(Component(comp, chi_base, fiber_chis[0]))
         rhs += chi_base * fiber_chis[0]
     return ProductFormulaReport(chi_total, rhs, tuple(components), chi_total == rhs)

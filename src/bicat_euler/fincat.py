@@ -379,11 +379,10 @@ def validate_nat_transformation(
     if source.target != target.target:
         raise InvalidFunctor([Violation("DanglingEndpoint", "functors are not parallel")])
     cat = source.target
-    names = {m.name for m in cat.morphisms}
     violations = []
     for x in source.source.objects:
         c = components.get(x)
-        if c is None or c not in names or cat.src(c) != source.ob(x) or cat.dst(c) != target.ob(x):
+        if c is None or c not in cat._by_name or cat.src(c) != source.ob(x) or cat.dst(c) != target.ob(x):
             violations.append(Violation("DanglingEndpoint", f"component at {x} has wrong frame", (x,)))
     if violations:
         raise InvalidFunctor(violations)

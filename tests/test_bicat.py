@@ -23,6 +23,7 @@ from bicat_euler.bicat import (
     op2_bicategory,
     product_cg,
     pseudogroupoid_check,
+    pseudogroupoid_witness,
     pseudogroupoid_euler,
     similarity_matrix_cg,
     validate_bicategory,
@@ -167,6 +168,12 @@ def test_pseudogroupoid_check():
     assert pseudogroupoid_check(fx.EZ2_BICAT)
     assert pseudogroupoid_check(fx.BZ2_TWOGROUP)
     assert not pseudogroupoid_check(fx.ACYCLIC2)
+
+
+def test_pseudogroupoid_witness_names_the_first_failing_cell():
+    assert pseudogroupoid_witness(fx.ACYCLIC2) == {"non_invertible_2cell": ("0", "1", "a2")}
+    assert pseudogroupoid_witness(fx.ARROW_BICAT) == {"non_equivalence_1cell": ("0", "1", "a")}
+    assert pseudogroupoid_witness(fx.PSG) == {}
 
 
 def test_pseudogroupoid_euler_values():

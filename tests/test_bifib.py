@@ -128,7 +128,7 @@ def test_fiber_pullback_identity_cell():
 def test_fiber_biequivalence_along_arrow():
     rep = verify_fiber_biequivalence(fx.GR_PSG_OVER_ARROW, "0", "1", "a")
     assert rep.biequivalence and rep.equal
-    assert rep.chi_source_fiber == 2 and rep.chi_target_fiber == 2
+    assert rep.chi_fiber_over_target == 2 and rep.chi_fiber_over_source == 2
 
 
 def test_fiber_chi_constant_across_one_cells():
@@ -201,19 +201,19 @@ def test_gr_hom_coweighting_cases():
 
 def test_verify_gr_formula_bicat_cases():
     rep0 = verify_gr_formula_bicat(fx.constant_trihomomorphism(fx.BPT, fx.PSG))
-    assert rep0.equal and rep0.chi_gr == 2
+    assert rep0.equal and rep0.chi_grothendieck == 2
     rep1 = verify_gr_formula_bicat(fx.constant_trihomomorphism(fx.ARROW_BICAT, fx.PSG))
-    assert rep1.equal and rep1.chi_gr == 2
+    assert rep1.equal and rep1.chi_grothendieck == 2
     assert rep1.base_coweighting.to_json() == {"0": "1", "1": "0"}
     rep2 = verify_gr_formula_bicat(fx.constant_trihomomorphism(fx.BZ2_TWOGROUP, fx.PSG))
-    assert rep2.equal and rep2.chi_gr == 4  # 2 · 2
+    assert rep2.equal and rep2.chi_grothendieck == 4  # 2 · 2
     assert rep2.product_coweighting_valid
 
 
 def test_verify_gr_formula_bicat_accepts_lax_functor():
     # the induced trihomomorphism of the collapse realizes chi(Gr) = chi(E) = 2
     rep = verify_gr_formula_bicat(fx.PSG_COLLAPSE)
-    assert rep.equal and rep.chi_gr == 2 and rep.product_coweighting_valid
+    assert rep.equal and rep.chi_grothendieck == 2 and rep.product_coweighting_valid
 
 
 def test_verify_product_formula_collapse():

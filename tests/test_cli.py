@@ -158,6 +158,23 @@ def test_verify_gr_bicat_laxfunctor(capsys, fixture_dir):
     assert code == 0 and out.strip() == "2 = 1·2"
 
 
+def test_verify_gr_bicat_without_a_pullback_is_input_error(capsys, tmp_path):
+    # Their cleavages have no pullback 1-cell: the input is unsuitable, not an internal bug.
+    from bicat_euler import fixtures as fx
+    from bicat_euler.bicat import product_projection
+    from bicat_euler.catdsl import serialize
+
+    cases = {
+        "no pullback 1-cell for (id0,t) along id0": product_projection(fx.ARROW_BICAT, fx.ACYCLIC2),
+        "no pullback 1-cell for t along I": fx.collapse_to_point(fx.ACYCLIC2),
+    }
+    for message, p in cases.items():
+        path = tmp_path / "p.catj"
+        path.write_text(serialize(p), encoding="utf-8")
+        for extra in ([], ["--json"]):
+            assert run(capsys, "verify", "gr-bicat", str(path), *extra) == (2, "", f"input error: {message}\n")
+
+
 def test_verify_biequivalence_rejects_collapse(capsys, fixture_dir):
     code, _, err = run(capsys, "verify", "biequivalence", str(fixture_dir / "psg-collapse.catj"))
     assert code == 2 and "not a biequivalence" in err

@@ -92,6 +92,9 @@ TARGETED = {
     "arabic-indic-digit": (_noted("-\u0663"), True),
     # An optional field holding null is ill-typed, not absent.
     "null-optional-field": (CORPUS["bpt.catj"].replace("{", '{"associator": null, ', 1), False),
+    # So is a required one.
+    "null-kind": (json.dumps({**json.loads(ARROW), "kind": None}), False),
+    "null-objects": (json.dumps({**json.loads(ARROW), "objects": None}), False),
 }
 
 
@@ -100,6 +103,12 @@ def test_fast_path_matches_scanner_on_targeted_texts(monkeypatch, name):
     text, accepted = TARGETED[name]
     assert _agrees(monkeypatch, text)
     assert catdsl.parse(text).ok == accepted
+
+
+def test_required_null_field_is_reported():
+    for name, message in (("null-kind", "kind must be a string"), ("null-objects", "objects must be a JSON array")):
+        first = catdsl.parse(TARGETED[name][0]).diagnostics[0]
+        assert (first.code, first.message) == ("E003", message)
 
 
 def test_surrogate_pair_escape_stays_two_characters():

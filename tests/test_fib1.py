@@ -239,15 +239,15 @@ def test_bad_coherence_raises():
 
 def test_gr_formula_examples():
     rep = verify_gr_formula(fx.ARROW_BASE_LAXCAT)
-    assert rep.equal and rep.lhs == 2
-    assert rep.coweighting.to_json() == {"0": "1", "1": "0"}
+    assert rep.equal and rep.chi_grothendieck == 2
+    assert rep.base_coweighting.to_json() == {"0": "1", "1": "0"}
     point = validate_laxcat(
         LaxFunctorToCat(fx.PT, {"*": fx.PAIR}, {"id*": fx.identity_functor(fx.PAIR)})
     )
     rep2 = verify_gr_formula(point)
-    assert rep2.equal and rep2.lhs == euler_char_cat(fx.PAIR).chi
+    assert rep2.equal and rep2.chi_grothendieck == euler_char_cat(fx.PAIR).chi
     rep3 = verify_gr_formula(fx.BZ2_BASE_LAXCAT)
-    assert rep3.equal and rep3.lhs == 1 and rep3.rhs == Fraction(1, 2) * 2
+    assert rep3.equal and rep3.chi_grothendieck == 1 and rep3.sum_k_b_chi_fiber == Fraction(1, 2) * 2
 
 
 def test_product_formula_quotient():

@@ -151,3 +151,27 @@ def test_private_attributes_stay_out_of_equality_and_repr():
     same = fincat.FinCategory(*(getattr(cat, n) for n in ("objects", "morphisms", "identity", "compose")))
     assert cat == same and cat._by_name == same._by_name and cat._homs == {("*", "*"): ("id*",)}
     assert "_by_name" not in repr(cat) and "_homs" not in repr(cat)
+
+
+def test_to_json_writes_each_field_under_its_own_name():
+    vector = QVector(("a", "b"), (Fraction(1, 2), Fraction(-1)))
+    euler = exactq.MatrixEuler(vector, None, Fraction(-1, 2))
+    expected = [("weighting", {"a": "1/2", "b": "-1"}), ("coweighting", None), ("chi", "-1/2")]
+    assert list(euler.to_json().items()) == expected
+    matrix = QMatrix(("r",), ("c", "d"), ((Fraction(1), Fraction(2, 3)),))
+    assert matrix.to_json() == {"rows": ["r"], "cols": ["c", "d"], "entries": [["1", "2/3"]]}
+    component = fib1.Component(("0", "1"), Fraction(1, 2), Fraction(2))
+    assert component == (("0", "1"), Fraction(1, 2), Fraction(2))
+    report = fib1.ProductFormulaReport(Fraction(1), Fraction(1), (component,), True)
+    assert report.to_json() == {
+        "chi_total": "1",
+        "sum_of_products": "1",
+        "components": [{"objects": ["0", "1"], "chi_base": "1/2", "chi_fiber": "2"}],
+        "equal": True,
+    }
+    witnesses = {"non_cartesian_1cell": (("0", "1", "a"), ("no_lift", "1", "id1", "I", "idI")), "n": (3, [2])}
+    report = bifib.BiFibrationReport(True, False, False, False, False, witnesses)
+    assert report.to_json()["witnesses"] == {
+        "non_cartesian_1cell": [["0", "1", "a"], ["no_lift", "1", "id1", "I", "idI"]],
+        "n": [3, [2]],
+    }
