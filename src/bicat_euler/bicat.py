@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
+from .exactq import MatrixEuler, QMatrix, QVector, Record, entry_sum, invert, matrix_euler
 from .fincat import (
     EMPTY_CATEGORY,
     PT,
@@ -310,8 +310,6 @@ def _toposort(g: CatGraph) -> list[str]:
 
 def euler_acyclic_bicat(b: Bicategory) -> Fraction:
     """chi of an acyclic bicategory via the triangular similarity matrix."""
-    from .exactq import entry_sum, invert
-
     if not is_acyclic_bicat(b):
         raise NotAcyclic("bicategory is not acyclic")
     order = _toposort(b.graph)
@@ -470,8 +468,10 @@ def validate_lax_functor(
         source.require_composition()
         target.require_composition()
         for ((x, y, z), g, f), cell in phi.items():
-            hom = target.hom_at(object_map[x], object_map[z])
+            if f not in source.onecells(x, y) or g not in source.onecells(y, z):
+                raise MissingCompositionData(f"phi at (({x},{y},{z}), {g}, {f}) names no composable source 1-cells")
             lx, ly, lz = object_map[x], object_map[y], object_map[z]
+            hom = target.hom_at(lx, lz)
             src = target.c1(lx, ly, lz, lax.cell1(y, z, g), lax.cell1(x, y, f))
             dst = lax.cell1(x, z, source.c1(x, y, z, g, f))
             if cell not in hom._by_name or hom.src(cell) != src or hom.dst(cell) != dst:

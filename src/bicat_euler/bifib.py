@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable, Mapping, Union
 
 from .bicat import (
@@ -22,6 +21,7 @@ from .bicat import (
     HomWithoutEuler,
     LaxFunctorBicat,
     MissingEulerCharacteristic,
+    check_biequivalence,
     coop_lax_functor,
     euler_char_cg,
     graph_components,
@@ -29,17 +29,19 @@ from .bicat import (
     restrict_catgraph,
     validate_bicategory,
 )
-from .exactq import QMatrix, QVector, Record, matrix_euler
+from .exactq import QMatrix, QVector, Record, matrix_euler, solve_coweighting
 from .fib1 import (
     Component,
     FibrationReport,
     NotBiFibered,
     ObjectNotInBase,
     NonUniqueLift,
+    _grothendieck_objects,
+    _product_components,
     classify_fibration,
     is_cartesian_morphism,
 )
-from .fincat import FinCategory, InvalidInput, pair_label, similarity_matrix, validate_functor
+from .fincat import FinCategory, InvalidInput, pair_label, similarity_matrix, subcategory, validate_functor
 
 
 class IllTypedComponent(InvalidInput):
@@ -171,14 +173,7 @@ def _gr_hom(t: Trihomomorphism, b: str, x: str, c: str, y: str) -> GrHom:
 
 def grothendieck_cg(t: Trihomomorphism) -> GrothendieckCG:
     validate_trihomomorphism(t)
-    objects = []
-    object_pairs = {}
-    for b in t.base.objects:
-        for x in t.fiber[b].objects:
-            label = pair_label(b, x)
-            objects.append(label)
-            object_pairs[label] = (b, x)
-    objects.sort()
+    objects, object_pairs = _grothendieck_objects(t.base.objects, t.fiber)
     homs = {}
     for o1 in objects:
         b, x = object_pairs[o1]
@@ -216,8 +211,6 @@ def gr_hom_coweighting(t: Trihomomorphism, source: tuple[str, str], target: tupl
 
 
 def solve_coweighting_or_raise(zeta: QMatrix, what: str) -> QVector:
-    from .exactq import solve_coweighting
-
     cw = solve_coweighting(zeta)
     if cw is None:
         raise MissingCoweighting(f"{what} has no coweighting")
@@ -548,23 +541,13 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
     for x in objects:
         for y in objects:
             total_hom = e.hom_at(x, y)
-            cells = [h for h in total_hom.objects if p.cell1(x, y, h) == id1b]
-            cell_set = set(cells)
-            morphs = [
-                m
-                for m in total_hom.morphisms
-                if m.src in cell_set and m.dst in cell_set and p.cell2(x, y, m.name) == id2b
-            ]
-            names = {m.name for m in morphs}
-            # The preimage of id_{id_b} under a hom functor is a subcategory of the
-            # validated total hom: it holds the identities and the composites of its
-            # morphisms, so its laws hold without a check.  Sorted as validation stores it.
-            cells.sort()
-            hom[(x, y)] = FinCategory(
-                tuple(cells),
-                tuple(sorted(morphs, key=attrgetter("name"))),
-                {h: total_hom.identity[h] for h in cells},
-                {(g, f): h for (g, f), h in total_hom.compose.items() if g in names and f in names},
+            cells = {h for h in total_hom.objects if p.cell1(x, y, h) == id1b}
+            # The preimage of id_{id_b} under a hom functor holds the identities and
+            # the composites of its morphisms: a subcategory of the total hom.
+            hom[(x, y)] = subcategory(
+                total_hom,
+                cells,
+                [m for m in total_hom.morphisms if m.src in cells and m.dst in cells and p.cell2(x, y, m.name) == id2b],
             )
     s = _Sweep(p)  # cartesian verdicts for the phi-corrected composites
     identity1 = {}
@@ -705,8 +688,6 @@ class FiberBiequivalenceReport(Record):
 def verify_fiber_biequivalence(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str) -> FiberBiequivalenceReport:
     """Build f* from the cleavage and check it is a biequivalence with equal fiber chi."""
     pullback, _ = fiber_pullback(p, b_obj, c_obj, f)
-    from .bicat import check_biequivalence
-
     bieq = check_biequivalence(pullback)
     chi_c = euler_char_cg(pullback.source.graph).chi
     chi_b = euler_char_cg(pullback.target.graph).chi
@@ -789,23 +770,17 @@ def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
     chi_total = euler_char_cg(p.source.graph).chi
     if chi_total is None:
         raise MissingEulerCharacteristic("total bicategory has no Euler characteristic")
-    components = []
-    rhs = Fraction(0)
-    for comp in graph_components(p.target.graph):
-        chi_base = euler_char_cg(restrict_catgraph(p.target.graph, comp)).chi
-        if chi_base is None:
-            raise MissingEulerCharacteristic(f"base component {comp} has no Euler characteristic")
-        fiber_chis = []
-        for b_obj in comp:
-            fib = s.fiber(b_obj)
-            assert pseudogroupoid_check(fib), f"fiber over {b_obj} is not a pseudogroupoid"
-            chi_f = euler_char_cg(fib.graph).chi
-            if chi_f is None:
-                raise MissingEulerCharacteristic(f"fiber over {b_obj} has no Euler characteristic")
-            fiber_chis.append(chi_f)
-        assert len(set(fiber_chis)) == 1, f"fiber chi not constant on component {comp}"
-        components.append(Component(comp, chi_base, fiber_chis[0]))
-        rhs += chi_base * fiber_chis[0]
+
+    def chi_fiber(b_obj: str):
+        fib = s.fiber(b_obj)
+        assert pseudogroupoid_check(fib), f"fiber over {b_obj} is not a pseudogroupoid"
+        return euler_char_cg(fib.graph).chi
+
+    components, rhs = _product_components(
+        graph_components(p.target.graph),
+        lambda comp: euler_char_cg(restrict_catgraph(p.target.graph, comp)).chi,
+        chi_fiber,
+    )
     gr = grothendieck_cg(_trihomomorphism(s, "min"))
     chi_gr = gr.euler().chi
     if chi_gr is None:
@@ -813,7 +788,7 @@ def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
     return ProductBicatReport(
         chi_total,
         rhs,
-        tuple(components),
+        components,
         chi_gr,
         chi_gr == chi_total,
         chi_total == rhs,

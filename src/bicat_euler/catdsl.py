@@ -17,7 +17,9 @@ fields; `_labels` reads an object-label array; `_split_items` reads a
 `|`-keyed object; `_keyed_triples` reads a `|`-keyed table of rows, which
 `_keyed_triple_body` writes; `_label_table` reads an object keyed by
 declared labels (fibers, pullbacks); and `_lax_functor_maps` reads the
-object map and hom functors of a lax functor, which `_fiber_lax_body` writes.
+object map and hom functors of a lax functor, which `_fiber_lax_body` writes;
+and `_validated` runs the validator of every container, so each container,
+nested or not, reports its own law violations.
 
 Diagnostic codes:
   E001 reference to an undeclared object/morphism/cell
@@ -30,10 +32,10 @@ Diagnostic codes:
   E012 missing pullback functor
   E013 missing fiber
   E014 missing trihomomorphism 2-cell component (names alpha and y)
-Validation failures surface verbatim under their law codes
-(MissingComposite, IdentityLawViolation, AssociativityViolation,
-DanglingEndpoint, MissingCompositionData, IncoherentData,
-IllTypedComponent).
+Validation failures surface verbatim: each violated category or functor law
+under its law code (MissingComposite, IdentityLawViolation,
+AssociativityViolation, DanglingEndpoint), any other validation error under
+its class name (MissingCompositionData, IncoherentData, IllTypedComponent).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import re
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .exactq import Record
-from .fincat import FinCategory, Functor, InvalidCategory, validate_category, validate_functor
+from .fincat import FinCategory, Functor, InvalidCategory, InvalidInput, validate_category, validate_functor
 
 # Builders and `serialize` import other kind modules when run: a category loads none.
 if TYPE_CHECKING:
@@ -441,6 +443,25 @@ def _label_table(b: _Builder, node: JNode, what: str, labels, build, stray: str,
     return out
 
 
+def _validated(b: _Builder, node: JNode, reported: int, validate, *args):
+    """validate(*args), or None when the container at `node` has a diagnostic since `reported` or fails validation.
+
+    A failure becomes diagnostics at `node`: each violation of an
+    InvalidCategory under its own code, any other InvalidInput under its
+    class name.
+    """
+    if len(b.diags) != reported:
+        return None
+    try:
+        return validate(*args)
+    except InvalidCategory as exc:
+        for violation in exc.violations:
+            b.err(node, violation.code, violation.message)
+    except InvalidInput as exc:
+        b.err(node, type(exc).__name__, str(exc))
+    return None
+
+
 def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
     reported = len(b.diags)
     fields = b.fields(node, "category", "objects", "morphisms", "identity", "compose")
@@ -475,17 +496,12 @@ def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
             if ref not in names:
                 b.err(compose_node, "E001", f"compose entry references undeclared morphism {ref!r}")
         compose[(g, f)] = h
-    if len(b.diags) != reported:
-        return None
     key = (tuple(objects), tuple(morphisms), tuple(identity.items()), tuple(compose.items()))
     cat = b.categories.get(key)
-    if cat is None:
-        try:
-            cat = b.categories[key] = validate_category(objects, morphisms, identity, compose)
-        except InvalidCategory as exc:
-            for violation in exc.violations:
-                b.err(node, violation.code, violation.message)
-            return None
+    if cat is None or len(b.diags) != reported:  # a copy with diagnostics never takes the shared value
+        cat = _validated(b, node, reported, validate_category, objects, morphisms, identity, compose)
+        if cat is not None:
+            b.categories[key] = cat
     return cat
 
 
@@ -509,14 +525,7 @@ def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: 
     for m, img in morphism_map.items():
         if img not in target._by_name:
             b.err(morphism_node, "E001", f"morphism_map[{m!r}] references undeclared morphism {img!r}")
-    if len(b.diags) != reported:
-        return None
-    try:
-        return validate_functor(source, target, object_map, morphism_map)
-    except InvalidCategory as exc:
-        for violation in exc.violations:
-            b.err(node, violation.code, violation.message)
-        return None
+    return _validated(b, node, reported, validate_functor, source, target, object_map, morphism_map)
 
 
 def _build_functor(b: _Builder, node: JNode) -> Optional[Functor]:
@@ -547,18 +556,17 @@ def _objects_and_hom(b: _Builder, objects_node: JNode, hom_node: JNode) -> tuple
 
 def _build_catgraph(b: _Builder, node: JNode) -> Optional[CatGraph]:
     from .bicat import make_catgraph
+    reported = len(b.diags)
     fields = b.fields(node, "catgraph", "objects", "hom")
     if fields is None:
         return None
     _, objects_node, hom_node = fields
-    objects, hom = _objects_and_hom(b, objects_node, hom_node)
-    if b.diags:
-        return None
-    return make_catgraph(objects, hom)
+    return _validated(b, node, reported, make_catgraph, *_objects_and_hom(b, objects_node, hom_node))
 
 
 def _build_bicategory(b: _Builder, node: JNode) -> Optional[Bicategory]:
-    from .bicat import MissingCompositionData, validate_bicategory
+    from .bicat import validate_bicategory
+    reported = len(b.diags)
     fields = b.fields(node, "bicategory", "objects", "hom", "identity1", "compose1")
     if fields is None:
         return None
@@ -573,15 +581,10 @@ def _build_bicategory(b: _Builder, node: JNode) -> Optional[Bicategory]:
         if key in obj:
             rows = _keyed_triples(b, obj[key], key, 2, width=2)
             unitors[key] = {(x, y, f): cell for ((x, y), f), cell in rows.items()}
-    if b.diags:
-        return None
-    try:
-        return validate_bicategory(
-            objects, hom, identity1, compose1, hcompose2, associator, unitors.get("unitor_l"), unitors.get("unitor_r")
-        )
-    except MissingCompositionData as exc:
-        b.err(node, "MissingCompositionData", str(exc))
-        return None
+    return _validated(
+        b, node, reported, validate_bicategory,
+        objects, hom, identity1, compose1, hcompose2, associator, unitors.get("unitor_l"), unitors.get("unitor_r"),
+    )
 
 
 def _lax_functor_maps(b: _Builder, object_node: JNode, hf_node: JNode, source: Bicategory, target: Bicategory):
@@ -617,7 +620,8 @@ def _lax_functor_maps(b: _Builder, object_node: JNode, hf_node: JNode, source: B
 
 
 def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
-    from .bicat import MissingCompositionData, validate_lax_functor
+    from .bicat import validate_lax_functor
+    reported = len(b.diags)
     fields = b.fields(node, "laxfunctor", "source", "target", "object_map", "hom_functors")
     if fields is None:
         return None
@@ -631,17 +635,12 @@ def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
         return None
     phi = _keyed_triples(b, obj["phi"], "phi", 3) if "phi" in obj else None
     psi = b.string_map(obj["psi"], "psi") if "psi" in obj else None
-    if b.diags:
-        return None
-    try:
-        return validate_lax_functor(source, target, *maps, phi, psi)
-    except MissingCompositionData as exc:
-        b.err(node, "MissingCompositionData", str(exc))
-        return None
+    return _validated(b, node, reported, validate_lax_functor, source, target, *maps, phi, psi)
 
 
 def _build_laxcat(b: _Builder, node: JNode) -> Optional[LaxFunctorToCat]:
-    from .fib1 import IncoherentData, LaxFunctorToCat, validate_laxcat
+    from .fib1 import LaxFunctorToCat, validate_laxcat
+    reported = len(b.diags)
     fields = b.fields(node, "laxcat", "base", "fibers", "pullbacks")
     if fields is None:
         return None
@@ -653,12 +652,15 @@ def _build_laxcat(b: _Builder, node: JNode) -> Optional[LaxFunctorToCat]:
         b, fibers_node, "fibers", base.objects, lambda _, sub: _build_category(b, sub),
         "fiber key {!r} is not a base object", "E013", "missing fiber for base object {!r}",
     )
-    if b.diags:
+
+    def pullback(key: str, sub: JNode) -> Optional[Functor]:
+        m = base.morphism(key)
+        if m.src in fibers and m.dst in fibers:
+            return _build_plain_functor(b, sub, fibers[m.dst], fibers[m.src])
         return None
-    morphisms = {m.name: m for m in base.morphisms}
+
     pullbacks = _label_table(
-        b, pullbacks_node, "pullbacks", morphisms,
-        lambda key, sub: _build_plain_functor(b, sub, fibers[morphisms[key].dst], fibers[morphisms[key].src]),
+        b, pullbacks_node, "pullbacks", base._by_name, pullback,
         "pullback key {!r} is not a base morphism", "E012", "missing pullback functor for base morphism {!r}",
     )
     comp_iso = unit_iso = None
@@ -672,17 +674,14 @@ def _build_laxcat(b: _Builder, node: JNode) -> Optional[LaxFunctorToCat]:
             key: b.string_map(sub, f"unit_iso[{key}]")
             for key, sub in (b.object_of(obj["unit_iso"], "unit_iso") or {}).items()
         }
-    if b.diags:
-        return None
-    try:
-        return validate_laxcat(LaxFunctorToCat(base, fibers, pullbacks, comp_iso, unit_iso))
-    except IncoherentData as exc:
-        b.err(node, "IncoherentData", str(exc))
-        return None
+    return _validated(
+        b, node, reported, validate_laxcat, LaxFunctorToCat(base, fibers, pullbacks, comp_iso, unit_iso)
+    )
 
 
 def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
-    from .bifib import IllTypedComponent, Trihomomorphism, validate_trihomomorphism
+    from .bifib import Trihomomorphism, validate_trihomomorphism
+    reported = len(b.diags)
     fields = b.fields(node, "trihom", "base", "fibers", "pullback1", "pullback2")
     if fields is None:
         return None
@@ -694,8 +693,6 @@ def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
         b, fibers_node, "fibers", base.objects, lambda _, sub: _build_bicategory(b, sub),
         "fiber key {!r} is not a base object", "E013", "missing fiber for base object {!r}",
     )
-    if b.diags:
-        return None
     pullback1 = {}
     pb1_table = b.object_of(pb1_node, "pullback1") or {}
     for bb in base.objects:
@@ -704,10 +701,10 @@ def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
                 key = f"{bb}|{cc}|{f}"
                 if key not in pb1_table:
                     b.err(pb1_node, "E012", f"missing pullback lax functor {key!r}")
-                    continue
-                lax = _build_fiber_lax_functor(b, pb1_table[key], fibers[cc], fibers[bb])
-                if lax is not None:
-                    pullback1[(bb, cc, f)] = lax
+                elif bb in fibers and cc in fibers:
+                    lax = _build_fiber_lax_functor(b, pb1_table[key], fibers[cc], fibers[bb])
+                    if lax is not None:
+                        pullback1[(bb, cc, f)] = lax
     pullback2 = {}
     pb2_table = b.object_of(pb2_node, "pullback2") or {}
     for bb in base.objects:
@@ -719,7 +716,7 @@ def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
                     b.err(pb2_node, "E014", f"missing components for base 2-cell {alpha.name!r}")
                     continue
                 comps = b.string_map(pb2_table[key], f"pullback2[{key}]")
-                for y in fibers[cc].objects:
+                for y in fibers[cc].objects if cc in fibers else ():
                     if y not in comps:
                         b.err(
                             pb2_table[key],
@@ -727,30 +724,22 @@ def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
                             f"missing component of {alpha.name!r} at fiber object {y!r}",
                         )
                 pullback2[(bb, cc, alpha.name)] = comps
-    if b.diags:
-        return None
-    try:
-        return validate_trihomomorphism(Trihomomorphism(base, fibers, pullback1, pullback2))
-    except IllTypedComponent as exc:
-        b.err(node, "IllTypedComponent", str(exc))
-        return None
+    return _validated(
+        b, node, reported, validate_trihomomorphism, Trihomomorphism(base, fibers, pullback1, pullback2)
+    )
 
 
 def _build_fiber_lax_functor(b: _Builder, node: JNode, source: Bicategory, target: Bicategory):
-    from .bicat import MissingCompositionData, validate_lax_functor
+    from .bicat import validate_lax_functor
     reported = len(b.diags)
     fields = b.fields(node, "pullback lax functor", "object_map", "hom_functors")
     if fields is None:
         return None
     _, object_node, hf_node = fields
     maps = _lax_functor_maps(b, object_node, hf_node, source, target)
-    if maps is None or len(b.diags) != reported:
+    if maps is None:
         return None
-    try:
-        return validate_lax_functor(source, target, *maps)
-    except MissingCompositionData as exc:
-        b.err(node, "MissingCompositionData", str(exc))
-        return None
+    return _validated(b, node, reported, validate_lax_functor, source, target, *maps)
 
 
 _BUILDERS = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
 from .fincat import (
@@ -23,8 +23,8 @@ from .fincat import (
     Morphism,
     category_components,
     euler_char_cat,
-    full_subcategory,
     pair_label,
+    subcategory,
     validate_category,
     validate_functor,
 )
@@ -192,16 +192,12 @@ def fiber_category(p: Functor, b_obj: str) -> FinCategory:
     """Subcategory of the total category strictly over b and id_b."""
     if b_obj not in p.target.objects:
         raise ObjectNotInBase(b_obj)
-    e = p.source
+    # P(id_x) = id_b and P(g∘f) = id_b∘id_b = id_b: the part over b and id_b is a subcategory.
     id_b = p.target.identity[b_obj]
-    objects = [x for x in e.objects if p.ob(x) == b_obj]
-    morphs = [m for m in e.morphisms if p.mor(m.name) == id_b]
-    names = {m.name for m in morphs}
-    return validate_category(
-        objects,
-        morphs,
-        {x: e.identity[x] for x in objects},
-        {(g, f): h for (g, f), h in e.compose.items() if g in names and f in names},
+    return subcategory(
+        p.source,
+        [x for x in p.source.objects if p.ob(x) == b_obj],
+        [m for m in p.source.morphisms if p.mor(m.name) == id_b],
     )
 
 
@@ -250,12 +246,14 @@ def _validate_coherence(f: LaxFunctorToCat):
         fid = f.pullback[base.identity[b]]
         for x in fb.objects:
             comp = unit.get(x)
-            if comp is None or fb.src(comp) != x or fb.dst(comp) != fid.ob(x):
+            if comp not in fb._by_name or fb.src(comp) != x or fb.dst(comp) != fid.ob(x):
                 raise IncoherentData(f"unit component at ({b}, {x}) has wrong frame")
         for m in fb.morphisms:
             if fb.compose2(unit[m.dst], m.name) != fb.compose2(fid.mor(m.name), unit[m.src]):
                 raise IncoherentData(f"unit naturality fails at ({b}, {m.name})")
     for (g, f_name), comps in f.comp_iso.items():
+        if g not in base._by_name or f_name not in base._by_name:
+            raise IncoherentData(f"composite components for undeclared base morphisms ({g}, {f_name})")
         gm, fm = base.morphism(g), base.morphism(f_name)
         if gm.src != fm.dst:
             raise IncoherentData(f"composite components for non-composable pair ({g}, {f_name})")
@@ -272,7 +270,7 @@ def _validate_coherence(f: LaxFunctorToCat):
             top = f.fiber[gm.dst]
             for z in top.objects:
                 comp = comps.get(z)
-                if comp is None or fb.src(comp) != ff.ob(fg.ob(z)) or fb.dst(comp) != fgf.ob(z):
+                if comp not in fb._by_name or fb.src(comp) != ff.ob(fg.ob(z)) or fb.dst(comp) != fgf.ob(z):
                     raise IncoherentData(f"composite component at ({gm.name}, {fm.name}, {z}) has wrong frame")
             for w in top.morphisms:
                 lhs = fb.compose2(comps[w.dst], ff.mor(fg.mor(w.name)))
@@ -327,6 +325,12 @@ class GrothendieckCat(Record):
         return matrix_euler(self.zeta())
 
 
+def _grothendieck_objects(base_objects: Sequence[str], fiber: Mapping) -> tuple[list[str], dict]:
+    """The labels of the objects (b, x), x in fiber[b], of a Grothendieck construction, sorted, and their pairs."""
+    pairs = [(pair_label(b, x), (b, x)) for b in base_objects for x in fiber[b].objects]
+    return sorted(label for label, _ in pairs), dict(pairs)
+
+
 def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
     """Paper-defined pairs construction; full category exactly when sound.
 
@@ -336,14 +340,7 @@ def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
     """
     validate_laxcat(f)
     base = f.base
-    objects: list[str] = []
-    object_pairs: dict[str, tuple[str, str]] = {}
-    for b in base.objects:
-        for x in f.fiber[b].objects:
-            label = pair_label(b, x)
-            objects.append(label)
-            object_pairs[label] = (b, x)
-    objects.sort()
+    objects, object_pairs = _grothendieck_objects(base.objects, f.fiber)
 
     hom: dict[tuple[str, str], list[str]] = {(o1, o2): [] for o1 in objects for o2 in objects}
     morphism_pairs: dict[str, tuple[str, str]] = {}
@@ -475,6 +472,29 @@ def verify_gr_formula(f: LaxFunctorToCat) -> GrFormulaReport:
 Component = namedtuple("Component", "objects chi_base chi_fiber")
 
 
+def _product_components(components: Sequence[tuple], chi_base: Callable, chi_fiber: Callable) -> tuple[tuple, Fraction]:
+    """Each connected component of a base with its chi and its fibers' chi, and the sum of their products.
+
+    chi_base(component) and chi_fiber(object) give None where there is no Euler characteristic.
+    """
+    out = []
+    total = Fraction(0)
+    for comp in components:
+        chi_b = chi_base(comp)
+        if chi_b is None:
+            raise MissingEulerCharacteristic(f"base component {comp} has no Euler characteristic")
+        fiber_chis = []
+        for b in comp:
+            chi_fb = chi_fiber(b)
+            if chi_fb is None:
+                raise MissingEulerCharacteristic(f"fiber over {b} has no Euler characteristic")
+            fiber_chis.append(chi_fb)
+        assert len(set(fiber_chis)) == 1, f"fiber chi not constant on component {comp}"
+        out.append(Component(comp, chi_b, fiber_chis[0]))
+        total += chi_b * fiber_chis[0]
+    return tuple(out), total
+
+
 class ProductFormulaReport(Record):
     """chi(E) against the per-component sum of chi(B_i)·chi(F_i)."""
 
@@ -491,19 +511,11 @@ def verify_product_formula_cat(p: Functor, convention: str = "standard") -> Prod
     chi_total = euler_char_cat(p.source).chi
     if chi_total is None:
         raise MissingEulerCharacteristic("total category has no Euler characteristic")
-    components = []
-    rhs = Fraction(0)
-    for comp in category_components(p.target):
-        chi_base = euler_char_cat(full_subcategory(p.target, comp)).chi
-        if chi_base is None:
-            raise MissingEulerCharacteristic(f"base component {comp} has no Euler characteristic")
-        fiber_chis = []
-        for b in comp:
-            chi_fb = euler_char_cat(fiber_category(p, b)).chi
-            if chi_fb is None:
-                raise MissingEulerCharacteristic(f"fiber over {b} has no Euler characteristic")
-            fiber_chis.append(chi_fb)
-        assert len(set(fiber_chis)) == 1, f"fiber chi not constant on component {comp}"
-        components.append(Component(comp, chi_base, fiber_chis[0]))
-        rhs += chi_base * fiber_chis[0]
-    return ProductFormulaReport(chi_total, rhs, tuple(components), chi_total == rhs)
+    base = p.target
+    components, rhs = _product_components(
+        category_components(base),
+        # A morphism lies in the component of its source, so the full part on a component is a subcategory.
+        lambda comp: euler_char_cat(subcategory(base, comp, [m for m in base.morphisms if m.src in comp])).chi,
+        lambda b: euler_char_cat(fiber_category(p, b)).chi,
+    )
+    return ProductFormulaReport(chi_total, rhs, components, chi_total == rhs)

@@ -440,13 +440,16 @@ def category_components(a: FinCategory) -> tuple[tuple[str, ...], ...]:
     return zigzag_components(a.objects, adj)
 
 
-def full_subcategory(a: FinCategory, objects: Sequence[str]) -> FinCategory:
-    keep = set(objects)
-    morphs = [m for m in a.morphisms if m.src in keep and m.dst in keep]
-    names = {m.name for m in morphs}
+def subcategory(a: FinCategory, objects: Sequence[str], morphisms: Sequence[Morphism]) -> FinCategory:
+    """The part of `a` on `objects` and `morphisms`, sorted as validation stores it; no law is checked.
+
+    The caller vouches that the part holds its identities and composites, so its laws hold as in `a`.
+    """
+    keep = sorted(objects)
+    names = {m.name for m in morphisms}
     return FinCategory(
-        tuple(sorted(keep)),
-        tuple(morphs),
-        {x: a.identity[x] for x in sorted(keep)},
+        tuple(keep),
+        tuple(sorted(morphisms, key=lambda m: m.name)),
+        {x: a.identity[x] for x in keep},
         {(g, f): h for (g, f), h in a.compose.items() if g in names and f in names},
     )

@@ -13,11 +13,13 @@ from typing import Callable, Mapping, Sequence
 from .bicat import (
     Bicategory,
     LaxFunctorBicat,
+    identity_lax_functor,
     make_catgraph,
     product_projection,
     validate_bicategory,
     validate_lax_functor,
 )
+from .bifib import Trihomomorphism, validate_trihomomorphism
 from .fib1 import LaxFunctorToCat, validate_laxcat
 from .fincat import PT, FinCategory, Functor, validate_category, validate_functor
 
@@ -341,9 +343,6 @@ _CATALOG["BZ2_BASE_LAXCAT"] = lambda: validate_laxcat(
 
 def constant_trihomomorphism(base: Bicategory, fiber: Bicategory):
     """Constant fibers, identity pullbacks, identity 2-cell components."""
-    from .bifib import Trihomomorphism, validate_trihomomorphism
-    from .bicat import identity_lax_functor
-
     base.require_composition()
     fiber.require_composition()
     pullback1 = {}

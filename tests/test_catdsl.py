@@ -75,6 +75,8 @@ NEGATIVE_CODES = {
     "law-dangling.catj": "DanglingEndpoint",
     "missing-composition-data.catj": "MissingCompositionData",
     "unknown-2cell.catj": "MissingCompositionData",
+    "unknown-phi-object.catj": "MissingCompositionData",
+    "unknown-comp-iso-key.catj": "IncoherentData",
     "incoherent-laxcat.catj": "IncoherentData",
     "illtyped-trihom.catj": "IllTypedComponent",
 }
@@ -337,3 +339,38 @@ def test_write_fixture_corpus_reproduces_every_positive_fixture(tmp_path, fixtur
     assert sorted(path.name for path in written) == sorted(path.name for path in fixture_dir.glob("*.catj"))
     for path in written:
         assert path.read_bytes() == (fixture_dir / path.name).read_bytes(), path.name
+
+
+def _dumped(doc) -> str:
+    return json.dumps(doc, indent=2)
+
+
+def test_each_fiber_of_a_trihom_reports_its_own_violation(fixture_dir):
+    doc = json.loads((fixture_dir / "trihom-const-psg-arrow.catj").read_text(encoding="utf-8"))
+    for fiber in doc["fibers"].values():
+        fiber["identity1"]["p"] = "mpq"
+    assert [str(d) for d in parse(_dumped(doc)).diagnostics] == [
+        "141:10 MissingCompositionData identity 1-cell of p missing or not in hom(p,p)",
+        "557:10 MissingCompositionData identity 1-cell of p missing or not in hom(p,p)",
+    ]
+
+
+def test_source_and_target_of_a_lax_functor_report_their_own_violations(fixture_dir):
+    doc = json.loads((fixture_dir / "psg-collapse.catj").read_text(encoding="utf-8"))
+    doc["source"]["identity1"]["p"] = "zz"
+    doc["target"]["identity1"]["*"] = "zz"
+    assert [str(d) for d in parse(_dumped(doc)).diagnostics] == [
+        "45:13 MissingCompositionData identity 1-cell of p missing or not in hom(p,p)",
+        "461:13 MissingCompositionData identity 1-cell of * missing or not in hom(*,*)",
+    ]
+
+
+def test_a_pullback_between_lawful_fibers_is_checked_when_another_fiber_fails(fixture_dir):
+    doc = json.loads((fixture_dir / "arrow-base-laxcat.catj").read_text(encoding="utf-8"))
+    doc["fibers"]["1"]["compose"] = []
+    doc["pullbacks"]["id0"]["morphism_map"]["idx"] = "idy"
+    assert [(d.code, d.message) for d in parse(_dumped(doc)).diagnostics] == [
+        ("MissingComposite", "compose(id*, id*) undefined"),
+        ("DanglingEndpoint", "image of idx has wrong endpoints"),
+        ("IdentityLawViolation", "identity of x not preserved"),
+    ]

@@ -6,6 +6,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from bicat_euler.catdsl import parse
 from bicat_euler.cli import main
 
 
@@ -58,6 +61,35 @@ def test_chi_parse_failure_exits_2(capsys, negative_dir):
 def test_unknown_2cell_is_input_error(capsys, negative_dir):
     code, _, err = run(capsys, "chi", str(negative_dir / "unknown-2cell.catj"))
     assert code == 2 and "MissingCompositionData" in err and "'zz'" in err
+
+
+# An undeclared label in each optional coherence table: (negative fixture, tables replaced, code).
+# The two cases that replace no table run the negative fixtures as they are.
+UNDECLARED_IN_COHERENCE = {
+    "comp_iso key": ("unknown-comp-iso-key.catj", {}, "IncoherentData"),
+    "comp_iso component": ("unknown-comp-iso-key.catj", {"comp_iso": {"id*|id*": {"x": "zz"}}}, "IncoherentData"),
+    "unit_iso component": (
+        "unknown-comp-iso-key.catj",
+        {"comp_iso": {"id*|id*": {"x": "idx"}}, "unit_iso": {"*": {"x": "zz"}}},
+        "IncoherentData",
+    ),
+    "phi key object": ("unknown-phi-object.catj", {}, "MissingCompositionData"),
+    "phi row 1-cell": ("unknown-phi-object.catj", {"phi": {"*|*|*": [["zz", "I", "iI"]]}}, "MissingCompositionData"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECLARED_IN_COHERENCE))
+def test_undeclared_label_in_coherence_data_is_one_diagnostic(capsys, negative_dir, tmp_path, case):
+    name, tables, expected = UNDECLARED_IN_COHERENCE[case]
+    path = negative_dir / name
+    if tables:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc.update(tables)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    assert [d.code for d in parse(path.read_text(encoding="utf-8")).diagnostics] == [expected]
+    code, _, err = run(capsys, "chi", str(path))
+    assert code == 2 and expected in err and "Traceback" not in err
 
 
 def test_bad_exponent_is_input_error(capsys, negative_dir):

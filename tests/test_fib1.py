@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import category_oracle
 from bicat_euler import fixtures as fx
+from bicat_euler.bifib import fiber_bicategory
+from bicat_euler.catdsl import parse
 from bicat_euler.fib1 import (
     IncoherentData,
     LaxFunctorToCat,
@@ -24,7 +27,14 @@ from bicat_euler.fib1 import (
     verify_gr_formula,
     verify_product_formula_cat,
 )
-from bicat_euler.fincat import coproduct_cat, euler_char_cat, validate_functor
+from bicat_euler.fincat import (
+    InvalidInput,
+    category_components,
+    coproduct_cat,
+    euler_char_cat,
+    subcategory,
+    validate_functor,
+)
 from bicat_euler.generators import gen_fib_groupoids_functor, gen_groupoid_valued_laxcat
 
 
@@ -293,3 +303,31 @@ def test_generated_instances_fully_verify():
         for b in p.target.objects:
             fib = fiber_category(p, b)
             assert all(fib.inverse_of(m.name) is not None for m in fib.morphisms)
+
+
+def _is_lawful(cat) -> bool:
+    """`cat` passes the exhaustive validator, which gives back an equal value."""
+    return category_oracle.validate_category(cat.objects, cat.morphisms, cat.identity, cat.compose) == cat
+
+
+def test_derived_subcategories_of_the_corpus_are_lawful(fixture_dir):
+    docs = [parse(path.read_text(encoding="utf-8")).document for path in sorted(fixture_dir.glob("*.catj"))]
+    functors = [d.value for d in docs if d.kind == "functor"]
+    functors += [g.projection for g in (grothendieck_cat(d.value) for d in docs if d.kind == "laxcat") if g.projection]
+    for p in functors:
+        base = p.target
+        for b in base.objects:
+            assert _is_lawful(fiber_category(p, b)), b
+        for comp in category_components(base):
+            assert _is_lawful(subcategory(base, comp, [m for m in base.morphisms if m.src in comp])), comp
+    homs = 0
+    for lax in [d.value for d in docs if d.kind == "laxfunctor"]:
+        for b in lax.target.objects:
+            try:
+                fiber = fiber_bicategory(lax, b)
+            except InvalidInput:
+                continue
+            for hom in fiber.graph.hom.values():
+                assert _is_lawful(hom), b
+                homs += 1
+    assert len(functors) >= 4 and homs
