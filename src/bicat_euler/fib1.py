@@ -1,10 +1,11 @@
 """Fibrations of finite categories and the Grothendieck construction.
 
-Cartesianness is decided by one counting pass over the lifts into each
-object, and the fibration predicates by search over the finite hom-sets.
-The cartesian-morphism definition follows the standard Grothendieck
-convention; the literal reading of the source material is kept behind
-convention="paper" for auditability.
+Cartesianness is decided at once for an isomorphism and otherwise by one
+counting pass over the lifts into each object, and the fibration
+predicates by search over the finite hom-sets.  The cartesian-morphism
+definition follows the standard Grothendieck convention; the literal
+reading of the source material is kept behind convention="paper" for
+auditability.
 """
 
 from __future__ import annotations
@@ -59,31 +60,41 @@ def is_cartesian_morphism(p: Functor, f: str, convention: str = "standard") -> b
 
     standard: f: x -> y is cartesian iff every g: z -> y together with
     h: P(z) -> P(x) satisfying P(f)∘h = P(g) admits exactly one lift
-    h̃: z -> x with P(h̃) = h and f∘h̃ = g.  For each z, one pass over
-    hom(z, x) counts the lifts by (P(h̃), f∘h̃).  The "paper" convention flips
-    the lift out of x instead (g∘h̃ = f with h: P(x) -> P(z)) and counts the
-    pairs (h̃, g) with g∘h̃ = f by (P(h̃), g).
+    h̃: z -> x with P(h̃) = h and f∘h̃ = g.  An isomorphism is cartesian, its
+    one lift being f⁻¹∘g.  For any other f and each z, t ↦ (P(t), f∘t)
+    maps hom(z, x) into those pairs (h, g), and f is cartesian iff it is a
+    bijection: the images are distinct and there are |hom(z, x)| pairs.
+    The "paper" convention flips the lift out of x instead (g∘h̃ = f with
+    h: P(x) -> P(z)) and counts the pairs (h̃, g) with g∘h̃ = f by (P(h̃), g).
     """
     e, b = p.source, p.target
     if f not in e._by_name:
         raise MorphismNotInCategory(f)
     x, y = e.src(f), e.dst(f)
-    px, pf = p.ob(x), p.mor(f)
-    for z in e.objects:
-        pz = p.ob(z)
-        if convention == "standard":
-            lifts = Counter((p.mor(t), e.compose2(f, t)) for t in e.hom(z, x))
-            over: dict[str, list[str]] = {}  # P(f)∘h -> every h: P(z) -> P(x) with that composite
-            for h in b.hom(pz, px):
-                over.setdefault(b.compose2(pf, h), []).append(h)
-            if any(lifts[(h, g)] != 1 for g in e.hom(z, y) for h in over.get(p.mor(g), ())):
+    ob, mor = p.object_map, p.morphism_map
+    px, pf = ob[x], mor[f]
+    if convention == "standard":
+        if e.inverse_of(f) is not None:
+            return True
+        e_homs, b_homs, e_after, b_after = e._homs, b._homs, e.compose, b.compose
+        for z in e.objects:
+            into_x = e_homs.get((z, x), ())
+            if len({(mor[t], e_after[(f, t)]) for t in into_x}) != len(into_x):
                 return False
-        else:
-            lifts = Counter((p.mor(t), g) for g in e.hom(z, y) for t in e.hom(x, z) if e.compose2(g, t) == f)
-            for g in e.hom(z, y):
-                pg = p.mor(g)
-                if any(b.compose2(pg, h) == pf and lifts[(h, g)] != 1 for h in b.hom(px, pz)):
-                    return False
+            over: dict[str, int] = {}  # P(f)∘h -> the number of h: P(z) -> P(x) with that composite
+            for h in b_homs.get((ob[z], px), ()):
+                pfh = b_after[(pf, h)]
+                over[pfh] = over.get(pfh, 0) + 1
+            if sum(over.get(mor[g], 0) for g in e_homs.get((z, y), ())) != len(into_x):
+                return False
+        return True
+    for z in e.objects:
+        pz = ob[z]
+        lifts = Counter((p.mor(t), g) for g in e.hom(z, y) for t in e.hom(x, z) if e.compose2(g, t) == f)
+        for g in e.hom(z, y):
+            pg = p.mor(g)
+            if any(b.compose2(pg, h) == pf and lifts[(h, g)] != 1 for h in b.hom(px, pz)):
+                return False
     return True
 
 

@@ -1,9 +1,11 @@
 """Finite categories with explicit composition tables.
 
-Categories are validated exhaustively (identity, endpoint and
-associativity laws) and immutable afterwards; every downstream module
-builds on the similarity matrix ζ_A(i,j) = #A(i,j).  Hom-sets are indexed
-once per category, so `hom(x, y)` is a lookup.
+Categories are validated once and immutable afterwards: endpoint,
+composite and identity laws entry by entry, associativity on a generating
+set, with the full triple scan as the fallback that reports violations.
+Every downstream module builds on the similarity matrix
+ζ_A(i,j) = #A(i,j).  Hom-sets are indexed once per category, so
+`hom(x, y)` is a lookup.
 """
 
 from __future__ import annotations
@@ -124,14 +126,84 @@ EMPTY_CATEGORY = FinCategory((), (), {}, {})
 PT = FinCategory(("*",), (Morphism("id*", "*", "*"),), {"*": "id*"}, {("id*", "id*"): "id*"})
 
 
+def _associative_on_generators(
+    morphs: Sequence[Morphism],
+    identity: Mapping[str, str],
+    into: Mapping[str, list[Morphism]],
+    out: Mapping[str, list[Morphism]],
+    after: Mapping[str, Mapping[str, str]],
+) -> bool:
+    """Light's associativity test, for a table whose identity laws hold.
+
+    Generators are chosen greedily in name order: a morphism not yet reached
+    from the identities by composing generators on the left becomes one.
+    If (y∘a)∘x = y∘(a∘x) for each generator a and all composable x and y,
+    then composition is associative, by induction on a word in the
+    generators for the middle factor.
+    """
+    dst = {m.name: m.dst for m in morphs}
+    ends_at = {x: [identity[x]] for x in into}  # reached morphisms by target, from the identities
+    reached = {identity[x] for x in into}
+    leaving: dict[str, list[str]] = {x: [] for x in into}  # generators by source
+    generators = []
+    for m in sorted(morphs, key=lambda m: m.name):
+        if m.name in reached:
+            continue
+        generators.append(m)
+        leaving[m.src].append(m.name)
+        # The reached set was closed under the older generators, so only m∘w can be new.
+        pending = [after[m.name][w] for w in ends_at[m.src]]
+        while pending:
+            w = pending.pop()
+            if w not in reached:
+                reached.add(w)
+                ends_at[dst[w]].append(w)
+                pending += [after[a][w] for a in leaving[dst[w]]]
+    for a in generators:
+        xs = [x.name for x in into[a.src]]
+        axs = list(map(after[a.name].__getitem__, xs))
+        for y in out[a.dst]:
+            y_after = after[y.name]
+            if list(map(after[y_after[a.name]].__getitem__, xs)) != list(map(y_after.__getitem__, axs)):
+                return False
+    return True
+
+
+def _triple_scan(
+    morphs: Sequence[Morphism],
+    into: Mapping[str, list[Morphism]],
+    after: Mapping[str, Mapping[str, str]],
+    violations: list[Violation],
+) -> None:
+    """Append a violation for every composable triple that breaks associativity, in morphism order."""
+    for h in morphs:
+        h_after = after[h.name]
+        for g in into[h.src]:
+            g_after, hg_after = after[g.name], after[h_after[g.name]]
+            for f in into[g.src]:
+                if hg_after[f.name] != h_after[g_after[f.name]]:
+                    violations.append(
+                        Violation(
+                            "AssociativityViolation",
+                            f"({h.name}∘{g.name})∘{f.name} != {h.name}∘({g.name}∘{f.name})",
+                            (h.name, g.name, f.name),
+                        )
+                    )
+
+
 def validate_category(
     objects: Sequence[str],
     morphisms: Sequence[tuple[str, str, str] | Morphism],
     identity: Mapping[str, str],
     compose: Mapping[tuple[str, str], str],
 ) -> FinCategory:
-    """Check every category law exhaustively; raise InvalidCategory with all failures.
+    """Check every category law; raise InvalidCategory with all failures.
 
+    Endpoints, composites and identity laws are checked entry by entry.
+    When they all hold, associativity is checked on a generating set only
+    (Light's test, `_associative_on_generators`); if that fails, or an
+    identity law failed, every composable triple is scanned, so the
+    violations and their order are those of the exhaustive check.
     Objects and morphisms are stored sorted by label so that all derived
     artifacts (matrices, serializations) are canonical.
     """
@@ -176,15 +248,18 @@ def validate_category(
         raise InvalidCategory(violations)
 
     into: dict[str, list[Morphism]] = {x: [] for x in objects}
+    out: dict[str, list[Morphism]] = {x: [] for x in objects}
     for m in morphs:
         into[m.dst].append(m)
-    for g in morphs:
-        for f in into[g.src]:
-            if (g.name, f.name) not in compose:
-                violations.append(
-                    Violation("MissingComposite", f"compose({g.name}, {f.name}) undefined", (g.name, f.name))
-                )
-    if violations:
+        out[m.src].append(m)
+    # Every key is a distinct composable pair, so equal counts mean no composite is missing.
+    if len(compose) != sum(len(into[g.src]) for g in morphs):
+        for g in morphs:
+            for f in into[g.src]:
+                if (g.name, f.name) not in compose:
+                    violations.append(
+                        Violation("MissingComposite", f"compose({g.name}, {f.name}) undefined", (g.name, f.name))
+                    )
         raise InvalidCategory(violations)
 
     for m in morphs:
@@ -193,19 +268,8 @@ def validate_category(
     after: dict[str, dict[str, str]] = {m.name: {} for m in morphs}  # after[g][f] = g∘f
     for (g, f), h in compose.items():
         after[g][f] = h
-    for h in morphs:
-        h_after = after[h.name]
-        for g in into[h.src]:
-            g_after, hg_after = after[g.name], after[h_after[g.name]]
-            for f in into[g.src]:
-                if hg_after[f.name] != h_after[g_after[f.name]]:
-                    violations.append(
-                        Violation(
-                            "AssociativityViolation",
-                            f"({h.name}∘{g.name})∘{f.name} != {h.name}∘({g.name}∘{f.name})",
-                            (h.name, g.name, f.name),
-                        )
-                    )
+    if violations or not _associative_on_generators(morphs, identity, into, out, after):
+        _triple_scan(morphs, into, after, violations)
     if violations:
         raise InvalidCategory(violations)
 
