@@ -3,10 +3,11 @@
 `FinCategory.hom` must return what a scan of every morphism returns, in the
 same order.  `validate_category` must accept what the exhaustive law loops
 accept, and report the same violations in the same order on seeded mutants
-of composition tables.  `is_cartesian_morphism`, in both conventions, and
-`classify_fibration` and `choose_cleavage` must agree with the
-lift-by-lift search on seeded functors that include non-cartesian
-morphisms.
+of composition tables; its full triple scan runs only when the generator
+check fails or an identity law does.  `is_cartesian_morphism`, in both
+conventions, and `classify_fibration` and `choose_cleavage` must agree with
+the lift-by-lift search on seeded functors that include non-cartesian
+morphisms and groupoid projections, whose isomorphisms skip the count.
 """
 
 import random
@@ -14,7 +15,7 @@ import random
 import pytest
 
 import category_oracle as oracle
-from bicat_euler import fib1
+from bicat_euler import fib1, fincat
 from bicat_euler import fixtures as fx
 from bicat_euler import generators as gen
 from bicat_euler.fib1 import NotFibered, choose_cleavage, classify_fibration, is_cartesian_morphism, reverse_functor
@@ -62,11 +63,29 @@ CHAIN_INTO_FORK = validate_functor(
     {x: x for x in FORK.objects},
     {m.name: m.name for m in FORK.morphisms if m.name != "t2"},
 )
+# FORK with a second g2: z -> y over a that nothing composes to.  Over z there are two pairs (id0, g) and
+# (id0, g2), as many as the lifts t1, t2, but both lifts hit (id0, g): counting alone would take f as cartesian.
+FORK_G2 = validate_category(
+    FORK.objects,
+    FORK.morphisms + (("g2", "z", "y"),),
+    FORK.identity,
+    {**FORK.compose, ("g2", "idz"): "g2", ("idy", "g2"): "g2"},
+)
+FORK_G2_TO_ARROW = validate_functor(
+    FORK_G2, fx.ARROW, FORK_TO_ARROW.object_map, {**FORK_TO_ARROW.morphism_map, "g2": "a"}
+)
 SMALL = {
     "PT": fx.PT, "D2": fx.D2, "ARROW": fx.ARROW, "PAIR": fx.PAIR, "SPAN": fx.SPAN, "BZ2": fx.BZ2,
     "EZ2": fx.EZ2, "Z3": _group(3), "V4": fx.group_category("*", *fx.klein_group()),
     "E3": fx.indiscrete_category(["a", "b", "c"]), "FORK": FORK,
 }
+E2 = fx.indiscrete_category(["a", "b"])
+# Groupoids shaped like the big-category benchmark inputs: every morphism is an isomorphism, and greedy
+# generator choice picks several generators per product.
+GROUPOID_PRODUCTS = [
+    product_cat(_group(3), E2), product_cat(E2, _group(4)), product_cat(SMALL["E3"], fx.BZ2),
+    product_cat(E2, SMALL["E3"]),
+]
 
 
 def _categories() -> list[FinCategory]:
@@ -132,7 +151,7 @@ def test_validator_matches_exhaustive_loops_on_mutants():
     rng = random.Random(4)
     cats = list(SMALL.values()) + [_group(4), product_cat(fx.ARROW, fx.BZ2), product_cat(fx.EZ2, _group(3))]
     cats += [product_cat(SMALL["E3"], fx.BZ2), product_cat(SMALL["V4"], fx.ARROW)]
-    cats += [gen.gen_category_with_chi(seed, 3) for seed in range(3)]
+    cats += [gen.gen_category_with_chi(seed, 3) for seed in range(3)] + GROUPOID_PRODUCTS
     codes = set()
     for i in range(1000):
         data = _mutant(rng, cats[i % len(cats)])
@@ -141,6 +160,37 @@ def test_validator_matches_exhaustive_loops_on_mutants():
         if got[0] == "invalid":
             codes.update(v.code for v in got[1])
     assert codes >= {"DanglingEndpoint", "MissingComposite", "IdentityLawViolation", "AssociativityViolation"}
+
+
+def _associativity_mutant(cat: FinCategory):
+    """Raw data of cat with g∘f redirected within its hom-set for the first non-identity pair that breaks only
+    associativity."""
+    data = (list(cat.objects), list(cat.morphisms), dict(cat.identity), dict(cat.compose))
+    for (g, f), h in cat.compose.items():
+        if cat.is_identity(g) or cat.is_identity(f):
+            continue
+        for other in cat.hom(cat.src(f), cat.dst(g)):
+            compose = {**cat.compose, (g, f): other}
+            if other != h and _outcome(oracle.validate_category, data[:3] + (compose,))[0] == "invalid":
+                return data[:3] + (compose,)
+    raise AssertionError("no associativity mutant")
+
+
+def test_triple_scan_runs_only_when_associativity_fails(monkeypatch):
+    scans = []
+    scan = fincat._triple_scan
+    monkeypatch.setattr(fincat, "_triple_scan", lambda *args: scans.append(1) or scan(*args))
+    for cat in list(SMALL.values()) + GROUPOID_PRODUCTS + [product_cat(fx.ARROW, fx.BZ2)]:
+        data = (cat.objects, cat.morphisms, cat.identity, cat.compose)
+        assert _outcome(validate_category, data) == _outcome(oracle.validate_category, data)
+    assert scans == []
+    for cat in [_group(4), product_cat(fx.ARROW, fx.BZ2)] + GROUPOID_PRODUCTS[:3]:  # E2 × E3 has no room
+        data = _associativity_mutant(cat)
+        got = _outcome(validate_category, data)
+        assert scans == [1]
+        assert got == _outcome(oracle.validate_category, data)
+        assert {v.code for v in got[1]} == {"AssociativityViolation"}
+        scans.clear()
 
 
 def _projection(a: FinCategory, b: FinCategory, first: bool):
@@ -159,10 +209,11 @@ def _collapse(cat: FinCategory):
 
 
 def _functors():
-    functors = [fx.EZ2_TO_BZ2, fx.D2_TO_PT, FORK_TO_ARROW, CHAIN_INTO_FORK]
+    functors = [fx.EZ2_TO_BZ2, fx.D2_TO_PT, FORK_TO_ARROW, CHAIN_INTO_FORK, FORK_G2_TO_ARROW]
     functors += [_projection(fx.ARROW, fx.BZ2, True), _projection(fx.ARROW, fx.BZ2, False)]
     functors += [_projection(fx.SPAN, fx.EZ2, True), _projection(_group(3), fx.PAIR, False)]
     functors += [_projection(SMALL["E3"], _group(4), True), _projection(SMALL["V4"], fx.SPAN, False)]
+    functors += [_projection(_group(3), E2, True), _projection(E2, fx.BZ2, False)]  # every morphism invertible
     functors += [_collapse(cat) for cat in SMALL.values()]
     for seed in range(3):
         functors += [
@@ -182,14 +233,16 @@ def functors():
 
 
 def test_cartesian_test_matches_lift_search(functors):
-    verdicts = []
+    verdicts = set()
     for p in functors:
         for m in p.source.morphisms:
+            invertible = p.source.inverse_of(m.name) is not None
             for convention in CONVENTIONS:
                 got = is_cartesian_morphism(p, m.name, convention)
                 assert got == oracle.is_cartesian_morphism(p, m.name, convention), (m.name, convention)
-                verdicts.append(got)
-    assert True in verdicts and False in verdicts
+                verdicts.add((convention, invertible, got))
+    # standard: isomorphisms take the early return, the rest are counted, and both verdicts occur
+    assert {("standard", True, True), ("standard", False, True), ("standard", False, False)} <= verdicts
 
 
 def test_classify_fibration_matches_oracle(functors):
