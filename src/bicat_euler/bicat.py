@@ -26,7 +26,7 @@ from .fincat import (
     validate_functor,
     zigzag_components,
 )
-from .fincat import is_acyclic as cat_is_acyclic
+from .fincat import acyclic_witness as cat_acyclic_witness
 
 
 class HomWithoutEuler(InvalidInput):
@@ -275,15 +275,30 @@ def _hom_equivalent_to_point(hom: FinCategory) -> bool:
     return check_equivalence_functor(to_point)
 
 
-def is_acyclic_bicat(b: Bicategory) -> bool:
+def acyclic_bicat_witness(b: Bicategory) -> dict[str, tuple[str, ...]]:
+    """{} for an acyclic bicategory, else the first failure, in object order.
+
+    A hom category that is not acyclic gives its `fincat.acyclic_witness`
+    after (x, y); 1-cells f: x -> y and g: y -> x with x != y give
+    "opposed_1cells": (x, y, f, g); an endo-hom not equivalent to the point
+    gives "endo_hom_not_point": (x,).
+    """
     g = b.graph
     for x in g.objects:
         for y in g.objects:
-            if not cat_is_acyclic(g.hom_at(x, y)):
-                return False
+            witness = cat_acyclic_witness(g.hom_at(x, y))
+            if witness:
+                return {key: (x, y, *cells) for key, cells in witness.items()}
             if x != y and g.onecells(x, y) and g.onecells(y, x):
-                return False
-    return all(_hom_equivalent_to_point(g.hom_at(x, x)) for x in g.objects)
+                return {"opposed_1cells": (x, y, g.onecells(x, y)[0], g.onecells(y, x)[0])}
+    for x in g.objects:
+        if not _hom_equivalent_to_point(g.hom_at(x, x)):
+            return {"endo_hom_not_point": (x,)}
+    return {}
+
+
+def is_acyclic_bicat(b: Bicategory) -> bool:
+    return not acyclic_bicat_witness(b)
 
 
 def _toposort(g: CatGraph) -> list[str]:
@@ -493,20 +508,29 @@ def identity_lax_functor(b: Bicategory) -> LaxFunctorBicat:
     return LaxFunctorBicat(b, b, {x: x for x in b.objects}, hom_functors)
 
 
-def check_biequivalence(l: LaxFunctorBicat) -> bool:
-    """Local equivalence on every hom plus biessential surjectivity."""
+def biequivalence_witness(l: LaxFunctorBicat) -> dict[str, tuple[str, ...]]:
+    """{} for a biequivalence, else the first hom functor that is no equivalence or target object not reached.
+
+    "non_equivalence_hom": (x, y) names the source hom whose functor fails
+    local equivalence; "unreached_object": (b,) a target object equivalent
+    to no image of a source object.
+    """
     for x in l.source.objects:
         for y in l.source.objects:
             if not check_equivalence_functor(l.hom_functors[(x, y)]):
-                return False
+                return {"non_equivalence_hom": (x, y)}
     l.target.require_composition()
     classes = equivalence_classes(l.target)
-    images = [l.ob(a) for a in l.source.objects]
+    images = {l.ob(a) for a in l.source.objects}
     for b in l.target.objects:
-        cls = classes.class_of(b)
-        if not any(a in cls for a in images):
-            return False
-    return True
+        if images.isdisjoint(classes.class_of(b)):
+            return {"unreached_object": (b,)}
+    return {}
+
+
+def check_biequivalence(l: LaxFunctorBicat) -> bool:
+    """Local equivalence on every hom plus biessential surjectivity."""
+    return not biequivalence_witness(l)
 
 
 class BiequivalenceReport(Record):

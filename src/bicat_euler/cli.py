@@ -109,11 +109,12 @@ def cmd_check(args) -> int:
     witnesses = {}
     if args.predicate == "acyclic":
         if doc.kind == "category":
-            ok = fincat.is_acyclic(doc.value)
+            witnesses = fincat.acyclic_witness(doc.value)
         elif doc.kind == "bicategory":
-            ok = bicat_euler.bicat.is_acyclic_bicat(doc.value)
+            witnesses = bicat_euler.bicat.acyclic_bicat_witness(doc.value)
         else:
             raise InputError("acyclic expects a category or bicategory document")
+        ok = not witnesses
     elif args.predicate in ("fibered", "fib-groupoids"):
         if doc.kind != "functor":
             raise InputError(f"{args.predicate} expects a functor document")
@@ -128,7 +129,8 @@ def cmd_check(args) -> int:
     elif args.predicate == "biequivalence":
         if doc.kind != "laxfunctor":
             raise InputError("biequivalence expects a laxfunctor document")
-        ok = bicat_euler.bicat.check_biequivalence(doc.value)
+        witnesses = bicat_euler.bicat.biequivalence_witness(doc.value)
+        ok = not witnesses
     elif args.predicate == "fib-pseudogroupoids":
         if doc.kind != "laxfunctor":
             raise InputError("fib-pseudogroupoids expects a laxfunctor document")

@@ -290,28 +290,50 @@ def euler_char_cat(a: FinCategory) -> MatrixEuler:
     return matrix_euler(similarity_matrix(a))
 
 
+def acyclic_witness(a: FinCategory) -> dict[str, tuple[str, ...]]:
+    """{} for an acyclic category, else the first non-identity endomorphism or a directed circuit.
+
+    A circuit runs through distinct objects and is given by its morphisms
+    (m1, …, mk), mk∘…∘m1 an endomorphism; each step is the first morphism in
+    name order between its endpoints, and the search is depth-first from the
+    objects in order.
+    """
+    for x in a.objects:
+        for m in a.hom(x, x):
+            if m != a.identity[x]:
+                return {"non_identity_endomorphism": (m,)}
+    step: dict[str, dict[str, str]] = {x: {} for x in a.objects}  # step[x][y]: the first morphism x -> y, x != y
+    for m in a.morphisms:
+        if m.src != m.dst:
+            step[m.src].setdefault(m.dst, m.name)
+    path: list[str] = []
+    done: set[str] = set()
+
+    def circuit_from(x: str) -> Optional[tuple[str, ...]]:
+        path.append(x)
+        for y in step[x]:
+            if y in path:
+                loop = path[path.index(y):] + [y]
+                return tuple(step[u][v] for u, v in zip(loop, loop[1:]))
+            if y not in done:
+                found = circuit_from(y)
+                if found:
+                    return found
+        path.pop()
+        done.add(x)
+        return None
+
+    for x in a.objects:
+        if x not in done:
+            found = circuit_from(x)
+            if found:
+                return {"circuit": found}
+    return {}
+
+
 def is_acyclic(a: FinCategory) -> bool:
     """No non-identity endomorphisms and no directed circuit through distinct objects."""
-    for x in a.objects:
-        if any(m != a.identity[x] for m in a.hom(x, x)):
-            return False
-    edges = {x: set() for x in a.objects}
-    for m in a.morphisms:
-        if not a.is_identity(m.name):
-            edges[m.src].add(m.dst)
-    state: dict[str, int] = {}
-
-    def has_cycle(x: str) -> bool:
-        state[x] = 1
-        for y in edges[x]:
-            if state.get(y, 0) == 1:
-                return True
-            if state.get(y, 0) == 0 and has_cycle(y):
-                return True
-        state[x] = 2
-        return False
-
-    return not any(state.get(x, 0) == 0 and has_cycle(x) for x in a.objects)
+    return not acyclic_witness(a)
 
 
 class ChainComplexCount(Record):

@@ -10,6 +10,8 @@ from bicat_euler.bicat import (
     NotAcyclic,
     NotBiequivalence,
     NotPseudogroupoid,
+    acyclic_bicat_witness,
+    biequivalence_witness,
     check_biequivalence,
     coop_lax_functor,
     coproduct_cg,
@@ -92,6 +94,15 @@ def test_is_acyclic_bicat():
     assert is_acyclic_bicat(fx.ACYCLIC2)
     assert not is_acyclic_bicat(fx.EZ2_BICAT)  # two-way 1-cells
     assert not is_acyclic_bicat(fx.BZ2_TWOGROUP)  # endo-hom not equivalent to the point
+
+
+def test_acyclic_bicat_witness():
+    assert acyclic_bicat_witness(fx.ACYCLIC2) == {}
+    assert acyclic_bicat_witness(fx.EZ2_BICAT) == {"opposed_1cells": ("0", "1", "m01", "m10")}
+    assert acyclic_bicat_witness(fx.BZ2_TWOGROUP) == {"non_identity_endomorphism": ("*", "*", "g1")}
+    assert acyclic_bicat_witness(fx.PSG) == {"non_identity_endomorphism": ("p", "p", "g1")}
+    z2 = fx.discrete_suspension(*fx.cyclic_group(2))  # acyclic homs, but two 1-cells * -> *
+    assert acyclic_bicat_witness(z2) == {"endo_hom_not_point": ("*",)}
 
 
 def test_euler_acyclic_bicat():
@@ -227,6 +238,12 @@ def test_check_biequivalence_negative():
         )},
     )
     assert not check_biequivalence(inclusion)
+    assert biequivalence_witness(inclusion) == {"unreached_object": ("1",)}
+
+
+def test_biequivalence_witness():
+    assert biequivalence_witness(identity_lax_functor(fx.PSG)) == {}
+    assert biequivalence_witness(fx.collapse_to_point(fx.PSG)) == {"non_equivalence_hom": ("p", "p")}
 
 
 def test_biequivalence_invariance_point_into_ez2():

@@ -132,6 +132,17 @@ def test_check_pseudogroupoid_fails_with_witness(capsys, fixture_dir):
     assert code == 1 and "non_invertible_2cell" in out and "a2" in out
 
 
+@pytest.mark.parametrize("name,predicate,witness", [
+    ("bz2", "acyclic", '{"non_identity_endomorphism": ["g"]}'),
+    ("ez2", "acyclic", '{"circuit": ["m01", "m10"]}'),
+    ("ez2-bicat", "acyclic", '{"opposed_1cells": ["0", "1", "m01", "m10"]}'),
+    ("psg-collapse", "biequivalence", '{"non_equivalence_hom": ["p", "p"]}'),
+])
+def test_failed_check_names_a_witness(capsys, fixture_dir, name, predicate, witness):
+    code, out, _ = run(capsys, "check", str(fixture_dir / f"{name}.catj"), predicate)
+    assert code == 1 and out.strip() == f"fail {witness}"
+
+
 def test_check_biequivalence_fixture(capsys, fixture_dir):
     code, out, _ = run(capsys, "check", str(fixture_dir / "psg-collapse.catj"), "fib-pseudogroupoids")
     assert code == 0 and out.strip() == "pass"

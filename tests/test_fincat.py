@@ -12,6 +12,7 @@ from bicat_euler.fincat import (
     check_equivalence_functor,
     coproduct_cat,
     euler_char_cat,
+    acyclic_witness,
     is_acyclic,
     nerve_euler,
     product_cat,
@@ -114,6 +115,22 @@ def test_is_acyclic():
     assert is_acyclic(fx.SPAN)
     assert not is_acyclic(fx.BZ2)
     assert not is_acyclic(fx.EZ2)
+
+
+def _is_circuit(a, morphisms):
+    """Composable non-identity morphisms through distinct objects, ending where they start."""
+    ms = [a.morphism(m) for m in morphisms]
+    chain = all(f.dst == g.src for f, g in zip(ms, ms[1:])) and ms[-1].dst == ms[0].src
+    return chain and len({m.src for m in ms}) == len(ms) > 1
+
+
+def test_acyclic_witness():
+    assert acyclic_witness(fx.SPAN) == {} and acyclic_witness(gen_acyclic_category(3, 6)) == {}
+    assert acyclic_witness(fx.BZ2) == {"non_identity_endomorphism": ("g",)}
+    assert acyclic_witness(fx.EZ2) == {"circuit": ("m01", "m10")}
+    for a in (fx.EZ2, fx.indiscrete_category(["a", "b", "c"]), fx.indiscrete_category(["c", "b", "a"]).opposite()):
+        (key, cells), = acyclic_witness(a).items()
+        assert key == "circuit" and _is_circuit(a, cells)
 
 
 def test_nerve_counts():
