@@ -469,7 +469,7 @@ def validate_lax_functor(
                 raise MissingCompositionData(f"missing hom functor at ({x},{y})")
             if fun.source != source.hom_at(x, y) or fun.target != target.hom_at(object_map[x], object_map[y]):
                 raise MissingCompositionData(f"hom functor at ({x},{y}) has wrong endpoints")
-    lax = LaxFunctorBicat(source, target, dict(object_map), dict(hom_functors), phi, psi)
+    lax = LaxFunctorBicat(source, target, {x: object_map[x] for x in source.objects}, dict(hom_functors), phi, psi)
     if psi is not None:
         target.require_composition()
         for x in source.objects:

@@ -22,7 +22,7 @@ and `_validated` runs the validator of every container, so each container,
 nested or not, reports its own law violations.
 
 Diagnostic codes:
-  E001 reference to an undeclared object/morphism/cell
+  E001 reference to an undeclared object/morphism/cell, or a map key naming no source label
   E002 duplicate label
   E003 missing or ill-typed field
   E004 unknown kind
@@ -505,6 +505,15 @@ def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
     return cat
 
 
+def _check_object_map(b: _Builder, node: JNode, object_map: dict, sources, targets):
+    """E001 at each key of `object_map` that is no source object, else at each image that is no target object."""
+    for x, img in object_map.items():
+        if x not in sources:
+            b.key_err(node, x, "E001", f"object_map key {x!r} is not a source object")
+        elif img not in targets:
+            b.err(node, "E001", f"object_map[{x!r}] references undeclared object {img!r}")
+
+
 def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: FinCategory) -> Optional[Functor]:
     reported = len(b.diags)
     fields = b.fields(node, "functor maps", "object_map", "morphism_map")
@@ -519,11 +528,11 @@ def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: 
     for m in source.morphisms:
         if m.name not in morphism_map:
             b.err(morphism_node, "E010", f"morphism_map is missing {m.name!r}")
-    for x, img in object_map.items():
-        if img not in target.objects:
-            b.err(object_node, "E001", f"object_map[{x!r}] references undeclared object {img!r}")
+    _check_object_map(b, object_node, object_map, source.objects, target.objects)
     for m, img in morphism_map.items():
-        if img not in target._by_name:
+        if m not in source._by_name:
+            b.key_err(morphism_node, m, "E001", f"morphism_map key {m!r} is not a source morphism")
+        elif img not in target._by_name:
             b.err(morphism_node, "E001", f"morphism_map[{m!r}] references undeclared morphism {img!r}")
     return _validated(b, node, reported, validate_functor, source, target, object_map, morphism_map)
 
@@ -590,17 +599,16 @@ def _build_bicategory(b: _Builder, node: JNode) -> Optional[Bicategory]:
 def _lax_functor_maps(b: _Builder, object_node: JNode, hf_node: JNode, source: Bicategory, target: Bicategory):
     """The object map and the hom functors, keyed (x, y), of a lax functor source -> target.
 
-    None when the object map misses a source object (E010) or sends one
-    outside `target` (E001); a missing hom functor gets E010.
+    None when the object map misses a source object (E010), has a key that
+    is no source object or sends one outside `target` (E001); a missing hom
+    functor gets E010.
     """
     reported = len(b.diags)
     object_map = b.string_map(object_node, "object_map")
     for x in source.objects:
         if x not in object_map:
             b.err(object_node, "E010", f"object_map is missing {x!r}")
-    for x, img in object_map.items():
-        if img not in target.objects:
-            b.err(object_node, "E001", f"object_map[{x!r}] references undeclared object {img!r}")
+    _check_object_map(b, object_node, object_map, source.objects, target.objects)
     if len(b.diags) != reported:
         return None
     hom_functors = {}

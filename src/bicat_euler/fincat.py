@@ -448,7 +448,13 @@ def validate_functor(
             )
     if violations:
         raise InvalidFunctor(violations)
-    return Functor(source, target, dict(object_map), dict(morphism_map))
+    # Keys that name no source label are no part of the functor.
+    return Functor(
+        source,
+        target,
+        {x: object_map[x] for x in source.objects},
+        {m.name: morphism_map[m.name] for m in source.morphisms},
+    )
 
 
 class NatTransformation(Record):

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from bicat_euler import fixtures as fx
+from bicat_euler.bicat import validate_lax_functor
 from bicat_euler.catdsl import parse, serialize
+from bicat_euler.fincat import validate_functor
 
 ROUND_TRIP_VALUES = [
     "PT", "D2", "ARROW", "PAIR", "SPAN", "BZ2", "EZ2",
@@ -79,6 +81,9 @@ NEGATIVE_CODES = {
     "unknown-comp-iso-key.catj": "IncoherentData",
     "incoherent-laxcat.catj": "IncoherentData",
     "illtyped-trihom.catj": "IllTypedComponent",
+    "stray-object-key.catj": "E001",
+    "stray-morphism-key.catj": "E001",
+    "stray-laxfunctor-object-key.catj": "E001",
 }
 
 
@@ -88,6 +93,29 @@ def test_negative_corpus_triggers_each_code(name, negative_dir):
     result = parse(text)
     assert result.document is None
     assert NEGATIVE_CODES[name] in {d.code for d in result.diagnostics}
+
+
+@pytest.mark.parametrize("name,message,line,col", [
+    ("stray-object-key.catj", "object_map key 'zz' is not a source object", 15, 38),
+    ("stray-morphism-key.catj", "morphism_map key 'zz' is not a source morphism", 16, 48),
+    ("stray-laxfunctor-object-key.catj", "object_map key 'zz' is not a source object", 19, 28),
+])
+def test_a_stray_map_key_is_one_diagnostic_at_the_key(negative_dir, name, message, line, col):
+    text = (negative_dir / name).read_text(encoding="utf-8")
+    result = parse(text)
+    assert [(d.code, d.message, d.line, d.col) for d in result.diagnostics] == [("E001", message, line, col)]
+    assert parse(text.replace(', "zz": "*"', "").replace(', "zz": "id*"', "")).ok
+
+
+def test_serialize_writes_no_stray_map_key():
+    functor = validate_functor(
+        fx.EZ2, fx.BZ2, {**fx.EZ2_TO_BZ2.object_map, "zz": "*"}, {**fx.EZ2_TO_BZ2.morphism_map, "zz": "g"}
+    )
+    assert serialize(functor) == serialize(fx.EZ2_TO_BZ2)
+    collapse = fx.collapse_to_point(fx.PSG)
+    lax = validate_lax_functor(collapse.source, collapse.target, {**collapse.object_map, "zz": "*"},
+                               collapse.hom_functors)
+    assert serialize(lax) == serialize(collapse)
 
 
 def test_every_diagnostic_carries_a_span(negative_dir):
