@@ -8,7 +8,9 @@ decided by exhaustive search in the finite hom categories.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
+if TYPE_CHECKING:
+    from typing import Mapping, Optional, Sequence
 
 from .exactq import MatrixEuler, QMatrix, QVector, Record, entry_sum, invert, matrix_euler
 from .fincat import (

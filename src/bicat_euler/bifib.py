@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
+if TYPE_CHECKING:
+    from typing import Callable, Mapping, Union
 
 from .bicat import (
     Bicategory,

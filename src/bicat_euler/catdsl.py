@@ -42,13 +42,15 @@ from __future__ import annotations
 
 import json
 import re
-from typing import TYPE_CHECKING, Mapping, Optional
 
 from .exactq import Record
 from .fincat import FinCategory, Functor, InvalidCategory, InvalidInput, validate_category, validate_functor
 
 # Builders and `serialize` import other kind modules when run: a category loads none.
+TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
+    from typing import Mapping, Optional
+
     from .bicat import Bicategory, CatGraph, LaxFunctorBicat
     from .bifib import Trihomomorphism
     from .fib1 import LaxFunctorToCat

@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from pathlib import Path
 
 import bicat_euler
 
@@ -35,7 +34,8 @@ class InputError(fincat.InvalidInput):
 def _load(path: str) -> tuple[Document, str]:
     """The parsed document and the sha256 of the file's bytes, as read."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            data = handle.read()
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}")
@@ -244,7 +244,8 @@ def cmd_gen(args) -> int:
         return EXIT_INTERNAL
     text = serialize(value)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
         if not args.json:
             print(args.out)
     else:

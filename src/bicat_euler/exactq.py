@@ -19,7 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import Optional, Sequence
+TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
+if TYPE_CHECKING:
+    from typing import Optional, Sequence
 
 
 _ZERO = Fraction(0)

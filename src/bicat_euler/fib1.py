@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
+if TYPE_CHECKING:
+    from typing import Callable, Mapping, Optional, Sequence
 
 from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
 from .fincat import (

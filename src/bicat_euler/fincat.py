@@ -11,7 +11,9 @@ Every downstream module builds on the similarity matrix
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
+if TYPE_CHECKING:
+    from typing import Mapping, Optional, Sequence
 
 from .exactq import MatrixEuler, QMatrix, Record, matrix_euler
 

@@ -8,7 +8,9 @@ derivable by hand from the similarity matrices.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
+if TYPE_CHECKING:
+    from typing import Callable, Mapping, Sequence
 
 from .bicat import (
     Bicategory,

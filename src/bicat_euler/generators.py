@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
+if TYPE_CHECKING:
+    from typing import Sequence
 
 from .bicat import (
     Bicategory,

@@ -305,6 +305,17 @@ def test_cli_import_loads_no_kind_module(fixture_dir):
     assert not _unneeded_stdlib_after(fixture_dir, "import bicat_euler.cli")
 
 
+def test_package_imports_no_pathlib_or_typing(fixture_dir, tmp_path):
+    # Run without `site`, which may load both through a .pth file: the package itself needs neither.
+    gen = f"['gen', 'trihom-psgrpd', '--out', {str(tmp_path / 'trihom.catj')!r}]"
+    for code in ["import bicat_euler.cli",
+                 "from bicat_euler.cli import main; main(['verify', 'product-bicat', 'fixtures/gr-psg-over-arrow.catj'])",
+                 f"from bicat_euler.cli import main; main({gen})"]:
+        proc = _python(fixture_dir, "-S", "-c", code + "\nimport sys; print(' '.join(sys.modules))", text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert not {"pathlib", "typing"} & set(proc.stdout.split()), code
+
+
 def test_each_command_loads_only_the_modules_it_runs(fixture_dir, tmp_path):
     chi = _loaded_after(fixture_dir, "from bicat_euler.cli import main; main(['chi', 'fixtures/bz2.catj'])")
     assert not chi & {"bicat_euler.bicat", "bicat_euler.fib1"}
