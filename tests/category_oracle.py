@@ -3,10 +3,12 @@
 These are the loops the library used before it indexed hom-sets and
 in-arrows and before it counted cartesian lifts in one pass: `hom` scans
 every morphism, `validate_category` tries every pair and triple of
-morphisms, `is_cartesian_morphism` lists the lifts of every (g, h)
-separately, and `choose_cleavage` scans every morphism for the lifts of each
-(base morphism, object).  They stay here, test-only, as the slow paths the indexed code
-must agree with.
+morphisms, so its triple scan is the oracle of the library's associativity
+check on a generating set (Light's test), `is_cartesian_morphism` lists the
+lifts of every (g, h) separately, also for an isomorphism, and
+`choose_cleavage` scans every morphism for the lifts of each (base
+morphism, object).  They stay here, test-only, as the slow paths the
+indexed code must agree with.
 """
 
 from typing import Mapping, Sequence
