@@ -293,43 +293,20 @@ def euler_char_cat(a: FinCategory) -> MatrixEuler:
 
 
 def acyclic_witness(a: FinCategory) -> dict[str, tuple[str, ...]]:
-    """{} for an acyclic category, else the first non-identity endomorphism or a directed circuit.
+    """{} for an acyclic category, else the first non-identity endomorphism or directed circuit.
 
-    A circuit runs through distinct objects and is given by its morphisms
-    (m1, …, mk), mk∘…∘m1 an endomorphism; each step is the first morphism in
-    name order between its endpoints, and the search is depth-first from the
-    objects in order.
+    A circuit through distinct objects composes to one through two, so the
+    circuit named is (m, n): m: x -> y the first such morphism in name order
+    with hom(y, x) nonempty, and n the first morphism y -> x.
     """
     for x in a.objects:
         for m in a.hom(x, x):
             if m != a.identity[x]:
                 return {"non_identity_endomorphism": (m,)}
-    step: dict[str, dict[str, str]] = {x: {} for x in a.objects}  # step[x][y]: the first morphism x -> y, x != y
     for m in a.morphisms:
-        if m.src != m.dst:
-            step[m.src].setdefault(m.dst, m.name)
-    path: list[str] = []
-    done: set[str] = set()
-
-    def circuit_from(x: str) -> Optional[tuple[str, ...]]:
-        path.append(x)
-        for y in step[x]:
-            if y in path:
-                loop = path[path.index(y):] + [y]
-                return tuple(step[u][v] for u, v in zip(loop, loop[1:]))
-            if y not in done:
-                found = circuit_from(y)
-                if found:
-                    return found
-        path.pop()
-        done.add(x)
-        return None
-
-    for x in a.objects:
-        if x not in done:
-            found = circuit_from(x)
-            if found:
-                return {"circuit": found}
+        back = a.hom(m.dst, m.src)
+        if m.src != m.dst and back:
+            return {"circuit": (m.name, back[0])}
     return {}
 
 
