@@ -71,16 +71,17 @@ def make_catgraph(objects: Sequence[str], hom: Mapping[tuple[str, str], FinCateg
 
 
 class Bicategory(Record):
-    """Cat-graph plus 1-cell composition data.
+    """Cat-graph plus its 1-cell composition.
 
-    compose1 is keyed ((x, y, z), g, f) with f: x -> y and g: y -> z;
-    hcompose2, associators and unitors are optional and only ever
-    frame-checked (no implemented computation reads them).
+    compose1 is keyed ((x, y, z), g, f) with f: x -> y and g: y -> z.
+    hcompose2 is optional; where both sides of a lax functor carry it,
+    `bifib` reads it for the strict cartesian check and the pullback of
+    2-cells.  Associators and unitors are optional and only frame-checked.
     """
 
     graph: CatGraph
-    identity1: Optional[Mapping[str, str]]
-    compose1: Optional[Mapping[tuple[tuple[str, str, str], str, str], str]]
+    identity1: Mapping[str, str]
+    compose1: Mapping[tuple[tuple[str, str, str], str, str], str]
     hcompose2: Optional[Mapping[tuple[tuple[str, str, str], str, str], str]] = None
     associator: Optional[Mapping] = None
     unitor_l: Optional[Mapping] = None
@@ -95,10 +96,6 @@ class Bicategory(Record):
 
     def onecells(self, x: str, y: str) -> tuple[str, ...]:
         return self.graph.onecells(x, y)
-
-    def require_composition(self):
-        if self.identity1 is None or self.compose1 is None:
-            raise MissingCompositionData("bicategory carries no compose1/identity1 data")
 
     def id1(self, x: str) -> str:
         return self.identity1[x]
@@ -339,13 +336,12 @@ def euler_acyclic_bicat(b: Bicategory) -> Fraction:
             assert reordered.entries[i][j] == 0, "zeta not triangular in topological order"
     inverse = invert(reordered)
     chi = entry_sum(inverse)
-    graph_chi = euler_char_cg(b.graph).chi
+    graph_chi = matrix_euler(zeta).chi
     assert chi == graph_chi, "triangular chi disagrees with the weighting computation"
     return chi
 
 
 def is_equivalence_1cell(b: Bicategory, x: str, y: str, f: str) -> bool:
-    b.require_composition()
     for g in b.onecells(y, x):
         gf = b.c1(x, y, x, g, f)
         fg = b.c1(y, x, y, f, g)
@@ -369,7 +365,6 @@ class EquivalenceClasses(Record):
 
 def equivalence_classes(b: Bicategory) -> EquivalenceClasses:
     """Partition objects by 1-equivalence (exhaustive quasi-inverse search)."""
-    b.require_composition()
     objs = b.objects
     related = {(x, y): False for x in objs for y in objs}
     for x in objs:
@@ -389,7 +384,6 @@ def equivalence_classes(b: Bicategory) -> EquivalenceClasses:
 
 def pseudogroupoid_witness(b: Bicategory) -> dict[str, tuple[str, str, str]]:
     """{} for a pseudogroupoid, else the first 2-cell that is no isomorphism or 1-cell that is no equivalence."""
-    b.require_composition()
     for x in b.objects:
         for y in b.objects:
             hom = b.hom_at(x, y)
@@ -473,17 +467,14 @@ def validate_lax_functor(
                 raise MissingCompositionData(f"hom functor at ({x},{y}) has wrong endpoints")
     lax = LaxFunctorBicat(source, target, {x: object_map[x] for x in source.objects}, dict(hom_functors), phi, psi)
     if psi is not None:
-        target.require_composition()
         for x in source.objects:
             cell = psi.get(x)
             hom = target.hom_at(object_map[x], object_map[x])
             if cell is None or cell not in hom._by_name or hom.src(cell) != target.id1(object_map[x]):
                 raise MissingCompositionData(f"psi at {x} has a bad frame")
-            if source.identity1 is not None and hom.dst(cell) != lax.cell1(x, x, source.id1(x)):
+            if hom.dst(cell) != lax.cell1(x, x, source.id1(x)):
                 raise MissingCompositionData(f"psi at {x} has a bad frame")
     if phi is not None:
-        source.require_composition()
-        target.require_composition()
         for ((x, y, z), g, f), cell in phi.items():
             if f not in source.onecells(x, y) or g not in source.onecells(y, z):
                 raise MissingCompositionData(f"phi at (({x},{y},{z}), {g}, {f}) names no composable source 1-cells")
@@ -521,7 +512,6 @@ def biequivalence_witness(l: LaxFunctorBicat) -> dict[str, tuple[str, ...]]:
         for y in l.source.objects:
             if not check_equivalence_functor(l.hom_functors[(x, y)]):
                 return {"non_equivalence_hom": (x, y)}
-    l.target.require_composition()
     classes = equivalence_classes(l.target)
     images = {l.ob(a) for a in l.source.objects}
     for b in l.target.objects:
@@ -547,13 +537,13 @@ def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
     """chi equality plus the transported-weighting identity from the invariance proof."""
     if not check_biequivalence(l):
         raise NotBiequivalence("lax functor is not a biequivalence")
-    source_euler = euler_char_cg(l.source.graph)
+    zeta = similarity_matrix_cg(l.source.graph)
+    source_euler = matrix_euler(zeta)
     target_euler = euler_char_cg(l.target.graph)
     if source_euler.chi is None:
         raise MissingEulerCharacteristic("source bicategory has no Euler characteristic")
     if target_euler.chi is None:
         raise MissingEulerCharacteristic("target bicategory has no Euler characteristic")
-    l.source.require_composition()
     source_classes = equivalence_classes(l.source)
     target_classes = equivalence_classes(l.target)
     lw = target_euler.weighting
@@ -563,7 +553,6 @@ def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
         total = sum((lw[b] for b in image_class), Fraction(0))
         entries.append(total / source_classes.size_of(a))
     transported = QVector(l.source.objects, tuple(entries))
-    zeta = similarity_matrix_cg(l.source.graph)
     valid = all(
         sum((zeta.at(a, b) * transported[b] for b in l.source.objects), Fraction(0)) == 1
         for a in l.source.objects
@@ -580,8 +569,6 @@ def restrict_catgraph(g: CatGraph, objects: Sequence[str]) -> CatGraph:
 
 def product_bicategory(a: Bicategory, b: Bicategory) -> Bicategory:
     """Componentwise product; strict data (compose1/hcompose2) stays strict."""
-    a.require_composition()
-    b.require_composition()
     identity1 = {
         pair_label(x, y): pair_label(a.id1(x), b.id1(y)) for x in a.objects for y in b.objects
     }
@@ -676,8 +663,8 @@ def disjoint_union_lax_functor(p: LaxFunctorBicat, q: LaxFunctorBicat) -> LaxFun
 
 def coop_lax_functor(p: LaxFunctorBicat) -> LaxFunctorBicat:
     """Formally reverse 1- and 2-cells on both sides of a lax functor."""
-    source = op1_bicategory(op2_bicategory(p.source))
-    target = op1_bicategory(op2_bicategory(p.target))
+    source = coop_bicategory(p.source)
+    target = coop_bicategory(p.target)
     hom_functors = {}
     for x in source.objects:
         for y in source.objects:
@@ -691,26 +678,12 @@ def coop_lax_functor(p: LaxFunctorBicat) -> LaxFunctorBicat:
     return LaxFunctorBicat(source, target, dict(p.object_map), hom_functors)
 
 
-def op1_bicategory(b: Bicategory) -> Bicategory:
-    """Reverse 1-cells: hom'(x,y) = hom(y,x); 2-cells untouched."""
-    graph = make_catgraph(b.objects, {(x, y): b.hom_at(y, x) for x in b.objects for y in b.objects})
-    compose1 = None
-    if b.compose1 is not None:
-        compose1 = {((x, y, z), g, f): b.compose1[((z, y, x), f, g)] for ((z, y, x), f, g) in b.compose1}
-    hcompose2 = None
-    if b.hcompose2 is not None:
-        hcompose2 = {((x, y, z), bb, aa): b.hcompose2[((z, y, x), aa, bb)] for ((z, y, x), aa, bb) in b.hcompose2}
-    return Bicategory(graph, dict(b.identity1) if b.identity1 is not None else None, compose1, hcompose2)
+def coop_bicategory(b: Bicategory) -> Bicategory:
+    """Reverse 1- and 2-cells: hom'(x,y) = hom(y,x)ᵒᵖ; associators and unitors are dropped."""
+    graph = make_catgraph(b.objects, {(x, y): b.hom_at(y, x).opposite() for x in b.objects for y in b.objects})
 
+    def swapped(table):
+        return {((x, y, z), g, f): h for ((z, y, x), f, g), h in table.items()}
 
-def op2_bicategory(b: Bicategory) -> Bicategory:
-    """Reverse 2-cells: every hom category is replaced by its opposite."""
-    graph = make_catgraph(
-        b.objects, {(x, y): b.hom_at(x, y).opposite() for x in b.objects for y in b.objects}
-    )
-    return Bicategory(
-        graph,
-        dict(b.identity1) if b.identity1 is not None else None,
-        dict(b.compose1) if b.compose1 is not None else None,
-        dict(b.hcompose2) if b.hcompose2 is not None else None,
-    )
+    hcompose2 = None if b.hcompose2 is None else swapped(b.hcompose2)
+    return Bicategory(graph, dict(b.identity1), swapped(b.compose1), hcompose2)

@@ -69,11 +69,9 @@ class Trihomomorphism(Record):
 
 
 def validate_trihomomorphism(t: Trihomomorphism) -> Trihomomorphism:
-    t.base.require_composition()
     for b in t.base.objects:
         if b not in t.fiber:
             raise IllTypedComponent(f"missing fiber over {b}")
-        t.fiber[b].require_composition()
     for b in t.base.objects:
         for c in t.base.objects:
             for f in t.base.onecells(b, c):
@@ -124,12 +122,6 @@ class GrothendieckCG(Record):
     objects: tuple[str, ...]
     object_pairs: Mapping[str, tuple[str, str]]
     homs: Mapping[tuple[str, str], GrHom]
-
-    def project_object(self, label: str) -> str:
-        return self.object_pairs[label][0]
-
-    def project_onecell(self, source: str, target: str, label: str) -> str:
-        return self.homs[(source, target)].onecell_pairs[label][0]
 
     def zeta(self) -> QMatrix:
         chi = {}
@@ -236,7 +228,8 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
     if base_euler.coweighting is None:
         raise MissingEulerCharacteristic("base bicategory has no coweighting")
     gr = grothendieck_cg(t)
-    gr_euler = gr.euler()
+    zeta = gr.zeta()
+    gr_euler = matrix_euler(zeta)
     if gr_euler.chi is None:
         raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")
     fiber_chi = {}
@@ -248,7 +241,6 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
         fiber_chi[b] = e.chi
         fiber_cw[b] = e.coweighting
     rhs = sum((base_euler.coweighting[b] * fiber_chi[b] for b in t.base.objects), Fraction(0))
-    zeta = gr.zeta()
     product_valid = True
     for o2 in gr.objects:
         total = Fraction(0)
@@ -331,8 +323,6 @@ class _Sweep:
 def is_strict_lax_functor(p: LaxFunctorBicat) -> bool:
     """1-cell strictness plus hcompose2 preservation where both sides carry it."""
     e, b = p.source, p.target
-    if e.identity1 is None or e.compose1 is None or b.identity1 is None or b.compose1 is None:
-        return False
     for x in e.objects:
         if p.cell1(x, x, e.id1(x)) != b.id1(p.ob(x)):
             return False
@@ -442,8 +432,6 @@ def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str, strict_eqs: bool):
 
 def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
     """Buckley cartesianness of the 1-cell f: x -> y, decided by finite search."""
-    p.source.require_composition()
-    p.target.require_composition()
     s = _Sweep(p)
     return _check_cartesian_1cell(s, x, y, f, s.strict_equations()) is None
 
@@ -482,15 +470,14 @@ def _pseudo_flags(
                 if not found:
                     one = False
                     witnesses.setdefault("no_1cell_lift", (f, e_obj))
-    cells = [(x, y, f) for x in e.objects for y in e.objects for f in e.onecells(x, y)]
-    results = [_check_cartesian_1cell(s, x, y, f, strict_eqs) for x, y, f in cells]
-    cart = True
-    for cell, res in zip(cells, results):
-        if res is not None:
-            cart = False
-            witnesses.setdefault("non_cartesian_1cell", (cell, res))
-            break
-    return local, one, cart, witnesses
+    for x in e.objects:
+        for y in e.objects:
+            for f in e.onecells(x, y):
+                res = _check_cartesian_1cell(s, x, y, f, strict_eqs)
+                if res is not None:
+                    witnesses["non_cartesian_1cell"] = ((x, y, f), res)
+                    return local, one, False, witnesses
+    return local, one, True, witnesses
 
 
 def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
@@ -499,8 +486,6 @@ def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
 
 def _classify(s: _Sweep) -> BiFibrationReport:
     p = s.p
-    p.source.require_composition()
-    p.target.require_composition()
     local, one, cart, witnesses = _pseudo_flags(
         s, lambda x, y: s.local(x, y).fibered_in_groupoids, s.strict_equations()
     )
@@ -532,8 +517,6 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
     fibration; anything else raises rather than fabricating coherence.
     """
     e, b = p.source, p.target
-    e.require_composition()
-    b.require_composition()
     if b_obj not in b.objects:
         raise ObjectNotInBase(b_obj)
     id1b = b.id1(b_obj)

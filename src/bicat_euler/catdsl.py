@@ -832,8 +832,8 @@ def _keyed_triple_body(table: Mapping, key_arity: int) -> dict:
 
 def _bicategory_body(b: Bicategory) -> dict:
     body = _catgraph_body(b.graph)
-    body["identity1"] = dict(b.identity1 or {})
-    body["compose1"] = _keyed_triple_body(b.compose1 or {}, 3)
+    body["identity1"] = dict(b.identity1)
+    body["compose1"] = _keyed_triple_body(b.compose1, 3)
     if b.hcompose2 is not None:
         body["hcompose2"] = _keyed_triple_body(b.hcompose2, 3)
     if b.associator is not None:

@@ -177,9 +177,6 @@ class QMatrix(Record):
         columns = tuple(zip(*self.entries)) if self.entries else ((),) * len(self.cols)
         return QMatrix(self.cols, self.rows, columns)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
 
 class MatrixEuler(Record):
     """Weighting/coweighting pair and their common sum, when both exist."""
@@ -187,9 +184,6 @@ class MatrixEuler(Record):
     weighting: Optional[QVector]
     coweighting: Optional[QVector]
     chi: Optional[Fraction]
-
-    def has_euler(self) -> bool:
-        return self.chi is not None
 
     def missing(self) -> tuple[str, ...]:
         out = []

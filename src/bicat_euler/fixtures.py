@@ -345,8 +345,6 @@ _CATALOG["BZ2_BASE_LAXCAT"] = lambda: validate_laxcat(
 
 def constant_trihomomorphism(base: Bicategory, fiber: Bicategory):
     """Constant fibers, identity pullbacks, identity 2-cell components."""
-    base.require_composition()
-    fiber.require_composition()
     pullback1 = {}
     pullback2 = {}
     for b in base.objects:

@@ -376,7 +376,6 @@ def gen_equivalence(seed: int, size: int) -> Functor:
 
 def inflate_bicategory(b: Bicategory, multiplicities: Sequence[int]) -> tuple[Bicategory, LaxFunctorBicat]:
     """Duplicate objects into 1-equivalence classes; inclusion is a biequivalence."""
-    b.require_composition()
     mult = {x: max(1, m) for x, m in zip(b.objects, multiplicities)}
 
     def olabel(x, i):

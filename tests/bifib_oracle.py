@@ -156,8 +156,6 @@ def check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str, strict_eqs
 
 
 def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
-    p.source.require_composition()
-    p.target.require_composition()
     return check_cartesian_1cell(p, x, y, f, _strict_equations_available(p)) is None
 
 
@@ -197,8 +195,6 @@ def _pseudo_flags(p: LaxFunctorBicat):
 
 
 def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
-    p.source.require_composition()
-    p.target.require_composition()
     local, one, cart, witnesses = _pseudo_flags(p)
     co_local, co_one, co_cart, co_wit = _pseudo_flags(coop_lax_functor(p))
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
@@ -207,8 +203,6 @@ def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
 
 def fiber_bicategory(p: LaxFunctorBicat, b_obj: str):
     e, b = p.source, p.target
-    e.require_composition()
-    b.require_composition()
     if b_obj not in b.objects:
         raise ObjectNotInBase(b_obj)
     id1b = b.id1(b_obj)

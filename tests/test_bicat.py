@@ -13,6 +13,7 @@ from bicat_euler.bicat import (
     acyclic_bicat_witness,
     biequivalence_witness,
     check_biequivalence,
+    coop_bicategory,
     coop_lax_functor,
     coproduct_cg,
     equivalence_classes,
@@ -21,8 +22,6 @@ from bicat_euler.bicat import (
     identity_lax_functor,
     is_acyclic_bicat,
     make_catgraph,
-    op1_bicategory,
-    op2_bicategory,
     product_cg,
     pseudogroupoid_check,
     pseudogroupoid_witness,
@@ -165,14 +164,6 @@ def test_equivalence_classes():
     )
     assert equivalence_classes(discrete2).classes == (("0",), ("1",))
     assert equivalence_classes(fx.ACYCLIC2).classes == (("0",), ("1",))
-
-
-def test_equivalence_classes_requires_composition():
-    from bicat_euler.bicat import Bicategory
-
-    bare = Bicategory(fx.PSG.graph, None, None)
-    with pytest.raises(MissingCompositionData):
-        equivalence_classes(bare)
 
 
 def test_pseudogroupoid_check():
@@ -381,12 +372,23 @@ def test_generated_biequivalences_verify():
         assert rep.equal and rep.transported_valid
 
 
-def test_op_of_the_empty_bicategory_keeps_its_composition_data():
+def test_coop_of_the_empty_bicategory_keeps_its_composition_data():
     # No objects means an empty identity table, which is still composition data.
     empty = validate_bicategory([], {}, {}, {})
-    for op in (op1_bicategory(empty), op2_bicategory(empty), op1_bicategory(op2_bicategory(empty))):
-        op.require_composition()
-        assert op.identity1 == {} and op.compose1 == {}
-    coop = coop_lax_functor(identity_lax_functor(empty))
-    coop.source.require_composition()
-    coop.target.require_composition()
+    coop = coop_bicategory(empty)
+    assert coop.identity1 == {} and coop.compose1 == {} and coop.hcompose2 is None
+    lax = coop_lax_functor(identity_lax_functor(empty))
+    assert lax.source == coop and lax.target == coop
+
+
+@pytest.mark.parametrize("name", ["PSG", "BPT", "ACYCLIC2", "ARROW_BICAT", "EZ2_BICAT", "BZ2_TWOGROUP"])
+def test_coop_bicategory_is_an_involution(name):
+    b = getattr(fx, name)
+    coop = coop_bicategory(b)
+    assert all(coop.hom_at(x, y) == b.hom_at(y, x).opposite() for x in b.objects for y in b.objects)
+    assert len(coop.compose1) == len(b.compose1) and len(coop.hcompose2) == len(b.hcompose2)
+    for ((x, y, z), g, f), h in b.compose1.items():
+        assert coop.c1(z, y, x, f, g) == h
+    for ((x, y, z), beta, alpha), cell in b.hcompose2.items():
+        assert coop.h2(z, y, x, alpha, beta) == cell
+    assert coop_bicategory(coop) == b

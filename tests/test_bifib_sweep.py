@@ -158,6 +158,24 @@ def test_phi_identity_collapse_keeps_strict_equations_on_the_coop_side(monkeypat
     _assert_agrees(p)
 
 
+def test_cartesian_sweep_stops_at_the_first_non_cartesian_1cell(monkeypatch):
+    p = fx.collapse_to_point(fx.ARROW_BICAT)
+    cells = []
+    check = bifib._check_cartesian_1cell
+
+    def recording(s, x, y, f, strict_eqs):
+        cells.append((x, y, f))
+        return check(s, x, y, f, strict_eqs)
+
+    monkeypatch.setattr(bifib, "_check_cartesian_1cell", recording)
+    rep = bifib.classify_bifibration(p)
+    assert rep == oracle.classify_bifibration(p)
+    assert rep.witnesses["non_cartesian_1cell"][0] == ("0", "1", "a")
+    assert rep.witnesses["co_non_cartesian_1cell"][0] == ("1", "0", "a")
+    # p's 1-cells, then coop's, each up to its first failure: id1 (after a on both sides) is never tested.
+    assert cells == [("0", "0", "id0"), ("0", "1", "a"), ("0", "0", "id0"), ("1", "0", "a")]
+
+
 def test_phi_corrects_a_composite_that_leaves_the_fiber():
     p = _phi_leaving_fiber()
     assert bifib.classify_bifibration(p) == oracle.classify_bifibration(p)
