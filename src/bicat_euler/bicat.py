@@ -12,7 +12,7 @@ TYPE_CHECKING = False  # typing is imported for annotations only, never at run t
 if TYPE_CHECKING:
     from typing import Mapping, Optional, Sequence
 
-from .exactq import MatrixEuler, QMatrix, QVector, Record, entry_sum, invert, matrix_euler
+from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
 from .fincat import (
     EMPTY_CATEGORY,
     PT,
@@ -20,7 +20,6 @@ from .fincat import (
     Functor,
     InvalidInput,
     MissingEulerCharacteristic,
-    NotAcyclic,
     check_equivalence_functor,
     euler_char_cat,
     pair_label,
@@ -36,10 +35,6 @@ class HomWithoutEuler(InvalidInput):
 
 
 class MissingCompositionData(InvalidInput):
-    pass
-
-
-class NotPseudogroupoid(InvalidInput):
     pass
 
 
@@ -233,17 +228,6 @@ def euler_char_cg(g: CatGraph) -> MatrixEuler:
     return matrix_euler(similarity_matrix_cg(g))
 
 
-def coproduct_cg(parts: Sequence[CatGraph]) -> CatGraph:
-    objects = []
-    hom = {}
-    for i, part in enumerate(parts):
-        tag = f"{i}:"
-        objects += [tag + x for x in part.objects]
-        for (x, y), cat in part.hom.items():
-            hom[(tag + x, tag + y)] = cat
-    return make_catgraph(objects, hom)
-
-
 def product_cg(parts: Sequence[CatGraph]) -> CatGraph:
     if not parts:
         return make_catgraph(("*",), {("*", "*"): PT})
@@ -294,51 +278,6 @@ def acyclic_bicat_witness(b: Bicategory) -> dict[str, tuple[str, ...]]:
         if not _hom_equivalent_to_point(g.hom_at(x, x)):
             return {"endo_hom_not_point": (x,)}
     return {}
-
-
-def is_acyclic_bicat(b: Bicategory) -> bool:
-    return not acyclic_bicat_witness(b)
-
-
-def _toposort(g: CatGraph) -> list[str]:
-    indeg = {x: 0 for x in g.objects}
-    for x in g.objects:
-        for y in g.objects:
-            if x != y and g.onecells(x, y):
-                indeg[y] += 1
-    order = []
-    ready = sorted(x for x in g.objects if indeg[x] == 0)
-    while ready:
-        x = ready.pop(0)
-        order.append(x)
-        for y in g.objects:
-            if y != x and g.onecells(x, y):
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    ready.append(y)
-        ready.sort()
-    if len(order) != len(g.objects):
-        raise NotAcyclic("object reachability has a circuit")
-    return order
-
-
-def euler_acyclic_bicat(b: Bicategory) -> Fraction:
-    """chi of an acyclic bicategory via the triangular similarity matrix."""
-    if not is_acyclic_bicat(b):
-        raise NotAcyclic("bicategory is not acyclic")
-    order = _toposort(b.graph)
-    zeta = similarity_matrix_cg(b.graph)
-    reordered = QMatrix.build(order, order, zeta.at)
-    n = len(order)
-    for i in range(n):
-        assert reordered.entries[i][i] == 1, "diagonal hom not chi 1"
-        for j in range(i):
-            assert reordered.entries[i][j] == 0, "zeta not triangular in topological order"
-    inverse = invert(reordered)
-    chi = entry_sum(inverse)
-    graph_chi = matrix_euler(zeta).chi
-    assert chi == graph_chi, "triangular chi disagrees with the weighting computation"
-    return chi
 
 
 def is_equivalence_1cell(b: Bicategory, x: str, y: str, f: str) -> bool:
@@ -411,22 +350,6 @@ def graph_components(g: CatGraph) -> tuple[tuple[str, ...], ...]:
     return zigzag_components(g.objects, adj)
 
 
-def pseudogroupoid_euler(b: Bicategory) -> Fraction:
-    """Per connected component: 1/chi(hom(g,g)); summed, and checked against ζ."""
-    if not pseudogroupoid_check(b):
-        raise NotPseudogroupoid("some 1-cell is not an equivalence or some 2-cell not invertible")
-    total = Fraction(0)
-    for comp in graph_components(b.graph):
-        base = comp[0]
-        chi_end = euler_char_cat(b.hom_at(base, base)).chi
-        if chi_end is None or chi_end == 0:
-            raise NotPseudogroupoid(f"hom({base},{base}) has no usable Euler characteristic")
-        total += 1 / chi_end
-    graph_chi = euler_char_cg(b.graph).chi
-    assert total == graph_chi, "pseudogroupoid chi disagrees with the weighting computation"
-    return total
-
-
 class LaxFunctorBicat(Record):
     """Object map plus one functor per hom category; phi/psi optional."""
 
@@ -465,10 +388,11 @@ def validate_lax_functor(
                 raise MissingCompositionData(f"missing hom functor at ({x},{y})")
             if fun.source != source.hom_at(x, y) or fun.target != target.hom_at(object_map[x], object_map[y]):
                 raise MissingCompositionData(f"hom functor at ({x},{y}) has wrong endpoints")
+    if psi is not None:
+        psi = {x: psi.get(x) for x in source.objects}  # keys that name no source object are no part of it
     lax = LaxFunctorBicat(source, target, {x: object_map[x] for x in source.objects}, dict(hom_functors), phi, psi)
     if psi is not None:
-        for x in source.objects:
-            cell = psi.get(x)
+        for x, cell in psi.items():
             hom = target.hom_at(object_map[x], object_map[x])
             if cell is None or cell not in hom._by_name or hom.src(cell) != target.id1(object_map[x]):
                 raise MissingCompositionData(f"psi at {x} has a bad frame")
@@ -618,47 +542,6 @@ def product_projection(a: Bicategory, b: Bicategory) -> LaxFunctorBicat:
                         src, tgt, obj_map, mor_map
                     )
     return LaxFunctorBicat(e, a, object_map, hom_functors)
-
-
-def disjoint_union_bicategory(a: Bicategory, b: Bicategory) -> Bicategory:
-    """Coproduct with `0:`/`1:` object tags; homs across the summands are empty."""
-
-    def tag_keyed(table, tag):
-        out = {}
-        for ((x, y, z), g, f), h in table.items():
-            out[((tag + x, tag + y, tag + z), g, f)] = h
-        return out
-
-    identity1 = {f"0:{x}": a.id1(x) for x in a.objects}
-    identity1.update({f"1:{x}": b.id1(x) for x in b.objects})
-    compose1 = tag_keyed(a.compose1, "0:")
-    compose1.update(tag_keyed(b.compose1, "1:"))
-    hcompose2 = None
-    if a.hcompose2 is not None and b.hcompose2 is not None:
-        hcompose2 = tag_keyed(a.hcompose2, "0:")
-        hcompose2.update(tag_keyed(b.hcompose2, "1:"))
-    return Bicategory(coproduct_cg([a.graph, b.graph]), identity1, compose1, hcompose2)
-
-
-def disjoint_union_lax_functor(p: LaxFunctorBicat, q: LaxFunctorBicat) -> LaxFunctorBicat:
-    source = disjoint_union_bicategory(p.source, q.source)
-    target = disjoint_union_bicategory(p.target, q.target)
-    object_map = {f"0:{x}": f"0:{p.ob(x)}" for x in p.source.objects}
-    object_map.update({f"1:{x}": f"1:{q.ob(x)}" for x in q.source.objects})
-    hom_functors = {}
-    for x in source.objects:
-        for y in source.objects:
-            src = source.hom_at(x, y)
-            tgt = target.hom_at(object_map[x], object_map[y])
-            if x.startswith("0:") and y.startswith("0:"):
-                base = p.hom_functors[(x[2:], y[2:])]
-                hom_functors[(x, y)] = Functor(src, tgt, dict(base.object_map), dict(base.morphism_map))
-            elif x.startswith("1:") and y.startswith("1:"):
-                base = q.hom_functors[(x[2:], y[2:])]
-                hom_functors[(x, y)] = Functor(src, tgt, dict(base.object_map), dict(base.morphism_map))
-            else:
-                hom_functors[(x, y)] = Functor(src, tgt, {}, {})
-    return LaxFunctorBicat(source, target, object_map, hom_functors)
 
 
 def coop_lax_functor(p: LaxFunctorBicat) -> LaxFunctorBicat:

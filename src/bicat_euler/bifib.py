@@ -23,7 +23,6 @@ from .bicat import (
     HomWithoutEuler,
     LaxFunctorBicat,
     MissingEulerCharacteristic,
-    check_biequivalence,
     coop_lax_functor,
     euler_char_cg,
     graph_components,
@@ -31,7 +30,7 @@ from .bicat import (
     restrict_catgraph,
     validate_bicategory,
 )
-from .exactq import QMatrix, QVector, Record, matrix_euler, solve_coweighting
+from .exactq import QMatrix, QVector, Record, matrix_euler
 from .fib1 import (
     Component,
     FibrationReport,
@@ -43,14 +42,10 @@ from .fib1 import (
     classify_fibration,
     is_cartesian_morphism,
 )
-from .fincat import FinCategory, InvalidInput, pair_label, similarity_matrix, subcategory, validate_functor
+from .fincat import FinCategory, InvalidInput, pair_label, subcategory, validate_functor
 
 
 class IllTypedComponent(InvalidInput):
-    pass
-
-
-class MissingCoweighting(InvalidInput):
     pass
 
 
@@ -175,40 +170,6 @@ def grothendieck_cg(t: Trihomomorphism) -> GrothendieckCG:
             c, y = object_pairs[o2]
             homs[(o1, o2)] = _gr_hom(t, b, x, c, y)
     return GrothendieckCG(tuple(objects), object_pairs, homs)
-
-
-def gr_hom_coweighting(t: Trihomomorphism, source: tuple[str, str], target: tuple[str, str]) -> QVector:
-    """Product coweighting k_(f,u) = k_f·k_u on one Grothendieck hom category.
-
-    Asserts the defining linear identity k·ζ = 1ᵀ on the 2-cell count
-    matrix before returning.
-    """
-    b, x = source
-    c, y = target
-    hom = _gr_hom(t, b, x, c, y)
-    base_cw = solve_coweighting_or_raise(similarity_matrix(t.base.hom_at(b, c)), f"base hom ({b},{c})")
-    entries = []
-    fb = t.fiber[b]
-    for label in hom.onecells:
-        f, u = hom.onecell_pairs[label]
-        fy = t.pullback1[(b, c, f)].ob(y)
-        fiber_cw = solve_coweighting_or_raise(
-            similarity_matrix(fb.hom_at(x, fy)), f"fiber hom ({x},{fy})"
-        )
-        entries.append(base_cw[f] * fiber_cw[u])
-    vector = QVector(hom.onecells, tuple(entries))
-    counts = hom.count_matrix()
-    for m2 in hom.onecells:
-        total = sum((vector[m1] * counts.at(m1, m2) for m1 in hom.onecells), Fraction(0))
-        assert total == 1, f"product coweighting fails at column {m2}"
-    return vector
-
-
-def solve_coweighting_or_raise(zeta: QMatrix, what: str) -> QVector:
-    cw = solve_coweighting(zeta)
-    if cw is None:
-        raise MissingCoweighting(f"{what} has no coweighting")
-    return cw
 
 
 class GrBicatReport(Record):
@@ -661,24 +622,6 @@ def _pullback(
                 mor_map[sigma.name] = candidates[0]
             hom_functors[(e1, e2)] = validate_functor(src_cat, tgt_cat, obj_map, mor_map)
     return LaxFunctorBicat(fib_c, fib_b, object_map, hom_functors), lifts
-
-
-class FiberBiequivalenceReport(Record):
-    biequivalence: bool
-    chi_fiber_over_target: Fraction
-    chi_fiber_over_source: Fraction
-    equal: bool
-
-
-def verify_fiber_biequivalence(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str) -> FiberBiequivalenceReport:
-    """Build f* from the cleavage and check it is a biequivalence with equal fiber chi."""
-    pullback, _ = fiber_pullback(p, b_obj, c_obj, f)
-    bieq = check_biequivalence(pullback)
-    chi_c = euler_char_cg(pullback.source.graph).chi
-    chi_b = euler_char_cg(pullback.target.graph).chi
-    if chi_c is None or chi_b is None:
-        raise MissingEulerCharacteristic("a fiber bicategory has no Euler characteristic")
-    return FiberBiequivalenceReport(bieq, chi_c, chi_b, chi_c == chi_b)
 
 
 def induced_trihomomorphism(p: LaxFunctorBicat, policy: str = "min") -> Trihomomorphism:

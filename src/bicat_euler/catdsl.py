@@ -291,12 +291,19 @@ class _Builder:
             self.err(node, "E003", f"missing field {key!r}")
         return None if missing else (obj, *map(obj.get, keys))
 
-    def string_map(self, node: JNode, what: str) -> dict[str, str]:
+    def string_map(self, node: JNode, what: str, labels=None, kind: str = "") -> dict[str, str]:
+        """The object `what` as a dict of strings.
+
+        Given `labels`, a key outside them gets one E001 at the key, saying it is no `kind`, and is dropped.
+        """
         out = {}
         obj = self.object_of(node, what)
         if obj is None:
             return out
         for key, sub in obj.items():
+            if labels is not None and key not in labels:
+                self.key_err(node, key, "E001", f"{what} key {key!r} is not a {kind}")
+                continue
             val = self.string_of(sub, f"{what}[{key}]")
             if val is not None:
                 out[key] = val
@@ -644,7 +651,7 @@ def _build_lax_functor(b: _Builder, node: JNode) -> Optional[LaxFunctorBicat]:
     if maps is None:
         return None
     phi = _keyed_triples(b, obj["phi"], "phi", 3) if "phi" in obj else None
-    psi = b.string_map(obj["psi"], "psi") if "psi" in obj else None
+    psi = b.string_map(obj["psi"], "psi", source.objects, "source object") if "psi" in obj else None
     return _validated(b, node, reported, validate_lax_functor, source, target, *maps, phi, psi)
 
 
@@ -673,17 +680,26 @@ def _build_laxcat(b: _Builder, node: JNode) -> Optional[LaxFunctorToCat]:
         b, pullbacks_node, "pullbacks", base._by_name, pullback,
         "pullback key {!r} is not a base morphism", "E012", "missing pullback functor for base morphism {!r}",
     )
+
+    def fiber_objects(b_obj: Optional[str]):
+        """The objects of the fiber over b_obj, or None when that fiber was not built."""
+        return fibers[b_obj].objects if b_obj in fibers else None
+
     comp_iso = unit_iso = None
     if "comp_iso" in obj:
-        comp_iso = {
-            parts: b.string_map(sub, f"comp_iso[{key}]")
-            for parts, key, sub in _split_items(b, obj["comp_iso"], "comp_iso", 2)
-        }
+        comp_iso = {}
+        for parts, key, sub in _split_items(b, obj["comp_iso"], "comp_iso", 2):
+            # The components at (g, f) are indexed by the fiber over the target of g.
+            g_dst = base.dst(parts[0]) if parts[0] in base._by_name else None
+            comp_iso[parts] = b.string_map(sub, f"comp_iso[{key}]", fiber_objects(g_dst), "fiber object")
     if "unit_iso" in obj:
-        unit_iso = {
-            key: b.string_map(sub, f"unit_iso[{key}]")
-            for key, sub in (b.object_of(obj["unit_iso"], "unit_iso") or {}).items()
-        }
+        unit_node = obj["unit_iso"]
+        unit_iso = {}
+        for key, sub in (b.object_of(unit_node, "unit_iso") or {}).items():
+            if key not in base.objects:
+                b.key_err(unit_node, key, "E001", f"unit_iso key {key!r} is not a base object")
+                continue
+            unit_iso[key] = b.string_map(sub, f"unit_iso[{key}]", fiber_objects(key), "fiber object")
     return _validated(
         b, node, reported, validate_laxcat, LaxFunctorToCat(base, fibers, pullbacks, comp_iso, unit_iso)
     )

@@ -264,6 +264,17 @@ def cmd_gen(args) -> int:
     return _emit(args, report, EXIT_PASS)
 
 
+def _size(text: str) -> int:
+    """A `gen --size`: an integer of at least 1; argparse exits 2 on any other value."""
+    try:
+        size = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"size must be at least 1, got {size}")
+    return size
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicat-euler",
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a seeded instance satisfying its predicate")
     gen.add_argument("kind", choices=sorted(_GEN_KINDS))
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--size", type=int, default=2)
+    gen.add_argument("--size", type=_size, default=2)
     gen.add_argument("--out")
     gen.add_argument("--json", action="store_true")
     gen.set_defaults(func=cmd_gen)

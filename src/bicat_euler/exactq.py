@@ -194,11 +194,11 @@ class MatrixEuler(Record):
         return tuple(out)
 
 
-def _solve(a: Sequence[Sequence], b: Sequence[Sequence], free_value: Fraction) -> Optional[list[tuple]]:
-    """Some X with a·X = b exactly, or None when a column of b is inconsistent.
+def _solve(a: Sequence[Sequence], free_value: Fraction) -> Optional[list[Fraction]]:
+    """Some x with a·x = (1,...,1) exactly, or None when the system is inconsistent.
 
     Fraction-free Gauss–Jordan (Bareiss) elimination of the augmented rows
-    [a | b], each first scaled to integers by the lcm of its denominators.
+    [a | 1], each first scaled to integers by the lcm of its denominators.
     A step with pivot p (the first nonzero entry in column order) replaces
     every other row by (p·row − f·pivot_row) // prev, an exact division by
     the previous pivot `prev`.  Afterwards each pivot row holds the last
@@ -208,10 +208,9 @@ def _solve(a: Sequence[Sequence], b: Sequence[Sequence], free_value: Fraction) -
     """
     width = len(a[0]) if a else 0
     rows = []
-    for ra, rb in zip(a, b):
-        row = [*ra, *rb]
-        scale = lcm(*[v.denominator for v in row])
-        rows.append([v.numerator * scale // v.denominator for v in row])
+    for ra in a:
+        scale = lcm(*[v.denominator for v in ra])
+        rows.append([v.numerator * scale // v.denominator for v in ra] + [scale])
     pivots: list[int] = []
     prev = 1
     for col in range(width):
@@ -230,14 +229,14 @@ def _solve(a: Sequence[Sequence], b: Sequence[Sequence], free_value: Fraction) -
                 rows[r] = [(p * v - f * w) // prev for v, w in zip(row, top)]
         pivots.append(col)
         prev = p
-    if any(any(row[width:]) for row in rows[len(pivots):]):
+    if any(row[width] for row in rows[len(pivots):]):
         return None
     free = [c for c in range(width) if c not in pivots]
-    x = [(free_value,) * (len(b[0]) if b else 0)] * width
+    x = [free_value] * width
     num, den = free_value.numerator, free_value.denominator
     for row, col in zip(rows, pivots):
         moved = num * sum([row[c] for c in free])
-        x[col] = tuple([Fraction(v * den - moved, prev * den) for v in row[width:]])
+        x[col] = Fraction(row[width] * den - moved, prev * den)
     return x
 
 
@@ -247,10 +246,10 @@ def solve_weighting(m: QMatrix, free_value: Fraction = Fraction(0)) -> Optional[
     `free_value` is a testing hook for the choice-independence property;
     production callers rely on the deterministic free-variables-zero default.
     """
-    solution = _solve(m.entries, [(1,)] * len(m.rows), free_value)
+    solution = _solve(m.entries, free_value)
     if solution is None:
         return None
-    return QVector(m.cols, tuple([row[0] for row in solution]))
+    return QVector(m.cols, tuple(solution))
 
 
 def solve_coweighting(m: QMatrix, free_value: Fraction = Fraction(0)) -> Optional[QVector]:
@@ -276,18 +275,3 @@ def matrix_euler(m: QMatrix) -> MatrixEuler:
     assert chi == coweighting.total(), "weighting and coweighting sums differ"
     return MatrixEuler(weighting, coweighting, chi)
 
-
-def invert(m: QMatrix) -> Optional[QMatrix]:
-    """Exact inverse, solving m·X = I with the same kernel; None when singular."""
-    if m.rows != m.cols:
-        raise IndexMismatch(f"row labels {m.rows} != col labels {m.cols}")
-    n = len(m.rows)
-    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    inverse = _solve(m.entries, identity, Fraction(0))
-    if inverse is None:
-        return None
-    return QMatrix(m.rows, m.cols, tuple(inverse))
-
-
-def entry_sum(m: QMatrix) -> Fraction:
-    return sum((v for row in m.entries for v in row), Fraction(0))

@@ -1,16 +1,14 @@
 """Fibrations of finite categories and the Grothendieck construction.
 
-Cartesianness is decided at once for an isomorphism and otherwise by one
-counting pass over the lifts into each object, and the fibration
-predicates by search over the finite hom-sets.  The cartesian-morphism
-definition follows the standard Grothendieck convention; the literal
-reading of the source material is kept behind convention="paper" for
-auditability.
+Cartesianness follows the standard Grothendieck convention.  It is
+decided at once for an isomorphism and otherwise by one counting pass over
+the lifts into each object, and the fibration predicates by search over
+the finite hom-sets.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
@@ -37,10 +35,6 @@ class MorphismNotInCategory(InvalidInput):
     pass
 
 
-class NotFibered(InvalidInput):
-    pass
-
-
 class NonUniqueLift(Exception):
     pass
 
@@ -57,17 +51,15 @@ class IncoherentData(InvalidInput):
     pass
 
 
-def is_cartesian_morphism(p: Functor, f: str, convention: str = "standard") -> bool:
+def is_cartesian_morphism(p: Functor, f: str) -> bool:
     """Decide cartesianness of the morphism named f by counting lifts.
 
-    standard: f: x -> y is cartesian iff every g: z -> y together with
+    f: x -> y is cartesian iff every g: z -> y together with
     h: P(z) -> P(x) satisfying P(f)∘h = P(g) admits exactly one lift
     h̃: z -> x with P(h̃) = h and f∘h̃ = g.  An isomorphism is cartesian, its
     one lift being f⁻¹∘g.  For any other f and each z, t ↦ (P(t), f∘t)
     maps hom(z, x) into those pairs (h, g), and f is cartesian iff it is a
     bijection: the images are distinct and there are |hom(z, x)| pairs.
-    The "paper" convention flips the lift out of x instead (g∘h̃ = f with
-    h: P(x) -> P(z)) and counts the pairs (h̃, g) with g∘h̃ = f by (P(h̃), g).
     """
     e, b = p.source, p.target
     if f not in e._by_name:
@@ -75,28 +67,19 @@ def is_cartesian_morphism(p: Functor, f: str, convention: str = "standard") -> b
     x, y = e.src(f), e.dst(f)
     ob, mor = p.object_map, p.morphism_map
     px, pf = ob[x], mor[f]
-    if convention == "standard":
-        if e.inverse_of(f) is not None:
-            return True
-        e_homs, b_homs, e_after, b_after = e._homs, b._homs, e.compose, b.compose
-        for z in e.objects:
-            into_x = e_homs.get((z, x), ())
-            if len({(mor[t], e_after[(f, t)]) for t in into_x}) != len(into_x):
-                return False
-            over: dict[str, int] = {}  # P(f)∘h -> the number of h: P(z) -> P(x) with that composite
-            for h in b_homs.get((ob[z], px), ()):
-                pfh = b_after[(pf, h)]
-                over[pfh] = over.get(pfh, 0) + 1
-            if sum(over.get(mor[g], 0) for g in e_homs.get((z, y), ())) != len(into_x):
-                return False
+    if e.inverse_of(f) is not None:
         return True
+    e_homs, b_homs, e_after, b_after = e._homs, b._homs, e.compose, b.compose
     for z in e.objects:
-        pz = ob[z]
-        lifts = Counter((p.mor(t), g) for g in e.hom(z, y) for t in e.hom(x, z) if e.compose2(g, t) == f)
-        for g in e.hom(z, y):
-            pg = p.mor(g)
-            if any(b.compose2(pg, h) == pf and lifts[(h, g)] != 1 for h in b.hom(px, pz)):
-                return False
+        into_x = e_homs.get((z, x), ())
+        if len({(mor[t], e_after[(f, t)]) for t in into_x}) != len(into_x):
+            return False
+        over: dict[str, int] = {}  # P(f)∘h -> the number of h: P(z) -> P(x) with that composite
+        for h in b_homs.get((ob[z], px), ()):
+            pfh = b_after[(pf, h)]
+            over[pfh] = over.get(pfh, 0) + 1
+        if sum(over.get(mor[g], 0) for g in e_homs.get((z, y), ())) != len(into_x):
+            return False
     return True
 
 
@@ -129,7 +112,7 @@ def _lifts_by_target(p: Functor) -> dict[tuple[str, str], list[str]]:
     return lifts
 
 
-def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict, dict]:
+def _one_sided_flags(p: Functor) -> tuple[bool, bool, dict, dict]:
     """(fibered, fibered_in_groupoids, witnesses, cartesian verdicts) for the covariant side."""
     e, b = p.source, p.target
     witnesses: dict[str, tuple] = {}
@@ -140,7 +123,7 @@ def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict, dic
 
     def is_cartesian(m: str) -> bool:
         if m not in cartesian:
-            cartesian[m] = is_cartesian_morphism(p, m, convention)
+            cartesian[m] = is_cartesian_morphism(p, m)
         return cartesian[m]
 
     for m in e.morphisms:
@@ -164,10 +147,10 @@ def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict, dic
     return fibered, all_cartesian and lifts_exist, witnesses, cartesian
 
 
-def classify_fibration(p: Functor, convention: str = "standard") -> FibrationReport:
+def classify_fibration(p: Functor) -> FibrationReport:
     """Decide the four fibration flags; cofibered flags reuse the same code on reversed data."""
-    fibered, fig, wit, cartesian = _one_sided_flags(p, convention)
-    co_fibered, co_fig, co_wit, _ = _one_sided_flags(reverse_functor(p), convention)
+    fibered, fig, wit, cartesian = _one_sided_flags(p)
+    co_fibered, co_fig, co_wit, _ = _one_sided_flags(reverse_functor(p))
     witnesses = dict(wit)
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
     report = FibrationReport(fibered, co_fibered, fig, co_fig, witnesses)
@@ -175,30 +158,6 @@ def classify_fibration(p: Functor, convention: str = "standard") -> FibrationRep
     assert not report.fibered_in_groupoids or report.fibered
     assert not report.cofibered_in_groupoids or report.cofibered
     return report
-
-
-class Cleavage(Record):
-    """Chosen cartesian lift for every (base morphism, endpoint object) pair."""
-
-    lifts: Mapping[tuple[str, str], str]
-
-    def lift(self, f: str, e_obj: str) -> str:
-        return self.lifts[(f, e_obj)]
-
-
-def choose_cleavage(p: Functor, policy: str = "min", convention: str = "standard") -> Cleavage:
-    """Deterministic cleavage: lexicographically smallest (or largest) valid lift."""
-    e, b = p.source, p.target
-    over = _lifts_by_target(p)
-    lifts: dict[tuple[str, str], str] = {}
-    for e_obj in e.objects:
-        for b_obj in b.objects:
-            for f in b.hom(b_obj, p.ob(e_obj)):
-                candidates = sorted(c for c in over.get((e_obj, f), ()) if is_cartesian_morphism(p, c, convention))
-                if not candidates:
-                    raise NotFibered(f"no cartesian lift of {f} at {e_obj}")
-                lifts[(f, e_obj)] = candidates[0] if policy == "min" else candidates[-1]
-    return Cleavage(lifts)
 
 
 def fiber_category(p: Functor, b_obj: str) -> FinCategory:
@@ -227,9 +186,6 @@ class LaxFunctorToCat(Record):
     pullback: Mapping[str, Functor]
     comp_iso: Optional[Mapping[tuple[str, str], Mapping[str, str]]] = None
     unit_iso: Optional[Mapping[str, Mapping[str, str]]] = None
-
-    def remove_coherence(self) -> "LaxFunctorToCat":
-        return LaxFunctorToCat(self.base, dict(self.fiber), dict(self.pullback))
 
 
 def validate_laxcat(f: LaxFunctorToCat) -> LaxFunctorToCat:
@@ -422,34 +378,6 @@ def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
     )
 
 
-def induced_fiber_pseudofunctor(p: Functor, c: Cleavage) -> LaxFunctorToCat:
-    """Fibers and cleavage-induced pullback functors of a fibered functor."""
-    base = p.target
-    fibers = {b: fiber_category(p, b) for b in base.objects}
-    pullbacks: dict[str, Functor] = {}
-    e = p.source
-    for m in base.morphisms:
-        b, c_obj = m.src, m.dst
-        object_map = {}
-        morphism_map = {}
-        for y in fibers[c_obj].objects:
-            object_map[y] = e.src(c.lift(m.name, y))
-        for h in fibers[c_obj].morphisms:
-            lift_dst = c.lift(m.name, h.dst)
-            lift_src = c.lift(m.name, h.src)
-            want = e.compose2(h.name, lift_src)
-            candidates = [
-                u
-                for u in e.hom(object_map[h.src], object_map[h.dst])
-                if p.mor(u) == base.identity[b] and e.compose2(lift_dst, u) == want
-            ]
-            if len(candidates) != 1:
-                raise NonUniqueLift(f"pullback of {h.name} along {m.name}: {len(candidates)} candidates")
-            morphism_map[h.name] = candidates[0]
-        pullbacks[m.name] = validate_functor(fibers[c_obj], fibers[b], object_map, morphism_map)
-    return LaxFunctorToCat(base, fibers, pullbacks)
-
-
 class GrFormulaReport(Record):
     """Both sides of chi(Gr(F)) = sum_b k_b chi(Fb), with the intermediates."""
 
@@ -517,8 +445,8 @@ class ProductFormulaReport(Record):
     equal: bool
 
 
-def verify_product_formula_cat(p: Functor, convention: str = "standard") -> ProductFormulaReport:
-    report = classify_fibration(p, convention)
+def verify_product_formula_cat(p: Functor) -> ProductFormulaReport:
+    report = classify_fibration(p)
     if not (report.fibered_in_groupoids and report.cofibered_in_groupoids):
         raise NotBiFibered(f"not fibered+cofibered in groupoids: {report.witnesses}")
     chi_total = euler_char_cat(p.source).chi

@@ -22,10 +22,6 @@ class InvalidInput(Exception):
     """Base of every error a malformed or unsuitable input causes (CLI exit 2)."""
 
 
-class NotAcyclic(InvalidInput):
-    pass
-
-
 class MissingEulerCharacteristic(InvalidInput):
     """Names the structure whose weighting or coweighting is absent."""
 
@@ -315,54 +311,6 @@ def is_acyclic(a: FinCategory) -> bool:
     return not acyclic_witness(a)
 
 
-class ChainComplexCount(Record):
-    """Nondegenerate n-chain counts of the nerve and their alternating sum."""
-
-    counts: tuple[int, ...]
-    euler: int
-
-
-def nerve_euler(a: FinCategory) -> ChainComplexCount:
-    """Count composable chains of non-identity morphisms, level by level.
-
-    counts[0] = #objects; counts[n] = #chains f_n∘...∘f_1 of non-identity
-    morphisms.  Finite exactly because the category is acyclic.
-    """
-    if not is_acyclic(a):
-        raise NotAcyclic("nerve chain counts are finite only for acyclic categories")
-    non_id = [m for m in a.morphisms if not a.is_identity(m.name)]
-    counts = [len(a.objects)]
-    # ending[x] = number of length-n chains ending at x; memoized per level.
-    ending = {x: 1 for x in a.objects}
-    while True:
-        nxt = {x: 0 for x in a.objects}
-        total = 0
-        for m in non_id:
-            nxt[m.dst] += ending[m.src]
-            total += ending[m.src]
-        if total == 0:
-            break
-        counts.append(total)
-        ending = nxt
-    euler = sum((-1) ** n * c for n, c in enumerate(counts))
-    return ChainComplexCount(tuple(counts), euler)
-
-
-def coproduct_cat(parts: Sequence[FinCategory]) -> FinCategory:
-    """Disjoint union; summands are tagged `<i>:` to keep labels unique."""
-    objects: list[str] = []
-    morphisms: list[Morphism] = []
-    identity: dict[str, str] = {}
-    compose: dict[tuple[str, str], str] = {}
-    for i, part in enumerate(parts):
-        tag = f"{i}:"
-        objects += [tag + x for x in part.objects]
-        morphisms += [Morphism(tag + m.name, tag + m.src, tag + m.dst) for m in part.morphisms]
-        identity.update({tag + x: tag + m for x, m in part.identity.items()})
-        compose.update({(tag + g, tag + f): tag + h for (g, f), h in part.compose.items()})
-    return validate_category(objects, morphisms, identity, compose)
-
-
 def pair_label(x: str, y: str) -> str:
     return f"({x},{y})"
 
@@ -434,37 +382,6 @@ def validate_functor(
         {x: object_map[x] for x in source.objects},
         {m.name: morphism_map[m.name] for m in source.morphisms},
     )
-
-
-class NatTransformation(Record):
-    source: Functor
-    target: Functor
-    components: Mapping[str, str]
-
-
-def validate_nat_transformation(
-    source: Functor, target: Functor, components: Mapping[str, str]
-) -> NatTransformation:
-    if source.source is not target.source and source.source != target.source:
-        raise InvalidFunctor([Violation("DanglingEndpoint", "functors are not parallel")])
-    if source.target != target.target:
-        raise InvalidFunctor([Violation("DanglingEndpoint", "functors are not parallel")])
-    cat = source.target
-    violations = []
-    for x in source.source.objects:
-        c = components.get(x)
-        if c is None or c not in cat._by_name or cat.src(c) != source.ob(x) or cat.dst(c) != target.ob(x):
-            violations.append(Violation("DanglingEndpoint", f"component at {x} has wrong frame", (x,)))
-    if violations:
-        raise InvalidFunctor(violations)
-    for m in source.source.morphisms:
-        lhs = cat.compose2(components[m.dst], source.mor(m.name))
-        rhs = cat.compose2(target.mor(m.name), components[m.src])
-        if lhs != rhs:
-            violations.append(Violation("AssociativityViolation", f"naturality fails at {m.name}", (m.name,)))
-    if violations:
-        raise InvalidFunctor(violations)
-    return NatTransformation(source, target, dict(components))
 
 
 def check_equivalence_functor(f: Functor) -> bool:

@@ -357,42 +357,3 @@ def constant_trihomomorphism(base: Bicategory, fiber: Bicategory):
     return validate_trihomomorphism(
         Trihomomorphism(base, {b: fiber for b in base.objects}, pullback1, pullback2)
     )
-
-
-def write_fixture_corpus(directory) -> list:
-    """Serialize the catalog to <directory>/*.catj; returns the written paths."""
-    import pathlib
-
-    from .catdsl import serialize
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    corpus = {
-        "pt": PT,
-        "d2": _fx("D2"),
-        "arrow": _fx("ARROW"),
-        "pair": _fx("PAIR"),
-        "span": _fx("SPAN"),
-        "bz2": _fx("BZ2"),
-        "ez2": _fx("EZ2"),
-        "psg": _fx("PSG"),
-        "bpt": _fx("BPT"),
-        "acyclic2": _fx("ACYCLIC2"),
-        "arrow-bicat": _fx("ARROW_BICAT"),
-        "ez2-bicat": _fx("EZ2_BICAT"),
-        "bz2-2group": _fx("BZ2_TWOGROUP"),
-        "ez2-to-bz2": _fx("EZ2_TO_BZ2"),
-        "d2-to-pt": _fx("D2_TO_PT"),
-        "arrow-base-laxcat": _fx("ARROW_BASE_LAXCAT"),
-        "bz2-base-laxcat": _fx("BZ2_BASE_LAXCAT"),
-        "gr-psg-over-arrow": _fx("GR_PSG_OVER_ARROW"),
-        "psg-collapse": _fx("PSG_COLLAPSE"),
-        "trihom-const-psg-arrow": constant_trihomomorphism(_fx("ARROW_BICAT"), _fx("PSG")),
-        "nochi-catgraph": _fx("NOCHI_CATGRAPH"),
-    }
-    written = []
-    for name, value in corpus.items():
-        path = directory / f"{name}.catj"
-        path.write_text(serialize(value), encoding="utf-8")
-        written.append(path)
-    return written

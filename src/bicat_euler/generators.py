@@ -11,34 +11,14 @@ writing anything.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
     from typing import Sequence
 
-from .bicat import (
-    Bicategory,
-    CatGraph,
-    LaxFunctorBicat,
-    disjoint_union_lax_functor,
-    identity_lax_functor,
-    make_catgraph,
-    product_projection,
-    validate_bicategory,
-    validate_lax_functor,
-)
+from .bicat import Bicategory, identity_lax_functor
 from .bifib import Trihomomorphism, induced_trihomomorphism, validate_trihomomorphism
-from .exactq import QMatrix
 from .fib1 import LaxFunctorToCat, grothendieck_cat, validate_laxcat
-from .fincat import (
-    FinCategory,
-    Functor,
-    Morphism,
-    coproduct_cat,
-    product_cat,
-    validate_category,
-    validate_functor,
-)
+from .fincat import FinCategory, Functor, validate_category, validate_functor
 from . import fixtures as fx
 
 
@@ -96,17 +76,6 @@ def gen_acyclic_category(seed: int, size: int) -> FinCategory:
             if s2 == d1:
                 compose[(path_name[p2], path_name[p1])] = path_name[p1 + p2]
     return validate_category(objects, morphisms, identity, compose)
-
-
-def gen_groupoid(seed: int, size: int) -> FinCategory:
-    """Disjoint union of indiscrete groupoids (every morphism invertible)."""
-    rng = random.Random(f"groupoid:{seed}")
-    components = rng.randint(1, max(1, size))
-    parts = []
-    for c in range(components):
-        width = rng.randint(1, 3)
-        parts.append(fx.indiscrete_category([f"{c}o{i}" for i in range(width)]))
-    return coproduct_cat(parts) if len(parts) > 1 else parts[0]
 
 
 def _groupoid_union(widths: Sequence[int]) -> tuple[FinCategory, dict[str, int]]:
@@ -243,264 +212,3 @@ def gen_trihom(seed: int, size: int) -> Trihomomorphism:
         )
     p = fx.collapse_to_point(gen_pseudogroupoid(seed, max(1, min(size, 2))))
     return induced_trihomomorphism(p)
-
-
-def action_groupoid_total(elts_g, mult_g, elts_h, mult_h, rho) -> Bicategory:
-    """One-object bicategory with 1-cells H and 2-cells u => v the alpha with u = rho(alpha)v.
-
-    Needs both groups abelian (horizontal composition is the componentwise
-    product, and interchange requires commutativity).
-    """
-
-    def mname(a, v):
-        return f"{a}.{v}"
-
-    morphs = []
-    compose = {}
-    for a in elts_g:
-        for v in elts_h:
-            morphs.append((mname(a, v), mult_h[(rho[a], v)], v))
-    for a1 in elts_g:
-        for v1 in elts_h:
-            for a2 in elts_g:
-                for w in elts_h:
-                    if mult_h[(rho[a2], w)] != v1:
-                        continue
-                    compose[(mname(a2, w), mname(a1, v1))] = mname(mult_g[(a1, a2)], w)
-    hom = validate_category(list(elts_h), morphs, {u: mname(elts_g[0], u) for u in elts_h}, compose)
-    compose1 = {(("*", "*", "*"), h2, h1): mult_h[(h2, h1)] for h2 in elts_h for h1 in elts_h}
-    hcompose2 = {}
-    for a2 in elts_g:
-        for v2 in elts_h:
-            for a1 in elts_g:
-                for v1 in elts_h:
-                    hcompose2[(("*", "*", "*"), mname(a2, v2), mname(a1, v1))] = mname(
-                        mult_g[(a2, a1)], mult_h[(v2, v1)]
-                    )
-    return validate_bicategory(["*"], {("*", "*"): hom}, {"*": elts_h[0]}, compose1, hcompose2)
-
-
-def gen_fib_pseudogroupoids_laxfunctor(seed: int, size: int) -> LaxFunctorBicat:
-    """Lax functors fibered+cofibered in pseudogroupoids, four construction families."""
-    family = seed % 4
-    rng = random.Random(f"fibps:{seed}")
-    if family == 0:
-        base = rng.choice([fx.BPT, fx.ARROW_BICAT, fx.EZ2_BICAT])
-        return product_projection(base, gen_pseudogroupoid(seed, max(1, min(size, 2))))
-    if family == 1:
-        return fx.collapse_to_point(gen_pseudogroupoid(seed, max(1, min(size, 3))))
-    if family == 2:
-        n = rng.choice([2, 3])
-        total = rng.choice([2]) * n
-        elts_g, mult_g, unit_g = fx.cyclic_group(total)
-        elts_q, mult_q, unit_q = fx.cyclic_group(n)
-        e = fx.suspension_two_group([str(i) for i in range(max(1, min(size, 2)))], elts_g, mult_g, unit_g)
-        b = fx.suspension_two_group(["*"], elts_q, mult_q, unit_q)
-        pi = {f"g{k}": f"g{k % n}" for k in range(total)}
-        hom_functors = {}
-        for x in e.objects:
-            for y in e.objects:
-                hom_functors[(x, y)] = validate_functor(
-                    e.hom_at(x, y),
-                    b.hom_at("*", "*"),
-                    {f"m{x}{y}": "m**"},
-                    {g: pi[g] for g in elts_g},
-                )
-        return validate_lax_functor(e, b, {x: "*" for x in e.objects}, hom_functors)
-    if family == 3 and size >= 2:
-        left = gen_fib_pseudogroupoids_laxfunctor(seed + 1, size - 1)
-        right = gen_fib_pseudogroupoids_laxfunctor(seed + 2, size - 1)
-        return disjoint_union_lax_functor(left, right)
-    n, m, t = _GROUP_HOMS[rng.randrange(len(_GROUP_HOMS))]
-    elts_g, mult_g, unit_g = fx.cyclic_group(n)
-    elts_h, mult_h, unit_h = fx.cyclic_group(m)
-    rho = {f"g{k}": f"g{(k * t) % m}" for k in range(n)}
-    e = action_groupoid_total(elts_g, mult_g, elts_h, mult_h, rho)
-    b = fx.suspension_two_group(["*"], elts_g, mult_g, unit_g)
-    hom_functors = {
-        ("*", "*"): validate_functor(
-            e.hom_at("*", "*"),
-            b.hom_at("*", "*"),
-            {u: "m**" for u in elts_h},
-            {f"{a}.{v}": a for a in elts_g for v in elts_h},
-        )
-    }
-    return validate_lax_functor(e, b, {"*": "*"}, hom_functors)
-
-
-def inflate_category(cat: FinCategory, multiplicities: Sequence[int]) -> tuple[FinCategory, Functor]:
-    """Duplicate each object into an isomorphism class; inclusion is an equivalence."""
-    mult = {x: max(1, m) for x, m in zip(cat.objects, multiplicities)}
-
-    def olabel(x, i):
-        return f"{x}.{i}"
-
-    objects = [olabel(x, i) for x in cat.objects for i in range(mult[x])]
-    morphisms = []
-    identity = {}
-    compose = {}
-
-    def mlabel(m, i, j):
-        return f"{m}.{i}.{j}"
-
-    for m in cat.morphisms:
-        for i in range(mult[m.src]):
-            for j in range(mult[m.dst]):
-                morphisms.append(Morphism(mlabel(m.name, i, j), olabel(m.src, i), olabel(m.dst, j)))
-    for x in cat.objects:
-        for i in range(mult[x]):
-            identity[olabel(x, i)] = mlabel(cat.identity[x], i, i)
-    for (g, f), h in cat.compose.items():
-        gm, fm = cat.morphism(g), cat.morphism(f)
-        for i in range(mult[fm.src]):
-            for j in range(mult[fm.dst]):
-                for k in range(mult[gm.dst]):
-                    compose[(mlabel(g, j, k), mlabel(f, i, j))] = mlabel(h, i, k)
-    inflated = validate_category(objects, morphisms, identity, compose)
-    inclusion = validate_functor(
-        cat,
-        inflated,
-        {x: olabel(x, 0) for x in cat.objects},
-        {m.name: mlabel(m.name, 0, 0) for m in cat.morphisms},
-    )
-    return inflated, inclusion
-
-
-def gen_equivalence(seed: int, size: int) -> Functor:
-    """An equivalence functor: inclusion of a category into its inflation."""
-    rng = random.Random(f"equiv:{seed}")
-    base = gen_category_with_chi(seed, size)
-    _, inclusion = inflate_category(base, [rng.randint(1, 3) for _ in base.objects])
-    return inclusion
-
-
-def inflate_bicategory(b: Bicategory, multiplicities: Sequence[int]) -> tuple[Bicategory, LaxFunctorBicat]:
-    """Duplicate objects into 1-equivalence classes; inclusion is a biequivalence."""
-    mult = {x: max(1, m) for x, m in zip(b.objects, multiplicities)}
-
-    def olabel(x, i):
-        return f"{x}.{i}"
-
-    objects = [olabel(x, i) for x in b.objects for i in range(mult[x])]
-    hom = {}
-    identity1 = {}
-    compose1 = {}
-    hcompose2 = {} if b.hcompose2 is not None else None
-    for x in b.objects:
-        for i in range(mult[x]):
-            identity1[olabel(x, i)] = b.id1(x)
-            for y in b.objects:
-                for j in range(mult[y]):
-                    hom[(olabel(x, i), olabel(y, j))] = b.hom_at(x, y)
-    for ((x, y, z), g, f), h in b.compose1.items():
-        for i in range(mult[x]):
-            for j in range(mult[y]):
-                for k in range(mult[z]):
-                    compose1[((olabel(x, i), olabel(y, j), olabel(z, k)), g, f)] = h
-    if hcompose2 is not None:
-        for ((x, y, z), beta, alpha), res in b.hcompose2.items():
-            for i in range(mult[x]):
-                for j in range(mult[y]):
-                    for k in range(mult[z]):
-                        hcompose2[((olabel(x, i), olabel(y, j), olabel(z, k)), beta, alpha)] = res
-    inflated = validate_bicategory(objects, hom, identity1, compose1, hcompose2)
-    hom_functors = {}
-    for x in b.objects:
-        for y in b.objects:
-            src = b.hom_at(x, y)
-            hom_functors[(x, y)] = validate_functor(
-                src,
-                inflated.hom_at(olabel(x, 0), olabel(y, 0)),
-                {f: f for f in src.objects},
-                {m.name: m.name for m in src.morphisms},
-            )
-    inclusion = validate_lax_functor(b, inflated, {x: olabel(x, 0) for x in b.objects}, hom_functors)
-    return inflated, inclusion
-
-
-def gen_biequivalence(seed: int, size: int) -> LaxFunctorBicat:
-    rng = random.Random(f"biequiv:{seed}")
-    base = rng.choice(
-        [fx.PSG, fx.BPT, fx.EZ2_BICAT, fx.ARROW_BICAT, fx.BZ2_TWOGROUP, gen_pseudogroupoid(seed, 2)]
-    )
-    _, inclusion = inflate_bicategory(base, [rng.randint(1, 3) for _ in base.objects])
-    return inclusion
-
-
-_FIXTURE_CATS = None
-
-
-def gen_category_with_chi(seed: int, size: int) -> FinCategory:
-    """Random category guaranteed to have an Euler characteristic."""
-    global _FIXTURE_CATS
-    if _FIXTURE_CATS is None:
-        _FIXTURE_CATS = [fx.PT, fx.D2, fx.ARROW, fx.PAIR, fx.SPAN, fx.BZ2, fx.EZ2]
-    rng = random.Random(f"cat:{seed}")
-    roll = rng.random()
-    if roll < 0.35:
-        return rng.choice(_FIXTURE_CATS)
-    if roll < 0.6:
-        return gen_acyclic_category(seed, rng.randint(1, max(2, min(size, 4))))
-    if roll < 0.8:
-        return gen_groupoid(seed, size)
-    a = gen_category_with_chi(seed * 31 + 1, max(1, size - 1))
-    b = rng.choice(_FIXTURE_CATS[:5])
-    if rng.random() < 0.5 and len(a.objects) * len(b.objects) <= 8:
-        return product_cat(a, b)
-    return coproduct_cat([a, b])
-
-
-def catgraph_of_category(cat: FinCategory) -> CatGraph:
-    """Trivial-2-cell cat-graph: hom(x,y) is the discrete category on hom-set names."""
-    hom = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            cells = cat.hom(x, y)
-            if cells:
-                hom[(x, y)] = fx.discrete_category(cells)
-    return make_catgraph(cat.objects, hom)
-
-
-def gen_catgraph_with_chi(seed: int, size: int) -> CatGraph:
-    rng = random.Random(f"cg:{seed}")
-    roll = rng.random()
-    if roll < 0.4:
-        return gen_pseudogroupoid(seed, rng.randint(1, max(1, min(size, 3)))).graph
-    if roll < 0.8:
-        return catgraph_of_category(gen_category_with_chi(seed, size))
-    return rng.choice([fx.PSG.graph, fx.ACYCLIC2.graph, fx.BPT.graph, fx.EZ2_BICAT.graph])
-
-
-def random_rational_matrix(seed: int, max_size: int = 5) -> QMatrix:
-    """Seeded square matrix over small rationals; singular cases arise on purpose.
-
-    A slice of the stream is symmetric rank-deficient (all-ones style), so
-    underdetermined systems with both a weighting and a coweighting occur.
-    """
-    rng = random.Random(f"matrix:{seed}")
-    n = rng.randint(1, max_size)
-    labels = tuple(str(i) for i in range(n))
-    roll = rng.random()
-    if n >= 2 and roll < 0.12:
-        rows = [[Fraction(1)] * n for _ in range(n)]
-        return QMatrix(labels, labels, tuple(tuple(r) for r in rows))
-    if n >= 2 and roll < 0.2:
-        # duplicate both a row and the matching column of a random symmetric matrix
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        for j in range(n):
-            rows[-1][j] = rows[0][j]
-        for i in range(n):
-            rows[i][-1] = rows[i][0]
-        return QMatrix(labels, labels, tuple(tuple(r) for r in rows))
-    rows = [
-        [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
-        for _ in range(n)
-    ]
-    if n >= 2 and rng.random() < 0.3:
-        rows[-1] = list(rows[0])  # force rank deficiency
-    if n >= 2 and rng.random() < 0.15:
-        rows[0] = [Fraction(0)] * n
-    return QMatrix(labels, labels, tuple(tuple(r) for r in rows))

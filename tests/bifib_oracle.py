@@ -10,6 +10,11 @@ and `_check_cartesian_1cell` counts the 2-cell lifts of each (σ, δ) by
 scanning a whole hom-set.  They stay here, test-only, as the slow path the
 sweep must agree with, witnesses included.  The value classes and the
 Grothendieck construction, which did not change, come from `bifib`.
+
+Two independent oracles of the paper's formulas close the module:
+`pseudogroupoid_euler` (chi = sum over components of 1/chi(hom(g,g))) and
+`gr_hom_coweighting` (the product coweighting k_(f,u) = k_f·k_u of one
+Grothendieck hom category).
 """
 
 from fractions import Fraction
@@ -29,11 +34,13 @@ from bicat_euler.bifib import (
     GrBicatReport,
     ProductBicatReport,
     Trihomomorphism,
+    _gr_hom,
     grothendieck_cg,
     validate_trihomomorphism,
 )
+from bicat_euler.exactq import QMatrix, QVector, solve_coweighting
 from bicat_euler.fib1 import NonUniqueLift, NotBiFibered, ObjectNotInBase, classify_fibration, is_cartesian_morphism
-from bicat_euler.fincat import FinCategory, validate_category, validate_functor
+from bicat_euler.fincat import FinCategory, euler_char_cat, similarity_matrix, validate_category, validate_functor
 
 
 def _isos(hom: FinCategory, u: str, v: str) -> list[str]:
@@ -440,3 +447,51 @@ def verify_product_formula_bicat(p) -> ProductBicatReport:
     if chi_gr is None:
         raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")
     return ProductBicatReport(chi_total, rhs, tuple(components), chi_gr, chi_gr == chi_total, chi_total == rhs)
+
+
+def pseudogroupoid_euler(b) -> Fraction:
+    """Per connected component: 1/chi(hom(g,g)); summed, and checked against ζ."""
+    if not pseudogroupoid_check(b):
+        raise ValueError("some 1-cell is not an equivalence or some 2-cell not invertible")
+    total = Fraction(0)
+    for comp in graph_components(b.graph):
+        base = comp[0]
+        chi_end = euler_char_cat(b.hom_at(base, base)).chi
+        if chi_end is None or chi_end == 0:
+            raise ValueError(f"hom({base},{base}) has no usable Euler characteristic")
+        total += 1 / chi_end
+    graph_chi = euler_char_cg(b.graph).chi
+    assert total == graph_chi, "pseudogroupoid chi disagrees with the weighting computation"
+    return total
+
+
+def _coweighting(zeta: QMatrix, what: str) -> QVector:
+    cw = solve_coweighting(zeta)
+    if cw is None:
+        raise ValueError(f"{what} has no coweighting")
+    return cw
+
+
+def gr_hom_coweighting(t: Trihomomorphism, source: tuple[str, str], target: tuple[str, str]) -> QVector:
+    """Product coweighting k_(f,u) = k_f·k_u on one Grothendieck hom category.
+
+    Asserts the defining linear identity k·ζ = 1ᵀ on the 2-cell count
+    matrix before returning.
+    """
+    b, x = source
+    c, y = target
+    hom = _gr_hom(t, b, x, c, y)
+    base_cw = _coweighting(similarity_matrix(t.base.hom_at(b, c)), f"base hom ({b},{c})")
+    entries = []
+    fb = t.fiber[b]
+    for label in hom.onecells:
+        f, u = hom.onecell_pairs[label]
+        fy = t.pullback1[(b, c, f)].ob(y)
+        fiber_cw = _coweighting(similarity_matrix(fb.hom_at(x, fy)), f"fiber hom ({x},{fy})")
+        entries.append(base_cw[f] * fiber_cw[u])
+    vector = QVector(hom.onecells, tuple(entries))
+    counts = hom.count_matrix()
+    for m2 in hom.onecells:
+        total = sum((vector[m1] * counts.at(m1, m2) for m1 in hom.onecells), Fraction(0))
+        assert total == 1, f"product coweighting fails at column {m2}"
+    return vector

@@ -4,17 +4,18 @@ These are the loops the library used before it indexed hom-sets and
 in-arrows and before it counted cartesian lifts in one pass: `hom` scans
 every morphism, `validate_category` tries every pair and triple of
 morphisms, so its triple scan is the oracle of the library's associativity
-check on a generating set (Light's test), `is_cartesian_morphism` lists the
-lifts of every (g, h) separately, also for an isomorphism, and
-`choose_cleavage` scans every morphism for the lifts of each (base
-morphism, object).  They stay here, test-only, as the slow paths the
-indexed code must agree with.
+check on a generating set (Light's test), and `is_cartesian_morphism`
+lists the lifts of every (g, h) separately, also for an isomorphism.  They
+stay here, test-only, as the slow paths the indexed code must agree with.
+`nerve_euler` is an independent oracle of chi on acyclic categories: the
+alternating sum of the nerve's nondegenerate chain counts.
 """
 
 from typing import Mapping, Sequence
 
-from bicat_euler.fib1 import Cleavage, FibrationReport, MorphismNotInCategory, NotFibered, reverse_functor
-from bicat_euler.fincat import FinCategory, Functor, InvalidCategory, Morphism, Violation
+from bicat_euler.exactq import Record
+from bicat_euler.fib1 import FibrationReport, MorphismNotInCategory, reverse_functor
+from bicat_euler.fincat import FinCategory, Functor, InvalidCategory, Morphism, Violation, is_acyclic
 
 
 def hom(cat: FinCategory, x: str, y: str) -> tuple[str, ...]:
@@ -110,13 +111,12 @@ def validate_category(
     )
 
 
-def is_cartesian_morphism(p: Functor, f: str, convention: str = "standard") -> bool:
+def is_cartesian_morphism(p: Functor, f: str) -> bool:
     """Decide cartesianness of the morphism named f by exhaustive search.
 
-    standard: f: x -> y is cartesian iff every g: z -> y together with
+    f: x -> y is cartesian iff every g: z -> y together with
     h: P(z) -> P(x) satisfying P(f)∘h = P(g) admits exactly one lift
-    h̃: z -> x with P(h̃) = h and f∘h̃ = g.  The "paper" convention flips
-    the lift out of x instead (g∘h̃ = f with h: P(x) -> P(z)).
+    h̃: z -> x with P(h̃) = h and f∘h̃ = g.
     """
     e, b = p.source, p.target
     if f not in {m.name for m in e.morphisms}:
@@ -126,24 +126,16 @@ def is_cartesian_morphism(p: Functor, f: str, convention: str = "standard") -> b
     for z in e.objects:
         for g in e.hom(z, y):
             pg = p.mor(g)
-            if convention == "standard":
-                for h in b.hom(p.ob(z), p.ob(x)):
-                    if b.compose2(pf, h) != pg:
-                        continue
-                    lifts = [t for t in e.hom(z, x) if p.mor(t) == h and e.compose2(f, t) == g]
-                    if len(lifts) != 1:
-                        return False
-            else:
-                for h in b.hom(p.ob(x), p.ob(z)):
-                    if b.compose2(pg, h) != pf:
-                        continue
-                    lifts = [t for t in e.hom(x, z) if p.mor(t) == h and e.compose2(g, t) == f]
-                    if len(lifts) != 1:
-                        return False
+            for h in b.hom(p.ob(z), p.ob(x)):
+                if b.compose2(pf, h) != pg:
+                    continue
+                lifts = [t for t in e.hom(z, x) if p.mor(t) == h and e.compose2(f, t) == g]
+                if len(lifts) != 1:
+                    return False
     return True
 
 
-def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict]:
+def _one_sided_flags(p: Functor) -> tuple[bool, bool, dict]:
     """(fibered, fibered_in_groupoids, witnesses) for the covariant side."""
     e, b = p.source, p.target
     witnesses: dict[str, tuple] = {}
@@ -151,7 +143,7 @@ def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict]:
     all_cartesian = True
     lifts_exist = True
     for m in e.morphisms:
-        if not is_cartesian_morphism(p, m.name, convention):
+        if not is_cartesian_morphism(p, m.name):
             all_cartesian = False
             witnesses.setdefault("non_cartesian", (m.name,))
             break
@@ -164,16 +156,16 @@ def _one_sided_flags(p: Functor, convention: str) -> tuple[bool, bool, dict]:
                     lifts_exist = False
                     fibered = False
                     witnesses.setdefault("no_lift", (f, e_obj))
-                elif not any(is_cartesian_morphism(p, c, convention) for c in candidates):
+                elif not any(is_cartesian_morphism(p, c) for c in candidates):
                     fibered = False
                     witnesses.setdefault("no_cartesian_lift", (f, e_obj))
     return fibered, all_cartesian and lifts_exist, witnesses
 
 
-def classify_fibration(p: Functor, convention: str = "standard") -> FibrationReport:
+def classify_fibration(p: Functor) -> FibrationReport:
     """Decide the four fibration flags; cofibered flags reuse the same code on reversed data."""
-    fibered, fig, wit = _one_sided_flags(p, convention)
-    co_fibered, co_fig, co_wit = _one_sided_flags(reverse_functor(p), convention)
+    fibered, fig, wit = _one_sided_flags(p)
+    co_fibered, co_fig, co_wit = _one_sided_flags(reverse_functor(p))
     witnesses = dict(wit)
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
     report = FibrationReport(fibered, co_fibered, fig, co_fig, witnesses)
@@ -182,24 +174,34 @@ def classify_fibration(p: Functor, convention: str = "standard") -> FibrationRep
     return report
 
 
-def _cartesian_lift_candidates(p: Functor, f: str, e_obj: str, convention: str) -> list[str]:
-    e, b = p.source, p.target
-    return sorted(
-        m.name
-        for m in e.morphisms
-        if m.dst == e_obj and p.mor(m.name) == f and is_cartesian_morphism(p, m.name, convention)
-    )
+class ChainComplexCount(Record):
+    """Nondegenerate n-chain counts of the nerve and their alternating sum."""
+
+    counts: tuple[int, ...]
+    euler: int
 
 
-def choose_cleavage(p: Functor, policy: str = "min", convention: str = "standard") -> Cleavage:
-    """Deterministic cleavage: lexicographically smallest (or largest) valid lift."""
-    e, b = p.source, p.target
-    lifts: dict[tuple[str, str], str] = {}
-    for e_obj in e.objects:
-        for b_obj in b.objects:
-            for f in b.hom(b_obj, p.ob(e_obj)):
-                candidates = _cartesian_lift_candidates(p, f, e_obj, convention)
-                if not candidates:
-                    raise NotFibered(f"no cartesian lift of {f} at {e_obj}")
-                lifts[(f, e_obj)] = candidates[0] if policy == "min" else candidates[-1]
-    return Cleavage(lifts)
+def nerve_euler(a: FinCategory) -> ChainComplexCount:
+    """Count composable chains of non-identity morphisms, level by level.
+
+    counts[0] = #objects; counts[n] = #chains f_n∘...∘f_1 of non-identity
+    morphisms.  Finite exactly because the category is acyclic.
+    """
+    if not is_acyclic(a):
+        raise ValueError("nerve chain counts are finite only for acyclic categories")
+    non_id = [m for m in a.morphisms if not a.is_identity(m.name)]
+    counts = [len(a.objects)]
+    # ending[x] = number of length-n chains ending at x; memoized per level.
+    ending = {x: 1 for x in a.objects}
+    while True:
+        nxt = {x: 0 for x in a.objects}
+        total = 0
+        for m in non_id:
+            nxt[m.dst] += ending[m.src]
+            total += ending[m.src]
+        if total == 0:
+            break
+        counts.append(total)
+        ending = nxt
+    euler = sum((-1) ** n * c for n, c in enumerate(counts))
+    return ChainComplexCount(tuple(counts), euler)

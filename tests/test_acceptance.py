@@ -6,20 +6,18 @@ test prints a single PASS line once all of its assertions hold.
 
 from fractions import Fraction
 
+import builders
 from bicat_euler import fixtures as fx
 from bicat_euler import generators as gen
 from bicat_euler.bicat import (
-    coproduct_cg,
     euler_char_cg,
     product_cg,
     pseudogroupoid_check,
-    pseudogroupoid_euler,
     similarity_matrix_cg,
     verify_biequivalence_invariance,
 )
 from bicat_euler.bifib import (
     classify_bifibration,
-    gr_hom_coweighting,
     grothendieck_cg,
     verify_gr_formula_bicat,
     verify_product_formula_bicat,
@@ -30,12 +28,13 @@ from bicat_euler.exactq import solve_coweighting, solve_weighting
 from bicat_euler.fib1 import classify_fibration, verify_gr_formula, verify_product_formula_cat
 from bicat_euler.fincat import (
     check_equivalence_functor,
-    coproduct_cat,
     euler_char_cat,
-    nerve_euler,
     product_cat,
     similarity_matrix,
 )
+from bifib_oracle import gr_hom_coweighting, pseudogroupoid_euler
+from builders import coproduct_cat, coproduct_cg
+from category_oracle import nerve_euler
 from tests.conftest import FIXTURE_DIR, NEGATIVE_DIR
 
 
@@ -47,7 +46,7 @@ def _ones_product(m, k):
 
 
 def test_criterion_1_exact_weighting_identities():
-    matrices = [gen.random_rational_matrix(seed) for seed in range(200)]
+    matrices = [builders.random_rational_matrix(seed) for seed in range(200)]
     matrices += [similarity_matrix(c) for c in (fx.PT, fx.D2, fx.ARROW, fx.PAIR, fx.SPAN, fx.BZ2, fx.EZ2)]
     matrices += [similarity_matrix_cg(g) for g in (fx.PSG.graph, fx.ACYCLIC2.graph, fx.EZ2_BICAT.graph)]
     checked = 0
@@ -88,7 +87,7 @@ def test_criterion_3_nerve_oracle_equivalence():
 
 def _small_cat(seed):
     for offset in range(0, 5000, 1000):
-        cat = gen.gen_category_with_chi(seed + offset, 2)
+        cat = builders.gen_category_with_chi(seed + offset, 2)
         if len(cat.objects) <= 4 and len(cat.morphisms) <= 14:
             return cat
     return fx.ARROW
@@ -96,7 +95,7 @@ def _small_cat(seed):
 
 def _small_cg(seed):
     for offset in range(0, 5000, 1000):
-        g = gen.gen_catgraph_with_chi(seed + offset, 2)
+        g = builders.gen_catgraph_with_chi(seed + offset, 2)
         cells = sum(len(g.hom_at(x, y).morphisms) for x in g.objects for y in g.objects)
         if len(g.objects) <= 3 and cells <= 12:
             return g
@@ -120,11 +119,11 @@ def test_criterion_4_coproduct_product_identities():
 
 def test_criterion_5_equivalence_invariance():
     for seed in range(50):
-        fun = gen.gen_equivalence(seed, 2)
+        fun = builders.gen_equivalence(seed, 2)
         assert check_equivalence_functor(fun), seed
         assert euler_char_cat(fun.source).chi == euler_char_cat(fun.target).chi, seed
     for seed in range(20):
-        lax = gen.gen_biequivalence(seed, 2)
+        lax = builders.gen_biequivalence(seed, 2)
         rep = verify_biequivalence_invariance(lax)
         assert rep.equal and rep.transported_valid, seed
     print("ACCEPTANCE 5: PASS - chi equal on 50 equivalences and 20 biequivalences; "
@@ -166,7 +165,7 @@ def test_criterion_8_bicategorical_formulas():
             gr_hom_coweighting(t, source, source)  # hom-level product coweighting, asserted inside
             break
     for seed in range(20):
-        p = gen.gen_fib_pseudogroupoids_laxfunctor(seed, 2)
+        p = builders.gen_fib_pseudogroupoids_laxfunctor(seed, 2)
         rep = classify_bifibration(p)
         assert rep.fibered_in_pseudogroupoids and rep.cofibered_in_pseudogroupoids, seed
         out = verify_product_formula_bicat(p)  # fiber pseudogroupoid + constancy asserted inside

@@ -4,40 +4,32 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_oracle
 from bicat_euler import fixtures as fx
 from bicat_euler.bicat import (
     MissingCompositionData,
-    NotAcyclic,
     NotBiequivalence,
-    NotPseudogroupoid,
     acyclic_bicat_witness,
     biequivalence_witness,
     check_biequivalence,
     coop_bicategory,
     coop_lax_functor,
-    coproduct_cg,
     equivalence_classes,
-    euler_acyclic_bicat,
     euler_char_cg,
     identity_lax_functor,
-    is_acyclic_bicat,
     make_catgraph,
     product_cg,
     pseudogroupoid_check,
     pseudogroupoid_witness,
-    pseudogroupoid_euler,
     similarity_matrix_cg,
     validate_bicategory,
     validate_lax_functor,
     verify_biequivalence_invariance,
 )
 from bicat_euler.exactq import QMatrix, matrix_euler
-from bicat_euler.generators import (
-    gen_biequivalence,
-    gen_catgraph_with_chi,
-    gen_pseudogroupoid,
-    inflate_bicategory,
-)
+from bicat_euler.generators import gen_pseudogroupoid
+from bifib_oracle import pseudogroupoid_euler
+from builders import coproduct_cg, gen_biequivalence, gen_catgraph_with_chi, inflate_bicategory
 
 
 def test_similarity_matrix_trivial_ez2():
@@ -90,9 +82,9 @@ def test_coproduct_with_empty_graph_unchanged():
 
 
 def test_is_acyclic_bicat():
-    assert is_acyclic_bicat(fx.ACYCLIC2)
-    assert not is_acyclic_bicat(fx.EZ2_BICAT)  # two-way 1-cells
-    assert not is_acyclic_bicat(fx.BZ2_TWOGROUP)  # endo-hom not equivalent to the point
+    assert not acyclic_bicat_witness(fx.ACYCLIC2)
+    assert acyclic_bicat_witness(fx.EZ2_BICAT)  # two-way 1-cells
+    assert acyclic_bicat_witness(fx.BZ2_TWOGROUP)  # endo-hom not equivalent to the point
 
 
 def test_acyclic_bicat_witness():
@@ -104,17 +96,27 @@ def test_acyclic_bicat_witness():
     assert acyclic_bicat_witness(z2) == {"endo_hom_not_point": ("*",)}
 
 
+def _triangular_chi(b) -> Fraction:
+    """chi of an acyclic bicategory by the paper's triangular formula: the sum of the entries of ζ⁻¹.
+
+    Acyclicity makes ζ unitriangular in a topological order of the objects, so it is invertible.
+    """
+    assert not acyclic_bicat_witness(b)
+    zeta = similarity_matrix_cg(b.graph)
+    assert all(zeta.at(x, x) == 1 for x in b.objects)
+    inverse = fraction_oracle.invert([list(row) for row in zeta.entries])
+    return sum((v for row in inverse for v in row), Fraction(0))
+
+
 def test_euler_acyclic_bicat():
-    assert euler_acyclic_bicat(fx.ACYCLIC2) == 1
+    assert euler_char_cg(fx.ACYCLIC2.graph).chi == _triangular_chi(fx.ACYCLIC2) == 1
     discrete = validate_bicategory(
         ["0", "1", "2"],
         {(str(i), str(i)): fx.one_object_cat(f"id{i}") for i in range(3)},
         {str(i): f"id{i}" for i in range(3)},
         {((str(i), str(i), str(i)), f"id{i}", f"id{i}"): f"id{i}" for i in range(3)},
     )
-    assert euler_acyclic_bicat(discrete) == 3
-    with pytest.raises(NotAcyclic):
-        euler_acyclic_bicat(fx.PSG)
+    assert euler_char_cg(discrete.graph).chi == _triangular_chi(discrete) == 3
 
 
 def test_euler_acyclic_three_object_chain():
@@ -149,9 +151,7 @@ def test_euler_acyclic_three_object_chain():
         {"0": "id0", "1": "id1", "2": "id2"},
         compose1,
     )
-    assert is_acyclic_bicat(b)
-    chi = euler_acyclic_bicat(b)
-    assert chi == euler_char_cg(b.graph).chi
+    assert euler_char_cg(b.graph).chi == _triangular_chi(b)
 
 
 def test_equivalence_classes():
@@ -182,7 +182,7 @@ def test_pseudogroupoid_euler_values():
     assert pseudogroupoid_euler(fx.PSG) == 2
     assert pseudogroupoid_euler(fx.EZ2_BICAT) == 1
     assert pseudogroupoid_euler(fx.BZ2_TWOGROUP) == 2
-    with pytest.raises(NotPseudogroupoid):
+    with pytest.raises(ValueError):
         pseudogroupoid_euler(fx.ACYCLIC2)
 
 

@@ -18,7 +18,6 @@ from bicat_euler import bifib, catdsl, cli, fib1
 from bicat_euler import fixtures as fx
 from bicat_euler.bicat import (
     LaxFunctorBicat,
-    disjoint_union_lax_functor,
     identity_lax_functor,
     product_projection,
     validate_bicategory,
@@ -26,7 +25,8 @@ from bicat_euler.bicat import (
 )
 from bicat_euler.fib1 import NotBiFibered
 from bicat_euler.fincat import validate_category, validate_functor
-from bicat_euler.generators import gen_fib_pseudogroupoids_laxfunctor, gen_pseudogroupoid, gen_trihom
+from bicat_euler.generators import gen_pseudogroupoid, gen_trihom
+from builders import disjoint_union_lax_functor, gen_fib_pseudogroupoids_laxfunctor
 from conftest import FIXTURE_DIR
 
 
@@ -322,13 +322,13 @@ def counters(monkeypatch):
         calls["fiber"].append((id(p), b_obj))
         return build(p, b_obj)
 
-    def counted_classify(q, convention="standard"):
+    def counted_classify(q):
         calls["classify"].append(id(q))
-        return classify(q, convention)
+        return classify(q)
 
-    def counted_cartesian(q, f, convention="standard"):
-        calls["cartesian"].append((id(q), f, convention))
-        return cartesian(q, f, convention)
+    def counted_cartesian(q, f):
+        calls["cartesian"].append((id(q), f))
+        return cartesian(q, f)
 
     monkeypatch.setattr(bifib, "_Sweep", CountedSweep)
     monkeypatch.setattr(bifib, "fiber_bicategory", counted_build)

@@ -1,6 +1,7 @@
 """Parser/serializer: round trips, canonical bytes, diagnostics with spans."""
 
 import json
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from bicat_euler import fixtures as fx
 from bicat_euler.bicat import validate_lax_functor
 from bicat_euler.catdsl import parse, serialize
 from bicat_euler.fincat import validate_functor
+from builders import write_fixture_corpus
 
 ROUND_TRIP_VALUES = [
     "PT", "D2", "ARROW", "PAIR", "SPAN", "BZ2", "EZ2",
@@ -84,6 +86,9 @@ NEGATIVE_CODES = {
     "stray-object-key.catj": "E001",
     "stray-morphism-key.catj": "E001",
     "stray-laxfunctor-object-key.catj": "E001",
+    "stray-psi-key.catj": "E001",
+    "stray-unit-iso-key.catj": "E001",
+    "stray-fiber-object-key.catj": "E001",
 }
 
 
@@ -99,12 +104,23 @@ def test_negative_corpus_triggers_each_code(name, negative_dir):
     ("stray-object-key.catj", "object_map key 'zz' is not a source object", 15, 38),
     ("stray-morphism-key.catj", "morphism_map key 'zz' is not a source morphism", 16, 48),
     ("stray-laxfunctor-object-key.catj", "object_map key 'zz' is not a source object", 19, 28),
+    ("stray-psi-key.catj", "psi key 'zz' is not a source object", 21, 23),
+    ("stray-unit-iso-key.catj", "unit_iso key 'zz' is not a base object", 21, 35),
+    ("stray-fiber-object-key.catj", "comp_iso[id*|id*] key 'zz' is not a fiber object", 20, 40),
 ])
 def test_a_stray_map_key_is_one_diagnostic_at_the_key(negative_dir, name, message, line, col):
     text = (negative_dir / name).read_text(encoding="utf-8")
     result = parse(text)
     assert [(d.code, d.message, d.line, d.col) for d in result.diagnostics] == [("E001", message, line, col)]
-    assert parse(text.replace(', "zz": "*"', "").replace(', "zz": "id*"', "")).ok
+    assert parse(re.sub(r', "zz": ("[^"]*"|\{[^}]*\})', "", text)).ok
+
+
+def test_a_stray_fiber_object_key_in_unit_iso_is_one_diagnostic(negative_dir):
+    text = (negative_dir / "stray-unit-iso-key.catj").read_text(encoding="utf-8")
+    stray_base_key = '"unit_iso": {"*": {"x": "idx"}, "zz": {"x": "idx"}}'
+    assert stray_base_key in text
+    text = text.replace(stray_base_key, '"unit_iso": {"*": {"x": "idx", "ghost": "idx"}}')
+    assert [str(d) for d in parse(text).diagnostics] == ["21:34 E001 unit_iso[*] key 'ghost' is not a fiber object"]
 
 
 def test_serialize_writes_no_stray_map_key():
@@ -116,6 +132,10 @@ def test_serialize_writes_no_stray_map_key():
     lax = validate_lax_functor(collapse.source, collapse.target, {**collapse.object_map, "zz": "*"},
                                collapse.hom_functors)
     assert serialize(lax) == serialize(collapse)
+    identity = _bpt_identity_with_phi_psi()
+    with_stray_psi = validate_lax_functor(identity.source, identity.target, identity.object_map,
+                                          identity.hom_functors, identity.phi, {**identity.psi, "zz": "idI"})
+    assert serialize(with_stray_psi) == serialize(identity)
 
 
 def test_every_diagnostic_carries_a_span(negative_dir):
@@ -363,7 +383,7 @@ def test_pullback_object_map_outside_the_target_fiber_is_one_e001(fixture_dir):
 
 
 def test_write_fixture_corpus_reproduces_every_positive_fixture(tmp_path, fixture_dir):
-    written = fx.write_fixture_corpus(tmp_path)
+    written = write_fixture_corpus(tmp_path)
     assert sorted(path.name for path in written) == sorted(path.name for path in fixture_dir.glob("*.catj"))
     for path in written:
         assert path.read_bytes() == (fixture_dir / path.name).read_bytes(), path.name

@@ -4,21 +4,22 @@
 same order.  `validate_category` must accept what the exhaustive law loops
 accept, and report the same violations in the same order on seeded mutants
 of composition tables; its full triple scan runs only when the generator
-check fails or an identity law does.  `is_cartesian_morphism`, in both
-conventions, and `classify_fibration` and `choose_cleavage` must agree with
-the lift-by-lift search on seeded functors that include non-cartesian
-morphisms and groupoid projections, whose isomorphisms skip the count.
+check fails or an identity law does.  `is_cartesian_morphism` and
+`classify_fibration` must agree with the lift-by-lift search on seeded
+functors that include non-cartesian morphisms and groupoid projections,
+whose isomorphisms skip the count.
 """
 
 import random
 
 import pytest
 
+import builders
 import category_oracle as oracle
 from bicat_euler import fib1, fincat
 from bicat_euler import fixtures as fx
 from bicat_euler import generators as gen
-from bicat_euler.fib1 import NotFibered, choose_cleavage, classify_fibration, is_cartesian_morphism, reverse_functor
+from bicat_euler.fib1 import classify_fibration, is_cartesian_morphism, reverse_functor
 from bicat_euler.fincat import (
     FinCategory,
     InvalidCategory,
@@ -28,7 +29,6 @@ from bicat_euler.fincat import (
     validate_functor,
 )
 
-CONVENTIONS = ("standard", "paper")
 
 
 def _group(n):
@@ -94,9 +94,9 @@ def _categories() -> list[FinCategory]:
     for seed in range(4):
         cats += [
             gen.gen_acyclic_category(seed, 5),
-            gen.gen_groupoid(seed, 3),
-            gen.gen_category_with_chi(seed, 3),
-            gen.inflate_category(gen.gen_category_with_chi(seed, 2), [2, 1, 3])[0],
+            builders.gen_groupoid(seed, 3),
+            builders.gen_category_with_chi(seed, 3),
+            builders.inflate_category(builders.gen_category_with_chi(seed, 2), [2, 1, 3])[0],
         ]
         bicat = gen.gen_pseudogroupoid(seed, 2)
         cats += [bicat.hom_at(x, y) for x in bicat.objects for y in bicat.objects]
@@ -151,7 +151,7 @@ def test_validator_matches_exhaustive_loops_on_mutants():
     rng = random.Random(4)
     cats = list(SMALL.values()) + [_group(4), product_cat(fx.ARROW, fx.BZ2), product_cat(fx.EZ2, _group(3))]
     cats += [product_cat(SMALL["E3"], fx.BZ2), product_cat(SMALL["V4"], fx.ARROW)]
-    cats += [gen.gen_category_with_chi(seed, 3) for seed in range(3)] + GROUPOID_PRODUCTS
+    cats += [builders.gen_category_with_chi(seed, 3) for seed in range(3)] + GROUPOID_PRODUCTS
     codes = set()
     for i in range(1000):
         data = _mutant(rng, cats[i % len(cats)])
@@ -218,11 +218,11 @@ def _functors():
     for seed in range(3):
         functors += [
             _collapse(gen.gen_acyclic_category(seed, 4)),
-            gen.inflate_category(gen.gen_category_with_chi(seed, 2), [2, 3, 1])[1],
-            gen.gen_equivalence(seed, 2),
+            builders.inflate_category(builders.gen_category_with_chi(seed, 2), [2, 3, 1])[1],
+            builders.gen_equivalence(seed, 2),
             gen.gen_fib_groupoids_functor(seed, 3),
         ]
-        lax = gen.gen_fib_pseudogroupoids_laxfunctor(seed, 2)
+        lax = builders.gen_fib_pseudogroupoids_laxfunctor(seed, 2)
         functors += list(lax.hom_functors.values())
     return functors + [reverse_functor(p) for p in functors]
 
@@ -237,48 +237,28 @@ def test_cartesian_test_matches_lift_search(functors):
     for p in functors:
         for m in p.source.morphisms:
             invertible = p.source.inverse_of(m.name) is not None
-            for convention in CONVENTIONS:
-                got = is_cartesian_morphism(p, m.name, convention)
-                assert got == oracle.is_cartesian_morphism(p, m.name, convention), (m.name, convention)
-                verdicts.add((convention, invertible, got))
-    # standard: isomorphisms take the early return, the rest are counted, and both verdicts occur
-    assert {("standard", True, True), ("standard", False, True), ("standard", False, False)} <= verdicts
+            got = is_cartesian_morphism(p, m.name)
+            assert got == oracle.is_cartesian_morphism(p, m.name), m.name
+            verdicts.add((invertible, got))
+    # isomorphisms take the early return, the rest are counted, and both verdicts occur
+    assert {(True, True), (False, True), (False, False)} <= verdicts
 
 
 def test_classify_fibration_matches_oracle(functors):
     flags = set()
     for p in functors:
-        for convention in CONVENTIONS:
-            report = classify_fibration(p, convention)
-            assert report == oracle.classify_fibration(p, convention)
-            flags.add((report.fibered, report.fibered_in_groupoids))
+        report = classify_fibration(p)
+        assert report == oracle.classify_fibration(p)
+        flags.add((report.fibered, report.fibered_in_groupoids))
     assert len(flags) > 1
-
-
-def _cleavage_outcome(choose, p, policy, convention):
-    try:
-        return "cleavage", choose(p, policy, convention).lifts
-    except NotFibered as exc:
-        return "not fibered", str(exc)
-
-
-def test_choose_cleavage_matches_scan(functors):
-    kinds = set()
-    for p in functors:
-        for policy in ("min", "max"):
-            for convention in CONVENTIONS:
-                got = _cleavage_outcome(choose_cleavage, p, policy, convention)
-                assert got == _cleavage_outcome(oracle.choose_cleavage, p, policy, convention)
-                kinds.add(got[0])
-    assert kinds == {"cleavage", "not fibered"}
 
 
 def test_classify_fibration_tests_each_morphism_once(functors, monkeypatch):
     seen = []
 
-    def counted(p, f, convention="standard"):
-        seen.append((id(p), f, convention))
-        return is_cartesian_morphism(p, f, convention)
+    def counted(p, f):
+        seen.append((id(p), f))
+        return is_cartesian_morphism(p, f)
 
     monkeypatch.setattr(fib1, "is_cartesian_morphism", counted)
     for p in functors:

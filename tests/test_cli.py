@@ -234,6 +234,15 @@ def test_gen_smallest_acyclic_is_pt(capsys, fixture_dir):
     assert out == (fixture_dir / "pt.catj").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("size", ["-3", "0", "two"])
+def test_gen_size_below_one_is_a_usage_error(capsys, size):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "pseudogroupoid", "--size", size])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "argument --size: " in err
+    assert ("invalid int value" if size == "two" else f"size must be at least 1, got {size}") in err
+
+
 def test_gen_to_file_then_check(tmp_path, capsys):
     target = tmp_path / "gen.catj"
     code, out, _ = run(capsys, "gen", "fib-groupoids-functor", "--seed", "7", "--size", "3",

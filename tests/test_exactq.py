@@ -11,15 +11,13 @@ from bicat_euler.exactq import (
     IndexMismatch,
     QMatrix,
     QVector,
-    entry_sum,
     format_rational,
-    invert,
     matrix_euler,
     rational,
     solve_coweighting,
     solve_weighting,
 )
-from bicat_euler.generators import random_rational_matrix
+from builders import random_rational_matrix
 
 
 def mat(rows):
@@ -75,20 +73,6 @@ def test_matrix_euler_index_mismatch():
     bad = QMatrix(("a",), ("b",), ((Fraction(1),),))
     with pytest.raises(IndexMismatch):
         matrix_euler(bad)
-
-
-def test_invert_unitriangular():
-    inv = invert(ARROW_ZETA)
-    assert inv.entries == ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1)))
-
-
-def test_invert_singular_is_none():
-    assert invert(EZ2_ZETA) is None
-
-
-def test_invert_span_entry_sum():
-    span = mat([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
-    assert entry_sum(invert(span)) == 1
 
 
 def test_format_and_parse_rational():
@@ -149,12 +133,12 @@ def test_transpose_duality():
 def test_invertible_chi_equals_inverse_entry_sum():
     for seed in range(120):
         m = random_rational_matrix(seed)
-        inv = invert(m)
+        inv = fraction_oracle.invert([list(r) for r in m.entries])
         if inv is None:
             continue
         e = matrix_euler(m)
         assert e.chi is not None
-        assert e.chi == entry_sum(inv)
+        assert e.chi == sum((v for row in inv for v in row), Fraction(0))
 
 
 def test_choice_independence_of_chi():
@@ -225,28 +209,4 @@ def test_kernel_matches_fraction_oracle_on_generator_stream():
         m = random_rational_matrix(seed)
         for free_value in (Fraction(0), Fraction(1), Fraction(3, 5)):
             assert _kernel_weighting(m, free_value) == _oracle_weighting(m, free_value), seed
-        expected = fraction_oracle.invert([list(r) for r in m.entries])
-        inv = invert(m)
-        assert (None if inv is None else [list(r) for r in inv.entries]) == expected, seed
 
-
-def test_invert_matches_oracle_and_is_an_inverse():
-    inverted = 0
-    for kind in ("nonsingular", "singular", "inconsistent"):
-        for seed in range(60):
-            m = _seeded_matrix(seed, kind)
-            expected = fraction_oracle.invert([list(r) for r in m.entries])
-            inv = invert(m)
-            assert (None if inv is None else [list(r) for r in inv.entries]) == expected, (kind, seed)
-            if kind != "nonsingular":
-                assert inv is None, (kind, seed)
-            if inv is None:
-                continue
-            inverted += 1
-            n = len(m.rows)
-            product = [
-                [sum((inv.entries[i][k] * m.entries[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-                for i in range(n)
-            ]
-            assert product == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)], (kind, seed)
-    assert inverted > 50

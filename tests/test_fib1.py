@@ -1,4 +1,4 @@
-"""Fibrations, cleavages, fiber categories and the Grothendieck construction."""
+"""Fibrations, fiber categories and the Grothendieck construction."""
 
 from fractions import Fraction
 
@@ -13,13 +13,10 @@ from bicat_euler.fib1 import (
     LaxFunctorToCat,
     MorphismNotInCategory,
     NotBiFibered,
-    NotFibered,
     ObjectNotInBase,
-    choose_cleavage,
     classify_fibration,
     fiber_category,
     grothendieck_cat,
-    induced_fiber_pseudofunctor,
     is_cartesian_morphism,
     is_strict,
     reverse_functor,
@@ -30,12 +27,12 @@ from bicat_euler.fib1 import (
 from bicat_euler.fincat import (
     InvalidInput,
     category_components,
-    coproduct_cat,
     euler_char_cat,
     subcategory,
     validate_functor,
 )
 from bicat_euler.generators import gen_fib_groupoids_functor, gen_groupoid_valued_laxcat
+from builders import coproduct_cat
 
 
 ARROW_TO_PT = validate_functor(
@@ -51,11 +48,6 @@ def test_identity_functor_everything_cartesian():
 
 def test_arrow_over_point_not_cartesian():
     assert not is_cartesian_morphism(ARROW_TO_PT, "a")
-
-
-def test_paper_convention_flag_flips_the_example():
-    # under the literal source-material reading, the same morphism passes
-    assert is_cartesian_morphism(ARROW_TO_PT, "a", convention="paper")
 
 
 def test_unknown_morphism_raises():
@@ -95,19 +87,6 @@ def test_dualization_involution():
         assert rep.cofibered_in_groupoids == rev.fibered_in_groupoids
 
 
-def test_cleavage_identity_functor_picks_self():
-    ident = fx.identity_functor(fx.BZ2)
-    c = choose_cleavage(ident)
-    for m in fx.BZ2.morphisms:
-        assert c.lift(m.name, m.dst) == m.name
-
-
-def test_cleavage_not_fibered_raises():
-    p = validate_functor(fx.D2, fx.ARROW, {"x": "0", "y": "1"}, {"idx": "id0", "idy": "id1"})
-    with pytest.raises(NotFibered):
-        choose_cleavage(p)
-
-
 def test_fiber_of_quotient_is_discrete():
     fib = fiber_category(fx.EZ2_TO_BZ2, "*")
     assert fib.objects == ("0", "1")
@@ -131,19 +110,6 @@ def test_grothendieck_fiber_matches_fiber_functor():
     assert euler_char_cat(fib0).chi == euler_char_cat(fx.ARROW_BASE_LAXCAT.fiber["0"]).chi
     fib1_ = fiber_category(gr.projection, "1")
     assert euler_char_cat(fib1_).chi == euler_char_cat(fx.ARROW_BASE_LAXCAT.fiber["1"]).chi
-
-
-def test_induced_pseudofunctor_identity():
-    ident = fx.identity_functor(fx.BZ2)
-    lax = induced_fiber_pseudofunctor(ident, choose_cleavage(ident))
-    pull = lax.pullback["e"]
-    assert all(pull.ob(x) == x for x in lax.fiber["*"].objects)
-
-
-def test_induced_pseudofunctor_swap():
-    lax = induced_fiber_pseudofunctor(fx.EZ2_TO_BZ2, choose_cleavage(fx.EZ2_TO_BZ2))
-    swap = lax.pullback["g"]
-    assert swap.ob("0") == "1" and swap.ob("1") == "0"
 
 
 def test_grothendieck_point_base_recovers_fiber():
@@ -235,7 +201,7 @@ def test_nonstrict_with_coherence_builds_full_category():
     lax = validate_laxcat(_nonstrict_chain_laxcat(with_coherence=True))
     gr = grothendieck_cat(lax)
     assert gr.total is not None and gr.projection is not None
-    counting = grothendieck_cat(lax.remove_coherence())
+    counting = grothendieck_cat(LaxFunctorToCat(lax.base, lax.fiber, lax.pullback))
     assert counting.euler().chi == gr.euler().chi
 
 

@@ -1,6 +1,7 @@
-"""Generators: determinism and by-construction predicates."""
+"""Generators and test-input builders: determinism and by-construction predicates."""
 
 from bicat_euler import generators as gen
+from builders import gen_category_with_chi, gen_equivalence, gen_fib_pseudogroupoids_laxfunctor, gen_groupoid
 from bicat_euler.bicat import pseudogroupoid_check
 from bicat_euler.catdsl import serialize
 from bicat_euler.fib1 import classify_fibration
@@ -14,7 +15,7 @@ def test_deterministic_for_fixed_seed():
         lambda s: gen.gen_fib_groupoids_functor(s, 3),
         lambda s: gen.gen_pseudogroupoid(s, 2),
         lambda s: gen.gen_trihom(s, 2),
-        lambda s: gen.gen_fib_pseudogroupoids_laxfunctor(s, 2),
+        lambda s: gen_fib_pseudogroupoids_laxfunctor(s, 2),
     ]
     for builder in builders:
         assert serialize(builder(7)) == serialize(builder(7))
@@ -38,7 +39,7 @@ def test_acyclic_predicate():
 
 def test_groupoid_predicate():
     for seed in range(10):
-        g = gen.gen_groupoid(seed, 3)
+        g = gen_groupoid(seed, 3)
         assert all(g.inverse_of(m.name) is not None for m in g.morphisms)
 
 
@@ -61,11 +62,11 @@ def test_trihom_fibers_are_pseudogroupoids():
 
 def test_equivalences_are_equivalences():
     for seed in range(10):
-        f = gen.gen_equivalence(seed, 3)
+        f = gen_equivalence(seed, 3)
         assert check_equivalence_functor(f)
         assert euler_char_cat(f.source).chi == euler_char_cat(f.target).chi
 
 
 def test_categories_with_chi_have_chi():
     for seed in range(20):
-        assert euler_char_cat(gen.gen_category_with_chi(seed, 3)).chi is not None
+        assert euler_char_cat(gen_category_with_chi(seed, 3)).chi is not None

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from bicat_euler import bicat, catdsl, fincat, fixtures as fx, generators
+from bicat_euler import bicat, catdsl, fincat, fixtures as fx
+from builders import gen_catgraph_with_chi
 from bicat_euler.exactq import QMatrix
 from test_scanner import CORPUS, mutants
 
@@ -138,7 +139,7 @@ def _catgraphs():
         value = catdsl.parse(CORPUS[name]).document.value
         yield getattr(value, "graph", value)
     for seed in range(40):
-        yield generators.gen_catgraph_with_chi(seed, 3)
+        yield gen_catgraph_with_chi(seed, 3)
     yield bicat.product_cg([fx.PSG.graph, fx.ACYCLIC2.graph])
     yield bicat.product_cg([])
 

@@ -1,9 +1,10 @@
 """`exactq.Record` against the frozen dataclass it replaces.
 
-Every value class of the package derives from `Record`.  For each one, the
-slow path is a `dataclasses.make_dataclass(..., frozen=True)` twin with the
-same public fields, defaults and `__post_init__`: on sample values both
-must print, compare, hash and fail alike.
+Every value class of the package derives from `Record`, as does the nerve
+oracle's `ChainComplexCount` in the tests.  For each one, the slow path is
+a `dataclasses.make_dataclass(..., frozen=True)` twin with the same public
+fields, defaults and `__post_init__`: on sample values both must print,
+compare, hash and fail alike.
 """
 
 import dataclasses
@@ -13,12 +14,15 @@ from fractions import Fraction
 
 import pytest
 
+import category_oracle  # noqa: F401  (defines the nerve oracle's record)
 from bicat_euler import bicat, bifib, catdsl, exactq, fib1, fincat  # noqa: F401  (defines every record)
 from bicat_euler.exactq import QMatrix, QVector, Record
 from bicat_euler.fincat import Morphism
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: (cls.__module__, cls.__name__))
 PACKAGE_MODULES = {f"bicat_euler.{name}" for name in ("exactq", "fincat", "catdsl", "fib1", "bicat", "bifib")}
+# The test suite's own records: `category_oracle.ChainComplexCount`.
+TEST_MODULES = {"category_oracle"}
 
 _ID = Morphism("id*", "*", "*")
 SAMPLES = {
@@ -75,7 +79,7 @@ def _same_outcome(call, twin_call):
 
 
 def test_every_value_class_is_a_record():
-    assert {cls.__module__ for cls in RECORDS} == PACKAGE_MODULES
+    assert {cls.__module__ for cls in RECORDS} == PACKAGE_MODULES | TEST_MODULES
     assert not [cls for cls in RECORDS if dataclasses.is_dataclass(cls)]
 
 
