@@ -42,6 +42,10 @@ class NotBiequivalence(InvalidInput):
     pass
 
 
+class Hcompose2IdentityViolation(InvalidInput):
+    """hcompose2 of two identity 2-cells is not the identity 2-cell of the composite 1-cell."""
+
+
 class CatGraph(Record):
     """Finite object set with a finite category of morphisms per ordered pair."""
 
@@ -112,7 +116,7 @@ def validate_bicategory(
     unitor_l=None,
     unitor_r=None,
 ) -> Bicategory:
-    """Endpoint/totality validation of the composition data (frames only)."""
+    """Endpoint/totality validation of the composition data (frames, and hcompose2 on identities)."""
     graph = make_catgraph(objects, hom)
     for x in graph.objects:
         ident = identity1.get(x)
@@ -152,6 +156,13 @@ def validate_bicategory(
                             if hz.src(res) != want_src or hz.dst(res) != want_dst:
                                 raise MissingCompositionData(
                                     f"hcompose2 at (({x},{y},{z}), {beta.name}, {alpha.name}) has wrong frame"
+                                )
+                    for f in hx.objects:
+                        for g in hy.objects:
+                            id_g, id_f = hy.identity[g], hx.identity[f]
+                            if hcompose2[((x, y, z), id_g, id_f)] != hz.identity[bi.c1(x, y, z, g, f)]:
+                                raise Hcompose2IdentityViolation(
+                                    f"hcompose2 at (({x},{y},{z}), {id_g}, {id_f}) is not the identity of {g}∘{f}"
                                 )
     if associator is not None:
         _validate_associator(bi, associator)

@@ -189,10 +189,12 @@ class LaxFunctorToCat(Record):
 
 
 def validate_laxcat(f: LaxFunctorToCat) -> LaxFunctorToCat:
-    for b in f.base.objects:
+    """f with only the keys that name a base object, base morphism or fiber object; IncoherentData otherwise."""
+    base = f.base
+    for b in base.objects:
         if b not in f.fiber:
             raise IncoherentData(f"missing fiber for base object {b}")
-    for m in f.base.morphisms:
+    for m in base.morphisms:
         pb = f.pullback.get(m.name)
         if pb is None:
             raise IncoherentData(f"missing pullback functor for base morphism {m.name}")
@@ -200,9 +202,17 @@ def validate_laxcat(f: LaxFunctorToCat) -> LaxFunctorToCat:
             raise IncoherentData(f"pullback along {m.name} has wrong endpoints")
     if (f.comp_iso is None) != (f.unit_iso is None):
         raise IncoherentData("coherence data must supply both composite and unit components")
+    # Keys that name no base object, base morphism or fiber object are no part of it.
+    fiber = {b: cat for b, cat in f.fiber.items() if b in base.identity}
+    pullback = {m: fun for m, fun in f.pullback.items() if m in base._by_name}
+    comp_iso = unit_iso = None
     if f.comp_iso is not None:
         _validate_coherence(f)
-    return f
+        comp_iso = {
+            gf: {z: comps[z] for z in fiber[base.dst(gf[0])].objects} for gf, comps in f.comp_iso.items()
+        }
+        unit_iso = {b: {x: f.unit_iso[b][x] for x in fiber[b].objects} for b in fiber}
+    return LaxFunctorToCat(base, fiber, pullback, comp_iso, unit_iso)
 
 
 def _validate_coherence(f: LaxFunctorToCat):

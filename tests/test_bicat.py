@@ -1,5 +1,6 @@
 """Cat-graphs and bicategories: chi, acyclicity, pseudogroupoids, biequivalence."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import fraction_oracle
 from bicat_euler import fixtures as fx
 from bicat_euler.bicat import (
+    Hcompose2IdentityViolation,
     MissingCompositionData,
     NotBiequivalence,
     acyclic_bicat_witness,
@@ -321,6 +323,24 @@ def test_unknown_2cell_names_are_rejected(field):
         validate_bicategory(
             ["*"], {("*", "*"): fx.one_object_cat("I")}, {"*": "I"}, {(("*", "*", "*"), "I", "I"): "I"}, **cells
         )
+
+
+@pytest.mark.parametrize("name", ["BZ2_TWOGROUP", "PSG"])
+def test_hcompose2_must_send_identities_to_identities(name):
+    bi = getattr(fx, name)
+    g = bi.graph
+
+    def revalidate(hcompose2):
+        return validate_bicategory(g.objects, g.hom, bi.identity1, bi.compose1, hcompose2)
+
+    assert revalidate(bi.hcompose2) == bi
+    x = g.objects[0]
+    hom = g.hom_at(x, x)
+    f = bi.id1(x)
+    unit = hom.identity[f]
+    other = next(c for c in hom.hom(f, f) if c != unit)  # a non-identity 2-cell with the same frame
+    with pytest.raises(Hcompose2IdentityViolation, match=re.escape(f"at (({x},{x},{x}), {unit}, {unit})")):
+        revalidate({**bi.hcompose2, ((x, x, x), unit, unit): other})
 
 
 def test_phi_psi_frames_validated():

@@ -79,6 +79,7 @@ NEGATIVE_CODES = {
     "law-dangling.catj": "DanglingEndpoint",
     "missing-composition-data.catj": "MissingCompositionData",
     "unknown-2cell.catj": "MissingCompositionData",
+    "hcompose2-identity.catj": "Hcompose2IdentityViolation",
     "unknown-phi-object.catj": "MissingCompositionData",
     "unknown-comp-iso-key.catj": "IncoherentData",
     "incoherent-laxcat.catj": "IncoherentData",

@@ -1,6 +1,7 @@
 """End-to-end CLI: outputs, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -299,9 +300,36 @@ LAZY_MODULES = {f"bicat_euler.{m}" for m in ("bicat", "fib1", "bifib", "generato
 UNNEEDED_STDLIB = {"dataclasses", "inspect", "traceback"}
 
 
-def _unneeded_stdlib_after(fixture_dir, code):
-    """The unneeded stdlib modules that code loads beyond what a bare interpreter has (a site hook may load some)."""
-    return (_loaded_after(fixture_dir, code) - _loaded_after(fixture_dir, "pass")) & UNNEEDED_STDLIB
+def _loaded_beyond_bare(fixture_dir, code):
+    """The modules that code loads beyond what a bare interpreter has (a site hook may load some)."""
+    return _loaded_after(fixture_dir, code) - _loaded_after(fixture_dir, "pass")
+
+
+def _commands(tmp_path):
+    """One passing run of each command."""
+    return [
+        ["chi", "fixtures/bz2.catj"],
+        ["check", "fixtures/ez2-to-bz2.catj", "fib-groupoids"],
+        ["verify", "product-bicat", "fixtures/gr-psg-over-arrow.catj"],
+        ["gen", "trihom-psgrpd", "--out", str(tmp_path / "trihom.catj")],
+    ]
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="no built-in SHA-256 module: cli falls back to hashlib",
+)
+def test_no_command_loads_openssl(fixture_dir, tmp_path):
+    # `hashlib` loads OpenSSL through `_hashlib`; cli hashes with the built-in module instead.
+    for argv in _commands(tmp_path):
+        code = f"from bicat_euler.cli import main; assert main({argv!r}) == 0"
+        assert not _loaded_beyond_bare(fixture_dir, code) & {"hashlib", "_hashlib"}, argv
+
+
+def test_gen_digest_is_of_the_file_written(capsys, tmp_path):
+    target = tmp_path / "laxcat.catj"
+    code, out, _ = run(capsys, "gen", "groupoid-valued-laxcat", "--seed", "4", "--out", str(target), "--json")
+    assert code == 0 and json.loads(out)["results"]["sha256"] == hashlib.sha256(target.read_bytes()).hexdigest()
 
 
 def test_cli_import_loads_no_thread_pool(fixture_dir):
@@ -311,7 +339,7 @@ def test_cli_import_loads_no_thread_pool(fixture_dir):
 
 def test_cli_import_loads_no_kind_module(fixture_dir):
     assert not _loaded_after(fixture_dir, "import bicat_euler.cli") & LAZY_MODULES
-    assert not _unneeded_stdlib_after(fixture_dir, "import bicat_euler.cli")
+    assert not _loaded_beyond_bare(fixture_dir, "import bicat_euler.cli") & UNNEEDED_STDLIB
 
 
 def test_package_imports_no_pathlib_or_typing(fixture_dir, tmp_path):
@@ -334,15 +362,9 @@ def test_each_command_loads_only_the_modules_it_runs(fixture_dir, tmp_path):
     acyclic = "from bicat_euler.cli import main; main(['check', 'fixtures/bpt.catj', 'acyclic'])"
     loaded = _loaded_after(fixture_dir, acyclic)
     assert "bicat_euler.bicat" in loaded and not loaded & {"bicat_euler.fixtures", "bicat_euler.fib1"}
-    commands = [
-        ["chi", "fixtures/bz2.catj"],
-        ["check", "fixtures/ez2-to-bz2.catj", "fib-groupoids"],
-        ["verify", "product-bicat", "fixtures/gr-psg-over-arrow.catj"],
-        ["gen", "trihom-psgrpd", "--out", str(tmp_path / "trihom.catj")],
-    ]
-    for argv in commands:
+    for argv in _commands(tmp_path):
         code = f"from bicat_euler.cli import main; assert main({argv!r}) == 0"
-        assert not _unneeded_stdlib_after(fixture_dir, code), argv
+        assert not _loaded_beyond_bare(fixture_dir, code) & UNNEEDED_STDLIB, argv
 
 
 def test_generators_import_validates_nothing(fixture_dir):

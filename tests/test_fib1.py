@@ -7,7 +7,7 @@ import pytest
 import category_oracle
 from bicat_euler import fixtures as fx
 from bicat_euler.bifib import fiber_bicategory
-from bicat_euler.catdsl import parse
+from bicat_euler.catdsl import parse, serialize
 from bicat_euler.fib1 import (
     IncoherentData,
     LaxFunctorToCat,
@@ -211,6 +211,26 @@ def test_bad_coherence_raises():
     broken["0"] = {x: "m01" for x in ("0", "1")}  # wrong frames
     with pytest.raises(IncoherentData):
         validate_laxcat(LaxFunctorToCat(lax.base, lax.fiber, lax.pullback, lax.comp_iso, broken))
+
+
+def test_validated_laxcat_keeps_only_declared_keys(negative_dir):
+    # The one-object laxcat of stray-unit-iso-key.catj without its stray key, then given
+    # stray keys in every table the validator reads: a fiber, a pullback, a comp_iso
+    # component and unit_iso components, over labels no base or fiber declares.
+    text = (negative_dir / "stray-unit-iso-key.catj").read_text(encoding="utf-8")
+    f = parse(text.replace(', "zz": {"x": "idx"}', "")).document.value
+    fiber = f.fiber["*"]
+    stray = LaxFunctorToCat(
+        f.base,
+        {**f.fiber, "zz": fiber},
+        {**f.pullback, "zz": f.pullback["id*"]},
+        {("id*", "id*"): {"x": "idx", "ghost": "idx"}},
+        {"*": {"x": "idx", "ghost": "idx"}, "zz": {}},
+    )
+    lax = validate_laxcat(stray)
+    assert lax == f
+    result = parse(serialize(lax))
+    assert not result.diagnostics and result.document.value == f
 
 
 def test_gr_formula_examples():
