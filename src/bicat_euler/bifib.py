@@ -38,11 +38,12 @@ from .fib1 import (
     ObjectNotInBase,
     NonUniqueLift,
     _grothendieck_objects,
+    _pair_labels,
     _product_components,
     classify_fibration,
     is_cartesian_morphism,
 )
-from .fincat import FinCategory, InvalidInput, pair_label, subcategory, validate_functor
+from .fincat import FinCategory, InvalidInput, subcategory, validate_functor
 
 
 class IllTypedComponent(InvalidInput):
@@ -133,15 +134,10 @@ class GrothendieckCG(Record):
 
 def _gr_hom(t: Trihomomorphism, b: str, x: str, c: str, y: str) -> GrHom:
     fb = t.fiber[b]
-    onecells: list[str] = []
-    onecell_pairs: dict[str, tuple[str, str]] = {}
-    for f in t.base.onecells(b, c):
-        fy = t.pullback1[(b, c, f)].ob(y)
-        for u in fb.onecells(x, fy):
-            label = pair_label(f, u)
-            onecells.append(label)
-            onecell_pairs[label] = (f, u)
-    onecells.sort()
+    onecell_pairs = _pair_labels(
+        (f, u) for f in t.base.onecells(b, c) for u in fb.onecells(x, t.pullback1[(b, c, f)].ob(y))
+    )
+    onecells = sorted(onecell_pairs)
     twocells: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     base_hom = t.base.hom_at(b, c)
     for m1 in onecells:

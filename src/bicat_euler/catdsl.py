@@ -96,16 +96,18 @@ class _SyntaxProblem(Exception):
         super().__init__(message)
 
 
+# The scanner's patterns, compiled when a scanner is made (`re` caches them), not at
+# import: only a document that needs a diagnostic reaches the scanner.
 # A value or key with the whitespace before it, in one match: a string with
 # no escape or raw newline, a number, a literal, any other character, or ""
 # at the end of the text.  Every position matches, so `match` never fails.
-_TOKEN = re.compile(
+_TOKEN = (
     r'([ \t\r\n]*)(?:"([^"\\\n]*)"|((?:-\d|[0-9])\d*(?:\.\d*)?(?:[eE][+-]?\d*)?)|(true|false|null)|([^ \t\r\n]|\Z))'
 )
-_SPACE = re.compile(r"[ \t\r\n]*")
+_SPACE = r"[ \t\r\n]*"
 _SPACE_CHARS = frozenset(" \t\r\n")
-_STRING_RUN = re.compile(r'[^"\\]*')
-_HEX4 = re.compile(r"[0-9a-fA-F]{4}")
+_STRING_RUN = r'[^"\\]*'
+_HEX4 = r"[0-9a-fA-F]{4}"
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 _LITERALS = {"true": True, "false": False, "null": None}
 # What the token at the scan position may be: a value, a value or "]", a key, or a key or "}".
@@ -124,6 +126,8 @@ class _Scanner:
 
     def __init__(self, text: str):
         self.text = text
+        patterns = (_TOKEN, _SPACE, _STRING_RUN, _HEX4)
+        self.token, self.space, self.string_run, self.hex4 = (re.compile(p).match for p in patterns)
 
     def _fail(self, i: int, message: str):
         text = self.text
@@ -137,7 +141,7 @@ class _Scanner:
         return line, line_start
 
     def parse(self) -> JNode:
-        text, match = self.text, _TOKEN.match
+        text, match, space = self.text, self.token, self.space
         line, line_start, pos = 1, 0, 0
         # Open containers, innermost last, each with its key in its parent and its parent's members.
         stack: list[tuple[JNode, Optional[str], object]] = []
@@ -165,7 +169,7 @@ class _Scanner:
                 key = s
                 c = text[pos : pos + 1]
                 if c in _SPACE_CHARS:
-                    end = _SPACE.match(text, pos).end()
+                    end = space(text, pos).end()
                     line, line_start = self._lines(pos, end, line, line_start)
                     pos = end
                     c = text[pos : pos + 1]
@@ -203,7 +207,7 @@ class _Scanner:
                     members[key] = node
                 c = text[pos : pos + 1]
                 if c in _SPACE_CHARS:
-                    end = _SPACE.match(text, pos).end()
+                    end = space(text, pos).end()
                     line, line_start = self._lines(pos, end, line, line_start)
                     pos = end
                     c = text[pos : pos + 1]
@@ -217,7 +221,7 @@ class _Scanner:
                 pos += 1
                 node, key, members = stack.pop()
             else:
-                pos = _SPACE.match(text, pos).end()
+                pos = space(text, pos).end()
                 if pos != len(text):
                     self._fail(pos, "trailing data after document")
                 return node
@@ -227,7 +231,7 @@ class _Scanner:
         text = self.text
         parts = []
         while True:
-            end = _STRING_RUN.match(text, i).end()
+            end = self.string_run(text, i).end()
             parts.append(text[i:end])
             if end == len(text):
                 self._fail(end, "unterminated string")
@@ -235,7 +239,7 @@ class _Scanner:
                 return "".join(parts), end + 1
             esc = text[end + 1 : end + 2]
             if esc == "u":
-                if not _HEX4.match(text, end + 2):
+                if not self.hex4(text, end + 2):
                     self._fail(end + 2, "bad unicode escape")
                 parts.append(chr(int(text[end + 2 : end + 6], 16)))
                 i = end + 6

@@ -3,17 +3,19 @@
 All numeric output is exact rational text; exit codes are 0 (pass),
 1 (check or verification failed), 2 (input error), 3 (internal error:
 any other exception, with its traceback, or a generator failure).  --json
-emits a machine-readable RunReport.  Commands reach the kind modules
-through the package's lazy attributes, so each loads only what it runs.
+emits a machine-readable RunReport.  `parse_args` reads the command line
+from one table, `_COMMANDS`; a usage error exits 2.  Commands reach the
+kind modules through the package's lazy attributes, so each loads only what
+it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 # CPython's built-in SHA-256, not `hashlib`: that import loads OpenSSL (`_hashlib`, libcrypto),
 # about 3 MB of RSS and 3 ms per process that no command otherwise needs.
@@ -253,8 +255,11 @@ def cmd_gen(args) -> int:
         return EXIT_INTERNAL
     text = serialize(value)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"{args.out}: {exc}")
         if not args.json:
             print(args.out)
     else:
@@ -273,57 +278,137 @@ def cmd_gen(args) -> int:
     return _emit(args, report, EXIT_PASS)
 
 
-def _size(text: str) -> int:
-    """A `gen --size`: an integer of at least 1; argparse exits 2 on any other value."""
+def _int(text: str) -> int:
+    """An integer; any other text is a usage error with argparse's message."""
     try:
-        size = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _size(text: str) -> int:
+    """A `gen --size`: an integer of at least 1."""
+    size = _int(text)
     if size < 1:
-        raise argparse.ArgumentTypeError(f"size must be at least 1, got {size}")
+        raise ValueError(f"size must be at least 1, got {size}")
     return size
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bicat-euler",
-        description="Exact Euler characteristics of finite categories, cat-graphs and bicategories.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# What `-h` prints, one entry per command; README.md's CLI section shows the same block.
+_USAGE = {
+    "chi": "bicat-euler chi FILE [--kind category|catgraph|bicategory]\n"
+    "                     [--weighting] [--coweighting] [--decimal] [--json]\n",
+    "check": "bicat-euler check FILE {acyclic|fibered|fib-groupoids|pseudogroupoid|\n"
+    "                        biequivalence|fib-pseudogroupoids} [--json]\n",
+    "verify": "bicat-euler verify {gr|product-cat|biequivalence|gr-bicat|product-bicat} FILE [--json]\n",
+    "gen": "bicat-euler gen {acyclic-cat|groupoid-valued-laxcat|fib-groupoids-functor|\n"
+    "                 pseudogroupoid|trihom-psgrpd} [--seed N] [--size N] [--out FILE] [--json]\n",
+}
 
-    chi = sub.add_parser("chi", help="Euler characteristic of a category/cat-graph/bicategory file")
-    chi.add_argument("file")
-    chi.add_argument("--kind", choices=["category", "catgraph", "bicategory"])
-    chi.add_argument("--weighting", action="store_true")
-    chi.add_argument("--coweighting", action="store_true")
-    chi.add_argument("--decimal", action="store_true")
-    chi.add_argument("--json", action="store_true")
-    chi.set_defaults(func=cmd_chi)
+_FLAG = ("flag", False)
+# command -> (handler, positionals, options).  Each positional is (destination, how); each
+# option, written `--<destination>`, maps its destination to (how, default).  `how` is a
+# converter, a tuple of choices, or "flag": an option that takes no value and sets True.
+_COMMANDS = {
+    "chi": (
+        cmd_chi,
+        [("file", str)],
+        {"kind": (("category", "catgraph", "bicategory"), None), "weighting": _FLAG, "coweighting": _FLAG,
+         "decimal": _FLAG, "json": _FLAG},
+    ),
+    "check": (cmd_check, [("file", str), ("predicate", _PREDICATES)], {"json": _FLAG}),
+    "verify": (
+        cmd_verify,
+        [("theorem", ("gr", "product-cat", "biequivalence", "gr-bicat", "product-bicat")), ("file", str)],
+        {"json": _FLAG},
+    ),
+    "gen": (
+        cmd_gen,
+        [("kind", tuple(_GEN_KINDS))],
+        {"seed": (_int, 0), "size": (_size, 2), "out": (str, None), "json": _FLAG},
+    ),
+}
 
-    check = sub.add_parser("check", help="decide a predicate; exit 1 when it fails")
-    check.add_argument("file")
-    check.add_argument("predicate", choices=_PREDICATES)
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(func=cmd_check)
 
-    verify = sub.add_parser("verify", help="verify an identity exactly; exit 1 on mismatch")
-    verify.add_argument("theorem", choices=["gr", "product-cat", "biequivalence", "gr-bicat", "product-bicat"])
-    verify.add_argument("file")
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=cmd_verify)
+def _usage_error(command, message: str):
+    """Exit 2 with the command's usage and the error, in argparse's format."""
+    if command is None:
+        usage, prog = "bicat-euler {chi|check|verify|gen} ...\n", "bicat-euler"
+    else:
+        # Continuation lines move right by the width of "usage: ", as the first line does.
+        usage, prog = _USAGE[command].replace("\n ", "\n" + " " * 8), f"bicat-euler {command}"
+    sys.stderr.write(f"usage: {usage}{prog}: error: {message}\n")
+    raise SystemExit(EXIT_INPUT)
 
-    gen = sub.add_parser("gen", help="emit a seeded instance satisfying its predicate")
-    gen.add_argument("kind", choices=sorted(_GEN_KINDS))
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--size", type=_size, default=2)
-    gen.add_argument("--out")
-    gen.add_argument("--json", action="store_true")
-    gen.set_defaults(func=cmd_gen)
-    return parser
+
+def _choices(values) -> str:
+    return ", ".join(map(repr, values))
+
+
+def _is_option(token: str) -> bool:
+    """Whether a token names an option: it starts with "-", and is not "-" or a negative number."""
+    return token[:1] == "-" and token != "-" and not token[1:2].isdigit()
+
+
+def parse_args(argv: list[str]):
+    """The command's handler (`func`) and arguments from argv; `-h` prints the usage and exits 0.
+
+    Options take `--name value` or `--name=value`, before, between or after the positionals,
+    and are spelled in full.  Any other form exits 2 with the usage.
+    """
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write("".join(_USAGE.values()))
+        raise SystemExit(EXIT_PASS)
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command, tokens = argv[0], iter(argv[1:])
+    if command not in _COMMANDS:
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {_choices(_COMMANDS)})")
+    handler, positionals, options = _COMMANDS[command]
+
+    def convert(name: str, how, text: str):
+        if isinstance(how, tuple):
+            if text not in how:
+                _usage_error(command, f"argument {name}: invalid choice: {text!r} (choose from {_choices(how)})")
+            return text
+        try:
+            return how(text)
+        except ValueError as exc:
+            _usage_error(command, f"argument {name}: {exc}")
+
+    args = SimpleNamespace(func=handler, **{dest: default for dest, (_, default) in options.items()})
+    values = []
+    for token in tokens:
+        if not _is_option(token):
+            values.append(token)
+            continue
+        name, eq, text = token.partition("=")
+        dest = name[2:] if name.startswith("--") else ""
+        if dest not in options:
+            _usage_error(command, f"unrecognized arguments: {token}")
+        how = options[dest][0]
+        if how == "flag":
+            if eq:
+                _usage_error(command, f"argument {name}: ignored explicit argument {text!r}")
+            setattr(args, dest, True)
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or _is_option(text):
+                _usage_error(command, f"argument {name}: expected one argument")
+        setattr(args, dest, convert(name, how, text))
+    if len(values) > len(positionals):
+        _usage_error(command, f"unrecognized arguments: {' '.join(values[len(positionals):])}")
+    if len(values) < len(positionals):
+        missing = ", ".join(dest for dest, _ in positionals[len(values):])
+        _usage_error(command, f"the following arguments are required: {missing}")
+    for (dest, how), text in zip(positionals, values):
+        setattr(args, dest, convert(dest, how, text))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except InputError as exc:

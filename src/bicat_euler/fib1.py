@@ -51,6 +51,10 @@ class IncoherentData(InvalidInput):
     pass
 
 
+class LabelCollision(InvalidInput):
+    """Two pairs of a Grothendieck construction whose `pair_label`s are equal."""
+
+
 def is_cartesian_morphism(p: Functor, f: str) -> bool:
     """Decide cartesianness of the morphism named f by counting lifts.
 
@@ -304,10 +308,21 @@ class GrothendieckCat(Record):
         return matrix_euler(self.zeta())
 
 
+def _pair_labels(pairs) -> dict[str, tuple[str, str]]:
+    """label -> pair for each pair, in order; LabelCollision when two pairs share a label."""
+    labels: dict[str, tuple[str, str]] = {}
+    for pair in pairs:
+        label = pair_label(*pair)
+        if label in labels:
+            raise LabelCollision(f"the pairs {labels[label]} and {pair} share the label {label!r}")
+        labels[label] = pair
+    return labels
+
+
 def _grothendieck_objects(base_objects: Sequence[str], fiber: Mapping) -> tuple[list[str], dict]:
     """The labels of the objects (b, x), x in fiber[b], of a Grothendieck construction, sorted, and their pairs."""
-    pairs = [(pair_label(b, x), (b, x)) for b in base_objects for x in fiber[b].objects]
-    return sorted(label for label, _ in pairs), dict(pairs)
+    pairs = _pair_labels((b, x) for b in base_objects for x in fiber[b].objects)
+    return sorted(pairs), pairs
 
 
 def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:

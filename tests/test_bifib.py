@@ -26,7 +26,7 @@ from bicat_euler.bifib import (
     verify_gr_formula_bicat,
     verify_product_formula_bicat,
 )
-from bicat_euler.fib1 import NotBiFibered
+from bicat_euler.fib1 import LabelCollision, NotBiFibered
 from bicat_euler.fincat import validate_functor
 from bicat_euler.generators import gen_trihom
 from bifib_oracle import gr_hom_coweighting
@@ -212,6 +212,25 @@ def test_verify_gr_formula_bicat_cases():
     rep2 = verify_gr_formula_bicat(fx.constant_trihomomorphism(fx.BZ2_TWOGROUP, fx.PSG))
     assert rep2.equal and rep2.chi_grothendieck == 4  # 2 · 2
     assert rep2.product_coweighting_valid
+
+
+def _renamed_z2_suspension(unit: str, other: str):
+    """The one-object suspension of Z/2, with its 1-cells named unit and other."""
+    elements, mult, e = fx.cyclic_group(2)
+    name = {e: unit, next(g for g in elements if g != e): other}
+    return fx.discrete_suspension(
+        [name[g] for g in elements], {(name[a], name[b]): name[c] for (a, b), c in mult.items()}, unit
+    )
+
+
+def test_colliding_onecell_labels_are_an_input_error():
+    # In the one hom of the Grothendieck construction, ("f", "g,h") and ("f,g", "h") are both "(f,g,h)".
+    t = fx.constant_trihomomorphism(_renamed_z2_suspension("f", "f,g"), _renamed_z2_suspension("h", "g,h"))
+    with pytest.raises(LabelCollision, match=r"\('f', 'g,h'\) and \('f,g', 'h'\) share the label '\(f,g,h\)'"):
+        grothendieck_cg(t)
+    # The same pairs with no comma: four 1-cells, none lost.
+    t = fx.constant_trihomomorphism(_renamed_z2_suspension("f", "fg"), _renamed_z2_suspension("h", "gh"))
+    assert grothendieck_cg(t).homs[("(*,*)", "(*,*)")].onecells == ("(f,gh)", "(f,h)", "(fg,gh)", "(fg,h)")
 
 
 def test_verify_gr_formula_bicat_accepts_lax_functor():

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -244,6 +245,105 @@ def test_gen_size_below_one_is_a_usage_error(capsys, size):
     assert ("invalid int value" if size == "two" else f"size must be at least 1, got {size}") in err
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+# Each usage error: (argv, the error line that follows the usage on stderr).
+USAGE_ERRORS = {
+    "no command": ([], "bicat-euler: error: the following arguments are required: command"),
+    "unknown command": (
+        ["frob"],
+        "bicat-euler: error: argument command: invalid choice: 'frob' (choose from 'chi', 'check', 'verify', 'gen')",
+    ),
+    "unknown option": (["chi", "fixtures/bz2.catj", "--frob"], "bicat-euler chi: error: unrecognized arguments: --frob"),
+    "option prefix": (["chi", "fixtures/bz2.catj", "--js"], "bicat-euler chi: error: unrecognized arguments: --js"),
+    "short option": (["check", "-j", "fixtures/bz2.catj", "acyclic"], "bicat-euler check: error: unrecognized arguments: -j"),
+    "extra argument": (["chi", "fixtures/bz2.catj", "x", "y"], "bicat-euler chi: error: unrecognized arguments: x y"),
+    "missing positional": (
+        ["check", "fixtures/bz2.catj"], "bicat-euler check: error: the following arguments are required: predicate"
+    ),
+    "missing positionals": (["verify"], "bicat-euler verify: error: the following arguments are required: theorem, file"),
+    "option with no value": (["gen", "pseudogroupoid", "--seed"], "bicat-euler gen: error: argument --seed: expected one argument"),
+    "option followed by an option": (
+        ["gen", "pseudogroupoid", "--out", "--json"], "bicat-euler gen: error: argument --out: expected one argument"
+    ),
+    "flag with a value": (
+        ["chi", "fixtures/bz2.catj", "--json=yes"], "bicat-euler chi: error: argument --json: ignored explicit argument 'yes'"
+    ),
+    "positional outside its choices": (
+        ["check", "fixtures/bz2.catj", "cyclic"],
+        "bicat-euler check: error: argument predicate: invalid choice: 'cyclic' (choose from 'acyclic', 'fibered', "
+        "'fib-groupoids', 'pseudogroupoid', 'biequivalence', 'fib-pseudogroupoids')",
+    ),
+    "option outside its choices": (
+        ["chi", "fixtures/bz2.catj", "--kind=graph"],
+        "bicat-euler chi: error: argument --kind: invalid choice: 'graph' (choose from 'category', 'catgraph', 'bicategory')",
+    ),
+    "bad seed": (["gen", "pseudogroupoid", "--seed", "1.5"], "bicat-euler gen: error: argument --seed: invalid int value: '1.5'"),
+    "bad size": (["gen", "pseudogroupoid", "--size=two"], "bicat-euler gen: error: argument --size: invalid int value: 'two'"),
+    "size below one": (
+        ["gen", "--size", "0", "pseudogroupoid"], "bicat-euler gen: error: argument --size: size must be at least 1, got 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_with_the_usage(capsys, case):
+    argv, error = USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: bicat-euler ") and err.endswith(f"\n{error}\n")
+
+
+def _readme_usage() -> str:
+    """The usage block at the top of README.md's CLI section."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    return section.split("```")[1].removeprefix("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [flag, *rest]
+    for flag in ("-h", "--help")
+    for rest in ([], ["chi"], ["check"], ["verify"], ["gen"], ["gen", "--seed", "1", "frob"])
+], ids=" ".join)
+def test_help_prints_the_readme_usage(capsys, argv):
+    for args in (argv, [*argv[1:], argv[0]]):  # before and after the command
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and out == _readme_usage() and err == ""
+
+
+def test_options_take_either_form_anywhere(capsys, fixture_dir):
+    path = str(fixture_dir / "psg.catj")
+    expected = run(capsys, "chi", path, "--kind", "catgraph", "--json")
+    assert expected[0] == 0 and json.loads(expected[1])["results"]["chi"] == "2"
+    for argv in (["chi", path, "--kind=catgraph", "--json"], ["chi", "--json", "--kind", "catgraph", path]):
+        assert run(capsys, *argv) == expected
+    gen = run(capsys, "gen", "acyclic-cat", "--seed", "3", "--size", "4")
+    assert run(capsys, "gen", "--size=4", "acyclic-cat", "--seed=3") == gen
+
+
+def test_gen_to_a_path_that_cannot_be_written_is_input_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.catj"
+    code, out, err = run(capsys, "gen", "pseudogroupoid", "--out", str(path))
+    assert code == 2 and out == "" and err.startswith(f"{path}: ") and "Traceback" not in err
+
+
+def test_colliding_grothendieck_labels_are_input_error(capsys, tmp_path):
+    # ("a", ",b") and ("a,", "b") are both labelled "(a,,b)".
+    from bicat_euler import fixtures as fx
+    from bicat_euler.catdsl import serialize
+
+    z1, z2 = fx.cyclic_group(1), fx.cyclic_group(2)
+    base, fiber = fx.suspension_two_group(["a", "a,"], *z1), fx.suspension_two_group(["b", ",b"], *z2)
+    path = tmp_path / "trihom.catj"
+    path.write_text(serialize(fx.constant_trihomomorphism(base, fiber)), encoding="utf-8")
+    assert run(capsys, "verify", "gr-bicat", str(path)) == (
+        2, "", "input error: the pairs ('a', ',b') and ('a,', 'b') share the label '(a,,b)'\n"
+    )
+
+
 def test_gen_to_file_then_check(tmp_path, capsys):
     target = tmp_path / "gen.catj"
     code, out, _ = run(capsys, "gen", "fib-groupoids-functor", "--seed", "7", "--size", "3",
@@ -296,8 +396,9 @@ def _loaded_after(fixture_dir, code):
 
 LAZY_MODULES = {f"bicat_euler.{m}" for m in ("bicat", "fib1", "bifib", "generators", "fixtures")}
 # Stdlib modules no command needs: the value classes are built without `dataclasses` (which
-# imports `inspect`), and `traceback` is imported only on exit 3.
-UNNEEDED_STDLIB = {"dataclasses", "inspect", "traceback"}
+# imports `inspect`), `traceback` is imported only on exit 3, and the command line is read
+# without `argparse` (which imports `gettext`, and `locale` when it builds a parser).
+UNNEEDED_STDLIB = {"dataclasses", "inspect", "traceback", "argparse", "gettext", "locale"}
 
 
 def _loaded_beyond_bare(fixture_dir, code):

@@ -10,6 +10,7 @@ from bicat_euler.bifib import fiber_bicategory
 from bicat_euler.catdsl import parse, serialize
 from bicat_euler.fib1 import (
     IncoherentData,
+    LabelCollision,
     LaxFunctorToCat,
     MorphismNotInCategory,
     NotBiFibered,
@@ -244,6 +245,16 @@ def test_gr_formula_examples():
     assert rep2.equal and rep2.chi_grothendieck == euler_char_cat(fx.PAIR).chi
     rep3 = verify_gr_formula(fx.BZ2_BASE_LAXCAT)
     assert rep3.equal and rep3.chi_grothendieck == 1 and rep3.sum_k_b_chi_fiber == Fraction(1, 2) * 2
+
+
+def test_colliding_object_labels_are_an_input_error():
+    # ("a", ",b") and ("a,", "b") are both labelled "(a,,b)".
+    base, fiber = fx.discrete_category(["a", "a,"]), fx.discrete_category(["b", ",b"])
+    pullback = {m.name: fx.identity_functor(fiber) for m in base.morphisms}
+    lax = LaxFunctorToCat(base, {b: fiber for b in base.objects}, pullback)
+    for build in (grothendieck_cat, verify_gr_formula):
+        with pytest.raises(LabelCollision, match=r"\('a', ',b'\) and \('a,', 'b'\) share the label '\(a,,b\)'"):
+            build(lax)
 
 
 def test_product_formula_quotient():
