@@ -22,8 +22,6 @@ from .fincat import (
     MissingEulerCharacteristic,
     check_equivalence_functor,
     euler_char_cat,
-    pair_label,
-    product_cat,
     validate_functor,
     zigzag_components,
 )
@@ -237,24 +235,6 @@ def similarity_matrix_cg(g: CatGraph) -> QMatrix:
 
 def euler_char_cg(g: CatGraph) -> MatrixEuler:
     return matrix_euler(similarity_matrix_cg(g))
-
-
-def product_cg(parts: Sequence[CatGraph]) -> CatGraph:
-    if not parts:
-        return make_catgraph(("*",), {("*", "*"): PT})
-    result = parts[0]
-    for other in parts[1:]:
-        objects = [pair_label(x, y) for x in result.objects for y in other.objects]
-        hom = {}
-        for x1 in result.objects:
-            for y1 in other.objects:
-                for x2 in result.objects:
-                    for y2 in other.objects:
-                        hom[(pair_label(x1, y1), pair_label(x2, y2))] = product_cat(
-                            result.hom_at(x1, x2), other.hom_at(y1, y2)
-                        )
-        result = make_catgraph(objects, hom)
-    return result
 
 
 def _hom_equivalent_to_point(hom: FinCategory) -> bool:
@@ -500,59 +480,6 @@ def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
 def restrict_catgraph(g: CatGraph, objects: Sequence[str]) -> CatGraph:
     keep = sorted(set(objects))
     return make_catgraph(keep, {(x, y): g.hom_at(x, y) for x in keep for y in keep})
-
-
-def product_bicategory(a: Bicategory, b: Bicategory) -> Bicategory:
-    """Componentwise product; strict data (compose1/hcompose2) stays strict."""
-    identity1 = {
-        pair_label(x, y): pair_label(a.id1(x), b.id1(y)) for x in a.objects for y in b.objects
-    }
-    compose1 = {}
-    for ((xa, ya, za), ga, fa), ha in a.compose1.items():
-        for ((xb, yb, zb), gb, fb), hb in b.compose1.items():
-            key = (
-                (pair_label(xa, xb), pair_label(ya, yb), pair_label(za, zb)),
-                pair_label(ga, gb),
-                pair_label(fa, fb),
-            )
-            compose1[key] = pair_label(ha, hb)
-    hcompose2 = None
-    if a.hcompose2 is not None and b.hcompose2 is not None:
-        hcompose2 = {}
-        for ((xa, ya, za), ba, aa), ra in a.hcompose2.items():
-            for ((xb, yb, zb), bb, ab), rb in b.hcompose2.items():
-                key = (
-                    (pair_label(xa, xb), pair_label(ya, yb), pair_label(za, zb)),
-                    pair_label(ba, bb),
-                    pair_label(aa, ab),
-                )
-                hcompose2[key] = pair_label(ra, rb)
-    return Bicategory(product_cg([a.graph, b.graph]), identity1, compose1, hcompose2)
-
-
-def product_projection(a: Bicategory, b: Bicategory) -> LaxFunctorBicat:
-    """The strict projection a x b -> a."""
-    e = product_bicategory(a, b)
-    object_map = {pair_label(x, y): x for x in a.objects for y in b.objects}
-    hom_functors = {}
-    for x1 in a.objects:
-        for y1 in b.objects:
-            for x2 in a.objects:
-                for y2 in b.objects:
-                    src = e.hom_at(pair_label(x1, y1), pair_label(x2, y2))
-                    tgt = a.hom_at(x1, x2)
-                    obj_map = {}
-                    mor_map = {}
-                    for fa in a.onecells(x1, x2):
-                        for fb in b.onecells(y1, y2):
-                            obj_map[pair_label(fa, fb)] = fa
-                    for ma in a.hom_at(x1, x2).morphisms:
-                        for mb in b.hom_at(y1, y2).morphisms:
-                            mor_map[pair_label(ma.name, mb.name)] = ma.name
-                    hom_functors[(pair_label(x1, y1), pair_label(x2, y2))] = validate_functor(
-                        src, tgt, obj_map, mor_map
-                    )
-    return LaxFunctorBicat(e, a, object_map, hom_functors)
 
 
 def coop_lax_functor(p: LaxFunctorBicat) -> LaxFunctorBicat:

@@ -266,10 +266,7 @@ class _Sweep:
         return found
 
     def cartesian(self, x: str, y: str, m: str) -> bool:
-        """Cartesianness of m for p's hom functor at (x, y); a local classification that tested m answers."""
-        rep = self._local.get((x, y))
-        if rep is not None and m in rep._cartesian:
-            return rep._cartesian[m]
+        """Cartesianness of m for p's hom functor at (x, y)."""
         key = (x, y, m)
         verdict = self._cartesian.get(key)
         if verdict is None:
@@ -537,40 +534,40 @@ def _phi_corrected_composite(s: _Sweep, b_obj, x, y, z, g, f, gf):
     return p.source.hom_at(x, z).src(candidates[0])
 
 
-def _onecell_lifts(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str, policy: str) -> dict[str, tuple[str, str]]:
-    """Chosen lift (source object, 1-cell) of f ending at each object over c."""
+def _onecell_lifts(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str) -> dict[str, tuple[str, str]]:
+    """Chosen lift (source object, 1-cell) of f ending at each object over c: the least such pair."""
     e = p.source
     lifts = {}
     for y in sorted(x for x in e.objects if p.ob(x) == c_obj):
-        candidates = sorted(
+        candidates = [
             (e2, m)
             for e2 in e.objects
             if p.ob(e2) == b_obj
             for m in e.onecells(e2, y)
             if p.cell1(e2, y, m) == f
-        )
+        ]
         if not candidates:
             raise NotBiFibered(f"no 1-cell lift of {f} ending at {y}")
-        lifts[y] = candidates[0] if policy == "min" else candidates[-1]
+        lifts[y] = min(candidates)
     return lifts
 
 
 def fiber_pullback(
-    p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str, policy: str = "min"
+    p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str
 ) -> tuple[LaxFunctorBicat, dict[str, tuple[str, str]]]:
     """The lax functor f*: fiber(c) -> fiber(b) induced by chosen lifts of f."""
-    return _pullback(_Sweep(p), b_obj, c_obj, f, policy)
+    return _pullback(_Sweep(p), b_obj, c_obj, f)
 
 
 def _pullback(
-    s: _Sweep, b_obj: str, c_obj: str, f: str, policy: str
+    s: _Sweep, b_obj: str, c_obj: str, f: str
 ) -> tuple[LaxFunctorBicat, dict[str, tuple[str, str]]]:
     p = s.p
     e, b = p.source, p.target
     fib_c = s.fiber(c_obj)
     fib_b = s.fiber(b_obj)
     id_f = b.hom_at(b_obj, c_obj).identity[f]
-    lifts = _onecell_lifts(p, b_obj, c_obj, f, policy)
+    lifts = _onecell_lifts(p, b_obj, c_obj, f)
     object_map = {y: lifts[y][0] for y in fib_c.objects}
     hom_functors = {}
     for e1 in fib_c.objects:
@@ -620,12 +617,12 @@ def _pullback(
     return LaxFunctorBicat(fib_c, fib_b, object_map, hom_functors), lifts
 
 
-def induced_trihomomorphism(p: LaxFunctorBicat, policy: str = "min") -> Trihomomorphism:
+def induced_trihomomorphism(p: LaxFunctorBicat) -> Trihomomorphism:
     """Fiber bicategories, cleavage pullbacks and 2-cell components of a bifibration."""
-    return _trihomomorphism(_Sweep(p), policy)
+    return _trihomomorphism(_Sweep(p))
 
 
-def _trihomomorphism(s: _Sweep, policy: str) -> Trihomomorphism:
+def _trihomomorphism(s: _Sweep) -> Trihomomorphism:
     p = s.p
     e, b = p.source, p.target
     fibers = {x: s.fiber(x) for x in b.objects}
@@ -634,7 +631,7 @@ def _trihomomorphism(s: _Sweep, policy: str) -> Trihomomorphism:
     for b_obj in b.objects:
         for c_obj in b.objects:
             for f in b.onecells(b_obj, c_obj):
-                lax, lifts = _pullback(s, b_obj, c_obj, f, policy)
+                lax, lifts = _pullback(s, b_obj, c_obj, f)
                 pullback1[(b_obj, c_obj, f)] = lax
                 lift_tables[(b_obj, c_obj, f)] = lifts
     pullback2 = {}
@@ -705,7 +702,7 @@ def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
         lambda comp: euler_char_cg(restrict_catgraph(p.target.graph, comp)).chi,
         chi_fiber,
     )
-    gr = grothendieck_cg(_trihomomorphism(s, "min"))
+    gr = grothendieck_cg(_trihomomorphism(s))
     chi_gr = gr.euler().chi
     if chi_gr is None:
         raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")

@@ -55,9 +55,6 @@ if TYPE_CHECKING:
     from .bifib import Trihomomorphism
     from .fib1 import LaxFunctorToCat
 
-KINDS = ("category", "functor", "catgraph", "bicategory", "laxfunctor", "laxcat", "trihom")
-
-
 class Diagnostic(Record):
     severity: str
     line: int

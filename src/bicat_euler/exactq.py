@@ -194,7 +194,7 @@ class MatrixEuler(Record):
         return tuple(out)
 
 
-def _solve(a: Sequence[Sequence], free_value: Fraction) -> Optional[list[Fraction]]:
+def _solve(a: Sequence[Sequence]) -> Optional[list[Fraction]]:
     """Some x with a·x = (1,...,1) exactly, or None when the system is inconsistent.
 
     Fraction-free Gauss–Jordan (Bareiss) elimination of the augmented rows
@@ -204,7 +204,7 @@ def _solve(a: Sequence[Sequence], free_value: Fraction) -> Optional[list[Fractio
     the previous pivot `prev`.  Afterwards each pivot row holds the last
     pivot in its own column and zero in every other pivot column, so it is
     that pivot times a row of the unique reduced echelon form.  The free
-    variables (columns without a pivot) are set to `free_value`.
+    variables (columns without a pivot) are set to zero.
     """
     width = len(a[0]) if a else 0
     rows = []
@@ -231,30 +231,23 @@ def _solve(a: Sequence[Sequence], free_value: Fraction) -> Optional[list[Fractio
         prev = p
     if any(row[width] for row in rows[len(pivots):]):
         return None
-    free = [c for c in range(width) if c not in pivots]
-    x = [free_value] * width
-    num, den = free_value.numerator, free_value.denominator
+    x = [_ZERO] * width
     for row, col in zip(rows, pivots):
-        moved = num * sum([row[c] for c in free])
-        x[col] = Fraction(row[width] * den - moved, prev * den)
+        x[col] = Fraction(row[width], prev)
     return x
 
 
-def solve_weighting(m: QMatrix, free_value: Fraction = Fraction(0)) -> Optional[QVector]:
-    """Some k with m·k = (1,...,1) exactly, or None if inconsistent.
-
-    `free_value` is a testing hook for the choice-independence property;
-    production callers rely on the deterministic free-variables-zero default.
-    """
-    solution = _solve(m.entries, free_value)
+def solve_weighting(m: QMatrix) -> Optional[QVector]:
+    """Some k with m·k = (1,...,1) exactly, or None if inconsistent; free variables are zero."""
+    solution = _solve(m.entries)
     if solution is None:
         return None
     return QVector(m.cols, tuple(solution))
 
 
-def solve_coweighting(m: QMatrix, free_value: Fraction = Fraction(0)) -> Optional[QVector]:
+def solve_coweighting(m: QMatrix) -> Optional[QVector]:
     """Some k with k·m = (1,...,1) exactly; equals solve_weighting(mᵀ)."""
-    return solve_weighting(m.transpose(), free_value)
+    return solve_weighting(m.transpose())
 
 
 def matrix_euler(m: QMatrix) -> MatrixEuler:

@@ -52,7 +52,7 @@ class IncoherentData(InvalidInput):
 
 
 class LabelCollision(InvalidInput):
-    """Two pairs of a Grothendieck construction whose `pair_label`s are equal."""
+    """Two pairs or triples of a Grothendieck construction whose labels are equal."""
 
 
 def is_cartesian_morphism(p: Functor, f: str) -> bool:
@@ -88,19 +88,13 @@ def is_cartesian_morphism(p: Functor, f: str) -> bool:
 
 
 class FibrationReport(Record):
-    """The four fibration flags with witnesses.
-
-    A report from `classify_fibration` also keeps, in `_cartesian`, the
-    verdict on every morphism its covariant side tested, so a caller that
-    holds the report need not test those morphisms again.
-    """
+    """The four fibration flags with witnesses."""
 
     fibered: bool
     cofibered: bool
     fibered_in_groupoids: bool
     cofibered_in_groupoids: bool
     witnesses: Mapping[str, tuple]
-    _cartesian: Mapping[str, bool]
 
 
 def reverse_functor(p: Functor) -> Functor:
@@ -116,8 +110,8 @@ def _lifts_by_target(p: Functor) -> dict[tuple[str, str], list[str]]:
     return lifts
 
 
-def _one_sided_flags(p: Functor) -> tuple[bool, bool, dict, dict]:
-    """(fibered, fibered_in_groupoids, witnesses, cartesian verdicts) for the covariant side."""
+def _one_sided_flags(p: Functor) -> tuple[bool, bool, dict]:
+    """(fibered, fibered_in_groupoids, witnesses) for the covariant side."""
     e, b = p.source, p.target
     witnesses: dict[str, tuple] = {}
     fibered = True
@@ -148,17 +142,16 @@ def _one_sided_flags(p: Functor) -> tuple[bool, bool, dict, dict]:
                 elif not any(is_cartesian(c) for c in candidates):
                     fibered = False
                     witnesses.setdefault("no_cartesian_lift", (f, e_obj))
-    return fibered, all_cartesian and lifts_exist, witnesses, cartesian
+    return fibered, all_cartesian and lifts_exist, witnesses
 
 
 def classify_fibration(p: Functor) -> FibrationReport:
     """Decide the four fibration flags; cofibered flags reuse the same code on reversed data."""
-    fibered, fig, wit, cartesian = _one_sided_flags(p)
-    co_fibered, co_fig, co_wit, _ = _one_sided_flags(reverse_functor(p))
+    fibered, fig, wit = _one_sided_flags(p)
+    co_fibered, co_fig, co_wit = _one_sided_flags(reverse_functor(p))
     witnesses = dict(wit)
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
     report = FibrationReport(fibered, co_fibered, fig, co_fig, witnesses)
-    object.__setattr__(report, "_cartesian", cartesian)
     assert not report.fibered_in_groupoids or report.fibered
     assert not report.cofibered_in_groupoids or report.cofibered
     return report
@@ -338,6 +331,7 @@ def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
 
     hom: dict[tuple[str, str], list[str]] = {(o1, o2): [] for o1 in objects for o2 in objects}
     morphism_pairs: dict[str, tuple[str, str]] = {}
+    triples: dict[str, tuple[str, str, str]] = {}
     morphisms: list[Morphism] = []
     for o1 in objects:
         b, x = object_pairs[o1]
@@ -349,6 +343,11 @@ def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
                     # y is carried in the name: (f, u) alone does not pin the
                     # target when the pullback is not injective on objects
                     name = f"({bf},{u},{y})"
+                    if name in triples:
+                        raise LabelCollision(
+                            f"the triples {triples[name]} and {(bf, u, y)} share the label {name!r}"
+                        )
+                    triples[name] = (bf, u, y)
                     hom[(o1, o2)].append(name)
                     morphism_pairs[name] = (bf, u)
                     morphisms.append(Morphism(name, o1, o2))

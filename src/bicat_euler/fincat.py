@@ -59,7 +59,7 @@ class FinCategory(Record):
     """Finite category: objects, named morphisms, identity and composition tables.
 
     Construct through `validate_category` (or a validated constructor like
-    the fixtures/products); direct construction skips the law checks.
+    `fixtures.discrete_category`); direct construction skips the law checks.
     """
 
     objects: tuple[str, ...]
@@ -313,23 +313,6 @@ def is_acyclic(a: FinCategory) -> bool:
 
 def pair_label(x: str, y: str) -> str:
     return f"({x},{y})"
-
-
-def product_cat(a: FinCategory, b: FinCategory) -> FinCategory:
-    objects = [pair_label(x, y) for x in a.objects for y in b.objects]
-    morphisms = [
-        Morphism(pair_label(m.name, n.name), pair_label(m.src, n.src), pair_label(m.dst, n.dst))
-        for m in a.morphisms
-        for n in b.morphisms
-    ]
-    identity = {
-        pair_label(x, y): pair_label(a.identity[x], b.identity[y]) for x in a.objects for y in b.objects
-    }
-    compose = {}
-    for (g1, f1), h1 in a.compose.items():
-        for (g2, f2), h2 in b.compose.items():
-            compose[(pair_label(g1, g2), pair_label(f1, f2))] = pair_label(h1, h2)
-    return validate_category(objects, morphisms, identity, compose)
 
 
 class Functor(Record):

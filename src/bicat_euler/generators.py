@@ -18,7 +18,7 @@ if TYPE_CHECKING:
 from .bicat import Bicategory, identity_lax_functor
 from .bifib import Trihomomorphism, induced_trihomomorphism, validate_trihomomorphism
 from .fib1 import LaxFunctorToCat, grothendieck_cat, validate_laxcat
-from .fincat import FinCategory, Functor, validate_category, validate_functor
+from .fincat import PT, FinCategory, Functor, validate_category, validate_functor
 from . import fixtures as fx
 
 
@@ -34,7 +34,7 @@ def _compose_functors(outer: Functor, inner: Functor) -> Functor:
 def gen_acyclic_category(seed: int, size: int) -> FinCategory:
     """Path category of a random DAG on `size` objects; size 1 is PT exactly."""
     if size <= 1:
-        return fx.PT
+        return PT
     rng = random.Random(f"acyclic:{seed}")
     objects = [str(i) for i in range(size)]
     edges = []
@@ -195,7 +195,7 @@ def gen_trihom(seed: int, size: int) -> Trihomomorphism:
     family = seed % 3
     rng = random.Random(f"trihom:{seed}")
     if family == 0:
-        base = rng.choice([fx.BPT, fx.ARROW_BICAT, fx.EZ2_BICAT, fx.BZ2_TWOGROUP])
+        base = rng.choice([fx.bpt, fx.arrow_bicat, fx.ez2_bicat, fx.bz2_twogroup])()
         fiber = gen_pseudogroupoid(seed, max(1, min(size, 2)))
         return fx.constant_trihomomorphism(base, fiber)
     if family == 1:

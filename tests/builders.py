@@ -1,14 +1,13 @@
 """Seeded inputs for the test suite, built from the library's validated constructors.
 
-Coproducts and disjoint unions, inflations (objects duplicated into
-equivalence classes, so the inclusion is an equivalence or a
-biequivalence), random categories, cat-graphs and rational matrices with
-the properties the tests need, and the writer of the shipped fixture
-corpus.  No command runs any of this; each builder is deterministic in its
-arguments.
+Products, coproducts and disjoint unions, inflations (objects duplicated
+into equivalence classes, so the inclusion is an equivalence or a
+biequivalence), random groupoids, fibrations and rational matrices with
+the properties the tests need.  No command runs any of this; each builder
+is deterministic in its arguments.  The named values and the seeded draws
+from them are in catalog.py.
 """
 
-import pathlib
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -19,21 +18,111 @@ from bicat_euler.bicat import (
     CatGraph,
     LaxFunctorBicat,
     make_catgraph,
-    product_projection,
     validate_bicategory,
     validate_lax_functor,
 )
-from bicat_euler.catdsl import serialize
 from bicat_euler.exactq import QMatrix
 from bicat_euler.fincat import (
+    PT,
     FinCategory,
     Functor,
     Morphism,
-    product_cat,
+    pair_label,
     validate_category,
     validate_functor,
 )
-from bicat_euler.generators import _GROUP_HOMS, gen_acyclic_category, gen_pseudogroupoid
+from bicat_euler.generators import _GROUP_HOMS, gen_pseudogroupoid
+
+
+def product_cat(a: FinCategory, b: FinCategory) -> FinCategory:
+    objects = [pair_label(x, y) for x in a.objects for y in b.objects]
+    morphisms = [
+        Morphism(pair_label(m.name, n.name), pair_label(m.src, n.src), pair_label(m.dst, n.dst))
+        for m in a.morphisms
+        for n in b.morphisms
+    ]
+    identity = {
+        pair_label(x, y): pair_label(a.identity[x], b.identity[y]) for x in a.objects for y in b.objects
+    }
+    compose = {}
+    for (g1, f1), h1 in a.compose.items():
+        for (g2, f2), h2 in b.compose.items():
+            compose[(pair_label(g1, g2), pair_label(f1, f2))] = pair_label(h1, h2)
+    return validate_category(objects, morphisms, identity, compose)
+
+
+
+def product_cg(parts: Sequence[CatGraph]) -> CatGraph:
+    if not parts:
+        return make_catgraph(("*",), {("*", "*"): PT})
+    result = parts[0]
+    for other in parts[1:]:
+        objects = [pair_label(x, y) for x in result.objects for y in other.objects]
+        hom = {}
+        for x1 in result.objects:
+            for y1 in other.objects:
+                for x2 in result.objects:
+                    for y2 in other.objects:
+                        hom[(pair_label(x1, y1), pair_label(x2, y2))] = product_cat(
+                            result.hom_at(x1, x2), other.hom_at(y1, y2)
+                        )
+        result = make_catgraph(objects, hom)
+    return result
+
+
+
+def product_bicategory(a: Bicategory, b: Bicategory) -> Bicategory:
+    """Componentwise product; strict data (compose1/hcompose2) stays strict."""
+    identity1 = {
+        pair_label(x, y): pair_label(a.id1(x), b.id1(y)) for x in a.objects for y in b.objects
+    }
+    compose1 = {}
+    for ((xa, ya, za), ga, fa), ha in a.compose1.items():
+        for ((xb, yb, zb), gb, fb), hb in b.compose1.items():
+            key = (
+                (pair_label(xa, xb), pair_label(ya, yb), pair_label(za, zb)),
+                pair_label(ga, gb),
+                pair_label(fa, fb),
+            )
+            compose1[key] = pair_label(ha, hb)
+    hcompose2 = None
+    if a.hcompose2 is not None and b.hcompose2 is not None:
+        hcompose2 = {}
+        for ((xa, ya, za), ba, aa), ra in a.hcompose2.items():
+            for ((xb, yb, zb), bb, ab), rb in b.hcompose2.items():
+                key = (
+                    (pair_label(xa, xb), pair_label(ya, yb), pair_label(za, zb)),
+                    pair_label(ba, bb),
+                    pair_label(aa, ab),
+                )
+                hcompose2[key] = pair_label(ra, rb)
+    return Bicategory(product_cg([a.graph, b.graph]), identity1, compose1, hcompose2)
+
+
+def product_projection(a: Bicategory, b: Bicategory) -> LaxFunctorBicat:
+    """The strict projection a x b -> a."""
+    e = product_bicategory(a, b)
+    object_map = {pair_label(x, y): x for x in a.objects for y in b.objects}
+    hom_functors = {}
+    for x1 in a.objects:
+        for y1 in b.objects:
+            for x2 in a.objects:
+                for y2 in b.objects:
+                    src = e.hom_at(pair_label(x1, y1), pair_label(x2, y2))
+                    tgt = a.hom_at(x1, x2)
+                    obj_map = {}
+                    mor_map = {}
+                    for fa in a.onecells(x1, x2):
+                        for fb in b.onecells(y1, y2):
+                            obj_map[pair_label(fa, fb)] = fa
+                    for ma in a.hom_at(x1, x2).morphisms:
+                        for mb in b.hom_at(y1, y2).morphisms:
+                            mor_map[pair_label(ma.name, mb.name)] = ma.name
+                    hom_functors[(pair_label(x1, y1), pair_label(x2, y2))] = validate_functor(
+                        src, tgt, obj_map, mor_map
+                    )
+    return LaxFunctorBicat(e, a, object_map, hom_functors)
+
 
 
 def coproduct_cat(parts: Sequence[FinCategory]) -> FinCategory:
@@ -154,7 +243,7 @@ def gen_fib_pseudogroupoids_laxfunctor(seed: int, size: int) -> LaxFunctorBicat:
     family = seed % 4
     rng = random.Random(f"fibps:{seed}")
     if family == 0:
-        base = rng.choice([fx.BPT, fx.ARROW_BICAT, fx.EZ2_BICAT])
+        base = rng.choice([fx.bpt, fx.arrow_bicat, fx.ez2_bicat])()
         return product_projection(base, gen_pseudogroupoid(seed, max(1, min(size, 2))))
     if family == 1:
         return fx.collapse_to_point(gen_pseudogroupoid(seed, max(1, min(size, 3))))
@@ -235,14 +324,6 @@ def inflate_category(cat: FinCategory, multiplicities: Sequence[int]) -> tuple[F
     return inflated, inclusion
 
 
-def gen_equivalence(seed: int, size: int) -> Functor:
-    """An equivalence functor: inclusion of a category into its inflation."""
-    rng = random.Random(f"equiv:{seed}")
-    base = gen_category_with_chi(seed, size)
-    _, inclusion = inflate_category(base, [rng.randint(1, 3) for _ in base.objects])
-    return inclusion
-
-
 def inflate_bicategory(b: Bicategory, multiplicities: Sequence[int]) -> tuple[Bicategory, LaxFunctorBicat]:
     """Duplicate objects into 1-equivalence classes; inclusion is a biequivalence."""
     mult = {x: max(1, m) for x, m in zip(b.objects, multiplicities)}
@@ -287,37 +368,6 @@ def inflate_bicategory(b: Bicategory, multiplicities: Sequence[int]) -> tuple[Bi
     return inflated, inclusion
 
 
-def gen_biequivalence(seed: int, size: int) -> LaxFunctorBicat:
-    rng = random.Random(f"biequiv:{seed}")
-    base = rng.choice(
-        [fx.PSG, fx.BPT, fx.EZ2_BICAT, fx.ARROW_BICAT, fx.BZ2_TWOGROUP, gen_pseudogroupoid(seed, 2)]
-    )
-    _, inclusion = inflate_bicategory(base, [rng.randint(1, 3) for _ in base.objects])
-    return inclusion
-
-
-_FIXTURE_CATS = None
-
-def gen_category_with_chi(seed: int, size: int) -> FinCategory:
-    """Random category guaranteed to have an Euler characteristic."""
-    global _FIXTURE_CATS
-    if _FIXTURE_CATS is None:
-        _FIXTURE_CATS = [fx.PT, fx.D2, fx.ARROW, fx.PAIR, fx.SPAN, fx.BZ2, fx.EZ2]
-    rng = random.Random(f"cat:{seed}")
-    roll = rng.random()
-    if roll < 0.35:
-        return rng.choice(_FIXTURE_CATS)
-    if roll < 0.6:
-        return gen_acyclic_category(seed, rng.randint(1, max(2, min(size, 4))))
-    if roll < 0.8:
-        return gen_groupoid(seed, size)
-    a = gen_category_with_chi(seed * 31 + 1, max(1, size - 1))
-    b = rng.choice(_FIXTURE_CATS[:5])
-    if rng.random() < 0.5 and len(a.objects) * len(b.objects) <= 8:
-        return product_cat(a, b)
-    return coproduct_cat([a, b])
-
-
 def catgraph_of_category(cat: FinCategory) -> CatGraph:
     """Trivial-2-cell cat-graph: hom(x,y) is the discrete category on hom-set names."""
     hom = {}
@@ -327,16 +377,6 @@ def catgraph_of_category(cat: FinCategory) -> CatGraph:
             if cells:
                 hom[(x, y)] = fx.discrete_category(cells)
     return make_catgraph(cat.objects, hom)
-
-
-def gen_catgraph_with_chi(seed: int, size: int) -> CatGraph:
-    rng = random.Random(f"cg:{seed}")
-    roll = rng.random()
-    if roll < 0.4:
-        return gen_pseudogroupoid(seed, rng.randint(1, max(1, min(size, 3)))).graph
-    if roll < 0.8:
-        return catgraph_of_category(gen_category_with_chi(seed, size))
-    return rng.choice([fx.PSG.graph, fx.ACYCLIC2.graph, fx.BPT.graph, fx.EZ2_BICAT.graph])
 
 
 def random_rational_matrix(seed: int, max_size: int = 5) -> QMatrix:
@@ -372,38 +412,3 @@ def random_rational_matrix(seed: int, max_size: int = 5) -> QMatrix:
     if n >= 2 and rng.random() < 0.15:
         rows[0] = [Fraction(0)] * n
     return QMatrix(labels, labels, tuple(tuple(r) for r in rows))
-
-
-def write_fixture_corpus(directory) -> list:
-    """Serialize the catalog to <directory>/*.catj; returns the written paths."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    corpus = {
-        "pt": fx.PT,
-        "d2": fx.D2,
-        "arrow": fx.ARROW,
-        "pair": fx.PAIR,
-        "span": fx.SPAN,
-        "bz2": fx.BZ2,
-        "ez2": fx.EZ2,
-        "psg": fx.PSG,
-        "bpt": fx.BPT,
-        "acyclic2": fx.ACYCLIC2,
-        "arrow-bicat": fx.ARROW_BICAT,
-        "ez2-bicat": fx.EZ2_BICAT,
-        "bz2-2group": fx.BZ2_TWOGROUP,
-        "ez2-to-bz2": fx.EZ2_TO_BZ2,
-        "d2-to-pt": fx.D2_TO_PT,
-        "arrow-base-laxcat": fx.ARROW_BASE_LAXCAT,
-        "bz2-base-laxcat": fx.BZ2_BASE_LAXCAT,
-        "gr-psg-over-arrow": fx.GR_PSG_OVER_ARROW,
-        "psg-collapse": fx.PSG_COLLAPSE,
-        "trihom-const-psg-arrow": fx.constant_trihomomorphism(fx.ARROW_BICAT, fx.PSG),
-        "nochi-catgraph": fx.NOCHI_CATGRAPH,
-    }
-    written = []
-    for name, value in corpus.items():
-        path = directory / f"{name}.catj"
-        path.write_text(serialize(value), encoding="utf-8")
-        written.append(path)
-    return written

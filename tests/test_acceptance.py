@@ -7,11 +7,10 @@ test prints a single PASS line once all of its assertions hold.
 from fractions import Fraction
 
 import builders
-from bicat_euler import fixtures as fx
+import catalog
 from bicat_euler import generators as gen
 from bicat_euler.bicat import (
     euler_char_cg,
-    product_cg,
     pseudogroupoid_check,
     similarity_matrix_cg,
     verify_biequivalence_invariance,
@@ -29,11 +28,10 @@ from bicat_euler.fib1 import classify_fibration, verify_gr_formula, verify_produ
 from bicat_euler.fincat import (
     check_equivalence_functor,
     euler_char_cat,
-    product_cat,
     similarity_matrix,
 )
 from bifib_oracle import gr_hom_coweighting, pseudogroupoid_euler
-from builders import coproduct_cat, coproduct_cg
+from builders import coproduct_cat, coproduct_cg, product_cat, product_cg
 from category_oracle import nerve_euler
 from tests.conftest import FIXTURE_DIR, NEGATIVE_DIR
 
@@ -47,8 +45,9 @@ def _ones_product(m, k):
 
 def test_criterion_1_exact_weighting_identities():
     matrices = [builders.random_rational_matrix(seed) for seed in range(200)]
-    matrices += [similarity_matrix(c) for c in (fx.PT, fx.D2, fx.ARROW, fx.PAIR, fx.SPAN, fx.BZ2, fx.EZ2)]
-    matrices += [similarity_matrix_cg(g) for g in (fx.PSG.graph, fx.ACYCLIC2.graph, fx.EZ2_BICAT.graph)]
+    cats = (catalog.PT, catalog.D2, catalog.ARROW, catalog.PAIR, catalog.SPAN, catalog.BZ2, catalog.EZ2)
+    matrices += [similarity_matrix(c) for c in cats]
+    matrices += [similarity_matrix_cg(g) for g in (catalog.PSG.graph, catalog.ACYCLIC2.graph, catalog.EZ2_BICAT.graph)]
     checked = 0
     both = 0
     for m in matrices:
@@ -73,8 +72,8 @@ def test_criterion_2_fixture_chi_values():
         "SPAN": Fraction(1), "BZ2": Fraction(1, 2), "EZ2": Fraction(1),
     }
     for name, chi in expected.items():
-        assert euler_char_cat(getattr(fx, name)).chi == chi, name
-    assert euler_char_cg(fx.PSG.graph).chi == 2
+        assert euler_char_cat(getattr(catalog, name)).chi == chi, name
+    assert euler_char_cg(catalog.PSG.graph).chi == 2
     print("ACCEPTANCE 2: PASS - all 8 fixture chi values match their hand-derived oracles")
 
 
@@ -87,19 +86,19 @@ def test_criterion_3_nerve_oracle_equivalence():
 
 def _small_cat(seed):
     for offset in range(0, 5000, 1000):
-        cat = builders.gen_category_with_chi(seed + offset, 2)
+        cat = catalog.gen_category_with_chi(seed + offset, 2)
         if len(cat.objects) <= 4 and len(cat.morphisms) <= 14:
             return cat
-    return fx.ARROW
+    return catalog.ARROW
 
 
 def _small_cg(seed):
     for offset in range(0, 5000, 1000):
-        g = builders.gen_catgraph_with_chi(seed + offset, 2)
+        g = catalog.gen_catgraph_with_chi(seed + offset, 2)
         cells = sum(len(g.hom_at(x, y).morphisms) for x in g.objects for y in g.objects)
         if len(g.objects) <= 3 and cells <= 12:
             return g
-    return fx.BPT.graph
+    return catalog.BPT.graph
 
 
 def test_criterion_4_coproduct_product_identities():
@@ -119,11 +118,11 @@ def test_criterion_4_coproduct_product_identities():
 
 def test_criterion_5_equivalence_invariance():
     for seed in range(50):
-        fun = builders.gen_equivalence(seed, 2)
+        fun = catalog.gen_equivalence(seed, 2)
         assert check_equivalence_functor(fun), seed
         assert euler_char_cat(fun.source).chi == euler_char_cat(fun.target).chi, seed
     for seed in range(20):
-        lax = builders.gen_biequivalence(seed, 2)
+        lax = catalog.gen_biequivalence(seed, 2)
         rep = verify_biequivalence_invariance(lax)
         assert rep.equal and rep.transported_valid, seed
     print("ACCEPTANCE 5: PASS - chi equal on 50 equivalences and 20 biequivalences; "

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import catalog
 import fraction_oracle
 from bicat_euler import fixtures as fx
 from bicat_euler.bicat import (
@@ -20,7 +21,6 @@ from bicat_euler.bicat import (
     euler_char_cg,
     identity_lax_functor,
     make_catgraph,
-    product_cg,
     pseudogroupoid_check,
     pseudogroupoid_witness,
     similarity_matrix_cg,
@@ -31,16 +31,17 @@ from bicat_euler.bicat import (
 from bicat_euler.exactq import QMatrix, matrix_euler
 from bicat_euler.generators import gen_pseudogroupoid
 from bifib_oracle import pseudogroupoid_euler
-from builders import coproduct_cg, gen_biequivalence, gen_catgraph_with_chi, inflate_bicategory
+from builders import coproduct_cg, inflate_bicategory, product_cg
+from catalog import gen_biequivalence, gen_catgraph_with_chi
 
 
 def test_similarity_matrix_trivial_ez2():
-    zeta = similarity_matrix_cg(fx.EZ2_BICAT.graph)
+    zeta = similarity_matrix_cg(catalog.EZ2_BICAT.graph)
     assert all(v == 1 for row in zeta.entries for v in row)
 
 
 def test_similarity_matrix_bz2_hom():
-    graph = make_catgraph(["x"], {("x", "x"): fx.BZ2})
+    graph = make_catgraph(["x"], {("x", "x"): catalog.BZ2})
     assert similarity_matrix_cg(graph).entries == ((Fraction(1, 2),),)
     assert euler_char_cg(graph).chi == 2
 
@@ -48,7 +49,7 @@ def test_similarity_matrix_bz2_hom():
 def test_similarity_matrix_acyclic_example():
     g = make_catgraph(
         ["0", "1"],
-        {("0", "0"): fx.one_object_cat("id0"), ("1", "1"): fx.one_object_cat("id1"), ("0", "1"): fx.ARROW},
+        {("0", "0"): fx.one_object_cat("id0"), ("1", "1"): fx.one_object_cat("id1"), ("0", "1"): catalog.ARROW},
     )
     zeta = similarity_matrix_cg(g)
     assert zeta.entries == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
@@ -56,19 +57,19 @@ def test_similarity_matrix_acyclic_example():
 
 
 def test_euler_trivial_ez2_graph():
-    assert euler_char_cg(fx.EZ2_BICAT.graph).chi == 1
+    assert euler_char_cg(catalog.EZ2_BICAT.graph).chi == 1
 
 
 def test_nochi_catgraph_has_no_weighting():
     # zeta = [[1,1],[2,2]]: the rows are proportional with ratio 2, so no weighting
-    e = euler_char_cg(fx.NOCHI_CATGRAPH)
+    e = euler_char_cg(catalog.NOCHI_CATGRAPH)
     assert e.chi is None
     assert e.missing() == ("weighting",)
     assert e.coweighting is not None
 
 
 def test_coproduct_product_cg():
-    one = make_catgraph(["x"], {("x", "x"): fx.BZ2})
+    one = make_catgraph(["x"], {("x", "x"): catalog.BZ2})
     # each summand has chi 2 (the 1x1 solve of [1/2]), so the coproduct adds to 4
     co = coproduct_cg([one, one])
     assert euler_char_cg(co).chi == 4
@@ -79,21 +80,21 @@ def test_coproduct_product_cg():
 
 def test_coproduct_with_empty_graph_unchanged():
     empty = make_catgraph([], {})
-    co = coproduct_cg([fx.PSG.graph, empty])
-    assert euler_char_cg(co).chi == euler_char_cg(fx.PSG.graph).chi
+    co = coproduct_cg([catalog.PSG.graph, empty])
+    assert euler_char_cg(co).chi == euler_char_cg(catalog.PSG.graph).chi
 
 
 def test_is_acyclic_bicat():
-    assert not acyclic_bicat_witness(fx.ACYCLIC2)
-    assert acyclic_bicat_witness(fx.EZ2_BICAT)  # two-way 1-cells
-    assert acyclic_bicat_witness(fx.BZ2_TWOGROUP)  # endo-hom not equivalent to the point
+    assert not acyclic_bicat_witness(catalog.ACYCLIC2)
+    assert acyclic_bicat_witness(catalog.EZ2_BICAT)  # two-way 1-cells
+    assert acyclic_bicat_witness(catalog.BZ2_TWOGROUP)  # endo-hom not equivalent to the point
 
 
 def test_acyclic_bicat_witness():
-    assert acyclic_bicat_witness(fx.ACYCLIC2) == {}
-    assert acyclic_bicat_witness(fx.EZ2_BICAT) == {"opposed_1cells": ("0", "1", "m01", "m10")}
-    assert acyclic_bicat_witness(fx.BZ2_TWOGROUP) == {"non_identity_endomorphism": ("*", "*", "g1")}
-    assert acyclic_bicat_witness(fx.PSG) == {"non_identity_endomorphism": ("p", "p", "g1")}
+    assert acyclic_bicat_witness(catalog.ACYCLIC2) == {}
+    assert acyclic_bicat_witness(catalog.EZ2_BICAT) == {"opposed_1cells": ("0", "1", "m01", "m10")}
+    assert acyclic_bicat_witness(catalog.BZ2_TWOGROUP) == {"non_identity_endomorphism": ("*", "*", "g1")}
+    assert acyclic_bicat_witness(catalog.PSG) == {"non_identity_endomorphism": ("p", "p", "g1")}
     z2 = fx.discrete_suspension(*fx.cyclic_group(2))  # acyclic homs, but two 1-cells * -> *
     assert acyclic_bicat_witness(z2) == {"endo_hom_not_point": ("*",)}
 
@@ -111,7 +112,7 @@ def _triangular_chi(b) -> Fraction:
 
 
 def test_euler_acyclic_bicat():
-    assert euler_char_cg(fx.ACYCLIC2.graph).chi == _triangular_chi(fx.ACYCLIC2) == 1
+    assert euler_char_cg(catalog.ACYCLIC2.graph).chi == _triangular_chi(catalog.ACYCLIC2) == 1
     discrete = validate_bicategory(
         ["0", "1", "2"],
         {(str(i), str(i)): fx.one_object_cat(f"id{i}") for i in range(3)},
@@ -157,7 +158,7 @@ def test_euler_acyclic_three_object_chain():
 
 
 def test_equivalence_classes():
-    assert equivalence_classes(fx.EZ2_BICAT).classes == (("0", "1"),)
+    assert equivalence_classes(catalog.EZ2_BICAT).classes == (("0", "1"),)
     discrete2 = validate_bicategory(
         ["0", "1"],
         {("0", "0"): fx.one_object_cat("id0"), ("1", "1"): fx.one_object_cat("id1")},
@@ -165,27 +166,27 @@ def test_equivalence_classes():
         {(("0", "0", "0"), "id0", "id0"): "id0", (("1", "1", "1"), "id1", "id1"): "id1"},
     )
     assert equivalence_classes(discrete2).classes == (("0",), ("1",))
-    assert equivalence_classes(fx.ACYCLIC2).classes == (("0",), ("1",))
+    assert equivalence_classes(catalog.ACYCLIC2).classes == (("0",), ("1",))
 
 
 def test_pseudogroupoid_check():
-    assert pseudogroupoid_check(fx.EZ2_BICAT)
-    assert pseudogroupoid_check(fx.BZ2_TWOGROUP)
-    assert not pseudogroupoid_check(fx.ACYCLIC2)
+    assert pseudogroupoid_check(catalog.EZ2_BICAT)
+    assert pseudogroupoid_check(catalog.BZ2_TWOGROUP)
+    assert not pseudogroupoid_check(catalog.ACYCLIC2)
 
 
 def test_pseudogroupoid_witness_names_the_first_failing_cell():
-    assert pseudogroupoid_witness(fx.ACYCLIC2) == {"non_invertible_2cell": ("0", "1", "a2")}
-    assert pseudogroupoid_witness(fx.ARROW_BICAT) == {"non_equivalence_1cell": ("0", "1", "a")}
-    assert pseudogroupoid_witness(fx.PSG) == {}
+    assert pseudogroupoid_witness(catalog.ACYCLIC2) == {"non_invertible_2cell": ("0", "1", "a2")}
+    assert pseudogroupoid_witness(catalog.ARROW_BICAT) == {"non_equivalence_1cell": ("0", "1", "a")}
+    assert pseudogroupoid_witness(catalog.PSG) == {}
 
 
 def test_pseudogroupoid_euler_values():
-    assert pseudogroupoid_euler(fx.PSG) == 2
-    assert pseudogroupoid_euler(fx.EZ2_BICAT) == 1
-    assert pseudogroupoid_euler(fx.BZ2_TWOGROUP) == 2
+    assert pseudogroupoid_euler(catalog.PSG) == 2
+    assert pseudogroupoid_euler(catalog.EZ2_BICAT) == 1
+    assert pseudogroupoid_euler(catalog.BZ2_TWOGROUP) == 2
     with pytest.raises(ValueError):
-        pseudogroupoid_euler(fx.ACYCLIC2)
+        pseudogroupoid_euler(catalog.ACYCLIC2)
 
 
 def test_connected_pseudogroupoid_constant_zeta():
@@ -199,8 +200,8 @@ def test_connected_pseudogroupoid_constant_zeta():
 
 
 def test_check_biequivalence():
-    assert check_biequivalence(identity_lax_functor(fx.PSG))
-    inflated, inclusion = inflate_bicategory(fx.BPT, [2])
+    assert check_biequivalence(identity_lax_functor(catalog.PSG))
+    inflated, inclusion = inflate_bicategory(catalog.BPT, [2])
     assert check_biequivalence(inclusion)
 
 
@@ -235,12 +236,12 @@ def test_check_biequivalence_negative():
 
 
 def test_biequivalence_witness():
-    assert biequivalence_witness(identity_lax_functor(fx.PSG)) == {}
-    assert biequivalence_witness(fx.collapse_to_point(fx.PSG)) == {"non_equivalence_hom": ("p", "p")}
+    assert biequivalence_witness(identity_lax_functor(catalog.PSG)) == {}
+    assert biequivalence_witness(fx.collapse_to_point(catalog.PSG)) == {"non_equivalence_hom": ("p", "p")}
 
 
 def test_biequivalence_invariance_point_into_ez2():
-    inflated, inclusion = inflate_bicategory(fx.BPT, [2])
+    inflated, inclusion = inflate_bicategory(catalog.BPT, [2])
     rep = verify_biequivalence_invariance(inclusion)
     assert rep.equal and rep.transported_valid
     assert rep.chi_source == 1 and rep.chi_target == 1
@@ -248,13 +249,13 @@ def test_biequivalence_invariance_point_into_ez2():
 
 
 def test_biequivalence_invariance_identity():
-    rep = verify_biequivalence_invariance(identity_lax_functor(fx.PSG))
+    rep = verify_biequivalence_invariance(identity_lax_functor(catalog.PSG))
     assert rep.equal and rep.transported_valid
 
 
 def test_biequivalence_invariance_two_group_vs_psg():
     # one-object Z2 two-group against the 2-object pseudogroupoid: both chi 2
-    inflated, inclusion = inflate_bicategory(fx.BZ2_TWOGROUP, [2])
+    inflated, inclusion = inflate_bicategory(catalog.BZ2_TWOGROUP, [2])
     rep = verify_biequivalence_invariance(inclusion)
     assert rep.equal and rep.chi_source == 2 and rep.chi_target == 2
 
@@ -327,7 +328,7 @@ def test_unknown_2cell_names_are_rejected(field):
 
 @pytest.mark.parametrize("name", ["BZ2_TWOGROUP", "PSG"])
 def test_hcompose2_must_send_identities_to_identities(name):
-    bi = getattr(fx, name)
+    bi = getattr(catalog, name)
     g = bi.graph
 
     def revalidate(hcompose2):
@@ -349,22 +350,22 @@ def test_phi_psi_frames_validated():
 
     hom_functors = {
         ("*", "*"): vf(
-            fx.BPT.hom_at("*", "*"), fx.BPT.hom_at("*", "*"), {"I": "I"}, {"idI": "idI"}
+            catalog.BPT.hom_at("*", "*"), catalog.BPT.hom_at("*", "*"), {"I": "I"}, {"idI": "idI"}
         )
     }
     lax = validate_lax_functor(
-        fx.BPT, fx.BPT, {"*": "*"}, hom_functors,
+        catalog.BPT, catalog.BPT, {"*": "*"}, hom_functors,
         phi={(("*", "*", "*"), "I", "I"): "idI"}, psi={"*": "idI"},
     )
     assert lax.phi is not None and lax.psi is not None
     with pytest.raises(MCD):
         validate_lax_functor(
-            fx.BPT, fx.BPT, {"*": "*"}, hom_functors, psi={"*": "nope"}
+            catalog.BPT, catalog.BPT, {"*": "*"}, hom_functors, psi={"*": "nope"}
         )
 
 
 def test_chi_invariant_under_object_relabelling():
-    zeta = similarity_matrix_cg(fx.PSG.graph)
+    zeta = similarity_matrix_cg(catalog.PSG.graph)
     relabeled = QMatrix.build(
         ("zz", "aa"), ("zz", "aa"),
         lambda i, j: zeta.at("p" if i == "zz" else "q", "p" if j == "zz" else "q"),
@@ -403,7 +404,7 @@ def test_coop_of_the_empty_bicategory_keeps_its_composition_data():
 
 @pytest.mark.parametrize("name", ["PSG", "BPT", "ACYCLIC2", "ARROW_BICAT", "EZ2_BICAT", "BZ2_TWOGROUP"])
 def test_coop_bicategory_is_an_involution(name):
-    b = getattr(fx, name)
+    b = getattr(catalog, name)
     coop = coop_bicategory(b)
     assert all(coop.hom_at(x, y) == b.hom_at(y, x).opposite() for x in b.objects for y in b.objects)
     assert len(coop.compose1) == len(b.compose1) and len(coop.hcompose2) == len(b.hcompose2)

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+import bifib_oracle as oracle
+import catalog
 from bicat_euler import fixtures as fx
 from bicat_euler.bicat import (
     check_biequivalence,
     euler_char_cg,
     identity_lax_functor,
-    product_projection,
     pseudogroupoid_check,
     validate_lax_functor,
 )
@@ -30,19 +31,19 @@ from bicat_euler.fib1 import LabelCollision, NotBiFibered
 from bicat_euler.fincat import validate_functor
 from bicat_euler.generators import gen_trihom
 from bifib_oracle import gr_hom_coweighting
-from builders import disjoint_union_lax_functor, gen_fib_pseudogroupoids_laxfunctor
+from builders import disjoint_union_lax_functor, gen_fib_pseudogroupoids_laxfunctor, product_projection
 
 
 def test_identity_lax_functor_1cells_cartesian():
-    ident = identity_lax_functor(fx.PSG)
-    for x in fx.PSG.objects:
-        for y in fx.PSG.objects:
-            for f in fx.PSG.onecells(x, y):
+    ident = identity_lax_functor(catalog.PSG)
+    for x in catalog.PSG.objects:
+        for y in catalog.PSG.objects:
+            for f in catalog.PSG.onecells(x, y):
                 assert is_cartesian_1cell(ident, x, y, f)
 
 
 def test_grothendieck_projection_1cells_cartesian():
-    p = fx.GR_PSG_OVER_ARROW
+    p = catalog.GR_PSG_OVER_ARROW
     for x in p.source.objects:
         for y in p.source.objects:
             for f in p.source.onecells(x, y):
@@ -50,18 +51,18 @@ def test_grothendieck_projection_1cells_cartesian():
 
 
 def test_acyclic2_collapse_1cell_not_cartesian():
-    p = fx.collapse_to_point(fx.ACYCLIC2)
+    p = fx.collapse_to_point(catalog.ACYCLIC2)
     assert not is_cartesian_1cell(p, "0", "1", "s")
 
 
 def test_classify_identity_on_psg():
-    rep = classify_bifibration(identity_lax_functor(fx.PSG))
+    rep = classify_bifibration(identity_lax_functor(catalog.PSG))
     assert rep.locally_fibered_in_groupoids and rep.one_lifts and rep.all_1cells_cartesian
     assert rep.fibered_in_pseudogroupoids and rep.cofibered_in_pseudogroupoids
 
 
 def test_classify_psg_collapse():
-    rep = classify_bifibration(fx.PSG_COLLAPSE)
+    rep = classify_bifibration(catalog.PSG_COLLAPSE)
     assert rep.fibered_in_pseudogroupoids and rep.cofibered_in_pseudogroupoids
 
 
@@ -69,13 +70,13 @@ def test_classify_missing_preimage():
     # point into the arrow bicategory at object 1: the base 1-cell a has no lift
     hom_functors = {
         ("*", "*"): validate_functor(
-            fx.BPT.hom_at("*", "*"),
-            fx.ARROW_BICAT.hom_at("1", "1"),
+            catalog.BPT.hom_at("*", "*"),
+            catalog.ARROW_BICAT.hom_at("1", "1"),
             {"I": "id1"},
             {"idI": "idid1"},
         )
     }
-    p = validate_lax_functor(fx.BPT, fx.ARROW_BICAT, {"*": "1"}, hom_functors)
+    p = validate_lax_functor(catalog.BPT, catalog.ARROW_BICAT, {"*": "1"}, hom_functors)
     rep = classify_bifibration(p)
     assert not rep.one_lifts
     assert rep.witnesses.get("no_1cell_lift") == ("a", "*")
@@ -84,7 +85,7 @@ def test_classify_missing_preimage():
 
 def test_fiber_of_identity_is_point_shaped():
     # cells strictly over (p, id_p, id_{id_p}): the point, so chi(fiber) = 1
-    fib = fiber_bicategory(identity_lax_functor(fx.PSG), "p")
+    fib = fiber_bicategory(identity_lax_functor(catalog.PSG), "p")
     assert fib.objects == ("p",)
     assert euler_char_cg(fib.graph).chi == 1
     assert pseudogroupoid_check(fib)
@@ -92,20 +93,20 @@ def test_fiber_of_identity_is_point_shaped():
 
 def test_product_formula_identity_on_psg():
     # the identity decomposes as chi(PSG) = chi(PSG)·chi(point): 2 = 2·1
-    rep = verify_product_formula_bicat(identity_lax_functor(fx.PSG))
+    rep = verify_product_formula_bicat(identity_lax_functor(catalog.PSG))
     assert rep.equal and rep.chi_total == 2
     assert rep.components[0][1] == 2 and rep.components[0][2] == 1
 
 
 def test_fiber_of_collapse_is_whole_pseudogroupoid():
-    fib = fiber_bicategory(fx.PSG_COLLAPSE, "*")
+    fib = fiber_bicategory(catalog.PSG_COLLAPSE, "*")
     assert fib.objects == ("p", "q")
     assert euler_char_cg(fib.graph).chi == 2
     assert pseudogroupoid_check(fib)
 
 
 def test_fiber_of_product_projection():
-    p = fx.GR_PSG_OVER_ARROW
+    p = catalog.GR_PSG_OVER_ARROW
     for b in ("0", "1"):
         fib = fiber_bicategory(p, b)
         assert euler_char_cg(fib.graph).chi == 2
@@ -116,7 +117,7 @@ def test_fiber_unknown_object():
     from bicat_euler.fib1 import ObjectNotInBase
 
     with pytest.raises(ObjectNotInBase):
-        fiber_bicategory(fx.PSG_COLLAPSE, "nope")
+        fiber_bicategory(catalog.PSG_COLLAPSE, "nope")
 
 
 def _fiber_chis(p, b, c, f):
@@ -127,30 +128,39 @@ def _fiber_chis(p, b, c, f):
 
 
 def test_fiber_pullback_identity_cell():
-    chi_c, chi_b = _fiber_chis(fx.GR_PSG_OVER_ARROW, "0", "0", "id0")
+    chi_c, chi_b = _fiber_chis(catalog.GR_PSG_OVER_ARROW, "0", "0", "id0")
     assert chi_c == chi_b
 
 
 def test_fiber_biequivalence_along_arrow():
-    assert _fiber_chis(fx.GR_PSG_OVER_ARROW, "0", "1", "a") == (2, 2)
+    assert _fiber_chis(catalog.GR_PSG_OVER_ARROW, "0", "1", "a") == (2, 2)
 
 
 def test_fiber_chi_constant_across_one_cells():
-    p = fx.GR_PSG_OVER_ARROW
+    p = catalog.GR_PSG_OVER_ARROW
     for (b, c, f) in [("0", "0", "id0"), ("1", "1", "id1"), ("0", "1", "a")]:
         chi_c, chi_b = _fiber_chis(p, b, c, f)
         assert chi_c == chi_b
 
 
 def test_fiber_chi_cleavage_independent():
-    p = fx.GR_PSG_OVER_ARROW
-    lo, _ = fiber_pullback(p, "0", "1", "a", policy="min")
-    hi, _ = fiber_pullback(p, "0", "1", "a", policy="max")
-    assert euler_char_cg(lo.target.graph).chi == euler_char_cg(hi.target.graph).chi
+    # The oracle's "max" cleavage takes the greatest 1-cell lift where the sweep takes the least.
+    cases = [
+        catalog.GR_PSG_OVER_ARROW,
+        catalog.PSG_COLLAPSE,
+        product_projection(catalog.EZ2_BICAT, catalog.PSG),
+        fx.collapse_to_point(fx.suspension_two_group(["p", "q"], *fx.cyclic_group(3))),
+    ]
+    for p in cases:
+        lo, hi = oracle.induced_trihomomorphism(p, "min"), oracle.induced_trihomomorphism(p, "max")
+        assert lo != hi
+        rep_lo, rep_hi = verify_gr_formula_bicat(lo), verify_gr_formula_bicat(hi)
+        assert rep_lo.chi_grothendieck == rep_hi.chi_grothendieck
+        assert rep_lo.sum_k_b_chi_fiber == rep_hi.sum_k_b_chi_fiber
 
 
 def test_grothendieck_cg_point_base():
-    t = fx.constant_trihomomorphism(fx.BPT, fx.PSG)
+    t = fx.constant_trihomomorphism(catalog.BPT, catalog.PSG)
     gr = grothendieck_cg(t)
     assert gr.objects == ("(*,p)", "(*,q)")
     zeta = gr.zeta()
@@ -159,7 +169,7 @@ def test_grothendieck_cg_point_base():
 
 
 def test_grothendieck_cg_arrow_base():
-    t = fx.constant_trihomomorphism(fx.ARROW_BICAT, fx.PSG)
+    t = fx.constant_trihomomorphism(catalog.ARROW_BICAT, catalog.PSG)
     gr = grothendieck_cg(t)
     assert gr.euler().chi == 2
 
@@ -192,10 +202,10 @@ def test_grothendieck_cg_two_group_hand_count():
 
 
 def test_gr_hom_coweighting_cases():
-    t0 = fx.constant_trihomomorphism(fx.BPT, fx.PSG)
+    t0 = fx.constant_trihomomorphism(catalog.BPT, catalog.PSG)
     cw = gr_hom_coweighting(t0, ("*", "p"), ("*", "q"))
     assert cw.to_json() == {"(I,mpq)": "1/2"}
-    t1 = fx.constant_trihomomorphism(fx.ARROW_BICAT, fx.PSG)
+    t1 = fx.constant_trihomomorphism(catalog.ARROW_BICAT, catalog.PSG)
     cw1 = gr_hom_coweighting(t1, ("0", "p"), ("1", "q"))
     assert sum(cw1.entries, Fraction(0)) == Fraction(1, 2)
     t2 = gen_trihom(1, 2)  # 2-group family
@@ -204,12 +214,12 @@ def test_gr_hom_coweighting_cases():
 
 
 def test_verify_gr_formula_bicat_cases():
-    rep0 = verify_gr_formula_bicat(fx.constant_trihomomorphism(fx.BPT, fx.PSG))
+    rep0 = verify_gr_formula_bicat(fx.constant_trihomomorphism(catalog.BPT, catalog.PSG))
     assert rep0.equal and rep0.chi_grothendieck == 2
-    rep1 = verify_gr_formula_bicat(fx.constant_trihomomorphism(fx.ARROW_BICAT, fx.PSG))
+    rep1 = verify_gr_formula_bicat(fx.constant_trihomomorphism(catalog.ARROW_BICAT, catalog.PSG))
     assert rep1.equal and rep1.chi_grothendieck == 2
     assert rep1.base_coweighting.to_json() == {"0": "1", "1": "0"}
-    rep2 = verify_gr_formula_bicat(fx.constant_trihomomorphism(fx.BZ2_TWOGROUP, fx.PSG))
+    rep2 = verify_gr_formula_bicat(fx.constant_trihomomorphism(catalog.BZ2_TWOGROUP, catalog.PSG))
     assert rep2.equal and rep2.chi_grothendieck == 4  # 2 · 2
     assert rep2.product_coweighting_valid
 
@@ -235,26 +245,26 @@ def test_colliding_onecell_labels_are_an_input_error():
 
 def test_verify_gr_formula_bicat_accepts_lax_functor():
     # the induced trihomomorphism of the collapse realizes chi(Gr) = chi(E) = 2
-    rep = verify_gr_formula_bicat(fx.PSG_COLLAPSE)
+    rep = verify_gr_formula_bicat(catalog.PSG_COLLAPSE)
     assert rep.equal and rep.chi_grothendieck == 2 and rep.product_coweighting_valid
 
 
 def test_verify_product_formula_collapse():
-    rep = verify_product_formula_bicat(fx.PSG_COLLAPSE)
+    rep = verify_product_formula_bicat(catalog.PSG_COLLAPSE)
     assert rep.equal and rep.grothendieck_matches_total
     assert rep.chi_total == 2 and rep.components[0][1] == 1 and rep.components[0][2] == 2
 
 
 def test_verify_product_formula_connected_two_object_base():
-    rep = verify_product_formula_bicat(fx.GR_PSG_OVER_ARROW)
+    rep = verify_product_formula_bicat(catalog.GR_PSG_OVER_ARROW)
     assert rep.equal and rep.chi_total == 2
     assert len(rep.components) == 1 and rep.components[0][1] == 1 and rep.components[0][2] == 2
 
 
 def test_verify_product_formula_disjoint_base():
     # components (chi 1, fiber 2) and (chi 2, fiber 2): total 1·2 + 2·2 = 6
-    left = fx.GR_PSG_OVER_ARROW
-    right = product_projection(fx.BZ2_TWOGROUP, fx.PSG)
+    left = catalog.GR_PSG_OVER_ARROW
+    right = product_projection(catalog.BZ2_TWOGROUP, catalog.PSG)
     union = disjoint_union_lax_functor(left, right)
     rep = verify_product_formula_bicat(union)
     assert rep.equal and rep.chi_total == 6
@@ -262,13 +272,13 @@ def test_verify_product_formula_disjoint_base():
 
 
 def test_verify_product_formula_rejects_non_fibered():
-    p = fx.collapse_to_point(fx.ACYCLIC2)
+    p = fx.collapse_to_point(catalog.ACYCLIC2)
     with pytest.raises(NotBiFibered):
         verify_product_formula_bicat(p)
 
 
 def test_trihom_illtyped_component():
-    t = fx.constant_trihomomorphism(fx.BPT, fx.PSG)
+    t = fx.constant_trihomomorphism(catalog.BPT, catalog.PSG)
     broken = dict(t.pullback2)
     key = ("*", "*", "idI")
     broken[key] = {"p": "mqq", "q": t.pullback2[key]["q"]}
@@ -277,12 +287,12 @@ def test_trihom_illtyped_component():
 
 
 def test_induced_trihomomorphism_of_projection():
-    t = induced_trihomomorphism(fx.GR_PSG_OVER_ARROW)
+    t = induced_trihomomorphism(catalog.GR_PSG_OVER_ARROW)
     assert set(t.fiber) == {"0", "1"}
     for b in t.fiber:
         assert pseudogroupoid_check(t.fiber[b])
     gr = grothendieck_cg(t)
-    assert gr.euler().chi == euler_char_cg(fx.GR_PSG_OVER_ARROW.source.graph).chi
+    assert gr.euler().chi == euler_char_cg(catalog.GR_PSG_OVER_ARROW.source.graph).chi
 
 
 def test_generated_instances_pass_everything():

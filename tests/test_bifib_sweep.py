@@ -14,19 +14,19 @@ import re
 import pytest
 
 import bifib_oracle as oracle
+import catalog
 from bicat_euler import bifib, catdsl, cli, fib1
 from bicat_euler import fixtures as fx
 from bicat_euler.bicat import (
     LaxFunctorBicat,
     identity_lax_functor,
-    product_projection,
     validate_bicategory,
     validate_lax_functor,
 )
 from bicat_euler.fib1 import NotBiFibered
 from bicat_euler.fincat import validate_category, validate_functor
 from bicat_euler.generators import gen_pseudogroupoid, gen_trihom
-from builders import disjoint_union_lax_functor, gen_fib_pseudogroupoids_laxfunctor
+from builders import disjoint_union_lax_functor, gen_fib_pseudogroupoids_laxfunctor, product_projection
 from conftest import FIXTURE_DIR
 
 
@@ -48,11 +48,10 @@ def _assert_agrees(p: LaxFunctorBicat):
     ]
     pairs += [(bifib.fiber_bicategory, oracle.fiber_bicategory, (x,)) for x in b.objects]
     pairs += [
-        (bifib.fiber_pullback, oracle.fiber_pullback, (x, y, f, policy))
+        (bifib.fiber_pullback, oracle.fiber_pullback, (x, y, f))
         for x in b.objects
         for y in b.objects
         for f in b.onecells(x, y)
-        for policy in ("min", "max")
     ]
     pairs += [
         (bifib.is_cartesian_1cell, oracle.is_cartesian_1cell, (x, y, f))
@@ -82,7 +81,7 @@ def _fixture_values(kinds):
 
 def _phi_identity_collapse() -> LaxFunctorBicat:
     """The strict collapse of PSG, carrying identity phi and psi components."""
-    p = fx.PSG_COLLAPSE
+    p = catalog.PSG_COLLAPSE
     phi = {key: "idI" for key in p.source.compose1}
     psi = {x: "idI" for x in p.source.objects}
     return validate_lax_functor(p.source, p.target, p.object_map, p.hom_functors, phi, psi)
@@ -159,7 +158,7 @@ def test_phi_identity_collapse_keeps_strict_equations_on_the_coop_side(monkeypat
 
 
 def test_cartesian_sweep_stops_at_the_first_non_cartesian_1cell(monkeypatch):
-    p = fx.collapse_to_point(fx.ARROW_BICAT)
+    p = fx.collapse_to_point(catalog.ARROW_BICAT)
     cells = []
     check = bifib._check_cartesian_1cell
 
@@ -286,14 +285,16 @@ def test_sweep_matches_oracle_on_generated_bifibrations(seed):
 
 def test_sweep_matches_oracle_on_non_fibered_functors():
     # The point into the arrow bicategory at object 1: the base 1-cell a has no lift.
-    hom = validate_functor(fx.BPT.hom_at("*", "*"), fx.ARROW_BICAT.hom_at("1", "1"), {"I": "id1"}, {"idI": "idid1"})
-    point_into_arrow = validate_lax_functor(fx.BPT, fx.ARROW_BICAT, {"*": "1"}, {("*", "*"): hom})
+    hom = validate_functor(
+        catalog.BPT.hom_at("*", "*"), catalog.ARROW_BICAT.hom_at("1", "1"), {"I": "id1"}, {"idI": "idid1"}
+    )
+    point_into_arrow = validate_lax_functor(catalog.BPT, catalog.ARROW_BICAT, {"*": "1"}, {("*", "*"): hom})
     for p in (
-        fx.collapse_to_point(fx.ACYCLIC2),
-        fx.collapse_to_point(fx.ARROW_BICAT),
+        fx.collapse_to_point(catalog.ACYCLIC2),
+        fx.collapse_to_point(catalog.ARROW_BICAT),
         point_into_arrow,
-        disjoint_union_lax_functor(fx.PSG_COLLAPSE, fx.collapse_to_point(fx.ACYCLIC2)),
-        product_projection(fx.BZ2_TWOGROUP, fx.ACYCLIC2),
+        disjoint_union_lax_functor(catalog.PSG_COLLAPSE, fx.collapse_to_point(catalog.ACYCLIC2)),
+        product_projection(catalog.BZ2_TWOGROUP, catalog.ACYCLIC2),
     ):
         _assert_agrees(p)
 
@@ -307,8 +308,11 @@ def _run(argv):
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Record each sweep, fiber build, local classification and cartesian test the CLI makes."""
-    calls = {"sweep": [], "fiber": [], "classify": [], "cartesian": []}
+    """Record each sweep, fiber build, local classification and cartesian test the CLI makes.
+
+    The cartesian tests of the sweep and of the local classifications are recorded apart.
+    """
+    calls = {"sweep": [], "fiber": [], "classify": [], "cartesian": [], "local_cartesian": []}
     build, classify, cartesian = bifib.fiber_bicategory, bifib.classify_fibration, fib1.is_cartesian_morphism
 
     class CountedSweep(bifib._Sweep):
@@ -326,15 +330,18 @@ def counters(monkeypatch):
         calls["classify"].append(id(q))
         return classify(q)
 
-    def counted_cartesian(q, f):
-        calls["cartesian"].append((id(q), f))
-        return cartesian(q, f)
+    def counted_cartesian(key):
+        def counted(q, f):
+            calls[key].append((id(q), f))
+            return cartesian(q, f)
+
+        return counted
 
     monkeypatch.setattr(bifib, "_Sweep", CountedSweep)
     monkeypatch.setattr(bifib, "fiber_bicategory", counted_build)
     monkeypatch.setattr(bifib, "classify_fibration", counted_classify)
-    monkeypatch.setattr(bifib, "is_cartesian_morphism", counted_cartesian)
-    monkeypatch.setattr(fib1, "is_cartesian_morphism", counted_cartesian)
+    monkeypatch.setattr(bifib, "is_cartesian_morphism", counted_cartesian("cartesian"))
+    monkeypatch.setattr(fib1, "is_cartesian_morphism", counted_cartesian("local_cartesian"))
     return calls
 
 
@@ -359,7 +366,9 @@ def test_each_fact_is_decided_once_per_command(counters, argv):
         assert counters["classify"] == []
     else:
         assert sorted(counters["classify"]) == sorted(map(id, p.hom_functors.values()))
-    assert len(counters["cartesian"]) == len(set(counters["cartesian"]))
+    # The sweep and the local classifications each keep their own cartesian verdicts.
+    for key in ("cartesian", "local_cartesian"):
+        assert len(counters[key]) == len(set(counters[key]))
 
 
 def test_product_bicat_on_psg_collapse_builds_one_fiber_and_classifies_four_homs(counters):

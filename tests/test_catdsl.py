@@ -5,11 +5,12 @@ import re
 
 import pytest
 
+import catalog
 from bicat_euler import fixtures as fx
 from bicat_euler.bicat import validate_lax_functor
 from bicat_euler.catdsl import parse, serialize
 from bicat_euler.fincat import validate_functor
-from builders import write_fixture_corpus
+from catalog import write_fixture_corpus
 
 ROUND_TRIP_VALUES = [
     "PT", "D2", "ARROW", "PAIR", "SPAN", "BZ2", "EZ2",
@@ -22,7 +23,7 @@ ROUND_TRIP_VALUES = [
 
 @pytest.mark.parametrize("name", ROUND_TRIP_VALUES)
 def test_round_trip_structural_and_byte_identity(name):
-    value = getattr(fx, name)
+    value = getattr(catalog, name)
     text = serialize(value)
     result = parse(text)
     assert result.ok, result.diagnostics
@@ -31,7 +32,7 @@ def test_round_trip_structural_and_byte_identity(name):
 
 
 def test_round_trip_trihom():
-    t = fx.constant_trihomomorphism(fx.ARROW_BICAT, fx.PSG)
+    t = fx.constant_trihomomorphism(catalog.ARROW_BICAT, catalog.PSG)
     text = serialize(t)
     result = parse(text)
     assert result.ok and result.document.kind == "trihom"
@@ -39,7 +40,7 @@ def test_round_trip_trihom():
 
 
 def test_round_trip_catgraph():
-    g = fx.PSG.graph
+    g = catalog.PSG.graph
     text = serialize(g)
     result = parse(text)
     assert result.ok and result.document.kind == "catgraph"
@@ -126,10 +127,13 @@ def test_a_stray_fiber_object_key_in_unit_iso_is_one_diagnostic(negative_dir):
 
 def test_serialize_writes_no_stray_map_key():
     functor = validate_functor(
-        fx.EZ2, fx.BZ2, {**fx.EZ2_TO_BZ2.object_map, "zz": "*"}, {**fx.EZ2_TO_BZ2.morphism_map, "zz": "g"}
+        catalog.EZ2,
+        catalog.BZ2,
+        {**catalog.EZ2_TO_BZ2.object_map, "zz": "*"},
+        {**catalog.EZ2_TO_BZ2.morphism_map, "zz": "g"},
     )
-    assert serialize(functor) == serialize(fx.EZ2_TO_BZ2)
-    collapse = fx.collapse_to_point(fx.PSG)
+    assert serialize(functor) == serialize(catalog.EZ2_TO_BZ2)
+    collapse = fx.collapse_to_point(catalog.PSG)
     lax = validate_lax_functor(collapse.source, collapse.target, {**collapse.object_map, "zz": "*"},
                                collapse.hom_functors)
     assert serialize(lax) == serialize(collapse)
@@ -252,9 +256,9 @@ def _bpt_identity_with_phi_psi():
     from bicat_euler.bicat import validate_lax_functor
     from bicat_euler.fincat import validate_functor
 
-    hom = fx.BPT.hom_at("*", "*")
+    hom = catalog.BPT.hom_at("*", "*")
     return validate_lax_functor(
-        fx.BPT, fx.BPT, {"*": "*"}, {("*", "*"): validate_functor(hom, hom, {"I": "I"}, {"idI": "idI"})},
+        catalog.BPT, catalog.BPT, {"*": "*"}, {("*", "*"): validate_functor(hom, hom, {"I": "I"}, {"idI": "idI"})},
         phi={(("*", "*", "*"), "I", "I"): "idI"}, psi={"*": "idI"},
     )
 
@@ -262,7 +266,7 @@ def _bpt_identity_with_phi_psi():
 def _arrow_base_laxcat_with_identity_isos():
     from bicat_euler.fib1 import LaxFunctorToCat, validate_laxcat
 
-    f = fx.ARROW_BASE_LAXCAT
+    f = catalog.ARROW_BASE_LAXCAT
     base = f.base
     comp_iso = {
         (g.name, h.name): {
@@ -314,10 +318,12 @@ def _set(*path_and_value):
 
 # One ill-typed entry for each table shape the reader has: (value, edit, expected (code, message) list).
 E003_CASES = {
-    "object-labels": (lambda: fx.ARROW, _set("objects", ["0", "1", 7]), [("E003", "object label must be a string")]),
-    "hom-table": (lambda: fx.PSG.graph, _set("hom", []), [("E003", "hom must be a JSON object")]),
+    "object-labels": (
+        lambda: catalog.ARROW, _set("objects", ["0", "1", 7]), [("E003", "object label must be a string")]
+    ),
+    "hom-table": (lambda: catalog.PSG.graph, _set("hom", []), [("E003", "hom must be a JSON object")]),
     "compose1-rows": (
-        lambda: fx.BPT, _set("compose1", "*|*|*", [["I", "I"]]),
+        lambda: catalog.BPT, _set("compose1", "*|*|*", [["I", "I"]]),
         [("E003", "compose1[*|*|*] entries must be arrays of 3 strings")],
     ),
     "associator-rows": (
@@ -332,7 +338,7 @@ E003_CASES = {
         _bpt_identity_with_phi_psi, _set("phi", "*|*|*", "I"), [("E003", "phi[*|*|*] must be a JSON array")],
     ),
     "fibers-table": (
-        lambda: fx.ARROW_BASE_LAXCAT, _set("fibers", []),
+        lambda: catalog.ARROW_BASE_LAXCAT, _set("fibers", []),
         [
             ("E003", "fibers must be a JSON object"),
             ("E013", "missing fiber for base object '0'"),
@@ -340,7 +346,9 @@ E003_CASES = {
         ],
     ),
     "pullbacks-table": (
-        lambda: fx.ARROW_BASE_LAXCAT, _set("pullbacks", "a", "x"), [("E003", "functor maps must be a JSON object")],
+        lambda: catalog.ARROW_BASE_LAXCAT,
+        _set("pullbacks", "a", "x"),
+        [("E003", "functor maps must be a JSON object")],
     ),
     "comp-iso-table": (
         _arrow_base_laxcat_with_identity_isos, _set("comp_iso", "a|id0", []),
@@ -355,7 +363,8 @@ E003_CASES = {
         [("E003", "hom_functors must be a JSON object"), ("E010", "hom_functors is missing '*|*'")],
     ),
     "pullback1-object-map": (
-        lambda: fx.constant_trihomomorphism(fx.ARROW_BICAT, fx.PSG), _set("pullback1", "0|0|id0", "object_map", []),
+        lambda: fx.constant_trihomomorphism(catalog.ARROW_BICAT, catalog.PSG),
+        _set("pullback1", "0|0|id0", "object_map", []),
         [
             ("E003", "object_map must be a JSON object"),
             ("E010", "object_map is missing 'p'"),

@@ -15,6 +15,7 @@ import random
 import pytest
 
 import builders
+import catalog
 import category_oracle as oracle
 from bicat_euler import fib1, fincat
 from bicat_euler import fixtures as fx
@@ -24,10 +25,10 @@ from bicat_euler.fincat import (
     FinCategory,
     InvalidCategory,
     pair_label,
-    product_cat,
     validate_category,
     validate_functor,
 )
+from builders import product_cat
 
 
 
@@ -47,7 +48,7 @@ FORK = validate_category(
      ("g", "idz"): "g", ("idy", "g"): "g", ("f", "t1"): "g", ("f", "t2"): "g"},
 )
 FORK_TO_ARROW = validate_functor(
-    FORK, fx.ARROW, {"x": "0", "y": "1", "z": "0"},
+    FORK, catalog.ARROW, {"x": "0", "y": "1", "z": "0"},
     {"idx": "id0", "idy": "id1", "idz": "id0", "t1": "id0", "t2": "id0", "f": "a", "g": "a"},
 )
 # FORK without t2, included in FORK: g lies over f∘t1 and f∘t2 but lifts only
@@ -72,31 +73,32 @@ FORK_G2 = validate_category(
     {**FORK.compose, ("g2", "idz"): "g2", ("idy", "g2"): "g2"},
 )
 FORK_G2_TO_ARROW = validate_functor(
-    FORK_G2, fx.ARROW, FORK_TO_ARROW.object_map, {**FORK_TO_ARROW.morphism_map, "g2": "a"}
+    FORK_G2, catalog.ARROW, FORK_TO_ARROW.object_map, {**FORK_TO_ARROW.morphism_map, "g2": "a"}
 )
 SMALL = {
-    "PT": fx.PT, "D2": fx.D2, "ARROW": fx.ARROW, "PAIR": fx.PAIR, "SPAN": fx.SPAN, "BZ2": fx.BZ2,
-    "EZ2": fx.EZ2, "Z3": _group(3), "V4": fx.group_category("*", *fx.klein_group()),
+    "PT": catalog.PT, "D2": catalog.D2, "ARROW": catalog.ARROW, "PAIR": catalog.PAIR, "SPAN": catalog.SPAN,
+    "BZ2": catalog.BZ2, "EZ2": catalog.EZ2, "Z3": _group(3), "V4": fx.group_category("*", *fx.klein_group()),
     "E3": fx.indiscrete_category(["a", "b", "c"]), "FORK": FORK,
 }
 E2 = fx.indiscrete_category(["a", "b"])
 # Groupoids shaped like the big-category benchmark inputs: every morphism is an isomorphism, and greedy
 # generator choice picks several generators per product.
 GROUPOID_PRODUCTS = [
-    product_cat(_group(3), E2), product_cat(E2, _group(4)), product_cat(SMALL["E3"], fx.BZ2),
+    product_cat(_group(3), E2), product_cat(E2, _group(4)), product_cat(SMALL["E3"], catalog.BZ2),
     product_cat(E2, SMALL["E3"]),
 ]
 
 
 def _categories() -> list[FinCategory]:
     cats = list(SMALL.values())
-    cats += [product_cat(fx.ARROW, fx.BZ2), product_cat(fx.SPAN, fx.EZ2), product_cat(_group(3), fx.PAIR)]
+    cats += [product_cat(catalog.ARROW, catalog.BZ2), product_cat(catalog.SPAN, catalog.EZ2)]
+    cats += [product_cat(_group(3), catalog.PAIR)]
     for seed in range(4):
         cats += [
             gen.gen_acyclic_category(seed, 5),
             builders.gen_groupoid(seed, 3),
-            builders.gen_category_with_chi(seed, 3),
-            builders.inflate_category(builders.gen_category_with_chi(seed, 2), [2, 1, 3])[0],
+            catalog.gen_category_with_chi(seed, 3),
+            builders.inflate_category(catalog.gen_category_with_chi(seed, 2), [2, 1, 3])[0],
         ]
         bicat = gen.gen_pseudogroupoid(seed, 2)
         cats += [bicat.hom_at(x, y) for x in bicat.objects for y in bicat.objects]
@@ -149,9 +151,10 @@ def _outcome(validate, data):
 
 def test_validator_matches_exhaustive_loops_on_mutants():
     rng = random.Random(4)
-    cats = list(SMALL.values()) + [_group(4), product_cat(fx.ARROW, fx.BZ2), product_cat(fx.EZ2, _group(3))]
-    cats += [product_cat(SMALL["E3"], fx.BZ2), product_cat(SMALL["V4"], fx.ARROW)]
-    cats += [builders.gen_category_with_chi(seed, 3) for seed in range(3)] + GROUPOID_PRODUCTS
+    cats = list(SMALL.values()) + [_group(4), product_cat(catalog.ARROW, catalog.BZ2)]
+    cats += [product_cat(catalog.EZ2, _group(3))]
+    cats += [product_cat(SMALL["E3"], catalog.BZ2), product_cat(SMALL["V4"], catalog.ARROW)]
+    cats += [catalog.gen_category_with_chi(seed, 3) for seed in range(3)] + GROUPOID_PRODUCTS
     codes = set()
     for i in range(1000):
         data = _mutant(rng, cats[i % len(cats)])
@@ -180,11 +183,11 @@ def test_triple_scan_runs_only_when_associativity_fails(monkeypatch):
     scans = []
     scan = fincat._triple_scan
     monkeypatch.setattr(fincat, "_triple_scan", lambda *args: scans.append(1) or scan(*args))
-    for cat in list(SMALL.values()) + GROUPOID_PRODUCTS + [product_cat(fx.ARROW, fx.BZ2)]:
+    for cat in list(SMALL.values()) + GROUPOID_PRODUCTS + [product_cat(catalog.ARROW, catalog.BZ2)]:
         data = (cat.objects, cat.morphisms, cat.identity, cat.compose)
         assert _outcome(validate_category, data) == _outcome(oracle.validate_category, data)
     assert scans == []
-    for cat in [_group(4), product_cat(fx.ARROW, fx.BZ2)] + GROUPOID_PRODUCTS[:3]:  # E2 × E3 has no room
+    for cat in [_group(4), product_cat(catalog.ARROW, catalog.BZ2)] + GROUPOID_PRODUCTS[:3]:  # E2 × E3 has no room
         data = _associativity_mutant(cat)
         got = _outcome(validate_category, data)
         assert scans == [1]
@@ -205,21 +208,21 @@ def _projection(a: FinCategory, b: FinCategory, first: bool):
 
 
 def _collapse(cat: FinCategory):
-    return validate_functor(cat, fx.PT, {x: "*" for x in cat.objects}, {m.name: "id*" for m in cat.morphisms})
+    return validate_functor(cat, catalog.PT, {x: "*" for x in cat.objects}, {m.name: "id*" for m in cat.morphisms})
 
 
 def _functors():
-    functors = [fx.EZ2_TO_BZ2, fx.D2_TO_PT, FORK_TO_ARROW, CHAIN_INTO_FORK, FORK_G2_TO_ARROW]
-    functors += [_projection(fx.ARROW, fx.BZ2, True), _projection(fx.ARROW, fx.BZ2, False)]
-    functors += [_projection(fx.SPAN, fx.EZ2, True), _projection(_group(3), fx.PAIR, False)]
-    functors += [_projection(SMALL["E3"], _group(4), True), _projection(SMALL["V4"], fx.SPAN, False)]
-    functors += [_projection(_group(3), E2, True), _projection(E2, fx.BZ2, False)]  # every morphism invertible
+    functors = [catalog.EZ2_TO_BZ2, catalog.D2_TO_PT, FORK_TO_ARROW, CHAIN_INTO_FORK, FORK_G2_TO_ARROW]
+    functors += [_projection(catalog.ARROW, catalog.BZ2, True), _projection(catalog.ARROW, catalog.BZ2, False)]
+    functors += [_projection(catalog.SPAN, catalog.EZ2, True), _projection(_group(3), catalog.PAIR, False)]
+    functors += [_projection(SMALL["E3"], _group(4), True), _projection(SMALL["V4"], catalog.SPAN, False)]
+    functors += [_projection(_group(3), E2, True), _projection(E2, catalog.BZ2, False)]  # every morphism invertible
     functors += [_collapse(cat) for cat in SMALL.values()]
     for seed in range(3):
         functors += [
             _collapse(gen.gen_acyclic_category(seed, 4)),
-            builders.inflate_category(builders.gen_category_with_chi(seed, 2), [2, 3, 1])[1],
-            builders.gen_equivalence(seed, 2),
+            builders.inflate_category(catalog.gen_category_with_chi(seed, 2), [2, 3, 1])[1],
+            catalog.gen_equivalence(seed, 2),
             gen.gen_fib_groupoids_functor(seed, 3),
         ]
         lax = builders.gen_fib_pseudogroupoids_laxfunctor(seed, 2)

@@ -154,8 +154,9 @@ def test_check_reports_nested_witnesses(capsys, tmp_path, monkeypatch):
     # Each witness of this collapse nests tuples: the failing 1-cell and the reason it fails.
     from bicat_euler import fixtures as fx
     from bicat_euler.catdsl import serialize
+    import catalog
 
-    (tmp_path / "collapse.catj").write_text(serialize(fx.collapse_to_point(fx.ARROW_BICAT)), encoding="utf-8")
+    (tmp_path / "collapse.catj").write_text(serialize(fx.collapse_to_point(catalog.ARROW_BICAT)), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     witnesses = {
         "co_non_cartesian_1cell": [["1", "0", "a"], ["no_lift", "0", "id0", "I", "idI"]],
@@ -206,12 +207,13 @@ def test_verify_gr_bicat_laxfunctor(capsys, fixture_dir):
 def test_verify_gr_bicat_without_a_pullback_is_input_error(capsys, tmp_path):
     # Their cleavages have no pullback 1-cell: the input is unsuitable, not an internal bug.
     from bicat_euler import fixtures as fx
-    from bicat_euler.bicat import product_projection
     from bicat_euler.catdsl import serialize
+    import catalog
+    from builders import product_projection
 
     cases = {
-        "no pullback 1-cell for (id0,t) along id0": product_projection(fx.ARROW_BICAT, fx.ACYCLIC2),
-        "no pullback 1-cell for t along I": fx.collapse_to_point(fx.ACYCLIC2),
+        "no pullback 1-cell for (id0,t) along id0": product_projection(catalog.ARROW_BICAT, catalog.ACYCLIC2),
+        "no pullback 1-cell for t along I": fx.collapse_to_point(catalog.ACYCLIC2),
     }
     for message, p in cases.items():
         path = tmp_path / "p.catj"
@@ -344,6 +346,18 @@ def test_colliding_grothendieck_labels_are_input_error(capsys, tmp_path):
     )
 
 
+def test_colliding_grothendieck_morphism_labels_are_input_error(capsys, tmp_path):
+    # (f, "g,h", y) and ("f,g", h, y) are both labelled "(f,g,h,y)".
+    from bicat_euler.catdsl import serialize
+    from test_fib1 import _comma_laxcat
+
+    path = tmp_path / "laxcat.catj"
+    path.write_text(serialize(_comma_laxcat()), encoding="utf-8")
+    assert run(capsys, "verify", "gr", str(path)) == (
+        2, "", "input error: the triples ('f', 'g,h', 'y') and ('f,g', 'h', 'y') share the label '(f,g,h,y)'\n"
+    )
+
+
 def test_gen_to_file_then_check(tmp_path, capsys):
     target = tmp_path / "gen.catj"
     code, out, _ = run(capsys, "gen", "fib-groupoids-functor", "--seed", "7", "--size", "3",
@@ -469,18 +483,17 @@ def test_each_command_loads_only_the_modules_it_runs(fixture_dir, tmp_path):
 
 
 def test_generators_import_validates_nothing(fixture_dir):
-    # The fixture catalog builds each named value on first access, not when `gen` imports it.
+    # The builders that `gen` draws on build their values when called, not when `gen` imports them.
     code = """import sys
 calls = []
 sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code.co_name.startswith("validate_")
                and calls.append(frame.f_code.co_name))
 import bicat_euler.generators
 sys.setprofile(None)
-from bicat_euler import fixtures
-print(len(calls), "bicat_euler.fixtures" in sys.modules, fixtures.PSG_COLLAPSE.source is fixtures.PSG)
+print(len(calls), "bicat_euler.fixtures" in sys.modules)
 """
     proc = _python(fixture_dir, "-c", code, text=True, check=True)
-    assert proc.stdout.split() == ["0", "True", "True"]
+    assert proc.stdout.split() == ["0", "True"]
 
 
 def test_package_attributes_import_submodules(fixture_dir):

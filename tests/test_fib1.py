@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import catalog
 import category_oracle
 from bicat_euler import fixtures as fx
 from bicat_euler.bifib import fiber_bicategory
@@ -30,6 +31,7 @@ from bicat_euler.fincat import (
     category_components,
     euler_char_cat,
     subcategory,
+    validate_category,
     validate_functor,
 )
 from bicat_euler.generators import gen_fib_groupoids_functor, gen_groupoid_valued_laxcat
@@ -37,13 +39,13 @@ from builders import coproduct_cat
 
 
 ARROW_TO_PT = validate_functor(
-    fx.ARROW, fx.PT, {"0": "*", "1": "*"}, {"id0": "id*", "id1": "id*", "a": "id*"}
+    catalog.ARROW, catalog.PT, {"0": "*", "1": "*"}, {"id0": "id*", "id1": "id*", "a": "id*"}
 )
 
 
 def test_identity_functor_everything_cartesian():
-    ident = fx.identity_functor(fx.BZ2)
-    for m in fx.BZ2.morphisms:
+    ident = fx.identity_functor(catalog.BZ2)
+    for m in catalog.BZ2.morphisms:
         assert is_cartesian_morphism(ident, m.name)
 
 
@@ -57,31 +59,31 @@ def test_unknown_morphism_raises():
 
 
 def test_grothendieck_projection_morphisms_cartesian():
-    gr = grothendieck_cat(fx.BZ2_BASE_LAXCAT)
+    gr = grothendieck_cat(catalog.BZ2_BASE_LAXCAT)
     for m in gr.total.morphisms:
         assert is_cartesian_morphism(gr.projection, m.name)
 
 
 def test_classify_ez2_to_bz2_all_flags():
-    rep = classify_fibration(fx.EZ2_TO_BZ2)
+    rep = classify_fibration(catalog.EZ2_TO_BZ2)
     assert rep.fibered and rep.cofibered
     assert rep.fibered_in_groupoids and rep.cofibered_in_groupoids
 
 
 def test_classify_identity_on_bz2():
-    rep = classify_fibration(fx.identity_functor(fx.BZ2))
+    rep = classify_fibration(fx.identity_functor(catalog.BZ2))
     assert rep.fibered and rep.cofibered and rep.fibered_in_groupoids and rep.cofibered_in_groupoids
 
 
 def test_classify_d2_into_arrow_not_fibered():
-    p = validate_functor(fx.D2, fx.ARROW, {"x": "0", "y": "1"}, {"idx": "id0", "idy": "id1"})
+    p = validate_functor(catalog.D2, catalog.ARROW, {"x": "0", "y": "1"}, {"idx": "id0", "idy": "id1"})
     rep = classify_fibration(p)
     assert not rep.fibered
     assert rep.witnesses.get("no_lift") == ("a", "y") or rep.witnesses.get("no_cartesian_lift")
 
 
 def test_dualization_involution():
-    for p in (fx.EZ2_TO_BZ2, ARROW_TO_PT, fx.identity_functor(fx.SPAN)):
+    for p in (catalog.EZ2_TO_BZ2, ARROW_TO_PT, fx.identity_functor(catalog.SPAN)):
         rep = classify_fibration(p)
         rev = classify_fibration(reverse_functor(p))
         assert rep.cofibered == rev.fibered
@@ -89,40 +91,40 @@ def test_dualization_involution():
 
 
 def test_fiber_of_quotient_is_discrete():
-    fib = fiber_category(fx.EZ2_TO_BZ2, "*")
+    fib = fiber_category(catalog.EZ2_TO_BZ2, "*")
     assert fib.objects == ("0", "1")
     assert all(fib.is_identity(m.name) for m in fib.morphisms)
 
 
 def test_fiber_of_identity_is_point_shaped():
-    fib = fiber_category(fx.identity_functor(fx.SPAN), "c")
+    fib = fiber_category(fx.identity_functor(catalog.SPAN), "c")
     assert fib.objects == ("c",)
     assert len(fib.morphisms) == 1
 
 
 def test_fiber_unknown_object():
     with pytest.raises(ObjectNotInBase):
-        fiber_category(fx.EZ2_TO_BZ2, "nope")
+        fiber_category(catalog.EZ2_TO_BZ2, "nope")
 
 
 def test_grothendieck_fiber_matches_fiber_functor():
-    gr = grothendieck_cat(fx.ARROW_BASE_LAXCAT)
+    gr = grothendieck_cat(catalog.ARROW_BASE_LAXCAT)
     fib0 = fiber_category(gr.projection, "0")
-    assert euler_char_cat(fib0).chi == euler_char_cat(fx.ARROW_BASE_LAXCAT.fiber["0"]).chi
+    assert euler_char_cat(fib0).chi == euler_char_cat(catalog.ARROW_BASE_LAXCAT.fiber["0"]).chi
     fib1_ = fiber_category(gr.projection, "1")
-    assert euler_char_cat(fib1_).chi == euler_char_cat(fx.ARROW_BASE_LAXCAT.fiber["1"]).chi
+    assert euler_char_cat(fib1_).chi == euler_char_cat(catalog.ARROW_BASE_LAXCAT.fiber["1"]).chi
 
 
 def test_grothendieck_point_base_recovers_fiber():
     lax = validate_laxcat(
-        LaxFunctorToCat(fx.PT, {"*": fx.BZ2}, {"id*": fx.identity_functor(fx.BZ2)})
+        LaxFunctorToCat(catalog.PT, {"*": catalog.BZ2}, {"id*": fx.identity_functor(catalog.BZ2)})
     )
     gr = grothendieck_cat(lax)
-    assert gr.euler().chi == euler_char_cat(fx.BZ2).chi
+    assert gr.euler().chi == euler_char_cat(catalog.BZ2).chi
 
 
 def test_grothendieck_arrow_base_zeta():
-    gr = grothendieck_cat(fx.ARROW_BASE_LAXCAT)
+    gr = grothendieck_cat(catalog.ARROW_BASE_LAXCAT)
     assert gr.objects == ("(0,x)", "(0,y)", "(1,*)")
     assert [[str(v) for v in row] for row in gr.zeta().entries] == [
         ["1", "0", "1"],
@@ -133,7 +135,7 @@ def test_grothendieck_arrow_base_zeta():
 
 
 def test_grothendieck_bz2_base_is_indiscrete():
-    gr = grothendieck_cat(fx.BZ2_BASE_LAXCAT)
+    gr = grothendieck_cat(catalog.BZ2_BASE_LAXCAT)
     zeta = gr.zeta()
     assert all(v == 1 for row in zeta.entries for v in row)
     assert gr.euler().chi == 1
@@ -157,7 +159,7 @@ def _nonstrict_chain_laxcat(with_coherence: bool) -> LaxFunctorToCat:
             ("c12", "c01"): "c02",
         },
     )
-    ez = fx.EZ2
+    ez = catalog.EZ2
     swap = validate_functor(ez, ez, {"0": "1", "1": "0"},
                             {"id0": "id1", "id1": "id0", "m01": "m10", "m10": "m01"})
     const0 = validate_functor(ez, ez, {"0": "0", "1": "0"},
@@ -235,15 +237,15 @@ def test_validated_laxcat_keeps_only_declared_keys(negative_dir):
 
 
 def test_gr_formula_examples():
-    rep = verify_gr_formula(fx.ARROW_BASE_LAXCAT)
+    rep = verify_gr_formula(catalog.ARROW_BASE_LAXCAT)
     assert rep.equal and rep.chi_grothendieck == 2
     assert rep.base_coweighting.to_json() == {"0": "1", "1": "0"}
     point = validate_laxcat(
-        LaxFunctorToCat(fx.PT, {"*": fx.PAIR}, {"id*": fx.identity_functor(fx.PAIR)})
+        LaxFunctorToCat(catalog.PT, {"*": catalog.PAIR}, {"id*": fx.identity_functor(catalog.PAIR)})
     )
     rep2 = verify_gr_formula(point)
-    assert rep2.equal and rep2.chi_grothendieck == euler_char_cat(fx.PAIR).chi
-    rep3 = verify_gr_formula(fx.BZ2_BASE_LAXCAT)
+    assert rep2.equal and rep2.chi_grothendieck == euler_char_cat(catalog.PAIR).chi
+    rep3 = verify_gr_formula(catalog.BZ2_BASE_LAXCAT)
     assert rep3.equal and rep3.chi_grothendieck == 1 and rep3.sum_k_b_chi_fiber == Fraction(1, 2) * 2
 
 
@@ -257,24 +259,54 @@ def test_colliding_object_labels_are_an_input_error():
             build(lax)
 
 
+def _comma_laxcat() -> LaxFunctorToCat:
+    """Parallel base morphisms f and "f,g"; fiber morphisms "g,h" and h: x -> t; both pullbacks send y to t."""
+    base = validate_category(
+        ["0", "1"],
+        [("id0", "0", "0"), ("id1", "1", "1"), ("f", "0", "1"), ("f,g", "0", "1")],
+        {"0": "id0", "1": "id1"},
+        {("id0", "id0"): "id0", ("id1", "id1"): "id1", ("f", "id0"): "f", ("id1", "f"): "f",
+         ("f,g", "id0"): "f,g", ("id1", "f,g"): "f,g"},
+    )
+    over0 = validate_category(
+        ["x", "t"],
+        [("idx", "x", "x"), ("idt", "t", "t"), ("g,h", "x", "t"), ("h", "x", "t")],
+        {"x": "idx", "t": "idt"},
+        {("idx", "idx"): "idx", ("idt", "idt"): "idt", ("g,h", "idx"): "g,h", ("idt", "g,h"): "g,h",
+         ("h", "idx"): "h", ("idt", "h"): "h"},
+    )
+    over1 = fx.discrete_category(["y"])
+    to_t = validate_functor(over1, over0, {"y": "t"}, {"idy": "idt"})
+    pullback = {"id0": fx.identity_functor(over0), "id1": fx.identity_functor(over1), "f": to_t, "f,g": to_t}
+    return validate_laxcat(LaxFunctorToCat(base, {"0": over0, "1": over1}, pullback))
+
+
+def test_colliding_morphism_labels_are_an_input_error():
+    # (f, "g,h", y) and ("f,g", h, y) are both labelled "(f,g,h,y)".
+    for build in (grothendieck_cat, verify_gr_formula):
+        collision = r"\('f', 'g,h', 'y'\) and \('f,g', 'h', 'y'\) share the label '\(f,g,h,y\)'"
+        with pytest.raises(LabelCollision, match=collision):
+            build(_comma_laxcat())
+
+
 def test_product_formula_quotient():
-    rep = verify_product_formula_cat(fx.EZ2_TO_BZ2)
+    rep = verify_product_formula_cat(catalog.EZ2_TO_BZ2)
     assert rep.equal
     assert rep.chi_total == 1
     assert rep.components[0][1] == Fraction(1, 2) and rep.components[0][2] == 2
 
 
 def test_product_formula_identity():
-    rep = verify_product_formula_cat(fx.identity_functor(fx.SPAN))
+    rep = verify_product_formula_cat(fx.identity_functor(catalog.SPAN))
     assert rep.equal and rep.chi_total == 1
 
 
 def test_product_formula_disjoint_union():
-    total = coproduct_cat([fx.EZ2, fx.SPAN])
-    base = coproduct_cat([fx.BZ2, fx.SPAN])
+    total = coproduct_cat([catalog.EZ2, catalog.SPAN])
+    base = coproduct_cat([catalog.BZ2, catalog.SPAN])
     object_map = {"0:0": "0:*", "0:1": "0:*", "1:c": "1:c", "1:l": "1:l", "1:r": "1:r"}
     morphism_map = {"0:id0": "0:e", "0:id1": "0:e", "0:m01": "0:g", "0:m10": "0:g"}
-    morphism_map.update({f"1:{m.name}": f"1:{m.name}" for m in fx.SPAN.morphisms})
+    morphism_map.update({f"1:{m.name}": f"1:{m.name}" for m in catalog.SPAN.morphisms})
     p = validate_functor(total, base, object_map, morphism_map)
     rep = verify_product_formula_cat(p)
     assert rep.equal
@@ -283,7 +315,7 @@ def test_product_formula_disjoint_union():
 
 
 def test_product_formula_rejects_non_bifibered():
-    gr = grothendieck_cat(fx.ARROW_BASE_LAXCAT)
+    gr = grothendieck_cat(catalog.ARROW_BASE_LAXCAT)
     with pytest.raises(NotBiFibered):
         verify_product_formula_cat(gr.projection)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import catalog
 import fraction_oracle
 from bicat_euler import fixtures as fx
 from bicat_euler.fincat import (
@@ -12,13 +13,13 @@ from bicat_euler.fincat import (
     euler_char_cat,
     acyclic_witness,
     is_acyclic,
-    product_cat,
     similarity_matrix,
     validate_category,
     validate_functor,
 )
 from bicat_euler.generators import gen_acyclic_category
-from builders import coproduct_cat, gen_category_with_chi
+from builders import coproduct_cat, product_cat
+from catalog import gen_category_with_chi
 from category_oracle import nerve_euler
 
 
@@ -27,8 +28,8 @@ def codes(excinfo):
 
 
 def test_validate_pt_roundtrip():
-    assert fx.PT.objects == ("*",)
-    assert fx.PT.identity["*"] == "id*"
+    assert catalog.PT.objects == ("*",)
+    assert catalog.PT.identity["*"] == "id*"
 
 
 def test_validate_missing_composite():
@@ -89,9 +90,9 @@ def test_bz2_with_idempotent_g_is_lawful():
 
 
 def test_similarity_matrices():
-    assert similarity_matrix(fx.ARROW).entries == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-    assert similarity_matrix(fx.D2).entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    assert similarity_matrix(fx.BZ2).entries == ((Fraction(2),),)
+    assert similarity_matrix(catalog.ARROW).entries == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
+    assert similarity_matrix(catalog.D2).entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert similarity_matrix(catalog.BZ2).entries == ((Fraction(2),),)
 
 
 FIXTURE_CHI = {
@@ -107,13 +108,13 @@ FIXTURE_CHI = {
 
 @pytest.mark.parametrize("name,expected", sorted(FIXTURE_CHI.items()))
 def test_fixture_chi(name, expected):
-    assert euler_char_cat(getattr(fx, name)).chi == expected
+    assert euler_char_cat(getattr(catalog, name)).chi == expected
 
 
 def test_is_acyclic():
-    assert is_acyclic(fx.SPAN)
-    assert not is_acyclic(fx.BZ2)
-    assert not is_acyclic(fx.EZ2)
+    assert is_acyclic(catalog.SPAN)
+    assert not is_acyclic(catalog.BZ2)
+    assert not is_acyclic(catalog.EZ2)
 
 
 def _is_circuit(a, morphisms):
@@ -124,26 +125,26 @@ def _is_circuit(a, morphisms):
 
 
 def test_acyclic_witness():
-    assert acyclic_witness(fx.SPAN) == {} and acyclic_witness(gen_acyclic_category(3, 6)) == {}
-    assert acyclic_witness(fx.BZ2) == {"non_identity_endomorphism": ("g",)}
-    assert acyclic_witness(fx.EZ2) == {"circuit": ("m01", "m10")}
-    for a in (fx.EZ2, fx.indiscrete_category(["a", "b", "c"]), fx.indiscrete_category(["c", "b", "a"]).opposite()):
+    assert acyclic_witness(catalog.SPAN) == {} and acyclic_witness(gen_acyclic_category(3, 6)) == {}
+    assert acyclic_witness(catalog.BZ2) == {"non_identity_endomorphism": ("g",)}
+    assert acyclic_witness(catalog.EZ2) == {"circuit": ("m01", "m10")}
+    for a in (catalog.EZ2, fx.indiscrete_category(["a", "b", "c"]), fx.indiscrete_category(["c", "b", "a"]).opposite()):
         (key, cells), = acyclic_witness(a).items()
         assert key == "circuit" and _is_circuit(a, cells)
 
 
 def test_nerve_counts():
-    assert nerve_euler(fx.ARROW).counts == (2, 1)
-    assert nerve_euler(fx.ARROW).euler == 1
-    assert nerve_euler(fx.PAIR).counts == (2, 2)
-    assert nerve_euler(fx.PAIR).euler == 0
-    assert nerve_euler(fx.SPAN).counts == (3, 2)
-    assert nerve_euler(fx.SPAN).euler == 1
+    assert nerve_euler(catalog.ARROW).counts == (2, 1)
+    assert nerve_euler(catalog.ARROW).euler == 1
+    assert nerve_euler(catalog.PAIR).counts == (2, 2)
+    assert nerve_euler(catalog.PAIR).euler == 0
+    assert nerve_euler(catalog.SPAN).counts == (3, 2)
+    assert nerve_euler(catalog.SPAN).euler == 1
 
 
 def test_nerve_requires_acyclic():
     with pytest.raises(ValueError):
-        nerve_euler(fx.BZ2)
+        nerve_euler(catalog.BZ2)
 
 
 def test_each_error_class_is_defined_once():
@@ -171,36 +172,36 @@ def test_input_errors_share_one_base():
 
 
 def test_coproduct_chi():
-    assert euler_char_cat(coproduct_cat([fx.PT, fx.PT])).chi == 2
-    assert euler_char_cat(coproduct_cat([fx.ARROW, fx.BZ2])).chi == Fraction(3, 2)
+    assert euler_char_cat(coproduct_cat([catalog.PT, catalog.PT])).chi == 2
+    assert euler_char_cat(coproduct_cat([catalog.ARROW, catalog.BZ2])).chi == Fraction(3, 2)
     assert euler_char_cat(coproduct_cat([])).chi == 0
 
 
 def test_product_chi():
-    assert euler_char_cat(product_cat(fx.ARROW, fx.ARROW)).chi == 1
-    assert euler_char_cat(product_cat(fx.BZ2, fx.BZ2)).chi == Fraction(1, 4)
+    assert euler_char_cat(product_cat(catalog.ARROW, catalog.ARROW)).chi == 1
+    assert euler_char_cat(product_cat(catalog.BZ2, catalog.BZ2)).chi == Fraction(1, 4)
 
 
 def test_product_with_point_is_equivalent():
-    prod = product_cat(fx.PT, fx.BZ2)
+    prod = product_cat(catalog.PT, catalog.BZ2)
     fun = validate_functor(
-        fx.BZ2,
+        catalog.BZ2,
         prod,
         {"*": "(*,*)"},
         {"e": "(id*,e)", "g": "(id*,g)"},
     )
     assert check_equivalence_functor(fun)
-    assert euler_char_cat(prod).chi == euler_char_cat(fx.BZ2).chi
+    assert euler_char_cat(prod).chi == euler_char_cat(catalog.BZ2).chi
 
 
 def test_equivalence_checker():
-    assert check_equivalence_functor(fx.identity_functor(fx.BZ2))
+    assert check_equivalence_functor(fx.identity_functor(catalog.BZ2))
     to_pt = validate_functor(
-        fx.EZ2, fx.PT, {"0": "*", "1": "*"},
+        catalog.EZ2, catalog.PT, {"0": "*", "1": "*"},
         {"id0": "id*", "id1": "id*", "m01": "id*", "m10": "id*"},
     )
     assert check_equivalence_functor(to_pt)
-    assert not check_equivalence_functor(fx.D2_TO_PT)
+    assert not check_equivalence_functor(catalog.D2_TO_PT)
 
 
 def test_nerve_matches_chi_on_random_acyclic():

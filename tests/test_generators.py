@@ -1,7 +1,9 @@
 """Generators and test-input builders: determinism and by-construction predicates."""
 
+import catalog
 from bicat_euler import generators as gen
-from builders import gen_category_with_chi, gen_equivalence, gen_fib_pseudogroupoids_laxfunctor, gen_groupoid
+from builders import gen_fib_pseudogroupoids_laxfunctor, gen_groupoid
+from catalog import gen_category_with_chi, gen_equivalence
 from bicat_euler.bicat import pseudogroupoid_check
 from bicat_euler.catdsl import serialize
 from bicat_euler.fib1 import classify_fibration
@@ -27,9 +29,7 @@ def test_different_seeds_vary():
 
 
 def test_acyclic_smallest_case_is_point():
-    from bicat_euler import fixtures as fx
-
-    assert gen.gen_acyclic_category(0, 1) == fx.PT
+    assert gen.gen_acyclic_category(0, 1) == catalog.PT
 
 
 def test_acyclic_predicate():

@@ -12,8 +12,10 @@ import json
 
 import pytest
 
-from bicat_euler import bicat, catdsl, fincat, fixtures as fx
-from builders import gen_catgraph_with_chi
+import catalog
+from bicat_euler import bicat, catdsl, fincat
+from builders import product_cg
+from catalog import gen_catgraph_with_chi
 from bicat_euler.exactq import QMatrix
 from test_scanner import CORPUS, mutants
 
@@ -140,8 +142,8 @@ def _catgraphs():
         yield getattr(value, "graph", value)
     for seed in range(40):
         yield gen_catgraph_with_chi(seed, 3)
-    yield bicat.product_cg([fx.PSG.graph, fx.ACYCLIC2.graph])
-    yield bicat.product_cg([])
+    yield product_cg([catalog.PSG.graph, catalog.ACYCLIC2.graph])
+    yield product_cg([])
 
 
 def test_similarity_matrix_solves_each_distinct_hom_once(monkeypatch):
@@ -168,9 +170,9 @@ def test_hom_without_euler_names_the_first_pair(monkeypatch):
     morphisms = [("ix", "x", "x"), ("f", "x", "y"), ("g", "y", "x"), ("h", "y", "x"), ("iy", "y", "y"), ("e", "y", "y")]
     nochi = fincat.FinCategory(("x", "y"), tuple(fincat.Morphism(*m) for m in morphisms), {"x": "ix", "y": "iy"}, {})
     assert fincat.euler_char_cat(nochi).chi is None
-    graph = bicat.make_catgraph(("a", "b"), {("a", "a"): fx.PT, ("a", "b"): nochi, ("b", "a"): nochi})
+    graph = bicat.make_catgraph(("a", "b"), {("a", "a"): catalog.PT, ("a", "b"): nochi, ("b", "a"): nochi})
     calls = []
     monkeypatch.setattr(bicat, "euler_char_cat", lambda hom: calls.append(hom) or fincat.euler_char_cat(hom))
     with pytest.raises(bicat.HomWithoutEuler, match=r"^hom\(a,b\) has no Euler characteristic$"):
         bicat.similarity_matrix_cg(graph)
-    assert calls == [fx.PT, nochi]
+    assert calls == [catalog.PT, nochi]
