@@ -38,7 +38,6 @@ from .fib1 import (
     ObjectNotInBase,
     NonUniqueLift,
     _grothendieck_objects,
-    _pair_labels,
     _product_components,
     classify_fibration,
     is_cartesian_morphism,
@@ -96,11 +95,10 @@ def validate_trihomomorphism(t: Trihomomorphism) -> Trihomomorphism:
 
 
 class GrHom(Record):
-    """One hom category of the Grothendieck cat-graph, in counting mode."""
+    """One hom category of the Grothendieck cat-graph, in counting mode; a 1-cell is the pair (f, u) itself."""
 
-    onecells: tuple[str, ...]
-    onecell_pairs: Mapping[str, tuple[str, str]]
-    twocells: Mapping[tuple[str, str], tuple[tuple[str, str], ...]]
+    onecells: tuple[tuple[str, str], ...]
+    twocells: Mapping[tuple[tuple[str, str], tuple[str, str]], tuple[tuple[str, str], ...]]
 
     def count_matrix(self) -> QMatrix:
         return QMatrix.build(
@@ -111,13 +109,13 @@ class GrHom(Record):
 class GrothendieckCG(Record):
     """Grothendieck construction of a trihomomorphism, as counted data.
 
-    The projection is the first-coordinate map on every level; 2-cells are
-    materialized as (alpha, beta) name pairs inside each hom.
+    An object is the pair (b, x) itself.  The projection is the
+    first-coordinate map on every level; 2-cells are materialized as
+    (alpha, beta) name pairs inside each hom.
     """
 
-    objects: tuple[str, ...]
-    object_pairs: Mapping[str, tuple[str, str]]
-    homs: Mapping[tuple[str, str], GrHom]
+    objects: tuple[tuple[str, str], ...]
+    homs: Mapping[tuple[tuple[str, str], tuple[str, str]], GrHom]
 
     def zeta(self) -> QMatrix:
         chi = {}
@@ -134,18 +132,17 @@ class GrothendieckCG(Record):
 
 def _gr_hom(t: Trihomomorphism, b: str, x: str, c: str, y: str) -> GrHom:
     fb = t.fiber[b]
-    onecell_pairs = _pair_labels(
+    onecells = sorted(
         (f, u) for f in t.base.onecells(b, c) for u in fb.onecells(x, t.pullback1[(b, c, f)].ob(y))
     )
-    onecells = sorted(onecell_pairs)
-    twocells: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
+    twocells: dict[tuple, tuple[tuple[str, str], ...]] = {}
     base_hom = t.base.hom_at(b, c)
     for m1 in onecells:
-        f, u = onecell_pairs[m1]
+        f, u = m1
         fy = t.pullback1[(b, c, f)].ob(y)
         hom_cat = fb.hom_at(x, fy)
         for m2 in onecells:
-            g, v = onecell_pairs[m2]
+            g, v = m2
             gy = t.pullback1[(b, c, g)].ob(y)
             pairs = []
             for alpha in base_hom.hom(f, g):
@@ -153,19 +150,14 @@ def _gr_hom(t: Trihomomorphism, b: str, x: str, c: str, y: str) -> GrHom:
                 for beta in hom_cat.hom(u, transported):
                     pairs.append((alpha, beta))
             twocells[(m1, m2)] = tuple(pairs)
-    return GrHom(tuple(onecells), onecell_pairs, twocells)
+    return GrHom(tuple(onecells), twocells)
 
 
 def grothendieck_cg(t: Trihomomorphism) -> GrothendieckCG:
     validate_trihomomorphism(t)
-    objects, object_pairs = _grothendieck_objects(t.base.objects, t.fiber)
-    homs = {}
-    for o1 in objects:
-        b, x = object_pairs[o1]
-        for o2 in objects:
-            c, y = object_pairs[o2]
-            homs[(o1, o2)] = _gr_hom(t, b, x, c, y)
-    return GrothendieckCG(tuple(objects), object_pairs, homs)
+    objects = _grothendieck_objects(t.base.objects, t.fiber)
+    homs = {(o1, o2): _gr_hom(t, *o1, *o2) for o1 in objects for o2 in objects}
+    return GrothendieckCG(tuple(objects), homs)
 
 
 class GrBicatReport(Record):
@@ -202,7 +194,7 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
     for o2 in gr.objects:
         total = Fraction(0)
         for o1 in gr.objects:
-            b, x = gr.object_pairs[o1]
+            b, x = o1
             total += base_euler.coweighting[b] * fiber_cw[b][x] * zeta.at(o1, o2)
         if total != 1:
             product_valid = False

@@ -257,9 +257,7 @@ def matrix_euler(m: QMatrix) -> MatrixEuler:
     the Euler characteristic does not depend on the choice of vectors).
     """
     if m.rows != m.cols:
-        if set(m.rows) != set(m.cols):
-            raise IndexMismatch(f"row labels {m.rows} != col labels {m.cols}")
-        raise IndexMismatch("row/col label order differs")
+        raise IndexMismatch(f"row labels {m.rows} != col labels {m.cols}")
     weighting = solve_weighting(m)
     coweighting = solve_coweighting(m)
     if weighting is None or coweighting is None:

@@ -24,7 +24,6 @@ from .fincat import (
     Morphism,
     category_components,
     euler_char_cat,
-    pair_label,
     subcategory,
     validate_category,
     validate_functor,
@@ -49,10 +48,6 @@ class NotBiFibered(InvalidInput):
 
 class IncoherentData(InvalidInput):
     pass
-
-
-class LabelCollision(InvalidInput):
-    """Two pairs or triples of a Grothendieck construction whose labels are equal."""
 
 
 def is_cartesian_morphism(p: Functor, f: str) -> bool:
@@ -282,15 +277,14 @@ def is_strict(f: LaxFunctorToCat) -> bool:
 class GrothendieckCat(Record):
     """Total category of a Cat-valued lax functor.
 
+    An object is the pair (b, x) and a morphism the triple (f, u, y) itself.
     Counting mode (total is None) still carries the objects and hom-sets,
     which is all the Euler characteristic needs; full mode additionally
     holds the validated total category and the projection functor.
     """
 
-    objects: tuple[str, ...]
-    object_pairs: Mapping[str, tuple[str, str]]
-    hom: Mapping[tuple[str, str], tuple[str, ...]]
-    morphism_pairs: Mapping[str, tuple[str, str]]
+    objects: tuple[tuple[str, str], ...]
+    hom: Mapping[tuple[tuple[str, str], tuple[str, str]], tuple[tuple[str, str, str], ...]]
     total: Optional[FinCategory]
     projection: Optional[Functor]
 
@@ -301,21 +295,9 @@ class GrothendieckCat(Record):
         return matrix_euler(self.zeta())
 
 
-def _pair_labels(pairs) -> dict[str, tuple[str, str]]:
-    """label -> pair for each pair, in order; LabelCollision when two pairs share a label."""
-    labels: dict[str, tuple[str, str]] = {}
-    for pair in pairs:
-        label = pair_label(*pair)
-        if label in labels:
-            raise LabelCollision(f"the pairs {labels[label]} and {pair} share the label {label!r}")
-        labels[label] = pair
-    return labels
-
-
-def _grothendieck_objects(base_objects: Sequence[str], fiber: Mapping) -> tuple[list[str], dict]:
-    """The labels of the objects (b, x), x in fiber[b], of a Grothendieck construction, sorted, and their pairs."""
-    pairs = _pair_labels((b, x) for b in base_objects for x in fiber[b].objects)
-    return sorted(pairs), pairs
+def _grothendieck_objects(base_objects: Sequence[str], fiber: Mapping) -> list[tuple[str, str]]:
+    """The objects (b, x), x in fiber[b], of a Grothendieck construction, sorted."""
+    return sorted((b, x) for b in base_objects for x in fiber[b].objects)
 
 
 def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
@@ -327,36 +309,26 @@ def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
     """
     validate_laxcat(f)
     base = f.base
-    objects, object_pairs = _grothendieck_objects(base.objects, f.fiber)
+    objects = _grothendieck_objects(base.objects, f.fiber)
 
-    hom: dict[tuple[str, str], list[str]] = {(o1, o2): [] for o1 in objects for o2 in objects}
-    morphism_pairs: dict[str, tuple[str, str]] = {}
-    triples: dict[str, tuple[str, str, str]] = {}
+    hom: dict[tuple, list[tuple[str, str, str]]] = {(o1, o2): [] for o1 in objects for o2 in objects}
     morphisms: list[Morphism] = []
     for o1 in objects:
-        b, x = object_pairs[o1]
+        b, x = o1
         for o2 in objects:
-            c, y = object_pairs[o2]
+            c, y = o2
             for bf in base.hom(b, c):
                 fy = f.pullback[bf].ob(y)
                 for u in f.fiber[b].hom(x, fy):
-                    # y is carried in the name: (f, u) alone does not pin the
+                    # y is part of the morphism: (f, u) alone does not pin the
                     # target when the pullback is not injective on objects
-                    name = f"({bf},{u},{y})"
-                    if name in triples:
-                        raise LabelCollision(
-                            f"the triples {triples[name]} and {(bf, u, y)} share the label {name!r}"
-                        )
-                    triples[name] = (bf, u, y)
-                    hom[(o1, o2)].append(name)
-                    morphism_pairs[name] = (bf, u)
-                    morphisms.append(Morphism(name, o1, o2))
+                    m = (bf, u, y)
+                    hom[(o1, o2)].append(m)
+                    morphisms.append(Morphism(m, o1, o2))
 
     strict = f.comp_iso is None and is_strict(f)
     if f.comp_iso is None and not strict:
-        return GrothendieckCat(
-            tuple(objects), object_pairs, {k: tuple(v) for k, v in hom.items()}, morphism_pairs, None, None
-        )
+        return GrothendieckCat(tuple(objects), {k: tuple(v) for k, v in hom.items()}, None, None)
 
     def gamma(g: str, ff: str, z: str) -> Optional[str]:
         if strict:
@@ -365,28 +337,27 @@ def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
 
     identity = {}
     for o in objects:
-        b, x = object_pairs[o]
+        b, x = o
         if strict:
             unit = f.fiber[b].identity[x]
         else:
             unit = f.unit_iso[b][x]
-        identity[o] = f"({base.identity[b]},{unit},{x})"
+        identity[o] = (base.identity[b], unit, x)
 
-    compose: dict[tuple[str, str], str] = {}
+    compose: dict[tuple, tuple[str, str, str]] = {}
     for m2 in morphisms:  # (g, v): (c,y) -> (d,z)
-        g, v = morphism_pairs[m2.name]
+        g, v, z = m2.name
         for m1 in morphisms:  # (f, u): (b,x) -> (c,y)
             if m1.dst != m2.src:
                 continue
-            bf, u = morphism_pairs[m1.name]
-            b, _ = object_pairs[m1.src]
-            _, z = object_pairs[m2.dst]
+            bf, u, _ = m1.name
+            b, _ = m1.src
             fb = f.fiber[b]
             w = fb.compose2(f.pullback[bf].mor(v), u)
             g_comp = gamma(g, bf, z)
             if g_comp is not None:
                 w = fb.compose2(g_comp, w)
-            compose[(m2.name, m1.name)] = f"({base.compose2(g, bf)},{w},{z})"
+            compose[(m2.name, m1.name)] = (base.compose2(g, bf), w, z)
     try:
         total = validate_category(objects, morphisms, identity, compose)
     except InvalidCategory as exc:
@@ -394,12 +365,10 @@ def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
     projection = validate_functor(
         total,
         base,
-        {o: object_pairs[o][0] for o in objects},
-        {m: morphism_pairs[m][0] for m in morphism_pairs},
+        {o: o[0] for o in objects},
+        {m.name: m.name[0] for m in morphisms},
     )
-    return GrothendieckCat(
-        tuple(objects), object_pairs, {k: tuple(v) for k, v in hom.items()}, morphism_pairs, total, projection
-    )
+    return GrothendieckCat(tuple(objects), {k: tuple(v) for k, v in hom.items()}, total, projection)
 
 
 class GrFormulaReport(Record):

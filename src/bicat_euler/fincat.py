@@ -311,10 +311,6 @@ def is_acyclic(a: FinCategory) -> bool:
     return not acyclic_witness(a)
 
 
-def pair_label(x: str, y: str) -> str:
-    return f"({x},{y})"
-
-
 class Functor(Record):
     source: FinCategory
     target: FinCategory

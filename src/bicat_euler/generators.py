@@ -160,8 +160,29 @@ def gen_groupoid_valued_laxcat(seed: int, size: int) -> LaxFunctorToCat:
 
 
 def gen_fib_groupoids_functor(seed: int, size: int) -> Functor:
-    """Grothendieck projection of a generated groupoid-valued strict functor."""
-    return grothendieck_cat(gen_groupoid_valued_laxcat(seed, size)).projection
+    """Grothendieck projection of a generated groupoid-valued strict functor.
+
+    Its objects (b, x) and morphisms (f, u, y) are written as the labels
+    "(b,x)" and "(f,u,y)"; validating again rejects any two that coincide.
+    """
+    p = grothendieck_cat(gen_groupoid_valued_laxcat(seed, size)).projection
+    e = p.source
+
+    def label(t: tuple) -> str:
+        return "(" + ",".join(t) + ")"
+
+    total = validate_category(
+        [label(x) for x in e.objects],
+        [(label(m.name), label(m.src), label(m.dst)) for m in e.morphisms],
+        {label(x): label(m) for x, m in e.identity.items()},
+        {(label(g), label(f)): label(h) for (g, f), h in e.compose.items()},
+    )
+    return validate_functor(
+        total,
+        p.target,
+        {label(x): b for x, b in p.object_map.items()},
+        {label(m): f for m, f in p.morphism_map.items()},
+    )
 
 
 def _abelian_group(rng: random.Random):

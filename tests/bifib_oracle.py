@@ -411,7 +411,7 @@ def verify_gr_formula_bicat(data) -> GrBicatReport:
     for o2 in gr.objects:
         total = Fraction(0)
         for o1 in gr.objects:
-            b, x = gr.object_pairs[o1]
+            b, x = o1
             total += base_euler.coweighting[b] * fiber_cw[b][x] * zeta.at(o1, o2)
         if total != 1:
             product_valid = False
@@ -484,8 +484,7 @@ def gr_hom_coweighting(t: Trihomomorphism, source: tuple[str, str], target: tupl
     base_cw = _coweighting(similarity_matrix(t.base.hom_at(b, c)), f"base hom ({b},{c})")
     entries = []
     fb = t.fiber[b]
-    for label in hom.onecells:
-        f, u = hom.onecell_pairs[label]
+    for f, u in hom.onecells:
         fy = t.pullback1[(b, c, f)].ob(y)
         fiber_cw = _coweighting(similarity_matrix(fb.hom_at(x, fy)), f"fiber hom ({x},{fy})")
         entries.append(base_cw[f] * fiber_cw[u])

@@ -27,11 +27,15 @@ from bicat_euler.fincat import (
     FinCategory,
     Functor,
     Morphism,
-    pair_label,
     validate_category,
     validate_functor,
 )
 from bicat_euler.generators import _GROUP_HOMS, gen_pseudogroupoid
+
+
+def pair_label(x: str, y: str) -> str:
+    """The label of the pair (x, y) in a product; products of labels with commas may collide."""
+    return f"({x},{y})"
 
 
 def product_cat(a: FinCategory, b: FinCategory) -> FinCategory:

@@ -160,7 +160,7 @@ def test_criterion_8_bicategorical_formulas():
         for b in t.base.objects:
             assert pseudogroupoid_check(t.fiber[b]), (seed, b)
             gr = grothendieck_cg(t)
-            source = gr.object_pairs[gr.objects[0]]
+            source = gr.objects[0]
             gr_hom_coweighting(t, source, source)  # hom-level product coweighting, asserted inside
             break
     for seed in range(20):

@@ -12,6 +12,7 @@ from bicat_euler.bicat import (
     euler_char_cg,
     identity_lax_functor,
     pseudogroupoid_check,
+    validate_bicategory,
     validate_lax_functor,
 )
 from bicat_euler.bifib import (
@@ -23,11 +24,12 @@ from bicat_euler.bifib import (
     grothendieck_cg,
     induced_trihomomorphism,
     is_cartesian_1cell,
+    is_strict_lax_functor,
     validate_trihomomorphism,
     verify_gr_formula_bicat,
     verify_product_formula_bicat,
 )
-from bicat_euler.fib1 import LabelCollision, NotBiFibered
+from bicat_euler.fib1 import NotBiFibered
 from bicat_euler.fincat import validate_functor
 from bicat_euler.generators import gen_trihom
 from bifib_oracle import gr_hom_coweighting
@@ -162,7 +164,7 @@ def test_fiber_chi_cleavage_independent():
 def test_grothendieck_cg_point_base():
     t = fx.constant_trihomomorphism(catalog.BPT, catalog.PSG)
     gr = grothendieck_cg(t)
-    assert gr.objects == ("(*,p)", "(*,q)")
+    assert gr.objects == (("*", "p"), ("*", "q"))
     zeta = gr.zeta()
     assert all(v == Fraction(1, 2) for row in zeta.entries for v in row)
     assert gr.euler().chi == 2
@@ -191,20 +193,20 @@ def test_grothendieck_cg_two_group_hand_count():
         )
     )
     gr = grothendieck_cg(t)
-    hom = gr.homs[("(*,*)", "(*,*)")]
+    hom = gr.homs[(("*", "*"), ("*", "*"))]
     assert len(hom.onecells) == 4
     counts = hom.count_matrix()
     for u in range(4):
         for v in range(4):
             expected = sum(1 for a in (0, 1) if (2 * a + v) % 4 == u)
-            assert counts.at(f"(m**,g{u})", f"(m**,g{v})") == expected
+            assert counts.at(("m**", f"g{u}"), ("m**", f"g{v}")) == expected
     assert gr.euler().chi == Fraction(1, 2)  # |G|/|H|
 
 
 def test_gr_hom_coweighting_cases():
     t0 = fx.constant_trihomomorphism(catalog.BPT, catalog.PSG)
     cw = gr_hom_coweighting(t0, ("*", "p"), ("*", "q"))
-    assert cw.to_json() == {"(I,mpq)": "1/2"}
+    assert cw.to_json() == {("I", "mpq"): "1/2"}
     t1 = fx.constant_trihomomorphism(catalog.ARROW_BICAT, catalog.PSG)
     cw1 = gr_hom_coweighting(t1, ("0", "p"), ("1", "q"))
     assert sum(cw1.entries, Fraction(0)) == Fraction(1, 2)
@@ -233,14 +235,17 @@ def _renamed_z2_suspension(unit: str, other: str):
     )
 
 
-def test_colliding_onecell_labels_are_an_input_error():
-    # In the one hom of the Grothendieck construction, ("f", "g,h") and ("f,g", "h") are both "(f,g,h)".
+def test_comma_onecell_labels_keep_every_pair():
+    # In the one hom of the Grothendieck construction, ("f", "g,h") and ("f,g", "h") would both be
+    # written "(f,g,h)"; as pairs they stay apart: four 1-cells, none lost.
     t = fx.constant_trihomomorphism(_renamed_z2_suspension("f", "f,g"), _renamed_z2_suspension("h", "g,h"))
-    with pytest.raises(LabelCollision, match=r"\('f', 'g,h'\) and \('f,g', 'h'\) share the label '\(f,g,h\)'"):
-        grothendieck_cg(t)
-    # The same pairs with no comma: four 1-cells, none lost.
-    t = fx.constant_trihomomorphism(_renamed_z2_suspension("f", "fg"), _renamed_z2_suspension("h", "gh"))
-    assert grothendieck_cg(t).homs[("(*,*)", "(*,*)")].onecells == ("(f,gh)", "(f,h)", "(fg,gh)", "(fg,h)")
+    assert grothendieck_cg(t).homs[(("*", "*"), ("*", "*"))].onecells == (
+        ("f", "g,h"), ("f", "h"), ("f,g", "g,h"), ("f,g", "h")
+    )
+    plain = fx.constant_trihomomorphism(_renamed_z2_suspension("f", "fg"), _renamed_z2_suspension("h", "gh"))
+    rep, plain_rep = verify_gr_formula_bicat(t), verify_gr_formula_bicat(plain)
+    assert rep.equal and rep.product_coweighting_valid
+    assert rep.chi_grothendieck == plain_rep.chi_grothendieck
 
 
 def test_verify_gr_formula_bicat_accepts_lax_functor():
@@ -284,6 +289,54 @@ def test_trihom_illtyped_component():
     broken[key] = {"p": "mqq", "q": t.pullback2[key]["q"]}
     with pytest.raises(IllTypedComponent):
         validate_trihomomorphism(Trihomomorphism(t.base, t.fiber, t.pullback1, broken))
+
+
+def test_trihom_pullback_with_wrong_source():
+    # The parser builds each pullback on its fiber, so no document reaches this check.
+    t = fx.constant_trihomomorphism(catalog.ARROW_BICAT, catalog.PSG)
+    bz2 = fx.bz2_twogroup()
+    pullback1 = {
+        **t.pullback1,
+        ("1", "1", catalog.ARROW_BICAT.id1("1")): identity_lax_functor(bz2),
+        ("0", "1", "a"): identity_lax_functor(catalog.PSG),
+    }
+    broken = Trihomomorphism(t.base, {**t.fiber, "1": bz2}, pullback1, t.pullback2)
+    with pytest.raises(IllTypedComponent, match="^pullback along a has wrong source$"):
+        validate_trihomomorphism(broken)
+
+
+def _strict_verdicts(p) -> tuple[bool, bool]:
+    return is_strict_lax_functor(p), oracle.is_strict_lax_functor(p)
+
+
+def test_is_strict_lax_functor_rejects_each_failure():
+    z3 = fx.discrete_suspension(*fx.cyclic_group(3))
+    hom = z3.hom_at("*", "*")
+
+    def z3_self_map(image):
+        cells = {g: image.get(g, g) for g in hom.objects}
+        functor = validate_functor(hom, hom, cells, {f"id{g}": f"id{h}" for g, h in cells.items()})
+        return validate_lax_functor(z3, z3, {"*": "*"}, {("*", "*"): functor})
+
+    # The identity 1-cell g0 goes to g1.
+    assert _strict_verdicts(z3_self_map({"g0": "g1", "g1": "g0"})) == (False, False)
+    # g1∘g1 = g2 goes to g1, and the images compose to g2.
+    assert _strict_verdicts(z3_self_map({"g2": "g1"})) == (False, False)
+    # Strict on 1-cells, but hom(0, 1) keeps its 2-cells while hom(0, 0) sends them to the unit,
+    # so a horizontal composite β∘α in hom(0, 1) goes to β, not to β∘α.
+    source, target = fx.suspension_two_group(["0", "1"], *fx.cyclic_group(2)), fx.bz2_twogroup()
+    hom_functors = {}
+    for x in source.objects:
+        for y in source.objects:
+            src = source.hom_at(x, y)
+            twocells = {m.name: m.name if (x, y) == ("0", "1") else "g0" for m in src.morphisms}
+            hom_functors[(x, y)] = validate_functor(src, target.hom_at("*", "*"), {f"m{x}{y}": "m**"}, twocells)
+    assert _strict_verdicts(validate_lax_functor(source, target, {"0": "*", "1": "*"}, hom_functors)) == (
+        False, False
+    )
+    # hcompose2 is compared only where both sides carry it.
+    bare = validate_bicategory(target.objects, target.graph.hom, target.identity1, target.compose1)
+    assert _strict_verdicts(validate_lax_functor(source, bare, {"0": "*", "1": "*"}, hom_functors)) == (True, True)
 
 
 def test_induced_trihomomorphism_of_projection():

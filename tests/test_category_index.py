@@ -24,11 +24,10 @@ from bicat_euler.fib1 import classify_fibration, is_cartesian_morphism, reverse_
 from bicat_euler.fincat import (
     FinCategory,
     InvalidCategory,
-    pair_label,
     validate_category,
     validate_functor,
 )
-from builders import product_cat
+from builders import pair_label, product_cat
 
 
 

@@ -332,30 +332,40 @@ def test_gen_to_a_path_that_cannot_be_written_is_input_error(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith(f"{path}: ") and "Traceback" not in err
 
 
-def test_colliding_grothendieck_labels_are_input_error(capsys, tmp_path):
-    # ("a", ",b") and ("a,", "b") are both labelled "(a,,b)".
-    from bicat_euler import fixtures as fx
+def _verify_document(capsys, tmp_path, theorem, value) -> tuple[int, dict]:
+    """The exit code and the `--json` results of `verify <theorem>` on the document of value."""
     from bicat_euler.catdsl import serialize
+
+    path = tmp_path / "input.catj"
+    path.write_text(serialize(value), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", theorem, str(path), "--json")
+    return code, json.loads(out)["results"]
+
+
+def test_comma_grothendieck_object_labels_are_accepted(capsys, tmp_path):
+    # ("a", ",b") and ("a,", "b") would both be written "(a,,b)"; the objects are the pairs themselves.
+    from bicat_euler import fixtures as fx
 
     z1, z2 = fx.cyclic_group(1), fx.cyclic_group(2)
-    base, fiber = fx.suspension_two_group(["a", "a,"], *z1), fx.suspension_two_group(["b", ",b"], *z2)
-    path = tmp_path / "trihom.catj"
-    path.write_text(serialize(fx.constant_trihomomorphism(base, fiber)), encoding="utf-8")
-    assert run(capsys, "verify", "gr-bicat", str(path)) == (
-        2, "", "input error: the pairs ('a', ',b') and ('a,', 'b') share the label '(a,,b)'\n"
-    )
+
+    def trihom(base_objects, fiber_objects):
+        base, fiber = fx.suspension_two_group(base_objects, *z1), fx.suspension_two_group(fiber_objects, *z2)
+        return fx.constant_trihomomorphism(base, fiber)
+
+    code, results = _verify_document(capsys, tmp_path, "gr-bicat", trihom(["a", "a,"], ["b", ",b"]))
+    plain_code, plain = _verify_document(capsys, tmp_path, "gr-bicat", trihom(["a", "a2"], ["b", "b2"]))
+    assert code == plain_code == 0 and results["equal"] is True
+    assert results["chi_grothendieck"] == plain["chi_grothendieck"] == "2"  # 1 · chi(ΣZ/2 on two objects)
 
 
-def test_colliding_grothendieck_morphism_labels_are_input_error(capsys, tmp_path):
-    # (f, "g,h", y) and ("f,g", h, y) are both labelled "(f,g,h,y)".
-    from bicat_euler.catdsl import serialize
+def test_comma_grothendieck_morphism_labels_are_accepted(capsys, tmp_path):
+    # (f, "g,h", y) and ("f,g", h, y) would both be written "(f,g,h,y)"; the morphisms are the triples themselves.
     from test_fib1 import _comma_laxcat
 
-    path = tmp_path / "laxcat.catj"
-    path.write_text(serialize(_comma_laxcat()), encoding="utf-8")
-    assert run(capsys, "verify", "gr", str(path)) == (
-        2, "", "input error: the triples ('f', 'g,h', 'y') and ('f,g', 'h', 'y') share the label '(f,g,h,y)'\n"
-    )
+    code, results = _verify_document(capsys, tmp_path, "gr", _comma_laxcat())
+    plain_code, plain = _verify_document(capsys, tmp_path, "gr", _comma_laxcat("fg", "gh"))
+    assert code == plain_code == 0 and results["equal"] is True
+    assert results["chi_grothendieck"] == plain["chi_grothendieck"]
 
 
 def test_gen_to_file_then_check(tmp_path, capsys):

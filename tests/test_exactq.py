@@ -73,6 +73,10 @@ def test_matrix_euler_index_mismatch():
     bad = QMatrix(("a",), ("b",), ((Fraction(1),),))
     with pytest.raises(IndexMismatch):
         matrix_euler(bad)
+    # The same labels in another order are no square matrix either.
+    reordered = QMatrix(("a", "b"), ("b", "a"), ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+    with pytest.raises(IndexMismatch, match=r"row labels \('a', 'b'\) != col labels \('b', 'a'\)"):
+        matrix_euler(reordered)
 
 
 def test_format_and_parse_rational():

@@ -11,7 +11,6 @@ from bicat_euler.bifib import fiber_bicategory
 from bicat_euler.catdsl import parse, serialize
 from bicat_euler.fib1 import (
     IncoherentData,
-    LabelCollision,
     LaxFunctorToCat,
     MorphismNotInCategory,
     NotBiFibered,
@@ -125,7 +124,7 @@ def test_grothendieck_point_base_recovers_fiber():
 
 def test_grothendieck_arrow_base_zeta():
     gr = grothendieck_cat(catalog.ARROW_BASE_LAXCAT)
-    assert gr.objects == ("(0,x)", "(0,y)", "(1,*)")
+    assert gr.objects == (("0", "x"), ("0", "y"), ("1", "*"))
     assert [[str(v) for v in row] for row in gr.zeta().entries] == [
         ["1", "0", "1"],
         ["0", "1", "0"],
@@ -249,44 +248,61 @@ def test_gr_formula_examples():
     assert rep3.equal and rep3.chi_grothendieck == 1 and rep3.sum_k_b_chi_fiber == Fraction(1, 2) * 2
 
 
-def test_colliding_object_labels_are_an_input_error():
-    # ("a", ",b") and ("a,", "b") are both labelled "(a,,b)".
-    base, fiber = fx.discrete_category(["a", "a,"]), fx.discrete_category(["b", ",b"])
+def _discrete_laxcat(base_objects, fiber_objects) -> LaxFunctorToCat:
+    """A discrete base with the same discrete fiber over each object, pulled back by identities."""
+    base, fiber = fx.discrete_category(base_objects), fx.discrete_category(fiber_objects)
     pullback = {m.name: fx.identity_functor(fiber) for m in base.morphisms}
-    lax = LaxFunctorToCat(base, {b: fiber for b in base.objects}, pullback)
-    for build in (grothendieck_cat, verify_gr_formula):
-        with pytest.raises(LabelCollision, match=r"\('a', ',b'\) and \('a,', 'b'\) share the label '\(a,,b\)'"):
-            build(lax)
+    return validate_laxcat(LaxFunctorToCat(base, {b: fiber for b in base.objects}, pullback))
 
 
-def _comma_laxcat() -> LaxFunctorToCat:
-    """Parallel base morphisms f and "f,g"; fiber morphisms "g,h" and h: x -> t; both pullbacks send y to t."""
+def test_comma_object_labels_keep_every_pair():
+    # ("a", ",b") and ("a,", "b") would both be written "(a,,b)"; as pairs they stay apart.
+    lax = _discrete_laxcat(["a", "a,"], ["b", ",b"])
+    gr = grothendieck_cat(lax)
+    assert gr.objects == (("a", ",b"), ("a", "b"), ("a,", ",b"), ("a,", "b"))
+    assert len(gr.total.morphisms) == 4
+    rep = verify_gr_formula(lax)
+    plain = verify_gr_formula(_discrete_laxcat(["a", "a2"], ["b", "b2"]))
+    assert rep.equal and rep.chi_grothendieck == plain.chi_grothendieck == 4
+
+
+def _comma_laxcat(fg: str = "f,g", gh: str = "g,h") -> LaxFunctorToCat:
+    """Parallel base morphisms f and fg; fiber morphisms gh and h: x -> t; both pullbacks send y to t."""
     base = validate_category(
         ["0", "1"],
-        [("id0", "0", "0"), ("id1", "1", "1"), ("f", "0", "1"), ("f,g", "0", "1")],
+        [("id0", "0", "0"), ("id1", "1", "1"), ("f", "0", "1"), (fg, "0", "1")],
         {"0": "id0", "1": "id1"},
         {("id0", "id0"): "id0", ("id1", "id1"): "id1", ("f", "id0"): "f", ("id1", "f"): "f",
-         ("f,g", "id0"): "f,g", ("id1", "f,g"): "f,g"},
+         (fg, "id0"): fg, ("id1", fg): fg},
     )
     over0 = validate_category(
         ["x", "t"],
-        [("idx", "x", "x"), ("idt", "t", "t"), ("g,h", "x", "t"), ("h", "x", "t")],
+        [("idx", "x", "x"), ("idt", "t", "t"), (gh, "x", "t"), ("h", "x", "t")],
         {"x": "idx", "t": "idt"},
-        {("idx", "idx"): "idx", ("idt", "idt"): "idt", ("g,h", "idx"): "g,h", ("idt", "g,h"): "g,h",
+        {("idx", "idx"): "idx", ("idt", "idt"): "idt", (gh, "idx"): gh, ("idt", gh): gh,
          ("h", "idx"): "h", ("idt", "h"): "h"},
     )
     over1 = fx.discrete_category(["y"])
     to_t = validate_functor(over1, over0, {"y": "t"}, {"idy": "idt"})
-    pullback = {"id0": fx.identity_functor(over0), "id1": fx.identity_functor(over1), "f": to_t, "f,g": to_t}
+    pullback = {"id0": fx.identity_functor(over0), "id1": fx.identity_functor(over1), "f": to_t, fg: to_t}
     return validate_laxcat(LaxFunctorToCat(base, {"0": over0, "1": over1}, pullback))
 
 
-def test_colliding_morphism_labels_are_an_input_error():
-    # (f, "g,h", y) and ("f,g", h, y) are both labelled "(f,g,h,y)".
-    for build in (grothendieck_cat, verify_gr_formula):
-        collision = r"\('f', 'g,h', 'y'\) and \('f,g', 'h', 'y'\) share the label '\(f,g,h,y\)'"
-        with pytest.raises(LabelCollision, match=collision):
-            build(_comma_laxcat())
+def test_comma_morphism_labels_keep_every_triple():
+    # (f, "g,h", y) and ("f,g", h, y) would both be written "(f,g,h,y)"; as triples they stay apart.
+    gr = grothendieck_cat(_comma_laxcat())
+    assert gr.hom[(("0", "x"), ("1", "y"))] == (
+        ("f", "g,h", "y"), ("f", "h", "y"), ("f,g", "g,h", "y"), ("f,g", "h", "y")
+    )
+    assert gr.total is not None
+    rep, plain = verify_gr_formula(_comma_laxcat()), verify_gr_formula(_comma_laxcat("fg", "gh"))
+    assert rep.equal and rep.chi_grothendieck == plain.chi_grothendieck
+
+
+def test_serialize_rejects_a_tuple_label():
+    # Grothendieck objects and morphisms are tuples; only `gen fib-groupoids-functor` writes them as text.
+    with pytest.raises(TypeError):
+        serialize(grothendieck_cat(catalog.ARROW_BASE_LAXCAT).projection)
 
 
 def test_product_formula_quotient():
