@@ -15,14 +15,12 @@ if TYPE_CHECKING:
 from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
 from .fincat import (
     EMPTY_CATEGORY,
-    PT,
     FinCategory,
     Functor,
     InvalidInput,
     MissingEulerCharacteristic,
     check_equivalence_functor,
     euler_char_cat,
-    validate_functor,
     zigzag_components,
 )
 from .fincat import acyclic_witness as cat_acyclic_witness
@@ -238,15 +236,8 @@ def euler_char_cg(g: CatGraph) -> MatrixEuler:
 
 
 def _hom_equivalent_to_point(hom: FinCategory) -> bool:
-    if not hom.objects:
-        return False
-    to_point = validate_functor(
-        hom,
-        PT,
-        {x: "*" for x in hom.objects},
-        {m.name: "id*" for m in hom.morphisms},
-    )
-    return check_equivalence_functor(to_point)
+    """Equivalent to the point: nonempty, with exactly one morphism x -> y for all objects x, y."""
+    return bool(hom.objects) and all(len(hom.hom(x, y)) == 1 for x in hom.objects for y in hom.objects)
 
 
 def acyclic_bicat_witness(b: Bicategory) -> dict[str, tuple[str, ...]]:
@@ -324,11 +315,6 @@ def pseudogroupoid_witness(b: Bicategory) -> dict[str, tuple[str, str, str]]:
                 if not is_equivalence_1cell(b, x, y, f):
                     return {"non_equivalence_1cell": (x, y, f)}
     return {}
-
-
-def pseudogroupoid_check(b: Bicategory) -> bool:
-    """Every 1-cell an equivalence and every 2-cell an isomorphism."""
-    return not pseudogroupoid_witness(b)
 
 
 def graph_components(g: CatGraph) -> tuple[tuple[str, ...], ...]:
@@ -435,11 +421,6 @@ def biequivalence_witness(l: LaxFunctorBicat) -> dict[str, tuple[str, ...]]:
     return {}
 
 
-def check_biequivalence(l: LaxFunctorBicat) -> bool:
-    """Local equivalence on every hom plus biessential surjectivity."""
-    return not biequivalence_witness(l)
-
-
 class BiequivalenceReport(Record):
     chi_source: Fraction
     chi_target: Fraction
@@ -450,7 +431,7 @@ class BiequivalenceReport(Record):
 
 def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
     """chi equality plus the transported-weighting identity from the invariance proof."""
-    if not check_biequivalence(l):
+    if biequivalence_witness(l):
         raise NotBiequivalence("lax functor is not a biequivalence")
     zeta = similarity_matrix_cg(l.source.graph)
     source_euler = matrix_euler(zeta)

@@ -6,8 +6,9 @@ on the nose exactly when both bicategories carry horizontal composition
 and the lax functor is strict and carries no phi or psi data; otherwise the
 up-to-2-isomorphism reading applies.  The Grothendieck construction is built
 in counting mode: the objects, 1-cells and 2-cell counts fully determine
-every Euler characteristic here.  Each public entry point decides each fact
-about its lax functor once, in one private per-call analysis (`_Sweep`).
+every Euler characteristic here.  Each public entry point that sweeps its
+lax functor decides each fact once, in one private per-call analysis
+(`_Sweep`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bicat import (
     coop_lax_functor,
     euler_char_cg,
     graph_components,
-    pseudogroupoid_check,
+    pseudogroupoid_witness,
     restrict_catgraph,
     validate_bicategory,
 )
@@ -427,11 +428,7 @@ def _pseudo_flags(
 
 
 def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
-    return _classify(_Sweep(p))
-
-
-def _classify(s: _Sweep) -> BiFibrationReport:
-    p = s.p
+    s = _Sweep(p)
     local, one, cart, witnesses = _pseudo_flags(
         s, lambda x, y: s.local(x, y).fibered_in_groupoids, s.strict_equations()
     )
@@ -611,11 +608,7 @@ def _pullback(
 
 def induced_trihomomorphism(p: LaxFunctorBicat) -> Trihomomorphism:
     """Fiber bicategories, cleavage pullbacks and 2-cell components of a bifibration."""
-    return _trihomomorphism(_Sweep(p))
-
-
-def _trihomomorphism(s: _Sweep) -> Trihomomorphism:
-    p = s.p
+    s = _Sweep(p)
     e, b = p.source, p.target
     fibers = {x: s.fiber(x) for x in b.objects}
     pullback1 = {}
@@ -676,17 +669,17 @@ class ProductBicatReport(Record):
 
 
 def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
-    s = _Sweep(p)
-    report = _classify(s)
+    report = classify_bifibration(p)
     if not (report.fibered_in_pseudogroupoids and report.cofibered_in_pseudogroupoids):
         raise NotBiFibered(f"not fibered+cofibered in pseudogroupoids: {report.witnesses}")
     chi_total = euler_char_cg(p.source.graph).chi
     if chi_total is None:
         raise MissingEulerCharacteristic("total bicategory has no Euler characteristic")
+    t = induced_trihomomorphism(p)
 
     def chi_fiber(b_obj: str):
-        fib = s.fiber(b_obj)
-        assert pseudogroupoid_check(fib), f"fiber over {b_obj} is not a pseudogroupoid"
+        fib = t.fiber[b_obj]
+        assert not pseudogroupoid_witness(fib), f"fiber over {b_obj} is not a pseudogroupoid"
         return euler_char_cg(fib.graph).chi
 
     components, rhs = _product_components(
@@ -694,7 +687,7 @@ def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
         lambda comp: euler_char_cg(restrict_catgraph(p.target.graph, comp)).chi,
         chi_fiber,
     )
-    gr = grothendieck_cg(_trihomomorphism(s))
+    gr = grothendieck_cg(t)
     chi_gr = gr.euler().chi
     if chi_gr is None:
         raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")

@@ -4,9 +4,11 @@ All numeric output is exact rational text; exit codes are 0 (pass),
 1 (check or verification failed), 2 (input error), 3 (internal error:
 any other exception, with its traceback, or a generator failure).  --json
 emits a machine-readable RunReport.  `parse_args` reads the command line
-from one table, `_COMMANDS`; a usage error exits 2.  Commands reach the
-kind modules through the package's lazy attributes, so each loads only what
-it runs.
+from one table, `_COMMANDS`; a usage error exits 2.  Each choice of chi,
+check and verify is one entry of `_CHI`, `_CHECKS` or `_THEOREMS`: the
+document kinds it reads and the `module.function` that answers it.  That
+function is looked up through the package's lazy attributes when the command
+runs, so each command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -58,98 +60,81 @@ def _load(path: str) -> tuple[Document, str]:
     return result.document, sha256(data).hexdigest()
 
 
-def _emit(args, report: dict, status: int) -> int:
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    return status
+def _function(name: str):
+    """The package's `module.function`, looked up through its lazy attributes at each call.
+
+    So a command loads only the modules it runs, and calls what the module holds under that name then.
+    """
+    module, attr = name.split(".")
+    return lambda *args: getattr(getattr(bicat_euler, module), attr)(*args)
+
+
+def _answer(functions: dict, doc: Document, expects: str):
+    """The function that `functions` (document kind -> `module.function`) names for doc's kind."""
+    if doc.kind not in functions:
+        raise InputError(f"{expects} a {' or '.join(functions)} document")
+    return _function(functions[doc.kind])
+
+
+# chi --kind -> {document kind it reads: the function giving its MatrixEuler}.  Without --kind a
+# document is read as its own kind; a bicategory is read through its cat-graph.
+_CHI = {
+    "category": {"category": "fincat.euler_char_cat"},
+    "catgraph": {"catgraph": "bicat.euler_char_cg", "bicategory": "bicat.euler_char_cg"},
+    "bicategory": {"bicategory": "bicat.euler_char_cg"},
+}
 
 
 def cmd_chi(args) -> int:
     doc, digest = _load(args.file)
-    kind = args.kind
-    if kind is None:
-        kind = {"category": "category", "catgraph": "catgraph", "bicategory": "bicategory"}.get(doc.kind)
-        if kind is None:
-            raise InputError(f"{args.file}: kind {doc.kind!r} has no Euler characteristic")
-    if kind == "category":
-        if doc.kind != "category":
-            raise InputError(f"{args.file}: expected a category document")
-        euler = fincat.euler_char_cat(doc.value)
-    elif kind == "catgraph":
-        if doc.kind == "catgraph":
-            graph = doc.value
-        elif doc.kind == "bicategory":
-            graph = doc.value.graph
-        else:
-            raise InputError(f"{args.file}: expected a catgraph or bicategory document")
-        euler = bicat_euler.bicat.euler_char_cg(graph)
-    elif kind == "bicategory":
-        if doc.kind != "bicategory":
-            raise InputError(f"{args.file}: expected a bicategory document")
-        euler = bicat_euler.bicat.euler_char_cg(doc.value.graph)
-    else:
-        raise InputError(f"unknown kind {kind!r}")
+    kind = args.kind or doc.kind
+    if kind not in _CHI:
+        raise InputError(f"{args.file}: kind {doc.kind!r} has no Euler characteristic")
+    value = doc.value.graph if doc.kind == "bicategory" else doc.value
+    euler = _answer(_CHI[kind], doc, f"{args.file}: expected")(value)
     values = euler.to_json()
     shown = {side: values[side] for side in ("weighting", "coweighting") if getattr(args, side)}
+    status = EXIT_FAIL if euler.chi is None else EXIT_PASS
     report = {
         "command": "chi",
         "inputs": [{"path": args.file, "sha256": digest}],
         "results": {"chi": values["chi"], "missing": list(euler.missing()), **shown},
+        "status": status,
     }
-    if euler.chi is None:
-        report["status"] = EXIT_FAIL
-        if not args.json:
-            print(f"no Euler characteristic (missing: {', '.join(euler.missing())})")
-        return _emit(args, report, EXIT_FAIL)
-    report["status"] = EXIT_PASS
-    if not args.json:
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    elif euler.chi is None:
+        print(f"no Euler characteristic (missing: {', '.join(euler.missing())})")
+    else:
         line = values["chi"]
         if args.decimal:
             line += f"  (approx {float(euler.chi):.6g})"
         print(line)
         for side, vector in shown.items():  # both vectors exist when chi does
             print(f"{side}:", json.dumps(vector, sort_keys=True))
-    return _emit(args, report, EXIT_PASS)
+    return status
 
 
-_PREDICATES = ("acyclic", "fibered", "fib-groupoids", "pseudogroupoid", "biequivalence", "fib-pseudogroupoids")
+# check predicate -> ({document kind: function}, the flag of its report that decides).  A None flag
+# means the function returns the witnesses themselves, and none means pass.
+_CHECKS = {
+    "acyclic": ({"category": "fincat.acyclic_witness", "bicategory": "bicat.acyclic_bicat_witness"}, None),
+    "fibered": ({"functor": "fib1.classify_fibration"}, "fibered"),
+    "fib-groupoids": ({"functor": "fib1.classify_fibration"}, "fibered_in_groupoids"),
+    "pseudogroupoid": ({"bicategory": "bicat.pseudogroupoid_witness"}, None),
+    "biequivalence": ({"laxfunctor": "bicat.biequivalence_witness"}, None),
+    "fib-pseudogroupoids": ({"laxfunctor": "bifib.classify_bifibration"}, "fibered_in_pseudogroupoids"),
+}
 
 
 def cmd_check(args) -> int:
     doc, digest = _load(args.file)
-    witnesses = {}
-    if args.predicate == "acyclic":
-        if doc.kind == "category":
-            witnesses = fincat.acyclic_witness(doc.value)
-        elif doc.kind == "bicategory":
-            witnesses = bicat_euler.bicat.acyclic_bicat_witness(doc.value)
-        else:
-            raise InputError("acyclic expects a category or bicategory document")
-        ok = not witnesses
-    elif args.predicate in ("fibered", "fib-groupoids"):
-        if doc.kind != "functor":
-            raise InputError(f"{args.predicate} expects a functor document")
-        rep = bicat_euler.fib1.classify_fibration(doc.value)
-        ok = rep.fibered if args.predicate == "fibered" else rep.fibered_in_groupoids
-        witnesses = rep.to_json()["witnesses"]
-    elif args.predicate == "pseudogroupoid":
-        if doc.kind != "bicategory":
-            raise InputError("pseudogroupoid expects a bicategory document")
-        witnesses = bicat_euler.bicat.pseudogroupoid_witness(doc.value)
-        ok = not witnesses
-    elif args.predicate == "biequivalence":
-        if doc.kind != "laxfunctor":
-            raise InputError("biequivalence expects a laxfunctor document")
-        witnesses = bicat_euler.bicat.biequivalence_witness(doc.value)
-        ok = not witnesses
-    elif args.predicate == "fib-pseudogroupoids":
-        if doc.kind != "laxfunctor":
-            raise InputError("fib-pseudogroupoids expects a laxfunctor document")
-        rep = bicat_euler.bifib.classify_bifibration(doc.value)
-        ok = rep.fibered_in_pseudogroupoids
-        witnesses = rep.to_json()["witnesses"]
+    functions, flag = _CHECKS[args.predicate]
+    result = _answer(functions, doc, f"{args.predicate} expects")(doc.value)
+    if flag is None:
+        witnesses, ok = result, not result
     else:
-        raise InputError(f"unknown predicate {args.predicate!r}")
+        witnesses, ok = result.to_json()["witnesses"], getattr(result, flag)
     status = EXIT_PASS if ok else EXIT_FAIL
     report = {
         "command": f"check {args.predicate}",
@@ -157,9 +142,11 @@ def cmd_check(args) -> int:
         "results": {"pass": ok, "witnesses": witnesses},
         "status": status,
     }
-    if not args.json:
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
         print("pass" if ok else f"fail {json.dumps(witnesses, sort_keys=True)}")
-    return _emit(args, report, status)
+    return status
 
 
 def _gr_summary(results: dict) -> str:
@@ -174,39 +161,41 @@ def _product_summary(results: dict) -> str:
     return f"{results['chi_total']} = " + " + ".join(terms)
 
 
+# verify theorem -> ({document kind: function}, the one-line summary of its report's JSON, the
+# flags of its report that must all hold).
+_THEOREMS = {
+    "gr": ({"laxcat": "fib1.verify_gr_formula"}, _gr_summary, ("equal",)),
+    "product-cat": ({"functor": "fib1.verify_product_formula_cat"}, _product_summary, ("equal",)),
+    "biequivalence": (
+        {"laxfunctor": "bicat.verify_biequivalence_invariance"},
+        "{chi_source} = {chi_target}".format_map,
+        ("equal", "transported_valid"),
+    ),
+    "gr-bicat": (
+        {"trihom": "bifib.verify_gr_formula_bicat", "laxfunctor": "bifib.verify_gr_formula_bicat"},
+        _gr_summary,
+        ("equal", "product_coweighting_valid"),
+    ),
+    "product-bicat": (
+        {"laxfunctor": "bifib.verify_product_formula_bicat"},
+        _product_summary,
+        ("equal", "grothendieck_matches_total"),
+    ),
+}
+
+
 def cmd_verify(args) -> int:
     doc, digest = _load(args.file)
-    if args.theorem == "gr":
-        if doc.kind != "laxcat":
-            raise InputError("verify gr expects a laxcat document")
-        rep = bicat_euler.fib1.verify_gr_formula(doc.value)
-        summary, ok = _gr_summary, rep.equal
-    elif args.theorem == "product-cat":
-        if doc.kind != "functor":
-            raise InputError("verify product-cat expects a functor document")
-        rep = bicat_euler.fib1.verify_product_formula_cat(doc.value)
-        summary, ok = _product_summary, rep.equal
-    elif args.theorem == "biequivalence":
-        if doc.kind != "laxfunctor":
-            raise InputError("verify biequivalence expects a laxfunctor document")
-        rep = bicat_euler.bicat.verify_biequivalence_invariance(doc.value)
-        summary, ok = "{chi_source} = {chi_target}".format_map, rep.equal and rep.transported_valid
-    elif args.theorem == "gr-bicat":
-        if doc.kind not in ("trihom", "laxfunctor"):
-            raise InputError("verify gr-bicat expects a trihom or laxfunctor document")
-        fib1 = bicat_euler.fib1
-        try:
-            rep = bicat_euler.bifib.verify_gr_formula_bicat(doc.value)
-        except fib1.NonUniqueLift as exc:  # only a laxfunctor's cleavage raises it: an unsuitable input
-            raise fib1.NotBiFibered(str(exc)) from exc
-        summary, ok = _gr_summary, rep.equal and rep.product_coweighting_valid
-    elif args.theorem == "product-bicat":
-        if doc.kind != "laxfunctor":
-            raise InputError("verify product-bicat expects a laxfunctor document")
-        rep = bicat_euler.bifib.verify_product_formula_bicat(doc.value)
-        summary, ok = _product_summary, rep.equal and rep.grothendieck_matches_total
-    else:
-        raise InputError(f"unknown theorem {args.theorem!r}")
+    functions, summary, flags = _THEOREMS[args.theorem]
+    verify = _answer(functions, doc, f"verify {args.theorem} expects")
+    # In gr-bicat only a laxfunctor's cleavage raises NonUniqueLift: an input it cannot use.  Elsewhere
+    # NonUniqueLift stays an internal error; `except ()` catches nothing.
+    unusable = bicat_euler.fib1.NonUniqueLift if args.theorem == "gr-bicat" else ()
+    try:
+        rep = verify(doc.value)
+    except unusable as exc:
+        raise bicat_euler.fib1.NotBiFibered(str(exc)) from exc
+    ok = all(getattr(rep, flag) for flag in flags)
     status = EXIT_PASS if ok else EXIT_FAIL
     results = rep.to_json()
     report = {
@@ -215,34 +204,33 @@ def cmd_verify(args) -> int:
         "results": results,
         "status": status,
     }
-    if not args.json:
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
         print(summary(results))
         if not ok:
             print(json.dumps(results, indent=2, sort_keys=True))
-    return _emit(args, report, status)
-
-
-def _generator(name: str):
-    """The builder `generators.<name>`, imported only when `gen` runs it."""
-    return lambda seed, size: getattr(bicat_euler.generators, name)(seed, size)
+    return status
 
 
 _GEN_KINDS = {
-    "acyclic-cat": (_generator("gen_acyclic_category"), lambda v: fincat.is_acyclic(v)),
+    "acyclic-cat": (_function("generators.gen_acyclic_category"), lambda v: not fincat.acyclic_witness(v)),
     "groupoid-valued-laxcat": (
-        _generator("gen_groupoid_valued_laxcat"),
+        _function("generators.gen_groupoid_valued_laxcat"),
         lambda v: all(
             cat.inverse_of(m.name) is not None for cat in v.fiber.values() for m in cat.morphisms
         ),
     ),
     "fib-groupoids-functor": (
-        _generator("gen_fib_groupoids_functor"),
+        _function("generators.gen_fib_groupoids_functor"),
         lambda v: bicat_euler.fib1.classify_fibration(v).fibered_in_groupoids,
     ),
-    "pseudogroupoid": (_generator("gen_pseudogroupoid"), lambda v: bicat_euler.bicat.pseudogroupoid_check(v)),
+    "pseudogroupoid": (
+        _function("generators.gen_pseudogroupoid"), lambda v: not bicat_euler.bicat.pseudogroupoid_witness(v)
+    ),
     "trihom-psgrpd": (
-        _generator("gen_trihom"),
-        lambda v: all(bicat_euler.bicat.pseudogroupoid_check(f) for f in v.fiber.values()),
+        _function("generators.gen_trihom"),
+        lambda v: not any(bicat_euler.bicat.pseudogroupoid_witness(f) for f in v.fiber.values()),
     ),
 }
 
@@ -260,8 +248,6 @@ def cmd_gen(args) -> int:
                 handle.write(text)
         except OSError as exc:
             raise InputError(f"{args.out}: {exc}")
-        if not args.json:
-            print(args.out)
     else:
         sys.stdout.write(text)
     report = {
@@ -275,7 +261,11 @@ def cmd_gen(args) -> int:
         },
         "status": EXIT_PASS,
     }
-    return _emit(args, report, EXIT_PASS)
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    elif args.out:
+        print(args.out)
+    return EXIT_PASS
 
 
 def _int(text: str) -> int:
@@ -313,15 +303,11 @@ _COMMANDS = {
     "chi": (
         cmd_chi,
         [("file", str)],
-        {"kind": (("category", "catgraph", "bicategory"), None), "weighting": _FLAG, "coweighting": _FLAG,
+        {"kind": (tuple(_CHI), None), "weighting": _FLAG, "coweighting": _FLAG,
          "decimal": _FLAG, "json": _FLAG},
     ),
-    "check": (cmd_check, [("file", str), ("predicate", _PREDICATES)], {"json": _FLAG}),
-    "verify": (
-        cmd_verify,
-        [("theorem", ("gr", "product-cat", "biequivalence", "gr-bicat", "product-bicat")), ("file", str)],
-        {"json": _FLAG},
-    ),
+    "check": (cmd_check, [("file", str), ("predicate", tuple(_CHECKS))], {"json": _FLAG}),
+    "verify": (cmd_verify, [("theorem", tuple(_THEOREMS)), ("file", str)], {"json": _FLAG}),
     "gen": (
         cmd_gen,
         [("kind", tuple(_GEN_KINDS))],

@@ -306,11 +306,6 @@ def acyclic_witness(a: FinCategory) -> dict[str, tuple[str, ...]]:
     return {}
 
 
-def is_acyclic(a: FinCategory) -> bool:
-    """No non-identity endomorphisms and no directed circuit through distinct objects."""
-    return not acyclic_witness(a)
-
-
 class Functor(Record):
     source: FinCategory
     target: FinCategory

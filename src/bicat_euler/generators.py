@@ -43,7 +43,6 @@ def gen_acyclic_category(seed: int, size: int) -> FinCategory:
             if rng.random() < 0.45:
                 edges.append((f"e{i}_{j}", str(i), str(j)))
     # paths from each object, composable left to right
-    paths = {(): None}
     all_paths: list[tuple[tuple[str, ...], str, str]] = []
     by_src = {}
     for name, src, dst in edges:

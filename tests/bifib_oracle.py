@@ -25,7 +25,7 @@ from bicat_euler.bicat import (
     coop_lax_functor,
     euler_char_cg,
     graph_components,
-    pseudogroupoid_check,
+    pseudogroupoid_witness,
     restrict_catgraph,
     validate_bicategory,
 )
@@ -434,7 +434,7 @@ def verify_product_formula_bicat(p) -> ProductBicatReport:
         fiber_chis = []
         for b_obj in comp:
             fib = fiber_bicategory(p, b_obj)
-            assert pseudogroupoid_check(fib), f"fiber over {b_obj} is not a pseudogroupoid"
+            assert not pseudogroupoid_witness(fib), f"fiber over {b_obj} is not a pseudogroupoid"
             chi_f = euler_char_cg(fib.graph).chi
             if chi_f is None:
                 raise MissingEulerCharacteristic(f"fiber over {b_obj} has no Euler characteristic")
@@ -451,7 +451,7 @@ def verify_product_formula_bicat(p) -> ProductBicatReport:
 
 def pseudogroupoid_euler(b) -> Fraction:
     """Per connected component: 1/chi(hom(g,g)); summed, and checked against ζ."""
-    if not pseudogroupoid_check(b):
+    if pseudogroupoid_witness(b):
         raise ValueError("some 1-cell is not an equivalence or some 2-cell not invertible")
     total = Fraction(0)
     for comp in graph_components(b.graph):

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from bicat_euler.exactq import Record
 from bicat_euler.fib1 import FibrationReport, MorphismNotInCategory, reverse_functor
-from bicat_euler.fincat import FinCategory, Functor, InvalidCategory, Morphism, Violation, is_acyclic
+from bicat_euler.fincat import FinCategory, Functor, InvalidCategory, Morphism, Violation, acyclic_witness
 
 
 def hom(cat: FinCategory, x: str, y: str) -> tuple[str, ...]:
@@ -187,7 +187,7 @@ def nerve_euler(a: FinCategory) -> ChainComplexCount:
     counts[0] = #objects; counts[n] = #chains f_n∘...∘f_1 of non-identity
     morphisms.  Finite exactly because the category is acyclic.
     """
-    if not is_acyclic(a):
+    if acyclic_witness(a):
         raise ValueError("nerve chain counts are finite only for acyclic categories")
     non_id = [m for m in a.morphisms if not a.is_identity(m.name)]
     counts = [len(a.objects)]

@@ -11,7 +11,7 @@ import catalog
 from bicat_euler import generators as gen
 from bicat_euler.bicat import (
     euler_char_cg,
-    pseudogroupoid_check,
+    pseudogroupoid_witness,
     similarity_matrix_cg,
     verify_biequivalence_invariance,
 )
@@ -158,7 +158,7 @@ def test_criterion_8_bicategorical_formulas():
         rep = verify_gr_formula_bicat(t)  # checks chi(Gr) = sum k_b chi(Fb) and Lemma-style k_b·k_x
         assert rep.equal and rep.product_coweighting_valid, seed
         for b in t.base.objects:
-            assert pseudogroupoid_check(t.fiber[b]), (seed, b)
+            assert not pseudogroupoid_witness(t.fiber[b]), (seed, b)
             gr = grothendieck_cg(t)
             source = gr.objects[0]
             gr_hom_coweighting(t, source, source)  # hom-level product coweighting, asserted inside

@@ -55,6 +55,16 @@ def test_chi_wrong_kind_is_input_error(capsys, fixture_dir):
     assert code == 2 and "no Euler characteristic" in err
 
 
+@pytest.mark.parametrize("name,kind,expected", [
+    ("arrow", "catgraph", "catgraph or bicategory"),
+    ("psg", "category", "category"),
+    ("nochi-catgraph", "bicategory", "bicategory"),
+])
+def test_chi_kind_the_document_is_not_is_input_error(capsys, fixture_dir, name, kind, expected):
+    path = str(fixture_dir / f"{name}.catj")
+    assert run(capsys, "chi", path, "--kind", kind) == (2, "", f"{path}: expected a {expected} document\n")
+
+
 def test_chi_parse_failure_exits_2(capsys, negative_dir):
     code, _, err = run(capsys, "chi", str(negative_dir / "e001-undeclared-object.catj"))
     assert code == 2 and "E001" in err
@@ -225,6 +235,41 @@ def test_verify_gr_bicat_without_a_pullback_is_input_error(capsys, tmp_path):
 def test_verify_biequivalence_rejects_collapse(capsys, fixture_dir):
     code, _, err = run(capsys, "verify", "biequivalence", str(fixture_dir / "psg-collapse.catj"))
     assert code == 2 and "not a biequivalence" in err
+
+
+def test_verify_biequivalence_passes_on_an_identity(capsys, tmp_path):
+    from bicat_euler.bicat import identity_lax_functor
+    from bicat_euler.catdsl import serialize
+    import catalog
+
+    path = tmp_path / "identity.catj"
+    path.write_text(serialize(identity_lax_functor(catalog.PSG)), encoding="utf-8")
+    assert run(capsys, "verify", "biequivalence", str(path)) == (0, "2 = 2\n", "")
+    code, out, _ = run(capsys, "verify", "biequivalence", str(path), "--json")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["equal"] is True and results["transported_valid"] is True
+
+
+def test_failed_verify_prints_the_summary_then_the_report(capsys, fixture_dir, monkeypatch):
+    # No lawful input fails a theorem, so the theorem's function is made to report inequality.
+    from bicat_euler import fib1
+
+    verify = fib1.verify_product_formula_cat
+
+    def unequal(p):
+        rep = verify(p)
+        return fib1.ProductFormulaReport(rep.chi_total, rep.sum_of_products, rep.components, False)
+
+    monkeypatch.setattr(fib1, "verify_product_formula_cat", unequal)
+    code, out, err = run(capsys, "verify", "product-cat", str(fixture_dir / "ez2-to-bz2.catj"))
+    results = {
+        "chi_total": "1",
+        "components": [{"chi_base": "1/2", "chi_fiber": "2", "objects": ["*"]}],
+        "equal": False,
+        "sum_of_products": "1",
+    }
+    assert code == 1 and err == ""
+    assert out == "1 = 1/2 · 2\n" + json.dumps(results, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_wrong_shape_is_input_error(capsys, fixture_dir):
@@ -538,12 +583,15 @@ def test_process_output_through_a_pipe_is_complete(fixture_dir, tmp_path):
 
 
 def test_unexpected_exception_exits_3_with_traceback(capsys, fixture_dir, monkeypatch):
-    from bicat_euler import fib1
+    # NonUniqueLift is an input error only in `verify gr-bicat`; anywhere else it is a bug.
+    from bicat_euler import bifib, fib1
 
     def broken(p):
         raise fib1.NonUniqueLift("two lifts")
 
     monkeypatch.setattr(fib1, "classify_fibration", broken)
-    code, out, err = run(capsys, "check", str(fixture_dir / "ez2-to-bz2.catj"), "fibered")
-    assert code == 3 and out == ""
-    assert err.startswith("Traceback") and "NonUniqueLift: two lifts" in err
+    monkeypatch.setattr(bifib, "verify_product_formula_bicat", broken)
+    for argv in (["check", "ez2-to-bz2.catj", "fibered"], ["verify", "product-bicat", "gr-psg-over-arrow.catj"]):
+        code, out, err = run(capsys, *[str(fixture_dir / a) if a.endswith(".catj") else a for a in argv])
+        assert code == 3 and out == ""
+        assert err.startswith("Traceback") and "NonUniqueLift: two lifts" in err

@@ -215,6 +215,35 @@ def test_bad_coherence_raises():
         validate_laxcat(LaxFunctorToCat(lax.base, lax.fiber, lax.pullback, lax.comp_iso, broken))
 
 
+def _non_cocycle_laxcat() -> LaxFunctorToCat:
+    # BZ/3 acting trivially on a one-object BZ/3 fiber, with comp_iso h1 at (g1, g1) and h0
+    # elsewhere: natural and well framed, but not a 2-cocycle, so composition is not associative.
+    base = fx.group_category("*", *fx.cyclic_group(3))
+    elements, mult, _ = fx.cyclic_group(3)
+    h = {g: g.replace("g", "h") for g in elements}
+    fiber = fx.group_category("x", list(h.values()), {(h[a], h[b]): h[c] for (a, b), c in mult.items()}, "h0")
+    pullback = {g: fx.identity_functor(fiber) for g in elements}
+    comp_iso = {(g, f): {"x": "h0"} for g in elements for f in elements}
+    comp_iso[("g1", "g1")] = {"x": "h1"}
+    return LaxFunctorToCat(base, {"*": fiber}, pullback, comp_iso, {"*": {"x": "h0"}})
+
+
+def test_coherence_that_is_no_cocycle_does_not_assemble_a_category(capsys, tmp_path):
+    from bicat_euler.cli import main
+
+    lax = validate_laxcat(_non_cocycle_laxcat())
+    result = parse(serialize(lax))
+    assert not result.diagnostics and result.document.value == lax
+    with pytest.raises(IncoherentData) as exc:
+        grothendieck_cat(lax)
+    assert str(exc.value).startswith("supplied coherence does not assemble a category: AssociativityViolation:")
+    path = tmp_path / "non-cocycle.catj"
+    path.write_text(serialize(lax), encoding="utf-8")
+    code = main(["verify", "gr", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err == f"input error: {exc.value}\n"
+
+
 def test_validated_laxcat_keeps_only_declared_keys(negative_dir):
     # The one-object laxcat of stray-unit-iso-key.catj without its stray key, then given
     # stray keys in every table the validator reads: a fiber, a pullback, a comp_iso

@@ -4,10 +4,10 @@ import catalog
 from bicat_euler import generators as gen
 from builders import gen_fib_pseudogroupoids_laxfunctor, gen_groupoid
 from catalog import gen_category_with_chi, gen_equivalence
-from bicat_euler.bicat import pseudogroupoid_check
+from bicat_euler.bicat import pseudogroupoid_witness
 from bicat_euler.catdsl import serialize
 from bicat_euler.fib1 import classify_fibration
-from bicat_euler.fincat import check_equivalence_functor, euler_char_cat, is_acyclic
+from bicat_euler.fincat import check_equivalence_functor, euler_char_cat, acyclic_witness
 
 
 def test_deterministic_for_fixed_seed():
@@ -34,7 +34,7 @@ def test_acyclic_smallest_case_is_point():
 
 def test_acyclic_predicate():
     for seed in range(20):
-        assert is_acyclic(gen.gen_acyclic_category(seed, 5))
+        assert not acyclic_witness(gen.gen_acyclic_category(seed, 5))
 
 
 def test_groupoid_predicate():
@@ -51,13 +51,13 @@ def test_fib_groupoids_predicate():
 
 def test_pseudogroupoid_predicate():
     for seed in range(10):
-        assert pseudogroupoid_check(gen.gen_pseudogroupoid(seed, 3))
+        assert not pseudogroupoid_witness(gen.gen_pseudogroupoid(seed, 3))
 
 
 def test_trihom_fibers_are_pseudogroupoids():
     for seed in range(6):
         t = gen.gen_trihom(seed, 2)
-        assert all(pseudogroupoid_check(f) for f in t.fiber.values())
+        assert all(not pseudogroupoid_witness(f) for f in t.fiber.values())
 
 
 def test_equivalences_are_equivalences():
