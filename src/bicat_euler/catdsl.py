@@ -250,8 +250,14 @@ class _Scanner:
 class _Builder:
     def __init__(self):
         self.diags: list[Diagnostic] = []
-        # Extracted tables -> validated category: identical sub-documents are validated once.
+        # One memo, key -> validated category, so identical category sub-documents are built
+        # once: the plain builder keys on the decoded tables and looks up before reading them
+        # (`category_key`); this one keys on the extracted tables, after their checks.
         self.categories: dict[tuple, FinCategory] = {}
+
+    def category_key(self, node: JNode) -> None:
+        """None: the positional builder forms its key only from the extracted tables."""
+        return None
 
     def err(self, node: JNode, code: str, message: str):
         self.diags.append(Diagnostic("error", node.line, node.col, code, message))
@@ -352,6 +358,35 @@ class _PlainBuilder(_Builder):
         if not isinstance(node, str):
             raise _NeedsPositions
         return node
+
+    def category_key(self, node) -> Optional[tuple]:
+        """The four tables of a category sub-document as one hashable value, or None.
+
+        None unless each table, and each row of a table, has the container type
+        that builds: `tuple` of an object is its keys and `tuple` of a string
+        its characters, so either could pass for an array of labels.  A key
+        equal to that of a category which built cleanly then holds the same
+        strings in the same arrays, since only a string equals a string, and
+        builds the same category.
+        """
+        try:
+            objects, morphisms, identity, compose = node["objects"], node["morphisms"], node["identity"], node["compose"]
+        except (KeyError, TypeError):  # a table missing, or no object
+            return None
+        if type(objects) is not list or type(identity) is not dict:
+            return None
+        for rows in (morphisms, compose):
+            if type(rows) is not list:
+                return None
+            for row in rows:
+                if type(row) is not list:
+                    return None
+        key = (tuple(objects), tuple(map(tuple, morphisms)), tuple(identity.items()), tuple(map(tuple, compose)))
+        try:
+            hash(key)
+        except TypeError:  # an array or object where a label should be
+            return None
+        return key
 
     def triples(self, node, what: str, width: int = 3) -> list[tuple]:
         out = []
@@ -473,6 +508,10 @@ def _validated(b: _Builder, node: JNode, reported: int, validate, *args):
 
 
 def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
+    memo_key = b.category_key(node)
+    cat = b.categories.get(memo_key)
+    if cat is not None:
+        return cat
     reported = len(b.diags)
     fields = b.fields(node, "category", "objects", "morphisms", "identity", "compose")
     if fields is None:
@@ -506,12 +545,13 @@ def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
             if ref not in names:
                 b.err(compose_node, "E001", f"compose entry references undeclared morphism {ref!r}")
         compose[(g, f)] = h
-    key = (tuple(objects), tuple(morphisms), tuple(identity.items()), tuple(compose.items()))
-    cat = b.categories.get(key)
+    if memo_key is None:
+        memo_key = (tuple(objects), tuple(morphisms), tuple(identity.items()), tuple(compose.items()))
+        cat = b.categories.get(memo_key)
     if cat is None or len(b.diags) != reported:  # a copy with diagnostics never takes the shared value
         cat = _validated(b, node, reported, validate_category, objects, morphisms, identity, compose)
         if cat is not None:
-            b.categories[key] = cat
+            b.categories[memo_key] = cat
     return cat
 
 

@@ -2,8 +2,9 @@
 
 Everything here is a pure function over immutable values.  Entries are
 `fractions.Fraction` at the API; the one elimination kernel, `_solve`,
-works internally on Python ints (fraction-free Bareiss elimination), and
-no floating point is ever introduced.
+works internally on Python ints (forward-only fraction-free Bareiss
+elimination, then exact back substitution), and no floating point is ever
+introduced.
 
 `Record` is the base of every value class in the package.  A subclass
 lists its fields as class annotations, in order, with optional class-level
@@ -197,20 +198,27 @@ class MatrixEuler(Record):
 def _solve(a: Sequence[Sequence]) -> Optional[list[Fraction]]:
     """Some x with a·x = (1,...,1) exactly, or None when the system is inconsistent.
 
-    Fraction-free Gauss–Jordan (Bareiss) elimination of the augmented rows
+    Forward-only fraction-free (Bareiss) elimination of the augmented rows
     [a | 1], each first scaled to integers by the lcm of its denominators.
     A step with pivot p (the first nonzero entry in column order) replaces
-    every other row by (p·row − f·pivot_row) // prev, an exact division by
-    the previous pivot `prev`.  Afterwards each pivot row holds the last
-    pivot in its own column and zero in every other pivot column, so it is
-    that pivot times a row of the unique reduced echelon form.  The free
-    variables (columns without a pivot) are set to zero.
+    each row below it by (p·row − f·pivot_row) // prev, an exact division by
+    the previous pivot `prev`, on the columns right of the pivot only: no
+    later step reads a row below at or left of the pivot column.  A nonzero
+    right-hand side left in a row with no pivot means the system is
+    inconsistent.
+
+    The free variables (columns without a pivot) are set to zero, so x
+    depends only on the pivot columns, the leftmost column basis of a.  The
+    last pivot D is the determinant of the pivot rows' minor on those
+    columns, so X = D·x is integral by Cramer's rule: back substitution over
+    the pivot rows divides exactly in integers, and x = X / D.
     """
     width = len(a[0]) if a else 0
     rows = []
     for ra in a:
-        scale = lcm(*[v.denominator for v in ra])
-        rows.append([v.numerator * scale // v.denominator for v in ra] + [scale])
+        ratios = [v.as_integer_ratio() for v in ra]
+        scale = lcm(*[d for _, d in ratios])
+        rows.append([n * scale // d for n, d in ratios] + [scale])
     pivots: list[int] = []
     prev = 1
     for col in range(width):
@@ -221,19 +229,23 @@ def _solve(a: Sequence[Sequence]) -> Optional[list[Fraction]]:
         else:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        p = top[col]
-        for r, row in enumerate(rows):
+        p = rows[rank][col]
+        right = rows[rank][col + 1 :]
+        for row in rows[rank + 1 :]:
             f = row[col]
-            if r != rank and (f or p != prev):  # else the update would leave the row as it is
-                rows[r] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+            if f or p != prev:  # else the update would leave the row as it is
+                row[col + 1 :] = [(p * v - f * w) // prev for v, w in zip(row[col + 1 :], right)]
         pivots.append(col)
         prev = p
     if any(row[width] for row in rows[len(pivots):]):
         return None
     x = [_ZERO] * width
-    for row, col in zip(rows, pivots):
-        x[col] = Fraction(row[width], prev)
+    solved: list[tuple[int, int]] = []  # (column, D·x there), from the last pivot back
+    for row, col in zip(reversed(rows[: len(pivots)]), reversed(pivots)):
+        rest = sum(row[c] * value for c, value in solved)
+        value = (prev * row[width] - rest) // row[col]
+        solved.append((col, value))
+        x[col] = Fraction(value, prev)
     return x
 
 

@@ -11,6 +11,7 @@ from bicat_euler.bicat import validate_lax_functor
 from bicat_euler.catdsl import parse, serialize
 from bicat_euler.fincat import validate_functor
 from catalog import write_fixture_corpus
+from test_hom_memo import _catgraph, _slow_parse
 
 ROUND_TRIP_VALUES = [
     "PT", "D2", "ARROW", "PAIR", "SPAN", "BZ2", "EZ2",
@@ -432,3 +433,54 @@ def test_a_pullback_between_lawful_fibers_is_checked_when_another_fiber_fails(fi
         ("DanglingEndpoint", "image of idx has wrong endpoints"),
         ("IdentityLawViolation", "identity of x not preserved"),
     ]
+
+
+# A hom equal to an earlier one but for the container type of one table or row.  The
+# decoder-path memo must not take it for the earlier hom: `tuple` of an object is its
+# keys and `tuple` of a string is its characters, so each case would match a key formed
+# by `tuple` alone.  `catdsl.parse` must report exactly what the memo-less parse does.
+_EZ2_HOM = {
+    "objects": ["u", "w"],
+    "morphisms": [["eu", "u", "u"], ["ew", "w", "w"], ["uw", "u", "w"], ["wu", "w", "u"]],
+    "identity": {"u": "eu", "w": "ew"},
+    "compose": [
+        ["eu", "eu", "eu"], ["ew", "ew", "ew"], ["uw", "eu", "uw"], ["ew", "uw", "uw"],
+        ["wu", "ew", "wu"], ["eu", "wu", "wu"], ["wu", "uw", "eu"], ["uw", "wu", "ew"],
+    ],
+}
+
+
+def _retyped(table: str, index=None, value=None) -> dict:
+    """A copy of the EZ2 hom with `table`, or its row at `index`, replaced by `value`."""
+    hom = json.loads(json.dumps(_EZ2_HOM))
+    if index is None:
+        hom[table] = value
+    else:
+        hom[table][index] = value
+    return hom
+
+
+RETYPED = {
+    "objects as an object": (_retyped("objects", value={"u": "", "w": ""}), "objects must be a JSON array"),
+    "objects as a string": (_retyped("objects", value="uw"), "objects must be a JSON array"),
+    "morphisms row as an object": (
+        _retyped("morphisms", 2, {"uw": "", "u": "", "w": ""}), "morphisms entry must be a JSON array"
+    ),
+    "compose row as an object": (
+        _retyped("compose", 6, {"wu": "", "uw": "", "eu": ""}), "compose entry must be a JSON array"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETYPED))
+def test_a_retyped_copy_of_a_hom_is_not_taken_for_it(monkeypatch, case):
+    retyped, message = RETYPED[case]
+    text = _catgraph({"a|a": _EZ2_HOM, "b|b": retyped})
+    result = parse(text)
+    assert result.document is None
+    first = result.diagnostics[0]
+    assert (first.code, first.message) == ("E003", message)
+    # Every diagnostic is inside the second hom; the first hom has none.
+    second = text[: text.index('"b|b"')].count("\n") + 1
+    assert all(d.line > second for d in result.diagnostics)
+    assert result.diagnostics == _slow_parse(monkeypatch, text).diagnostics

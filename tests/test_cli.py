@@ -272,6 +272,31 @@ def test_failed_verify_prints_the_summary_then_the_report(capsys, fixture_dir, m
     assert out == "1 = 1/2 · 2\n" + json.dumps(results, indent=2, sort_keys=True) + "\n"
 
 
+def test_a_wrong_fiber_coweighting_fails_verify_gr_bicat(capsys, fixture_dir, monkeypatch):
+    # The fiber of the collapse keeps its chi but gets twice its coweighting, so only the
+    # product-coweighting check can fail: the formula itself still holds.
+    from bicat_euler import bifib, catdsl
+    from bicat_euler.exactq import MatrixEuler, QVector
+
+    euler = bifib.euler_char_cg
+
+    def doubled_fiber_coweighting(graph):
+        e = euler(graph)
+        if graph.objects != ("p", "q"):  # the base, a point
+            return e
+        k = e.coweighting
+        return MatrixEuler(e.weighting, QVector(k.index, tuple(2 * v for v in k.entries)), e.chi)
+
+    monkeypatch.setattr(bifib, "euler_char_cg", doubled_fiber_coweighting)
+    path = fixture_dir / "psg-collapse.catj"
+    rep = bifib.verify_gr_formula_bicat(catdsl.parse(path.read_text(encoding="utf-8")).document.value)
+    assert rep.fiber_chi == {"*": 2} and rep.chi_grothendieck == rep.sum_k_b_chi_fiber == 2
+    assert not rep.product_coweighting_valid and rep.equal
+    code, out, err = run(capsys, "verify", "gr-bicat", str(path))
+    assert code == 1 and err == ""
+    assert out.startswith("2 = 1·2\n")
+
+
 def test_verify_wrong_shape_is_input_error(capsys, fixture_dir):
     code, _, err = run(capsys, "verify", "gr", str(fixture_dir / "bz2.catj"))
     assert code == 2

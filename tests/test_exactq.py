@@ -212,3 +212,65 @@ def test_kernel_matches_fraction_oracle_on_generator_stream():
         m = random_rational_matrix(seed)
         assert _kernel_weighting(m) == _oracle_weighting(m), seed
 
+
+# ζ entries of the dense cat-graphs: no hom, BZ/2, a point-like hom, two points.
+_ZETA_ENTRIES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+def _dense_zeta(n: int, kind: str) -> QMatrix:
+    """A seeded ζ-like matrix with n rows, of one shape class.
+
+    "nonsingular": n × n; "repeated": an (n - 1)-object ζ with one object
+    copied, row and column, as the last; "rank-deficient": n × (n + 5), each
+    row a copy of one of n // 2 drawn rows.
+    """
+    rng = random.Random(f"{kind}:{n}")
+
+    def draw(rows, width):
+        return [[rng.choice(_ZETA_ENTRIES) for _ in range(width)] for _ in range(rows)]
+
+    if kind == "rank-deficient":
+        base = draw(n // 2, n + 5)
+        rows = base + [list(rng.choice(base)) for _ in range(n - len(base))]
+        rng.shuffle(rows)
+    elif kind == "repeated":
+        rows = draw(n - 1, n - 1)
+        src = rng.randrange(n - 1)
+        for row in rows:
+            row.append(row[src])
+        rows.append(list(rows[src]))
+    else:
+        rows = draw(n, n)
+    return QMatrix(tuple(map(str, range(n))), tuple(map(str, range(len(rows[0])))), tuple(map(tuple, rows)))
+
+
+def _rank_mod_p(m: QMatrix, p: int = (1 << 61) - 1) -> int:
+    """The rank of 2m modulo the prime p: a lower bound on the rank of m over Q."""
+    rows = [[int(2 * v) % p for v in row] for row in m.entries]
+    rank = 0
+    for col in range(len(m.cols)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % p
+            rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+@pytest.mark.parametrize("kind", ["nonsingular", "repeated", "rank-deficient"])
+def test_kernel_matches_fraction_oracle_at_dense_zeta_sizes(kind, n):
+    m = _dense_zeta(n, kind)
+    # Each construction bounds the rank from above; the modular rank bounds it from below.
+    assert _rank_mod_p(m) == {"nonsingular": n, "repeated": n - 1, "rank-deficient": n // 2}[kind]
+    for side in (m, m.transpose()):
+        expected = _oracle_weighting(side)
+        assert _kernel_weighting(side) == expected
+        # Only the transposed rank-deficient system, n + 5 equations of rank n // 2, is inconsistent.
+        assert (expected is None) == (kind == "rank-deficient" and side is not m)
+        if kind == "repeated":  # the copy is the rightmost of two equal columns, so it is free and pinned to 0
+            assert expected[-1] == 0

@@ -199,6 +199,42 @@ def test_nonstrict_without_coherence_is_counting_mode():
     assert gr.euler().chi is not None
 
 
+# BZ/2 -> BZ/2 sending g to e: it fixes the one object and moves a morphism.
+_BZ2_TRIVIAL = validate_functor(catalog.BZ2, catalog.BZ2, {"*": "*"}, {"e": "e", "g": "e"})
+_EZ2_SWAP = validate_functor(
+    catalog.EZ2, catalog.EZ2, {"0": "1", "1": "0"}, {"id0": "id1", "id1": "id0", "m01": "m10", "m10": "m01"}
+)
+# Lax functors with no coherence data, each failing `is_strict` at one of its checks, and
+# the chi of its Grothendieck construction, counted by hand from the hom-sets.
+NONSTRICT = {
+    # over a point, the identity pulls back to the swap of EZ2's objects: every hom has one
+    # morphism, so ζ is all ones
+    "identity moves an object": (LaxFunctorToCat(catalog.PT, {"*": catalog.EZ2}, {"id*": _EZ2_SWAP}), Fraction(1)),
+    # over a point, the identity pulls back to the trivial endofunctor of BZ/2: ζ = (2)
+    "identity moves a morphism": (
+        LaxFunctorToCat(catalog.PT, {"*": catalog.BZ2}, {"id*": _BZ2_TRIVIAL}), Fraction(1, 2)
+    ),
+    # over BZ/2, e pulls back to the identity and g to the trivial endofunctor, whose square
+    # agrees with the pullback of g∘g = e on the one object but not on g: ζ = (4)
+    "composite differs on morphisms only": (
+        LaxFunctorToCat(
+            catalog.BZ2, {"*": catalog.BZ2}, {"e": fx.identity_functor(catalog.BZ2), "g": _BZ2_TRIVIAL}
+        ),
+        Fraction(1, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONSTRICT))
+def test_each_failure_of_strictness_is_counting_mode(case):
+    lax, chi = NONSTRICT[case]
+    lax = validate_laxcat(lax)
+    assert not is_strict(lax)
+    gr = grothendieck_cat(lax)
+    assert gr.total is None and gr.projection is None
+    assert gr.euler().chi == chi
+
+
 def test_nonstrict_with_coherence_builds_full_category():
     lax = validate_laxcat(_nonstrict_chain_laxcat(with_coherence=True))
     gr = grothendieck_cat(lax)

@@ -1,11 +1,13 @@
 """Each distinct hom category is built, validated and solved once per call.
 
 `catdsl.parse` keeps, for one document, a map from a category
-sub-document's extracted tables to its validated `FinCategory`;
-`bicat.similarity_matrix_cg` solves each distinct hom object once.  The
-slow path is each memo defeated here by a monkeypatch: every copy then
-goes through `validate_category` or `euler_char_cat` on its own, as before
-the memo, and must give the same diagnostics, equal values and the same ζ.
+sub-document to its validated `FinCategory`.  In a well-formed document it
+is keyed on the decoded tables and looked up before they are read; otherwise
+on the extracted tables.  `bicat.similarity_matrix_cg` solves each distinct
+hom object once.  The slow path is each memo defeated here by a
+monkeypatch: every copy then goes through `validate_category` or
+`euler_char_cat` on its own, as before the memo, and must give the same
+diagnostics, equal values and the same ζ.
 """
 
 import json
