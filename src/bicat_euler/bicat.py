@@ -271,21 +271,8 @@ def is_equivalence_1cell(b: Bicategory, x: str, y: str, f: str) -> bool:
     return False
 
 
-class EquivalenceClasses(Record):
-    classes: tuple[tuple[str, ...], ...]
-
-    def class_of(self, x: str) -> tuple[str, ...]:
-        for cls in self.classes:
-            if x in cls:
-                return cls
-        raise KeyError(x)
-
-    def size_of(self, x: str) -> int:
-        return len(self.class_of(x))
-
-
-def equivalence_classes(b: Bicategory) -> EquivalenceClasses:
-    """Partition objects by 1-equivalence (exhaustive quasi-inverse search)."""
+def equivalence_classes(b: Bicategory) -> dict[str, tuple[str, ...]]:
+    """Each object's class under 1-equivalence (exhaustive quasi-inverse search), sorted."""
     objs = b.objects
     related = {(x, y): False for x in objs for y in objs}
     for x in objs:
@@ -300,7 +287,7 @@ def equivalence_classes(b: Bicategory) -> EquivalenceClasses:
                 if related[(x, y)] and related[(y, z)]:
                     assert related[(x, z)], "equivalence relation not transitive"
     adj = {x: {y for y in objs if related[(x, y)]} for x in objs}
-    return EquivalenceClasses(zigzag_components(objs, adj))
+    return {x: cls for cls in zigzag_components(objs, adj) for x in cls}
 
 
 def pseudogroupoid_witness(b: Bicategory) -> dict[str, tuple[str, str, str]]:
@@ -416,7 +403,7 @@ def biequivalence_witness(l: LaxFunctorBicat) -> dict[str, tuple[str, ...]]:
     classes = equivalence_classes(l.target)
     images = {l.ob(a) for a in l.source.objects}
     for b in l.target.objects:
-        if images.isdisjoint(classes.class_of(b)):
+        if images.isdisjoint(classes[b]):
             return {"unreached_object": (b,)}
     return {}
 
@@ -445,9 +432,8 @@ def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
     lw = target_euler.weighting
     entries = []
     for a in l.source.objects:
-        image_class = target_classes.class_of(l.ob(a))
-        total = sum((lw[b] for b in image_class), Fraction(0))
-        entries.append(total / source_classes.size_of(a))
+        total = sum((lw[b] for b in target_classes[l.ob(a)]), Fraction(0))
+        entries.append(total / len(source_classes[a]))
     transported = QVector(l.source.objects, tuple(entries))
     valid = all(
         sum((zeta.at(a, b) * transported[b] for b in l.source.objects), Fraction(0)) == 1

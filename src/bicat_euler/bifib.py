@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
     from typing import Callable, Mapping, Union
@@ -34,7 +35,6 @@ from .bicat import (
 from .exactq import QMatrix, QVector, Record, matrix_euler
 from .fib1 import (
     Component,
-    FibrationReport,
     NotBiFibered,
     ObjectNotInBase,
     NonUniqueLift,
@@ -210,35 +210,21 @@ class _Sweep:
     Public entry points make one and pass it to the private helpers: the
     fiber over each base object, one `classify_fibration` report per hom
     functor, p's strictness, the sorted iso list of each (hom, u, v) and the
-    cartesian verdicts of p's hom functors are found once per call.
+    cartesian verdicts of p's hom functors are found once per call.  Each
+    cache holds p, never the sweep: with the cyclic collector off, as
+    `cli.run` leaves it, a sweep in a reference cycle would keep its fibers
+    until exit.
     """
 
-    __slots__ = ("p", "_fibers", "_local", "_strict", "_isos", "_cartesian")
+    __slots__ = ("p", "fiber", "local", "strict", "cartesian", "_isos")
 
     def __init__(self, p: LaxFunctorBicat):
         self.p = p
-        self._fibers: dict[str, Bicategory] = {}
-        self._local: dict[tuple[str, str], FibrationReport] = {}
-        self._strict = None
+        self.fiber = cache(partial(fiber_bicategory, p))
+        self.local = cache(lambda x, y: classify_fibration(p.hom_functors[(x, y)]))
+        self.strict = cache(partial(is_strict_lax_functor, p))
+        self.cartesian = cache(lambda x, y, m: is_cartesian_morphism(p.hom_functors[(x, y)], m))
         self._isos: dict[tuple[int, str, str], list[str]] = {}
-        self._cartesian: dict[tuple[str, str, str], bool] = {}
-
-    def fiber(self, b_obj: str) -> Bicategory:
-        fib = self._fibers.get(b_obj)
-        if fib is None:
-            fib = self._fibers[b_obj] = fiber_bicategory(self.p, b_obj)
-        return fib
-
-    def local(self, x: str, y: str) -> FibrationReport:
-        rep = self._local.get((x, y))
-        if rep is None:
-            rep = self._local[(x, y)] = classify_fibration(self.p.hom_functors[(x, y)])
-        return rep
-
-    def strict(self) -> bool:
-        if self._strict is None:
-            self._strict = is_strict_lax_functor(self.p)
-        return self._strict
 
     def strict_equations(self) -> bool:
         p = self.p
@@ -257,14 +243,6 @@ class _Sweep:
         if found is None:
             found = self._isos[key] = sorted(m for m in hom.hom(u, v) if hom.inverse_of(m) is not None)
         return found
-
-    def cartesian(self, x: str, y: str, m: str) -> bool:
-        """Cartesianness of m for p's hom functor at (x, y)."""
-        key = (x, y, m)
-        verdict = self._cartesian.get(key)
-        if verdict is None:
-            verdict = self._cartesian[key] = is_cartesian_morphism(self.p.hom_functors[(x, y)], m)
-        return verdict
 
 
 def is_strict_lax_functor(p: LaxFunctorBicat) -> bool:
@@ -347,15 +325,9 @@ def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str, strict_eqs: bool):
             for h in b.onecells(pz, px):
                 for h2 in b.onecells(pz, px):
                     for alpha in s.isos(hom_b_zy, b.c1(pz, px, py, pf, h), p.cell1(z, y, g)):
-                        key1 = (z, g, h, alpha)
-                        if key1 not in chosen:
-                            continue
                         for alpha2 in s.isos(hom_b_zy, b.c1(pz, px, py, pf, h2), p.cell1(z, y, g2)):
-                            key2 = (z, g2, h2, alpha2)
-                            if key2 not in chosen:
-                                continue
-                            h_t, a_t, b_t = chosen[key1]
-                            frame = (h_t, *chosen[key2])
+                            h_t, a_t, b_t = chosen[(z, g, h, alpha)]
+                            frame = (h_t, *chosen[(z, g2, h2, alpha2)])
                             for delta in hom_b_zx.hom(h, h2):
                                 lhs = hom_b_zy.compose2(alpha2, b.h2(pz, px, py, id_pf, delta))
                                 rhs = hom_b_zy.compose2(p.cell2(z, y, sigma.name), alpha)

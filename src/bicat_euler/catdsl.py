@@ -22,7 +22,7 @@ and `_validated` runs the validator of every container, so each container,
 nested or not, reports its own law violations.
 
 Diagnostic codes:
-  E001 reference to an undeclared object/morphism/cell, or a map key naming no source label
+  E001 reference to an undeclared object/morphism/cell, or a table key naming no declared label
   E002 duplicate label
   E003 missing or ill-typed field
   E004 unknown kind
@@ -250,13 +250,14 @@ class _Scanner:
 class _Builder:
     def __init__(self):
         self.diags: list[Diagnostic] = []
-        # One memo, key -> validated category, so identical category sub-documents are built
-        # once: the plain builder keys on the decoded tables and looks up before reading them
-        # (`category_key`); this one keys on the extracted tables, after their checks.
+        # Key -> validated category, so identical category sub-documents are built once: the
+        # plain builder keys on the decoded tables and looks up before reading them
+        # (`category_key`).  The positional builder, which only a document with a diagnostic
+        # or a `\u` escape reaches, has no key and stores nothing.
         self.categories: dict[tuple, FinCategory] = {}
 
     def category_key(self, node: JNode) -> None:
-        """None: the positional builder forms its key only from the extracted tables."""
+        """None: the positional builder shares no category."""
         return None
 
     def err(self, node: JNode, code: str, message: str):
@@ -545,13 +546,9 @@ def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
             if ref not in names:
                 b.err(compose_node, "E001", f"compose entry references undeclared morphism {ref!r}")
         compose[(g, f)] = h
-    if memo_key is None:
-        memo_key = (tuple(objects), tuple(morphisms), tuple(identity.items()), tuple(compose.items()))
-        cat = b.categories.get(memo_key)
-    if cat is None or len(b.diags) != reported:  # a copy with diagnostics never takes the shared value
-        cat = _validated(b, node, reported, validate_category, objects, morphisms, identity, compose)
-        if cat is not None:
-            b.categories[memo_key] = cat
+    cat = _validated(b, node, reported, validate_category, objects, morphisms, identity, compose)
+    if cat is not None and memo_key is not None:
+        b.categories[memo_key] = cat
     return cat
 
 
@@ -562,6 +559,13 @@ def _check_object_map(b: _Builder, node: JNode, object_map: dict, sources, targe
             b.key_err(node, x, "E001", f"object_map key {x!r} is not a source object")
         elif img not in targets:
             b.err(node, "E001", f"object_map[{x!r}] references undeclared object {img!r}")
+
+
+def _check_stray_keys(b: _Builder, node: JNode, table: dict, keys, what: str, kind: str):
+    """E001 at each key of the object `what` that is not in `keys`, saying it is no `kind`."""
+    for key in table:
+        if key not in keys:
+            b.key_err(node, key, "E001", f"{what} key {key!r} is not a {kind}")
 
 
 def _build_plain_functor(b: _Builder, node: JNode, source: FinCategory, target: FinCategory) -> Optional[Functor]:
@@ -651,7 +655,8 @@ def _lax_functor_maps(b: _Builder, object_node: JNode, hf_node: JNode, source: B
 
     None when the object map misses a source object (E010), has a key that
     is no source object or sends one outside `target` (E001); a missing hom
-    functor gets E010.
+    functor gets E010, and a `hom_functors` key that names no source pair one
+    E001 at that key.
     """
     reported = len(b.diags)
     object_map = b.string_map(object_node, "object_map")
@@ -663,17 +668,15 @@ def _lax_functor_maps(b: _Builder, object_node: JNode, hf_node: JNode, source: B
         return None
     hom_functors = {}
     table = b.object_of(hf_node, "hom_functors") or {}
-    for x in source.objects:
-        for y in source.objects:
-            key = f"{x}|{y}"
-            if key not in table:
-                b.err(hf_node, "E010", f"hom_functors is missing {key!r}")
-                continue
-            fun = _build_plain_functor(
-                b, table[key], source.hom_at(x, y), target.hom_at(object_map[x], object_map[y])
-            )
-            if fun is not None:
-                hom_functors[(x, y)] = fun
+    pairs = {f"{x}|{y}": (x, y) for x in source.objects for y in source.objects}
+    for key, (x, y) in pairs.items():
+        if key not in table:
+            b.err(hf_node, "E010", f"hom_functors is missing {key!r}")
+            continue
+        fun = _build_plain_functor(b, table[key], source.hom_at(x, y), target.hom_at(object_map[x], object_map[y]))
+        if fun is not None:
+            hom_functors[(x, y)] = fun
+    _check_stray_keys(b, hf_node, table, pairs, "hom_functors", "source object pair")
     return object_map, hom_functors
 
 
@@ -760,37 +763,36 @@ def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
         b, fibers_node, "fibers", base.objects, lambda _, sub: _build_bicategory(b, sub),
         "fiber key {!r} is not a base object", "E013", "missing fiber for base object {!r}",
     )
+    objects = base.objects
     pullback1 = {}
     pb1_table = b.object_of(pb1_node, "pullback1") or {}
-    for bb in base.objects:
-        for cc in base.objects:
-            for f in base.onecells(bb, cc):
-                key = f"{bb}|{cc}|{f}"
-                if key not in pb1_table:
-                    b.err(pb1_node, "E012", f"missing pullback lax functor {key!r}")
-                elif bb in fibers and cc in fibers:
-                    lax = _build_fiber_lax_functor(b, pb1_table[key], fibers[cc], fibers[bb])
-                    if lax is not None:
-                        pullback1[(bb, cc, f)] = lax
+    cells1 = {f"{bb}|{cc}|{f}": (bb, cc, f) for bb in objects for cc in objects for f in base.onecells(bb, cc)}
+    for key, (bb, cc, f) in cells1.items():
+        if key not in pb1_table:
+            b.err(pb1_node, "E012", f"missing pullback lax functor {key!r}")
+        elif bb in fibers and cc in fibers:
+            lax = _build_fiber_lax_functor(b, pb1_table[key], fibers[cc], fibers[bb])
+            if lax is not None:
+                pullback1[(bb, cc, f)] = lax
+    _check_stray_keys(b, pb1_node, pb1_table, cells1, "pullback1", "base 1-cell")
     pullback2 = {}
     pb2_table = b.object_of(pb2_node, "pullback2") or {}
-    for bb in base.objects:
-        for cc in base.objects:
-            hom = base.hom_at(bb, cc)
-            for alpha in hom.morphisms:
-                key = f"{bb}|{cc}|{alpha.name}"
-                if key not in pb2_table:
-                    b.err(pb2_node, "E014", f"missing components for base 2-cell {alpha.name!r}")
-                    continue
-                comps = b.string_map(pb2_table[key], f"pullback2[{key}]")
-                for y in fibers[cc].objects if cc in fibers else ():
-                    if y not in comps:
-                        b.err(
-                            pb2_table[key],
-                            "E014",
-                            f"missing component of {alpha.name!r} at fiber object {y!r}",
-                        )
-                pullback2[(bb, cc, alpha.name)] = comps
+    cells2 = {
+        f"{bb}|{cc}|{alpha.name}": (bb, cc, alpha.name)
+        for bb in objects
+        for cc in objects
+        for alpha in base.hom_at(bb, cc).morphisms
+    }
+    for key, (bb, cc, alpha) in cells2.items():
+        if key not in pb2_table:
+            b.err(pb2_node, "E014", f"missing components for base 2-cell {alpha!r}")
+            continue
+        comps = b.string_map(pb2_table[key], f"pullback2[{key}]")
+        for y in fibers[cc].objects if cc in fibers else ():
+            if y not in comps:
+                b.err(pb2_table[key], "E014", f"missing component of {alpha!r} at fiber object {y!r}")
+        pullback2[(bb, cc, alpha)] = comps
+    _check_stray_keys(b, pb2_node, pb2_table, cells2, "pullback2", "base 2-cell")
     return _validated(
         b, node, reported, validate_trihomomorphism, Trihomomorphism(base, fibers, pullback1, pullback2)
     )

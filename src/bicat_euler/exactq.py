@@ -103,17 +103,6 @@ class IndexMismatch(Exception):
     """Row and column label sets of a square-only operation differ."""
 
 
-def rational(value) -> Fraction:
-    """Coerce ints, strings like '-3/7', and Fractions to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
 def format_rational(q: Fraction) -> str:
     """Canonical 'p/q' form, 'p' when the denominator is 1."""
     if q.denominator == 1:
@@ -164,12 +153,8 @@ class QMatrix(Record):
 
     @classmethod
     def build(cls, rows: Sequence[str], cols: Sequence[str], at) -> "QMatrix":
-        """Construct from a callback (row_label, col_label) -> rational."""
-        return cls(
-            tuple(rows),
-            tuple(cols),
-            tuple(tuple(rational(at(r, c)) for c in cols) for r in rows),
-        )
+        """Construct from a callback (row_label, col_label) -> Fraction."""
+        return cls(tuple(rows), tuple(cols), tuple(tuple(at(r, c) for c in cols) for r in rows))
 
     def at(self, row: str, col: str) -> Fraction:
         return self.entries[self.rows.index(row)][self.cols.index(col)]

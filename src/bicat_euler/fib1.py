@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache, partial
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
     from typing import Callable, Mapping, Optional, Sequence
@@ -112,13 +113,7 @@ def _one_sided_flags(p: Functor) -> tuple[bool, bool, dict]:
     fibered = True
     all_cartesian = True
     lifts_exist = True
-    cartesian: dict[str, bool] = {}
-
-    def is_cartesian(m: str) -> bool:
-        if m not in cartesian:
-            cartesian[m] = is_cartesian_morphism(p, m)
-        return cartesian[m]
-
+    is_cartesian = cache(partial(is_cartesian_morphism, p))
     for m in e.morphisms:
         if not is_cartesian(m.name):
             all_cartesian = False
@@ -256,8 +251,6 @@ def is_strict(f: LaxFunctorToCat) -> bool:
     for b in base.objects:
         fid = f.pullback[base.identity[b]]
         fb = f.fiber[b]
-        if any(fid.ob(x) != x for x in fb.objects):
-            return False
         if any(fid.mor(m.name) != m.name for m in fb.morphisms):
             return False
     for gm in base.morphisms:
@@ -267,8 +260,6 @@ def is_strict(f: LaxFunctorToCat) -> bool:
             ff, fg = f.pullback[fm.name], f.pullback[gm.name]
             fgf = f.pullback[base.compose2(gm.name, fm.name)]
             top = f.fiber[gm.dst]
-            if any(ff.ob(fg.ob(z)) != fgf.ob(z) for z in top.objects):
-                return False
             if any(ff.mor(fg.mor(w.name)) != fgf.mor(w.name) for w in top.morphisms):
                 return False
     return True

@@ -31,7 +31,6 @@ class Violation(Record):
 
     code: str
     message: str
-    subject: tuple[str, ...] = ()
 
     def __str__(self):
         return f"{self.code}: {self.message}"
@@ -180,13 +179,8 @@ def _triple_scan(
             g_after, hg_after = after[g.name], after[h_after[g.name]]
             for f in into[g.src]:
                 if hg_after[f.name] != h_after[g_after[f.name]]:
-                    violations.append(
-                        Violation(
-                            "AssociativityViolation",
-                            f"({h.name}∘{g.name})∘{f.name} != {h.name}∘({g.name}∘{f.name})",
-                            (h.name, g.name, f.name),
-                        )
-                    )
+                    message = f"({h.name}∘{g.name})∘{f.name} != {h.name}∘({g.name}∘{f.name})"
+                    violations.append(Violation("AssociativityViolation", message))
 
 
 def validate_category(
@@ -216,7 +210,7 @@ def validate_category(
     for m in morphs:
         if m.src not in obj_set or m.dst not in obj_set:
             violations.append(
-                Violation("DanglingEndpoint", f"morphism {m.name}: {m.src} -> {m.dst} leaves the object set", (m.name,))
+                Violation("DanglingEndpoint", f"morphism {m.name}: {m.src} -> {m.dst} leaves the object set")
             )
     if violations:
         raise InvalidCategory(violations)
@@ -225,22 +219,22 @@ def validate_category(
     for x in objects:
         ident = identity.get(x)
         if ident is None or ident not in by_name:
-            violations.append(Violation("IdentityLawViolation", f"no identity morphism for object {x}", (x,)))
+            violations.append(Violation("IdentityLawViolation", f"no identity morphism for object {x}"))
         else:
             m = by_name[ident]
             if m.src != x or m.dst != x:
                 violations.append(
-                    Violation("IdentityLawViolation", f"identity of {x} is {ident}: {m.src} -> {m.dst}", (x,))
+                    Violation("IdentityLawViolation", f"identity of {x} is {ident}: {m.src} -> {m.dst}")
                 )
     for (g, f), h in compose.items():
         if g not in by_name or f not in by_name or h not in by_name:
-            violations.append(Violation("DanglingEndpoint", f"compose({g}, {f}) = {h} names unknown morphisms", (g, f)))
+            violations.append(Violation("DanglingEndpoint", f"compose({g}, {f}) = {h} names unknown morphisms"))
             continue
         if by_name[g].src != by_name[f].dst:
-            violations.append(Violation("DanglingEndpoint", f"compose({g}, {f}): pair is not composable", (g, f)))
+            violations.append(Violation("DanglingEndpoint", f"compose({g}, {f}): pair is not composable"))
         elif by_name[h].src != by_name[f].src or by_name[h].dst != by_name[g].dst:
             violations.append(
-                Violation("DanglingEndpoint", f"compose({g}, {f}) = {h} has wrong endpoints", (g, f, h))
+                Violation("DanglingEndpoint", f"compose({g}, {f}) = {h} has wrong endpoints")
             )
     if violations:
         raise InvalidCategory(violations)
@@ -256,13 +250,13 @@ def validate_category(
             for f in into[g.src]:
                 if (g.name, f.name) not in compose:
                     violations.append(
-                        Violation("MissingComposite", f"compose({g.name}, {f.name}) undefined", (g.name, f.name))
+                        Violation("MissingComposite", f"compose({g.name}, {f.name}) undefined")
                     )
         raise InvalidCategory(violations)
 
     for m in morphs:
         if compose[(m.name, identity[m.src])] != m.name or compose[(identity[m.dst], m.name)] != m.name:
-            violations.append(Violation("IdentityLawViolation", f"identity laws fail at {m.name}", (m.name,)))
+            violations.append(Violation("IdentityLawViolation", f"identity laws fail at {m.name}"))
     after: dict[str, dict[str, str]] = {m.name: {} for m in morphs}  # after[g][f] = g∘f
     for (g, f), h in compose.items():
         after[g][f] = h
@@ -328,24 +322,24 @@ def validate_functor(
     violations: list[Violation] = []
     for x in source.objects:
         if object_map.get(x) not in target.objects:
-            violations.append(Violation("DanglingEndpoint", f"object {x} has no valid image", (x,)))
+            violations.append(Violation("DanglingEndpoint", f"object {x} has no valid image"))
     for m in source.morphisms:
         img = morphism_map.get(m.name)
         if img is None or img not in target._by_name:
-            violations.append(Violation("DanglingEndpoint", f"morphism {m.name} has no valid image", (m.name,)))
+            violations.append(Violation("DanglingEndpoint", f"morphism {m.name} has no valid image"))
     if violations:
         raise InvalidFunctor(violations)
     for m in source.morphisms:
         img = target.morphism(morphism_map[m.name])
         if img.src != object_map[m.src] or img.dst != object_map[m.dst]:
-            violations.append(Violation("DanglingEndpoint", f"image of {m.name} has wrong endpoints", (m.name,)))
+            violations.append(Violation("DanglingEndpoint", f"image of {m.name} has wrong endpoints"))
     for x in source.objects:
         if morphism_map[source.identity[x]] != target.identity[object_map[x]]:
-            violations.append(Violation("IdentityLawViolation", f"identity of {x} not preserved", (x,)))
+            violations.append(Violation("IdentityLawViolation", f"identity of {x} not preserved"))
     for (g, f), h in source.compose.items():
         if target.compose[(morphism_map[g], morphism_map[f])] != morphism_map[h]:
             violations.append(
-                Violation("AssociativityViolation", f"composition not preserved at ({g}, {f})", (g, f))
+                Violation("AssociativityViolation", f"composition not preserved at ({g}, {f})")
             )
     if violations:
         raise InvalidFunctor(violations)

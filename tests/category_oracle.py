@@ -44,7 +44,7 @@ def validate_category(
     for m in morphs:
         if m.src not in obj_set or m.dst not in obj_set:
             violations.append(
-                Violation("DanglingEndpoint", f"morphism {m.name}: {m.src} -> {m.dst} leaves the object set", (m.name,))
+                Violation("DanglingEndpoint", f"morphism {m.name}: {m.src} -> {m.dst} leaves the object set")
             )
     if violations:
         raise InvalidCategory(violations)
@@ -53,22 +53,22 @@ def validate_category(
     for x in objects:
         ident = identity.get(x)
         if ident is None or ident not in by_name:
-            violations.append(Violation("IdentityLawViolation", f"no identity morphism for object {x}", (x,)))
+            violations.append(Violation("IdentityLawViolation", f"no identity morphism for object {x}"))
         else:
             m = by_name[ident]
             if m.src != x or m.dst != x:
                 violations.append(
-                    Violation("IdentityLawViolation", f"identity of {x} is {ident}: {m.src} -> {m.dst}", (x,))
+                    Violation("IdentityLawViolation", f"identity of {x} is {ident}: {m.src} -> {m.dst}")
                 )
     for (g, f), h in compose.items():
         if g not in by_name or f not in by_name or h not in by_name:
-            violations.append(Violation("DanglingEndpoint", f"compose({g}, {f}) = {h} names unknown morphisms", (g, f)))
+            violations.append(Violation("DanglingEndpoint", f"compose({g}, {f}) = {h} names unknown morphisms"))
             continue
         if by_name[g].src != by_name[f].dst:
-            violations.append(Violation("DanglingEndpoint", f"compose({g}, {f}): pair is not composable", (g, f)))
+            violations.append(Violation("DanglingEndpoint", f"compose({g}, {f}): pair is not composable"))
         elif by_name[h].src != by_name[f].src or by_name[h].dst != by_name[g].dst:
             violations.append(
-                Violation("DanglingEndpoint", f"compose({g}, {f}) = {h} has wrong endpoints", (g, f, h))
+                Violation("DanglingEndpoint", f"compose({g}, {f}) = {h} has wrong endpoints")
             )
     if violations:
         raise InvalidCategory(violations)
@@ -77,14 +77,14 @@ def validate_category(
         for f in morphs:
             if g.src == f.dst and (g.name, f.name) not in compose:
                 violations.append(
-                    Violation("MissingComposite", f"compose({g.name}, {f.name}) undefined", (g.name, f.name))
+                    Violation("MissingComposite", f"compose({g.name}, {f.name}) undefined")
                 )
     if violations:
         raise InvalidCategory(violations)
 
     for m in morphs:
         if compose[(m.name, identity[m.src])] != m.name or compose[(identity[m.dst], m.name)] != m.name:
-            violations.append(Violation("IdentityLawViolation", f"identity laws fail at {m.name}", (m.name,)))
+            violations.append(Violation("IdentityLawViolation", f"identity laws fail at {m.name}"))
     for h in morphs:
         for g in morphs:
             if h.src != g.dst:
@@ -97,7 +97,6 @@ def validate_category(
                         Violation(
                             "AssociativityViolation",
                             f"({h.name}∘{g.name})∘{f.name} != {h.name}∘({g.name}∘{f.name})",
-                            (h.name, g.name, f.name),
                         )
                     )
     if violations:

@@ -156,15 +156,15 @@ def test_euler_acyclic_three_object_chain():
 
 
 def test_equivalence_classes():
-    assert equivalence_classes(catalog.EZ2_BICAT).classes == (("0", "1"),)
+    assert equivalence_classes(catalog.EZ2_BICAT) == {"0": ("0", "1"), "1": ("0", "1")}
     discrete2 = validate_bicategory(
         ["0", "1"],
         {("0", "0"): fx.one_object_cat("id0"), ("1", "1"): fx.one_object_cat("id1")},
         {"0": "id0", "1": "id1"},
         {(("0", "0", "0"), "id0", "id0"): "id0", (("1", "1", "1"), "id1", "id1"): "id1"},
     )
-    assert equivalence_classes(discrete2).classes == (("0",), ("1",))
-    assert equivalence_classes(catalog.ACYCLIC2).classes == (("0",), ("1",))
+    assert equivalence_classes(discrete2) == {"0": ("0",), "1": ("1",)}
+    assert equivalence_classes(catalog.ACYCLIC2) == {"0": ("0",), "1": ("1",)}
 
 
 def test_pseudogroupoid_check():

@@ -75,16 +75,22 @@ NEGATIVE_CODES = {
     "e012-missing-pullback.catj": "E012",
     "e013-missing-fiber.catj": "E013",
     "e014-missing-component.catj": "E014",
+    "e014-missing-2cell-entry.catj": "E014",
     "law-missing-composite.catj": "MissingComposite",
     "law-identity.catj": "IdentityLawViolation",
     "law-assoc.catj": "AssociativityViolation",
     "law-dangling.catj": "DanglingEndpoint",
     "missing-composition-data.catj": "MissingCompositionData",
+    "associator-bad-frame.catj": "MissingCompositionData",
+    "unitor-l-bad-frame.catj": "MissingCompositionData",
+    "unitor-r-bad-frame.catj": "MissingCompositionData",
     "unknown-2cell.catj": "MissingCompositionData",
     "hcompose2-identity.catj": "Hcompose2IdentityViolation",
     "unknown-phi-object.catj": "MissingCompositionData",
     "unknown-comp-iso-key.catj": "IncoherentData",
     "incoherent-laxcat.catj": "IncoherentData",
+    "unit-naturality.catj": "IncoherentData",
+    "composite-naturality.catj": "IncoherentData",
     "illtyped-trihom.catj": "IllTypedComponent",
     "stray-object-key.catj": "E001",
     "stray-morphism-key.catj": "E001",
@@ -92,6 +98,9 @@ NEGATIVE_CODES = {
     "stray-psi-key.catj": "E001",
     "stray-unit-iso-key.catj": "E001",
     "stray-fiber-object-key.catj": "E001",
+    "stray-hom-functors-key.catj": "E001",
+    "stray-pullback1-key.catj": "E001",
+    "stray-pullback2-key.catj": "E001",
 }
 
 
@@ -110,12 +119,31 @@ def test_negative_corpus_triggers_each_code(name, negative_dir):
     ("stray-psi-key.catj", "psi key 'zz' is not a source object", 21, 23),
     ("stray-unit-iso-key.catj", "unit_iso key 'zz' is not a base object", 21, 35),
     ("stray-fiber-object-key.catj", "comp_iso[id*|id*] key 'zz' is not a fiber object", 20, 40),
+    ("stray-hom-functors-key.catj", "hom_functors key 'zz' is not a source object pair", 18, 87),
+    ("stray-pullback1-key.catj", "pullback1 key 'zz' is not a base 1-cell", 19, 101),
+    ("stray-pullback2-key.catj", "pullback2 key 'zz' is not a base 2-cell", 21, 40),
 ])
 def test_a_stray_map_key_is_one_diagnostic_at_the_key(negative_dir, name, message, line, col):
     text = (negative_dir / name).read_text(encoding="utf-8")
     result = parse(text)
     assert [(d.code, d.message, d.line, d.col) for d in result.diagnostics] == [("E001", message, line, col)]
     assert parse(re.sub(r', "zz": ("[^"]*"|\{[^}]*\})', "", text)).ok
+
+
+@pytest.mark.parametrize("name", ["stray-hom-functors-key.catj", "stray-pullback1-key.catj", "stray-pullback2-key.catj"])
+def test_a_stray_table_key_of_any_arity_is_one_diagnostic(negative_dir, name):
+    text = (negative_dir / name).read_text(encoding="utf-8")
+    (stray,) = parse(text).diagnostics
+    (renamed,) = parse(text.replace('"zz"', '"a|b|c|d"')).diagnostics
+    assert str(renamed) == str(stray).replace("'zz'", "'a|b|c|d'")
+
+
+def test_a_stray_hom_functors_key_in_a_pullback1_entry_is_one_diagnostic(negative_dir):
+    text = (negative_dir / "stray-pullback2-key.catj").read_text(encoding="utf-8").replace(', "zz": {"x": "J"}', "")
+    entry = '"hom_functors": {"x|x": {"object_map": {"J": "J"}, "morphism_map": {"idJ": "idJ"}}}'
+    assert parse(text).ok and entry in text
+    text = text.replace(entry, entry[:-1] + ', "zz": {}}')
+    assert [str(d) for d in parse(text).diagnostics] == ["19:99 E001 hom_functors key 'zz' is not a source object pair"]
 
 
 def test_a_stray_fiber_object_key_in_unit_iso_is_one_diagnostic(negative_dir):

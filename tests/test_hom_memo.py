@@ -1,11 +1,12 @@
 """Each distinct hom category is built, validated and solved once per call.
 
 `catdsl.parse` keeps, for one document, a map from a category
-sub-document to its validated `FinCategory`.  In a well-formed document it
-is keyed on the decoded tables and looked up before they are read; otherwise
-on the extracted tables.  `bicat.similarity_matrix_cg` solves each distinct
-hom object once.  The slow path is each memo defeated here by a
-monkeypatch: every copy then goes through `validate_category` or
+sub-document to its validated `FinCategory`.  It is keyed on the decoded
+tables of a well-formed document and looked up before they are read; a
+document that goes through the positional scanner (one with a diagnostic or
+a `\\u` escape) builds every copy on its own.  `bicat.similarity_matrix_cg`
+solves each distinct hom object once.  The slow path is each memo defeated
+here by a monkeypatch: every copy then goes through `validate_category` or
 `euler_char_cat` on its own, as before the memo, and must give the same
 diagnostics, equal values and the same ζ.
 """
