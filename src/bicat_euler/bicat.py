@@ -69,9 +69,9 @@ class Bicategory(Record):
     """Cat-graph plus its 1-cell composition.
 
     compose1 is keyed ((x, y, z), g, f) with f: x -> y and g: y -> z.
-    hcompose2 is optional; where both sides of a lax functor carry it,
-    `bifib` reads it for the strict cartesian check and the pullback of
-    2-cells.  Associators and unitors are optional and only frame-checked.
+    hcompose2 is optional, but `bifib` takes a lax functor as strict, and
+    so as a candidate fibration, only when both of its sides carry it.
+    Associators and unitors are optional and only frame-checked.
     """
 
     graph: CatGraph
@@ -372,6 +372,13 @@ def validate_lax_functor(
             dst = lax.cell1(x, z, source.c1(x, y, z, g, f))
             if cell not in hom._by_name or hom.src(cell) != src or hom.dst(cell) != dst:
                 raise MissingCompositionData(f"phi at (({x},{y},{z}), {g}, {f}) has a bad frame")
+        for x in source.objects:
+            for y in source.objects:
+                for z in source.objects:
+                    for f in source.onecells(x, y):
+                        for g in source.onecells(y, z):
+                            if ((x, y, z), g, f) not in phi:
+                                raise MissingCompositionData(f"phi at (({x},{y},{z}), {g}, {f}) is missing")
     return lax
 
 

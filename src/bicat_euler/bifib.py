@@ -1,14 +1,13 @@
 """Bicategorical fibrations and the Grothendieck construction on cat-graphs.
 
-Cartesian 1-cells are decided frame by frame: lift existence is always
-checked, and the pasting equations (plus unique 2-cell lifts) are checked
-on the nose exactly when both bicategories carry horizontal composition
-and the lax functor is strict and carries no phi or psi data; otherwise the
-up-to-2-isomorphism reading applies.  The Grothendieck construction is built
-in counting mode: the objects, 1-cells and 2-cell counts fully determine
-every Euler characteristic here.  Each public entry point that sweeps its
-lax functor decides each fact once, in one private per-call analysis
-(`_Sweep`).
+A fibration of bicategories is a strict homomorphism with lifting
+properties (Buckley, JPAA 218, 2014, §3).  So only a strict lax functor
+(`strict_witness` empty) has cartesian 1-cells, and for it lift existence,
+the pasting equations and unique 2-cell lifts are checked frame by frame.
+The Grothendieck construction is built in counting mode: the objects,
+1-cells and 2-cell counts fully determine every Euler characteristic here.
+Each public entry point that sweeps its lax functor decides each fact once,
+in one private per-call analysis (`_Sweep`).
 """
 
 from __future__ import annotations
@@ -209,32 +208,20 @@ class _Sweep:
 
     Public entry points make one and pass it to the private helpers: the
     fiber over each base object, one `classify_fibration` report per hom
-    functor, p's strictness, the sorted iso list of each (hom, u, v) and the
-    cartesian verdicts of p's hom functors are found once per call.  Each
-    cache holds p, never the sweep: with the cyclic collector off, as
-    `cli.run` leaves it, a sweep in a reference cycle would keep its fibers
-    until exit.
+    functor, the sorted iso list of each (hom, u, v) and the cartesian
+    verdicts of p's hom functors are found once per call.  Each cache holds
+    p, never the sweep: with the cyclic collector off, as `cli.run` leaves
+    it, a sweep in a reference cycle would keep its fibers until exit.
     """
 
-    __slots__ = ("p", "fiber", "local", "strict", "cartesian", "_isos")
+    __slots__ = ("p", "fiber", "local", "cartesian", "_isos")
 
     def __init__(self, p: LaxFunctorBicat):
         self.p = p
         self.fiber = cache(partial(fiber_bicategory, p))
         self.local = cache(lambda x, y: classify_fibration(p.hom_functors[(x, y)]))
-        self.strict = cache(partial(is_strict_lax_functor, p))
         self.cartesian = cache(lambda x, y, m: is_cartesian_morphism(p.hom_functors[(x, y)], m))
         self._isos: dict[tuple[int, str, str], list[str]] = {}
-
-    def strict_equations(self) -> bool:
-        p = self.p
-        return (
-            p.source.hcompose2 is not None
-            and p.target.hcompose2 is not None
-            and p.phi is None
-            and p.psi is None
-            and self.strict()
-        )
 
     def isos(self, hom: FinCategory, u: str, v: str) -> list[str]:
         """The invertible morphisms u -> v of hom, sorted; hom is one of p's hom categories, kept alive by p."""
@@ -245,32 +232,46 @@ class _Sweep:
         return found
 
 
-def is_strict_lax_functor(p: LaxFunctorBicat) -> bool:
-    """1-cell strictness plus hcompose2 preservation where both sides carry it."""
+def strict_witness(p: LaxFunctorBicat) -> dict[str, tuple]:
+    """{} for a strict homomorphism, else {"not_strict": (table, *key)} at the first failure.
+
+    In this order: a side ("source" or "target") without hcompose2; an
+    identity1, compose1 or hcompose2 entry that p does not preserve; a phi
+    or psi component that is no identity 2-cell.  So an all-identity phi or
+    psi counts as absent.
+    """
     e, b = p.source, p.target
+    for side, bi in (("source", e), ("target", b)):
+        if bi.hcompose2 is None:
+            return {"not_strict": ("hcompose2", side)}
     for x in e.objects:
         if p.cell1(x, x, e.id1(x)) != b.id1(p.ob(x)):
-            return False
-    for x in e.objects:
-        for y in e.objects:
-            for z in e.objects:
-                for f in e.onecells(x, y):
-                    for g in e.onecells(y, z):
-                        lhs = p.cell1(x, z, e.c1(x, y, z, g, f))
-                        rhs = b.c1(p.ob(x), p.ob(y), p.ob(z), p.cell1(y, z, g), p.cell1(x, y, f))
-                        if lhs != rhs:
-                            return False
-    if e.hcompose2 is not None and b.hcompose2 is not None:
-        for ((x, y, z), beta, alpha), res in e.hcompose2.items():
-            lhs = p.cell2(x, z, res)
-            rhs = b.h2(p.ob(x), p.ob(y), p.ob(z), p.cell2(y, z, beta), p.cell2(x, y, alpha))
-            if lhs != rhs:
-                return False
-    return True
+            return {"not_strict": ("identity1", x)}
+    triples = [(x, y, z) for x in e.objects for y in e.objects for z in e.objects]
+    for x, y, z in triples:
+        for f in e.onecells(x, y):
+            for g in e.onecells(y, z):
+                lhs = p.cell1(x, z, e.c1(x, y, z, g, f))
+                if lhs != b.c1(p.ob(x), p.ob(y), p.ob(z), p.cell1(y, z, g), p.cell1(x, y, f)):
+                    return {"not_strict": ("compose1", (x, y, z), g, f)}
+    for x, y, z in triples:
+        for alpha in e.hom_at(x, y).morphisms:
+            for beta in e.hom_at(y, z).morphisms:
+                lhs = p.cell2(x, z, e.h2(x, y, z, beta.name, alpha.name))
+                if lhs != b.h2(p.ob(x), p.ob(y), p.ob(z), p.cell2(y, z, beta.name), p.cell2(x, y, alpha.name)):
+                    return {"not_strict": ("hcompose2", (x, y, z), beta.name, alpha.name)}
+    for key, cell in sorted((p.phi or {}).items()):
+        x, _, z = key[0]
+        if not b.hom_at(p.ob(x), p.ob(z)).is_identity(cell):
+            return {"not_strict": ("phi", *key)}
+    for x, cell in sorted((p.psi or {}).items()):
+        if not b.hom_at(p.ob(x), p.ob(x)).is_identity(cell):
+            return {"not_strict": ("psi", x)}
+    return {}
 
 
-def _lift_candidates(s: _Sweep, x, y, z, f, g, h, alpha, strict_eqs):
-    """All (h̃, α̃, β̃) with iso α̃: f∘h̃ => g and iso β̃: P h̃ => h (plus the strict pasting equation)."""
+def _lift_candidates(s: _Sweep, x, y, z, f, g, h, alpha):
+    """All (h̃, α̃, β̃) with iso α̃: f∘h̃ => g and iso β̃: P h̃ => h that satisfy the pasting equation."""
     p = s.p
     e, b = p.source, p.target
     px, py, pz = p.ob(x), p.ob(y), p.ob(z)
@@ -281,17 +282,14 @@ def _lift_candidates(s: _Sweep, x, y, z, f, g, h, alpha, strict_eqs):
         ph_tilde = p.cell1(z, x, h_tilde)
         for a_tilde in s.isos(e.hom_at(z, y), fh, g):
             for b_tilde in s.isos(b.hom_at(pz, px), ph_tilde, h):
-                if strict_eqs:
-                    whisker = b.h2(pz, px, py, b.hom_at(px, py).identity[pf], b_tilde)
-                    lhs = b.hom_at(pz, py).compose2(alpha, whisker)
-                    if lhs != p.cell2(z, y, a_tilde):
-                        continue
-                out.append((h_tilde, a_tilde, b_tilde))
+                whisker = b.h2(pz, px, py, b.hom_at(px, py).identity[pf], b_tilde)
+                if b.hom_at(pz, py).compose2(alpha, whisker) == p.cell2(z, y, a_tilde):
+                    out.append((h_tilde, a_tilde, b_tilde))
     return out
 
 
-def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str, strict_eqs: bool):
-    """None when the 1-cell f: x -> y of s.p is cartesian, else the failing frame."""
+def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str):
+    """None when the 1-cell f: x -> y of the strict lax functor s.p is cartesian, else the failing frame."""
     p = s.p
     e, b = p.source, p.target
     px, py = p.ob(x), p.ob(y)
@@ -304,12 +302,10 @@ def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str, strict_eqs: bool):
             for h in b.onecells(pz, px):
                 comp = b.c1(pz, px, py, pf, h)
                 for alpha in s.isos(b.hom_at(pz, py), comp, pg):
-                    lifts = _lift_candidates(s, x, y, z, f, g, h, alpha, strict_eqs)
+                    lifts = _lift_candidates(s, x, y, z, f, g, h, alpha)
                     if not lifts:
                         return ("no_lift", z, g, h, alpha)
                     chosen[(z, g, h, alpha)] = lifts[0]
-    if not strict_eqs:
-        return None
     id_f = e.hom_at(x, y).identity[f]
     id_pf = b.hom_at(px, py).identity[pf]
     for z in e.objects:
@@ -350,9 +346,8 @@ def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str, strict_eqs: bool):
 
 
 def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
-    """Buckley cartesianness of the 1-cell f: x -> y, decided by finite search."""
-    s = _Sweep(p)
-    return _check_cartesian_1cell(s, x, y, f, s.strict_equations()) is None
+    """Buckley cartesianness of the 1-cell f: x -> y, decided by finite search; False unless p is strict."""
+    return not strict_witness(p) and _check_cartesian_1cell(_Sweep(p), x, y, f) is None
 
 
 class BiFibrationReport(Record):
@@ -365,7 +360,7 @@ class BiFibrationReport(Record):
 
 
 def _pseudo_flags(
-    s: _Sweep, locally_fibered: Callable[[str, str], bool], strict_eqs: bool
+    s: _Sweep, locally_fibered: Callable[[str, str], bool], not_strict: dict[str, tuple]
 ) -> tuple[bool, bool, bool, dict]:
     p = s.p
     e, b = p.source, p.target
@@ -389,10 +384,13 @@ def _pseudo_flags(
                 if not found:
                     one = False
                     witnesses.setdefault("no_1cell_lift", (f, e_obj))
+    if not_strict:
+        witnesses.update(not_strict)
+        return local, one, False, witnesses
     for x in e.objects:
         for y in e.objects:
             for f in e.onecells(x, y):
-                res = _check_cartesian_1cell(s, x, y, f, strict_eqs)
+                res = _check_cartesian_1cell(s, x, y, f)
                 if res is not None:
                     witnesses["non_cartesian_1cell"] = ((x, y, f), res)
                     return local, one, False, witnesses
@@ -401,16 +399,14 @@ def _pseudo_flags(
 
 def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
     s = _Sweep(p)
-    local, one, cart, witnesses = _pseudo_flags(
-        s, lambda x, y: s.local(x, y).fibered_in_groupoids, s.strict_equations()
-    )
-    # coop_lax_functor(p) reverses 1- and 2-cells and drops phi and psi.  Its hom
-    # functor at (x, y) is p's at (y, x) on opposite categories, fibered in
-    # groupoids exactly when p's is cofibered in groupoids, and its strictness
-    # equations are p's reindexed.
-    co_strict = p.source.hcompose2 is not None and p.target.hcompose2 is not None and s.strict()
+    not_strict = strict_witness(p)
+    local, one, cart, witnesses = _pseudo_flags(s, lambda x, y: s.local(x, y).fibered_in_groupoids, not_strict)
+    # coop_lax_functor(p) reverses 1- and 2-cells.  Its hom functor at (x, y) is
+    # p's at (y, x) on opposite categories, fibered in groupoids exactly when p's
+    # is cofibered in groupoids.  The dual is strict exactly when p is, but
+    # coop_lax_functor drops phi and psi, so p's witness speaks for both sides.
     co_local, co_one, co_cart, co_wit = _pseudo_flags(
-        _Sweep(coop_lax_functor(p)), lambda x, y: s.local(y, x).cofibered_in_groupoids, co_strict
+        _Sweep(coop_lax_functor(p)), lambda x, y: s.local(y, x).cofibered_in_groupoids, not_strict
     )
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
     return BiFibrationReport(
@@ -424,12 +420,13 @@ def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
 
 
 def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
-    """Cells strictly over (b, id_b, id_{id_b}); composition via cleavage lifts.
+    """Cells strictly over (b, id_b, id_{id_b}), composed as in the total bicategory.
 
-    For a strict lax functor over a strictly unital base the needed lift of
-    the identity 2-cell is the identity, so composed 1-cells are reused
-    as-is; with phi data present the lift is searched in the local
-    fibration; anything else raises rather than fabricating coherence.
+    For a strict lax functor the composite of two 1-cells over id_b lies
+    over id_b∘id_b, which is id_b in a base that composes identities
+    strictly, so composed 1-cells are reused as-is.  A composite that
+    leaves the fiber raises rather than fabricating coherence.  The fiber
+    carries no hcompose2.
     """
     e, b = p.source, p.target
     if b_obj not in b.objects:
@@ -449,7 +446,6 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
                 cells,
                 [m for m in total_hom.morphisms if m.src in cells and m.dst in cells and p.cell2(x, y, m.name) == id2b],
             )
-    s = _Sweep(p)  # cartesian verdicts for the phi-corrected composites
     identity1 = {}
     for x in objects:
         if p.cell1(x, x, e.id1(x)) != id1b:
@@ -462,37 +458,10 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
                 for f in hom[(x, y)].objects:
                     for g in hom[(y, z)].objects:
                         gf = e.c1(x, y, z, g, f)
-                        if p.cell1(x, z, gf) == id1b:
-                            compose1[((x, y, z), g, f)] = gf
-                        elif p.phi is not None:
-                            compose1[((x, y, z), g, f)] = _phi_corrected_composite(
-                                s, b_obj, x, y, z, g, f, gf
-                            )
-                        else:
-                            raise NotBiFibered(
-                                f"composite {g}∘{f} leaves the fiber and no phi data is supplied"
-                            )
+                        if p.cell1(x, z, gf) != id1b:
+                            raise NotBiFibered(f"composite {g}∘{f} leaves the fiber")
+                        compose1[((x, y, z), g, f)] = gf
     return validate_bicategory(objects, hom, identity1, compose1)
-
-
-def _phi_corrected_composite(s: _Sweep, b_obj, x, y, z, g, f, gf):
-    """Domain of the chosen cartesian lift of phi: id_b => P(g∘f) at g∘f."""
-    p = s.p
-    btarget = p.target
-    phi_cell = p.phi.get(((x, y, z), g, f))
-    if phi_cell is None:
-        raise NotBiFibered(f"missing phi component at (({x},{y},{z}), {g}, {f})")
-    hom_b = btarget.hom_at(b_obj, b_obj)
-    if hom_b.src(phi_cell) != btarget.id1(b_obj):
-        raise NotBiFibered("phi component does not start at the identity 1-cell")
-    candidates = sorted(
-        m.name
-        for m in p.source.hom_at(x, z).morphisms
-        if m.dst == gf and p.cell2(x, z, m.name) == phi_cell and s.cartesian(x, z, m.name)
-    )
-    if not candidates:
-        raise NotBiFibered(f"no cartesian lift of phi at {gf}")
-    return p.source.hom_at(x, z).src(candidates[0])
 
 
 def _onecell_lifts(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str) -> dict[str, tuple[str, str]]:

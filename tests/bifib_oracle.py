@@ -1,15 +1,17 @@
 """The bifibration sweep as it was before it decided each fact once per call.
 
 `bifib` used these loops before one analysis per call shared its fibers,
-local classifications, strictness verdict, iso lists and cartesian
-verdicts: every fiber is rebuilt, and each fiber hom re-validated, on each
-use; `classify_bifibration` classifies the hom functors and checks
-strictness on p and again on `coop_lax_functor(p)`; every iso list is an
-exhaustive inverse search; every 2-cell lift search re-tests cartesianness;
-and `_check_cartesian_1cell` counts the 2-cell lifts of each (σ, δ) by
-scanning a whole hom-set.  They stay here, test-only, as the slow path the
-sweep must agree with, witnesses included.  The value classes and the
-Grothendieck construction, which did not change, come from `bifib`.
+local classifications, iso lists and cartesian verdicts: every fiber is
+rebuilt, and each fiber hom re-validated, on each use;
+`classify_bifibration` classifies the hom functors on p and again on
+`coop_lax_functor(p)`; every iso list is an exhaustive inverse search;
+every 2-cell lift search re-tests cartesianness; and `_check_cartesian_1cell`
+counts the 2-cell lifts of each (σ, δ) by scanning a whole hom-set.  They
+stay here, test-only, as the slow path the sweep must agree with, witnesses
+included.  `strict_witness` restates, by its own loops, the one rule both
+sides of `classify_bifibration` follow: only a strict homomorphism (Buckley,
+JPAA 218, 2014, §3) is swept for cartesian 1-cells.  The value classes and
+the Grothendieck construction, which did not change, come from `bifib`.
 
 Two independent oracles of the paper's formulas close the module:
 `pseudogroupoid_euler` (chi = sum over components of 1/chi(hom(g,g))) and
@@ -47,42 +49,47 @@ def _isos(hom: FinCategory, u: str, v: str) -> list[str]:
     return sorted(m for m in hom.hom(u, v) if hom.inverse_of(m) is not None)
 
 
-def is_strict_lax_functor(p: LaxFunctorBicat) -> bool:
+def strict_witness(p: LaxFunctorBicat) -> dict:
+    """Buckley's fibrations are strict homomorphisms: {} when p is one, else its first failure.
+
+    Both sides need hcompose2; every identity 1-cell, composite 1-cell and
+    horizontal composite of 2-cells must go to its counterpart on the nose;
+    every phi and psi component must be an identity 2-cell.
+    """
     e, b = p.source, p.target
-    if e.identity1 is None or e.compose1 is None or b.identity1 is None or b.compose1 is None:
-        return False
-    for x in e.objects:
-        if p.cell1(x, x, e.id1(x)) != b.id1(p.ob(x)):
-            return False
-    for x in e.objects:
-        for y in e.objects:
-            for z in e.objects:
-                for f in e.onecells(x, y):
-                    for g in e.onecells(y, z):
-                        lhs = p.cell1(x, z, e.c1(x, y, z, g, f))
-                        rhs = b.c1(p.ob(x), p.ob(y), p.ob(z), p.cell1(y, z, g), p.cell1(x, y, f))
-                        if lhs != rhs:
-                            return False
-    if e.hcompose2 is not None and b.hcompose2 is not None:
-        for ((x, y, z), beta, alpha), res in e.hcompose2.items():
-            lhs = p.cell2(x, z, res)
-            rhs = b.h2(p.ob(x), p.ob(y), p.ob(z), p.cell2(y, z, beta), p.cell2(x, y, alpha))
-            if lhs != rhs:
-                return False
-    return True
+    if e.hcompose2 is None:
+        return {"not_strict": ("hcompose2", "source")}
+    if b.hcompose2 is None:
+        return {"not_strict": ("hcompose2", "target")}
+    failures = [("identity1", x) for x in e.objects if p.cell1(x, x, e.id1(x)) != b.id1(p.ob(x))]
+    triples = [(x, y, z) for x in e.objects for y in e.objects for z in e.objects]
+    failures += [
+        ("compose1", (x, y, z), g, f)
+        for x, y, z in triples
+        for f in e.onecells(x, y)
+        for g in e.onecells(y, z)
+        if p.cell1(x, z, e.c1(x, y, z, g, f)) != b.c1(p.ob(x), p.ob(y), p.ob(z), p.cell1(y, z, g), p.cell1(x, y, f))
+    ]
+    failures += [
+        ("hcompose2", (x, y, z), beta.name, alpha.name)
+        for x, y, z in triples
+        for alpha in e.hom_at(x, y).morphisms
+        for beta in e.hom_at(y, z).morphisms
+        if p.cell2(x, z, e.h2(x, y, z, beta.name, alpha.name))
+        != b.h2(p.ob(x), p.ob(y), p.ob(z), p.cell2(y, z, beta.name), p.cell2(x, y, alpha.name))
+    ]
+    for (xyz, g, f), cell in sorted((p.phi or {}).items()):
+        hom = b.hom_at(p.ob(xyz[0]), p.ob(xyz[2]))
+        if hom.src(cell) != hom.dst(cell) or hom.identity[hom.src(cell)] != cell:
+            failures.append(("phi", xyz, g, f))
+    for x, cell in sorted((p.psi or {}).items()):
+        hom = b.hom_at(p.ob(x), p.ob(x))
+        if hom.src(cell) != hom.dst(cell) or hom.identity[hom.src(cell)] != cell:
+            failures.append(("psi", x))
+    return {"not_strict": failures[0]} if failures else {}
 
 
-def _strict_equations_available(p: LaxFunctorBicat) -> bool:
-    return (
-        p.source.hcompose2 is not None
-        and p.target.hcompose2 is not None
-        and p.phi is None
-        and p.psi is None
-        and is_strict_lax_functor(p)
-    )
-
-
-def _lift_candidates(p, x, y, z, f, g, h, alpha, strict_eqs):
+def _lift_candidates(p, x, y, z, f, g, h, alpha):
     e, b = p.source, p.target
     px, py, pz = p.ob(x), p.ob(y), p.ob(z)
     pf = p.cell1(x, y, f)
@@ -92,17 +99,16 @@ def _lift_candidates(p, x, y, z, f, g, h, alpha, strict_eqs):
         ph_tilde = p.cell1(z, x, h_tilde)
         for a_tilde in _isos(e.hom_at(z, y), fh, g):
             for b_tilde in _isos(b.hom_at(pz, px), ph_tilde, h):
-                if strict_eqs:
-                    whisker = b.h2(pz, px, py, b.hom_at(px, py).identity[pf], b_tilde)
-                    lhs = b.hom_at(pz, py).compose2(alpha, whisker)
-                    if lhs != p.cell2(z, y, a_tilde):
-                        continue
+                whisker = b.h2(pz, px, py, b.hom_at(px, py).identity[pf], b_tilde)
+                lhs = b.hom_at(pz, py).compose2(alpha, whisker)
+                if lhs != p.cell2(z, y, a_tilde):
+                    continue
                 out.append((h_tilde, a_tilde, b_tilde))
     return out
 
 
-def check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str, strict_eqs: bool):
-    """None when cartesian, else the failing frame."""
+def check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str):
+    """None when the 1-cell f of the strict lax functor p is cartesian, else the failing frame."""
     e, b = p.source, p.target
     px, py = p.ob(x), p.ob(y)
     pf = p.cell1(x, y, f)
@@ -114,12 +120,10 @@ def check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str, strict_eqs
             for h in b.onecells(pz, px):
                 comp = b.c1(pz, px, py, pf, h)
                 for alpha in _isos(b.hom_at(pz, py), comp, pg):
-                    lifts = _lift_candidates(p, x, y, z, f, g, h, alpha, strict_eqs)
+                    lifts = _lift_candidates(p, x, y, z, f, g, h, alpha)
                     if not lifts:
                         return ("no_lift", z, g, h, alpha)
                     chosen[(z, g, h, alpha)] = lifts[0]
-    if not strict_eqs:
-        return None
     for z in e.objects:
         pz = p.ob(z)
         hom_e = e.hom_at(z, y)
@@ -163,10 +167,10 @@ def check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str, strict_eqs
 
 
 def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
-    return check_cartesian_1cell(p, x, y, f, _strict_equations_available(p)) is None
+    return not strict_witness(p) and check_cartesian_1cell(p, x, y, f) is None
 
 
-def _pseudo_flags(p: LaxFunctorBicat):
+def _pseudo_flags(p: LaxFunctorBicat, not_strict: dict):
     e, b = p.source, p.target
     witnesses = {}
     local = True
@@ -189,9 +193,10 @@ def _pseudo_flags(p: LaxFunctorBicat):
                 if not found:
                     one = False
                     witnesses.setdefault("no_1cell_lift", (f, e_obj))
-    strict_eqs = _strict_equations_available(p)
+    if not_strict:
+        return local, one, False, {**witnesses, **not_strict}
     cells = [(x, y, f) for x in e.objects for y in e.objects for f in e.onecells(x, y)]
-    results = [check_cartesian_1cell(p, x, y, f, strict_eqs) for x, y, f in cells]
+    results = [check_cartesian_1cell(p, x, y, f) for x, y, f in cells]
     cart = True
     for cell, res in zip(cells, results):
         if res is not None:
@@ -202,8 +207,10 @@ def _pseudo_flags(p: LaxFunctorBicat):
 
 
 def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
-    local, one, cart, witnesses = _pseudo_flags(p)
-    co_local, co_one, co_cart, co_wit = _pseudo_flags(coop_lax_functor(p))
+    # The co side is p's formal dual, which drops phi and psi; it is strict exactly when p is.
+    not_strict = strict_witness(p)
+    local, one, cart, witnesses = _pseudo_flags(p, not_strict)
+    co_local, co_one, co_cart, co_wit = _pseudo_flags(coop_lax_functor(p), not_strict)
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
     return BiFibrationReport(local, one, cart, local and one and cart, co_local and co_one and co_cart, witnesses)
 
@@ -245,32 +252,10 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str):
                 for f in hom[(x, y)].objects:
                     for g in hom[(y, z)].objects:
                         gf = e.c1(x, y, z, g, f)
-                        if p.cell1(x, z, gf) == id1b:
-                            compose1[((x, y, z), g, f)] = gf
-                        elif p.phi is not None:
-                            compose1[((x, y, z), g, f)] = _phi_corrected_composite(p, b_obj, x, y, z, g, f, gf)
-                        else:
-                            raise NotBiFibered(f"composite {g}∘{f} leaves the fiber and no phi data is supplied")
+                        if p.cell1(x, z, gf) != id1b:
+                            raise NotBiFibered(f"composite {g}∘{f} leaves the fiber")
+                        compose1[((x, y, z), g, f)] = gf
     return validate_bicategory(objects, hom, identity1, compose1)
-
-
-def _phi_corrected_composite(p, b_obj, x, y, z, g, f, gf):
-    btarget = p.target
-    phi_cell = p.phi.get(((x, y, z), g, f))
-    if phi_cell is None:
-        raise NotBiFibered(f"missing phi component at (({x},{y},{z}), {g}, {f})")
-    hom_b = btarget.hom_at(b_obj, b_obj)
-    if hom_b.src(phi_cell) != btarget.id1(b_obj):
-        raise NotBiFibered("phi component does not start at the identity 1-cell")
-    q = p.hom_functors[(x, z)]
-    candidates = sorted(
-        m.name
-        for m in p.source.hom_at(x, z).morphisms
-        if m.dst == gf and p.cell2(x, z, m.name) == phi_cell and is_cartesian_morphism(q, m.name)
-    )
-    if not candidates:
-        raise NotBiFibered(f"no cartesian lift of phi at {gf}")
-    return p.source.hom_at(x, z).src(candidates[0])
 
 
 def _onecell_lifts(p, b_obj, c_obj, f, policy):

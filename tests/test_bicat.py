@@ -359,6 +359,17 @@ def test_phi_psi_frames_validated():
         validate_lax_functor(
             catalog.BPT, catalog.BPT, {"*": "*"}, hom_functors, psi={"*": "nope"}
         )
+    with pytest.raises(MCD, match="has a bad frame"):
+        validate_lax_functor(catalog.BPT, catalog.BPT, {"*": "*"}, hom_functors, {(("*", "*", "*"), "I", "I"): "nope"})
+
+
+def test_phi_without_a_component_at_some_composable_pair_is_rejected():
+    p = catalog.PSG_COLLAPSE
+    phi = {(("p", "p", "p"), "mpp", "mpp"): "idI"}  # 1 of the 8 composable pairs
+    with pytest.raises(MissingCompositionData, match=re.escape("phi at ((p,p,q), mpq, mpp) is missing")):
+        validate_lax_functor(p.source, p.target, p.object_map, p.hom_functors, phi)
+    full = {key: "idI" for key in p.source.compose1}
+    assert validate_lax_functor(p.source, p.target, p.object_map, p.hom_functors, full).phi == full
 
 
 def test_chi_invariant_under_object_relabelling():

@@ -24,7 +24,7 @@ from bicat_euler.bifib import (
     grothendieck_cg,
     induced_trihomomorphism,
     is_cartesian_1cell,
-    is_strict_lax_functor,
+    strict_witness,
     validate_trihomomorphism,
     verify_gr_formula_bicat,
     verify_product_formula_bicat,
@@ -305,11 +305,7 @@ def test_trihom_pullback_with_wrong_source():
         validate_trihomomorphism(broken)
 
 
-def _strict_verdicts(p) -> tuple[bool, bool]:
-    return is_strict_lax_functor(p), oracle.is_strict_lax_functor(p)
-
-
-def test_is_strict_lax_functor_rejects_each_failure():
+def test_strict_witness_names_each_failure():
     z3 = fx.discrete_suspension(*fx.cyclic_group(3))
     hom = z3.hom_at("*", "*")
 
@@ -318,12 +314,6 @@ def test_is_strict_lax_functor_rejects_each_failure():
         functor = validate_functor(hom, hom, cells, {f"id{g}": f"id{h}" for g, h in cells.items()})
         return validate_lax_functor(z3, z3, {"*": "*"}, {("*", "*"): functor})
 
-    # The identity 1-cell g0 goes to g1.
-    assert _strict_verdicts(z3_self_map({"g0": "g1", "g1": "g0"})) == (False, False)
-    # g1∘g1 = g2 goes to g1, and the images compose to g2.
-    assert _strict_verdicts(z3_self_map({"g2": "g1"})) == (False, False)
-    # Strict on 1-cells, but hom(0, 1) keeps its 2-cells while hom(0, 0) sends them to the unit,
-    # so a horizontal composite β∘α in hom(0, 1) goes to β, not to β∘α.
     source, target = fx.suspension_two_group(["0", "1"], *fx.cyclic_group(2)), fx.bz2_twogroup()
     hom_functors = {}
     for x in source.objects:
@@ -331,12 +321,53 @@ def test_is_strict_lax_functor_rejects_each_failure():
             src = source.hom_at(x, y)
             twocells = {m.name: m.name if (x, y) == ("0", "1") else "g0" for m in src.morphisms}
             hom_functors[(x, y)] = validate_functor(src, target.hom_at("*", "*"), {f"m{x}{y}": "m**"}, twocells)
-    assert _strict_verdicts(validate_lax_functor(source, target, {"0": "*", "1": "*"}, hom_functors)) == (
-        False, False
-    )
-    # hcompose2 is compared only where both sides carry it.
-    bare = validate_bicategory(target.objects, target.graph.hom, target.identity1, target.compose1)
-    assert _strict_verdicts(validate_lax_functor(source, bare, {"0": "*", "1": "*"}, hom_functors)) == (True, True)
+    object_map = {"0": "*", "1": "*"}
+
+    def bare(bi):
+        return validate_bicategory(bi.objects, bi.graph.hom, bi.identity1, bi.compose1)
+
+    ident = identity_lax_functor(target)
+
+    def coherent(phi=None, psi=None):
+        return validate_lax_functor(target, target, ident.object_map, ident.hom_functors, phi, psi)
+
+    cases = [
+        # hcompose2 is required on both sides, whatever else holds.
+        (validate_lax_functor(bare(source), target, object_map, hom_functors), ("hcompose2", "source")),
+        (validate_lax_functor(source, bare(target), object_map, hom_functors), ("hcompose2", "target")),
+        # The identity 1-cell g0 goes to g1.
+        (z3_self_map({"g0": "g1", "g1": "g0"}), ("identity1", "*")),
+        # g1∘g1 = g2 goes to g1, and the images compose to g2.
+        (z3_self_map({"g2": "g1"}), ("compose1", ("*", "*", "*"), "g1", "g1")),
+        # Strict on 1-cells, but hom(0, 1) keeps its 2-cells while hom(0, 0) sends them to the unit,
+        # so a horizontal composite β∘α in hom(0, 1) goes to β, not to β∘α.
+        (validate_lax_functor(source, target, object_map, hom_functors), ("hcompose2", ("0", "0", "1"), "g0", "g1")),
+        # The identity of a strict 2-group with a coherence cell that is no identity.
+        (coherent({(("*",) * 3, "m**", "m**"): "g1"}), ("phi", ("*", "*", "*"), "m**", "m**")),
+        (coherent(psi={"*": "g1"}), ("psi", "*")),
+    ]
+    for p, witness in cases:
+        assert strict_witness(p) == oracle.strict_witness(p) == {"not_strict": witness}, witness
+        rep = classify_bifibration(p)
+        assert rep == oracle.classify_bifibration(p)
+        assert rep.witnesses["not_strict"] == rep.witnesses["co_not_strict"] == witness
+        assert not (rep.all_1cells_cartesian or rep.fibered_in_pseudogroupoids or rep.cofibered_in_pseudogroupoids)
+    # An all-identity phi and psi count as absent.
+    identities = coherent({(("*",) * 3, "m**", "m**"): "g0"}, {"*": "g0"})
+    assert strict_witness(identities) == oracle.strict_witness(identities) == strict_witness(ident) == {}
+
+
+def test_fiber_refuses_a_composite_that_leaves_it():
+    # g1 sits over the identity g0, but g1∘g1 = g2 goes to g2: no strict lax functor does this.
+    z3 = fx.discrete_suspension(*fx.cyclic_group(3))
+    hom = z3.hom_at("*", "*")
+    cells = {"g0": "g0", "g1": "g0", "g2": "g2"}
+    functor = validate_functor(hom, hom, cells, {f"id{g}": f"id{h}" for g, h in cells.items()})
+    p = validate_lax_functor(z3, z3, {"*": "*"}, {("*", "*"): functor})
+    assert strict_witness(p) == {"not_strict": ("compose1", ("*", "*", "*"), "g1", "g1")}
+    for build in (fiber_bicategory, oracle.fiber_bicategory):
+        with pytest.raises(NotBiFibered, match="^composite g1∘g1 leaves the fiber$"):
+            build(p, "*")
 
 
 def test_induced_trihomomorphism_of_projection():

@@ -1,15 +1,17 @@
 """The bifibration sweep decides each fact once per call and agrees with its slow path.
 
 `bifib` shares one analysis per call of a lax functor: fibers, local
-classifications, the strictness verdict, iso lists and cartesian verdicts.
-`bifib_oracle` keeps the sweep as it was before, recomputing all of them
-on each use.  Both must give equal values and reports, witnesses included,
-and raise the same error with the same message.
+classifications, iso lists and cartesian verdicts.  `bifib_oracle` keeps the
+sweep as it was before, recomputing all of them on each use, and restates
+the one strictness rule that decides whether a lax functor is swept at all.
+Both must give equal values and reports, witnesses included, and raise the
+same error with the same message.  Identity coherence data (`phi`, `psi`)
+counts as absent, so it changes no verdict.
 """
 
 import contextlib
 import io
-import re
+from collections import Counter
 
 import pytest
 
@@ -23,7 +25,6 @@ from bicat_euler.bicat import (
     validate_bicategory,
     validate_lax_functor,
 )
-from bicat_euler.fib1 import NotBiFibered
 from bicat_euler.fincat import validate_category, validate_functor
 from bicat_euler.generators import gen_pseudogroupoid, gen_trihom
 from builders import disjoint_union_lax_functor, gen_fib_pseudogroupoids_laxfunctor, product_projection
@@ -77,7 +78,7 @@ def _fixture_values(kinds):
     return values
 
 
-# ---------------------------------------------------------------- phi data
+# ---------------------------------------------------------------- coherence data
 
 def _phi_identity_collapse() -> LaxFunctorBicat:
     """The strict collapse of PSG, carrying identity phi and psi components."""
@@ -87,73 +88,30 @@ def _phi_identity_collapse() -> LaxFunctorBicat:
     return validate_lax_functor(p.source, p.target, p.object_map, p.hom_functors, phi, psi)
 
 
-def _phi_leaving_fiber(variant: str = "ok") -> LaxFunctorBicat:
-    """One object over one object; the composite a∘a = b lies over J, off the fiber over I.
-
-    phi at (a, a) is the 2-cell ph: I => J of the base, and c: a => b over
-    ph is its cartesian lift, so the fiber composes a∘a to a.  The variants
-    break one step of that search: `missing` drops the phi component,
-    `off_identity` makes it start at J, and `no_lift` removes c.
-    """
-    base_hom = validate_category(
-        ["I", "J"],
-        [("idI", "I", "I"), ("idJ", "J", "J"), ("ph", "I", "J")],
-        {"I": "idI", "J": "idJ"},
-        {("idI", "idI"): "idI", ("idJ", "idJ"): "idJ", ("ph", "idI"): "ph", ("idJ", "ph"): "ph"},
-    )
-    base = validate_bicategory(
-        ["*"],
-        {("*", "*"): base_hom},
-        {"*": "I"},
-        {(("*", "*", "*"), g, f): "I" if g == f == "I" else "J" for g in "IJ" for f in "IJ"},
-    )
-    morphisms = [("ide", "e", "e"), ("ida", "a", "a"), ("idb", "b", "b")]
-    compose = {("ide", "ide"): "ide", ("ida", "ida"): "ida", ("idb", "idb"): "idb"}
-    morphism_map = {"ide": "idI", "ida": "idI", "idb": "idJ"}
-    if variant != "no_lift":
-        morphisms.append(("c", "a", "b"))
-        compose.update({("c", "ida"): "c", ("idb", "c"): "c"})
-        morphism_map["c"] = "ph"
-    total_hom = validate_category(["a", "b", "e"], morphisms, {"a": "ida", "b": "idb", "e": "ide"}, compose)
-    cells = ("a", "b", "e")
-    compose1 = {(("x", "x", "x"), g, f): f if g == "e" else g if f == "e" else "b" for g in cells for f in cells}
-    total = validate_bicategory(["x"], {("x", "x"): total_hom}, {"x": "e"}, compose1)
-    over = {"e": "I", "a": "I", "b": "J"}
-    hom_functors = {("x", "x"): validate_functor(total_hom, base_hom, over, morphism_map)}
-    phi = {}
-    for (_, g, f), gf in compose1.items():
-        src, dst = base.c1("*", "*", "*", over[g], over[f]), over[gf]
-        phi[(("x", "x", "x"), g, f)] = "ph" if src != dst else f"id{src}"
-    if variant == "missing":
-        del phi[(("x", "x", "x"), "a", "a")]
-    if variant == "off_identity":
-        phi[(("x", "x", "x"), "a", "a")] = "idJ"
-        return LaxFunctorBicat(total, base, {"x": "*"}, hom_functors, phi)
-    return validate_lax_functor(total, base, {"x": "*"}, hom_functors, phi)
-
-
-def test_phi_identity_collapse_keeps_strict_equations_on_the_coop_side(monkeypatch):
+def test_phi_identity_collapse_runs_the_full_check_on_both_sides(monkeypatch):
     p = _phi_identity_collapse()
-    s = bifib._Sweep(p)
-    assert s.strict() and not s.strict_equations()  # phi switches p's strict equations off, not coop's
-    flags = {"fast": [], "slow": []}
+    assert bifib.strict_witness(p) == oracle.strict_witness(p) == {}
+    checks = []  # [is a 1-cell of p, not of coop; 2-cell lift counts built]
+    check = bifib._check_cartesian_1cell
 
-    def recording(module, name, key):
-        check = getattr(module, name)
+    class LiftCounts(Counter):  # built only in the 2-cell phase of the full check
+        def __init__(self, *args):
+            super().__init__(*args)
+            checks[-1][1] += 1
 
-        def wrapper(*args):
-            flags[key].append(args[-1])
-            return check(*args)
+    def recording(s, x, y, f):
+        checks.append([s.p is p, 0])
+        return check(s, x, y, f)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    recording(bifib, "_check_cartesian_1cell", "fast")
-    recording(oracle, "check_cartesian_1cell", "slow")
+    monkeypatch.setattr(bifib, "Counter", LiftCounts)
+    monkeypatch.setattr(bifib, "_check_cartesian_1cell", recording)
     rep = bifib.classify_bifibration(p)
     assert rep == oracle.classify_bifibration(p)
     assert rep.fibered_in_pseudogroupoids and rep.cofibered_in_pseudogroupoids
-    # Every 1-cell of p without the strict equations, then every 1-cell of coop with them.
-    assert flags["fast"] == flags["slow"] == [False] * 4 + [True] * 4
+    # Every 1-cell of p, then every 1-cell of coop, each through the 2-cell phase: identity
+    # phi and psi switch neither side's pasting equations off.
+    assert [mine for mine, _ in checks] == [True] * 4 + [False] * 4
+    assert all(built for _, built in checks)
     _assert_agrees(p)
 
 
@@ -162,9 +120,9 @@ def test_cartesian_sweep_stops_at_the_first_non_cartesian_1cell(monkeypatch):
     cells = []
     check = bifib._check_cartesian_1cell
 
-    def recording(s, x, y, f, strict_eqs):
+    def recording(s, x, y, f):
         cells.append((x, y, f))
-        return check(s, x, y, f, strict_eqs)
+        return check(s, x, y, f)
 
     monkeypatch.setattr(bifib, "_check_cartesian_1cell", recording)
     rep = bifib.classify_bifibration(p)
@@ -173,31 +131,6 @@ def test_cartesian_sweep_stops_at_the_first_non_cartesian_1cell(monkeypatch):
     assert rep.witnesses["co_non_cartesian_1cell"][0] == ("1", "0", "a")
     # p's 1-cells, then coop's, each up to its first failure: id1 (after a on both sides) is never tested.
     assert cells == [("0", "0", "id0"), ("0", "1", "a"), ("0", "0", "id0"), ("1", "0", "a")]
-
-
-def test_phi_corrects_a_composite_that_leaves_the_fiber():
-    p = _phi_leaving_fiber()
-    assert bifib.classify_bifibration(p) == oracle.classify_bifibration(p)
-    fib = bifib.fiber_bicategory(p, "*")
-    assert fib.hom_at("x", "x").objects == ("a", "e")
-    assert fib.c1("x", "x", "x", "a", "a") == "a"  # the domain of c, the cartesian lift of phi
-    _assert_agrees(p)
-
-
-@pytest.mark.parametrize(
-    "variant, message",
-    [
-        ("missing", "missing phi component at ((x,x,x), a, a)"),
-        ("off_identity", "phi component does not start at the identity 1-cell"),
-        ("no_lift", "no cartesian lift of phi at b"),
-    ],
-)
-def test_phi_search_failures(variant, message):
-    p = _phi_leaving_fiber(variant)
-    with pytest.raises(NotBiFibered, match=re.escape(message)):
-        bifib.fiber_bicategory(p, "*")
-    assert bifib.classify_bifibration(p) == oracle.classify_bifibration(p)
-    _assert_agrees(p)
 
 
 # ---------------------------------------------------------------- 2-cell lift counts
@@ -232,6 +165,23 @@ def test_two_cell_lift_counts_match_oracle(group, sigma, count):
     witness = ("bad_2cell_lift", "x", sigma, "I", "I", "idI", count)
     assert rep.witnesses["non_cartesian_1cell"] == (("x", "x", "m"), witness)
     _assert_agrees(p)
+
+
+def test_identity_coherence_never_changes_a_verdict(tmp_path):
+    bare = _flat_whiskering_collapse(*fx.cyclic_group(2))
+    coherent = validate_lax_functor(
+        bare.source, bare.target, bare.object_map, bare.hom_functors, {(("x", "x", "x"), "m", "m"): "idI"}, {"x": "idI"}
+    )
+    rep = bifib.classify_bifibration(coherent)
+    assert rep == bifib.classify_bifibration(bare) == oracle.classify_bifibration(coherent)
+    assert not (rep.fibered_in_pseudogroupoids or rep.cofibered_in_pseudogroupoids)
+    for name, p in (("bare", bare), ("coherent", coherent)):
+        path = tmp_path / f"{name}.catj"
+        path.write_text(catdsl.serialize(p), encoding="utf-8")
+        assert catdsl.parse(path.read_text(encoding="utf-8")).document.value == p
+        assert _run(["check", str(path), "fib-pseudogroupoids"]) == 1, name
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert _run(["verify", "product-bicat", str(path)]) == 2, name
 
 
 @pytest.mark.parametrize("total_order, base_order", [(2, 1), (1, 2)])

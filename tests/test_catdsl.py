@@ -87,6 +87,7 @@ NEGATIVE_CODES = {
     "unknown-2cell.catj": "MissingCompositionData",
     "hcompose2-identity.catj": "Hcompose2IdentityViolation",
     "unknown-phi-object.catj": "MissingCompositionData",
+    "phi-missing-component.catj": "MissingCompositionData",
     "unknown-comp-iso-key.catj": "IncoherentData",
     "incoherent-laxcat.catj": "IncoherentData",
     "unit-naturality.catj": "IncoherentData",
