@@ -135,21 +135,25 @@ def validate_bicategory(
             for y in graph.objects:
                 for z in graph.objects:
                     hx, hy, hz = graph.hom_at(x, y), graph.hom_at(y, z), graph.hom_at(x, z)
+                    xyz, cells = (x, y, z), hz._by_name
                     for alpha in hx.morphisms:
                         for beta in hy.morphisms:
-                            res = hcompose2.get(((x, y, z), beta.name, alpha.name))
+                            res = hcompose2.get((xyz, beta.name, alpha.name))
                             if res is None:
                                 raise MissingCompositionData(
                                     f"hcompose2 missing at (({x},{y},{z}), {beta.name}, {alpha.name})"
                                 )
-                            if res not in hz._by_name:
+                            cell = cells.get(res)
+                            if cell is None:
                                 raise MissingCompositionData(
                                     f"hcompose2 at (({x},{y},{z}), {beta.name}, {alpha.name}) "
                                     f"names unknown 2-cell {res!r}"
                                 )
-                            want_src = bi.c1(x, y, z, beta.src, alpha.src)
-                            want_dst = bi.c1(x, y, z, beta.dst, alpha.dst)
-                            if hz.src(res) != want_src or hz.dst(res) != want_dst:
+                            # compose1 is total on 1-cells here: checked above.
+                            if (
+                                cell.src != compose1[(xyz, beta.src, alpha.src)]
+                                or cell.dst != compose1[(xyz, beta.dst, alpha.dst)]
+                            ):
                                 raise MissingCompositionData(
                                     f"hcompose2 at (({x},{y},{z}), {beta.name}, {alpha.name}) has wrong frame"
                                 )

@@ -172,7 +172,17 @@ class GrBicatReport(Record):
 
 
 def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> GrBicatReport:
-    t = data if isinstance(data, Trihomomorphism) else induced_trihomomorphism(data)
+    """The Grothendieck formula for a trihomomorphism, or for the one a strict homomorphism induces.
+
+    A lax functor that is no strict homomorphism raises NotBiFibered naming its `strict_witness`.
+    """
+    if isinstance(data, Trihomomorphism):
+        t = data
+    else:
+        not_strict = strict_witness(data)
+        if not_strict:
+            raise NotBiFibered(f"not a strict homomorphism: {not_strict}")
+        t = induced_trihomomorphism(data)
     base_euler = euler_char_cg(t.base.graph)
     if base_euler.coweighting is None:
         raise MissingEulerCharacteristic("base bicategory has no coweighting")
@@ -254,12 +264,14 @@ def strict_witness(p: LaxFunctorBicat) -> dict[str, tuple]:
                 lhs = p.cell1(x, z, e.c1(x, y, z, g, f))
                 if lhs != b.c1(p.ob(x), p.ob(y), p.ob(z), p.cell1(y, z, g), p.cell1(x, y, f)):
                     return {"not_strict": ("compose1", (x, y, z), g, f)}
+    e2, b2, functors = e.hcompose2, b.hcompose2, p.hom_functors
     for x, y, z in triples:
+        xy, yz, xz = (functors[pair].morphism_map for pair in ((x, y), (y, z), (x, z)))
+        xyz, image = (x, y, z), (p.ob(x), p.ob(y), p.ob(z))
         for alpha in e.hom_at(x, y).morphisms:
             for beta in e.hom_at(y, z).morphisms:
-                lhs = p.cell2(x, z, e.h2(x, y, z, beta.name, alpha.name))
-                if lhs != b.h2(p.ob(x), p.ob(y), p.ob(z), p.cell2(y, z, beta.name), p.cell2(x, y, alpha.name)):
-                    return {"not_strict": ("hcompose2", (x, y, z), beta.name, alpha.name)}
+                if xz[e2[(xyz, beta.name, alpha.name)]] != b2[(image, yz[beta.name], xy[alpha.name])]:
+                    return {"not_strict": ("hcompose2", xyz, beta.name, alpha.name)}
     for key, cell in sorted((p.phi or {}).items()):
         x, _, z = key[0]
         if not b.hom_at(p.ob(x), p.ob(z)).is_identity(cell):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import re
+from sys import intern
 
 from .exactq import Record
 from .fincat import FinCategory, Functor, InvalidCategory, InvalidInput, validate_category, validate_functor
@@ -390,14 +391,23 @@ class _PlainBuilder(_Builder):
         return key
 
     def triples(self, node, what: str, width: int = 3) -> list[tuple]:
+        """The rows as tuples of interned labels; the decoded array is emptied once they are built.
+
+        A table repeats a few labels in many cells, so interning keeps one
+        string per label, and emptying the array frees the decoded rows table
+        by table.  The text is kept, so a later problem still falls back to the
+        scanner.
+        """
+        rows = self.array_of(node, what)
         out = []
-        for row in self.array_of(node, what):
+        for row in rows:
             if not isinstance(row, list) or len(row) != width:
                 raise _NeedsPositions
-            for cell in row:
-                if not isinstance(cell, str):
-                    raise _NeedsPositions
-            out.append(tuple(row))
+            try:
+                out.append(tuple(map(intern, row)))
+            except TypeError:  # a cell that is no string
+                raise _NeedsPositions from None
+        rows.clear()
         return out
 
 
@@ -451,7 +461,7 @@ def _split_items(b: _Builder, node: JNode, what: str, arity: int):
     Any other key gets E006 and is skipped.
     """
     for key, sub in (b.object_of(node, what) or {}).items():
-        parts = tuple(key.split("|"))
+        parts = tuple(map(intern, key.split("|")))
         if len(parts) != arity or not all(parts):
             b.key_err(node, key, "E006", f"key {key!r} must have {arity} |-separated parts")
         else:

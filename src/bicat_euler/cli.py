@@ -45,19 +45,24 @@ class InputError(fincat.InvalidInput):
 
 
 def _load(path: str) -> tuple[Document, str]:
-    """The parsed document and the sha256 of the file's bytes, as read."""
+    """The parsed document and the sha256 of the file's bytes, as read.
+
+    The bytes are hashed and dropped before `parse`, so the document is held once, as text.
+    """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}")
+    digest = sha256(data).hexdigest()
+    del data
     # Newlines as text mode reads them, so that parse positions do not depend on the line ending.
     result = parse(text.replace("\r\n", "\n").replace("\r", "\n"))
     if result.document is None:
         lines = [f"{path}:{d}" for d in result.diagnostics]
         raise InputError("\n".join(lines) or f"{path}: unreadable document")
-    return result.document, sha256(data).hexdigest()
+    return result.document, digest
 
 
 def _function(name: str):

@@ -214,6 +214,26 @@ def test_verify_gr_bicat_laxfunctor(capsys, fixture_dir):
     assert code == 0 and out.strip() == "2 = 1·2"
 
 
+def test_verify_gr_bicat_refuses_a_laxfunctor_that_is_not_strict(capsys, tmp_path):
+    # The identity of BZ2 with a phi component g1, no identity 2-cell: `verify product-bicat` refuses it too.
+    from bicat_euler import fixtures as fx
+    from bicat_euler.bicat import identity_lax_functor, validate_lax_functor
+    from bicat_euler.catdsl import serialize
+
+    bz2 = fx.bz2_twogroup()
+    ident = identity_lax_functor(bz2)
+    p = validate_lax_functor(bz2, bz2, ident.object_map, ident.hom_functors, {(("*",) * 3, "m**", "m**"): "g1"})
+    path = tmp_path / "p.catj"
+    path.write_text(serialize(p), encoding="utf-8")
+    witness = "{'not_strict': ('phi', ('*', '*', '*'), 'm**', 'm**')}"
+    for extra in ([], ["--json"]):
+        assert run(capsys, "verify", "gr-bicat", str(path), *extra) == (
+            2, "", f"input error: not a strict homomorphism: {witness}\n"
+        )
+        code, _, err = run(capsys, "verify", "product-bicat", str(path), *extra)
+        assert code == 2 and "'not_strict'" in err
+
+
 def test_verify_gr_bicat_without_a_pullback_is_input_error(capsys, tmp_path):
     # Their cleavages have no pullback 1-cell: the input is unsuitable, not an internal bug.
     from bicat_euler import fixtures as fx

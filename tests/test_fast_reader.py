@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from bicat_euler import catdsl, cli
+from bicat_euler import fixtures as fx
 from test_scanner import CORPUS, EDGE_CASES, mutants
 
 
@@ -131,3 +132,15 @@ def test_gen_outputs_take_the_fast_path(monkeypatch, kind):
     build = cli._GEN_KINDS[kind][0]
     for seed, size in ((0, 1), (1, 2), (2, 3)):
         assert not _scanned(monkeypatch, catdsl.serialize(build(seed, size)))
+
+
+def test_decoder_interns_table_labels(monkeypatch):
+    # The collapse of the suspension of Z/12 on two objects, whose hcompose2 rows repeat 12 2-cell labels.
+    elements, mult, unit = fx.cyclic_group(12)
+    text = catdsl.serialize(fx.collapse_to_point(fx.suspension_two_group(["o0", "o1"], elements, mult, unit)))
+    value = catdsl.parse(text).document.value
+    source = value.source
+    labels = [label for (xyz, *cells), res in source.hcompose2.items() for label in (*xyz, *cells, res)]
+    labels += [label for hom in source.graph.hom.values() for key, h in hom.compose.items() for label in (*key, h)]
+    assert labels and all(sys.intern(label) is label for label in labels)
+    assert value == _scanner_only(monkeypatch, text).document.value
