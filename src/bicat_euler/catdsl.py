@@ -10,6 +10,10 @@ decoder and built from its plain values.  Positions are computed only when
 a problem is reported: at the first problem, or when the decoder rejects
 the text, the positional scanner reads it again and the builders run on its
 nodes.  The accepted language and every diagnostic are the same either way.
+The decoder merges equal category sub-documents into one object while it
+reads them (`_shared_categories`), and each category node is built once, so a
+repeated hom is held, read and validated once; the scanner's nodes are never
+shared, so each copy in a document with a problem reports at its own position.
 
 Each table shape has one reader, and each shape the serializer writes has
 one writer, its inverse: `_Builder.fields` reads an object with required
@@ -251,15 +255,9 @@ class _Scanner:
 class _Builder:
     def __init__(self):
         self.diags: list[Diagnostic] = []
-        # Key -> validated category, so identical category sub-documents are built once: the
-        # plain builder keys on the decoded tables and looks up before reading them
-        # (`category_key`).  The positional builder, which only a document with a diagnostic
-        # or a `\u` escape reaches, has no key and stores nothing.
-        self.categories: dict[tuple, FinCategory] = {}
-
-    def category_key(self, node: JNode) -> None:
-        """None: the positional builder shares no category."""
-        return None
+        # id(node) -> validated category, so a node that the decoder shares among equal
+        # category sub-documents (`_shared_categories`) is built once.
+        self.categories: dict[int, FinCategory] = {}
 
     def err(self, node: JNode, code: str, message: str):
         self.diags.append(Diagnostic("error", node.line, node.col, code, message))
@@ -361,54 +359,22 @@ class _PlainBuilder(_Builder):
             raise _NeedsPositions
         return node
 
-    def category_key(self, node) -> Optional[tuple]:
-        """The four tables of a category sub-document as one hashable value, or None.
-
-        None unless each table, and each row of a table, has the container type
-        that builds: `tuple` of an object is its keys and `tuple` of a string
-        its characters, so either could pass for an array of labels.  A key
-        equal to that of a category which built cleanly then holds the same
-        strings in the same arrays, since only a string equals a string, and
-        builds the same category.
-        """
-        try:
-            objects, morphisms, identity, compose = node["objects"], node["morphisms"], node["identity"], node["compose"]
-        except (KeyError, TypeError):  # a table missing, or no object
-            return None
-        if type(objects) is not list or type(identity) is not dict:
-            return None
-        for rows in (morphisms, compose):
-            if type(rows) is not list:
-                return None
-            for row in rows:
-                if type(row) is not list:
-                    return None
-        key = (tuple(objects), tuple(map(tuple, morphisms)), tuple(identity.items()), tuple(map(tuple, compose)))
-        try:
-            hash(key)
-        except TypeError:  # an array or object where a label should be
-            return None
-        return key
-
-    def triples(self, node, what: str, width: int = 3) -> list[tuple]:
-        """The rows as tuples of interned labels; the decoded array is emptied once they are built.
+    def triples(self, node, what: str, width: int = 3) -> tuple[tuple, ...]:
+        """The rows as tuples of interned labels.
 
         A table repeats a few labels in many cells, so interning keeps one
-        string per label, and emptying the array frees the decoded rows table
-        by table.  The text is kept, so a later problem still falls back to the
-        scanner.
+        string per label.  A category's rows come from the decoder already
+        built (`_shared_categories`), as a tuple that may be shared, and are
+        read as they are.  Any other table's decoded array is emptied once its
+        rows are built, which frees the decoded rows table by table; the text
+        is kept, so a later problem still falls back to the scanner.
         """
-        rows = self.array_of(node, what)
-        out = []
-        for row in rows:
-            if not isinstance(row, list) or len(row) != width:
-                raise _NeedsPositions
-            try:
-                out.append(tuple(map(intern, row)))
-            except TypeError:  # a cell that is no string
-                raise _NeedsPositions from None
-        rows.clear()
-        return out
+        rows = node if type(node) is tuple else _interned_rows(node)
+        if rows is None or set(map(len, rows)) - {width}:  # no array of arrays of strings, or a row of another width
+            raise _NeedsPositions
+        if type(node) is list:
+            node.clear()
+        return rows
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -416,6 +382,69 @@ def _unique_keys(pairs: list) -> dict:
     if len(obj) != len(pairs):
         raise _NeedsPositions
     return obj
+
+
+_CATEGORY_KEYS = frozenset(("objects", "morphisms", "identity", "compose"))
+
+
+def _is_table(rows) -> bool:
+    """Whether `rows` is an array of arrays: `tuple` of a string or an object would pass for a row."""
+    if type(rows) is not list:
+        return False
+    for row in rows:
+        if type(row) is not list:
+            return False
+    return True
+
+
+def _interned_rows(rows) -> Optional[tuple]:
+    """An array of arrays of strings as a tuple of tuples of interned strings, or None."""
+    if not _is_table(rows):
+        return None
+    try:
+        return tuple([tuple(map(intern, row)) for row in rows])
+    except TypeError:  # a cell that is no string
+        return None
+
+
+def _shared_categories():
+    """An `object_pairs_hook` for one decoding that returns one object for equal category sub-documents.
+
+    An object whose keys are exactly a category's four tables, each of the
+    container type that builds, is looked up by its four tables, so a later
+    equal copy is replaced by the first and freed as soon as it closes.  The
+    first copy gets its `morphisms` and `compose` rows as tuples of interned
+    labels, and its key holds the same tuples, so a key keeps alive nothing
+    that its object does not hold.  A copy equal to a first copy that builds
+    holds the same strings in the same arrays, since only a string equals a
+    string.
+    Any other object is returned as decoded; the builders raise
+    `_NeedsPositions` where its tables do not build.
+    """
+    seen: dict[tuple, dict] = {}
+
+    def hook(pairs: list) -> dict:
+        obj = _unique_keys(pairs)
+        if len(obj) != 4 or obj.keys() != _CATEGORY_KEYS:
+            return obj
+        objects, morphisms, identity, compose = obj["objects"], obj["morphisms"], obj["identity"], obj["compose"]
+        if type(objects) is not list or type(identity) is not dict or not (_is_table(morphisms) and _is_table(compose)):
+            return obj
+        labels, units = tuple(objects), tuple(identity.items())
+        try:
+            shared = seen.get((labels, tuple(map(tuple, morphisms)), units, tuple(map(tuple, compose))))
+        except TypeError:  # an array or object where a label should be
+            return obj
+        if shared is not None:
+            return shared
+        morphisms, compose = _interned_rows(morphisms), _interned_rows(compose)
+        if morphisms is None or compose is None:  # a cell that is no string
+            return obj
+        obj["morphisms"], obj["compose"] = morphisms, compose
+        seen[labels, morphisms, units, compose] = obj
+        return obj
+
+    return hook
 
 
 def _no_constant(name: str):
@@ -433,7 +462,7 @@ def _read_plain(text: str) -> Optional[ParseResult]:
     if "\\u" in text:
         return None
     try:
-        root = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant, strict=False)
+        root = json.loads(text, object_pairs_hook=_shared_categories(), parse_constant=_no_constant, strict=False)
     except (ValueError, RecursionError, _NeedsPositions):
         return None
     try:
@@ -519,8 +548,7 @@ def _validated(b: _Builder, node: JNode, reported: int, validate, *args):
 
 
 def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
-    memo_key = b.category_key(node)
-    cat = b.categories.get(memo_key)
+    cat = b.categories.get(id(node))
     if cat is not None:
         return cat
     reported = len(b.diags)
@@ -557,8 +585,8 @@ def _build_category(b: _Builder, node: JNode) -> Optional[FinCategory]:
                 b.err(compose_node, "E001", f"compose entry references undeclared morphism {ref!r}")
         compose[(g, f)] = h
     cat = _validated(b, node, reported, validate_category, objects, morphisms, identity, compose)
-    if cat is not None and memo_key is not None:
-        b.categories[memo_key] = cat
+    if cat is not None:
+        b.categories[id(node)] = cat
     return cat
 
 
@@ -616,10 +644,11 @@ def _build_functor(b: _Builder, node: JNode) -> Optional[Functor]:
 def _objects_and_hom(b: _Builder, objects_node: JNode, hom_node: JNode) -> tuple[list[str], dict]:
     """The object labels and the hom categories, keyed (x, y), of a catgraph or bicategory."""
     objects = _labels(b, objects_node)
+    declared = set(objects)
     hom = {}
     for parts, key, sub in _split_items(b, hom_node, "hom", 2):
         for label in parts:
-            if label not in objects:
+            if label not in declared:
                 b.key_err(hom_node, key, "E001", f"hom key references undeclared object {label!r}")
         cat = _build_category(b, sub)
         if cat is not None:

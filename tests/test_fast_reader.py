@@ -112,6 +112,16 @@ def test_required_null_field_is_reported():
         assert (first.code, first.message) == ("E003", message)
 
 
+def test_hom_key_naming_an_undeclared_object_is_reported_at_the_key(monkeypatch):
+    point = {"objects": ["u"], "morphisms": [["e", "u", "u"]], "identity": {"u": "e"}, "compose": [["e", "e", "e"]]}
+    text = json.dumps({"kind": "catgraph", "objects": ["a"], "hom": {"a|a": point, "a|z": point}}, indent=1)
+    at = text.index('"a|z"')
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    expected = [f"{line}:{col} E001 hom key references undeclared object 'z'"]
+    assert [str(d) for d in catdsl.parse(text).diagnostics] == expected
+    assert [str(d) for d in _scanner_only(monkeypatch, text).diagnostics] == expected
+
+
 def test_surrogate_pair_escape_stays_two_characters():
     category = catdsl.parse(TARGETED["surrogate-pair"][0]).document.value
     assert "\ud83d\ude00" in category.objects and "\U0001f600" not in category.objects

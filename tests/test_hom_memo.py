@@ -1,14 +1,16 @@
 """Each distinct hom category is built, validated and solved once per call.
 
-`catdsl.parse` keeps, for one document, a map from a category
-sub-document to its validated `FinCategory`.  It is keyed on the decoded
-tables of a well-formed document and looked up before they are read; a
-document that goes through the positional scanner (one with a diagnostic or
-a `\\u` escape) builds every copy on its own.  `bicat.similarity_matrix_cg`
-solves each distinct hom object once.  The slow path is each memo defeated
-here by a monkeypatch: every copy then goes through `validate_category` or
-`euler_char_cat` on its own, as before the memo, and must give the same
-diagnostics, equal values and the same ζ.
+`catdsl.parse` shares equal category sub-documents while decoding: the
+`object_pairs_hook` of `catdsl._shared_categories` returns one object for
+equal copies of a well-formed category's four tables, and the builders keep a
+map from a category node to its validated `FinCategory`, so that one object
+is read and validated once.  A document that goes through the positional
+scanner (one with a diagnostic or a `\\u` escape) has unshared nodes and
+builds every copy on its own.  `bicat.similarity_matrix_cg` solves each
+distinct hom object once.  The slow path is each memo defeated here by a
+monkeypatch: every copy is then decoded, read and validated on its own, and
+goes through `euler_char_cat` on its own, as before the memos, and must give
+the same diagnostics, equal values and the same ζ.
 """
 
 import json
@@ -40,8 +42,10 @@ def _without_memo(builder: type) -> type:
 
 
 def _slow_parse(monkeypatch, text):
-    # Both builders: well-formed documents go through the plain one, the rest through the positional one.
+    # The decoder shares no copy, and neither builder keeps a category: well-formed documents go
+    # through the plain one, the rest through the positional one.
     with monkeypatch.context() as m:
+        m.setattr(catdsl, "_shared_categories", lambda: catdsl._unique_keys)
         m.setattr(catdsl, "_Builder", _without_memo(catdsl._Builder))
         m.setattr(catdsl, "_PlainBuilder", _without_memo(catdsl._PlainBuilder))
         return catdsl.parse(text)
@@ -82,11 +86,46 @@ SHARED = _catgraph(
 )
 
 
+def _decoded_homs(text: str) -> dict:
+    return json.loads(text, object_pairs_hook=catdsl._shared_categories())["hom"]
+
+
 def test_identical_hom_documents_share_one_category():
     graph = catdsl.parse(SHARED).document.value
     assert graph.hom_at("a", "b") is graph.hom_at("b", "a")
     assert graph.hom_at("a", "a") is graph.hom_at("b", "b") is graph.hom_at("c", "c")
     assert graph.hom_at("a", "a") is not graph.hom_at("a", "b")
+
+
+def test_decoder_returns_one_object_for_equal_hom_documents():
+    hom = _decoded_homs(SHARED)
+    assert hom["a|b"] is hom["b|a"]
+    assert hom["a|a"] is hom["b|b"] is hom["c|c"]
+    assert hom["a|a"] is not hom["a|b"]
+
+
+_POINT = {"objects": ["u"], "morphisms": [["e", "u", "u"]], "identity": {"u": "e"}, "compose": [["e", "e", "e"]]}
+
+# A valid hom, then a copy that differs only where a label array is a string of the same characters,
+# or that has a fifth key: neither copy is shared.
+UNSHARED = {
+    "objects-string": _catgraph({"a|a": _POINT, "b|b": {**_POINT, "objects": "u"}}),
+    "row-string": _catgraph({"a|a": _POINT, "b|b": {**_POINT, "morphisms": ["euu"]}}),
+    "fifth-key": _catgraph({"a|a": _POINT, "b|b": {**_POINT, "note": "x"}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSHARED))
+def test_copies_that_differ_in_type_or_keys_are_not_shared(monkeypatch, name):
+    hom = _decoded_homs(UNSHARED[name])
+    assert hom["a|a"] is not hom["b|b"]
+    assert _agrees(monkeypatch, UNSHARED[name])
+    result = catdsl.parse(UNSHARED[name])
+    if name == "fifth-key":
+        graph = result.document.value
+        assert graph.hom_at("a", "a") == graph.hom_at("b", "b")
+    else:
+        assert result.document is None and result.diagnostics[0].code == "E003"
 
 
 def _monoid(square: str) -> dict:
