@@ -6,15 +6,18 @@ properties (Buckley, JPAA 218, 2014, §3).  So only a strict lax functor
 the pasting equations and unique 2-cell lifts are checked frame by frame.
 The Grothendieck construction is built in counting mode: the objects,
 1-cells and 2-cell counts fully determine every Euler characteristic here.
-Each public entry point that sweeps its lax functor decides each fact once,
-in one private per-call analysis (`_Sweep`).
+Each public entry point that sweeps its lax functor decides each fact once
+per call: it builds each fiber and classifies each hom functor once into a
+dict of its own, and keeps cartesian verdicts in a cache local to the call.
+The isomorphisms of a hom category come from that category's own index
+(`FinCategory.isos`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
     from typing import Callable, Mapping, Union
@@ -42,7 +45,7 @@ from .fib1 import (
     classify_fibration,
     is_cartesian_morphism,
 )
-from .fincat import FinCategory, InvalidInput, subcategory, validate_functor
+from .fincat import InvalidInput, subcategory, validate_functor
 
 
 class IllTypedComponent(InvalidInput):
@@ -213,35 +216,6 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
     )
 
 
-class _Sweep:
-    """What one call decides about the lax functor p, each fact on first use.
-
-    Public entry points make one and pass it to the private helpers: the
-    fiber over each base object, one `classify_fibration` report per hom
-    functor, the sorted iso list of each (hom, u, v) and the cartesian
-    verdicts of p's hom functors are found once per call.  Each cache holds
-    p, never the sweep: with the cyclic collector off, as `cli.run` leaves
-    it, a sweep in a reference cycle would keep its fibers until exit.
-    """
-
-    __slots__ = ("p", "fiber", "local", "cartesian", "_isos")
-
-    def __init__(self, p: LaxFunctorBicat):
-        self.p = p
-        self.fiber = cache(partial(fiber_bicategory, p))
-        self.local = cache(lambda x, y: classify_fibration(p.hom_functors[(x, y)]))
-        self.cartesian = cache(lambda x, y, m: is_cartesian_morphism(p.hom_functors[(x, y)], m))
-        self._isos: dict[tuple[int, str, str], list[str]] = {}
-
-    def isos(self, hom: FinCategory, u: str, v: str) -> list[str]:
-        """The invertible morphisms u -> v of hom, sorted; hom is one of p's hom categories, kept alive by p."""
-        key = (id(hom), u, v)
-        found = self._isos.get(key)
-        if found is None:
-            found = self._isos[key] = sorted(m for m in hom.hom(u, v) if hom.inverse_of(m) is not None)
-        return found
-
-
 def strict_witness(p: LaxFunctorBicat) -> dict[str, tuple]:
     """{} for a strict homomorphism, else {"not_strict": (table, *key)} at the first failure.
 
@@ -282,27 +256,24 @@ def strict_witness(p: LaxFunctorBicat) -> dict[str, tuple]:
     return {}
 
 
-def _lift_candidates(s: _Sweep, x, y, z, f, g, h, alpha):
-    """All (h̃, α̃, β̃) with iso α̃: f∘h̃ => g and iso β̃: P h̃ => h that satisfy the pasting equation."""
-    p = s.p
+def _first_lift(p: LaxFunctorBicat, x, y, z, f, g, h, alpha):
+    """The first (h̃, α̃, β̃) with iso α̃: f∘h̃ => g and iso β̃: P h̃ => h that satisfies the pasting equation, or None."""
     e, b = p.source, p.target
     px, py, pz = p.ob(x), p.ob(y), p.ob(z)
     pf = p.cell1(x, y, f)
-    out = []
     for h_tilde in e.onecells(z, x):
         fh = e.c1(z, x, y, f, h_tilde)
         ph_tilde = p.cell1(z, x, h_tilde)
-        for a_tilde in s.isos(e.hom_at(z, y), fh, g):
-            for b_tilde in s.isos(b.hom_at(pz, px), ph_tilde, h):
+        for a_tilde in e.hom_at(z, y).isos(fh, g):
+            for b_tilde in b.hom_at(pz, px).isos(ph_tilde, h):
                 whisker = b.h2(pz, px, py, b.hom_at(px, py).identity[pf], b_tilde)
                 if b.hom_at(pz, py).compose2(alpha, whisker) == p.cell2(z, y, a_tilde):
-                    out.append((h_tilde, a_tilde, b_tilde))
-    return out
+                    return h_tilde, a_tilde, b_tilde
+    return None
 
 
-def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str):
-    """None when the 1-cell f: x -> y of the strict lax functor s.p is cartesian, else the failing frame."""
-    p = s.p
+def _check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str):
+    """None when the 1-cell f: x -> y of the strict lax functor p is cartesian, else the failing frame."""
     e, b = p.source, p.target
     px, py = p.ob(x), p.ob(y)
     pf = p.cell1(x, y, f)
@@ -313,11 +284,11 @@ def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str):
             pg = p.cell1(z, y, g)
             for h in b.onecells(pz, px):
                 comp = b.c1(pz, px, py, pf, h)
-                for alpha in s.isos(b.hom_at(pz, py), comp, pg):
-                    lifts = _lift_candidates(s, x, y, z, f, g, h, alpha)
-                    if not lifts:
+                for alpha in b.hom_at(pz, py).isos(comp, pg):
+                    lift = _first_lift(p, x, y, z, f, g, h, alpha)
+                    if lift is None:
                         return ("no_lift", z, g, h, alpha)
-                    chosen[(z, g, h, alpha)] = lifts[0]
+                    chosen[(z, g, h, alpha)] = lift
     id_f = e.hom_at(x, y).identity[f]
     id_pf = b.hom_at(px, py).identity[pf]
     for z in e.objects:
@@ -332,14 +303,13 @@ def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str):
             g, g2 = sigma.src, sigma.dst
             for h in b.onecells(pz, px):
                 for h2 in b.onecells(pz, px):
-                    for alpha in s.isos(hom_b_zy, b.c1(pz, px, py, pf, h), p.cell1(z, y, g)):
-                        for alpha2 in s.isos(hom_b_zy, b.c1(pz, px, py, pf, h2), p.cell1(z, y, g2)):
+                    for alpha in hom_b_zy.isos(b.c1(pz, px, py, pf, h), p.cell1(z, y, g)):
+                        rhs = hom_b_zy.compose2(p.cell2(z, y, sigma.name), alpha)
+                        for alpha2 in hom_b_zy.isos(b.c1(pz, px, py, pf, h2), p.cell1(z, y, g2)):
                             h_t, a_t, b_t = chosen[(z, g, h, alpha)]
                             frame = (h_t, *chosen[(z, g2, h2, alpha2)])
                             for delta in hom_b_zx.hom(h, h2):
-                                lhs = hom_b_zy.compose2(alpha2, b.h2(pz, px, py, id_pf, delta))
-                                rhs = hom_b_zy.compose2(p.cell2(z, y, sigma.name), alpha)
-                                if lhs != rhs:
+                                if hom_b_zy.compose2(alpha2, b.h2(pz, px, py, id_pf, delta)) != rhs:
                                     continue
                                 counts = lift_counts.get(frame)
                                 if counts is None:
@@ -359,7 +329,7 @@ def _check_cartesian_1cell(s: _Sweep, x: str, y: str, f: str):
 
 def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
     """Buckley cartesianness of the 1-cell f: x -> y, decided by finite search; False unless p is strict."""
-    return not strict_witness(p) and _check_cartesian_1cell(_Sweep(p), x, y, f) is None
+    return not strict_witness(p) and _check_cartesian_1cell(p, x, y, f) is None
 
 
 class BiFibrationReport(Record):
@@ -372,9 +342,8 @@ class BiFibrationReport(Record):
 
 
 def _pseudo_flags(
-    s: _Sweep, locally_fibered: Callable[[str, str], bool], not_strict: dict[str, tuple]
+    p: LaxFunctorBicat, locally_fibered: Callable[[str, str], bool], not_strict: dict[str, tuple]
 ) -> tuple[bool, bool, bool, dict]:
-    p = s.p
     e, b = p.source, p.target
     witnesses: dict[str, tuple] = {}
     local = True
@@ -402,7 +371,7 @@ def _pseudo_flags(
     for x in e.objects:
         for y in e.objects:
             for f in e.onecells(x, y):
-                res = _check_cartesian_1cell(s, x, y, f)
+                res = _check_cartesian_1cell(p, x, y, f)
                 if res is not None:
                     witnesses["non_cartesian_1cell"] = ((x, y, f), res)
                     return local, one, False, witnesses
@@ -410,15 +379,16 @@ def _pseudo_flags(
 
 
 def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
-    s = _Sweep(p)
     not_strict = strict_witness(p)
-    local, one, cart, witnesses = _pseudo_flags(s, lambda x, y: s.local(x, y).fibered_in_groupoids, not_strict)
+    objects = p.source.objects
+    homs = {(x, y): classify_fibration(p.hom_functors[(x, y)]) for x in objects for y in objects}
+    local, one, cart, witnesses = _pseudo_flags(p, lambda x, y: homs[(x, y)].fibered_in_groupoids, not_strict)
     # coop_lax_functor(p) reverses 1- and 2-cells.  Its hom functor at (x, y) is
     # p's at (y, x) on opposite categories, fibered in groupoids exactly when p's
     # is cofibered in groupoids.  The dual is strict exactly when p is, but
     # coop_lax_functor drops phi and psi, so p's witness speaks for both sides.
     co_local, co_one, co_cart, co_wit = _pseudo_flags(
-        _Sweep(coop_lax_functor(p)), lambda x, y: s.local(y, x).cofibered_in_groupoids, not_strict
+        coop_lax_functor(p), lambda x, y: homs[(y, x)].cofibered_in_groupoids, not_strict
     )
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
     return BiFibrationReport(
@@ -498,16 +468,15 @@ def fiber_pullback(
     p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str
 ) -> tuple[LaxFunctorBicat, dict[str, tuple[str, str]]]:
     """The lax functor f*: fiber(c) -> fiber(b) induced by chosen lifts of f."""
-    return _pullback(_Sweep(p), b_obj, c_obj, f)
+    fibers = {x: fiber_bicategory(p, x) for x in dict.fromkeys((c_obj, b_obj))}
+    return _pullback(p, fibers, b_obj, c_obj, f)
 
 
 def _pullback(
-    s: _Sweep, b_obj: str, c_obj: str, f: str
+    p: LaxFunctorBicat, fibers: Mapping[str, Bicategory], b_obj: str, c_obj: str, f: str
 ) -> tuple[LaxFunctorBicat, dict[str, tuple[str, str]]]:
-    p = s.p
     e, b = p.source, p.target
-    fib_c = s.fiber(c_obj)
-    fib_b = s.fiber(b_obj)
+    fib_c, fib_b = fibers[c_obj], fibers[b_obj]
     id_f = b.hom_at(b_obj, c_obj).identity[f]
     lifts = _onecell_lifts(p, b_obj, c_obj, f)
     object_map = {y: lifts[y][0] for y in fib_c.objects}
@@ -527,7 +496,7 @@ def _pullback(
                     composite_w = e.c1(fe1, fe2, e2, lift2, w)
                     isos = [
                         iso
-                        for iso in s.isos(e.hom_at(fe1, e2), composite_h, composite_w)
+                        for iso in e.hom_at(fe1, e2).isos(composite_h, composite_w)
                         if p.cell2(fe1, e2, iso) == id_f
                     ]
                     if isos:
@@ -561,15 +530,15 @@ def _pullback(
 
 def induced_trihomomorphism(p: LaxFunctorBicat) -> Trihomomorphism:
     """Fiber bicategories, cleavage pullbacks and 2-cell components of a bifibration."""
-    s = _Sweep(p)
     e, b = p.source, p.target
-    fibers = {x: s.fiber(x) for x in b.objects}
+    fibers = {x: fiber_bicategory(p, x) for x in b.objects}
+    cartesian = cache(lambda x, y, m: is_cartesian_morphism(p.hom_functors[(x, y)], m))
     pullback1 = {}
     lift_tables = {}
     for b_obj in b.objects:
         for c_obj in b.objects:
             for f in b.onecells(b_obj, c_obj):
-                lax, lifts = _pullback(s, b_obj, c_obj, f)
+                lax, lifts = _pullback(p, fibers, b_obj, c_obj, f)
                 pullback1[(b_obj, c_obj, f)] = lax
                 lift_tables[(b_obj, c_obj, f)] = lifts
     pullback2 = {}
@@ -588,7 +557,7 @@ def induced_trihomomorphism(p: LaxFunctorBicat) -> Trihomomorphism:
                     sigma_lifts = sorted(
                         m.name
                         for m in e.hom_at(gy, y).morphisms
-                        if m.dst == g_lift and p.cell2(gy, y, m.name) == alpha.name and s.cartesian(gy, y, m.name)
+                        if m.dst == g_lift and p.cell2(gy, y, m.name) == alpha.name and cartesian(gy, y, m.name)
                     )
                     if not sigma_lifts:
                         raise NotBiFibered(f"no cartesian 2-cell lift of {alpha.name} at {g_lift}")
@@ -600,7 +569,7 @@ def induced_trihomomorphism(p: LaxFunctorBicat) -> Trihomomorphism:
                         if p.cell1(gy, fy, u) == id1b
                         and any(
                             p.cell2(gy, y, iso) == id_f
-                            for iso in s.isos(e.hom_at(gy, y), e.c1(gy, fy, y, f_lift, u), w)
+                            for iso in e.hom_at(gy, y).isos(e.c1(gy, fy, y, f_lift, u), w)
                         )
                     )
                     if not candidates:

@@ -5,12 +5,13 @@ composite and identity laws entry by entry, associativity on a generating
 set, with the full triple scan as the fallback that reports violations.
 Every downstream module builds on the similarity matrix
 ζ_A(i,j) = #A(i,j).  Hom-sets are indexed once per category, so
-`hom(x, y)` is a lookup.
+`hom(x, y)` is a lookup, and so are isomorphisms, on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
     from typing import Mapping, Optional, Sequence
@@ -59,6 +60,8 @@ class FinCategory(Record):
 
     Construct through `validate_category` (or a validated constructor like
     `fixtures.discrete_category`); direct construction skips the law checks.
+    Its index holds each hom-set and, built on first use, each isomorphism
+    with its inverse, so `hom`, `isos` and `inverse_of` are lookups.
     """
 
     objects: tuple[str, ...]
@@ -95,19 +98,38 @@ class FinCategory(Record):
         """g∘f for a composable pair (src(g) = dst(f))."""
         return self.compose[(g, f)]
 
+    @cached_property
+    def _isos(self) -> dict[tuple[str, str], dict[str, str]]:
+        """Each isomorphism m: x -> y, in name order under (x, y), mapped to its inverse; (x, y) with none is absent.
+
+        The inverse is the first g in hom(y, x) with g∘m and m∘g identities,
+        found once by exhaustive search.  A cached property writes the
+        instance dict directly, so the record stays unassignable.
+        """
+        identity, compose = self.identity, self.compose
+        isos = {}
+        for (x, y), names in self._homs.items():
+            inverse = {}
+            for m in sorted(names):
+                for g in self.hom(y, x):
+                    if compose[(g, m)] == identity[x] and compose[(m, g)] == identity[y]:
+                        inverse[m] = g
+                        break
+            if inverse:
+                isos[(x, y)] = inverse
+        return isos
+
     def inverse_of(self, name: str) -> Optional[str]:
-        """Two-sided inverse found by exhaustive search, or None."""
+        """The two-sided inverse of the morphism named name, or None."""
         m = self._by_name[name]
-        for cand in self.hom(m.dst, m.src):
-            if (
-                self.compose2(cand, name) == self.identity[m.src]
-                and self.compose2(name, cand) == self.identity[m.dst]
-            ):
-                return cand
-        return None
+        return self._isos.get((m.src, m.dst), {}).get(name)
+
+    def isos(self, x: str, y: str) -> tuple[str, ...]:
+        """The isomorphisms x -> y, in name order."""
+        return tuple(self._isos.get((x, y), ()))
 
     def objects_isomorphic(self, x: str, y: str) -> bool:
-        return any(self.inverse_of(f) is not None for f in self.hom(x, y))
+        return (x, y) in self._isos
 
     def opposite(self) -> "FinCategory":
         return FinCategory(

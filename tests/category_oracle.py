@@ -1,11 +1,13 @@
 """Reference scans for cross-checking the indexed category layer.
 
-These are the loops the library used before it indexed hom-sets and
-in-arrows and before it counted cartesian lifts in one pass: `hom` scans
-every morphism, `validate_category` tries every pair and triple of
-morphisms, so its triple scan is the oracle of the library's associativity
-check on a generating set (Light's test), and `is_cartesian_morphism`
-lists the lifts of every (g, h) separately, also for an isomorphism.  They
+These are the loops the library used before it indexed hom-sets,
+in-arrows and isomorphisms and before it counted cartesian lifts in one
+pass: `hom` scans every morphism, `inverse_of` scans every morphism for a
+two-sided inverse, `isos` sorts the morphisms that have one,
+`validate_category` tries every pair and triple of morphisms, so its
+triple scan is the oracle of the library's associativity check on a
+generating set (Light's test), and `is_cartesian_morphism` lists the
+lifts of every (g, h) separately, also for an isomorphism.  They
 stay here, test-only, as the slow paths the indexed code must agree with.
 `nerve_euler` is an independent oracle of chi on acyclic categories: the
 alternating sum of the nerve's nondegenerate chain counts.
@@ -20,6 +22,28 @@ from bicat_euler.fincat import FinCategory, Functor, InvalidCategory, Morphism, 
 
 def hom(cat: FinCategory, x: str, y: str) -> tuple[str, ...]:
     return tuple(m.name for m in cat.morphisms if m.src == x and m.dst == y)
+
+
+def inverse_of(cat: FinCategory, name: str):
+    """The first morphism, in morphism order, that is a two-sided inverse of name, or None."""
+    m = cat.morphism(name)
+    for g in cat.morphisms:
+        if (
+            g.src == m.dst
+            and g.dst == m.src
+            and cat.compose[(g.name, name)] == cat.identity[m.src]
+            and cat.compose[(name, g.name)] == cat.identity[m.dst]
+        ):
+            return g.name
+    return None
+
+
+def isos(cat: FinCategory, x: str, y: str) -> tuple[str, ...]:
+    return tuple(sorted(name for name in hom(cat, x, y) if inverse_of(cat, name) is not None))
+
+
+def objects_isomorphic(cat: FinCategory, x: str, y: str) -> bool:
+    return bool(isos(cat, x, y))
 
 
 def validate_category(

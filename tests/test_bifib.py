@@ -291,6 +291,24 @@ def test_trihom_illtyped_component():
         validate_trihomomorphism(Trihomomorphism(t.base, t.fiber, t.pullback1, broken))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"fiber": {}}, "missing fiber over *"),
+        ({"pullback1": {}}, "missing pullback lax functor along I: * -> *"),
+        ({"pullback1": {("*", "*", "I"): fx.collapse_to_point(catalog.PSG)}}, "pullback along I has wrong target"),
+        ({"pullback2": {}}, "missing components for base 2-cell idI"),
+    ],
+    ids=["fiber", "pullback1", "pullback1-target", "pullback2"],
+)
+def test_trihom_missing_or_mistyped_data(fields, message):
+    t = fx.constant_trihomomorphism(catalog.BPT, catalog.PSG)
+    parts = {"base": t.base, "fiber": t.fiber, "pullback1": t.pullback1, "pullback2": t.pullback2}
+    with pytest.raises(IllTypedComponent) as exc:
+        validate_trihomomorphism(Trihomomorphism(**{**parts, **fields}))
+    assert str(exc.value) == message
+
+
 def test_trihom_pullback_with_wrong_source():
     # The parser builds each pullback on its fiber, so no document reaches this check.
     t = fx.constant_trihomomorphism(catalog.ARROW_BICAT, catalog.PSG)

@@ -1,12 +1,13 @@
 """The bifibration sweep decides each fact once per call and agrees with its slow path.
 
-`bifib` shares one analysis per call of a lax functor: fibers, local
-classifications, iso lists and cartesian verdicts.  `bifib_oracle` keeps the
-sweep as it was before, recomputing all of them on each use, and restates
-the one strictness rule that decides whether a lax functor is swept at all.
-Both must give equal values and reports, witnesses included, and raise the
-same error with the same message.  Identity coherence data (`phi`, `psi`)
-counts as absent, so it changes no verdict.
+Each `bifib` entry point builds each fiber, classifies each hom functor and
+tests each cartesian 2-cell once per call, and reads iso lists from each
+hom category's index.  `bifib_oracle` keeps the sweep as it was before,
+recomputing all of them on each use, and restates the one strictness rule
+that decides whether a lax functor is swept at all.  Both must give equal
+values and reports, witnesses included, and raise the same error with the
+same message.  Identity coherence data (`phi`, `psi`) counts as absent, so
+it changes no verdict.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from bicat_euler import bifib, catdsl, cli, fib1
 from bicat_euler import fixtures as fx
 from bicat_euler.bicat import (
     LaxFunctorBicat,
+    coop_lax_functor,
     identity_lax_functor,
     validate_bicategory,
     validate_lax_functor,
@@ -99,9 +101,9 @@ def test_phi_identity_collapse_runs_the_full_check_on_both_sides(monkeypatch):
             super().__init__(*args)
             checks[-1][1] += 1
 
-    def recording(s, x, y, f):
-        checks.append([s.p is p, 0])
-        return check(s, x, y, f)
+    def recording(q, x, y, f):
+        checks.append([q is p, 0])
+        return check(q, x, y, f)
 
     monkeypatch.setattr(bifib, "Counter", LiftCounts)
     monkeypatch.setattr(bifib, "_check_cartesian_1cell", recording)
@@ -120,9 +122,9 @@ def test_cartesian_sweep_stops_at_the_first_non_cartesian_1cell(monkeypatch):
     cells = []
     check = bifib._check_cartesian_1cell
 
-    def recording(s, x, y, f):
+    def recording(q, x, y, f):
         cells.append((x, y, f))
-        return check(s, x, y, f)
+        return check(q, x, y, f)
 
     monkeypatch.setattr(bifib, "_check_cartesian_1cell", recording)
     rep = bifib.classify_bifibration(p)
@@ -131,6 +133,37 @@ def test_cartesian_sweep_stops_at_the_first_non_cartesian_1cell(monkeypatch):
     assert rep.witnesses["co_non_cartesian_1cell"][0] == ("1", "0", "a")
     # p's 1-cells, then coop's, each up to its first failure: id1 (after a on both sides) is never tested.
     assert cells == [("0", "0", "id0"), ("0", "1", "a"), ("0", "0", "id0"), ("1", "0", "a")]
+
+
+def _lift_frames(p: LaxFunctorBicat):
+    """Each (x, y, z, f, g, h, α) for which the cartesian check of f: x -> y searches a lift."""
+    e, b = p.source, p.target
+    for x in e.objects:
+        for y in e.objects:
+            for f in e.onecells(x, y):
+                px, py, pf = p.ob(x), p.ob(y), p.cell1(x, y, f)
+                for z in e.objects:
+                    pz = p.ob(z)
+                    for g in e.onecells(z, y):
+                        for h in b.onecells(pz, px):
+                            for alpha in b.hom_at(pz, py).isos(b.c1(pz, px, py, pf, h), p.cell1(z, y, g)):
+                                yield x, y, z, f, g, h, alpha
+
+
+@pytest.mark.parametrize(
+    "p",
+    [catalog.PSG_COLLAPSE, catalog.GR_PSG_OVER_ARROW, gen_fib_pseudogroupoids_laxfunctor(2, 2)],
+    ids=["psg-collapse", "gr-psg-over-arrow", "fib-seed-2"],
+)
+def test_first_lift_is_the_first_the_full_search_lists(p):
+    # Which lift is chosen decides no verdict on these inputs, so only this test pins the search order.
+    several = 0
+    for q in (p, coop_lax_functor(p)):
+        for frame in _lift_frames(q):
+            lifts = oracle._lift_candidates(q, *frame)
+            assert bifib._first_lift(q, *frame) == (lifts[0] if lifts else None)
+            several += len(lifts) > 1
+    assert several
 
 
 # ---------------------------------------------------------------- 2-cell lift counts
@@ -258,19 +291,22 @@ def _run(argv):
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Record each sweep, fiber build, local classification and cartesian test the CLI makes.
+    """Record the document the CLI parses and each fiber build, local classification and cartesian test it makes.
 
-    The cartesian tests of the sweep and of the local classifications are recorded apart.
+    The cartesian tests of 1-cells, of the sweep's 2-cells and of the local classifications are recorded apart.
     """
-    calls = {"sweep": [], "fiber": [], "classify": [], "cartesian": [], "local_cartesian": []}
+    calls = {"document": [], "onecell": [], "fiber": [], "classify": [], "cartesian": [], "local_cartesian": []}
+    parse, check = cli.parse, bifib._check_cartesian_1cell
     build, classify, cartesian = bifib.fiber_bicategory, bifib.classify_fibration, fib1.is_cartesian_morphism
 
-    class CountedSweep(bifib._Sweep):
-        __slots__ = ()
+    def counted_parse(text):
+        result = parse(text)
+        calls["document"].append(result.document.value)
+        return result
 
-        def __init__(self, p):
-            super().__init__(p)
-            calls["sweep"].append(p)
+    def counted_check(q, x, y, f):
+        calls["onecell"].append((id(q), x, y, f))
+        return check(q, x, y, f)
 
     def counted_build(p, b_obj):
         calls["fiber"].append((id(p), b_obj))
@@ -287,7 +323,8 @@ def counters(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(bifib, "_Sweep", CountedSweep)
+    monkeypatch.setattr(cli, "parse", counted_parse)
+    monkeypatch.setattr(bifib, "_check_cartesian_1cell", counted_check)
     monkeypatch.setattr(bifib, "fiber_bicategory", counted_build)
     monkeypatch.setattr(bifib, "classify_fibration", counted_classify)
     monkeypatch.setattr(bifib, "is_cartesian_morphism", counted_cartesian("cartesian"))
@@ -309,21 +346,34 @@ def counters(monkeypatch):
 def test_each_fact_is_decided_once_per_command(counters, argv):
     argv = [str(FIXTURE_DIR / a) if a.endswith(".catj") else a for a in argv]
     assert _run([*argv, "--json"]) == 0
-    p = counters["sweep"][0]  # the command's lax functor; later sweeps are of its coop or of one fiber build
+    (p,) = counters["document"]
     assert len(counters["fiber"]) == len(set(counters["fiber"]))
     assert {lax for lax, _ in counters["fiber"]} <= {id(p)}
     if argv[1] == "gr-bicat":
         assert counters["classify"] == []
     else:
         assert sorted(counters["classify"]) == sorted(map(id, p.hom_functors.values()))
-    # The sweep and the local classifications each keep their own cartesian verdicts.
-    for key in ("cartesian", "local_cartesian"):
+    # Every 1-cell of p, then every 1-cell of its coop, is tested once (each is cartesian here);
+    # the sweep and the local classifications each keep their own cartesian verdicts.
+    e = p.source
+    n = 0 if argv[1] == "gr-bicat" else sum(len(e.onecells(x, y)) for x in e.objects for y in e.objects)
+    assert [lax == id(p) for lax, *_ in counters["onecell"]] == [True] * n + [False] * n
+    for key in ("onecell", "cartesian", "local_cartesian"):
         assert len(counters[key]) == len(set(counters[key]))
 
 
 def test_product_bicat_on_psg_collapse_builds_one_fiber_and_classifies_four_homs(counters):
     assert _run(["verify", "product-bicat", str(FIXTURE_DIR / "psg-collapse.catj"), "--json"]) == 0
-    p = counters["sweep"][0]
+    (p,) = counters["document"]
     assert counters["fiber"] == [(id(p), "*")]
     assert len(counters["classify"]) == 4
     assert sorted(counters["classify"]) == sorted(map(id, p.hom_functors.values()))
+
+
+def test_fiber_pullback_builds_each_fiber_once(counters):
+    p = catalog.GR_PSG_OVER_ARROW
+    bifib.fiber_pullback(p, "0", "0", p.target.id1("0"))
+    assert counters["fiber"] == [(id(p), "0")]
+    counters["fiber"].clear()
+    bifib.fiber_pullback(p, "0", "1", "a")
+    assert counters["fiber"] == [(id(p), "1"), (id(p), "0")]

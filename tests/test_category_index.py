@@ -1,13 +1,15 @@
 """The indexed category layer against the scans it replaced.
 
 `FinCategory.hom` must return what a scan of every morphism returns, in the
-same order.  `validate_category` must accept what the exhaustive law loops
-accept, and report the same violations in the same order on seeded mutants
-of composition tables; its full triple scan runs only when the generator
-check fails or an identity law does.  `is_cartesian_morphism` and
-`classify_fibration` must agree with the lift-by-lift search on seeded
-functors that include non-cartesian morphisms and groupoid projections,
-whose isomorphisms skip the count.
+same order, and `inverse_of`, `isos` and `objects_isomorphic` what an
+exhaustive inverse search gives, `isos` in name order.  `validate_category`
+must accept what the exhaustive law loops accept, and report the same
+violations in the same order on seeded mutants of composition tables; its
+full triple scan runs only when the generator check fails or an identity
+law does.  `is_cartesian_morphism` and `classify_fibration` must agree
+with the lift-by-lift search on seeded functors that include
+non-cartesian morphisms and groupoid projections, whose isomorphisms skip
+the count.
 """
 
 import random
@@ -17,9 +19,10 @@ import pytest
 import builders
 import catalog
 import category_oracle as oracle
-from bicat_euler import fib1, fincat
+from bicat_euler import catdsl, fib1, fincat
 from bicat_euler import fixtures as fx
 from bicat_euler import generators as gen
+from bicat_euler.exactq import Record
 from bicat_euler.fib1 import classify_fibration, is_cartesian_morphism, reverse_functor
 from bicat_euler.fincat import (
     FinCategory,
@@ -28,6 +31,7 @@ from bicat_euler.fincat import (
     validate_functor,
 )
 from builders import pair_label, product_cat
+from conftest import FIXTURE_DIR
 
 
 
@@ -110,6 +114,60 @@ def test_hom_matches_scan():
             for y in cat.objects:
                 assert cat.hom(x, y) == oracle.hom(cat, x, y)
         assert cat.hom("no such object", cat.objects[0] if cat.objects else "") == ()
+
+
+def _categories_in(value, found: dict) -> dict:
+    """Every FinCategory reachable from value through record fields, dicts, tuples and lists, by id."""
+    if isinstance(value, FinCategory):
+        found[id(value)] = value
+    elif isinstance(value, Record):
+        for name in value._fields:
+            _categories_in(getattr(value, name), found)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _categories_in(item, found)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _categories_in(item, found)
+    return found
+
+
+def _iso_index_categories() -> list[FinCategory]:
+    """Every catalog and fixture category, hom categories included, their opposites, and three more.
+
+    The last is built directly with its morphisms in reverse name order, so hom order is not name order.
+    """
+    found: dict = {}
+    for value in vars(catalog).values():
+        _categories_in(value, found)
+    for path in sorted(FIXTURE_DIR.glob("*.catj")):
+        _categories_in(catdsl.parse(path.read_text(encoding="utf-8")).document.value, found)
+    cats = list(found.values())
+    reversed_names = product_cat(catalog.BZ2, E2)
+    reversed_names = FinCategory(
+        reversed_names.objects,
+        tuple(reversed(reversed_names.morphisms)),
+        reversed_names.identity,
+        reversed_names.compose,
+    )
+    return cats + [c.opposite() for c in cats] + [fincat.EMPTY_CATEGORY, fincat.PT, reversed_names]
+
+
+def test_iso_index_matches_exhaustive_search():
+    cats = _iso_index_categories()
+    for cat in cats:
+        for m in cat.morphisms:
+            assert cat.inverse_of(m.name) == oracle.inverse_of(cat, m.name)
+        for x in cat.objects:
+            for y in cat.objects:
+                assert cat.isos(x, y) == oracle.isos(cat, x, y)
+                assert cat.objects_isomorphic(x, y) == oracle.objects_isomorphic(cat, x, y)
+    scrambled = cats[-1]
+    assert any(
+        scrambled.isos(x, y) == tuple(reversed(scrambled.hom(x, y))) != scrambled.hom(x, y)
+        for x in scrambled.objects
+        for y in scrambled.objects
+    )
 
 
 def _mutant(rng: random.Random, cat: FinCategory):
