@@ -2,8 +2,9 @@
 
 A fibration of bicategories is a strict homomorphism with lifting
 properties (Buckley, JPAA 218, 2014, §3).  So only a strict lax functor
-(`strict_witness` empty) has cartesian 1-cells, and for it lift existence,
-the pasting equations and unique 2-cell lifts are checked frame by frame.
+(`strict_witness` empty) has cartesian 1-cells.  For it, a 1-cell f is
+cartesian when lifts through f exist and, for each pair of 1-cells into
+its source, δ̃ ↦ (id_f ∗ δ̃, Pδ̃) is a bijection of hom-sets.
 The Grothendieck construction is built in counting mode: the objects,
 1-cells and 2-cell counts fully determine every Euler characteristic here.
 Each public entry point that sweeps its lax functor decides each fact once
@@ -273,62 +274,52 @@ def _first_lift(p: LaxFunctorBicat, x, y, z, f, g, h, alpha):
 
 
 def _check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str):
-    """None when the 1-cell f: x -> y of the strict lax functor p is cartesian, else the failing frame."""
+    """None when the 1-cell f: x -> y of the strict lax functor p is cartesian, else the first failure.
+
+    Cartesian (Buckley, §3) means, for every object z: each (g: z -> y,
+    h: Pz -> Px, iso α: Pf∘h => Pg) has a lift `_first_lift` finds, and for
+    each pair h̃₁, h̃₂: z -> x the map δ̃ ↦ (id_f ∗ δ̃, Pδ̃) is a bijection from
+    E(z,x)(h̃₁, h̃₂) onto the pairs (σ: f∘h̃₁ => f∘h̃₂, δ: Ph̃₁ => Ph̃₂) with
+    Pσ = id_Pf ∗ δ.  The failures, in the order they are sought:
+    ("no_lift", z, g, h, α); ("not_faithful", z, h̃₁, h̃₂, δ̃₁, δ̃₂) when two
+    2-cells have one image; ("not_full", z, h̃₁, h̃₂, δ, expected, found) when
+    `expected` 2-cells σ lie over id_Pf ∗ δ but `found` 2-cells δ̃ lie over δ.
+    """
     e, b = p.source, p.target
     px, py = p.ob(x), p.ob(y)
     pf = p.cell1(x, y, f)
-    chosen: dict[tuple[str, str, str, str], tuple[str, str, str]] = {}
     for z in e.objects:
         pz = p.ob(z)
         for g in e.onecells(z, y):
             pg = p.cell1(z, y, g)
             for h in b.onecells(pz, px):
-                comp = b.c1(pz, px, py, pf, h)
-                for alpha in b.hom_at(pz, py).isos(comp, pg):
-                    lift = _first_lift(p, x, y, z, f, g, h, alpha)
-                    if lift is None:
+                for alpha in b.hom_at(pz, py).isos(b.c1(pz, px, py, pf, h), pg):
+                    if _first_lift(p, x, y, z, f, g, h, alpha) is None:
                         return ("no_lift", z, g, h, alpha)
-                    chosen[(z, g, h, alpha)] = lift
     id_f = e.hom_at(x, y).identity[f]
     id_pf = b.hom_at(px, py).identity[pf]
     for z in e.objects:
         pz = p.ob(z)
-        hom_e = e.hom_at(z, y)
-        hom_e_zx = e.hom_at(z, x)
-        hom_b_zx = b.hom_at(pz, px)
-        hom_b_zy = b.hom_at(pz, py)
-        # (h̃, h̃₂, α̃₂, β̃₂) -> how many δ̃: h̃ => h̃₂ give each pair (α̃₂∘(id_f∗δ̃), β̃₂∘Pδ̃)
-        lift_counts: dict[tuple[str, str, str, str], Counter] = {}
-        for sigma in hom_e.morphisms:
-            g, g2 = sigma.src, sigma.dst
-            for h in b.onecells(pz, px):
-                for h2 in b.onecells(pz, px):
-                    for alpha in hom_b_zy.isos(b.c1(pz, px, py, pf, h), p.cell1(z, y, g)):
-                        rhs = hom_b_zy.compose2(p.cell2(z, y, sigma.name), alpha)
-                        for alpha2 in hom_b_zy.isos(b.c1(pz, px, py, pf, h2), p.cell1(z, y, g2)):
-                            h_t, a_t, b_t = chosen[(z, g, h, alpha)]
-                            frame = (h_t, *chosen[(z, g2, h2, alpha2)])
-                            for delta in hom_b_zx.hom(h, h2):
-                                if hom_b_zy.compose2(alpha2, b.h2(pz, px, py, id_pf, delta)) != rhs:
-                                    continue
-                                counts = lift_counts.get(frame)
-                                if counts is None:
-                                    _, h_t2, a_t2, b_t2 = frame
-                                    counts = lift_counts[frame] = Counter(
-                                        (
-                                            hom_e.compose2(a_t2, e.h2(z, x, y, id_f, delta_t)),
-                                            hom_b_zx.compose2(b_t2, p.cell2(z, x, delta_t)),
-                                        )
-                                        for delta_t in hom_e_zx.hom(h_t, h_t2)
-                                    )
-                                n = counts[(hom_e.compose2(sigma.name, a_t), hom_b_zx.compose2(delta, b_t))]
-                                if n != 1:
-                                    return ("bad_2cell_lift", z, sigma.name, h, h2, delta, n)
+        hom_zx, hom_zy, hom_b = e.hom_at(z, x), e.hom_at(z, y), b.hom_at(pz, px)
+        for h1 in hom_zx.objects:
+            for h2 in hom_zx.objects:
+                images: dict[tuple[str, str], str] = {}  # (id_f ∗ δ̃, Pδ̃) -> δ̃
+                for delta_t in hom_zx.hom(h1, h2):
+                    image = (e.h2(z, x, y, id_f, delta_t), p.cell2(z, x, delta_t))
+                    if image in images:
+                        return ("not_faithful", z, h1, h2, images[image], delta_t)
+                    images[image] = delta_t
+                found = Counter(delta for _, delta in images)
+                over = Counter(p.cell2(z, y, s) for s in hom_zy.hom(e.c1(z, x, y, f, h1), e.c1(z, x, y, f, h2)))
+                for delta in hom_b.hom(p.cell1(z, x, h1), p.cell1(z, x, h2)):
+                    expected = over[b.h2(pz, px, py, id_pf, delta)]
+                    if found[delta] != expected:
+                        return ("not_full", z, h1, h2, delta, expected, found[delta])
     return None
 
 
 def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
-    """Buckley cartesianness of the 1-cell f: x -> y, decided by finite search; False unless p is strict."""
+    """Buckley cartesianness of the 1-cell f: x -> y (`_check_cartesian_1cell`); False unless p is strict."""
     return not strict_witness(p) and _check_cartesian_1cell(p, x, y, f) is None
 
 
@@ -447,7 +438,7 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
 
 
 def _onecell_lifts(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str) -> dict[str, tuple[str, str]]:
-    """Chosen lift (source object, 1-cell) of f ending at each object over c: the least such pair."""
+    """The lift (source object, 1-cell) of f ending at each object over c: the least such pair."""
     e = p.source
     lifts = {}
     for y in sorted(x for x in e.objects if p.ob(x) == c_obj):
@@ -467,7 +458,7 @@ def _onecell_lifts(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str) -> dict[s
 def fiber_pullback(
     p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str
 ) -> tuple[LaxFunctorBicat, dict[str, tuple[str, str]]]:
-    """The lax functor f*: fiber(c) -> fiber(b) induced by chosen lifts of f."""
+    """The lax functor f*: fiber(c) -> fiber(b) induced by the least lift of f at each object (`_onecell_lifts`)."""
     fibers = {x: fiber_bicategory(p, x) for x in dict.fromkeys((c_obj, b_obj))}
     return _pullback(p, fibers, b_obj, c_obj, f)
 
@@ -529,7 +520,12 @@ def _pullback(
 
 
 def induced_trihomomorphism(p: LaxFunctorBicat) -> Trihomomorphism:
-    """Fiber bicategories, cleavage pullbacks and 2-cell components of a bifibration."""
+    """Fiber bicategories, cleavage pullbacks and 2-cell components of a strict homomorphism.
+
+    No 1-cell is checked cartesian, so a strict homomorphism that is no
+    fibration induces one too, as `verify gr-bicat` needs; a lift it cannot
+    choose raises NotBiFibered or NonUniqueLift.
+    """
     e, b = p.source, p.target
     fibers = {x: fiber_bicategory(p, x) for x in b.objects}
     cartesian = cache(lambda x, y, m: is_cartesian_morphism(p.hom_functors[(x, y)], m))

@@ -97,15 +97,13 @@ def identity_functor(cat: FinCategory) -> Functor:
     )
 
 
-def _thin_bicategory(cat: FinCategory) -> Bicategory:
-    """Bicategory of a thin category (every hom at most one morphism): discrete homs, identity 2-cells only."""
+def _locally_discrete(cat: FinCategory) -> Bicategory:
+    """A category as a bicategory: discrete homs, identity 2-cells id<f> only."""
     hom = {}
     compose1 = {}
     for x in cat.objects:
         for y in cat.objects:
-            cells = cat.hom(x, y)
-            assert len(cells) <= 1, "thin categories only"
-            hom[(x, y)] = discrete_category(cells)
+            hom[(x, y)] = discrete_category(cat.hom(x, y))
     for x in cat.objects:
         for y in cat.objects:
             for z in cat.objects:
@@ -129,12 +127,12 @@ def bpt() -> Bicategory:
 
 def arrow_bicat() -> Bicategory:
     """The arrow category 0 -> 1 as a bicategory with identity 2-cells only."""
-    return _thin_bicategory(arrow())
+    return _locally_discrete(arrow())
 
 
 def ez2_bicat() -> Bicategory:
     """The indiscrete category on 0 and 1 as a bicategory with identity 2-cells only."""
-    return _thin_bicategory(indiscrete_category(["0", "1"]))
+    return _locally_discrete(indiscrete_category(["0", "1"]))
 
 
 def suspension_two_group(

@@ -5,12 +5,14 @@ local classifications, iso lists and cartesian verdicts: every fiber is
 rebuilt, and each fiber hom re-validated, on each use;
 `classify_bifibration` classifies the hom functors on p and again on
 `coop_lax_functor(p)`; every iso list is an exhaustive inverse search;
-every 2-cell lift search re-tests cartesianness; and `_check_cartesian_1cell`
-counts the 2-cell lifts of each (σ, δ) by scanning a whole hom-set.  They
-stay here, test-only, as the slow path the sweep must agree with, witnesses
-included.  `strict_witness` restates, by its own loops, the one rule both
-sides of `classify_bifibration` follow: only a strict homomorphism (Buckley,
-JPAA 218, 2014, §3) is swept for cartesian 1-cells.  The value classes and
+and every 2-cell lift search re-tests cartesianness.  They stay here,
+test-only, as the slow path the sweep must agree with, witnesses included.
+Two rules are restated by loops of their own.  `strict_witness`: only a
+strict homomorphism (Buckley, JPAA 218, 2014, §3) is swept for cartesian
+1-cells, on both sides of `classify_bifibration`.  `check_cartesian_1cell`:
+Buckley's 2-cell condition, for every pair of 1-cells h̃₁, h̃₂ into the
+source of f, lists each image (id_f ∗ δ̃, Pδ̃) and compares them, over each
+δ, with the pairs (σ, δ) that satisfy Pσ = id_Pf ∗ δ.  The value classes and
 the Grothendieck construction, which did not change, come from `bifib`.
 
 Two independent oracles of the paper's formulas close the module:
@@ -108,11 +110,16 @@ def _lift_candidates(p, x, y, z, f, g, h, alpha):
 
 
 def check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str):
-    """None when the 1-cell f of the strict lax functor p is cartesian, else the failing frame."""
+    """None when the 1-cell f of the strict lax functor p is cartesian, else its first failure.
+
+    Lifts exist for every (z, g, h, α); then, for every pair h̃₁, h̃₂: z -> x,
+    the images (id_f ∗ δ̃, Pδ̃) of the 2-cells δ̃: h̃₁ => h̃₂ are distinct and,
+    over each δ: Ph̃₁ => Ph̃₂, are exactly the pairs (σ, δ) with
+    Pσ = id_Pf ∗ δ.
+    """
     e, b = p.source, p.target
     px, py = p.ob(x), p.ob(y)
     pf = p.cell1(x, y, f)
-    chosen = {}
     for z in e.objects:
         pz = p.ob(z)
         for g in e.onecells(z, y):
@@ -120,49 +127,26 @@ def check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str):
             for h in b.onecells(pz, px):
                 comp = b.c1(pz, px, py, pf, h)
                 for alpha in _isos(b.hom_at(pz, py), comp, pg):
-                    lifts = _lift_candidates(p, x, y, z, f, g, h, alpha)
-                    if not lifts:
+                    if not _lift_candidates(p, x, y, z, f, g, h, alpha):
                         return ("no_lift", z, g, h, alpha)
-                    chosen[(z, g, h, alpha)] = lifts[0]
+    id_f = e.hom_at(x, y).identity[f]
+    id_pf = b.hom_at(px, py).identity[pf]
     for z in e.objects:
         pz = p.ob(z)
-        hom_e = e.hom_at(z, y)
-        hom_b_zx = b.hom_at(pz, px)
-        hom_b_zy = b.hom_at(pz, py)
-        for sigma in hom_e.morphisms:
-            g, g2 = sigma.src, sigma.dst
-            for h in b.onecells(pz, px):
-                for h2 in b.onecells(pz, px):
-                    for alpha in _isos(hom_b_zy, b.c1(pz, px, py, pf, h), p.cell1(z, y, g)):
-                        key1 = (z, g, h, alpha)
-                        if key1 not in chosen:
-                            continue
-                        for alpha2 in _isos(hom_b_zy, b.c1(pz, px, py, pf, h2), p.cell1(z, y, g2)):
-                            key2 = (z, g2, h2, alpha2)
-                            if key2 not in chosen:
-                                continue
-                            h_t, a_t, b_t = chosen[key1]
-                            h_t2, a_t2, b_t2 = chosen[key2]
-                            id_pf = b.hom_at(px, py).identity[pf]
-                            for delta in hom_b_zx.hom(h, h2):
-                                lhs = hom_b_zy.compose2(alpha2, b.h2(pz, px, py, id_pf, delta))
-                                rhs = hom_b_zy.compose2(p.cell2(z, y, sigma.name), alpha)
-                                if lhs != rhs:
-                                    continue
-                                id_f = e.hom_at(x, y).identity[f]
-                                hom_e_zx = e.hom_at(z, x)
-                                matches = []
-                                for delta_t in hom_e_zx.hom(h_t, h_t2):
-                                    eq1 = hom_e.compose2(
-                                        a_t2, e.h2(z, x, y, id_f, delta_t)
-                                    ) == hom_e.compose2(sigma.name, a_t)
-                                    eq2 = hom_b_zx.compose2(delta, b_t) == hom_b_zx.compose2(
-                                        b_t2, p.cell2(z, x, delta_t)
-                                    )
-                                    if eq1 and eq2:
-                                        matches.append(delta_t)
-                                if len(matches) != 1:
-                                    return ("bad_2cell_lift", z, sigma.name, h, h2, delta, len(matches))
+        for h1 in e.onecells(z, x):
+            for h2 in e.onecells(z, x):
+                deltas_t = list(e.hom_at(z, x).hom(h1, h2))
+                images = [(e.h2(z, x, y, id_f, d), p.cell2(z, x, d)) for d in deltas_t]
+                for i, image in enumerate(images):
+                    if image in images[:i]:
+                        return ("not_faithful", z, h1, h2, deltas_t[images.index(image)], deltas_t[i])
+                sigmas = e.hom_at(z, y).hom(e.c1(z, x, y, f, h1), e.c1(z, x, y, f, h2))
+                for delta in b.hom_at(pz, px).hom(p.cell1(z, x, h1), p.cell1(z, x, h2)):
+                    whiskered = b.h2(pz, px, py, id_pf, delta)
+                    members = [(s, delta) for s in sigmas if p.cell2(z, y, s) == whiskered]
+                    hits = [image for image in images if image[1] == delta]
+                    if sorted(hits) != sorted(members):
+                        return ("not_full", z, h1, h2, delta, len(members), len(hits))
     return None
 
 

@@ -2,12 +2,15 @@
 
 Products, coproducts and disjoint unions, inflations (objects duplicated
 into equivalence classes, so the inclusion is an equivalence or a
-biequivalence), random groupoids, fibrations and rational matrices with
-the properties the tests need.  No command runs any of this; each builder
-is deterministic in its arguments.  The named values and the seeded draws
-from them are in catalog.py.
+biequivalence), random groupoids, fibrations, functors as strict
+homomorphisms of locally discrete bicategories, group actions reduced
+through quotients, and rational matrices with the properties the tests
+need.  No command runs any of this; each builder is deterministic in its
+arguments.  The named values and the seeded draws from them are in
+catalog.py.
 """
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -288,6 +291,62 @@ def gen_fib_pseudogroupoids_laxfunctor(seed: int, size: int) -> LaxFunctorBicat:
         )
     }
     return validate_lax_functor(e, b, {"*": "*"}, hom_functors)
+
+
+def locally_discrete(p: Functor) -> LaxFunctorBicat:
+    """p as a strict homomorphism of locally discrete bicategories: each hom discrete, hcompose2 identities only."""
+    e, b = fx._locally_discrete(p.source), fx._locally_discrete(p.target)
+    hom_functors = {}
+    for x in e.objects:
+        for y in e.objects:
+            src, tgt = e.hom_at(x, y), b.hom_at(p.ob(x), p.ob(y))
+            hom_functors[(x, y)] = validate_functor(
+                src,
+                tgt,
+                {f: p.mor(f) for f in src.objects},
+                {src.identity[f]: tgt.identity[p.mor(f)] for f in src.objects},
+            )
+    return validate_lax_functor(e, b, p.object_map, hom_functors)
+
+
+def _action_category(objects: Sequence[str], n: int, m: int, d: int) -> FinCategory:
+    """Z/n = {s_k} on x and Z/m = {t_i} on y acting on d arrows a_j: x -> y by t_i∘a_j∘s_k = a_(i+j+k mod d).
+
+    d divides n and m; there is no arrow y -> x.
+    """
+    x, y = objects
+    s, t, a = ([f"{c}{k}" for k in range(order)] for c, order in (("s", n), ("t", m), ("a", d)))
+    compose = {(s[i], s[k]): s[(i + k) % n] for i in range(n) for k in range(n)}
+    compose.update({(t[i], t[k]): t[(i + k) % m] for i in range(m) for k in range(m)})
+    compose.update({(a[j], s[k]): a[(j + k) % d] for j in range(d) for k in range(n)})
+    compose.update({(t[i], a[j]): a[(i + j) % d] for i in range(m) for j in range(d)})
+    morphisms = [(u, x, x) for u in s] + [(u, y, y) for u in t] + [(u, x, y) for u in a]
+    return validate_category([x, y], morphisms, {x: s[0], y: t[0]}, compose)
+
+
+def quotient_action_functor(orders: Sequence[int], base_orders: Sequence[int]) -> Functor:
+    """The action of orders (n, m, d) on objects x, y reduced onto base_orders on objects 0, 1, index by index.
+
+    Each base order divides its total order.  For n' = m' = d' = 1 the base is
+    the arrow 0 -> 1; then a_0 is cartesian only when s_k ↦ a_k mod d is one
+    to one, that is when d = n, since otherwise a_0∘s_d = a_0 is a second
+    lift of a_0.
+    """
+    e, b = _action_category(("x", "y"), *orders), _action_category(("0", "1"), *base_orders)
+    mor = {
+        f"{c}{k}": f"{c}{k % base}" for c, order, base in zip("sta", orders, base_orders) for k in range(order)
+    }
+    return validate_functor(e, b, {"x": "0", "y": "1"}, mor)
+
+
+def gen_quotient_action_functor(seed: int) -> Functor:
+    """A seeded `quotient_action_functor`: some draws are fibrations, others have non-unique lifts, on either side."""
+    rng = random.Random(f"quotient:{seed}")
+    d_base = rng.choice((1, 2))
+    d = d_base * rng.choice((1, 2, 3))
+    n_base, m_base = (d_base * rng.choice((1, 2)) for _ in range(2))
+    n, m = (math.lcm(base, d) * rng.choice((1, 2)) for base in (n_base, m_base))
+    return quotient_action_functor((n, m, d), (n_base, m_base, d_base))
 
 
 def inflate_category(cat: FinCategory, multiplicities: Sequence[int]) -> tuple[FinCategory, Functor]:

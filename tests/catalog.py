@@ -24,8 +24,10 @@ from builders import (
     gen_groupoid,
     inflate_bicategory,
     inflate_category,
+    locally_discrete,
     product_cat,
     product_projection,
+    quotient_action_functor,
 )
 
 D2 = fx.discrete_category(["x", "y"])
@@ -113,6 +115,10 @@ BZ2_TWOGROUP = fx.bz2_twogroup()
 PSG_COLLAPSE = fx.collapse_to_point(PSG)
 
 GR_PSG_OVER_ARROW = product_projection(ARROW_BICAT, PSG)
+
+# Z/4 on x and on y acting on two arrows x -> y through Z/2, over the arrow 0 -> 1, locally discrete.
+# A valid strict homomorphism that is no fibration: a0∘s2 = a0 is a second lift of a0.
+TWO_LIFTS_OVER_ARROW = locally_discrete(quotient_action_functor((4, 4, 2), (1, 1, 1)))
 
 # Similarity matrix [[1,1],[2,2]]: the weighting system is inconsistent, so
 # this cat-graph has a coweighting but no Euler characteristic.
@@ -210,6 +216,7 @@ def write_fixture_corpus(directory) -> list:
         "bz2-base-laxcat": BZ2_BASE_LAXCAT,
         "gr-psg-over-arrow": GR_PSG_OVER_ARROW,
         "psg-collapse": PSG_COLLAPSE,
+        "two-lifts-over-arrow": TWO_LIFTS_OVER_ARROW,
         "trihom-const-psg-arrow": fx.constant_trihomomorphism(ARROW_BICAT, PSG),
         "nochi-catgraph": NOCHI_CATGRAPH,
     }

@@ -93,10 +93,10 @@ def _phi_identity_collapse() -> LaxFunctorBicat:
 def test_phi_identity_collapse_runs_the_full_check_on_both_sides(monkeypatch):
     p = _phi_identity_collapse()
     assert bifib.strict_witness(p) == oracle.strict_witness(p) == {}
-    checks = []  # [is a 1-cell of p, not of coop; 2-cell lift counts built]
+    checks = []  # [is a 1-cell of p, not of coop; 2-cell counts built]
     check = bifib._check_cartesian_1cell
 
-    class LiftCounts(Counter):  # built only in the 2-cell phase of the full check
+    class TwoCellCounts(Counter):  # built only in the 2-cell phase of the full check
         def __init__(self, *args):
             super().__init__(*args)
             checks[-1][1] += 1
@@ -105,13 +105,13 @@ def test_phi_identity_collapse_runs_the_full_check_on_both_sides(monkeypatch):
         checks.append([q is p, 0])
         return check(q, x, y, f)
 
-    monkeypatch.setattr(bifib, "Counter", LiftCounts)
+    monkeypatch.setattr(bifib, "Counter", TwoCellCounts)
     monkeypatch.setattr(bifib, "_check_cartesian_1cell", recording)
     rep = bifib.classify_bifibration(p)
     assert rep == oracle.classify_bifibration(p)
     assert rep.fibered_in_pseudogroupoids and rep.cofibered_in_pseudogroupoids
     # Every 1-cell of p, then every 1-cell of coop, each through the 2-cell phase: identity
-    # phi and psi switch neither side's pasting equations off.
+    # phi and psi switch neither side's check off.
     assert [mine for mine, _ in checks] == [True] * 4 + [False] * 4
     assert all(built for _, built in checks)
     _assert_agrees(p)
@@ -166,15 +166,15 @@ def test_first_lift_is_the_first_the_full_search_lists(p):
     assert several
 
 
-# ---------------------------------------------------------------- 2-cell lift counts
+# ---------------------------------------------------------------- 2-cell bijections
 
 def _flat_whiskering_collapse(elements, mult, unit) -> LaxFunctorBicat:
     """The collapse of the suspension of a group with every horizontal composite the unit 2-cell.
 
-    Whiskering by id_f then forgets δ̃, so in a strict cartesian check the
-    2-cells δ̃: m => m solve the pasting equations for σ = unit all at once
-    and for any other σ not at all: no 2-cell lift is unique.  Frames are
-    all that `validate_bicategory` checks.
+    Whiskering by id_f then forgets δ̃, and so does the collapse, so in a
+    strict cartesian check every 2-cell δ̃: m => m has the image
+    (unit, idI): δ̃ ↦ (id_f ∗ δ̃, Pδ̃) is not one to one.  Frames are all that
+    `validate_bicategory` checks.
     """
     hom = validate_category(["m"], [(a, "m", "m") for a in elements], {"m": unit}, dict(mult))
     flat = {(("x", "x", "x"), b, a): unit for a in elements for b in elements}
@@ -183,19 +183,19 @@ def _flat_whiskering_collapse(elements, mult, unit) -> LaxFunctorBicat:
 
 
 @pytest.mark.parametrize(
-    "group, sigma, count",
+    "group, first, second",
     [
-        (fx.cyclic_group(2), "g0", 2),
-        (fx.cyclic_group(3), "g0", 3),
-        # The unit named last, so the first σ tried is not the unit.
-        ((("a", "u"), {("a", "a"): "u", ("a", "u"): "a", ("u", "a"): "a", ("u", "u"): "u"}, "u"), "a", 0),
+        (fx.cyclic_group(2), "g0", "g1"),
+        (fx.cyclic_group(3), "g0", "g1"),
+        # The unit named last, so the first 2-cell with the shared image is not the unit.
+        ((("a", "u"), {("a", "a"): "u", ("a", "u"): "a", ("u", "a"): "a", ("u", "u"): "u"}, "u"), "a", "u"),
     ],
 )
-def test_two_cell_lift_counts_match_oracle(group, sigma, count):
+def test_two_cell_lift_counts_match_oracle(group, first, second):
     p = _flat_whiskering_collapse(*group)
     rep = bifib.classify_bifibration(p)
     assert rep == oracle.classify_bifibration(p)
-    witness = ("bad_2cell_lift", "x", sigma, "I", "I", "idI", count)
+    witness = ("not_faithful", "x", "m", "m", first, second)
     assert rep.witnesses["non_cartesian_1cell"] == (("x", "x", "m"), witness)
     _assert_agrees(p)
 
@@ -208,6 +208,8 @@ def test_identity_coherence_never_changes_a_verdict(tmp_path):
     rep = bifib.classify_bifibration(coherent)
     assert rep == bifib.classify_bifibration(bare) == oracle.classify_bifibration(coherent)
     assert not (rep.fibered_in_pseudogroupoids or rep.cofibered_in_pseudogroupoids)
+    witness = (("x", "x", "m"), ("not_faithful", "x", "m", "m", "g0", "g1"))
+    assert rep.witnesses["non_cartesian_1cell"] == rep.witnesses["co_non_cartesian_1cell"] == witness
     for name, p in (("bare", bare), ("coherent", coherent)):
         path = tmp_path / f"{name}.catj"
         path.write_text(catdsl.serialize(p), encoding="utf-8")

@@ -7,9 +7,12 @@ Each mutant is one edit of the decoded JSON tree of a positive fixture:
     rename     a key of an object, to another label of the same document
     duplicate  an entry of an array
 
-The edited tree is written back as JSON and parsed.  `golden_diagnostics.json`
-maps each mutant, named by its index, fixture, edit and JSON path, to
-whether it parsed and to the sha256 of its diagnostics, one `str(d)` a line.
+The mutants are drawn from the fixtures in `SAMPLED`, the positive corpus
+when the sample was pinned: a fixture added to that list would reshuffle
+every mutant.  The edited tree is written back as JSON and parsed.
+`golden_diagnostics.json` maps each mutant, named by its index, fixture,
+edit and JSON path, to whether it parsed and to the sha256 of its
+diagnostics, one `str(d)` a line.
 The text mutants of `test_scanner.py` mostly stop at a syntax error; these
 reach the builders, so a change to how a table is read shows up here.
 
@@ -27,6 +30,12 @@ from bicat_euler.catdsl import parse
 GOLDEN = pathlib.Path(__file__).with_name("golden_diagnostics.json")
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 COUNT, SEED = 3000, 20141001
+SAMPLED = (
+    "acyclic2.catj", "arrow-base-laxcat.catj", "arrow-bicat.catj", "arrow.catj", "bpt.catj", "bz2-2group.catj",
+    "bz2-base-laxcat.catj", "bz2.catj", "d2-to-pt.catj", "d2.catj", "ez2-bicat.catj", "ez2-to-bz2.catj", "ez2.catj",
+    "gr-psg-over-arrow.catj", "nochi-catgraph.catj", "pair.catj", "psg-collapse.catj", "psg.catj", "pt.catj",
+    "span.catj", "trihom-const-psg-arrow.catj",
+)
 OPS = ("delete", "replace", "rename", "duplicate")
 NON_STRINGS = (7, None, [], {})
 
@@ -76,7 +85,7 @@ def _edit(tree, op: str, path: tuple, arg) -> None:
 
 def mutants():
     """Yield (name, text) for every mutant, from the fixed seed."""
-    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.catj"))}
+    texts = {name: (FIXTURES / name).read_text(encoding="utf-8") for name in SAMPLED}
     trees = {name: json.loads(text) for name, text in texts.items()}
     labels = {name: sorted(_strings(tree)) for name, tree in trees.items()}
     eligible = {name: _eligible(tree) for name, tree in trees.items()}
