@@ -21,6 +21,7 @@ from .fincat import (
     MissingEulerCharacteristic,
     check_equivalence_functor,
     euler_char_cat,
+    require_euler,
     zigzag_components,
 )
 from .fincat import acyclic_witness as cat_acyclic_witness
@@ -223,15 +224,13 @@ def similarity_matrix_cg(g: CatGraph) -> QMatrix:
     alive for the call, so `id(hom)` names it.
     """
     chi = {}
-    by_hom: dict[int, Optional[Fraction]] = {}
+    by_hom: dict[int, Fraction] = {}
     for i in g.objects:
         for j in g.objects:
             hom = g.hom_at(i, j)
             if id(hom) not in by_hom:
-                by_hom[id(hom)] = euler_char_cat(hom).chi
+                by_hom[id(hom)] = require_euler(euler_char_cat(hom), f"hom({i},{j})", error=HomWithoutEuler)
             chi[(i, j)] = by_hom[id(hom)]
-            if chi[(i, j)] is None:
-                raise HomWithoutEuler(f"hom({i},{j}) has no Euler characteristic")
     return QMatrix.build(g.objects, g.objects, lambda i, j: chi[(i, j)])
 
 
@@ -434,10 +433,8 @@ def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
     zeta = similarity_matrix_cg(l.source.graph)
     source_euler = matrix_euler(zeta)
     target_euler = euler_char_cg(l.target.graph)
-    if source_euler.chi is None:
-        raise MissingEulerCharacteristic("source bicategory has no Euler characteristic")
-    if target_euler.chi is None:
-        raise MissingEulerCharacteristic("target bicategory has no Euler characteristic")
+    chi_source = require_euler(source_euler, "source bicategory")
+    chi_target = require_euler(target_euler, "target bicategory")
     source_classes = equivalence_classes(l.source)
     target_classes = equivalence_classes(l.target)
     lw = target_euler.weighting
@@ -450,9 +447,7 @@ def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
         sum((zeta.at(a, b) * transported[b] for b in l.source.objects), Fraction(0)) == 1
         for a in l.source.objects
     )
-    return BiequivalenceReport(
-        source_euler.chi, target_euler.chi, source_euler.chi == target_euler.chi, transported, valid
-    )
+    return BiequivalenceReport(chi_source, chi_target, chi_source == chi_target, transported, valid)
 
 
 def restrict_catgraph(g: CatGraph, objects: Sequence[str]) -> CatGraph:

@@ -46,7 +46,7 @@ from .fib1 import (
     classify_fibration,
     is_cartesian_morphism,
 )
-from .fincat import InvalidInput, subcategory, validate_functor
+from .fincat import InvalidInput, require_euler, subcategory, validate_functor
 
 
 class IllTypedComponent(InvalidInput):
@@ -125,9 +125,7 @@ class GrothendieckCG(Record):
         chi = {}
         for pair, hom in self.homs.items():
             e = matrix_euler(hom.count_matrix())
-            if e.chi is None:
-                raise HomWithoutEuler(f"Grothendieck hom {pair} has no Euler characteristic")
-            chi[pair] = e.chi
+            chi[pair] = require_euler(e, f"Grothendieck hom {pair}", error=HomWithoutEuler)
         return QMatrix.build(self.objects, self.objects, lambda i, j: chi[(i, j)])
 
     def euler(self):
@@ -187,34 +185,25 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
         if not_strict:
             raise NotBiFibered(f"not a strict homomorphism: {not_strict}")
         t = induced_trihomomorphism(data)
-    base_euler = euler_char_cg(t.base.graph)
-    if base_euler.coweighting is None:
-        raise MissingEulerCharacteristic("base bicategory has no coweighting")
+    base_cw = require_euler(euler_char_cg(t.base.graph), "base bicategory", "coweighting")
     gr = grothendieck_cg(t)
     zeta = gr.zeta()
-    gr_euler = matrix_euler(zeta)
-    if gr_euler.chi is None:
-        raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")
-    fiber_chi = {}
-    fiber_cw = {}
+    chi_gr = require_euler(matrix_euler(zeta), "Grothendieck construction")
+    fiber_chi, fiber_cw = {}, {}
     for b in t.base.objects:
         e = euler_char_cg(t.fiber[b].graph)
-        if e.chi is None or e.coweighting is None:
-            raise MissingEulerCharacteristic(f"fiber over {b} has no Euler characteristic")
-        fiber_chi[b] = e.chi
-        fiber_cw[b] = e.coweighting
-    rhs = sum((base_euler.coweighting[b] * fiber_chi[b] for b in t.base.objects), Fraction(0))
+        fiber_chi[b] = require_euler(e, f"fiber over {b}")
+        fiber_cw[b] = e.coweighting  # there whenever chi is
+    rhs = sum((base_cw[b] * fiber_chi[b] for b in t.base.objects), Fraction(0))
     product_valid = True
     for o2 in gr.objects:
         total = Fraction(0)
         for o1 in gr.objects:
             b, x = o1
-            total += base_euler.coweighting[b] * fiber_cw[b][x] * zeta.at(o1, o2)
+            total += base_cw[b] * fiber_cw[b][x] * zeta.at(o1, o2)
         if total != 1:
             product_valid = False
-    return GrBicatReport(
-        gr_euler.chi, rhs, base_euler.coweighting, fiber_chi, product_valid, gr_euler.chi == rhs
-    )
+    return GrBicatReport(chi_gr, rhs, base_cw, fiber_chi, product_valid, chi_gr == rhs)
 
 
 def strict_witness(p: LaxFunctorBicat) -> dict[str, tuple]:
@@ -590,30 +579,18 @@ def verify_product_formula_bicat(p: LaxFunctorBicat) -> ProductBicatReport:
     report = classify_bifibration(p)
     if not (report.fibered_in_pseudogroupoids and report.cofibered_in_pseudogroupoids):
         raise NotBiFibered(f"not fibered+cofibered in pseudogroupoids: {report.witnesses}")
-    chi_total = euler_char_cg(p.source.graph).chi
-    if chi_total is None:
-        raise MissingEulerCharacteristic("total bicategory has no Euler characteristic")
+    chi_total = require_euler(euler_char_cg(p.source.graph), "total bicategory")
     t = induced_trihomomorphism(p)
 
-    def chi_fiber(b_obj: str):
+    def fiber_euler(b_obj: str):
         fib = t.fiber[b_obj]
         assert not pseudogroupoid_witness(fib), f"fiber over {b_obj} is not a pseudogroupoid"
-        return euler_char_cg(fib.graph).chi
+        return euler_char_cg(fib.graph)
 
     components, rhs = _product_components(
         graph_components(p.target.graph),
-        lambda comp: euler_char_cg(restrict_catgraph(p.target.graph, comp)).chi,
-        chi_fiber,
+        lambda comp: euler_char_cg(restrict_catgraph(p.target.graph, comp)),
+        fiber_euler,
     )
-    gr = grothendieck_cg(t)
-    chi_gr = gr.euler().chi
-    if chi_gr is None:
-        raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")
-    return ProductBicatReport(
-        chi_total,
-        rhs,
-        components,
-        chi_gr,
-        chi_gr == chi_total,
-        chi_total == rhs,
-    )
+    chi_gr = require_euler(grothendieck_cg(t).euler(), "Grothendieck construction")
+    return ProductBicatReport(chi_total, rhs, components, chi_gr, chi_gr == chi_total, chi_total == rhs)

@@ -74,6 +74,21 @@ def _function(name: str):
     return lambda *args: getattr(getattr(bicat_euler, module), attr)(*args)
 
 
+def _report(args, command: str, digest, results: dict, status: int, lines: list[str]) -> int:
+    """Print the run's report, as JSON under --json and else as its plain lines; return its status.
+
+    The report's one input is args.file, with its sha256 `digest`; a None digest means no input.
+    """
+    if args.json:
+        inputs = [] if digest is None else [{"path": args.file, "sha256": digest}]
+        report = {"command": command, "inputs": inputs, "results": results, "status": status}
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return status
+
+
 def _answer(functions: dict, doc: Document, expects: str):
     """The function that `functions` (document kind -> `module.function`) names for doc's kind."""
     if doc.kind not in functions:
@@ -99,25 +114,14 @@ def cmd_chi(args) -> int:
     euler = _answer(_CHI[kind], doc, f"{args.file}: expected")(value)
     values = euler.to_json()
     shown = {side: values[side] for side in ("weighting", "coweighting") if getattr(args, side)}
-    status = EXIT_FAIL if euler.chi is None else EXIT_PASS
-    report = {
-        "command": "chi",
-        "inputs": [{"path": args.file, "sha256": digest}],
-        "results": {"chi": values["chi"], "missing": list(euler.missing()), **shown},
-        "status": status,
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif euler.chi is None:
-        print(f"no Euler characteristic (missing: {', '.join(euler.missing())})")
+    if euler.chi is None:
+        lines = [f"no Euler characteristic (missing: {', '.join(euler.missing())})"]
     else:
-        line = values["chi"]
-        if args.decimal:
-            line += f"  (approx {float(euler.chi):.6g})"
-        print(line)
-        for side, vector in shown.items():  # both vectors exist when chi does
-            print(f"{side}:", json.dumps(vector, sort_keys=True))
-    return status
+        lines = [values["chi"] + (f"  (approx {float(euler.chi):.6g})" if args.decimal else "")]
+        # Both vectors exist when chi does.
+        lines += [f"{side}: {json.dumps(vector, sort_keys=True)}" for side, vector in shown.items()]
+    results = {"chi": values["chi"], "missing": list(euler.missing()), **shown}
+    return _report(args, "chi", digest, results, EXIT_FAIL if euler.chi is None else EXIT_PASS, lines)
 
 
 # check predicate -> ({document kind: function}, the flag of its report that decides).  A None flag
@@ -140,30 +144,21 @@ def cmd_check(args) -> int:
         witnesses, ok = result, not result
     else:
         witnesses, ok = result.to_json()["witnesses"], getattr(result, flag)
-    status = EXIT_PASS if ok else EXIT_FAIL
-    report = {
-        "command": f"check {args.predicate}",
-        "inputs": [{"path": args.file, "sha256": digest}],
-        "results": {"pass": ok, "witnesses": witnesses},
-        "status": status,
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("pass" if ok else f"fail {json.dumps(witnesses, sort_keys=True)}")
-    return status
+    line = "pass" if ok else f"fail {json.dumps(witnesses, sort_keys=True)}"
+    results = {"pass": ok, "witnesses": witnesses}
+    return _report(args, f"check {args.predicate}", digest, results, EXIT_PASS if ok else EXIT_FAIL, [line])
 
 
 def _gr_summary(results: dict) -> str:
     """`chi(Gr) = k_b·chi(F_b) + …` over the base objects, from a Grothendieck formula report."""
     terms = [f"{k}·{results['fiber_chi'][b]}" for b, k in results["base_coweighting"].items()]
-    return f"{results['chi_grothendieck']} = " + " + ".join(terms)
+    return f"{results['chi_grothendieck']} = " + (" + ".join(terms) or "0")
 
 
 def _product_summary(results: dict) -> str:
     """`chi(E) = chi(B_i) · chi(F_i) + …` over the base components, from a product formula report."""
     terms = [f"{c['chi_base']} · {c['chi_fiber']}" for c in results["components"]]
-    return f"{results['chi_total']} = " + " + ".join(terms)
+    return f"{results['chi_total']} = " + (" + ".join(terms) or "0")
 
 
 # verify theorem -> ({document kind: function}, the one-line summary of its report's JSON, the
@@ -201,21 +196,9 @@ def cmd_verify(args) -> int:
     except unusable as exc:
         raise bicat_euler.fib1.NotBiFibered(str(exc)) from exc
     ok = all(getattr(rep, flag) for flag in flags)
-    status = EXIT_PASS if ok else EXIT_FAIL
     results = rep.to_json()
-    report = {
-        "command": f"verify {args.theorem}",
-        "inputs": [{"path": args.file, "sha256": digest}],
-        "results": results,
-        "status": status,
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(summary(results))
-        if not ok:
-            print(json.dumps(results, indent=2, sort_keys=True))
-    return status
+    lines = [summary(results)] if ok else [summary(results), json.dumps(results, indent=2, sort_keys=True)]
+    return _report(args, f"verify {args.theorem}", digest, results, EXIT_PASS if ok else EXIT_FAIL, lines)
 
 
 _GEN_KINDS = {
@@ -255,22 +238,9 @@ def cmd_gen(args) -> int:
             raise InputError(f"{args.out}: {exc}")
     else:
         sys.stdout.write(text)
-    report = {
-        "command": f"gen {args.kind}",
-        "inputs": [],
-        "results": {
-            "seed": args.seed,
-            "size": args.size,
-            "sha256": sha256(text.encode("utf-8")).hexdigest(),
-            "out": args.out,
-        },
-        "status": EXIT_PASS,
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif args.out:
-        print(args.out)
-    return EXIT_PASS
+    digest = sha256(text.encode("utf-8")).hexdigest()
+    results = {"seed": args.seed, "size": args.size, "sha256": digest, "out": args.out}
+    return _report(args, f"gen {args.kind}", None, results, EXIT_PASS, [args.out] if args.out else [])
 
 
 def _int(text: str) -> int:

@@ -25,6 +25,7 @@ from .fincat import (
     Morphism,
     category_components,
     euler_char_cat,
+    require_euler,
     subcategory,
     validate_category,
     validate_functor,
@@ -373,47 +374,31 @@ class GrFormulaReport(Record):
 
 
 def verify_gr_formula(f: LaxFunctorToCat) -> GrFormulaReport:
-    base_euler = euler_char_cat(f.base)
-    if base_euler.coweighting is None:
-        raise MissingEulerCharacteristic("base category has no coweighting")
-    gr = grothendieck_cat(f)
-    gr_euler = gr.euler()
-    if gr_euler.chi is None:
-        raise MissingEulerCharacteristic("Grothendieck construction has no Euler characteristic")
-    fiber_chi: dict[str, Fraction] = {}
-    for b in f.base.objects:
-        chi_b = euler_char_cat(f.fiber[b]).chi
-        if chi_b is None:
-            raise MissingEulerCharacteristic(f"fiber over {b} has no Euler characteristic")
-        fiber_chi[b] = chi_b
-    rhs = sum(
-        (base_euler.coweighting[b] * fiber_chi[b] for b in f.base.objects),
-        Fraction(0),
-    )
-    return GrFormulaReport(gr_euler.chi, rhs, base_euler.coweighting, fiber_chi, gr_euler.chi == rhs)
+    coweighting = require_euler(euler_char_cat(f.base), "base category", "coweighting")
+    chi_gr = require_euler(grothendieck_cat(f).euler(), "Grothendieck construction")
+    fiber_chi = {b: require_euler(euler_char_cat(f.fiber[b]), f"fiber over {b}") for b in f.base.objects}
+    rhs = sum((coweighting[b] * fiber_chi[b] for b in f.base.objects), Fraction(0))
+    return GrFormulaReport(chi_gr, rhs, coweighting, fiber_chi, chi_gr == rhs)
 
 
 # One connected component of a base, with its chi and the chi of each fiber over it.
 Component = namedtuple("Component", "objects chi_base chi_fiber")
 
 
-def _product_components(components: Sequence[tuple], chi_base: Callable, chi_fiber: Callable) -> tuple[tuple, Fraction]:
+def _product_components(
+    components: Sequence[tuple], base_euler: Callable, fiber_euler: Callable
+) -> tuple[tuple, Fraction]:
     """Each connected component of a base with its chi and its fibers' chi, and the sum of their products.
 
-    chi_base(component) and chi_fiber(object) give None where there is no Euler characteristic.
+    base_euler(component) and fiber_euler(object) give the MatrixEuler of that component and of
+    the fiber over that object.  A component without chi raises MissingEulerCharacteristic before
+    its fibers are solved; the fibers follow, one by one in the component's order.
     """
     out = []
     total = Fraction(0)
     for comp in components:
-        chi_b = chi_base(comp)
-        if chi_b is None:
-            raise MissingEulerCharacteristic(f"base component {comp} has no Euler characteristic")
-        fiber_chis = []
-        for b in comp:
-            chi_fb = chi_fiber(b)
-            if chi_fb is None:
-                raise MissingEulerCharacteristic(f"fiber over {b} has no Euler characteristic")
-            fiber_chis.append(chi_fb)
+        chi_b = require_euler(base_euler(comp), f"base component {comp}")
+        fiber_chis = [require_euler(fiber_euler(b), f"fiber over {b}") for b in comp]
         assert len(set(fiber_chis)) == 1, f"fiber chi not constant on component {comp}"
         out.append(Component(comp, chi_b, fiber_chis[0]))
         total += chi_b * fiber_chis[0]
@@ -433,14 +418,12 @@ def verify_product_formula_cat(p: Functor) -> ProductFormulaReport:
     report = classify_fibration(p)
     if not (report.fibered_in_groupoids and report.cofibered_in_groupoids):
         raise NotBiFibered(f"not fibered+cofibered in groupoids: {report.witnesses}")
-    chi_total = euler_char_cat(p.source).chi
-    if chi_total is None:
-        raise MissingEulerCharacteristic("total category has no Euler characteristic")
+    chi_total = require_euler(euler_char_cat(p.source), "total category")
     base = p.target
     components, rhs = _product_components(
         category_components(base),
         # A morphism lies in the component of its source, so the full part on a component is a subcategory.
-        lambda comp: euler_char_cat(subcategory(base, comp, [m for m in base.morphisms if m.src in comp])).chi,
-        lambda b: euler_char_cat(fiber_category(p, b)).chi,
+        lambda comp: euler_char_cat(subcategory(base, comp, [m for m in base.morphisms if m.src in comp])),
+        lambda b: euler_char_cat(fiber_category(p, b)),
     )
     return ProductFormulaReport(chi_total, rhs, components, chi_total == rhs)

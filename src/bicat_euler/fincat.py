@@ -27,6 +27,14 @@ class MissingEulerCharacteristic(InvalidInput):
     """Names the structure whose weighting or coweighting is absent."""
 
 
+def require_euler(euler: MatrixEuler, what: str, side: str = "chi", error: type = MissingEulerCharacteristic):
+    """euler's chi (or its coweighting, when side is "coweighting"); `error` naming `what` if it has none."""
+    value = getattr(euler, side)
+    if value is None:
+        raise error(f"{what} has no {'Euler characteristic' if side == 'chi' else side}")
+    return value
+
+
 class Violation(Record):
     """One violated category/functor law, machine-readable."""
 

@@ -124,6 +124,38 @@ TWO_LIFTS_OVER_ARROW = locally_discrete(quotient_action_functor((4, 4, 2), (1, 1
 # this cat-graph has a coweighting but no Euler characteristic.
 NOCHI_CATGRAPH = make_catgraph(["0", "1"], {("0", "0"): PT, ("0", "1"): PT, ("1", "0"): D2, ("1", "1"): D2})
 
+
+def _category(objects, morphisms, composites) -> FinCategory:
+    """validate_category with an identity id<x> on each object and its composites filled in."""
+    identity = {x: f"id{x}" for x in objects}
+    arrows = [(identity[x], x, x) for x in objects] + morphisms
+    compose = dict(composites)
+    for g, src, dst in arrows:
+        compose[(identity[dst], g)] = compose[(g, identity[src])] = g
+    return validate_category(objects, arrows, identity, compose)
+
+
+# A lawful category with no Euler characteristic: idempotents e on x and d on y, with e = u∘f and
+# d = f∘u for f: x -> y and each of four arrows u: y -> x, and e∘u = u∘d = u0.  Its similarity
+# matrix [[2, 1], [4, 2]] has neither a weighting nor a coweighting.
+_US = ("u0", "u1", "u2", "u3")
+NOCHI_CAT = _category(
+    ["x", "y"],
+    [("e", "x", "x"), ("d", "y", "y"), ("f", "x", "y")] + [(u, "y", "x") for u in _US],
+    {("e", "e"): "e", ("d", "d"): "d", ("f", "e"): "f", ("d", "f"): "f"}
+    | {(g, h): v for u in _US for g, h, v in (("e", u, "u0"), (u, "d", "u0"), (u, "f", "e"), ("f", u, "d"))},
+)
+
+# NOCHI_CAT with a terminal object t: the weighting is 1 at t and 0 elsewhere, and there is no coweighting.
+NOCOWEIGHTING_CAT = _category(
+    ["t", "x", "y"],
+    [("e", "x", "x"), ("d", "y", "y"), ("f", "x", "y"), ("tx", "x", "t"), ("ty", "y", "t")]
+    + [(u, "y", "x") for u in _US],
+    dict(NOCHI_CAT.compose)
+    | {("tx", "e"): "tx", ("ty", "f"): "tx", ("ty", "d"): "ty"}
+    | {("tx", u): "ty" for u in _US},
+)
+
 ARROW_BASE_LAXCAT = validate_laxcat(
     LaxFunctorToCat(
         base=ARROW,

@@ -270,6 +270,24 @@ def test_verify_biequivalence_passes_on_an_identity(capsys, tmp_path):
     assert code == 0 and results["equal"] is True and results["transported_valid"] is True
 
 
+@pytest.mark.parametrize("theorem", ["gr", "product-cat", "product-bicat", "gr-bicat", "biequivalence"])
+def test_verify_over_an_empty_base_prints_zero_on_both_sides(capsys, tmp_path, theorem):
+    # An empty sum is 0: every summary line reads `0 = 0`, never `0 = `.
+    from bicat_euler.catdsl import serialize
+    from bicat_euler.fib1 import LaxFunctorToCat, validate_laxcat
+    from bicat_euler.fincat import EMPTY_CATEGORY, validate_functor
+    from builders import locally_discrete
+
+    empty = validate_functor(EMPTY_CATEGORY, EMPTY_CATEGORY, {}, {})
+    if theorem == "gr":
+        value = validate_laxcat(LaxFunctorToCat(EMPTY_CATEGORY, {}, {}))
+    else:
+        value = empty if theorem == "product-cat" else locally_discrete(empty)
+    path = tmp_path / "empty.catj"
+    path.write_text(serialize(value), encoding="utf-8")
+    assert run(capsys, "verify", theorem, str(path)) == (0, "0 = 0\n", "")
+
+
 def test_failed_verify_prints_the_summary_then_the_report(capsys, fixture_dir, monkeypatch):
     # No lawful input fails a theorem, so the theorem's function is made to report inequality.
     from bicat_euler import fib1
