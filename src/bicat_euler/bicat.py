@@ -456,7 +456,7 @@ def restrict_catgraph(g: CatGraph, objects: Sequence[str]) -> CatGraph:
 
 
 def coop_lax_functor(p: LaxFunctorBicat) -> LaxFunctorBicat:
-    """Formally reverse 1- and 2-cells on both sides of a lax functor."""
+    """Formally reverse 1- and 2-cells on both sides of a lax functor, sharing p's maps; phi and psi are dropped."""
     source = coop_bicategory(p.source)
     target = coop_bicategory(p.target)
     hom_functors = {}
@@ -466,18 +466,18 @@ def coop_lax_functor(p: LaxFunctorBicat) -> LaxFunctorBicat:
             hom_functors[(x, y)] = Functor(
                 source.hom_at(x, y),
                 target.hom_at(p.ob(x), p.ob(y)),
-                dict(orig.object_map),
-                dict(orig.morphism_map),
+                orig.object_map,
+                orig.morphism_map,
             )
-    return LaxFunctorBicat(source, target, dict(p.object_map), hom_functors)
+    return LaxFunctorBicat(source, target, p.object_map, hom_functors)
 
 
 def coop_bicategory(b: Bicategory) -> Bicategory:
-    """Reverse 1- and 2-cells: hom'(x,y) = hom(y,x)ᵒᵖ; associators and unitors are dropped."""
+    """Reverse 1- and 2-cells: hom'(x,y) = hom(y,x)ᵒᵖ, sharing b's identity1; associators and unitors are dropped."""
     graph = make_catgraph(b.objects, {(x, y): b.hom_at(y, x).opposite() for x in b.objects for y in b.objects})
 
     def swapped(table):
         return {((x, y, z), g, f): h for ((z, y, x), f, g), h in table.items()}
 
     hcompose2 = None if b.hcompose2 is None else swapped(b.hcompose2)
-    return Bicategory(graph, dict(b.identity1), swapped(b.compose1), hcompose2)
+    return Bicategory(graph, b.identity1, swapped(b.compose1), hcompose2)

@@ -8,8 +8,8 @@ its source, δ̃ ↦ (id_f ∗ δ̃, Pδ̃) is a bijection of hom-sets.
 The Grothendieck construction is built in counting mode: the objects,
 1-cells and 2-cell counts fully determine every Euler characteristic here.
 Each public entry point that sweeps its lax functor decides each fact once
-per call: it builds each fiber and classifies each hom functor once into a
-dict of its own, and keeps cartesian verdicts in a cache local to the call.
+per call: it builds each fiber once, classifies each hom functor of p and
+of its dual once, and keeps cartesian verdicts in a cache local to the call.
 The isomorphisms of a hom category come from that category's own index
 (`FinCategory.isos`).
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
-    from typing import Callable, Mapping, Union
+    from typing import Mapping, Union
 
 from .bicat import (
     Bicategory,
@@ -42,8 +42,8 @@ from .fib1 import (
     ObjectNotInBase,
     NonUniqueLift,
     _grothendieck_objects,
+    _one_sided_flags,
     _product_components,
-    classify_fibration,
     is_cartesian_morphism,
 )
 from .fincat import InvalidInput, require_euler, subcategory, validate_functor
@@ -176,7 +176,8 @@ class GrBicatReport(Record):
 def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> GrBicatReport:
     """The Grothendieck formula for a trihomomorphism, or for the one a strict homomorphism induces.
 
-    A lax functor that is no strict homomorphism raises NotBiFibered naming its `strict_witness`.
+    A lax functor that is no strict homomorphism raises NotBiFibered naming its `strict_witness`; so does
+    one whose cleavage raises NonUniqueLift, an input it cannot use (elsewhere that is an internal error).
     """
     if isinstance(data, Trihomomorphism):
         t = data
@@ -184,7 +185,10 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
         not_strict = strict_witness(data)
         if not_strict:
             raise NotBiFibered(f"not a strict homomorphism: {not_strict}")
-        t = induced_trihomomorphism(data)
+        try:
+            t = induced_trihomomorphism(data)
+        except NonUniqueLift as exc:
+            raise NotBiFibered(str(exc)) from exc
     base_cw = require_euler(euler_char_cg(t.base.graph), "base bicategory", "coweighting")
     gr = grothendieck_cg(t)
     zeta = gr.zeta()
@@ -307,11 +311,6 @@ def _check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str):
     return None
 
 
-def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
-    """Buckley cartesianness of the 1-cell f: x -> y (`_check_cartesian_1cell`); False unless p is strict."""
-    return not strict_witness(p) and _check_cartesian_1cell(p, x, y, f) is None
-
-
 class BiFibrationReport(Record):
     locally_fibered_in_groupoids: bool
     one_lifts: bool
@@ -321,15 +320,13 @@ class BiFibrationReport(Record):
     witnesses: Mapping[str, tuple]
 
 
-def _pseudo_flags(
-    p: LaxFunctorBicat, locally_fibered: Callable[[str, str], bool], not_strict: dict[str, tuple]
-) -> tuple[bool, bool, bool, dict]:
+def _pseudo_flags(p: LaxFunctorBicat, not_strict: dict[str, tuple]) -> tuple[bool, bool, bool, dict]:
     e, b = p.source, p.target
     witnesses: dict[str, tuple] = {}
     local = True
     for x in e.objects:
         for y in e.objects:
-            if not locally_fibered(x, y):
+            if not _one_sided_flags(p.hom_functors[(x, y)])[1]:
                 local = False
                 witnesses.setdefault("not_locally_fibered", (x, y))
     one = True
@@ -360,16 +357,9 @@ def _pseudo_flags(
 
 def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
     not_strict = strict_witness(p)
-    objects = p.source.objects
-    homs = {(x, y): classify_fibration(p.hom_functors[(x, y)]) for x in objects for y in objects}
-    local, one, cart, witnesses = _pseudo_flags(p, lambda x, y: homs[(x, y)].fibered_in_groupoids, not_strict)
-    # coop_lax_functor(p) reverses 1- and 2-cells.  Its hom functor at (x, y) is
-    # p's at (y, x) on opposite categories, fibered in groupoids exactly when p's
-    # is cofibered in groupoids.  The dual is strict exactly when p is, but
-    # coop_lax_functor drops phi and psi, so p's witness speaks for both sides.
-    co_local, co_one, co_cart, co_wit = _pseudo_flags(
-        coop_lax_functor(p), lambda x, y: homs[(y, x)].cofibered_in_groupoids, not_strict
-    )
+    local, one, cart, witnesses = _pseudo_flags(p, not_strict)
+    # p's witness speaks for both sides: the dual drops phi and psi, and is strict exactly when p is.
+    co_local, co_one, co_cart, co_wit = _pseudo_flags(coop_lax_functor(p), not_strict)
     witnesses.update({f"co_{k}": v for k, v in co_wit.items()})
     return BiFibrationReport(
         local,
@@ -444,17 +434,10 @@ def _onecell_lifts(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str) -> dict[s
     return lifts
 
 
-def fiber_pullback(
-    p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str
-) -> tuple[LaxFunctorBicat, dict[str, tuple[str, str]]]:
-    """The lax functor f*: fiber(c) -> fiber(b) induced by the least lift of f at each object (`_onecell_lifts`)."""
-    fibers = {x: fiber_bicategory(p, x) for x in dict.fromkeys((c_obj, b_obj))}
-    return _pullback(p, fibers, b_obj, c_obj, f)
-
-
 def _pullback(
     p: LaxFunctorBicat, fibers: Mapping[str, Bicategory], b_obj: str, c_obj: str, f: str
 ) -> tuple[LaxFunctorBicat, dict[str, tuple[str, str]]]:
+    """The lax functor f*: fiber(c) -> fiber(b) induced by the least lift of f at each object (`_onecell_lifts`)."""
     e, b = p.source, p.target
     fib_c, fib_b = fibers[c_obj], fibers[b_obj]
     id_f = b.hom_at(b_obj, c_obj).identity[f]

@@ -982,8 +982,6 @@ def _trihom_body(t: Trihomomorphism) -> dict:
 
 def serialize(value) -> str:
     """Canonical text: sorted keys and entries, byte-identical across runs."""
-    if isinstance(value, Document):
-        value = value.value
     if isinstance(value, FinCategory):
         body, kind = _category_body(value), "category"
     elif isinstance(value, Functor):

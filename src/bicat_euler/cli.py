@@ -187,14 +187,7 @@ _THEOREMS = {
 def cmd_verify(args) -> int:
     doc, digest = _load(args.file)
     functions, summary, flags = _THEOREMS[args.theorem]
-    verify = _answer(functions, doc, f"verify {args.theorem} expects")
-    # In gr-bicat only a laxfunctor's cleavage raises NonUniqueLift: an input it cannot use.  Elsewhere
-    # NonUniqueLift stays an internal error; `except ()` catches nothing.
-    unusable = bicat_euler.fib1.NonUniqueLift if args.theorem == "gr-bicat" else ()
-    try:
-        rep = verify(doc.value)
-    except unusable as exc:
-        raise bicat_euler.fib1.NotBiFibered(str(exc)) from exc
+    rep = _answer(functions, doc, f"verify {args.theorem} expects")(doc.value)
     ok = all(getattr(rep, flag) for flag in flags)
     results = rep.to_json()
     lines = [summary(results)] if ok else [summary(results), json.dumps(results, indent=2, sort_keys=True)]

@@ -95,8 +95,8 @@ class FibrationReport(Record):
 
 
 def reverse_functor(p: Functor) -> Functor:
-    """Formally flip every morphism in both categories."""
-    return Functor(p.source.opposite(), p.target.opposite(), dict(p.object_map), dict(p.morphism_map))
+    """Formally flip every morphism in both categories; the object and morphism maps are p's own."""
+    return Functor(p.source.opposite(), p.target.opposite(), p.object_map, p.morphism_map)
 
 
 def _lifts_by_target(p: Functor) -> dict[tuple[str, str], list[str]]:

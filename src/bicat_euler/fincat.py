@@ -143,7 +143,7 @@ class FinCategory(Record):
         return FinCategory(
             self.objects,
             tuple(Morphism(m.name, m.dst, m.src) for m in self.morphisms),
-            dict(self.identity),
+            self.identity,
             {(f, g): h for (g, f), h in self.compose.items()},
         )
 

@@ -7,13 +7,16 @@ rebuilt, and each fiber hom re-validated, on each use;
 `coop_lax_functor(p)`; every iso list is an exhaustive inverse search;
 and every 2-cell lift search re-tests cartesianness.  They stay here,
 test-only, as the slow path the sweep must agree with, witnesses included.
-Two rules are restated by loops of their own.  `strict_witness`: only a
+Three rules are restated by lines of their own.  `strict_witness`: only a
 strict homomorphism (Buckley, JPAA 218, 2014, §3) is swept for cartesian
 1-cells, on both sides of `classify_bifibration`.  `check_cartesian_1cell`:
 Buckley's 2-cell condition, for every pair of 1-cells h̃₁, h̃₂ into the
 source of f, lists each image (id_f ∗ δ̃, Pδ̃) and compares them, over each
-δ, with the pairs (σ, δ) that satisfy Pσ = id_Pf ∗ δ.  The value classes and
-the Grothendieck construction, which did not change, come from `bifib`.
+δ, with the pairs (σ, δ) that satisfy Pσ = id_Pf ∗ δ.
+`verify_gr_formula_bicat`: a lax functor whose cleavage raises
+NonUniqueLift is an input the theorem cannot use, NotBiFibered with the
+same message.  The value classes and the Grothendieck construction, which
+did not change, come from `bifib`.
 
 Two independent oracles of the paper's formulas close the module:
 `pseudogroupoid_euler` (chi = sum over components of 1/chi(hom(g,g))) and
@@ -148,10 +151,6 @@ def check_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str):
                     if sorted(hits) != sorted(members):
                         return ("not_full", z, h1, h2, delta, len(members), len(hits))
     return None
-
-
-def is_cartesian_1cell(p: LaxFunctorBicat, x: str, y: str, f: str) -> bool:
-    return not strict_witness(p) and check_cartesian_1cell(p, x, y, f) is None
 
 
 def _pseudo_flags(p: LaxFunctorBicat, not_strict: dict):
@@ -358,7 +357,13 @@ def induced_trihomomorphism(p, policy="min"):
 
 
 def verify_gr_formula_bicat(data) -> GrBicatReport:
-    t = data if isinstance(data, Trihomomorphism) else induced_trihomomorphism(data)
+    if isinstance(data, Trihomomorphism):
+        t = data
+    else:
+        try:
+            t = induced_trihomomorphism(data)
+        except NonUniqueLift as exc:  # a cleavage it cannot choose: an input this theorem cannot use
+            raise NotBiFibered(str(exc)) from exc
     base_euler = euler_char_cg(t.base.graph)
     if base_euler.coweighting is None:
         raise MissingEulerCharacteristic("base bicategory has no coweighting")

@@ -1,13 +1,14 @@
 """The bifibration sweep decides each fact once per call and agrees with its slow path.
 
-Each `bifib` entry point builds each fiber, classifies each hom functor and
-tests each cartesian 2-cell once per call, and reads iso lists from each
-hom category's index.  `bifib_oracle` keeps the sweep as it was before,
-recomputing all of them on each use, and restates the one strictness rule
-that decides whether a lax functor is swept at all.  Both must give equal
-values and reports, witnesses included, and raise the same error with the
-same message.  Identity coherence data (`phi`, `psi`) counts as absent, so
-it changes no verdict.
+Each `bifib` entry point builds each fiber, classifies each hom functor of
+its lax functor and of that functor's dual, and tests each cartesian 2-cell
+once per call, and reads iso lists from each hom category's index.
+`bifib_oracle` keeps the sweep as it was before, recomputing all of them on
+each use, and restates the one strictness rule that decides whether a lax
+functor is swept at all.  Both must give equal values and reports,
+witnesses included, and raise the same error with the same message.
+Identity coherence data (`phi`, `psi`) counts as absent, so it changes no
+verdict.
 """
 
 import contextlib
@@ -40,10 +41,17 @@ def _outcome(fn, *args, **kwargs):
         return ("raises", type(exc), str(exc))
 
 
+def _pullback(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str):
+    """`bifib._pullback` of f: b -> c on the fibers over c and b, built in that order."""
+    fibers = {x: bifib.fiber_bicategory(p, x) for x in (c_obj, b_obj)}
+    return bifib._pullback(p, fibers, b_obj, c_obj, f)
+
+
 def _assert_agrees(p: LaxFunctorBicat):
-    """Every public sweep entry point on p against the oracle."""
+    """Every public sweep entry point, each pullback and each 1-cell's cartesian check on p against the oracle."""
     e, b = p.source, p.target
     pairs = [
+        (bifib.strict_witness, oracle.strict_witness, ()),
         (bifib.classify_bifibration, oracle.classify_bifibration, ()),
         (bifib.induced_trihomomorphism, oracle.induced_trihomomorphism, ()),
         (bifib.verify_gr_formula_bicat, oracle.verify_gr_formula_bicat, ()),
@@ -51,17 +59,18 @@ def _assert_agrees(p: LaxFunctorBicat):
     ]
     pairs += [(bifib.fiber_bicategory, oracle.fiber_bicategory, (x,)) for x in b.objects]
     pairs += [
-        (bifib.fiber_pullback, oracle.fiber_pullback, (x, y, f))
+        (_pullback, oracle.fiber_pullback, (x, y, f))
         for x in b.objects
         for y in b.objects
         for f in b.onecells(x, y)
     ]
-    pairs += [
-        (bifib.is_cartesian_1cell, oracle.is_cartesian_1cell, (x, y, f))
-        for x in e.objects
-        for y in e.objects
-        for f in e.onecells(x, y)
-    ]
+    if not bifib.strict_witness(p):  # only a strict homomorphism has cartesian 1-cells
+        pairs += [
+            (bifib._check_cartesian_1cell, oracle.check_cartesian_1cell, (x, y, f))
+            for x in e.objects
+            for y in e.objects
+            for f in e.onecells(x, y)
+        ]
     for fast, slow, args in pairs:
         assert _outcome(fast, p, *args) == _outcome(slow, p, *args), (fast.__name__, args)
 
@@ -295,11 +304,12 @@ def _run(argv):
 def counters(monkeypatch):
     """Record the document the CLI parses and each fiber build, local classification and cartesian test it makes.
 
-    The cartesian tests of 1-cells, of the sweep's 2-cells and of the local classifications are recorded apart.
+    A local classification records the hom functor it classifies.  The cartesian tests of 1-cells, of the
+    sweep's 2-cells and of the local classifications are recorded apart.
     """
     calls = {"document": [], "onecell": [], "fiber": [], "classify": [], "cartesian": [], "local_cartesian": []}
     parse, check = cli.parse, bifib._check_cartesian_1cell
-    build, classify, cartesian = bifib.fiber_bicategory, bifib.classify_fibration, fib1.is_cartesian_morphism
+    build, classify, cartesian = bifib.fiber_bicategory, bifib._one_sided_flags, fib1.is_cartesian_morphism
 
     def counted_parse(text):
         result = parse(text)
@@ -315,7 +325,7 @@ def counters(monkeypatch):
         return build(p, b_obj)
 
     def counted_classify(q):
-        calls["classify"].append(id(q))
+        calls["classify"].append(q)
         return classify(q)
 
     def counted_cartesian(key):
@@ -328,10 +338,24 @@ def counters(monkeypatch):
     monkeypatch.setattr(cli, "parse", counted_parse)
     monkeypatch.setattr(bifib, "_check_cartesian_1cell", counted_check)
     monkeypatch.setattr(bifib, "fiber_bicategory", counted_build)
-    monkeypatch.setattr(bifib, "classify_fibration", counted_classify)
+    monkeypatch.setattr(bifib, "_one_sided_flags", counted_classify)
     monkeypatch.setattr(bifib, "is_cartesian_morphism", counted_cartesian("cartesian"))
     monkeypatch.setattr(fib1, "is_cartesian_morphism", counted_cartesian("local_cartesian"))
     return calls
+
+
+def _assert_each_hom_classified_once_per_side(p: LaxFunctorBicat, classified):
+    """Each hom functor of p once, in sweep order, then each of its dual's: p's maps on the opposite categories."""
+    e = p.source
+    pairs = [(x, y) for x in e.objects for y in e.objects]
+    mine, dual = classified[: len(pairs)], classified[len(pairs):]
+    assert len(dual) == len(pairs)
+    assert all(q is p.hom_functors[xy] for q, xy in zip(mine, pairs))
+    for q, (x, y) in zip(dual, pairs):
+        orig = p.hom_functors[(y, x)]
+        assert q == fib1.reverse_functor(orig)
+        assert q.object_map is orig.object_map and q.morphism_map is orig.morphism_map
+        assert q.source.identity is orig.source.identity and q.target.identity is orig.target.identity
 
 
 @pytest.mark.parametrize(
@@ -354,7 +378,7 @@ def test_each_fact_is_decided_once_per_command(counters, argv):
     if argv[1] == "gr-bicat":
         assert counters["classify"] == []
     else:
-        assert sorted(counters["classify"]) == sorted(map(id, p.hom_functors.values()))
+        _assert_each_hom_classified_once_per_side(p, counters["classify"])
     # Every 1-cell of p, then every 1-cell of its coop, is tested once (each is cartesian here);
     # the sweep and the local classifications each keep their own cartesian verdicts.
     e = p.source
@@ -368,14 +392,5 @@ def test_product_bicat_on_psg_collapse_builds_one_fiber_and_classifies_four_homs
     assert _run(["verify", "product-bicat", str(FIXTURE_DIR / "psg-collapse.catj"), "--json"]) == 0
     (p,) = counters["document"]
     assert counters["fiber"] == [(id(p), "*")]
-    assert len(counters["classify"]) == 4
-    assert sorted(counters["classify"]) == sorted(map(id, p.hom_functors.values()))
-
-
-def test_fiber_pullback_builds_each_fiber_once(counters):
-    p = catalog.GR_PSG_OVER_ARROW
-    bifib.fiber_pullback(p, "0", "0", p.target.id1("0"))
-    assert counters["fiber"] == [(id(p), "0")]
-    counters["fiber"].clear()
-    bifib.fiber_pullback(p, "0", "1", "a")
-    assert counters["fiber"] == [(id(p), "1"), (id(p), "0")]
+    assert len(p.hom_functors) == 4 and len(counters["classify"]) == 8
+    _assert_each_hom_classified_once_per_side(p, counters["classify"])

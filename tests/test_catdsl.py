@@ -194,6 +194,14 @@ def test_deep_nesting_is_a_diagnostic_not_a_recursion_error():
     assert [str(d) for d in closed.diagnostics] == ["1:1 E003 document must be a JSON object"]
 
 
+def test_trihom_without_fibers_or_pullbacks_reports_each_missing_field():
+    result = parse('{"kind": "trihom", "base": 1}')
+    assert result.document is None
+    assert [str(d) for d in result.diagnostics] == [
+        f"1:1 E003 missing field {name!r}" for name in ("fibers", "pullback1", "pullback2")
+    ]
+
+
 def test_e014_names_alpha_and_fiber_object(negative_dir):
     result = parse((negative_dir / "e014-missing-component.catj").read_text())
     messages = [d.message for d in result.diagnostics if d.code == "E014"]

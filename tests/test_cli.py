@@ -570,6 +570,13 @@ def test_cli_import_loads_no_thread_pool(fixture_dir):
     assert "concurrent.futures" not in _loaded_after(fixture_dir, "import bicat_euler.cli")
 
 
+def test_package_has_no_attribute_beyond_its_modules():
+    import bicat_euler
+
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        bicat_euler.nope
+
+
 def test_cli_import_loads_no_kind_module(fixture_dir):
     assert not _loaded_after(fixture_dir, "import bicat_euler.cli") & LAZY_MODULES
     assert not _loaded_beyond_bare(fixture_dir, "import bicat_euler.cli") & UNNEEDED_STDLIB

@@ -203,6 +203,16 @@ def test_equivalence_checker():
     assert not check_equivalence_functor(catalog.D2_TO_PT)
 
 
+def test_fully_faithful_inclusion_that_misses_an_object_is_no_equivalence():
+    # {a} -> {a, b} is fully faithful, but b is isomorphic to no image.
+    a = validate_category(["a"], [("ida", "a", "a")], {"a": "ida"}, {("ida", "ida"): "ida"})
+    ab = validate_category(
+        ["a", "b"], [("ida", "a", "a"), ("idb", "b", "b")], {"a": "ida", "b": "idb"},
+        {("ida", "ida"): "ida", ("idb", "idb"): "idb"},
+    )
+    assert not check_equivalence_functor(validate_functor(a, ab, {"a": "a"}, {"ida": "ida"}))
+
+
 def test_nerve_matches_chi_on_random_acyclic():
     for seed in range(30):
         cat = gen_acyclic_category(seed, 4)

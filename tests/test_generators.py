@@ -32,6 +32,11 @@ def test_acyclic_smallest_case_is_point():
     assert gen.gen_acyclic_category(0, 1) == catalog.PT
 
 
+def test_acyclic_with_too_many_composites_retries_with_a_thinner_seed():
+    # Seed 0 at size 7 has more than 40 composable paths, so the generator retries at seed 1000.
+    assert gen.gen_acyclic_category(0, 7) == gen.gen_acyclic_category(1000, 7)
+
+
 def test_acyclic_predicate():
     for seed in range(20):
         assert not acyclic_witness(gen.gen_acyclic_category(seed, 5))

@@ -19,8 +19,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bicat_euler"
 ALLOWED = {
     "cli.main": "the command line itself: `python -m bicat_euler.cli` and the tests call it",
     "cli.run": "the console-script entry point that pyproject.toml names",
-    "bifib.is_cartesian_1cell": "the one-1-cell form of the sweep, compared piece by piece with tests/bifib_oracle.py",
-    "bifib.fiber_pullback": "the one-pullback form of the sweep, compared piece by piece with tests/bifib_oracle.py",
 }
 
 
