@@ -7,10 +7,11 @@ decided by exhaustive search in the finite hom categories.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Mapping
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
-    from typing import Mapping, Optional, Sequence
+    from fractions import Fraction
+    from typing import Optional, Sequence
 
 from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
 from .fincat import (
@@ -137,34 +138,29 @@ def validate_bicategory(
                 for z in graph.objects:
                     hx, hy, hz = graph.hom_at(x, y), graph.hom_at(y, z), graph.hom_at(x, z)
                     xyz, cells = (x, y, z), hz._by_name
+                    # compose1 is total on 1-cells here: checked above.
+                    frame = {(g, f): compose1[(xyz, g, f)] for f in hx.objects for g in hy.objects}
                     for alpha in hx.morphisms:
+                        a, a_src, a_dst = alpha.name, alpha.src, alpha.dst
                         for beta in hy.morphisms:
-                            res = hcompose2.get((xyz, beta.name, alpha.name))
+                            res = hcompose2.get((xyz, beta.name, a))
                             if res is None:
-                                raise MissingCompositionData(
-                                    f"hcompose2 missing at (({x},{y},{z}), {beta.name}, {alpha.name})"
-                                )
+                                raise MissingCompositionData(f"hcompose2 missing at (({x},{y},{z}), {beta.name}, {a})")
                             cell = cells.get(res)
                             if cell is None:
                                 raise MissingCompositionData(
-                                    f"hcompose2 at (({x},{y},{z}), {beta.name}, {alpha.name}) "
-                                    f"names unknown 2-cell {res!r}"
+                                    f"hcompose2 at (({x},{y},{z}), {beta.name}, {a}) names unknown 2-cell {res!r}"
                                 )
-                            # compose1 is total on 1-cells here: checked above.
-                            if (
-                                cell.src != compose1[(xyz, beta.src, alpha.src)]
-                                or cell.dst != compose1[(xyz, beta.dst, alpha.dst)]
-                            ):
+                            if cell.src != frame[beta.src, a_src] or cell.dst != frame[beta.dst, a_dst]:
                                 raise MissingCompositionData(
-                                    f"hcompose2 at (({x},{y},{z}), {beta.name}, {alpha.name}) has wrong frame"
+                                    f"hcompose2 at (({x},{y},{z}), {beta.name}, {a}) has wrong frame"
                                 )
-                    for f in hx.objects:
-                        for g in hy.objects:
-                            id_g, id_f = hy.identity[g], hx.identity[f]
-                            if hcompose2[((x, y, z), id_g, id_f)] != hz.identity[bi.c1(x, y, z, g, f)]:
-                                raise Hcompose2IdentityViolation(
-                                    f"hcompose2 at (({x},{y},{z}), {id_g}, {id_f}) is not the identity of {g}∘{f}"
-                                )
+                    for (g, f), gf in frame.items():
+                        id_g, id_f = hy.identity[g], hx.identity[f]
+                        if hcompose2[(xyz, id_g, id_f)] != hz.identity[gf]:
+                            raise Hcompose2IdentityViolation(
+                                f"hcompose2 at (({x},{y},{z}), {id_g}, {id_f}) is not the identity of {g}∘{f}"
+                            )
     if associator is not None:
         _validate_associator(bi, associator)
     if unitor_l is not None or unitor_r is not None:
@@ -428,6 +424,7 @@ class BiequivalenceReport(Record):
 
 def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
     """chi equality plus the transported-weighting identity from the invariance proof."""
+    from fractions import Fraction
     if biequivalence_witness(l):
         raise NotBiequivalence("lax functor is not a biequivalence")
     zeta = similarity_matrix_cg(l.source.graph)
@@ -456,7 +453,7 @@ def restrict_catgraph(g: CatGraph, objects: Sequence[str]) -> CatGraph:
 
 
 def coop_lax_functor(p: LaxFunctorBicat) -> LaxFunctorBicat:
-    """Formally reverse 1- and 2-cells on both sides of a lax functor, sharing p's maps; phi and psi are dropped."""
+    """Reverse 1- and 2-cells on both sides of a lax functor, sharing p's maps and tables; phi and psi are dropped."""
     source = coop_bicategory(p.source)
     target = coop_bicategory(p.target)
     hom_functors = {}
@@ -472,12 +469,30 @@ def coop_lax_functor(p: LaxFunctorBicat) -> LaxFunctorBicat:
     return LaxFunctorBicat(source, target, p.object_map, hom_functors)
 
 
+class _Reversed(Mapping):
+    """A read-only view of a compose1 or hcompose2 table that reads ((x, y, z), g, f) at ((z, y, x), f, g)."""
+
+    def __init__(self, table: Mapping):
+        self._table = table
+
+    def __getitem__(self, key):
+        (x, y, z), g, f = key
+        return self._table[((z, y, x), f, g)]
+
+    def __iter__(self):
+        for (z, y, x), f, g in self._table:
+            yield (x, y, z), g, f
+
+    def __len__(self):
+        return len(self._table)
+
+
 def coop_bicategory(b: Bicategory) -> Bicategory:
-    """Reverse 1- and 2-cells: hom'(x,y) = hom(y,x)ᵒᵖ, sharing b's identity1; associators and unitors are dropped."""
+    """Reverse 1- and 2-cells: hom'(x,y) = hom(y,x)ᵒᵖ; associators and unitors are dropped.
+
+    b's identity1 is shared, and compose1 and hcompose2 are views of b's
+    tables that reorder each key on lookup, equal to the dicts they stand for.
+    """
     graph = make_catgraph(b.objects, {(x, y): b.hom_at(y, x).opposite() for x in b.objects for y in b.objects})
-
-    def swapped(table):
-        return {((x, y, z), g, f): h for ((z, y, x), f, g), h in table.items()}
-
-    hcompose2 = None if b.hcompose2 is None else swapped(b.hcompose2)
-    return Bicategory(graph, b.identity1, swapped(b.compose1), hcompose2)
+    hcompose2 = None if b.hcompose2 is None else _Reversed(b.hcompose2)
+    return Bicategory(graph, b.identity1, _Reversed(b.compose1), hcompose2)

@@ -17,10 +17,10 @@ The isomorphisms of a hom category come from that category's own index
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
+    from fractions import Fraction
     from typing import Mapping, Union
 
 from .bicat import (
@@ -105,6 +105,7 @@ class GrHom(Record):
     twocells: Mapping[tuple[tuple[str, str], tuple[str, str]], tuple[tuple[str, str], ...]]
 
     def count_matrix(self) -> QMatrix:
+        from fractions import Fraction
         return QMatrix.build(
             self.onecells, self.onecells, lambda m1, m2: Fraction(len(self.twocells[(m1, m2)]))
         )
@@ -179,6 +180,7 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
     A lax functor that is no strict homomorphism raises NotBiFibered naming its `strict_witness`; so does
     one whose cleavage raises NonUniqueLift, an input it cannot use (elsewhere that is an internal error).
     """
+    from fractions import Fraction
     if isinstance(data, Trihomomorphism):
         t = data
     else:
@@ -236,10 +238,12 @@ def strict_witness(p: LaxFunctorBicat) -> dict[str, tuple]:
     for x, y, z in triples:
         xy, yz, xz = (functors[pair].morphism_map for pair in ((x, y), (y, z), (x, z)))
         xyz, image = (x, y, z), (p.ob(x), p.ob(y), p.ob(z))
+        betas = [(beta.name, yz[beta.name]) for beta in e.hom_at(y, z).morphisms]
         for alpha in e.hom_at(x, y).morphisms:
-            for beta in e.hom_at(y, z).morphisms:
-                if xz[e2[(xyz, beta.name, alpha.name)]] != b2[(image, yz[beta.name], xy[alpha.name])]:
-                    return {"not_strict": ("hcompose2", xyz, beta.name, alpha.name)}
+            a, pa = alpha.name, xy[alpha.name]
+            for b_name, pb in betas:
+                if xz[e2[(xyz, b_name, a)]] != b2[(image, pb, pa)]:
+                    return {"not_strict": ("hcompose2", xyz, b_name, a)}
     for key, cell in sorted((p.phi or {}).items()):
         x, _, z = key[0]
         if not b.hom_at(p.ob(x), p.ob(z)).is_identity(cell):

@@ -1,10 +1,11 @@
 """Exact rational linear algebra over label-indexed matrices.
 
 Everything here is a pure function over immutable values.  Entries are
-`fractions.Fraction` at the API; the one elimination kernel, `_solve`,
-works internally on Python ints (forward-only fraction-free Bareiss
-elimination, then exact back substitution), and no floating point is ever
-introduced.
+`fractions.Fraction` at the API, imported where one is first built, so a
+command that builds no rational never loads `fractions`; the one elimination
+kernel, `_solve`, works internally on Python ints (forward-only fraction-free
+Bareiss elimination, then exact back substitution), and no floating point is
+ever introduced.
 
 `Record` is the base of every value class in the package.  A subclass
 lists its fields as class annotations, in order, with optional class-level
@@ -17,15 +18,13 @@ form maps each field to a key of the same name.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import lcm
 from operator import attrgetter
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
+    from fractions import Fraction
     from typing import Optional, Sequence
-
-
-_ZERO = Fraction(0)
 
 
 class Record:
@@ -86,7 +85,8 @@ def _json(value):
     object of its fields, a tuple or list is an array and a dict is an
     object; any other value is written unchanged.
     """
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")  # no Fraction exists before its module is loaded
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return format_rational(value)
     if isinstance(value, Record):
         return value.to_json()
@@ -126,7 +126,8 @@ class QVector(Record):
         return self.entries[self.index.index(label)]
 
     def total(self) -> Fraction:
-        return sum(self.entries, _ZERO)
+        from fractions import Fraction
+        return sum(self.entries, Fraction(0))
 
     def to_json(self) -> dict:
         return {label: format_rational(v) for label, v in zip(self.index, self.entries)}
@@ -198,6 +199,7 @@ def _solve(a: Sequence[Sequence]) -> Optional[list[Fraction]]:
     columns, so X = D·x is integral by Cramer's rule: back substitution over
     the pivot rows divides exactly in integers, and x = X / D.
     """
+    from fractions import Fraction
     width = len(a[0]) if a else 0
     rows = []
     for ra in a:
@@ -224,7 +226,7 @@ def _solve(a: Sequence[Sequence]) -> Optional[list[Fraction]]:
         prev = p
     if any(row[width] for row in rows[len(pivots):]):
         return None
-    x = [_ZERO] * width
+    x = [Fraction(0)] * width
     solved: list[tuple[int, int]] = []  # (column, D·x there), from the last pivot back
     for row, col in zip(reversed(rows[: len(pivots)]), reversed(pivots)):
         rest = sum(row[c] * value for c, value in solved)

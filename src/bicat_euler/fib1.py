@@ -9,10 +9,10 @@ the finite hom-sets.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache, partial
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
+    from fractions import Fraction
     from typing import Callable, Mapping, Optional, Sequence
 
 from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
@@ -281,6 +281,7 @@ class GrothendieckCat(Record):
     projection: Optional[Functor]
 
     def zeta(self) -> QMatrix:
+        from fractions import Fraction
         return QMatrix.build(self.objects, self.objects, lambda i, j: Fraction(len(self.hom[(i, j)])))
 
     def euler(self) -> MatrixEuler:
@@ -374,6 +375,7 @@ class GrFormulaReport(Record):
 
 
 def verify_gr_formula(f: LaxFunctorToCat) -> GrFormulaReport:
+    from fractions import Fraction
     coweighting = require_euler(euler_char_cat(f.base), "base category", "coweighting")
     chi_gr = require_euler(grothendieck_cat(f).euler(), "Grothendieck construction")
     fiber_chi = {b: require_euler(euler_char_cat(f.fiber[b]), f"fiber over {b}") for b in f.base.objects}
@@ -394,6 +396,7 @@ def _product_components(
     the fiber over that object.  A component without chi raises MissingEulerCharacteristic before
     its fibers are solved; the fibers follow, one by one in the component's order.
     """
+    from fractions import Fraction
     out = []
     total = Fraction(0)
     for comp in components:

@@ -10,7 +10,6 @@ Every downstream module builds on the similarity matrix
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
@@ -305,6 +304,7 @@ def validate_category(
 
 def similarity_matrix(a: FinCategory) -> QMatrix:
     """ζ_A over ob(A): entry (i,j) = #A(i,j)."""
+    from fractions import Fraction
     return QMatrix.build(a.objects, a.objects, lambda i, j: Fraction(len(a.hom(i, j))))
 
 

@@ -9,6 +9,7 @@ import catalog
 import fraction_oracle
 from bicat_euler import fixtures as fx
 from bicat_euler.bicat import (
+    Bicategory,
     Hcompose2IdentityViolation,
     MissingCompositionData,
     NotBiequivalence,
@@ -19,6 +20,7 @@ from bicat_euler.bicat import (
     equivalence_classes,
     euler_char_cg,
     identity_lax_functor,
+    LaxFunctorBicat,
     make_catgraph,
     pseudogroupoid_witness,
     similarity_matrix_cg,
@@ -29,7 +31,12 @@ from bicat_euler.bicat import (
 from bicat_euler.exactq import QMatrix, matrix_euler
 from bicat_euler.generators import gen_pseudogroupoid
 from bifib_oracle import pseudogroupoid_euler
-from builders import coproduct_cg, inflate_bicategory, product_cg
+from builders import (
+    coproduct_cg,
+    gen_fib_pseudogroupoids_laxfunctor,
+    inflate_bicategory,
+    product_cg,
+)
 from catalog import gen_biequivalence, gen_catgraph_with_chi
 
 
@@ -408,6 +415,48 @@ def test_coop_of_the_empty_bicategory_keeps_its_composition_data():
     assert coop.identity1 == {} and coop.compose1 == {} and coop.hcompose2 is None
     lax = coop_lax_functor(identity_lax_functor(empty))
     assert lax.source == coop and lax.target == coop
+
+
+def _catalog_and_builder_bicategories():
+    """Every bicategory in catalog.py, and one of each shape the builders make, each named."""
+
+    def sides(name, lax):
+        return [pytest.param(lax.source, id=f"{name}.source"), pytest.param(lax.target, id=f"{name}.target")]
+
+    out = []
+    for name, value in sorted(vars(catalog).items()):
+        if isinstance(value, Bicategory):
+            out.append(pytest.param(value, id=name))
+        elif isinstance(value, LaxFunctorBicat):
+            out += sides(name, value)
+    # The families of gen_fib_pseudogroupoids_laxfunctor: a product, a collapse, a suspension, a
+    # disjoint union and an action groupoid.
+    for seed, size in ((0, 3), (1, 3), (2, 3), (3, 3), (3, 1)):
+        out += sides(f"fibps{seed},{size}", gen_fib_pseudogroupoids_laxfunctor(seed, size))
+    out.append(pytest.param(inflate_bicategory(catalog.PSG, [2, 1])[0], id="inflated PSG"))
+    return out
+
+
+def _swapped(table):
+    """The copy of a composition table that `coop_bicategory` made before its views."""
+    return {((x, y, z), g, f): h for ((z, y, x), f, g), h in table.items()}
+
+
+@pytest.mark.parametrize("b", _catalog_and_builder_bicategories())
+def test_coop_views_agree_with_the_copies_they_replace(b):
+    coop = coop_bicategory(b)
+    for view, table in ((coop.compose1, b.compose1), (coop.hcompose2, b.hcompose2)):
+        if table is None:
+            assert view is None
+            continue
+        copy = _swapped(table)
+        assert dict(view.items()) == copy and view == copy and copy == view
+        assert list(view) == list(copy) and len(view) == len(copy)
+        assert all(key in view and view.get(key) == value for key, value in copy.items())
+        absent = (("nowhere", "y", "z"), "g", "f")
+        assert absent not in view and view.get(absent) is None and copy.get(absent) is None
+        with pytest.raises(KeyError):
+            view[absent]
 
 
 @pytest.mark.parametrize("name", ["PSG", "BPT", "ACYCLIC2", "ARROW_BICAT", "EZ2_BICAT", "BZ2_TWOGROUP"])

@@ -531,6 +531,8 @@ LAZY_MODULES = {f"bicat_euler.{m}" for m in ("bicat", "fib1", "bifib", "generato
 # imports `inspect`), `traceback` is imported only on exit 3, and the command line is read
 # without `argparse` (which imports `gettext`, and `locale` when it builds a parser).
 UNNEEDED_STDLIB = {"dataclasses", "inspect", "traceback", "argparse", "gettext", "locale"}
+# `fractions` and what it imports: loaded only by a command that builds a rational.
+NUMERIC_MODULES = {"fractions", "decimal", "numbers"}
 
 
 def _loaded_beyond_bare(fixture_dir, code):
@@ -579,7 +581,7 @@ def test_package_has_no_attribute_beyond_its_modules():
 
 def test_cli_import_loads_no_kind_module(fixture_dir):
     assert not _loaded_after(fixture_dir, "import bicat_euler.cli") & LAZY_MODULES
-    assert not _loaded_beyond_bare(fixture_dir, "import bicat_euler.cli") & UNNEEDED_STDLIB
+    assert not _loaded_beyond_bare(fixture_dir, "import bicat_euler.cli") & (UNNEEDED_STDLIB | NUMERIC_MODULES)
 
 
 def test_package_imports_no_pathlib_or_typing(fixture_dir, tmp_path):
@@ -595,7 +597,7 @@ def test_package_imports_no_pathlib_or_typing(fixture_dir, tmp_path):
 
 def test_each_command_loads_only_the_modules_it_runs(fixture_dir, tmp_path):
     chi = _loaded_after(fixture_dir, "from bicat_euler.cli import main; main(['chi', 'fixtures/bz2.catj'])")
-    assert not chi & {"bicat_euler.bicat", "bicat_euler.fib1"}
+    assert not chi & {"bicat_euler.bicat", "bicat_euler.fib1"} and "fractions" in chi
     check = "from bicat_euler.cli import main; main(['check', 'fixtures/ez2-to-bz2.catj', 'fib-groupoids'])"
     loaded = _loaded_after(fixture_dir, check)
     assert "bicat_euler.fib1" in loaded and not loaded & {"bicat_euler.bicat", "bicat_euler.bifib"}
@@ -604,7 +606,10 @@ def test_each_command_loads_only_the_modules_it_runs(fixture_dir, tmp_path):
     assert "bicat_euler.bicat" in loaded and not loaded & {"bicat_euler.fixtures", "bicat_euler.fib1"}
     for argv in _commands(tmp_path):
         code = f"from bicat_euler.cli import main; assert main({argv!r}) == 0"
-        assert not _loaded_beyond_bare(fixture_dir, code) & UNNEEDED_STDLIB, argv
+        loaded = _loaded_beyond_bare(fixture_dir, code)
+        assert not loaded & UNNEEDED_STDLIB, argv
+        # `check` and `gen` build no rational, so they load no numeric module.
+        assert argv[0] not in ("check", "gen") or not loaded & NUMERIC_MODULES, argv
 
 
 def test_generators_import_validates_nothing(fixture_dir):
