@@ -13,7 +13,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
     from typing import Optional, Sequence
 
-from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
+from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler, rational
 from .fincat import (
     EMPTY_CATEGORY,
     FinCategory,
@@ -138,29 +138,34 @@ def validate_bicategory(
                 for z in graph.objects:
                     hx, hy, hz = graph.hom_at(x, y), graph.hom_at(y, z), graph.hom_at(x, z)
                     xyz, cells = (x, y, z), hz._by_name
-                    # compose1 is total on 1-cells here: checked above.
-                    frame = {(g, f): compose1[(xyz, g, f)] for f in hx.objects for g in hy.objects}
                     for alpha in hx.morphisms:
-                        a, a_src, a_dst = alpha.name, alpha.src, alpha.dst
                         for beta in hy.morphisms:
-                            res = hcompose2.get((xyz, beta.name, a))
+                            res = hcompose2.get((xyz, beta.name, alpha.name))
                             if res is None:
-                                raise MissingCompositionData(f"hcompose2 missing at (({x},{y},{z}), {beta.name}, {a})")
+                                raise MissingCompositionData(
+                                    f"hcompose2 missing at (({x},{y},{z}), {beta.name}, {alpha.name})"
+                                )
                             cell = cells.get(res)
                             if cell is None:
                                 raise MissingCompositionData(
-                                    f"hcompose2 at (({x},{y},{z}), {beta.name}, {a}) names unknown 2-cell {res!r}"
+                                    f"hcompose2 at (({x},{y},{z}), {beta.name}, {alpha.name}) "
+                                    f"names unknown 2-cell {res!r}"
                                 )
-                            if cell.src != frame[beta.src, a_src] or cell.dst != frame[beta.dst, a_dst]:
+                            # compose1 is total on 1-cells here: checked above.
+                            if (
+                                cell.src != compose1[(xyz, beta.src, alpha.src)]
+                                or cell.dst != compose1[(xyz, beta.dst, alpha.dst)]
+                            ):
                                 raise MissingCompositionData(
-                                    f"hcompose2 at (({x},{y},{z}), {beta.name}, {a}) has wrong frame"
+                                    f"hcompose2 at (({x},{y},{z}), {beta.name}, {alpha.name}) has wrong frame"
                                 )
-                    for (g, f), gf in frame.items():
-                        id_g, id_f = hy.identity[g], hx.identity[f]
-                        if hcompose2[(xyz, id_g, id_f)] != hz.identity[gf]:
-                            raise Hcompose2IdentityViolation(
-                                f"hcompose2 at (({x},{y},{z}), {id_g}, {id_f}) is not the identity of {g}∘{f}"
-                            )
+                    for f in hx.objects:
+                        for g in hy.objects:
+                            id_g, id_f = hy.identity[g], hx.identity[f]
+                            if hcompose2[((x, y, z), id_g, id_f)] != hz.identity[bi.c1(x, y, z, g, f)]:
+                                raise Hcompose2IdentityViolation(
+                                    f"hcompose2 at (({x},{y},{z}), {id_g}, {id_f}) is not the identity of {g}∘{f}"
+                                )
     if associator is not None:
         _validate_associator(bi, associator)
     if unitor_l is not None or unitor_r is not None:
@@ -424,7 +429,6 @@ class BiequivalenceReport(Record):
 
 def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
     """chi equality plus the transported-weighting identity from the invariance proof."""
-    from fractions import Fraction
     if biequivalence_witness(l):
         raise NotBiequivalence("lax functor is not a biequivalence")
     zeta = similarity_matrix_cg(l.source.graph)
@@ -437,11 +441,11 @@ def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
     lw = target_euler.weighting
     entries = []
     for a in l.source.objects:
-        total = sum((lw[b] for b in target_classes[l.ob(a)]), Fraction(0))
+        total = sum((lw[b] for b in target_classes[l.ob(a)]), rational())
         entries.append(total / len(source_classes[a]))
     transported = QVector(l.source.objects, tuple(entries))
     valid = all(
-        sum((zeta.at(a, b) * transported[b] for b in l.source.objects), Fraction(0)) == 1
+        sum((zeta.at(a, b) * transported[b] for b in l.source.objects), rational()) == 1
         for a in l.source.objects
     )
     return BiequivalenceReport(chi_source, chi_target, chi_source == chi_target, transported, valid)

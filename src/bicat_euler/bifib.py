@@ -35,7 +35,7 @@ from .bicat import (
     restrict_catgraph,
     validate_bicategory,
 )
-from .exactq import QMatrix, QVector, Record, matrix_euler
+from .exactq import QMatrix, QVector, Record, matrix_euler, rational
 from .fib1 import (
     Component,
     NotBiFibered,
@@ -105,9 +105,8 @@ class GrHom(Record):
     twocells: Mapping[tuple[tuple[str, str], tuple[str, str]], tuple[tuple[str, str], ...]]
 
     def count_matrix(self) -> QMatrix:
-        from fractions import Fraction
         return QMatrix.build(
-            self.onecells, self.onecells, lambda m1, m2: Fraction(len(self.twocells[(m1, m2)]))
+            self.onecells, self.onecells, lambda m1, m2: rational(len(self.twocells[(m1, m2)]))
         )
 
 
@@ -180,7 +179,6 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
     A lax functor that is no strict homomorphism raises NotBiFibered naming its `strict_witness`; so does
     one whose cleavage raises NonUniqueLift, an input it cannot use (elsewhere that is an internal error).
     """
-    from fractions import Fraction
     if isinstance(data, Trihomomorphism):
         t = data
     else:
@@ -200,10 +198,10 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
         e = euler_char_cg(t.fiber[b].graph)
         fiber_chi[b] = require_euler(e, f"fiber over {b}")
         fiber_cw[b] = e.coweighting  # there whenever chi is
-    rhs = sum((base_cw[b] * fiber_chi[b] for b in t.base.objects), Fraction(0))
+    rhs = sum((base_cw[b] * fiber_chi[b] for b in t.base.objects), rational())
     product_valid = True
     for o2 in gr.objects:
-        total = Fraction(0)
+        total = rational()
         for o1 in gr.objects:
             b, x = o1
             total += base_cw[b] * fiber_cw[b][x] * zeta.at(o1, o2)
@@ -238,12 +236,10 @@ def strict_witness(p: LaxFunctorBicat) -> dict[str, tuple]:
     for x, y, z in triples:
         xy, yz, xz = (functors[pair].morphism_map for pair in ((x, y), (y, z), (x, z)))
         xyz, image = (x, y, z), (p.ob(x), p.ob(y), p.ob(z))
-        betas = [(beta.name, yz[beta.name]) for beta in e.hom_at(y, z).morphisms]
         for alpha in e.hom_at(x, y).morphisms:
-            a, pa = alpha.name, xy[alpha.name]
-            for b_name, pb in betas:
-                if xz[e2[(xyz, b_name, a)]] != b2[(image, pb, pa)]:
-                    return {"not_strict": ("hcompose2", xyz, b_name, a)}
+            for beta in e.hom_at(y, z).morphisms:
+                if xz[e2[(xyz, beta.name, alpha.name)]] != b2[(image, yz[beta.name], xy[alpha.name])]:
+                    return {"not_strict": ("hcompose2", xyz, beta.name, alpha.name)}
     for key, cell in sorted((p.phi or {}).items()):
         x, _, z = key[0]
         if not b.hom_at(p.ob(x), p.ob(z)).is_identity(cell):

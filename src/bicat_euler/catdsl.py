@@ -316,9 +316,6 @@ class _Builder:
                 out[key] = val
         return out
 
-    def table_read(self, node: JNode):
-        """Called with each `|`-keyed table once its rows are read; the scanner's nodes are kept."""
-
     def triples(self, node: JNode, what: str, width: int = 3) -> list[tuple]:
         out = []
         arr = self.array_of(node, what)
@@ -378,10 +375,6 @@ class _PlainBuilder(_Builder):
         if type(node) is list:
             node.clear()
         return rows
-
-    def table_read(self, node: dict):
-        """Free the decoded table: its rows are built, and a later problem reads the text again."""
-        node.clear()
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -508,12 +501,8 @@ def _keyed_triples(b: _Builder, node: JNode, what: str, key_arity: int, width: i
     """A `|`-keyed table of rows: {"x|y|...": [[*rest, value], ...]} -> {(parts, *rest): value}."""
     out = {}
     for parts, key, sub in _split_items(b, node, what, key_arity):
-        rows = b.triples(sub, f"{what}[{key}]", width)
-        if width == 3:  # compose1, hcompose2 and phi: the tables that grow with a document
-            out.update({(parts, g, f): value for g, f, value in rows})
-        else:
-            out.update({(parts, *row[:-1]): row[-1] for row in rows})
-    b.table_read(node)
+        for row in b.triples(sub, f"{what}[{key}]", width):
+            out[(parts,) + row[:-1]] = row[-1]
     return out
 
 

@@ -1,11 +1,11 @@
 """Exact rational linear algebra over label-indexed matrices.
 
 Everything here is a pure function over immutable values.  Entries are
-`fractions.Fraction` at the API, imported where one is first built, so a
-command that builds no rational never loads `fractions`; the one elimination
-kernel, `_solve`, works internally on Python ints (forward-only fraction-free
-Bareiss elimination, then exact back substitution), and no floating point is
-ever introduced.
+`fractions.Fraction` at the API, each built by `rational`, which imports
+`fractions` on its first call, so a command that builds no rational never
+loads it; the one elimination kernel, `_solve`, works internally on Python
+ints (forward-only fraction-free Bareiss elimination, then exact back
+substitution), and no floating point is ever introduced.
 
 `Record` is the base of every value class in the package.  A subclass
 lists its fields as class annotations, in order, with optional class-level
@@ -103,6 +103,12 @@ class IndexMismatch(Exception):
     """Row and column label sets of a square-only operation differ."""
 
 
+def rational(numerator: int = 0, denominator: Optional[int] = None) -> Fraction:
+    """`Fraction(numerator, denominator)`: every module builds its rationals here, so `fractions` loads on first use."""
+    import fractions
+    return fractions.Fraction(numerator, denominator)
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical 'p/q' form, 'p' when the denominator is 1."""
     if q.denominator == 1:
@@ -126,8 +132,7 @@ class QVector(Record):
         return self.entries[self.index.index(label)]
 
     def total(self) -> Fraction:
-        from fractions import Fraction
-        return sum(self.entries, Fraction(0))
+        return sum(self.entries, rational())
 
     def to_json(self) -> dict:
         return {label: format_rational(v) for label, v in zip(self.index, self.entries)}
@@ -199,7 +204,6 @@ def _solve(a: Sequence[Sequence]) -> Optional[list[Fraction]]:
     columns, so X = D·x is integral by Cramer's rule: back substitution over
     the pivot rows divides exactly in integers, and x = X / D.
     """
-    from fractions import Fraction
     width = len(a[0]) if a else 0
     rows = []
     for ra in a:
@@ -226,13 +230,13 @@ def _solve(a: Sequence[Sequence]) -> Optional[list[Fraction]]:
         prev = p
     if any(row[width] for row in rows[len(pivots):]):
         return None
-    x = [Fraction(0)] * width
+    x = [rational()] * width
     solved: list[tuple[int, int]] = []  # (column, D·x there), from the last pivot back
     for row, col in zip(reversed(rows[: len(pivots)]), reversed(pivots)):
         rest = sum(row[c] * value for c, value in solved)
         value = (prev * row[width] - rest) // row[col]
         solved.append((col, value))
-        x[col] = Fraction(value, prev)
+        x[col] = rational(value, prev)
     return x
 
 

@@ -15,7 +15,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
     from typing import Callable, Mapping, Optional, Sequence
 
-from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler
+from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler, rational
 from .fincat import (
     FinCategory,
     Functor,
@@ -281,8 +281,7 @@ class GrothendieckCat(Record):
     projection: Optional[Functor]
 
     def zeta(self) -> QMatrix:
-        from fractions import Fraction
-        return QMatrix.build(self.objects, self.objects, lambda i, j: Fraction(len(self.hom[(i, j)])))
+        return QMatrix.build(self.objects, self.objects, lambda i, j: rational(len(self.hom[(i, j)])))
 
     def euler(self) -> MatrixEuler:
         return matrix_euler(self.zeta())
@@ -375,11 +374,10 @@ class GrFormulaReport(Record):
 
 
 def verify_gr_formula(f: LaxFunctorToCat) -> GrFormulaReport:
-    from fractions import Fraction
     coweighting = require_euler(euler_char_cat(f.base), "base category", "coweighting")
     chi_gr = require_euler(grothendieck_cat(f).euler(), "Grothendieck construction")
     fiber_chi = {b: require_euler(euler_char_cat(f.fiber[b]), f"fiber over {b}") for b in f.base.objects}
-    rhs = sum((coweighting[b] * fiber_chi[b] for b in f.base.objects), Fraction(0))
+    rhs = sum((coweighting[b] * fiber_chi[b] for b in f.base.objects), rational())
     return GrFormulaReport(chi_gr, rhs, coweighting, fiber_chi, chi_gr == rhs)
 
 
@@ -396,9 +394,8 @@ def _product_components(
     the fiber over that object.  A component without chi raises MissingEulerCharacteristic before
     its fibers are solved; the fibers follow, one by one in the component's order.
     """
-    from fractions import Fraction
     out = []
-    total = Fraction(0)
+    total = rational()
     for comp in components:
         chi_b = require_euler(base_euler(comp), f"base component {comp}")
         fiber_chis = [require_euler(fiber_euler(b), f"fiber over {b}") for b in comp]

@@ -15,7 +15,7 @@ TYPE_CHECKING = False  # typing is imported for annotations only, never at run t
 if TYPE_CHECKING:
     from typing import Mapping, Optional, Sequence
 
-from .exactq import MatrixEuler, QMatrix, Record, matrix_euler
+from .exactq import MatrixEuler, QMatrix, Record, matrix_euler, rational
 
 
 class InvalidInput(Exception):
@@ -304,8 +304,7 @@ def validate_category(
 
 def similarity_matrix(a: FinCategory) -> QMatrix:
     """ζ_A over ob(A): entry (i,j) = #A(i,j)."""
-    from fractions import Fraction
-    return QMatrix.build(a.objects, a.objects, lambda i, j: Fraction(len(a.hom(i, j))))
+    return QMatrix.build(a.objects, a.objects, lambda i, j: rational(len(a.hom(i, j))))
 
 
 def euler_char_cat(a: FinCategory) -> MatrixEuler:

@@ -1,5 +1,7 @@
 """Exact linear algebra: frozen oracles and seeded property checks."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from bicat_euler.exactq import (
     QVector,
     format_rational,
     matrix_euler,
+    rational,
     solve_coweighting,
     solve_weighting,
 )
@@ -81,6 +84,27 @@ def test_matrix_euler_index_mismatch():
 def test_format_and_parse_rational():
     assert format_rational(Fraction(-3, 7)) == "-3/7"
     assert format_rational(Fraction(4, 2)) == "2"
+
+
+def test_rational_is_a_fraction():
+    assert rational() == Fraction(0) and type(rational()) is Fraction
+    assert rational(4) == 4 and rational(6, -4) == Fraction(-3, 2)
+
+
+def test_only_rational_imports_fractions_at_run_time():
+    """`fractions` loads on first use only while no other code under src/ imports it outside TYPE_CHECKING."""
+    found = []
+    for path in sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "bicat_euler").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.If) and isinstance(top.test, ast.Name) and top.test.id == "TYPE_CHECKING":
+                continue
+            for node in ast.walk(top):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                if "fractions" in names:
+                    found.append((path.stem, getattr(top, "name", None)))
+    assert found == [("exactq", "rational")]
 
 
 def test_rectangular_systems_are_supported():
