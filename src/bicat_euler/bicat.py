@@ -8,10 +8,12 @@ decided by exhaustive search in the finite hom categories.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import mul
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Optional, Sequence
+
+    from .exactq import Rational
 
 from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler, rational
 from .fincat import (
@@ -225,7 +227,7 @@ def similarity_matrix_cg(g: CatGraph) -> QMatrix:
     alive for the call, so `id(hom)` names it.
     """
     chi = {}
-    by_hom: dict[int, Fraction] = {}
+    by_hom: dict[int, Rational] = {}
     for i in g.objects:
         for j in g.objects:
             hom = g.hom_at(i, j)
@@ -420,8 +422,8 @@ def biequivalence_witness(l: LaxFunctorBicat) -> dict[str, tuple[str, ...]]:
 
 
 class BiequivalenceReport(Record):
-    chi_source: Fraction
-    chi_target: Fraction
+    chi_source: Rational
+    chi_target: Rational
     equal: bool
     transported_weighting: QVector
     transported_valid: bool
@@ -444,10 +446,8 @@ def verify_biequivalence_invariance(l: LaxFunctorBicat) -> BiequivalenceReport:
         total = sum((lw[b] for b in target_classes[l.ob(a)]), rational())
         entries.append(total / len(source_classes[a]))
     transported = QVector(l.source.objects, tuple(entries))
-    valid = all(
-        sum((zeta.at(a, b) * transported[b] for b in l.source.objects), rational()) == 1
-        for a in l.source.objects
-    )
+    # ζ's rows and columns are the source objects, in the order of `entries`.
+    valid = all(sum(map(mul, row, entries), rational()) == 1 for row in zeta.entries)
     return BiequivalenceReport(chi_source, chi_target, chi_source == chi_target, transported, valid)
 
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from operator import mul
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Mapping, Union
+
+    from .exactq import Rational
 
 from .bicat import (
     Bicategory,
@@ -165,10 +167,10 @@ def grothendieck_cg(t: Trihomomorphism) -> GrothendieckCG:
 class GrBicatReport(Record):
     """chi(Gr) against sum of k_b·chi(Fb), plus the Lemma-style product coweighting check."""
 
-    chi_grothendieck: Fraction
-    sum_k_b_chi_fiber: Fraction
+    chi_grothendieck: Rational
+    sum_k_b_chi_fiber: Rational
     base_coweighting: QVector
-    fiber_chi: Mapping[str, Fraction]
+    fiber_chi: Mapping[str, Rational]
     product_coweighting_valid: bool
     equal: bool
 
@@ -199,14 +201,9 @@ def verify_gr_formula_bicat(data: Union[Trihomomorphism, LaxFunctorBicat]) -> Gr
         fiber_chi[b] = require_euler(e, f"fiber over {b}")
         fiber_cw[b] = e.coweighting  # there whenever chi is
     rhs = sum((base_cw[b] * fiber_chi[b] for b in t.base.objects), rational())
-    product_valid = True
-    for o2 in gr.objects:
-        total = rational()
-        for o1 in gr.objects:
-            b, x = o1
-            total += base_cw[b] * fiber_cw[b][x] * zeta.at(o1, o2)
-        if total != 1:
-            product_valid = False
+    # ζ's rows and columns are gr.objects, the pairs (b, x) of a base object and a fiber object.
+    product_cw = [base_cw[b] * fiber_cw[b][x] for b, x in gr.objects]
+    product_valid = all(sum(map(mul, product_cw, column), rational()) == 1 for column in zip(*zeta.entries))
     return GrBicatReport(chi_gr, rhs, base_cw, fiber_chi, product_valid, chi_gr == rhs)
 
 
@@ -550,10 +547,10 @@ def induced_trihomomorphism(p: LaxFunctorBicat) -> Trihomomorphism:
 class ProductBicatReport(Record):
     """chi(E) against the per-component sum, and the empirical Gr comparison."""
 
-    chi_total: Fraction
-    sum_of_products: Fraction
+    chi_total: Rational
+    sum_of_products: Rational
     components: tuple[Component, ...]
-    chi_grothendieck: Fraction
+    chi_grothendieck: Rational
     grothendieck_matches_total: bool
     equal: bool
 

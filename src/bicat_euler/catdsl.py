@@ -5,15 +5,19 @@ nested category objects keyed "x|y" and composition tables are arrays of
 [g, f, g∘f] triples.  Parsing recovers and continues: every problem in a
 document is reported, each with a line/column span.
 
-A document in strict JSON with no `\\u` escape is read by the C JSON
-decoder and built from its plain values.  Positions are computed only when
-a problem is reported: at the first problem, or when the decoder rejects
-the text, the positional scanner reads it again and the builders run on its
-nodes.  The accepted language and every diagnostic are the same either way.
-The decoder merges equal category sub-documents into one object while it
-reads them (`_shared_categories`), and each category node is built once, so a
-repeated hom is held, read and validated once; the scanner's nodes are never
-shared, so each copy in a document with a problem reports at its own position.
+A document in strict JSON with no `\\u` escape is read by the C JSON decoder
+that `json.loads` drives (`_json.make_scanner`) and built from its plain
+values.  Positions are computed only when a problem is reported: at the
+first problem, or when the decoder rejects the text, the positional scanner
+reads it again and the builders run on its nodes.  The accepted language and
+every diagnostic are the same either way.  The decoder merges equal category
+sub-documents into one object while it reads them (`_shared_categories`),
+and each category node is built once, so a repeated hom is held, read and
+validated once; the scanner's nodes are never shared, so each copy in a
+document with a problem reports at its own position.  `dumps` writes a value
+as `json.dumps(value, indent=…, sort_keys=True)` does, through `_json`'s
+string encoder, for `serialize` and the command line's reports, so no
+command loads the `json` package.
 
 Each table shape has one reader, and each shape the serializer writes has
 one writer, its inverse: `_Builder.fields` reads an object with required
@@ -44,9 +48,20 @@ its class name (MissingCompositionData, IncoherentData, IllTypedComponent).
 
 from __future__ import annotations
 
-import json
 import re
 from sys import intern
+from types import SimpleNamespace
+
+try:
+    from _json import encode_basestring_ascii as _quoted, make_scanner as _make_scanner
+except ImportError:  # no C accelerator: the `json` package's own codec
+    from json import JSONDecoder
+    from json.encoder import encode_basestring_ascii as _quoted
+
+    def _make_scanner(context):
+        return JSONDecoder(
+            object_pairs_hook=context.object_pairs_hook, parse_constant=context.parse_constant, strict=context.strict
+        ).scan_once
 
 from .exactq import Record
 from .fincat import FinCategory, Functor, InvalidCategory, InvalidInput, validate_category, validate_functor
@@ -451,6 +466,25 @@ def _no_constant(name: str):
     raise _NeedsPositions
 
 
+def _decoded(text: str, hook):
+    """The value of a JSON text as `json.loads(text, object_pairs_hook=hook, parse_constant=_no_constant, strict=False)` reads it.
+
+    Raises StopIteration, ValueError or SystemError where `json.loads` raises
+    its JSONDecodeError: before 3.12 the C decoder raises that class only
+    when `json.decoder`, which defines it, is loaded, and SystemError else.
+    """
+    context = SimpleNamespace(
+        strict=False, object_hook=None, object_pairs_hook=hook, parse_float=float, parse_int=int, parse_constant=_no_constant
+    )
+    start = 0
+    while text[start : start + 1] in _SPACE_CHARS:  # the whitespace `json.loads` skips before the root value
+        start += 1
+    value, end = _make_scanner(context)(text, start)
+    if text[end:].strip(" \t\r\n"):  # and after it
+        raise ValueError(f"extra data at {end}")
+    return value
+
+
 def _read_plain(text: str) -> Optional[ParseResult]:
     """The result of a well-formed document read by the C JSON decoder, or None.
 
@@ -462,8 +496,8 @@ def _read_plain(text: str) -> Optional[ParseResult]:
     if "\\u" in text:
         return None
     try:
-        root = json.loads(text, object_pairs_hook=_shared_categories(), parse_constant=_no_constant, strict=False)
-    except (ValueError, RecursionError, _NeedsPositions):
+        root = _decoded(text, _shared_categories())
+    except (StopIteration, ValueError, SystemError, RecursionError, _NeedsPositions):
         return None
     try:
         return _build_document(_PlainBuilder(), root)
@@ -1001,4 +1035,52 @@ def serialize(value) -> str:
             body, kind = _catgraph_body(value), "catgraph"
         else:
             raise TypeError(f"cannot serialize {type(value).__name__}")
-    return json.dumps({"kind": kind, **body}, indent=2, sort_keys=True) + "\n"
+    return dumps({"kind": kind, **body}, 2) + "\n"
+
+
+def dumps(value, indent: Optional[int] = None) -> str:
+    """The text of `json.dumps(value, indent=indent, sort_keys=True)`.
+
+    A value is a str, an int, True, False, None, a list or tuple of values, or
+    a dict of values under str keys; any other type raises TypeError.
+    """
+    parts: list[str] = []
+    write = parts.append
+    separator, step = (", ", "") if indent is None else (",", " " * indent)
+
+    def encode(value, newline: str):
+        if isinstance(value, str):
+            write(_quoted(value))
+        elif value is None:
+            write("null")
+        elif value is True:
+            write("true")
+        elif value is False:
+            write("false")
+        elif isinstance(value, int):
+            write(int.__repr__(value))
+        elif isinstance(value, (list, tuple, dict)):
+            if not value:
+                write("{}" if isinstance(value, dict) else "[]")
+                return
+            inner = newline + step
+            if isinstance(value, dict):
+                write("{" + inner)
+                for i, key in enumerate(sorted(value)):
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    write(f"{separator}{inner}{_quoted(key)}: " if i else f"{_quoted(key)}: ")
+                    encode(value[key], inner)
+                write(newline + "}")
+            else:
+                write("[" + inner)
+                for i, item in enumerate(value):
+                    if i:
+                        write(separator + inner)
+                    encode(item, inner)
+                write(newline + "]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    encode(value, "" if indent is None else "\n")
+    return "".join(parts)

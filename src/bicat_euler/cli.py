@@ -14,7 +14,6 @@ runs, so each command loads only what it runs.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -32,7 +31,7 @@ except ImportError:
 import bicat_euler
 
 from . import fincat
-from .catdsl import Document, parse, serialize
+from .catdsl import Document, dumps, parse, serialize
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -82,7 +81,7 @@ def _report(args, command: str, digest, results: dict, status: int, lines: list[
     if args.json:
         inputs = [] if digest is None else [{"path": args.file, "sha256": digest}]
         report = {"command": command, "inputs": inputs, "results": results, "status": status}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(dumps(report, 2))
     else:
         for line in lines:
             print(line)
@@ -119,7 +118,7 @@ def cmd_chi(args) -> int:
     else:
         lines = [values["chi"] + (f"  (approx {float(euler.chi):.6g})" if args.decimal else "")]
         # Both vectors exist when chi does.
-        lines += [f"{side}: {json.dumps(vector, sort_keys=True)}" for side, vector in shown.items()]
+        lines += [f"{side}: {dumps(vector)}" for side, vector in shown.items()]
     results = {"chi": values["chi"], "missing": list(euler.missing()), **shown}
     return _report(args, "chi", digest, results, EXIT_FAIL if euler.chi is None else EXIT_PASS, lines)
 
@@ -144,7 +143,7 @@ def cmd_check(args) -> int:
         witnesses, ok = result, not result
     else:
         witnesses, ok = result.to_json()["witnesses"], getattr(result, flag)
-    line = "pass" if ok else f"fail {json.dumps(witnesses, sort_keys=True)}"
+    line = "pass" if ok else f"fail {dumps(witnesses)}"
     results = {"pass": ok, "witnesses": witnesses}
     return _report(args, f"check {args.predicate}", digest, results, EXIT_PASS if ok else EXIT_FAIL, [line])
 
@@ -190,7 +189,7 @@ def cmd_verify(args) -> int:
     rep = _answer(functions, doc, f"verify {args.theorem} expects")(doc.value)
     ok = all(getattr(rep, flag) for flag in flags)
     results = rep.to_json()
-    lines = [summary(results)] if ok else [summary(results), json.dumps(results, indent=2, sort_keys=True)]
+    lines = [summary(results)] if ok else [summary(results), dumps(results, 2)]
     return _report(args, f"verify {args.theorem}", digest, results, EXIT_PASS if ok else EXIT_FAIL, lines)
 
 

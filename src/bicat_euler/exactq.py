@@ -1,11 +1,13 @@
 """Exact rational linear algebra over label-indexed matrices.
 
 Everything here is a pure function over immutable values.  Entries are
-`fractions.Fraction` at the API, each built by `rational`, which imports
-`fractions` on its first call, so a command that builds no rational never
-loads it; the one elimination kernel, `_solve`, works internally on Python
-ints (forward-only fraction-free Bareiss elimination, then exact back
-substitution), and no floating point is ever introduced.
+this module's `Rational` at the API, each built by `rational`, so no command
+loads `fractions` (nor the `decimal` it imports); `rational` registers the
+class with `numbers.Rational` on its first call, so a command that builds no
+rational loads no numeric module.  The one elimination kernel, `_solve`,
+works internally on Python ints (forward-only fraction-free Bareiss
+elimination, then exact back substitution), and no floating point is ever
+introduced.
 
 `Record` is the base of every value class in the package.  A subclass
 lists its fields as class annotations, in order, with optional class-level
@@ -19,11 +21,10 @@ form maps each field to a key of the same name.
 from __future__ import annotations
 
 import sys
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Optional, Sequence
 
 
@@ -81,13 +82,10 @@ class Record:
 def _json(value):
     """A value as JSON reports write it.
 
-    A Fraction is 'p/q' text, a record is its `to_json`, a named tuple is an
+    A rational is 'p/q' text, a record is its `to_json`, a named tuple is an
     object of its fields, a tuple or list is an array and a dict is an
     object; any other value is written unchanged.
     """
-    fractions = sys.modules.get("fractions")  # no Fraction exists before its module is loaded
-    if fractions is not None and isinstance(value, fractions.Fraction):
-        return format_rational(value)
     if isinstance(value, Record):
         return value.to_json()
     if isinstance(value, tuple) and hasattr(value, "_fields"):
@@ -96,6 +94,8 @@ def _json(value):
         return [_json(v) for v in value]
     if isinstance(value, dict):
         return {key: _json(v) for key, v in value.items()}
+    if hasattr(value, "denominator") and not isinstance(value, int):  # a Rational, or a `fractions.Fraction`
+        return format_rational(value)
     return value
 
 
@@ -103,13 +103,125 @@ class IndexMismatch(Exception):
     """Row and column label sets of a square-only operation differ."""
 
 
-def rational(numerator: int = 0, denominator: Optional[int] = None) -> Fraction:
-    """`Fraction(numerator, denominator)`: every module builds its rationals here, so `fractions` loads on first use."""
-    import fractions
-    return fractions.Fraction(numerator, denominator)
+def _reduced(numerator: int, denominator: int) -> Rational:
+    """numerator/denominator in lowest terms, with a positive denominator."""
+    if not denominator:
+        raise ZeroDivisionError(f"rational({numerator}, 0)")
+    g = gcd(numerator, denominator)
+    if denominator < 0:
+        g = -g
+    q = object.__new__(Rational)
+    q.numerator = numerator // g
+    q.denominator = denominator // g
+    return q
 
 
-def format_rational(q: Fraction) -> str:
+def _pair(x) -> Optional[tuple[int, int]]:
+    """(numerator, denominator) of an int or a rational of any class, or None for any other value."""
+    if type(x) is Rational:
+        return x.numerator, x.denominator
+    if isinstance(x, int):
+        return x, 1
+    import numbers  # already loaded: `rational` registers Rational before any instance exists
+
+    if isinstance(x, numbers.Rational):
+        return x.numerator, x.denominator
+    return None
+
+
+def _operator(combine):
+    """A binary operator's method and its reflection, from combine(n1, d1, n2, d2) -> (n, d) of n1/d1 ∘ n2/d2."""
+
+    def forward(a, b):
+        p = _pair(b)
+        return NotImplemented if p is None else _reduced(*combine(a.numerator, a.denominator, *p))
+
+    def reflected(a, b):
+        p = _pair(b)
+        return NotImplemented if p is None else _reduced(*combine(*p, a.numerator, a.denominator))
+
+    return forward, reflected
+
+
+def _order(compare):
+    """A comparison method, from compare(n1·d2, n2·d1) for n1/d1 against n2/d2 (both denominators positive)."""
+
+    def method(a, b):
+        p = _pair(b)
+        return NotImplemented if p is None else compare(a.numerator * p[1], p[0] * a.denominator)
+
+    return method
+
+
+class Rational:
+    """An exact rational number: coprime int `numerator` and `denominator`, the denominator positive.
+
+    Built by `rational`.  `+ - * /` take another rational or an int on
+    either side; `==`, `<`, `<=`, `>` and `>=` compare with either, and a
+    `fractions.Fraction` or any other `numbers.Rational` counts as a rational
+    too.  `hash` is the hash of the equal int or Fraction, `bool` is whether
+    it is nonzero, `float` divides the two ints, and `str` is
+    `format_rational`; dividing by zero raises ZeroDivisionError.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    __add__, __radd__ = _operator(lambda n1, d1, n2, d2: (n1 * d2 + n2 * d1, d1 * d2))
+    __sub__, __rsub__ = _operator(lambda n1, d1, n2, d2: (n1 * d2 - n2 * d1, d1 * d2))
+    __mul__, __rmul__ = _operator(lambda n1, d1, n2, d2: (n1 * n2, d1 * d2))
+    __truediv__, __rtruediv__ = _operator(lambda n1, d1, n2, d2: (n1 * d2, d1 * n2))
+    __lt__, __le__, __gt__, __ge__ = map(_order, (int.__lt__, int.__le__, int.__gt__, int.__ge__))
+
+    def __eq__(self, other):
+        p = _pair(other)
+        return NotImplemented if p is None else (self.numerator, self.denominator) == p
+
+    def __hash__(self):
+        # As `fractions.Fraction.__hash__`: n·d⁻¹ modulo the hash modulus, or the hash of infinity
+        # where d has no inverse, with the sign of n.
+        modulus = sys.hash_info.modulus
+        try:
+            h = hash(hash(abs(self.numerator)) * pow(self.denominator, -1, modulus))
+        except ValueError:
+            h = sys.hash_info.inf
+        h = h if self.numerator >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __bool__(self):
+        return self.numerator != 0
+
+    def __float__(self):
+        return self.numerator / self.denominator
+
+    def as_integer_ratio(self) -> tuple[int, int]:
+        return self.numerator, self.denominator
+
+    def __repr__(self):
+        return f"rational({self.numerator}, {self.denominator})"
+
+    def __str__(self):
+        return format_rational(self)
+
+
+_abc_registered = False
+
+
+def rational(numerator: int = 0, denominator: int = 1) -> Rational:
+    """numerator/denominator as a `Rational`: every module builds its rationals here.
+
+    The first call registers `Rational` with `numbers.Rational`, so it equals,
+    orders and hashes like `fractions.Fraction` from either side.
+    """
+    global _abc_registered
+    if not _abc_registered:
+        import numbers
+
+        numbers.Rational.register(Rational)
+        _abc_registered = True
+    return _reduced(numerator, denominator)
+
+
+def format_rational(q: Rational) -> str:
     """Canonical 'p/q' form, 'p' when the denominator is 1."""
     if q.denominator == 1:
         return str(q.numerator)
@@ -120,7 +232,7 @@ class QVector(Record):
     """Exact rational vector indexed by an ordered tuple of labels."""
 
     index: tuple[str, ...]
-    entries: tuple[Fraction, ...]
+    entries: tuple[Rational, ...]
 
     def __post_init__(self):
         if len(self.index) != len(self.entries):
@@ -128,10 +240,10 @@ class QVector(Record):
         if len(set(self.index)) != len(self.index):
             raise ValueError("duplicate labels in vector index")
 
-    def __getitem__(self, label: str) -> Fraction:
+    def __getitem__(self, label: str) -> Rational:
         return self.entries[self.index.index(label)]
 
-    def total(self) -> Fraction:
+    def total(self) -> Rational:
         return sum(self.entries, rational())
 
     def to_json(self) -> dict:
@@ -141,12 +253,12 @@ class QVector(Record):
 class QMatrix(Record):
     """Exact rational matrix indexed by ordered row/column label tuples.
 
-    `entries` is row-major and total: one Fraction per (row, col) pair.
+    `entries` is row-major and total: one rational per (row, col) pair.
     """
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Rational, ...], ...]
 
     def __post_init__(self):
         if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
@@ -159,10 +271,10 @@ class QMatrix(Record):
 
     @classmethod
     def build(cls, rows: Sequence[str], cols: Sequence[str], at) -> "QMatrix":
-        """Construct from a callback (row_label, col_label) -> Fraction."""
+        """Construct from a callback (row_label, col_label) -> rational."""
         return cls(tuple(rows), tuple(cols), tuple(tuple(at(r, c) for c in cols) for r in rows))
 
-    def at(self, row: str, col: str) -> Fraction:
+    def at(self, row: str, col: str) -> Rational:
         return self.entries[self.rows.index(row)][self.cols.index(col)]
 
     def transpose(self) -> "QMatrix":
@@ -175,7 +287,7 @@ class MatrixEuler(Record):
 
     weighting: Optional[QVector]
     coweighting: Optional[QVector]
-    chi: Optional[Fraction]
+    chi: Optional[Rational]
 
     def missing(self) -> tuple[str, ...]:
         out = []
@@ -186,7 +298,7 @@ class MatrixEuler(Record):
         return tuple(out)
 
 
-def _solve(a: Sequence[Sequence]) -> Optional[list[Fraction]]:
+def _solve(a: Sequence[Sequence]) -> Optional[list[Rational]]:
     """Some x with a·x = (1,...,1) exactly, or None when the system is inconsistent.
 
     Forward-only fraction-free (Bareiss) elimination of the augmented rows

@@ -12,8 +12,9 @@ from collections import namedtuple
 from functools import cache, partial
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Callable, Mapping, Optional, Sequence
+
+    from .exactq import Rational
 
 from .exactq import MatrixEuler, QMatrix, QVector, Record, matrix_euler, rational
 from .fincat import (
@@ -366,10 +367,10 @@ def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
 class GrFormulaReport(Record):
     """Both sides of chi(Gr(F)) = sum_b k_b chi(Fb), with the intermediates."""
 
-    chi_grothendieck: Fraction
-    sum_k_b_chi_fiber: Fraction
+    chi_grothendieck: Rational
+    sum_k_b_chi_fiber: Rational
     base_coweighting: QVector
-    fiber_chi: Mapping[str, Fraction]
+    fiber_chi: Mapping[str, Rational]
     equal: bool
 
 
@@ -387,7 +388,7 @@ Component = namedtuple("Component", "objects chi_base chi_fiber")
 
 def _product_components(
     components: Sequence[tuple], base_euler: Callable, fiber_euler: Callable
-) -> tuple[tuple, Fraction]:
+) -> tuple[tuple, Rational]:
     """Each connected component of a base with its chi and its fibers' chi, and the sum of their products.
 
     base_euler(component) and fiber_euler(object) give the MatrixEuler of that component and of
@@ -408,8 +409,8 @@ def _product_components(
 class ProductFormulaReport(Record):
     """chi(E) against the per-component sum of chi(B_i)·chi(F_i)."""
 
-    chi_total: Fraction
-    sum_of_products: Fraction
+    chi_total: Rational
+    sum_of_products: Rational
     components: tuple[Component, ...]
     equal: bool
 

@@ -1,8 +1,11 @@
 """Exact linear algebra: frozen oracles and seeded property checks."""
 
 import ast
+import numbers
+import operator
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from bicat_euler.exactq import (
     IndexMismatch,
     QMatrix,
     QVector,
+    Rational,
     format_rational,
     matrix_euler,
     rational,
@@ -86,25 +90,86 @@ def test_format_and_parse_rational():
     assert format_rational(Fraction(4, 2)) == "2"
 
 
-def test_rational_is_a_fraction():
-    assert rational() == Fraction(0) and type(rational()) is Fraction
-    assert rational(4) == 4 and rational(6, -4) == Fraction(-3, 2)
+def test_rational_is_exactqs_own_class():
+    assert type(rational()) is Rational and rational() == 0 and rational() == Fraction(0)
+    assert rational(4) == 4 and rational(6, -4) == Fraction(-3, 2) and Fraction(-3, 2) == rational(6, -4)
+    assert rational(6, -4).as_integer_ratio() == (-3, 2) and isinstance(rational(1, 3), numbers.Rational)
+    assert rational(1, 2) != "1/2" and repr(rational(6, -4)) == "rational(-3, 2)"
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
+    with pytest.raises(TypeError):  # a float is no exact operand
+        rational(1, 2) + 0.5
 
 
-def test_only_rational_imports_fractions_at_run_time():
-    """`fractions` loads on first use only while no other code under src/ imports it outside TYPE_CHECKING."""
+def _run_time_imports(node, fallback=False):
+    """(module, whether in an `except ImportError` handler) of each import under node outside `if TYPE_CHECKING:`."""
+    if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+        return
+    if isinstance(node, ast.Import):
+        yield from ((alias.name, fallback) for alias in node.names)
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        yield node.module, fallback
+    if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name) and node.type.id == "ImportError":
+        fallback = True
+    for child in ast.iter_child_nodes(node):
+        yield from _run_time_imports(child, fallback)
+
+
+def test_no_module_imports_fractions_or_json_at_run_time():
+    """Rationals are exactq's own, and JSON goes through `_json`; `json` is the fallback where `_json` is missing."""
     found = []
     for path in sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "bicat_euler").glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(top, ast.If) and isinstance(top.test, ast.Name) and top.test.id == "TYPE_CHECKING":
+        for module, fallback in _run_time_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            if module.split(".")[0] in ("fractions", "decimal", "json"):
+                found.append((path.stem, module, fallback))
+    assert found == [("catdsl", "json", True), ("catdsl", "json.encoder", True)]
+
+
+def _draw(rng: random.Random):
+    """(ours, reference) for a random operand: an int, or a rational of either sign, small or large, maybe zero."""
+    n = rng.choice((0, rng.randint(-9, 9), rng.randint(-10**30, 10**30)))
+    if rng.random() < 0.25:
+        return n, n
+    d = rng.choice((1, -1, rng.randint(1, 40), -rng.randint(1, 10**20)))
+    return rational(n, d), Fraction(n, d)
+
+
+def _same(ours, reference) -> bool:
+    return type(ours) is Rational and ours.as_integer_ratio() == (reference.numerator, reference.denominator)
+
+
+def test_rational_agrees_with_fraction_on_random_pairs():
+    rng = random.Random(2008)
+    pairs = 0
+    while pairs < 3000:
+        (x, fx), (y, fy) = _draw(rng), _draw(rng)
+        if type(x) is int and type(y) is int:
+            continue
+        pairs += 1
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            try:
+                expected = op(fx, fy)
+            except ZeroDivisionError:
+                for a, b in ((x, y), (x, fy), (fx, y)):
+                    with pytest.raises(ZeroDivisionError):
+                        op(a, b)
                 continue
-            for node in ast.walk(top):
-                names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
-                if isinstance(node, ast.ImportFrom):
-                    names = [node.module]
-                if "fractions" in names:
-                    found.append((path.stem, getattr(top, "name", None)))
-    assert found == [("exactq", "rational")]
+            # Ours with ours or an int, and ours with a Fraction, from either side.
+            assert all(_same(op(a, b), expected) for a, b in ((x, y), (x, fy), (fx, y)) if Rational in (type(a), type(b)))
+        for op in (operator.eq, operator.ne, operator.lt):
+            expected = op(fx, fy)
+            assert op(x, y) == expected and op(x, fy) == expected and op(fx, y) == expected
+        for ours, reference in ((x, fx), (y, fy)):
+            assert hash(ours) == hash(reference) and float(ours) == float(reference) and bool(ours) == bool(reference)
+            assert ours.as_integer_ratio() == reference.as_integer_ratio()
+            assert format_rational(ours) == format_rational(reference) == str(reference)
+
+
+def test_rational_hash_where_the_denominator_has_no_inverse():
+    # A multiple of the hash modulus has no inverse modulo it: Fraction hashes such a value as infinity.
+    modulus = sys.hash_info.modulus
+    for n, d in ((1, modulus), (-3, 2 * modulus), (7, 1), (-1, 1)):
+        assert hash(rational(n, d)) == hash(Fraction(n, d))
 
 
 def test_rectangular_systems_are_supported():
