@@ -76,7 +76,6 @@ if TYPE_CHECKING:
     from .fib1 import LaxFunctorToCat
 
 class Diagnostic(Record):
-    severity: str
     line: int
     col: int
     code: str
@@ -275,12 +274,12 @@ class _Builder:
         self.categories: dict[int, FinCategory] = {}
 
     def err(self, node: JNode, code: str, message: str):
-        self.diags.append(Diagnostic("error", node.line, node.col, code, message))
+        self.diags.append(Diagnostic(node.line, node.col, code, message))
 
     def key_err(self, node: JNode, key: str, code: str, message: str):
         """A diagnostic at the position of `key` in the object `node`."""
         line, col = (node.key_pos or {}).get(key, (node.line, node.col))
-        self.diags.append(Diagnostic("error", line, col, code, message))
+        self.diags.append(Diagnostic(line, col, code, message))
 
     def object_of(self, node: JNode, what: str) -> Optional[dict]:
         if not isinstance(node.value, dict):
@@ -708,7 +707,7 @@ def _build_bicategory(b: _Builder, node: JNode) -> Optional[Bicategory]:
         return None
     obj, objects_node, hom_node, identity_node, compose_node = fields
     objects, hom = _objects_and_hom(b, objects_node, hom_node)
-    identity1 = b.string_map(identity_node, "identity1")
+    identity1 = b.string_map(identity_node, "identity1", objects, "declared object")
     compose1 = _keyed_triples(b, compose_node, "compose1", 3)
     hcompose2 = _keyed_triples(b, obj["hcompose2"], "hcompose2", 3) if "hcompose2" in obj else None
     associator = _keyed_triples(b, obj["associator"], "associator", 4, width=4) if "associator" in obj else None
@@ -860,8 +859,9 @@ def _build_trihom(b: _Builder, node: JNode) -> Optional[Trihomomorphism]:
         if key not in pb2_table:
             b.err(pb2_node, "E014", f"missing components for base 2-cell {alpha!r}")
             continue
-        comps = b.string_map(pb2_table[key], f"pullback2[{key}]")
-        for y in fibers[cc].objects if cc in fibers else ():
+        fiber_objects = fibers[cc].objects if cc in fibers else None
+        comps = b.string_map(pb2_table[key], f"pullback2[{key}]", fiber_objects, "fiber object")
+        for y in fiber_objects or ():
             if y not in comps:
                 b.err(pb2_table[key], "E014", f"missing component of {alpha!r} at fiber object {y!r}")
         pullback2[(bb, cc, alpha)] = comps
@@ -903,7 +903,7 @@ def parse(text: str) -> ParseResult:
     try:
         root = _Scanner(text).parse()
     except _SyntaxProblem as exc:
-        return ParseResult(None, (Diagnostic("error", exc.line, exc.col, "E005", exc.message),))
+        return ParseResult(None, (Diagnostic(exc.line, exc.col, "E005", exc.message),))
     return _build_document(_Builder(), root)
 
 

@@ -2,12 +2,10 @@
 
 Everything here is a pure function over immutable values.  Entries are
 this module's `Rational` at the API, each built by `rational`, so no command
-loads `fractions` (nor the `decimal` it imports); `rational` registers the
-class with `numbers.Rational` on its first call, so a command that builds no
-rational loads no numeric module.  The one elimination kernel, `_solve`,
-works internally on Python ints (forward-only fraction-free Bareiss
-elimination, then exact back substitution), and no floating point is ever
-introduced.
+loads `fractions` or the numeric-tower modules it imports.  The one
+elimination kernel, `_solve`, works internally on Python ints (forward-only
+fraction-free Bareiss elimination, then exact back substitution), and no
+floating point is ever introduced.
 
 `Record` is the base of every value class in the package.  A subclass
 lists its fields as class annotations, in order, with optional class-level
@@ -95,7 +93,7 @@ def _json(value):
     if isinstance(value, dict):
         return {key: _json(v) for key, v in value.items()}
     if hasattr(value, "denominator") and not isinstance(value, int):  # a Rational, or a `fractions.Fraction`
-        return format_rational(value)
+        return str(value)
     return value
 
 
@@ -103,30 +101,12 @@ class IndexMismatch(Exception):
     """Row and column label sets of a square-only operation differ."""
 
 
-def _reduced(numerator: int, denominator: int) -> Rational:
-    """numerator/denominator in lowest terms, with a positive denominator."""
-    if not denominator:
-        raise ZeroDivisionError(f"rational({numerator}, 0)")
-    g = gcd(numerator, denominator)
-    if denominator < 0:
-        g = -g
-    q = object.__new__(Rational)
-    q.numerator = numerator // g
-    q.denominator = denominator // g
-    return q
-
-
 def _pair(x) -> Optional[tuple[int, int]]:
-    """(numerator, denominator) of an int or a rational of any class, or None for any other value."""
-    if type(x) is Rational:
+    """(numerator, denominator) of an int or a rational of any class, or None for a value without both."""
+    try:
         return x.numerator, x.denominator
-    if isinstance(x, int):
-        return x, 1
-    import numbers  # already loaded: `rational` registers Rational before any instance exists
-
-    if isinstance(x, numbers.Rational):
-        return x.numerator, x.denominator
-    return None
+    except AttributeError:
+        return None
 
 
 def _operator(combine):
@@ -134,11 +114,11 @@ def _operator(combine):
 
     def forward(a, b):
         p = _pair(b)
-        return NotImplemented if p is None else _reduced(*combine(a.numerator, a.denominator, *p))
+        return NotImplemented if p is None else rational(*combine(a.numerator, a.denominator, *p))
 
     def reflected(a, b):
         p = _pair(b)
-        return NotImplemented if p is None else _reduced(*combine(*p, a.numerator, a.denominator))
+        return NotImplemented if p is None else rational(*combine(*p, a.numerator, a.denominator))
 
     return forward, reflected
 
@@ -157,11 +137,13 @@ class Rational:
     """An exact rational number: coprime int `numerator` and `denominator`, the denominator positive.
 
     Built by `rational`.  `+ - * /` take another rational or an int on
-    either side; `==`, `<`, `<=`, `>` and `>=` compare with either, and a
-    `fractions.Fraction` or any other `numbers.Rational` counts as a rational
-    too.  `hash` is the hash of the equal int or Fraction, `bool` is whether
-    it is nonzero, `float` divides the two ints, and `str` is
-    `format_rational`; dividing by zero raises ZeroDivisionError.
+    either side; `==`, `<`, `<=`, `>` and `>=` compare with either.  Any
+    value with int `numerator` and `denominator`, such as a
+    `fractions.Fraction`, counts as a rational: Fraction's operators return
+    NotImplemented for this class, so Python calls the reflected method here.
+    `hash` is the hash of the equal int or Fraction, `bool` is whether it is
+    nonzero, `float` divides the two ints, and `str` is 'p/q', or 'p' when
+    the denominator is 1; dividing by zero raises ZeroDivisionError.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -200,32 +182,20 @@ class Rational:
         return f"rational({self.numerator}, {self.denominator})"
 
     def __str__(self):
-        return format_rational(self)
-
-
-_abc_registered = False
+        return f"{self.numerator}/{self.denominator}" if self.denominator != 1 else str(self.numerator)
 
 
 def rational(numerator: int = 0, denominator: int = 1) -> Rational:
-    """numerator/denominator as a `Rational`: every module builds its rationals here.
-
-    The first call registers `Rational` with `numbers.Rational`, so it equals,
-    orders and hashes like `fractions.Fraction` from either side.
-    """
-    global _abc_registered
-    if not _abc_registered:
-        import numbers
-
-        numbers.Rational.register(Rational)
-        _abc_registered = True
-    return _reduced(numerator, denominator)
-
-
-def format_rational(q: Rational) -> str:
-    """Canonical 'p/q' form, 'p' when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """numerator/denominator in lowest terms, with a positive denominator: every rational is built here."""
+    if not denominator:
+        raise ZeroDivisionError(f"rational({numerator}, 0)")
+    g = gcd(numerator, denominator)
+    if denominator < 0:
+        g = -g
+    q = object.__new__(Rational)
+    q.numerator = numerator // g
+    q.denominator = denominator // g
+    return q
 
 
 class QVector(Record):
@@ -247,7 +217,7 @@ class QVector(Record):
         return sum(self.entries, rational())
 
     def to_json(self) -> dict:
-        return {label: format_rational(v) for label, v in zip(self.index, self.entries)}
+        return {label: str(v) for label, v in zip(self.index, self.entries)}
 
 
 class QMatrix(Record):

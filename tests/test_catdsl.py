@@ -102,6 +102,12 @@ NEGATIVE_CODES = {
     "stray-hom-functors-key.catj": "E001",
     "stray-pullback1-key.catj": "E001",
     "stray-pullback2-key.catj": "E001",
+    "stray-identity1-key.catj": "E001",
+    "stray-pullback2-component-key.catj": "E001",
+    "psi-bad-target.catj": "MissingCompositionData",
+    "missing-unit-iso-entry.catj": "IncoherentData",
+    "non-composable-comp-iso.catj": "IncoherentData",
+    "missing-comp-iso-entry.catj": "IncoherentData",
 }
 
 
@@ -123,6 +129,8 @@ def test_negative_corpus_triggers_each_code(name, negative_dir):
     ("stray-hom-functors-key.catj", "hom_functors key 'zz' is not a source object pair", 18, 87),
     ("stray-pullback1-key.catj", "pullback1 key 'zz' is not a base 1-cell", 19, 101),
     ("stray-pullback2-key.catj", "pullback2 key 'zz' is not a base 2-cell", 21, 40),
+    ("stray-identity1-key.catj", "identity1 key 'zz' is not a declared object", 6, 27),
+    ("stray-pullback2-component-key.catj", "pullback2[*|*|idI] key 'zz' is not a fiber object", 21, 39),
 ])
 def test_a_stray_map_key_is_one_diagnostic_at_the_key(negative_dir, name, message, line, col):
     text = (negative_dir / name).read_text(encoding="utf-8")

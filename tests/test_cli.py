@@ -531,10 +531,9 @@ LAZY_MODULES = {f"bicat_euler.{m}" for m in ("bicat", "fib1", "bifib", "generato
 # imports `inspect`), `traceback` is imported only on exit 3, and the command line is read
 # without `argparse` (which imports `gettext`, and `locale` when it builds a parser).
 UNNEEDED_STDLIB = {"dataclasses", "inspect", "traceback", "argparse", "gettext", "locale"}
-# Modules no command loads: rationals are `exactq.Rational`, and JSON is read and written through `_json`.
-UNLOADED = {"fractions", "decimal", "json"}
-# What `exactq.rational` registers its class with: loaded only by a command that builds a rational.
-NUMERIC_MODULES = {"numbers"}
+# Modules no command loads: rationals are `exactq.Rational`, registered with no numeric-tower class,
+# and JSON is read and written through `_json`.
+UNLOADED = {"fractions", "decimal", "numbers", "json"}
 
 
 def _top_level(modules: set) -> set:
@@ -589,7 +588,7 @@ def test_package_has_no_attribute_beyond_its_modules():
 def test_cli_import_loads_no_kind_module(fixture_dir):
     assert not _loaded_after(fixture_dir, "import bicat_euler.cli") & LAZY_MODULES
     loaded = _loaded_beyond_bare(fixture_dir, "import bicat_euler.cli")
-    assert not loaded & UNNEEDED_STDLIB and not _top_level(loaded) & (UNLOADED | NUMERIC_MODULES)
+    assert not loaded & UNNEEDED_STDLIB and not _top_level(loaded) & UNLOADED
 
 
 def test_package_imports_no_pathlib_or_typing(fixture_dir, tmp_path):
@@ -605,7 +604,7 @@ def test_package_imports_no_pathlib_or_typing(fixture_dir, tmp_path):
 
 def test_each_command_loads_only_the_modules_it_runs(fixture_dir, tmp_path):
     chi = _loaded_after(fixture_dir, "from bicat_euler.cli import main; main(['chi', 'fixtures/bz2.catj'])")
-    assert not chi & {"bicat_euler.bicat", "bicat_euler.fib1"} and "numbers" in chi
+    assert not chi & {"bicat_euler.bicat", "bicat_euler.fib1"}
     check = "from bicat_euler.cli import main; main(['check', 'fixtures/ez2-to-bz2.catj', 'fib-groupoids'])"
     loaded = _loaded_after(fixture_dir, check)
     assert "bicat_euler.fib1" in loaded and not loaded & {"bicat_euler.bicat", "bicat_euler.bifib"}
@@ -616,33 +615,27 @@ def test_each_command_loads_only_the_modules_it_runs(fixture_dir, tmp_path):
         code = f"from bicat_euler.cli import main; assert main({argv!r}) == 0"
         loaded = _loaded_beyond_bare(fixture_dir, code)
         assert not loaded & UNNEEDED_STDLIB and not _top_level(loaded) & UNLOADED, argv
-        # `check` and `gen` build no rational, so they load no numeric module.
-        assert argv[0] not in ("check", "gen") or not loaded & NUMERIC_MODULES, argv
 
 
 def test_no_command_form_loads_fractions_decimal_or_json(fixture_dir, tmp_path):
-    # Every output form of each command: plain and --json, each option, a failed check's witness
-    # line, no Euler characteristic, gen to stdout and to a file.  One interpreter runs the forms
-    # that build no rational, another the rest.
+    # Every output form of each command, in one interpreter: plain and --json, each option, a failed
+    # check's witness line, no Euler characteristic, gen to stdout and to a file.
     out = str(tmp_path / "out.catj")
-    quiet = [
+    forms = [
         ["check", "fixtures/ez2-to-bz2.catj", "fib-groupoids"],
         ["check", "fixtures/bz2.catj", "acyclic"],
         ["check", "fixtures/bz2.catj", "acyclic", "--json"],
         ["gen", "pseudogroupoid"],
         ["gen", "trihom-psgrpd", "--out", out, "--json"],
-    ]
-    rational = [
         ["chi", "fixtures/bz2.catj", "--weighting", "--coweighting", "--decimal"],
         ["chi", "fixtures/bz2.catj", "--json"],
         ["chi", "fixtures/nochi-catgraph.catj"],
         ["verify", "product-bicat", "fixtures/gr-psg-over-arrow.catj"],
         ["verify", "gr", "fixtures/bz2-base-laxcat.catj", "--json"],
     ]
-    for forms, unloaded in ((quiet, UNLOADED | NUMERIC_MODULES), (rational, UNLOADED)):
-        code = "import contextlib, io\nfrom bicat_euler.cli import main\n"
-        code += "".join(f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n" for argv in forms)
-        assert not _top_level(_loaded_beyond_bare(fixture_dir, code)) & unloaded, forms
+    code = "import contextlib, io\nfrom bicat_euler.cli import main\n"
+    code += "".join(f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n" for argv in forms)
+    assert not _top_level(_loaded_beyond_bare(fixture_dir, code)) & UNLOADED
 
 
 def test_generators_import_validates_nothing(fixture_dir):
