@@ -30,10 +30,6 @@ from .fincat import (
 from .fincat import acyclic_witness as cat_acyclic_witness
 
 
-class HomWithoutEuler(InvalidInput):
-    pass
-
-
 class MissingCompositionData(InvalidInput):
     pass
 
@@ -57,6 +53,16 @@ class CatGraph(Record):
 
     def onecells(self, x: str, y: str) -> tuple[str, ...]:
         return self.hom_at(x, y).objects
+
+    def composable_pairs(self):
+        """Each compose1 key ((x, y, z), g, f) with f: x -> y and g: y -> z, by objects and then 1-cell labels."""
+        objs = self.objects
+        for x in objs:
+            for y in objs:
+                for z in objs:
+                    for f in self.onecells(x, y):
+                        for g in self.onecells(y, z):
+                            yield (x, y, z), g, f
 
 
 def make_catgraph(objects: Sequence[str], hom: Mapping[tuple[str, str], FinCategory]) -> CatGraph:
@@ -122,17 +128,13 @@ def validate_bicategory(
         ident = identity1.get(x)
         if ident is None or ident not in graph.onecells(x, x):
             raise MissingCompositionData(f"identity 1-cell of {x} missing or not in hom({x},{x})")
-    for x in graph.objects:
-        for y in graph.objects:
-            for z in graph.objects:
-                xz = set(graph.onecells(x, z))
-                for f in graph.onecells(x, y):
-                    for g in graph.onecells(y, z):
-                        h = compose1.get(((x, y, z), g, f))
-                        if h is None:
-                            raise MissingCompositionData(f"compose1 missing at (({x},{y},{z}), {g}, {f})")
-                        if h not in xz:
-                            raise MissingCompositionData(f"compose1 at (({x},{y},{z}), {g}, {f}) leaves hom({x},{z})")
+    for key in graph.composable_pairs():
+        (x, y, z), g, f = key
+        h = compose1.get(key)
+        if h is None:
+            raise MissingCompositionData(f"compose1 missing at (({x},{y},{z}), {g}, {f})")
+        if h not in graph.hom_at(x, z).identity:  # the identity table is keyed by the hom's 1-cells
+            raise MissingCompositionData(f"compose1 at (({x},{y},{z}), {g}, {f}) leaves hom({x},{z})")
     bi = Bicategory(graph, dict(identity1), dict(compose1), hcompose2, associator, unitor_l, unitor_r)
     if hcompose2 is not None:
         for x in graph.objects:
@@ -232,7 +234,7 @@ def similarity_matrix_cg(g: CatGraph) -> QMatrix:
         for j in g.objects:
             hom = g.hom_at(i, j)
             if id(hom) not in by_hom:
-                by_hom[id(hom)] = require_euler(euler_char_cat(hom), f"hom({i},{j})", error=HomWithoutEuler)
+                by_hom[id(hom)] = require_euler(euler_char_cat(hom), f"hom({i},{j})")
             chi[(i, j)] = by_hom[id(hom)]
     return QMatrix.build(g.objects, g.objects, lambda i, j: chi[(i, j)])
 
@@ -278,7 +280,12 @@ def is_equivalence_1cell(b: Bicategory, x: str, y: str, f: str) -> bool:
 
 
 def equivalence_classes(b: Bicategory) -> dict[str, tuple[str, ...]]:
-    """Each object's class under 1-equivalence (exhaustive quasi-inverse search), sorted."""
+    """Each object's class under 1-equivalence (exhaustive quasi-inverse search), sorted.
+
+    Validation checks only the frames of compose1, so a lawless compose1 can
+    relate x to y and y to z but not x to z; that raises
+    MissingCompositionData naming x, y and z.
+    """
     objs = b.objects
     related = {(x, y): False for x in objs for y in objs}
     for x in objs:
@@ -290,8 +297,10 @@ def equivalence_classes(b: Bicategory) -> dict[str, tuple[str, ...]]:
         for y in objs:
             assert related[(x, y)] == related[(y, x)], "equivalence relation not symmetric"
             for z in objs:
-                if related[(x, y)] and related[(y, z)]:
-                    assert related[(x, z)], "equivalence relation not transitive"
+                if related[(x, y)] and related[(y, z)] and not related[(x, z)]:
+                    raise MissingCompositionData(
+                        f"compose1 breaks 1-equivalence: {x} ~ {y} and {y} ~ {z}, but not {x} ~ {z}"
+                    )
     adj = {x: {y for y in objs if related[(x, y)]} for x in objs}
     return {x: cls for cls in zigzag_components(objs, adj) for x in cls}
 
@@ -363,28 +372,22 @@ def validate_lax_functor(
     lax = LaxFunctorBicat(source, target, {x: object_map[x] for x in source.objects}, dict(hom_functors), phi, psi)
     if psi is not None:
         for x, cell in psi.items():
-            hom = target.hom_at(object_map[x], object_map[x])
-            if cell is None or cell not in hom._by_name or hom.src(cell) != target.id1(object_map[x]):
-                raise MissingCompositionData(f"psi at {x} has a bad frame")
-            if hom.dst(cell) != lax.cell1(x, x, source.id1(x)):
+            lx = object_map[x]
+            if cell not in target.hom_at(lx, lx).hom(target.id1(lx), lax.cell1(x, x, source.id1(x))):
                 raise MissingCompositionData(f"psi at {x} has a bad frame")
     if phi is not None:
         for ((x, y, z), g, f), cell in phi.items():
             if f not in source.onecells(x, y) or g not in source.onecells(y, z):
                 raise MissingCompositionData(f"phi at (({x},{y},{z}), {g}, {f}) names no composable source 1-cells")
             lx, ly, lz = object_map[x], object_map[y], object_map[z]
-            hom = target.hom_at(lx, lz)
             src = target.c1(lx, ly, lz, lax.cell1(y, z, g), lax.cell1(x, y, f))
             dst = lax.cell1(x, z, source.c1(x, y, z, g, f))
-            if cell not in hom._by_name or hom.src(cell) != src or hom.dst(cell) != dst:
+            if cell not in target.hom_at(lx, lz).hom(src, dst):
                 raise MissingCompositionData(f"phi at (({x},{y},{z}), {g}, {f}) has a bad frame")
-        for x in source.objects:
-            for y in source.objects:
-                for z in source.objects:
-                    for f in source.onecells(x, y):
-                        for g in source.onecells(y, z):
-                            if ((x, y, z), g, f) not in phi:
-                                raise MissingCompositionData(f"phi at (({x},{y},{z}), {g}, {f}) is missing")
+        for key in source.graph.composable_pairs():
+            if key not in phi:
+                (x, y, z), g, f = key
+                raise MissingCompositionData(f"phi at (({x},{y},{z}), {g}, {f}) is missing")
     return lax
 
 

@@ -97,10 +97,6 @@ def _json(value):
     return value
 
 
-class IndexMismatch(Exception):
-    """Row and column label sets of a square-only operation differ."""
-
-
 def _pair(x) -> Optional[tuple[int, int]]:
     """(numerator, denominator) of an int or a rational of any class, or None for a value without both."""
     try:
@@ -340,9 +336,10 @@ def matrix_euler(m: QMatrix) -> MatrixEuler:
 
     The two sums are asserted equal before returning (well-definedness of
     the Euler characteristic does not depend on the choice of vectors).
+    Row labels that differ from the column labels raise ValueError.
     """
     if m.rows != m.cols:
-        raise IndexMismatch(f"row labels {m.rows} != col labels {m.cols}")
+        raise ValueError(f"row labels {m.rows} != col labels {m.cols}")
     weighting = solve_weighting(m)
     coweighting = solve_coweighting(m)
     if weighting is None or coweighting is None:

@@ -33,15 +33,7 @@ from .fincat import (
 )
 
 
-class MorphismNotInCategory(InvalidInput):
-    pass
-
-
 class NonUniqueLift(Exception):
-    pass
-
-
-class ObjectNotInBase(InvalidInput):
     pass
 
 
@@ -65,7 +57,7 @@ def is_cartesian_morphism(p: Functor, f: str) -> bool:
     """
     e, b = p.source, p.target
     if f not in e._by_name:
-        raise MorphismNotInCategory(f)
+        raise InvalidInput(f"{f!r} is no morphism of the total category")
     x, y = e.src(f), e.dst(f)
     ob, mor = p.object_map, p.morphism_map
     px, pf = ob[x], mor[f]
@@ -152,7 +144,7 @@ def classify_fibration(p: Functor) -> FibrationReport:
 def fiber_category(p: Functor, b_obj: str) -> FinCategory:
     """Subcategory of the total category strictly over b and id_b."""
     if b_obj not in p.target.objects:
-        raise ObjectNotInBase(b_obj)
+        raise InvalidInput(f"{b_obj!r} is no object of the base")
     # P(id_x) = id_b and P(g∘f) = id_b∘id_b = id_b: the part over b and id_b is a subcategory.
     id_b = p.target.identity[b_obj]
     return subcategory(
@@ -213,38 +205,31 @@ def _validate_coherence(f: LaxFunctorToCat):
             raise IncoherentData(f"missing unit components at {b}")
         fid = f.pullback[base.identity[b]]
         for x in fb.objects:
-            comp = unit.get(x)
-            if comp not in fb._by_name or fb.src(comp) != x or fb.dst(comp) != fid.ob(x):
+            if unit.get(x) not in fb.hom(x, fid.ob(x)):
                 raise IncoherentData(f"unit component at ({b}, {x}) has wrong frame")
         for m in fb.morphisms:
             if fb.compose2(unit[m.dst], m.name) != fb.compose2(fid.mor(m.name), unit[m.src]):
                 raise IncoherentData(f"unit naturality fails at ({b}, {m.name})")
-    for (g, f_name), comps in f.comp_iso.items():
+    for g, f_name in f.comp_iso:
         if g not in base._by_name or f_name not in base._by_name:
             raise IncoherentData(f"composite components for undeclared base morphisms ({g}, {f_name})")
-        gm, fm = base.morphism(g), base.morphism(f_name)
-        if gm.src != fm.dst:
+        if (g, f_name) not in base.compose:
             raise IncoherentData(f"composite components for non-composable pair ({g}, {f_name})")
-    for gm in base.morphisms:
-        for fm in base.morphisms:
-            if gm.src != fm.dst:
-                continue
-            comps = f.comp_iso.get((gm.name, fm.name))
-            if comps is None:
-                raise IncoherentData(f"missing composite components for ({gm.name}, {fm.name})")
-            ff, fg = f.pullback[fm.name], f.pullback[gm.name]
-            fgf = f.pullback[f.base.compose2(gm.name, fm.name)]
-            fb = f.fiber[fm.src]
-            top = f.fiber[gm.dst]
-            for z in top.objects:
-                comp = comps.get(z)
-                if comp not in fb._by_name or fb.src(comp) != ff.ob(fg.ob(z)) or fb.dst(comp) != fgf.ob(z):
-                    raise IncoherentData(f"composite component at ({gm.name}, {fm.name}, {z}) has wrong frame")
-            for w in top.morphisms:
-                lhs = fb.compose2(comps[w.dst], ff.mor(fg.mor(w.name)))
-                rhs = fb.compose2(fgf.mor(w.name), comps[w.src])
-                if lhs != rhs:
-                    raise IncoherentData(f"composite naturality fails at ({gm.name}, {fm.name}, {w.name})")
+    for (g, f_name), gf in sorted(base.compose.items()):
+        comps = f.comp_iso.get((g, f_name))
+        if comps is None:
+            raise IncoherentData(f"missing composite components for ({g}, {f_name})")
+        ff, fg, fgf = f.pullback[f_name], f.pullback[g], f.pullback[gf]
+        fb = f.fiber[base.src(f_name)]
+        top = f.fiber[base.dst(g)]
+        for z in top.objects:
+            if comps.get(z) not in fb.hom(ff.ob(fg.ob(z)), fgf.ob(z)):
+                raise IncoherentData(f"composite component at ({g}, {f_name}, {z}) has wrong frame")
+        for w in top.morphisms:
+            lhs = fb.compose2(comps[w.dst], ff.mor(fg.mor(w.name)))
+            rhs = fb.compose2(fgf.mor(w.name), comps[w.src])
+            if lhs != rhs:
+                raise IncoherentData(f"composite naturality fails at ({g}, {f_name}, {w.name})")
 
 
 def is_strict(f: LaxFunctorToCat) -> bool:
@@ -255,15 +240,10 @@ def is_strict(f: LaxFunctorToCat) -> bool:
         fb = f.fiber[b]
         if any(fid.mor(m.name) != m.name for m in fb.morphisms):
             return False
-    for gm in base.morphisms:
-        for fm in base.morphisms:
-            if gm.src != fm.dst:
-                continue
-            ff, fg = f.pullback[fm.name], f.pullback[gm.name]
-            fgf = f.pullback[base.compose2(gm.name, fm.name)]
-            top = f.fiber[gm.dst]
-            if any(ff.mor(fg.mor(w.name)) != fgf.mor(w.name) for w in top.morphisms):
-                return False
+    for (g, f_name), gf in sorted(base.compose.items()):
+        ff, fg, fgf = f.pullback[f_name], f.pullback[g], f.pullback[gf]
+        if any(ff.mor(fg.mor(w.name)) != fgf.mor(w.name) for w in f.fiber[base.dst(g)].morphisms):
+            return False
     return True
 
 

@@ -26,11 +26,15 @@ class MissingEulerCharacteristic(InvalidInput):
     """Names the structure whose weighting or coweighting is absent."""
 
 
-def require_euler(euler: MatrixEuler, what: str, side: str = "chi", error: type = MissingEulerCharacteristic):
-    """euler's chi (or its coweighting, when side is "coweighting"); `error` naming `what` if it has none."""
+def require_euler(euler: MatrixEuler, what: str, side: str = "chi"):
+    """euler's chi (or its coweighting, when side is "coweighting").
+
+    When it has none, MissingEulerCharacteristic names `what`: one class for
+    each theorem's hypothesis and for each hom of a cat-graph.
+    """
     value = getattr(euler, side)
     if value is None:
-        raise error(f"{what} has no {'Euler characteristic' if side == 'chi' else side}")
+        raise MissingEulerCharacteristic(f"{what} has no {'Euler characteristic' if side == 'chi' else side}")
     return value
 
 
@@ -45,15 +49,11 @@ class Violation(Record):
 
 
 class InvalidCategory(InvalidInput):
-    """Raised with the complete list of violated laws, not just the first."""
+    """Raised with the complete list of violated category or functor laws, not just the first."""
 
     def __init__(self, violations: Sequence[Violation]):
         self.violations = tuple(violations)
         super().__init__("; ".join(str(v) for v in violations))
-
-
-class InvalidFunctor(InvalidCategory):
-    pass
 
 
 class Morphism(Record):
@@ -357,7 +357,7 @@ def validate_functor(
         if img is None or img not in target._by_name:
             violations.append(Violation("DanglingEndpoint", f"morphism {m.name} has no valid image"))
     if violations:
-        raise InvalidFunctor(violations)
+        raise InvalidCategory(violations)
     for m in source.morphisms:
         img = target.morphism(morphism_map[m.name])
         if img.src != object_map[m.src] or img.dst != object_map[m.dst]:
@@ -371,7 +371,7 @@ def validate_functor(
                 Violation("AssociativityViolation", f"composition not preserved at ({g}, {f})")
             )
     if violations:
-        raise InvalidFunctor(violations)
+        raise InvalidCategory(violations)
     # Keys that name no source label are no part of the functor.
     return Functor(
         source,

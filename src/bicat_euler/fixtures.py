@@ -99,17 +99,8 @@ def identity_functor(cat: FinCategory) -> Functor:
 
 def _locally_discrete(cat: FinCategory) -> Bicategory:
     """A category as a bicategory: discrete homs, identity 2-cells id<f> only."""
-    hom = {}
-    compose1 = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            hom[(x, y)] = discrete_category(cat.hom(x, y))
-    for x in cat.objects:
-        for y in cat.objects:
-            for z in cat.objects:
-                for f in cat.hom(x, y):
-                    for g in cat.hom(y, z):
-                        compose1[((x, y, z), g, f)] = cat.compose2(g, f)
+    hom = {(x, y): discrete_category(cat.hom(x, y)) for x in cat.objects for y in cat.objects}
+    compose1 = {((cat.src(f), cat.src(g), cat.dst(g)), g, f): h for (g, f), h in cat.compose.items()}
     hcompose2 = {((x, y, z), f"id{g}", f"id{f}"): f"id{h}" for ((x, y, z), g, f), h in compose1.items()}
     return validate_bicategory(cat.objects, hom, {x: cat.identity[x] for x in cat.objects}, compose1, hcompose2)
 

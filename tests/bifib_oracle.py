@@ -46,8 +46,15 @@ from bicat_euler.bifib import (
     validate_trihomomorphism,
 )
 from bicat_euler.exactq import QMatrix, QVector, solve_coweighting
-from bicat_euler.fib1 import NonUniqueLift, NotBiFibered, ObjectNotInBase, classify_fibration, is_cartesian_morphism
-from bicat_euler.fincat import FinCategory, euler_char_cat, similarity_matrix, validate_category, validate_functor
+from bicat_euler.fib1 import NonUniqueLift, NotBiFibered, classify_fibration, is_cartesian_morphism
+from bicat_euler.fincat import (
+    FinCategory,
+    InvalidInput,
+    euler_char_cat,
+    similarity_matrix,
+    validate_category,
+    validate_functor,
+)
 
 
 def _isos(hom: FinCategory, u: str, v: str) -> list[str]:
@@ -201,7 +208,7 @@ def classify_bifibration(p: LaxFunctorBicat) -> BiFibrationReport:
 def fiber_bicategory(p: LaxFunctorBicat, b_obj: str):
     e, b = p.source, p.target
     if b_obj not in b.objects:
-        raise ObjectNotInBase(b_obj)
+        raise InvalidInput(f"{b_obj!r} is no object of the base")
     id1b = b.id1(b_obj)
     id2b = b.hom_at(b_obj, b_obj).identity[id1b]
     objects = sorted(x for x in e.objects if p.ob(x) == b_obj)

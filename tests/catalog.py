@@ -114,6 +114,9 @@ BZ2_TWOGROUP = fx.bz2_twogroup()
 
 PSG_COLLAPSE = fx.collapse_to_point(PSG)
 
+# The only biequivalence of the fixture corpus: the indiscrete category on two objects is equivalent to the point.
+EZ2_TO_BPT = fx.collapse_to_point(EZ2_BICAT)
+
 GR_PSG_OVER_ARROW = product_projection(ARROW_BICAT, PSG)
 
 # Z/4 on x and on y acting on two arrows x -> y through Z/2, over the arrow 0 -> 1, locally discrete.
@@ -248,6 +251,7 @@ def write_fixture_corpus(directory) -> list:
         "bz2-base-laxcat": BZ2_BASE_LAXCAT,
         "gr-psg-over-arrow": GR_PSG_OVER_ARROW,
         "psg-collapse": PSG_COLLAPSE,
+        "ez2-to-bpt": EZ2_TO_BPT,
         "two-lifts-over-arrow": TWO_LIFTS_OVER_ARROW,
         "trihom-const-psg-arrow": fx.constant_trihomomorphism(ARROW_BICAT, PSG),
         "nochi-catgraph": NOCHI_CATGRAPH,

@@ -16,8 +16,8 @@ alternating sum of the nerve's nondegenerate chain counts.
 from typing import Mapping, Sequence
 
 from bicat_euler.exactq import Record
-from bicat_euler.fib1 import FibrationReport, MorphismNotInCategory, reverse_functor
-from bicat_euler.fincat import FinCategory, Functor, InvalidCategory, Morphism, Violation, acyclic_witness
+from bicat_euler.fib1 import FibrationReport, reverse_functor
+from bicat_euler.fincat import FinCategory, Functor, InvalidCategory, InvalidInput, Morphism, Violation, acyclic_witness
 
 
 def hom(cat: FinCategory, x: str, y: str) -> tuple[str, ...]:
@@ -143,7 +143,7 @@ def is_cartesian_morphism(p: Functor, f: str) -> bool:
     """
     e, b = p.source, p.target
     if f not in {m.name for m in e.morphisms}:
-        raise MorphismNotInCategory(f)
+        raise InvalidInput(f"{f!r} is no morphism of the total category")
     x, y = e.src(f), e.dst(f)
     pf = p.mor(f)
     for z in e.objects:

@@ -370,6 +370,20 @@ def test_phi_psi_frames_validated():
         validate_lax_functor(catalog.BPT, catalog.BPT, {"*": "*"}, hom_functors, {(("*", "*", "*"), "I", "I"): "nope"})
 
 
+def test_lax_functor_without_an_object_image_or_a_hom_functor_is_rejected():
+    # The parser reports each of these as a diagnostic first; a direct call reaches the validator.
+    p = catalog.PSG_COLLAPSE
+    funs = dict(p.hom_functors)
+    cases = [
+        ({**p.object_map, "q": "nowhere"}, funs, "object q has no valid image"),
+        (p.object_map, {k: v for k, v in funs.items() if k != ("p", "q")}, "missing hom functor at (p,q)"),
+        (p.object_map, {**funs, ("p", "q"): funs[("p", "p")]}, "hom functor at (p,q) has wrong endpoints"),
+    ]
+    for object_map, hom_functors, message in cases:
+        with pytest.raises(MissingCompositionData, match=f"^{re.escape(message)}$"):
+            validate_lax_functor(p.source, p.target, object_map, hom_functors)
+
+
 def test_phi_without_a_component_at_some_composable_pair_is_rejected():
     p = catalog.PSG_COLLAPSE
     phi = {(("p", "p", "p"), "mpp", "mpp"): "idI"}  # 1 of the 8 composable pairs

@@ -29,7 +29,7 @@ from bicat_euler.bifib import (
     verify_product_formula_bicat,
 )
 from bicat_euler.fib1 import NotBiFibered
-from bicat_euler.fincat import validate_functor
+from bicat_euler.fincat import validate_category, validate_functor
 from bicat_euler.generators import gen_trihom
 from bifib_oracle import gr_hom_coweighting
 from builders import disjoint_union_lax_functor, gen_fib_pseudogroupoids_laxfunctor, product_projection
@@ -120,10 +120,80 @@ def test_fiber_of_product_projection():
 
 
 def test_fiber_unknown_object():
-    from bicat_euler.fib1 import ObjectNotInBase
+    from bicat_euler.fincat import InvalidInput
 
-    with pytest.raises(ObjectNotInBase):
+    with pytest.raises(InvalidInput, match=r"^'nope' is no object of the base$"):
         fiber_bicategory(catalog.PSG_COLLAPSE, "nope")
+
+
+def test_fiber_over_an_object_whose_identity_1cell_maps_elsewhere():
+    # p maps the identity I of BPT to J in a one-object target: a lax functor no command sends here,
+    # since a strict homomorphism preserves identity 1-cells.
+    hom = fx.discrete_category(["I", "J"])
+    target = validate_bicategory(
+        ["*"], {("*", "*"): hom}, {"*": "I"}, {(("*", "*", "*"), g, f): "J" for g in "IJ" for f in "IJ"}
+    )
+    fun = validate_functor(catalog.BPT.hom_at("*", "*"), hom, {"I": "J"}, {"idI": "idJ"})
+    p = validate_lax_functor(catalog.BPT, target, {"*": "*"}, {("*", "*"): fun})
+    with pytest.raises(NotBiFibered, match=r"^identity 1-cell of \* does not sit over id_\*$"):
+        fiber_bicategory(p, "*")
+
+
+def _thin_bicategory(obj, hom, identity, compose):
+    """One object whose hom is the thin category `hom`, with compose1 given by compose(g, f) and hcompose2 forced."""
+    cells = hom.objects
+    compose1 = {((obj, obj, obj), g, f): compose(g, f) for g in cells for f in cells}
+    hcompose2 = {
+        ((obj, obj, obj), b.name, a.name): hom.hom(compose(b.src, a.src), compose(b.dst, a.dst))[0]
+        for b in hom.morphisms
+        for a in hom.morphisms
+    }
+    return validate_bicategory([obj], {(obj, obj): hom}, {obj: identity}, compose1, hcompose2)
+
+
+def _no_component_homomorphism():
+    """A strict homomorphism onto the thin base I => J with a cartesian lift s: e => j of I => J, but no component.
+
+    Over I lie the idempotent a and the identity e, with a 2-cell r: a => e; over J lies j, which absorbs
+    every composite.  The least lift of I is a, and a∘u = a for each u over I, which is not isomorphic to e.
+    """
+    base_hom = validate_category(
+        ["I", "J"],
+        [("idI", "I", "I"), ("idJ", "J", "J"), ("alpha", "I", "J")],
+        {"I": "idI", "J": "idJ"},
+        {("idI", "idI"): "idI", ("idJ", "idJ"): "idJ", ("alpha", "idI"): "alpha", ("idJ", "alpha"): "alpha"},
+    )
+    base = _thin_bicategory("*", base_hom, "I", lambda g, f: "J" if "J" in (g, f) else "I")
+    morphisms = [("ida", "a", "a"), ("ide", "e", "e"), ("idj", "j", "j")]
+    morphisms += [("r", "a", "e"), ("s", "e", "j"), ("t", "a", "j")]
+    compose = {("s", "r"): "t"}
+    for name, src, dst in morphisms:
+        compose[(f"id{dst}", name)] = compose[(name, f"id{src}")] = name
+    total_hom = validate_category(["a", "e", "j"], morphisms, {x: f"id{x}" for x in "aej"}, compose)
+
+    def compose1(g, f):
+        if "j" in (g, f):
+            return "j"
+        return f if g == "e" else g if f == "e" else "a"
+
+    total = _thin_bicategory("y", total_hom, "e", compose1)
+    images = {"ida": "idI", "ide": "idI", "idj": "idJ", "r": "idI", "s": "alpha", "t": "alpha"}
+    fun = validate_functor(total_hom, base_hom, {"a": "I", "e": "I", "j": "J"}, images)
+    return validate_lax_functor(total, base, {"y": "*"}, {("y", "y"): fun})
+
+
+def test_a_strict_homomorphism_without_a_2cell_component(capsys, tmp_path):
+    from bicat_euler.catdsl import serialize
+    from bicat_euler.cli import main
+
+    p = _no_component_homomorphism()
+    assert strict_witness(p) == {}
+    with pytest.raises(NotBiFibered, match=r"^no component 1-cell for alpha at y$"):
+        induced_trihomomorphism(p)
+    path = tmp_path / "no-component.catj"
+    path.write_text(serialize(p), encoding="utf-8")
+    assert main(["verify", "gr-bicat", str(path)]) == 2
+    assert capsys.readouterr() == ("", "input error: no component 1-cell for alpha at y\n")
 
 
 def _fiber_chis(p, b, c, f):

@@ -270,6 +270,42 @@ def test_verify_biequivalence_passes_on_an_identity(capsys, tmp_path):
     assert code == 0 and results["equal"] is True and results["transported_valid"] is True
 
 
+def _lawless_equivalences():
+    """Objects a, b, c whose compose1 passes validation but makes a ~ b and b ~ c, not a ~ c.
+
+    Each hom(x, x) is discrete on i_x (the identity) and u_x, every other hom has one 1-cell xy.
+    The round trips a -> b -> a and b -> c -> b compose to identities; a -> c -> a composes to u_a.
+    """
+    from bicat_euler import fixtures as fx
+    from bicat_euler.bicat import make_catgraph, validate_bicategory
+
+    objects = ("a", "b", "c")
+
+    def compose(x, y, z, g, f):
+        if f == f"i_{x}":
+            return g
+        if g == f"i_{z}":
+            return f
+        if x != z:
+            return x + z
+        return f"u_{x}" if (x, y) == ("a", "c") else f"i_{x}"
+
+    hom = {(x, y): fx.discrete_category([f"i_{x}", f"u_{x}"] if x == y else [x + y]) for x in objects for y in objects}
+    compose1 = {key: compose(*key[0], *key[1:]) for key in make_catgraph(objects, hom).composable_pairs()}
+    return validate_bicategory(objects, hom, {x: f"i_{x}" for x in objects}, compose1)
+
+
+def test_a_compose1_that_breaks_1_equivalence_is_an_input_error(capsys, tmp_path):
+    from bicat_euler.bicat import identity_lax_functor
+    from bicat_euler.catdsl import serialize
+
+    path = tmp_path / "lawless.catj"
+    path.write_text(serialize(identity_lax_functor(_lawless_equivalences())), encoding="utf-8")
+    message = "input error: compose1 breaks 1-equivalence: a ~ b and b ~ c, but not a ~ c\n"
+    for argv in (["check", str(path), "biequivalence"], ["verify", "biequivalence", str(path)]):
+        assert run(capsys, *argv) == (2, "", message)
+
+
 @pytest.mark.parametrize("theorem", ["gr", "product-cat", "product-bicat", "gr-bicat", "biequivalence"])
 def test_verify_over_an_empty_base_prints_zero_on_both_sides(capsys, tmp_path, theorem):
     # An empty sum is 0: every summary line reads `0 = 0`, never `0 = `.

@@ -12,7 +12,6 @@ import pytest
 import fraction_oracle
 
 from bicat_euler.exactq import (
-    IndexMismatch,
     QMatrix,
     QVector,
     Rational,
@@ -75,11 +74,11 @@ def test_matrix_euler_no_solution():
 
 def test_matrix_euler_index_mismatch():
     bad = QMatrix(("a",), ("b",), ((Fraction(1),),))
-    with pytest.raises(IndexMismatch):
+    with pytest.raises(ValueError):
         matrix_euler(bad)
     # The same labels in another order are no square matrix either.
     reordered = QMatrix(("a", "b"), ("b", "a"), ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
-    with pytest.raises(IndexMismatch, match=r"row labels \('a', 'b'\) != col labels \('b', 'a'\)"):
+    with pytest.raises(ValueError, match=r"row labels \('a', 'b'\) != col labels \('b', 'a'\)"):
         matrix_euler(reordered)
 
 

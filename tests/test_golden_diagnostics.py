@@ -26,6 +26,8 @@ import pathlib
 import random
 
 from bicat_euler.catdsl import parse
+from bicat_euler.cli import EXIT_INTERNAL, main
+from test_golden_reports import PREDICATES, THEOREMS
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_diagnostics.json")
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -122,6 +124,30 @@ def test_mutant_diagnostics_match_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     changed = [name for name, text in mutants() if _digest(text) != golden[name]]
     assert not changed, changed[:5]
+
+
+def test_no_command_form_exits_3_on_a_mutant_that_parses(tmp_path, capsys):
+    # Every form of chi, check and verify, through `cli.main`, on every mutant that parses: a value that
+    # passes validation may fail a check or be bad input (exit 1 or 2), but never trip an internal error.
+    # Which mutants parse is read from the golden file, which the test above holds to the parser.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    forms = [["chi", "{}"], ["chi", "{}", "--kind", "catgraph"]]
+    forms += [["check", "{}", predicate] for predicate in PREDICATES]
+    forms += [["verify", theorem, "{}"] for theorem in THEOREMS]
+    path = tmp_path / "mutant.catj"
+    crashed, parsed = [], 0
+    for name, text in mutants():
+        if not golden[name]["ok"]:
+            continue
+        parsed += 1
+        path.write_text(text, encoding="utf-8")
+        for form in forms:
+            argv = [str(path) if word == "{}" else word for word in form]
+            if main(argv) == EXIT_INTERNAL:
+                crashed.append((name, " ".join(form)))
+        capsys.readouterr()
+    assert parsed == 169 and len(forms) == 13
+    assert not crashed, crashed[:5]
 
 
 if __name__ == "__main__":

@@ -215,6 +215,6 @@ def test_hom_without_euler_names_the_first_pair(monkeypatch):
     graph = bicat.make_catgraph(("a", "b"), {("a", "a"): catalog.PT, ("a", "b"): nochi, ("b", "a"): nochi})
     calls = []
     monkeypatch.setattr(bicat, "euler_char_cat", lambda hom: calls.append(hom) or fincat.euler_char_cat(hom))
-    with pytest.raises(bicat.HomWithoutEuler, match=r"^hom\(a,b\) has no Euler characteristic$"):
+    with pytest.raises(bicat.MissingEulerCharacteristic, match=r"^hom\(a,b\) has no Euler characteristic$"):
         bicat.similarity_matrix_cg(graph)
     assert calls == [catalog.PT, nochi]
