@@ -7,17 +7,20 @@ document is reported, each with a line/column span.
 
 A document in strict JSON with no `\\u` escape is read by the C JSON decoder
 that `json.loads` drives (`_json.make_scanner`) and built from its plain
-values.  Positions are computed only when a problem is reported: at the
-first problem, or when the decoder rejects the text, the positional scanner
-reads it again and the builders run on its nodes.  The accepted language and
-every diagnostic are the same either way.  The decoder merges equal category
-sub-documents into one object while it reads them (`_shared_categories`),
-and each category node is built once, so a repeated hom is held, read and
-validated once; the scanner's nodes are never shared, so each copy in a
-document with a problem reports at its own position.  `dumps` writes a value
-as `json.dumps(value, indent=…, sort_keys=True)` does, through `_json`'s
-string encoder, for `serialize` and the command line's reports, so no
-command loads the `json` package.
+values.  The reader walks the root object key by key and decodes each entry
+of a `|`-keyed row table alone, turning its rows into tuples of interned
+labels before it reads the next (`_decoded`), so a document's decoded rows
+are never all alive at once.  Positions are computed only when a problem is
+reported: at the first problem, or when the decoder rejects the text, the
+positional scanner reads it again and the builders run on its nodes.  The
+accepted language and every diagnostic are the same either way.  The decoder
+merges equal category sub-documents into one object while it reads them
+(`_shared_categories`), and each category node is built once, so a repeated
+hom is held, read and validated once; the scanner's nodes are never shared,
+so each copy in a document with a problem reports at its own position.
+`dumps` writes a value as `json.dumps(value, indent=…, sort_keys=True)`
+does, through `_json`'s string encoder, for `serialize` and the command
+line's reports, so no command loads the `json` package.
 
 Each table shape has one reader, and each shape the serializer writes has
 one writer, its inverse: `_Builder.fields` reads an object with required
@@ -377,11 +380,12 @@ class _PlainBuilder(_Builder):
         """The rows as tuples of interned labels.
 
         A table repeats a few labels in many cells, so interning keeps one
-        string per label.  A category's rows come from the decoder already
-        built (`_shared_categories`), as a tuple that may be shared, and are
-        read as they are.  Any other table's decoded array is emptied once its
-        rows are built, which frees the decoded rows table by table; the text
-        is kept, so a later problem still falls back to the scanner.
+        string per label.  The decoder gives them already built, as a tuple
+        that may be shared and is read as it is: each entry of a row table,
+        built while the next is still unread (`_decoded`), and a category's
+        rows (`_shared_categories`).  Any other table's decoded array is
+        interned here and emptied once its rows are built; the text is kept,
+        so a later problem still falls back to the scanner.
         """
         rows = node if type(node) is tuple else _interned_rows(node)
         if rows is None or set(map(len, rows)) - {width}:  # no array of arrays of strings, or a row of another width
@@ -433,7 +437,10 @@ def _shared_categories():
     holds the same strings in the same arrays, since only a string equals a
     string.
     Any other object is returned as decoded; the builders raise
-    `_NeedsPositions` where its tables do not build.
+    `_NeedsPositions` where its tables do not build.  `_decoded` calls the
+    hook on every object: on each hom category while it decodes a `hom`
+    table in one call, and on each object it walks key by key, such as a
+    fiber category.
     """
     seen: dict[tuple, dict] = {}
 
@@ -465,20 +472,80 @@ def _no_constant(name: str):
     raise _NeedsPositions
 
 
+def _space(text: str, i: int) -> int:
+    """The index of the first character at or after i that is no JSON whitespace."""
+    while text[i : i + 1] in _SPACE_CHARS:
+        i += 1
+    return i
+
+
+def _key_at(text: str, scan, i: int) -> tuple[str, int]:
+    """The key at i and the index of its value."""
+    if text[i : i + 1] != '"':
+        raise ValueError(f"expected a string key at {i}")
+    key, i = scan(text, i)
+    i = _space(text, i)
+    if text[i : i + 1] != ":":
+        raise ValueError(f"expected ':' at {i}")
+    return key, _space(text, i + 1)
+
+
+def _walked(text: str, scan, hook, start: int, root: bool = False) -> tuple[object, int]:
+    """The object at `start`, read as `_decoded` says, and the index after it."""
+    i = _space(text, start + 1)
+    if text[i : i + 1] == "}":
+        return hook([]), i + 1
+    key, i = _key_at(text, scan, i)
+    first = text[i : i + 1]
+    if not root and (first == '"' or first == "{" and "|" in key):  # a label map or a table of objects
+        return scan(text, start)
+    rows = first == "[" and "|" in key
+    pairs = []
+    while True:
+        if rows:
+            value, i = scan(text, i)
+            interned = _interned_rows(value)
+            if interned is not None:
+                value = interned
+        elif text[i : i + 1] == "{":
+            value, i = _walked(text, scan, hook, i)
+        else:
+            value, i = scan(text, i)
+        pairs.append((key, value))
+        i = _space(text, i)
+        if text[i : i + 1] == "}":
+            return hook(pairs), i + 1
+        if text[i : i + 1] != ",":
+            raise ValueError(f"expected ',' or '}}' at {i}")
+        key, i = _key_at(text, scan, _space(text, i + 1))
+
+
 def _decoded(text: str, hook):
-    """The value of a JSON text as `json.loads(text, object_pairs_hook=hook, parse_constant=_no_constant, strict=False)` reads it.
+    """The value of a JSON text as `json.loads(text, object_pairs_hook=hook, parse_constant=_no_constant, strict=False)`
+    reads it, except that each entry of a row table that holds rows of strings is a tuple of tuples of interned labels.
+
+    The root object is walked key by key, and so is each object inside a
+    walked object, except two kinds, each decoded in one call: a label map
+    (its first value is a string) and a `|`-keyed table of objects (`hom`,
+    `hom_functors`).  A `|`-keyed table of arrays is a row table
+    (`compose1`, `hcompose2`, `associator`, the unitors, `phi`): each of its
+    entries is decoded alone, and its rows become tuples of interned labels
+    before the next entry is read, so only one entry's decoded rows are
+    alive at a time.  A walked object goes through `hook` as a decoded one
+    does.
 
     Raises StopIteration, ValueError or SystemError where `json.loads` raises
     its JSONDecodeError: before 3.12 the C decoder raises that class only
     when `json.decoder`, which defines it, is loaded, and SystemError else.
+    The walk recurses once per walked object, so nesting deeper than the
+    recursion limit raises RecursionError.
     """
     context = SimpleNamespace(
         strict=False, object_hook=None, object_pairs_hook=hook, parse_float=float, parse_int=int, parse_constant=_no_constant
     )
-    start = 0
-    while text[start : start + 1] in _SPACE_CHARS:  # the whitespace `json.loads` skips before the root value
-        start += 1
-    value, end = _make_scanner(context)(text, start)
+    scan = _make_scanner(context)
+    start = _space(text, 0)  # the whitespace `json.loads` skips before the root value
+    value, end = _walked(text, scan, hook, start, root=True) if text[start : start + 1] == "{" else scan(text, start)
     if text[end:].strip(" \t\r\n"):  # and after it
         raise ValueError(f"extra data at {end}")
     return value
@@ -487,10 +554,14 @@ def _decoded(text: str, hook):
 def _read_plain(text: str) -> Optional[ParseResult]:
     """The result of a well-formed document read by the C JSON decoder, or None.
 
-    None means the text needs the scanner: the decoder rejects it, it holds a
-    `\\u` escape (the decoder merges a surrogate pair, the scanner keeps two
-    characters), or the builders find a problem, whose position only the
-    scanner knows.  Whatever this accepts, the scanner reads as the same values.
+    The decoder reads the document entry by entry (`_decoded`), so at most
+    one entry of a row table is alive as decoded rows; the builders then run
+    on what it read.  None means the text needs the scanner: the decoder
+    rejects it or stops partway (a key that is no string, a duplicate key,
+    nesting past the recursion limit), it holds a `\\u` escape (the decoder
+    merges a surrogate pair, the scanner keeps two characters), or the
+    builders find a problem, whose position only the scanner knows.
+    Whatever this accepts, the scanner reads as the same values.
     """
     if "\\u" in text:
         return None

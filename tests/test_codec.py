@@ -91,16 +91,90 @@ def test_writer_raises_type_error_on_any_other_type(value):
         catdsl.dumps(value, 2)
 
 
-@pytest.mark.parametrize("path", FIXTURES + NEGATIVE, ids=lambda p: p.name)
-def test_reader_matches_json_loads_on_every_fixture(path):
-    text = path.read_text(encoding="utf-8")
+def _as_lists(value):
+    """A decoded value with each tuple, as `_decoded` gives a row table's entries and rows, back as a list."""
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value
+
+
+def _reads_as_json_loads(text: str):
     try:
         expected = json.loads(text, object_pairs_hook=dict, strict=False)
     except ValueError:
         with pytest.raises((StopIteration, ValueError)):
             catdsl._decoded(text, dict)
     else:
-        assert catdsl._decoded(text, dict) == expected
+        assert _as_lists(catdsl._decoded(text, dict)) == expected
+
+
+@pytest.mark.parametrize("path", FIXTURES + NEGATIVE, ids=lambda p: p.name)
+def test_reader_matches_json_loads_on_every_fixture(path):
+    _reads_as_json_loads(path.read_text(encoding="utf-8"))
+
+
+# Objects of each shape the reader tells apart, at the root and inside a walked object.
+WALKED = [
+    "{}",
+    ' \n {"a": {}} \n ',
+    '{"a|b": [], "c|d": [["x", "y"]], "e|f": [1, ["z"]], "g|h": {"k": 1}, "i|j": [[{"k": [2]}]]}',
+    '{"a": {"b": "c", "d": [1]}, "e": {"f|g": {"h": null}}, "i": {"j": true, "k": {"l|m": [["n"]]}}}',
+    '{"a": "b", "c": [1.5, -2, "d"], "e": {"f": {"g": {}}}}',
+    '[{"a|b": [["c"]]}]',
+]
+
+
+@pytest.mark.parametrize("text", WALKED, ids=range(len(WALKED)))
+def test_reader_matches_json_loads_on_every_object_shape(text):
+    _reads_as_json_loads(text)
+
+
+def test_reader_gives_each_row_table_entry_as_interned_tuples():
+    text = json.dumps({"t": {"x|y": [["a" + "b", "c"], ["ab", "c"]], "z|w": [["ab", 1]]}, "u": [["ab"]]})
+    decoded = catdsl._decoded(text, dict)
+    rows = decoded["t"]["x|y"]
+    assert rows == (("ab", "c"), ("ab", "c")) and rows[0][0] is rows[1][0] is sys.intern("ab")
+    # An entry with a cell that is no string, and any array outside a row table, stay as decoded.
+    assert decoded["t"]["z|w"] == [["ab", 1]] and decoded["u"] == [["ab"]]
+
+
+EZ2_TO_BPT = (REPO / "fixtures" / "ez2-to-bpt.catj").read_text(encoding="utf-8")
+
+
+def _nested(depth: int) -> str:
+    return '{"a": ' * depth + "{}" + "}" * depth
+
+
+# The start of the first hcompose2 row, ["idid0", "idid0", "idid0"], up to its first cell.
+_ROW = '"hcompose2": {\n      "0|0|0": [\n        [\n          '
+_DEEP = _nested(sys.getrecursionlimit() + 50)
+
+# Texts on which the plain reader stops partway, in the walk or in the builders after it.
+STOPPED = {
+    "key-not-a-string": EZ2_TO_BPT.replace('"kind"', "kind", 1),
+    "key-not-a-string-in-a-walked-object": EZ2_TO_BPT.replace('"source": {', '"source": {7: [], ', 1),
+    "duplicate-key-in-a-walked-object": EZ2_TO_BPT.replace('"source": {', '"source": {"objects": [], ', 1),
+    "duplicate-key-in-a-row-table": EZ2_TO_BPT.replace('"hcompose2": {', '"hcompose2": {"0|0|0": [], ', 1),
+    "non-string-cell-in-an-hcompose2-row": EZ2_TO_BPT.replace(_ROW + '"idid0"', _ROW + "0", 1),
+    "wrong-width-hcompose2-row": EZ2_TO_BPT.replace(_ROW + '"idid0",', _ROW, 1),
+    "missing-colon-in-a-walked-object": EZ2_TO_BPT.replace('"compose1": {', '"compose1" {', 1),
+    "missing-comma-in-a-row-table": EZ2_TO_BPT.replace('],\n      "0|0|1"', ']\n      "0|0|1"', 1),
+    "trailing-data-after-the-root": EZ2_TO_BPT + "{}",
+    "nesting-deeper-than-the-recursion-limit": EZ2_TO_BPT.replace("{", '{"note": ' + _DEEP + ", ", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOPPED))
+def test_reader_falls_back_to_the_scanner_where_the_walk_stops(monkeypatch, name):
+    text = STOPPED[name]
+    assert text != EZ2_TO_BPT and catdsl._read_plain(text) is None
+    result = catdsl.parse(text)
+    with monkeypatch.context() as m:
+        m.setattr(catdsl, "_read_plain", lambda text: None)
+        assert result == catdsl.parse(text)
+    assert result.ok == (name == "nesting-deeper-than-the-recursion-limit")
 
 
 @pytest.mark.parametrize("path", NEGATIVE, ids=lambda p: p.name)
@@ -159,3 +233,34 @@ print(repr((serialize(parse(text).document.value), [str(d) for d in parse("[1,]"
         catdsl.dumps(EDGE_VALUES),
     )
     assert ast.literal_eval(_fresh(code)) == expected
+
+
+def _results(parse, serialize, texts) -> list:
+    """The diagnostics and the kind and canonical text of the document of each text."""
+    out = []
+    for text in texts:
+        result = parse(text)
+        document = result.document and (result.document.kind, serialize(result.document.value))
+        out.append(([str(d) for d in result.diagnostics], document))
+    return out
+
+
+def test_reader_on_the_pure_python_scanner_matches_the_c_scanner():
+    # Without `_json` the reader drives the `json` package's pure-Python scanner, which the walk calls at
+    # every offset it calls the C one at, keys included.  The texts go in through stdin.
+    texts = [path.read_text(encoding="utf-8") for path in FIXTURES + NEGATIVE]
+    texts += [STOPPED[name] for name in sorted(STOPPED)]
+    code = f"""import ast, sys
+sys.modules["_json"] = None  # an interpreter built without it
+sys.path.insert(0, {str(REPO / "tests")!r})
+from bicat_euler.catdsl import _make_scanner, parse, serialize
+from test_codec import _results
+assert _make_scanner.__module__ == "bicat_euler.catdsl"
+print(repr(_results(parse, serialize, ast.literal_eval(sys.stdin.read()))))
+"""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, input=repr(texts), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    pure = ast.literal_eval(proc.stdout)
+    assert pure == _results(catdsl.parse, catdsl.serialize, texts)
+    assert sum(document is not None for _, document in pure) >= len(FIXTURES)

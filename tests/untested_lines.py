@@ -88,12 +88,24 @@ def main(argv: list[str]) -> int:
         ran.setdefault(filename, set())
         return local
 
+    class Retrace:
+        """Set the trace function again before each test.
+
+        The interpreter unsets a trace function that raises, as one does
+        when a test recurses to the recursion limit and the limit is hit
+        inside it; every later test would then go unseen.
+        """
+
+        @staticmethod
+        def pytest_runtest_setup(item):
+            sys.settrace(call)
+
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # as `PYTHONPATH=src python -m pytest` from the root
     threading.settrace(call)
     sys.settrace(call)
     try:
         with contextlib.redirect_stdout(sys.stderr):
-            status = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])])
+            status = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])], plugins=[Retrace()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
