@@ -7,17 +7,24 @@ document is reported, each with a line/column span.
 
 A document in strict JSON with no `\\u` escape is read by the C JSON decoder
 that `json.loads` drives (`_json.make_scanner`) and built from its plain
-values.  The reader walks the root object key by key and decodes each entry
-of a `|`-keyed row table alone, turning its rows into tuples of interned
-labels before it reads the next (`_decoded`), so a document's decoded rows
-are never all alive at once.  Positions are computed only when a problem is
-reported: at the first problem, or when the decoder rejects the text, the
-positional scanner reads it again and the builders run on its nodes.  The
-accepted language and every diagnostic are the same either way.  The decoder
-merges equal category sub-documents into one object while it reads them
-(`_shared_categories`), and each category node is built once, so a repeated
-hom is held, read and validated once; the scanner's nodes are never shared,
-so each copy in a document with a problem reports at its own position.
+values.  Each table is held decoded once, and only until its rows are built.
+The reader walks the root object key by key and decodes each entry of a
+`|`-keyed row table alone, turning its rows into tuples of interned labels
+before it reads the next (`_decoded`), so a document's decoded rows are
+never all alive at once; the builder takes each entry out of the decoded
+tree as it reads it (`_keyed_triples`), so the rows are freed once they are
+in the value's table.  A category's tables are interned in place, a chunk of
+rows at a time (`_interned_rows`).  The text itself is held only while it is
+decoded (`_parse`), so a caller that can read it again, as the command
+line's file reader can, has it freed before the build.  Positions are
+computed only when a problem is reported: at the first problem, or when the
+decoder rejects the text, the text is read again, the positional scanner
+reads it and the builders run on its nodes.  The accepted language and every
+diagnostic are the same either way.  The decoder merges equal category
+sub-documents into one object while it reads them (`_shared_categories`),
+and each category node is built once, so a repeated hom is held, read and
+validated once; the scanner's nodes are never shared, so each copy in a
+document with a problem reports at its own position.
 `dumps` writes a value as `json.dumps(value, indent=…, sort_keys=True)`
 does, through `_json`'s string encoder, for `serialize` and the command
 line's reports, so no command loads the `json` package.
@@ -52,6 +59,7 @@ its class name (MissingCompositionData, IncoherentData, IllTypedComponent).
 from __future__ import annotations
 
 import re
+from itertools import chain
 from sys import intern
 from types import SimpleNamespace
 
@@ -333,6 +341,10 @@ class _Builder:
                 out[key] = val
         return out
 
+    def drained(self, node: JNode, what: str):
+        """The entries of the object `what`, as (key, sub) pairs; the scanner's nodes stay, for later diagnostics."""
+        return (self.object_of(node, what) or {}).items()
+
     def triples(self, node: JNode, what: str, width: int = 3) -> list[tuple]:
         out = []
         arr = self.array_of(node, what)
@@ -376,6 +388,17 @@ class _PlainBuilder(_Builder):
             raise _NeedsPositions
         return node
 
+    def drained(self, node, what: str):
+        """The entries of the object `what`, in order, each removed from the decoded tree as it is given.
+
+        So a `|`-keyed row table's rows are freed as soon as the caller has
+        read them (`_keyed_triples`); a later problem rereads the text with
+        the scanner, which never sees the decoded tree.
+        """
+        obj = self.object_of(node, what)
+        for key in list(obj):
+            yield key, obj.pop(key)
+
     def triples(self, node, what: str, width: int = 3) -> tuple[tuple, ...]:
         """The rows as tuples of interned labels.
 
@@ -384,8 +407,8 @@ class _PlainBuilder(_Builder):
         that may be shared and is read as it is: each entry of a row table,
         built while the next is still unread (`_decoded`), and a category's
         rows (`_shared_categories`).  Any other table's decoded array is
-        interned here and emptied once its rows are built; the text is kept,
-        so a later problem still falls back to the scanner.
+        interned here, in place (`_interned_rows`), so it holds the same
+        tuples as the rows returned.
         """
         rows = node if type(node) is tuple else _interned_rows(node)
         if rows is None or set(map(len, rows)) - {width}:  # no array of arrays of strings, or a row of another width
@@ -415,27 +438,51 @@ def _is_table(rows) -> bool:
     return True
 
 
+# Rows interned per step of `_interned_rows`: a chunk's decoded arrays are freed before the next is read.
+_CHUNK = 128
+
+
 def _interned_rows(rows) -> Optional[tuple]:
-    """An array of arrays of strings as a tuple of tuples of interned strings, or None."""
+    """An array of arrays of strings, all of one width, as a tuple of tuples of interned strings, or None.
+
+    The array is interned in place, one chunk of rows at a time: the
+    chunk's cells go through `intern` in one C-level pass and come back as
+    tuples of the table's width, so each chunk's decoded arrays and strings
+    are freed before the next chunk is read, and only the rows' new tuples
+    outlive the call.  None leaves the array as decoded, except where a
+    chunk after the first holds a cell that is no string: the chunks before
+    it are tuples by then, and no builder takes such an array.
+    """
     if not _is_table(rows):
         return None
+    widths = set(map(len, rows))
+    if not widths:
+        return ()
+    width = widths.pop()
+    if widths or not width:  # rows of more than one width, or of none
+        return None
     try:
-        return tuple([tuple(map(intern, row)) for row in rows])
+        for start in range(0, len(rows), _CHUNK):
+            cells = map(intern, chain.from_iterable(rows[start : start + _CHUNK]))
+            rows[start : start + _CHUNK] = zip(*[cells] * width)
     except TypeError:  # a cell that is no string
         return None
+    return tuple(rows)
 
 
 def _shared_categories():
     """An `object_pairs_hook` for one decoding that returns one object for equal category sub-documents.
 
     An object whose keys are exactly a category's four tables, each of the
-    container type that builds, is looked up by its four tables, so a later
+    container type that builds, gets its `morphisms` and `compose` rows as
+    tuples of interned labels, and is kept under its four tables, so a later
     equal copy is replaced by the first and freed as soon as it closes.  The
-    first copy gets its `morphisms` and `compose` rows as tuples of interned
-    labels, and its key holds the same tuples, so a key keeps alive nothing
-    that its object does not hold.  A copy equal to a first copy that builds
-    holds the same strings in the same arrays, since only a string equals a
-    string.
+    key holds the object's own tuples, so it keeps alive nothing that its
+    object does not hold.  A copy is looked up only when a category with
+    tables of the same sizes has been seen, so the first category of each
+    size builds no key of its own; a repeated hom is looked up as one.  A
+    copy equal to a first copy that builds holds the same strings in the
+    same arrays, since only a string equals a string.
     Any other object is returned as decoded; the builders raise
     `_NeedsPositions` where its tables do not build.  `_decoded` calls the
     hook on every object: on each hom category while it decodes a `hom`
@@ -443,6 +490,7 @@ def _shared_categories():
     fiber category.
     """
     seen: dict[tuple, dict] = {}
+    sizes: set[tuple] = set()
 
     def hook(pairs: list) -> dict:
         obj = _unique_keys(pairs)
@@ -452,16 +500,24 @@ def _shared_categories():
         if type(objects) is not list or type(identity) is not dict or not (_is_table(morphisms) and _is_table(compose)):
             return obj
         labels, units = tuple(objects), tuple(identity.items())
+        size = len(labels), len(morphisms), len(units), len(compose)
         try:
-            shared = seen.get((labels, tuple(map(tuple, morphisms)), units, tuple(map(tuple, compose))))
+            if size in sizes:
+                shared = seen.get((labels, tuple(map(tuple, morphisms)), units, tuple(map(tuple, compose))))
+                if shared is not None:
+                    return shared
+            hash((labels, units))  # the key it is kept under must hash
         except TypeError:  # an array or object where a label should be
             return obj
-        if shared is not None:
-            return shared
-        morphisms, compose = _interned_rows(morphisms), _interned_rows(compose)
-        if morphisms is None or compose is None:  # a cell that is no string
+        morphisms = _interned_rows(morphisms)
+        if morphisms is None:  # a cell that is no string, or rows of more than one width
             return obj
-        obj["morphisms"], obj["compose"] = morphisms, compose
+        obj["morphisms"] = morphisms
+        compose = _interned_rows(compose)
+        if compose is None:
+            return obj
+        obj["compose"] = compose
+        sizes.add(size)
         seen[labels, morphisms, units, compose] = obj
         return obj
 
@@ -556,11 +612,14 @@ def _read_plain(text: str) -> Optional[ParseResult]:
 
     The decoder reads the document entry by entry (`_decoded`), so at most
     one entry of a row table is alive as decoded rows; the builders then run
-    on what it read.  None means the text needs the scanner: the decoder
-    rejects it or stops partway (a key that is no string, a duplicate key,
-    nesting past the recursion limit), it holds a `\\u` escape (the decoder
-    merges a surrogate pair, the scanner keeps two characters), or the
-    builders find a problem, whose position only the scanner knows.
+    on what it read, and take each row table's entries out of it as they
+    go.  The text is let go of once decoded, so a caller that keeps no
+    reference of its own (`_parse`) has it freed before the build.  None
+    means the text needs the scanner: the decoder rejects it or stops
+    partway (a key that is no string, a duplicate key, nesting past the
+    recursion limit), it holds a `\\u` escape (the decoder merges a
+    surrogate pair, the scanner keeps two characters), or the builders find
+    a problem, whose position only the scanner knows.
     Whatever this accepts, the scanner reads as the same values.
     """
     if "\\u" in text:
@@ -569,6 +628,7 @@ def _read_plain(text: str) -> Optional[ParseResult]:
         root = _decoded(text, _shared_categories())
     except (StopIteration, ValueError, SystemError, RecursionError, _NeedsPositions):
         return None
+    del text
     try:
         return _build_document(_PlainBuilder(), root)
     except _NeedsPositions:
@@ -588,12 +648,12 @@ def _labels(b: _Builder, node: JNode) -> list[str]:
     return labels
 
 
-def _split_items(b: _Builder, node: JNode, what: str, arity: int):
+def _split_items(b: _Builder, node: JNode, what: str, arity: int, items=None):
     """Yield (parts, key, sub) for each entry of the `|`-keyed object `what` whose key has `arity` parts.
 
-    Any other key gets E006 and is skipped.
+    `items` gives the entries, `node`'s own by default.  Any other key gets E006 and is skipped.
     """
-    for key, sub in (b.object_of(node, what) or {}).items():
+    for key, sub in (b.object_of(node, what) or {}).items() if items is None else items:
         parts = tuple(map(intern, key.split("|")))
         if len(parts) != arity or not all(parts):
             b.key_err(node, key, "E006", f"key {key!r} must have {arity} |-separated parts")
@@ -602,9 +662,12 @@ def _split_items(b: _Builder, node: JNode, what: str, arity: int):
 
 
 def _keyed_triples(b: _Builder, node: JNode, what: str, key_arity: int, width: int = 3) -> dict:
-    """A `|`-keyed table of rows: {"x|y|...": [[*rest, value], ...]} -> {(parts, *rest): value}."""
+    """A `|`-keyed table of rows: {"x|y|...": [[*rest, value], ...]} -> {(parts, *rest): value}.
+
+    Each entry is read once, as the builder drains it (`_Builder.drained`).
+    """
     out = {}
-    for parts, key, sub in _split_items(b, node, what, key_arity):
+    for parts, key, sub in _split_items(b, node, what, key_arity, b.drained(node, what)):
         for row in b.triples(sub, f"{what}[{key}]", width):
             out[(parts,) + row[:-1]] = row[-1]
     return out
@@ -968,9 +1031,24 @@ _BUILDERS = {
 
 def parse(text: str) -> ParseResult:
     """Parse a .catj document; never raises, always reports every problem found."""
-    result = _read_plain(text)
+    return _parse(lambda: text)
+
+
+def _parse(read) -> ParseResult:
+    """The `parse` of the text that read() returns; read() is called again only for the scanner.
+
+    The text is passed on, not kept here, so the plain reader holds the only
+    reference that this call makes, and lets go of it once decoded
+    (`_read_plain`): when read() keeps none either, as the command line's
+    file reader does, the text is freed before the build.  (Before 3.11 the
+    calling frame keeps an argument until the call returns, so there it is
+    freed after the build.)  A document the plain reader cannot take is read
+    again, its decoded tree freed by then, and scanned for positions.
+    """
+    result = _read_plain(read())
     if result is not None:
         return result
+    text = read()
     try:
         root = _Scanner(text).parse()
     except _SyntaxProblem as exc:

@@ -19,19 +19,20 @@ import sys
 from types import SimpleNamespace
 
 # CPython's built-in SHA-256, not `hashlib`: that import loads OpenSSL (`_hashlib`, libcrypto),
-# about 3 MB of RSS and 3 ms per process that no command otherwise needs.
+# about 3 MB of RSS and 3 ms per process that no command otherwise needs.  The module is named
+# by version, so that no import searches the path for a name the interpreter does not have.
 try:
-    from _sha2 import sha256  # 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256  # 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without it
+    from hashlib import sha256
 
 import bicat_euler
 
 from . import fincat
-from .catdsl import Document, dumps, parse, serialize
+from .catdsl import Document, _parse, dumps, serialize
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -44,24 +45,36 @@ class InputError(fincat.InvalidInput):
 
 
 def _load(path: str) -> tuple[Document, str]:
-    """The parsed document and the sha256 of the file's bytes, as read.
+    """The parsed document and the sha256 of the file's bytes, as first read.
 
-    The bytes are hashed and dropped before `parse`, so the document is held once, as text.
+    The reader is given a function that reads the file, not its text, so nothing here holds the
+    text: the bytes are hashed and dropped before it is decoded, a text with CR line endings is
+    replaced by its normalized copy, and the reader frees the text before the build
+    (`catdsl._parse`).  The file is read again only for the scanner, which a document with a
+    problem or a `\\u` escape needs; bytes that no longer hash to the first digest are then an
+    input error that names the file.
     """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        text = data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path}: {exc}")
-    digest = sha256(data).hexdigest()
-    del data
-    # Newlines as text mode reads them, so that parse positions do not depend on the line ending.
-    result = parse(text.replace("\r\n", "\n").replace("\r", "\n"))
+    digests = []
+
+    def read() -> str:
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+            text = data.decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: {exc}")
+        digests.append(sha256(data).hexdigest())
+        if digests[-1] != digests[0]:
+            raise InputError(f"{path}: the file changed while it was read (sha256 {digests[0]}, then {digests[-1]})")
+        del data
+        # Newlines as text mode reads them, so that parse positions do not depend on the line ending.
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+
+    result = _parse(read)
     if result.document is None:
         lines = [f"{path}:{d}" for d in result.diagnostics]
         raise InputError("\n".join(lines) or f"{path}: unreadable document")
-    return result.document, digest
+    return result.document, digests[0]
 
 
 def _function(name: str):

@@ -129,6 +129,52 @@ def test_digest_is_of_the_file_bytes_whatever_the_line_ending(capsys, fixture_di
         assert copy["results"] == report["results"]
 
 
+def _counted_reads(monkeypatch, changed=None) -> list[str]:
+    """The paths `cli` opens for reading, in order; with `changed`, every read after a path's first gives those bytes."""
+    import io
+
+    from bicat_euler import cli
+
+    opened = []
+
+    def counted_open(path, mode="r", *args, **kwargs):
+        if "r" in mode:
+            opened.append(str(path))
+            if changed is not None and opened.count(str(path)) > 1:
+                return io.BytesIO(changed)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    return opened
+
+
+def test_a_file_is_read_again_only_for_positions(capsys, monkeypatch, fixture_dir, negative_dir, tmp_path):
+    """Every fixture and `gen` output is read once; a negative fixture is read again, for the scanner."""
+    from bicat_euler import cli
+
+    outputs = []
+    for kind in sorted(cli._GEN_KINDS):
+        outputs.append(tmp_path / f"{kind}.catj")
+        assert run(capsys, "gen", kind, "--seed", "3", "--out", str(outputs[-1]))[0] == 0
+    opened = _counted_reads(monkeypatch)
+    for path in sorted(fixture_dir.glob("*.catj")) + outputs:
+        opened.clear()
+        code, _, err = run(capsys, "chi", str(path))
+        assert code != 3 and opened == [str(path)], (path, err)
+    for path in sorted(negative_dir.glob("*.catj")):
+        opened.clear()
+        code, _, err = run(capsys, "chi", str(path))
+        assert code == 2 and opened == [str(path)] * 2 and err.startswith(f"{path}:"), (path, err)
+
+
+def test_a_file_changed_before_it_is_read_again_is_an_input_error(capsys, monkeypatch, negative_dir):
+    path = negative_dir / "e005-bad-exponent.catj"
+    opened = _counted_reads(monkeypatch, changed=path.read_bytes() + b" ")
+    code, _, err = run(capsys, "chi", str(path), "--json")
+    assert code == 2 and opened == [str(path)] * 2
+    assert err.startswith(f"{path}: the file changed while it was read") and "Traceback" not in err
+
+
 def test_check_fib_groupoids(capsys, fixture_dir):
     code, out, _ = run(capsys, "check", str(fixture_dir / "ez2-to-bz2.catj"), "fib-groupoids")
     assert code == 0 and out.strip() == "pass"
