@@ -15,11 +15,11 @@ never all alive at once; the builder takes each entry out of the decoded
 tree as it reads it (`_keyed_triples`), so the rows are freed once they are
 in the value's table.  A category's tables are interned in place, a chunk of
 rows at a time (`_interned_rows`).  The text itself is held only while it is
-decoded (`_parse`), so a caller that can read it again, as the command
-line's file reader can, has it freed before the build.  Positions are
-computed only when a problem is reported: at the first problem, or when the
-decoder rejects the text, the text is read again, the positional scanner
-reads it and the builders run on its nodes.  The accepted language and every
+decoded, so a text that can be read again (`parse`), as the command line's
+file text can, is freed before the build.  Positions are computed only
+when a problem is reported: at the first problem, or when the decoder
+rejects the text, the text is taken again, the positional scanner reads it
+and the builders run on its nodes.  The accepted language and every
 diagnostic are the same either way.  The decoder merges equal category
 sub-documents into one object while it reads them (`_shared_categories`),
 and each category node is built once, so a repeated hom is held, read and
@@ -614,7 +614,7 @@ def _read_plain(text: str) -> Optional[ParseResult]:
     one entry of a row table is alive as decoded rows; the builders then run
     on what it read, and take each row table's entries out of it as they
     go.  The text is let go of once decoded, so a caller that keeps no
-    reference of its own (`_parse`) has it freed before the build.  None
+    reference of its own (`parse`) has it freed before the build.  None
     means the text needs the scanner: the decoder rejects it or stops
     partway (a key that is no string, a duplicate key, nesting past the
     recursion limit), it holds a `\\u` escape (the decoder merges a
@@ -1030,25 +1030,28 @@ _BUILDERS = {
 
 
 def parse(text: str) -> ParseResult:
-    """Parse a .catj document; never raises, always reports every problem found."""
-    return _parse(lambda: text)
+    """Parse a .catj document; never raises, always reports every problem found.
 
-
-def _parse(read) -> ParseResult:
-    """The `parse` of the text that read() returns; read() is called again only for the scanner.
-
-    The text is passed on, not kept here, so the plain reader holds the only
-    reference that this call makes, and lets go of it once decoded
-    (`_read_plain`): when read() keeps none either, as the command line's
-    file reader does, the text is freed before the build.  (Before 3.11 the
-    calling frame keeps an argument until the call returns, so there it is
-    freed after the build.)  A document the plain reader cannot take is read
-    again, its decoded tree freed by then, and scanned for positions.
+    The plain reader lets go of the text once decoded (`_read_plain`).  A
+    text that has a `read_again` attribute, a function that gives the same
+    text anew (the command line's file text), is not kept here either: when
+    the caller keeps none, it is freed before the build (on CPython 3.11 and
+    later; before, the calling frame keeps an argument until the call
+    returns), and a document the plain reader cannot take is read again, its
+    decoded tree freed by then, and scanned for positions.  What
+    read_again() raises is raised.  Any other text is kept for the scanner.
     """
-    result = _read_plain(read())
+    read_again = getattr(text, "read_again", None)
+    if read_again is None:
+        result = _read_plain(text)
+    else:
+        texts = [text]  # so that the reader's argument is the only reference
+        del text
+        result = _read_plain(texts.pop())
+        if result is None:
+            text = read_again()
     if result is not None:
         return result
-    text = read()
     try:
         root = _Scanner(text).parse()
     except _SyntaxProblem as exc:

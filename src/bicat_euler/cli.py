@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import os
+import stat
 import sys
 from types import SimpleNamespace
 
@@ -32,7 +33,7 @@ except ImportError:  # an interpreter built without it
 import bicat_euler
 
 from . import fincat
-from .catdsl import Document, _parse, dumps, serialize
+from .catdsl import Document, dumps, parse, serialize
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -44,15 +45,22 @@ class InputError(fincat.InvalidInput):
     pass
 
 
+class _FileText(str):
+    """The text of a regular file, with `read_again`, a function that reads the file anew.
+
+    `catdsl.parse` keeps no reference to such a text, so it is freed before the build.
+    """
+
+
 def _load(path: str) -> tuple[Document, str]:
     """The parsed document and the sha256 of the file's bytes, as first read.
 
-    The reader is given a function that reads the file, not its text, so nothing here holds the
-    text: the bytes are hashed and dropped before it is decoded, a text with CR line endings is
-    replaced by its normalized copy, and the reader frees the text before the build
-    (`catdsl._parse`).  The file is read again only for the scanner, which a document with a
-    problem or a `\\u` escape needs; bytes that no longer hash to the first digest are then an
-    input error that names the file.
+    Nothing here holds the text: the bytes are hashed and dropped before it is decoded, a text
+    with CR line endings is replaced by its normalized copy, and the text of a regular file is
+    passed to `parse` as a `_FileText`, which the reader frees before the build.  Such a file is
+    read again only for the scanner, which a document with a problem or a `\\u` escape needs;
+    bytes that no longer hash to the first digest are then an input error that names the file.
+    Any other path (a pipe, `/dev/stdin`) reads empty the second time, so its text is kept.
     """
     digests = []
 
@@ -60,6 +68,7 @@ def _load(path: str) -> tuple[Document, str]:
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
+                again = not digests and stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
             text = data.decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"{path}: {exc}")
@@ -68,9 +77,14 @@ def _load(path: str) -> tuple[Document, str]:
             raise InputError(f"{path}: the file changed while it was read (sha256 {digests[0]}, then {digests[-1]})")
         del data
         # Newlines as text mode reads them, so that parse positions do not depend on the line ending.
-        return text.replace("\r\n", "\n").replace("\r", "\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if not again:
+            return text
+        text = _FileText(text)
+        text.read_again = read
+        return text
 
-    result = _parse(read)
+    result = parse(read())
     if result.document is None:
         lines = [f"{path}:{d}" for d in result.diagnostics]
         raise InputError("\n".join(lines) or f"{path}: unreadable document")

@@ -308,11 +308,11 @@ def counters(monkeypatch):
     sweep's 2-cells and of the local classifications are recorded apart.
     """
     calls = {"document": [], "onecell": [], "fiber": [], "classify": [], "cartesian": [], "local_cartesian": []}
-    parse, check = cli._parse, bifib._check_cartesian_1cell
+    parse, check = cli.parse, bifib._check_cartesian_1cell
     build, classify, cartesian = bifib.fiber_bicategory, bifib._one_sided_flags, fib1.is_cartesian_morphism
 
-    def counted_parse(read):
-        result = parse(read)
+    def counted_parse(text):
+        result = parse(text)
         calls["document"].append(result.document.value)
         return result
 
@@ -335,7 +335,7 @@ def counters(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(cli, "_parse", counted_parse)
+    monkeypatch.setattr(cli, "parse", counted_parse)
     monkeypatch.setattr(bifib, "_check_cartesian_1cell", counted_check)
     monkeypatch.setattr(bifib, "fiber_bicategory", counted_build)
     monkeypatch.setattr(bifib, "_one_sided_flags", counted_classify)

@@ -175,6 +175,25 @@ def test_a_file_changed_before_it_is_read_again_is_an_input_error(capsys, monkey
     assert err.startswith(f"{path}: the file changed while it was read") and "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe by path")
+def test_a_pipe_is_read_once_and_its_text_kept_for_the_scanner(capsys, fixture_dir, negative_dir, tmp_path):
+    """A pipe reads empty the second time: a document the scanner reads gives what its file gives."""
+    escaped = tmp_path / "escaped.catj"
+    escaped.write_text((fixture_dir / "pt.catj").read_text().replace('"*"', '"\\u002a"'))
+    for path in (negative_dir / "e005-bad-exponent.catj", negative_dir / "e001-undeclared-object.catj", escaped):
+        expected = run(capsys, "chi", str(path), "--json")
+        read_end, write_end = os.pipe()
+        os.write(write_end, path.read_bytes())
+        os.close(write_end)
+        try:
+            code, out, err = run(capsys, "chi", f"/dev/fd/{read_end}", "--json")
+        finally:
+            os.close(read_end)
+        name = f"/dev/fd/{read_end}"
+        assert (code, out.replace(name, str(path)), err.replace(name, str(path))) == expected, path
+    assert expected[0] == 0
+
+
 def test_check_fib_groupoids(capsys, fixture_dir):
     code, out, _ = run(capsys, "check", str(fixture_dir / "ez2-to-bz2.catj"), "fib-groupoids")
     assert code == 0 and out.strip() == "pass"
