@@ -478,9 +478,9 @@ def _shared_categories():
     tuples of interned labels, and is kept under its four tables, so a later
     equal copy is replaced by the first and freed as soon as it closes.  The
     key holds the object's own tuples, so it keeps alive nothing that its
-    object does not hold.  A copy is looked up only when a category with
-    tables of the same sizes has been seen, so the first category of each
-    size builds no key of its own; a repeated hom is looked up as one.  A
+    object does not hold.  A copy is looked up only when a category with a
+    `compose` table of the same size has been seen, so the first category of
+    each size builds no key of its own; a repeated hom is looked up as one.  A
     copy equal to a first copy that builds holds the same strings in the
     same arrays, since only a string equals a string.
     Any other object is returned as decoded; the builders raise
@@ -490,7 +490,7 @@ def _shared_categories():
     fiber category.
     """
     seen: dict[tuple, dict] = {}
-    sizes: set[tuple] = set()
+    sizes: set[int] = set()
 
     def hook(pairs: list) -> dict:
         obj = _unique_keys(pairs)
@@ -500,7 +500,7 @@ def _shared_categories():
         if type(objects) is not list or type(identity) is not dict or not (_is_table(morphisms) and _is_table(compose)):
             return obj
         labels, units = tuple(objects), tuple(identity.items())
-        size = len(labels), len(morphisms), len(units), len(compose)
+        size = len(compose)
         try:
             if size in sizes:
                 shared = seen.get((labels, tuple(map(tuple, morphisms)), units, tuple(map(tuple, compose))))
