@@ -15,8 +15,9 @@ never all alive at once; the builder takes each entry out of the decoded
 tree as it reads it (`_keyed_triples`), so the rows are freed once they are
 in the value's table.  A category's tables are interned in place, a chunk of
 rows at a time (`_interned_rows`).  The text itself is held only while it is
-decoded, so a text that can be read again (`parse`), as the command line's
-file text can, is freed before the build.  Positions are computed only
+decoded, so a text passed with a function that reads it again
+(`parse(text, read_again)`), as the command line passes a file's text, is
+freed before the build.  Positions are computed only
 when a problem is reported: at the first problem, or when the decoder
 rejects the text, the text is taken again, the positional scanner reads it
 and the builders run on its nodes.  The accepted language and every
@@ -80,7 +81,7 @@ from .fincat import FinCategory, Functor, InvalidCategory, InvalidInput, validat
 # Builders and `serialize` import other kind modules when run: a category loads none.
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
-    from typing import Mapping, Optional
+    from typing import Callable, Mapping, Optional
 
     from .bicat import Bicategory, CatGraph, LaxFunctorBicat
     from .bifib import Trihomomorphism
@@ -1029,31 +1030,28 @@ _BUILDERS = {
 }
 
 
-def parse(text: str) -> ParseResult:
+def parse(text: str, read_again: Optional[Callable[[], str]] = None) -> ParseResult:
     """Parse a .catj document; never raises, always reports every problem found.
 
-    The plain reader lets go of the text once decoded (`_read_plain`).  A
-    text that has a `read_again` attribute, a function that gives the same
-    text anew (the command line's file text), is not kept here either: when
-    the caller keeps none, it is freed before the build (on CPython 3.11 and
+    The plain reader lets go of the text once decoded (`_read_plain`).  With
+    read_again, a function that gives the same text anew (the command line's
+    file reader), `parse` keeps no reference to the text either: when the
+    caller keeps none, it is freed before the build (on CPython 3.11 and
     later; before, the calling frame keeps an argument until the call
     returns), and a document the plain reader cannot take is read again, its
     decoded tree freed by then, and scanned for positions.  What
-    read_again() raises is raised.  Any other text is kept for the scanner.
+    read_again() raises is raised.  Without read_again the text is kept for
+    the scanner.
     """
-    read_again = getattr(text, "read_again", None)
     if read_again is None:
-        result = _read_plain(text)
-    else:
-        texts = [text]  # so that the reader's argument is the only reference
-        del text
-        result = _read_plain(texts.pop())
-        if result is None:
-            text = read_again()
+        read_again = lambda kept=text: kept
+    texts = [text]  # so that the reader's argument is the only reference
+    del text
+    result = _read_plain(texts.pop())
     if result is not None:
         return result
     try:
-        root = _Scanner(text).parse()
+        root = _Scanner(read_again()).parse()
     except _SyntaxProblem as exc:
         return ParseResult(None, (Diagnostic(exc.line, exc.col, "E005", exc.message),))
     return _build_document(_Builder(), root)

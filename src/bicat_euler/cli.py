@@ -45,30 +45,26 @@ class InputError(fincat.InvalidInput):
     pass
 
 
-class _FileText(str):
-    """The text of a regular file, with `read_again`, a function that reads the file anew.
-
-    `catdsl.parse` keeps no reference to such a text, so it is freed before the build.
-    """
-
-
 def _load(path: str) -> tuple[Document, str]:
     """The parsed document and the sha256 of the file's bytes, as first read.
 
     Nothing here holds the text: the bytes are hashed and dropped before it is decoded, a text
     with CR line endings is replaced by its normalized copy, and the text of a regular file is
-    passed to `parse` as a `_FileText`, which the reader frees before the build.  Such a file is
+    passed to `parse` with `read`, so the reader frees it before the build.  Such a file is
     read again only for the scanner, which a document with a problem or a `\\u` escape needs;
     bytes that no longer hash to the first digest are then an input error that names the file.
-    Any other path (a pipe, `/dev/stdin`) reads empty the second time, so its text is kept.
+    Any other path (a pipe, `/dev/stdin`) reads empty the second time, so `parse` keeps its text.
     """
     digests = []
+    regular = False
 
     def read() -> str:
+        nonlocal regular
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
-                again = not digests and stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+                if not digests:
+                    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
             text = data.decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"{path}: {exc}")
@@ -77,14 +73,9 @@ def _load(path: str) -> tuple[Document, str]:
             raise InputError(f"{path}: the file changed while it was read (sha256 {digests[0]}, then {digests[-1]})")
         del data
         # Newlines as text mode reads them, so that parse positions do not depend on the line ending.
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-        if not again:
-            return text
-        text = _FileText(text)
-        text.read_again = read
-        return text
+        return text.replace("\r\n", "\n").replace("\r", "\n")
 
-    result = parse(read())
+    result = parse(read(), read if regular else None)
     if result.document is None:
         lines = [f"{path}:{d}" for d in result.diagnostics]
         raise InputError("\n".join(lines) or f"{path}: unreadable document")

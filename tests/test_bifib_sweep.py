@@ -311,8 +311,8 @@ def counters(monkeypatch):
     parse, check = cli.parse, bifib._check_cartesian_1cell
     build, classify, cartesian = bifib.fiber_bicategory, bifib._one_sided_flags, fib1.is_cartesian_morphism
 
-    def counted_parse(text):
-        result = parse(text)
+    def counted_parse(*args):
+        result = parse(*args)
         calls["document"].append(result.document.value)
         return result
 

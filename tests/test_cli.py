@@ -194,6 +194,34 @@ def test_a_pipe_is_read_once_and_its_text_kept_for_the_scanner(capsys, fixture_d
     assert expected[0] == 0
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe by path")
+def test_the_reader_gets_a_plain_text_and_a_way_to_read_it_again_only_for_a_regular_file(
+    capsys, monkeypatch, fixture_dir, negative_dir
+):
+    from bicat_euler import cli
+
+    calls = []
+
+    def recorded_parse(text, read_again=None):
+        calls.append((type(text), read_again))
+        return parse(text, read_again)
+
+    monkeypatch.setattr(cli, "parse", recorded_parse)
+    for path in (fixture_dir / "bz2.catj", negative_dir / "e001-undeclared-object.catj"):
+        calls.clear()
+        run(capsys, "chi", str(path))
+        assert len(calls) == 1 and calls[0][0] is str and callable(calls[0][1]), path
+        read_end, write_end = os.pipe()
+        os.write(write_end, path.read_bytes())
+        os.close(write_end)
+        try:
+            calls.clear()
+            run(capsys, "chi", f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert calls == [(str, None)], path
+
+
 def test_check_fib_groupoids(capsys, fixture_dir):
     code, out, _ = run(capsys, "check", str(fixture_dir / "ez2-to-bz2.catj"), "fib-groupoids")
     assert code == 0 and out.strip() == "pass"

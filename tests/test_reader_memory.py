@@ -13,11 +13,16 @@ each size builds no lookup key of its own, so a parse frees, besides what it
 keeps, well under the decoded size of the `compose` table: about 0.45 of it
 on a product category of some 2,000 rows, where a copy built beside the
 decoded rows frees 0.7 to 0.9.
+
+`parse(text, read_again)` keeps no reference to the text, so a caller that
+keeps none has it freed before the build; `parse(text)` keeps it for the
+scanner.
 """
 
 import functools
 import gc
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -26,6 +31,7 @@ from bicat_euler import catdsl
 from bicat_euler import fixtures as fx
 from bicat_euler.fincat import validate_functor
 from builders import pair_label, product_cat
+from conftest import FIXTURE_DIR, NEGATIVE_DIR
 
 
 def _traced(build):
@@ -99,3 +105,94 @@ def test_parse_holds_a_category_table_decoded_at_most_in_part(shape, kind):
     result, held, peak = _traced(lambda: catdsl.parse(text))
     assert result.ok and result.document.kind == kind
     assert peak - held < 0.6 * table_size, (peak, held, table_size)
+
+
+class _NotedText(str):
+    """A text that notes in its list `freed` when it is freed."""
+
+    def __del__(self):
+        self.freed.append(True)
+
+
+def _noted(text: str, freed: list) -> _NotedText:
+    noted = _NotedText(text)
+    noted.freed = freed
+    return noted
+
+
+def _parse_noted(text: str, again: bool):
+    """parse a copy of text that no caller holds, with read_again if `again`.
+
+    The result, whether the copy was already freed at each build, and how often the text was read again.
+    """
+    freed, freed_at_builds, reads = [], [], []
+    build = catdsl._build_document
+
+    def noted_build(builder, root):
+        freed_at_builds.append(bool(freed))
+        return build(builder, root)
+
+    def read_again():
+        reads.append(text)
+        return text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catdsl, "_build_document", noted_build)
+        if again:
+            result = catdsl.parse(_noted(text, freed), read_again)
+        else:
+            result = catdsl.parse(_noted(text, freed))
+    return result, freed_at_builds, len(reads)
+
+
+def _escaped() -> str:
+    """A clean document with a `\\u` escape, which only the scanner reads."""
+    return (FIXTURE_DIR / "pt.catj").read_text().replace('"*"', '"\\u002a"')
+
+
+# Each document, read by name, with how often parse(text, read_again) reads it again: once for the scanner
+# when it has a problem or a `\\u` escape, else never.
+DOCUMENTS = {
+    **{path.name: (path.read_text, 0) for path in sorted(FIXTURE_DIR.glob("*.catj"))},
+    **{f"negative/{path.name}": (path.read_text, 1) for path in sorted(NEGATIVE_DIR.glob("*.catj"))},
+    "escaped": (_escaped, 1),
+}
+
+
+def _outcome(result):
+    return result.diagnostics, result.ok and catdsl.serialize(result.document.value)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_parse_reads_a_text_again_only_for_the_scanner(name):
+    read, reads = DOCUMENTS[name]
+    text = read()
+    result, freed_at_builds, count = _parse_noted(text, again=True)
+    kept, held_at_builds, _ = _parse_noted(text, again=False)
+    assert count == reads
+    assert _outcome(result) == _outcome(kept) == _outcome(catdsl.parse(text))
+    assert result.ok == (not name.startswith("negative/"))
+    assert not any(held_at_builds)
+    if sys.version_info >= (3, 11):  # before, the calling frame keeps an argument until the call returns
+        assert all(freed_at_builds)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the calling frame keeps an argument")
+def test_parse_frees_a_text_it_can_read_again_before_the_build():
+    text = (FIXTURE_DIR / "bz2.catj").read_text()
+    result, freed_at_builds, _ = _parse_noted(text, again=True)
+    assert result.ok and freed_at_builds == [True]
+    result, freed_at_builds, _ = _parse_noted(text, again=False)
+    assert result.ok and freed_at_builds == [False]
+
+
+@pytest.mark.parametrize("text", [(NEGATIVE_DIR / "e001-undeclared-object.catj").read_text(), _escaped()])
+def test_parse_raises_what_read_again_raises(text):
+    class Unreadable(Exception):
+        pass
+
+    def read_again():
+        raise Unreadable
+
+    with pytest.raises(Unreadable):
+        catdsl.parse(text, read_again)
