@@ -190,14 +190,9 @@ def _validate_associator(bi: Bicategory, associator: Mapping):
                                 cell = associator.get(((x, y, z, w), h, gg, f))
                                 if cell is None:
                                     raise MissingCompositionData(f"associator missing at ({h},{gg},{f})")
-                                if cell not in hom._by_name:
-                                    raise MissingCompositionData(
-                                        f"associator at ({h},{gg},{f}) names unknown 2-cell {cell!r}"
-                                    )
                                 src = bi.c1(x, z, w, h, bi.c1(x, y, z, gg, f))
                                 dst = bi.c1(x, y, w, bi.c1(y, z, w, h, gg), f)
-                                if hom.src(cell) != src or hom.dst(cell) != dst or hom.inverse_of(cell) is None:
-                                    raise MissingCompositionData(f"associator at ({h},{gg},{f}) has a bad frame")
+                                _check_invertible(hom, cell, src, dst, f"associator at ({h},{gg},{f})")
 
 
 def _validate_unitors(bi: Bicategory, unitor_l: Mapping, unitor_r: Mapping):
@@ -206,20 +201,21 @@ def _validate_unitors(bi: Bicategory, unitor_l: Mapping, unitor_r: Mapping):
         for y in g.objects:
             hom = g.hom_at(x, y)
             for f in g.onecells(x, y):
-                left = unitor_l.get((x, y, f))
-                if left is not None:
-                    if left not in hom._by_name:
-                        raise MissingCompositionData(f"left unitor at {f} names unknown 2-cell {left!r}")
-                    src = bi.c1(x, y, y, bi.id1(y), f)
-                    if hom.src(left) != src or hom.dst(left) != f or hom.inverse_of(left) is None:
-                        raise MissingCompositionData(f"left unitor at {f} has a bad frame")
-                right = unitor_r.get((x, y, f))
-                if right is not None:
-                    if right not in hom._by_name:
-                        raise MissingCompositionData(f"right unitor at {f} names unknown 2-cell {right!r}")
-                    src = bi.c1(x, x, y, f, bi.id1(x))
-                    if hom.src(right) != src or hom.dst(right) != f or hom.inverse_of(right) is None:
-                        raise MissingCompositionData(f"right unitor at {f} has a bad frame")
+                for side, unitor, src in (
+                    ("left", unitor_l, bi.c1(x, y, y, bi.id1(y), f)),
+                    ("right", unitor_r, bi.c1(x, x, y, f, bi.id1(x))),
+                ):
+                    cell = unitor.get((x, y, f))
+                    if cell is not None:
+                        _check_invertible(hom, cell, src, f, f"{side} unitor at {f}")
+
+
+def _check_invertible(hom: FinCategory, cell: str, src: str, dst: str, where: str):
+    """Raise MissingCompositionData at `where` unless `cell` names an invertible 2-cell src => dst of hom."""
+    if cell not in hom._by_name:
+        raise MissingCompositionData(f"{where} names unknown 2-cell {cell!r}")
+    if hom.src(cell) != src or hom.dst(cell) != dst or hom.inverse_of(cell) is None:
+        raise MissingCompositionData(f"{where} has a bad frame")
 
 
 def similarity_matrix_cg(g: CatGraph) -> QMatrix:
@@ -236,7 +232,7 @@ def similarity_matrix_cg(g: CatGraph) -> QMatrix:
             if id(hom) not in by_hom:
                 by_hom[id(hom)] = require_euler(euler_char_cat(hom), f"hom({i},{j})")
             chi[(i, j)] = by_hom[id(hom)]
-    return QMatrix.build(g.objects, g.objects, lambda i, j: chi[(i, j)])
+    return QMatrix.build(g.objects, lambda i, j: chi[(i, j)])
 
 
 def euler_char_cg(g: CatGraph) -> MatrixEuler:

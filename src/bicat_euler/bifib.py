@@ -106,9 +106,7 @@ class GrHom(Record):
     twocells: Mapping[tuple[tuple[str, str], tuple[str, str]], tuple[tuple[str, str], ...]]
 
     def count_matrix(self) -> QMatrix:
-        return QMatrix.build(
-            self.onecells, self.onecells, lambda m1, m2: rational(len(self.twocells[(m1, m2)]))
-        )
+        return QMatrix.build(self.onecells, lambda m1, m2: rational(len(self.twocells[(m1, m2)])))
 
 
 class GrothendieckCG(Record):
@@ -127,7 +125,7 @@ class GrothendieckCG(Record):
         for pair, hom in self.homs.items():
             e = matrix_euler(hom.count_matrix())
             chi[pair] = require_euler(e, f"Grothendieck hom {pair}")
-        return QMatrix.build(self.objects, self.objects, lambda i, j: chi[(i, j)])
+        return QMatrix.build(self.objects, lambda i, j: chi[(i, j)])
 
     def euler(self):
         return matrix_euler(self.zeta())

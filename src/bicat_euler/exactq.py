@@ -1,4 +1,11 @@
-"""Exact rational linear algebra over label-indexed matrices.
+"""Exact rational linear algebra over square label-indexed matrices.
+
+Leinster's Euler characteristic of a finite category, cat-graph or
+bicategory is taken from a square similarity matrix ζ over its objects: a
+`QMatrix`, whose one label tuple names both rows and columns.  A weighting
+solves ζ·w = 1, a coweighting k·ζ = 1, and χ = Σw = Σk when both exist.
+The coweighting is the weighting of ζᵀ, so `matrix_euler` makes both
+solves through `solve_weighting`.
 
 Everything here is a pure function over immutable values.  Entries are
 this module's `Rational` at the API, each built by `rational`, so no command
@@ -217,35 +224,29 @@ class QVector(Record):
 
 
 class QMatrix(Record):
-    """Exact rational matrix indexed by ordered row/column label tuples.
+    """Exact rational square matrix, such as a similarity matrix ζ over objects.
 
-    `entries` is row-major and total: one rational per (row, col) pair.
+    The one label tuple `rows` labels the rows and, in the same order, the
+    columns: `entries` is row-major, with one rational per pair of labels.
+    The field keeps the name `rows` because `perfbench/traced_cli.py` reads
+    it to size each solve.
     """
 
     rows: tuple[str, ...]
-    cols: tuple[str, ...]
     entries: tuple[tuple[Rational, ...], ...]
 
     def __post_init__(self):
-        if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
+        n = len(self.rows)
+        if len(set(self.rows)) != n:
             raise ValueError("duplicate labels")
-        if len(self.entries) != len(self.rows):
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != len(self.cols):
-                raise ValueError("column count mismatch")
+        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+            raise ValueError(f"entries are not {n} rows of {n}")
 
     @classmethod
-    def build(cls, rows: Sequence[str], cols: Sequence[str], at) -> "QMatrix":
+    def build(cls, labels: Sequence[str], at) -> "QMatrix":
         """Construct from a callback (row_label, col_label) -> rational."""
-        return cls(tuple(rows), tuple(cols), tuple(tuple(at(r, c) for c in cols) for r in rows))
-
-    def at(self, row: str, col: str) -> Rational:
-        return self.entries[self.rows.index(row)][self.cols.index(col)]
-
-    def transpose(self) -> "QMatrix":
-        columns = tuple(zip(*self.entries)) if self.entries else ((),) * len(self.cols)
-        return QMatrix(self.cols, self.rows, columns)
+        labels = tuple(labels)
+        return cls(labels, tuple(tuple(at(r, c) for c in labels) for r in labels))
 
 
 class MatrixEuler(Record):
@@ -323,28 +324,21 @@ def solve_weighting(m: QMatrix) -> Optional[QVector]:
     solution = _solve(m.entries)
     if solution is None:
         return None
-    return QVector(m.cols, tuple(solution))
-
-
-def solve_coweighting(m: QMatrix) -> Optional[QVector]:
-    """Some k with k·m = (1,...,1) exactly; equals solve_weighting(mᵀ)."""
-    return solve_weighting(m.transpose())
+    return QVector(m.rows, tuple(solution))
 
 
 def matrix_euler(m: QMatrix) -> MatrixEuler:
-    """Weighting, coweighting and |ζ| of a square matrix.
+    """Weighting, coweighting and Euler characteristic of a square matrix ζ.
 
-    The two sums are asserted equal before returning (well-definedness of
-    the Euler characteristic does not depend on the choice of vectors).
-    Row labels that differ from the column labels raise ValueError.
+    The weighting solves ζ·w = 1, and the coweighting k·ζ = 1 is the
+    weighting of ζᵀ: both go through `solve_weighting`.  The two sums are
+    asserted equal before returning (the Euler characteristic does not
+    depend on the choice of vectors).
     """
-    if m.rows != m.cols:
-        raise ValueError(f"row labels {m.rows} != col labels {m.cols}")
     weighting = solve_weighting(m)
-    coweighting = solve_coweighting(m)
+    coweighting = solve_weighting(QMatrix(m.rows, tuple(zip(*m.entries))))
     if weighting is None or coweighting is None:
         return MatrixEuler(weighting, coweighting, None)
     chi = weighting.total()
     assert chi == coweighting.total(), "weighting and coweighting sums differ"
     return MatrixEuler(weighting, coweighting, chi)
-

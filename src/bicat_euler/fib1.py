@@ -262,7 +262,7 @@ class GrothendieckCat(Record):
     projection: Optional[Functor]
 
     def zeta(self) -> QMatrix:
-        return QMatrix.build(self.objects, self.objects, lambda i, j: rational(len(self.hom[(i, j)])))
+        return QMatrix.build(self.objects, lambda i, j: rational(len(self.hom[(i, j)])))
 
     def euler(self) -> MatrixEuler:
         return matrix_euler(self.zeta())

@@ -304,7 +304,7 @@ def validate_category(
 
 def similarity_matrix(a: FinCategory) -> QMatrix:
     """ζ_A over ob(A): entry (i,j) = #A(i,j)."""
-    return QMatrix.build(a.objects, a.objects, lambda i, j: rational(len(a.hom(i, j))))
+    return QMatrix.build(a.objects, lambda i, j: rational(len(a.hom(i, j))))
 
 
 def euler_char_cat(a: FinCategory) -> MatrixEuler:

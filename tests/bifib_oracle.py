@@ -45,7 +45,7 @@ from bicat_euler.bifib import (
     grothendieck_cg,
     validate_trihomomorphism,
 )
-from bicat_euler.exactq import QMatrix, QVector, solve_coweighting
+from bicat_euler.exactq import QMatrix, QVector, matrix_euler
 from bicat_euler.fib1 import NonUniqueLift, NotBiFibered, classify_fibration, is_cartesian_morphism
 from bicat_euler.fincat import (
     FinCategory,
@@ -389,11 +389,10 @@ def verify_gr_formula_bicat(data) -> GrBicatReport:
     rhs = sum((base_euler.coweighting[b] * fiber_chi[b] for b in t.base.objects), Fraction(0))
     zeta = gr.zeta()
     product_valid = True
-    for o2 in gr.objects:
+    for column in zip(*zeta.entries):
         total = Fraction(0)
-        for o1 in gr.objects:
-            b, x = o1
-            total += base_euler.coweighting[b] * fiber_cw[b][x] * zeta.at(o1, o2)
+        for (b, x), z in zip(zeta.rows, column):
+            total += base_euler.coweighting[b] * fiber_cw[b][x] * z
         if total != 1:
             product_valid = False
     return GrBicatReport(gr_euler.chi, rhs, base_euler.coweighting, fiber_chi, product_valid, gr_euler.chi == rhs)
@@ -447,7 +446,7 @@ def pseudogroupoid_euler(b) -> Fraction:
 
 
 def _coweighting(zeta: QMatrix, what: str) -> QVector:
-    cw = solve_coweighting(zeta)
+    cw = matrix_euler(zeta).coweighting
     if cw is None:
         raise ValueError(f"{what} has no coweighting")
     return cw
@@ -471,7 +470,7 @@ def gr_hom_coweighting(t: Trihomomorphism, source: tuple[str, str], target: tupl
         entries.append(base_cw[f] * fiber_cw[u])
     vector = QVector(hom.onecells, tuple(entries))
     counts = hom.count_matrix()
-    for m2 in hom.onecells:
-        total = sum((vector[m1] * counts.at(m1, m2) for m1 in hom.onecells), Fraction(0))
+    for m2, column in zip(counts.rows, zip(*counts.entries)):
+        total = sum((k * z for k, z in zip(vector.entries, column)), Fraction(0))
         assert total == 1, f"product coweighting fails at column {m2}"
     return vector

@@ -454,7 +454,7 @@ def random_rational_matrix(seed: int, max_size: int = 5) -> QMatrix:
     roll = rng.random()
     if n >= 2 and roll < 0.12:
         rows = [[Fraction(1)] * n for _ in range(n)]
-        return QMatrix(labels, labels, tuple(tuple(r) for r in rows))
+        return QMatrix(labels, tuple(tuple(r) for r in rows))
     if n >= 2 and roll < 0.2:
         # duplicate both a row and the matching column of a random symmetric matrix
         rows = [[Fraction(0)] * n for _ in range(n)]
@@ -465,7 +465,7 @@ def random_rational_matrix(seed: int, max_size: int = 5) -> QMatrix:
             rows[-1][j] = rows[0][j]
         for i in range(n):
             rows[i][-1] = rows[i][0]
-        return QMatrix(labels, labels, tuple(tuple(r) for r in rows))
+        return QMatrix(labels, tuple(tuple(r) for r in rows))
     rows = [
         [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
         for _ in range(n)
@@ -474,4 +474,4 @@ def random_rational_matrix(seed: int, max_size: int = 5) -> QMatrix:
         rows[-1] = list(rows[0])  # force rank deficiency
     if n >= 2 and rng.random() < 0.15:
         rows[0] = [Fraction(0)] * n
-    return QMatrix(labels, labels, tuple(tuple(r) for r in rows))
+    return QMatrix(labels, tuple(tuple(r) for r in rows))

@@ -23,7 +23,7 @@ from bicat_euler.bifib import (
 )
 from bicat_euler.catdsl import parse, serialize
 from bicat_euler.cli import main
-from bicat_euler.exactq import solve_coweighting, solve_weighting
+from bicat_euler.exactq import matrix_euler
 from bicat_euler.fib1 import classify_fibration, verify_gr_formula, verify_product_formula_cat
 from bicat_euler.fincat import (
     check_equivalence_functor,
@@ -36,11 +36,8 @@ from category_oracle import nerve_euler
 from tests.conftest import FIXTURE_DIR, NEGATIVE_DIR
 
 
-def _ones_product(m, k):
-    return [
-        sum((m.entries[i][j] * k.entries[j] for j in range(len(m.cols))), Fraction(0))
-        for i in range(len(m.rows))
-    ]
+def _ones_product(rows, k):
+    return [sum((a * b for a, b in zip(row, k.entries)), Fraction(0)) for row in rows]
 
 
 def test_criterion_1_exact_weighting_identities():
@@ -51,13 +48,13 @@ def test_criterion_1_exact_weighting_identities():
     checked = 0
     both = 0
     for m in matrices:
-        k = solve_weighting(m)
+        e = matrix_euler(m)
+        k, kc = e.weighting, e.coweighting
         if k is not None:
             checked += 1
-            assert all(v == 1 for v in _ones_product(m, k))
-        kc = solve_coweighting(m)
+            assert all(v == 1 for v in _ones_product(m.entries, k))
         if kc is not None:
-            assert all(v == 1 for v in _ones_product(m.transpose(), kc))
+            assert all(v == 1 for v in _ones_product(zip(*m.entries), kc))
         if k is not None and kc is not None:
             both += 1
             assert k.total() == kc.total()

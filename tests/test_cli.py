@@ -1,10 +1,12 @@
 """End-to-end CLI: outputs, exit codes, determinism."""
 
+import gc
 import hashlib
 import importlib.util
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -825,3 +827,31 @@ def test_unexpected_exception_exits_3_with_traceback(capsys, fixture_dir, monkey
         code, out, err = run(capsys, *[str(fixture_dir / a) if a.endswith(".catj") else a for a in argv])
         assert code == 3 and out == ""
         assert err.startswith("Traceback") and "NonUniqueLift: two lifts" in err
+
+
+def test_process_entry_point_runs_main_without_gc_and_exits_with_its_status(capsys, fixture_dir, monkeypatch):
+    # `cli.run` ends the process through `os._exit`; here that records the status and raises instead.
+    from bicat_euler import cli
+
+    statuses = []
+
+    def exit_(status):
+        statuses.append(status)
+        raise SystemExit(status)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    try:
+        monkeypatch.setattr(sys, "argv", ["bicat-euler", "chi", str(fixture_dir / "bz2.catj")])
+        with pytest.raises(SystemExit):
+            cli.run()
+        assert not gc.isenabled()
+        assert capsys.readouterr().out == "1/2\n"
+        # `python -m bicat_euler.cli` runs the module again as __main__, beside the imported one.
+        nochi = str(fixture_dir / "nochi-catgraph.catj")
+        monkeypatch.setattr(sys, "argv", ["bicat-euler", "chi", nochi, "--kind", "catgraph"])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit):
+            runpy.run_module("bicat_euler.cli", run_name="__main__")
+        assert capsys.readouterr().out == "no Euler characteristic (missing: weighting)\n"
+    finally:
+        gc.enable()
+    assert statuses == [0, 1]

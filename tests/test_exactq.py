@@ -15,9 +15,9 @@ from bicat_euler.exactq import (
     QMatrix,
     QVector,
     Rational,
+    _solve,
     matrix_euler,
     rational,
-    solve_coweighting,
     solve_weighting,
 )
 from builders import random_rational_matrix
@@ -25,7 +25,11 @@ from builders import random_rational_matrix
 
 def mat(rows):
     labels = tuple(str(i) for i in range(len(rows)))
-    return QMatrix(labels, labels, tuple(tuple(Fraction(v) for v in row) for row in rows))
+    return QMatrix(labels, tuple(tuple(Fraction(v) for v in row) for row in rows))
+
+
+def _transpose(rows):
+    return [list(column) for column in zip(*rows)]
 
 
 ARROW_ZETA = mat([[1, 1], [0, 1]])
@@ -47,11 +51,11 @@ def test_weighting_singular_free_variable_zero():
 
 
 def test_coweighting_arrow():
-    assert solve_coweighting(ARROW_ZETA).entries == (Fraction(1), Fraction(0))
+    assert matrix_euler(ARROW_ZETA).coweighting.entries == (Fraction(1), Fraction(0))
 
 
 def test_coweighting_singular():
-    assert solve_coweighting(EZ2_ZETA).entries == (Fraction(1), Fraction(0))
+    assert matrix_euler(EZ2_ZETA).coweighting.entries == (Fraction(1), Fraction(0))
 
 
 def test_matrix_euler_pair():
@@ -72,14 +76,18 @@ def test_matrix_euler_no_solution():
     assert e.chi is None and e.missing() == ("weighting", "coweighting")
 
 
-def test_matrix_euler_index_mismatch():
-    bad = QMatrix(("a",), ("b",), ((Fraction(1),),))
-    with pytest.raises(ValueError):
-        matrix_euler(bad)
-    # The same labels in another order are no square matrix either.
-    reordered = QMatrix(("a", "b"), ("b", "a"), ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
-    with pytest.raises(ValueError, match=r"row labels \('a', 'b'\) != col labels \('b', 'a'\)"):
-        matrix_euler(reordered)
+def test_qmatrix_is_square_over_its_labels():
+    one, two = Fraction(1), Fraction(2)
+    assert QMatrix.build(("a", "b"), lambda r, c: one if r == c else two).entries == ((one, two), (two, one))
+    for rows, entries in (
+        (("a",), ((one, two),)),  # a row longer than the labels
+        (("a", "b"), ((one, two),)),  # fewer rows than labels
+        (("a", "b"), ((one, two), (one,))),  # a short row
+    ):
+        with pytest.raises(ValueError, match="^entries are not"):
+            QMatrix(rows, entries)
+    with pytest.raises(ValueError, match="^duplicate labels$"):
+        QMatrix(("a", "a"), ((one, one), (one, one)))
 
 
 def test_format_and_parse_rational():
@@ -170,11 +178,9 @@ def test_rational_hash_where_the_denominator_has_no_inverse():
 
 
 def test_rectangular_systems_are_supported():
-    m = QMatrix(("r",), ("a", "b"), ((Fraction(1), Fraction(1)),))
-    k = solve_weighting(m)
-    assert k.index == ("a", "b") and k.entries == (Fraction(1), Fraction(0))
-    tall = QMatrix(("r", "s"), ("a",), ((Fraction(1),), (Fraction(2),)))
-    assert solve_weighting(tall) is None  # k=1 and 2k=1 cannot both hold
+    # The kernel takes any row list; only a QMatrix is square.
+    assert _solve([[Fraction(1), Fraction(1)]]) == [Fraction(1), Fraction(0)]
+    assert _solve([[Fraction(1)], [Fraction(2)]]) is None  # k=1 and 2k=1 cannot both hold
 
 
 def test_vector_total_and_json():
@@ -183,11 +189,8 @@ def test_vector_total_and_json():
     assert v.to_json() == {"a": "1/2", "b": "1/2"}
 
 
-def _mul(m: QMatrix, v: QVector):
-    return [
-        sum((m.entries[i][j] * v.entries[j] for j in range(len(m.cols))), Fraction(0))
-        for i in range(len(m.rows))
-    ]
+def _mul(rows, v: QVector):
+    return [sum((a * b for a, b in zip(row, v.entries)), Fraction(0)) for row in rows]
 
 
 def test_weighting_identity_on_seeded_matrices():
@@ -195,13 +198,13 @@ def test_weighting_identity_on_seeded_matrices():
     both = 0
     for seed in range(200):
         m = random_rational_matrix(seed)
-        k = solve_weighting(m)
+        e = matrix_euler(m)
+        k, kc = e.weighting, e.coweighting
         if k is not None:
             solved += 1
-            assert all(x == 1 for x in _mul(m, k))
-        kc = solve_coweighting(m)
+            assert all(x == 1 for x in _mul(m.entries, k))
         if kc is not None:
-            assert all(x == 1 for x in _mul(m.transpose(), kc))
+            assert all(x == 1 for x in _mul(_transpose(m.entries), kc))
         if k is not None and kc is not None:
             both += 1
             assert k.total() == kc.total()
@@ -209,13 +212,12 @@ def test_weighting_identity_on_seeded_matrices():
 
 
 def test_transpose_duality():
+    # The coweighting of ζ is the weighting of ζᵀ, and the other way round.
     for seed in range(60):
         m = random_rational_matrix(seed)
-        a = solve_coweighting(m)
-        b = solve_weighting(m.transpose())
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.entries == b.entries
+        e = matrix_euler(m)
+        t = matrix_euler(QMatrix(m.rows, tuple(map(tuple, _transpose(m.entries)))))
+        assert (e.weighting, e.coweighting, e.chi) == (t.coweighting, t.weighting, t.chi)
 
 
 def test_invertible_chi_equals_inverse_entry_sum():
@@ -234,21 +236,21 @@ def test_choice_independence_of_chi():
     hits = 0
     for seed in range(200):
         m = random_rational_matrix(seed)
-        k0 = solve_weighting(m)
-        k1 = _oracle_weighting(m, free_value=Fraction(1))
-        kc = solve_coweighting(m)
+        e = matrix_euler(m)
+        k0, kc = e.weighting, e.coweighting
+        k1 = _oracle_weighting(m.entries, free_value=Fraction(1))
         if k0 is None or kc is None:
             continue
         assert k1 is not None
         if k0.entries != k1:
             hits += 1
-            assert all(x == 1 for x in _mul(m, QVector(m.cols, k1)))
+            assert all(x == 1 for x in _mul(m.entries, QVector(m.rows, k1)))
         assert k0.total() == sum(k1)
     assert hits > 0  # at least some underdetermined consistent systems appeared
 
 
-def _seeded_matrix(seed: int, kind: str) -> QMatrix:
-    """Seeded rational matrix of one shape class, for the oracle cross-check.
+def _seeded_matrix(seed: int, kind: str) -> list[list[Fraction]]:
+    """Seeded rational matrix, as a row list, of one shape class, for the oracle cross-check.
 
     Entries are p/q with q in 1..6, so a row mixes denominators and the
     kernel's row scaling by the lcm is exercised.
@@ -261,17 +263,17 @@ def _seeded_matrix(seed: int, kind: str) -> QMatrix:
         rows[-1] = list(rows[0])
     elif kind == "inconsistent":  # r·x = 1 and 2r·x = 1 cannot both hold
         rows[-1] = [2 * v for v in rows[0]]
-    return QMatrix(tuple(map(str, range(n))), tuple(map(str, range(width))), tuple(tuple(r) for r in rows))
+    return rows
 
 
-def _oracle_weighting(m: QMatrix, free_value=Fraction(0)):
-    x = fraction_oracle.solve_linear([list(r) for r in m.entries], [Fraction(1)] * len(m.rows), free_value)
+def _oracle_weighting(rows, free_value=Fraction(0)):
+    x = fraction_oracle.solve_linear([list(r) for r in rows], [Fraction(1)] * len(rows), free_value)
     return None if x is None else tuple(x)
 
 
-def _kernel_weighting(m: QMatrix):
-    k = solve_weighting(m)
-    return None if k is None else k.entries
+def _kernel_weighting(rows):
+    x = _solve(rows)
+    return None if x is None else tuple(x)
 
 
 @pytest.mark.parametrize("kind", ["nonsingular", "singular", "inconsistent", "underdetermined"])
@@ -279,14 +281,14 @@ def test_kernel_matches_fraction_oracle(kind):
     mixed = 0
     for seed in range(60):
         m = _seeded_matrix(seed, kind)
-        if kind == "nonsingular" and fraction_oracle.invert([list(r) for r in m.entries]) is None:
+        if kind == "nonsingular" and fraction_oracle.invert([list(r) for r in m]) is None:
             continue
-        if any(len({v.denominator for v in row}) > 1 for row in m.entries):
+        if any(len({v.denominator for v in row}) > 1 for row in m):
             mixed += 1
         expected = _oracle_weighting(m)
         assert _kernel_weighting(m) == expected, seed
         assert (expected is None) == (kind == "inconsistent"), seed
-        t = m.transpose()
+        t = _transpose(m)
         assert _kernel_weighting(t) == _oracle_weighting(t), seed
     assert mixed > 40  # most matrices mix denominators within a row
 
@@ -294,15 +296,15 @@ def test_kernel_matches_fraction_oracle(kind):
 def test_kernel_matches_fraction_oracle_on_generator_stream():
     for seed in range(200):
         m = random_rational_matrix(seed)
-        assert _kernel_weighting(m) == _oracle_weighting(m), seed
+        assert _kernel_weighting(m.entries) == _oracle_weighting(m.entries), seed
 
 
 # ζ entries of the dense cat-graphs: no hom, BZ/2, a point-like hom, two points.
 _ZETA_ENTRIES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
-def _dense_zeta(n: int, kind: str) -> QMatrix:
-    """A seeded ζ-like matrix with n rows, of one shape class.
+def _dense_zeta(n: int, kind: str) -> list[list[Fraction]]:
+    """A seeded ζ-like matrix, as a row list with n rows, of one shape class.
 
     "nonsingular": n × n; "repeated": an (n - 1)-object ζ with one object
     copied, row and column, as the last; "rank-deficient": n × (n + 5), each
@@ -325,14 +327,14 @@ def _dense_zeta(n: int, kind: str) -> QMatrix:
         rows.append(list(rows[src]))
     else:
         rows = draw(n, n)
-    return QMatrix(tuple(map(str, range(n))), tuple(map(str, range(len(rows[0])))), tuple(map(tuple, rows)))
+    return rows
 
 
-def _rank_mod_p(m: QMatrix, p: int = (1 << 61) - 1) -> int:
+def _rank_mod_p(m, p: int = (1 << 61) - 1) -> int:
     """The rank of 2m modulo the prime p: a lower bound on the rank of m over Q."""
-    rows = [[int(2 * v) % p for v in row] for row in m.entries]
+    rows = [[int(2 * v) % p for v in row] for row in m]
     rank = 0
-    for col in range(len(m.cols)):
+    for col in range(len(m[0])):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -351,7 +353,7 @@ def test_kernel_matches_fraction_oracle_at_dense_zeta_sizes(kind, n):
     m = _dense_zeta(n, kind)
     # Each construction bounds the rank from above; the modular rank bounds it from below.
     assert _rank_mod_p(m) == {"nonsingular": n, "repeated": n - 1, "rank-deficient": n // 2}[kind]
-    for side in (m, m.transpose()):
+    for side in (m, _transpose(m)):
         expected = _oracle_weighting(side)
         assert _kernel_weighting(side) == expected
         # Only the transposed rank-deficient system, n + 5 equations of rank n // 2, is inconsistent.

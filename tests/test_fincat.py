@@ -252,7 +252,8 @@ def test_acyclic_zeta_unitriangular_in_topological_order():
         }
         order = sorted(cat.objects, key=lambda x: (-reach[x], x))
         zeta = similarity_matrix(cat)
-        reordered = QMatrix.build(order, order, zeta.at)
+        at = {x: i for i, x in enumerate(zeta.rows)}
+        reordered = QMatrix.build(order, lambda x, y: zeta.entries[at[x]][at[y]])
         for i in range(len(order)):
             assert reordered.entries[i][i] == 1
             for j in range(i):

@@ -201,9 +201,7 @@ def test_similarity_matrix_solves_each_distinct_hom_once(monkeypatch):
         calls.clear()
         zeta = bicat.similarity_matrix_cg(graph)
         assert len(calls) == len({id(h) for h in homs}) == len({id(h) for h in calls})
-        expected = QMatrix.build(
-            graph.objects, graph.objects, lambda i, j: fincat.euler_char_cat(graph.hom_at(i, j)).chi
-        )
+        expected = QMatrix.build(graph.objects, lambda i, j: fincat.euler_char_cat(graph.hom_at(i, j)).chi)
         assert zeta == expected
 
 

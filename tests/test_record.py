@@ -27,7 +27,7 @@ TEST_MODULES = {"category_oracle"}
 _ID = Morphism("id*", "*", "*")
 SAMPLES = {
     QVector: [(("a", "b"), (Fraction(1), Fraction(-1, 2))), ((), ()), (("b", "a"), (Fraction(1), Fraction(-1, 2)))],
-    QMatrix: [(("r",), ("c", "d"), ((Fraction(1), Fraction(2)),)), (("r", "s"), (), ((), ())), ((), ("c",), ())],
+    QMatrix: [(("r",), ((Fraction(2),),)), (("r", "s"), ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))), ((), ())],
     fincat.FinCategory: [
         (("*",), (_ID,), {"*": "id*"}, {("id*", "id*"): "id*"}),
         (("*",), (_ID,), (("*", "id*"),), ((("id*", "id*"), "id*"),)),
@@ -135,10 +135,9 @@ def test_record_rejects_what_the_dataclass_rejects(cls):
     [
         (QVector, {"index": ("a", "b"), "entries": (Fraction(1),)}),
         (QVector, {"index": ("a", "a"), "entries": (Fraction(1), Fraction(2))}),
-        (QMatrix, {"rows": ("r", "r"), "cols": (), "entries": ((), ())}),
-        (QMatrix, {"rows": (), "cols": ("c", "c"), "entries": ()}),
-        (QMatrix, {"rows": ("r",), "cols": (), "entries": ()}),
-        (QMatrix, {"rows": ("r",), "cols": ("c",), "entries": ((Fraction(1), Fraction(2)),)}),
+        (QMatrix, {"rows": ("r", "r"), "entries": ((Fraction(1),) * 2,) * 2}),
+        (QMatrix, {"rows": ("r",), "entries": ()}),
+        (QMatrix, {"rows": ("r",), "entries": ((Fraction(1), Fraction(2)),)}),
     ],
 )
 def test_post_init_checks_match_the_dataclass(cls, kwargs):
@@ -162,8 +161,8 @@ def test_to_json_writes_each_field_under_its_own_name():
     euler = exactq.MatrixEuler(vector, None, Fraction(-1, 2))
     expected = [("weighting", {"a": "1/2", "b": "-1"}), ("coweighting", None), ("chi", "-1/2")]
     assert list(euler.to_json().items()) == expected
-    matrix = QMatrix(("r",), ("c", "d"), ((Fraction(1), Fraction(2, 3)),))
-    assert matrix.to_json() == {"rows": ["r"], "cols": ["c", "d"], "entries": [["1", "2/3"]]}
+    matrix = QMatrix(("r", "s"), ((Fraction(1), Fraction(2, 3)), (Fraction(0), Fraction(-1))))
+    assert matrix.to_json() == {"rows": ["r", "s"], "entries": [["1", "2/3"], ["0", "-1"]]}
     component = fib1.Component(("0", "1"), Fraction(1, 2), Fraction(2))
     assert component == (("0", "1"), Fraction(1, 2), Fraction(2))
     report = fib1.ProductFormulaReport(Fraction(1), Fraction(1), (component,), True)
