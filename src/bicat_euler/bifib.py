@@ -35,7 +35,6 @@ from .bicat import (
     make_catgraph,
     pseudogroupoid_witness,
     restrict_catgraph,
-    validate_bicategory,
 )
 from .exactq import QMatrix, QVector, Record, matrix_euler, rational
 from .fib1 import (
@@ -371,7 +370,7 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
     over id_b∘id_b, which is id_b in a base that composes identities
     strictly, so composed 1-cells are reused as-is.  A composite that
     leaves the fiber raises rather than fabricating coherence.  The fiber
-    carries no hcompose2.
+    carries no hcompose2, and its frames hold by construction.
     """
     e, b = p.source, p.target
     if b_obj not in b.objects:
@@ -404,7 +403,7 @@ def fiber_bicategory(p: LaxFunctorBicat, b_obj: str) -> Bicategory:
         if p.cell1(x, z, gf) != id1b:
             raise NotBiFibered(f"composite {g}∘{f} leaves the fiber")
         compose1[key] = gf
-    return validate_bicategory(graph.objects, graph.hom, identity1, compose1)
+    return Bicategory(graph, identity1, compose1)
 
 
 def _onecell_lifts(p: LaxFunctorBicat, b_obj: str, c_obj: str, f: str) -> dict[str, tuple[str, str]]:

@@ -29,7 +29,6 @@ from .fincat import (
     require_euler,
     subcategory,
     validate_category,
-    validate_functor,
 )
 
 
@@ -276,72 +275,48 @@ def _grothendieck_objects(base_objects: Sequence[str], fiber: Mapping) -> list[t
 def grothendieck_cat(f: LaxFunctorToCat) -> GrothendieckCat:
     """Paper-defined pairs construction; full category exactly when sound.
 
-    Composition is assembled from the coherence components (identities for
-    a verified-strict functor); absent both, only objects/hom-sets are
-    produced, since fabricating coherence would be unsound.
+    Composition is assembled from the coherence components; a strict functor
+    that supplies none is assembled with identity coherence: units id_x and
+    (g, v)∘(f, u) = (g∘f, F_f(v)∘u).  Absent both, only objects/hom-sets are
+    produced, since fabricating coherence would be unsound.  The projection
+    (b, x) ↦ b is a functor by construction and is not validated again.
     """
     validate_laxcat(f)
     base = f.base
     objects = _grothendieck_objects(base.objects, f.fiber)
+    # y is part of the morphism: (f, u) alone does not pin the target when
+    # the pullback is not injective on objects
+    hom = {
+        ((b, x), (c, y)): tuple(
+            (bf, u, y) for bf in base.hom(b, c) for u in f.fiber[b].hom(x, f.pullback[bf].ob(y))
+        )
+        for b, x in objects
+        for c, y in objects
+    }
+    if f.comp_iso is None and not is_strict(f):
+        return GrothendieckCat(tuple(objects), hom, None, None)
 
-    hom: dict[tuple, list[tuple[str, str, str]]] = {(o1, o2): [] for o1 in objects for o2 in objects}
-    morphisms: list[Morphism] = []
-    for o1 in objects:
-        b, x = o1
-        for o2 in objects:
-            c, y = o2
-            for bf in base.hom(b, c):
-                fy = f.pullback[bf].ob(y)
-                for u in f.fiber[b].hom(x, fy):
-                    # y is part of the morphism: (f, u) alone does not pin the
-                    # target when the pullback is not injective on objects
-                    m = (bf, u, y)
-                    hom[(o1, o2)].append(m)
-                    morphisms.append(Morphism(m, o1, o2))
-
-    strict = f.comp_iso is None and is_strict(f)
-    if f.comp_iso is None and not strict:
-        return GrothendieckCat(tuple(objects), {k: tuple(v) for k, v in hom.items()}, None, None)
-
-    def gamma(g: str, ff: str, z: str) -> Optional[str]:
-        if strict:
-            return None
-        return f.comp_iso[(g, ff)][z]
-
-    identity = {}
-    for o in objects:
-        b, x = o
-        if strict:
-            unit = f.fiber[b].identity[x]
-        else:
-            unit = f.unit_iso[b][x]
-        identity[o] = (base.identity[b], unit, x)
-
+    units = {b: f.fiber[b].identity for b in base.objects} if f.unit_iso is None else f.unit_iso
+    identity = {(b, x): (base.identity[b], units[b][x], x) for b, x in objects}
     compose: dict[tuple, tuple[str, str, str]] = {}
-    for m2 in morphisms:  # (g, v): (c,y) -> (d,z)
-        g, v, z = m2.name
-        for m1 in morphisms:  # (f, u): (b,x) -> (c,y)
-            if m1.dst != m2.src:
-                continue
-            bf, u, _ = m1.name
-            b, _ = m1.src
-            fb = f.fiber[b]
-            w = fb.compose2(f.pullback[bf].mor(v), u)
-            g_comp = gamma(g, bf, z)
-            if g_comp is not None:
-                w = fb.compose2(g_comp, w)
-            compose[(m2.name, m1.name)] = (base.compose2(g, bf), w, z)
+    for (o1, o2), firsts in hom.items():
+        fb = f.fiber[o1[0]]
+        for m1 in firsts:  # (f, u): (b,x) -> (c,y)
+            bf, u, _ = m1
+            for o3 in objects:
+                for m2 in hom[(o2, o3)]:  # (g, v): (c,y) -> (d,z)
+                    g, v, z = m2
+                    w = fb.compose2(f.pullback[bf].mor(v), u)
+                    if f.comp_iso is not None:
+                        w = fb.compose2(f.comp_iso[(g, bf)][z], w)
+                    compose[(m2, m1)] = (base.compose2(g, bf), w, z)
+    morphisms = [Morphism(m, o1, o2) for (o1, o2), ms in hom.items() for m in ms]
     try:
         total = validate_category(objects, morphisms, identity, compose)
     except InvalidCategory as exc:
         raise IncoherentData(f"supplied coherence does not assemble a category: {exc}") from exc
-    projection = validate_functor(
-        total,
-        base,
-        {o: o[0] for o in objects},
-        {m.name: m.name[0] for m in morphisms},
-    )
-    return GrothendieckCat(tuple(objects), {k: tuple(v) for k, v in hom.items()}, total, projection)
+    projection = Functor(total, base, {o: o[0] for o in total.objects}, {m.name: m.name[0] for m in total.morphisms})
+    return GrothendieckCat(tuple(objects), hom, total, projection)
 
 
 class GrFormulaReport(Record):

@@ -11,6 +11,7 @@ writing anything.
 from __future__ import annotations
 
 import random
+from itertools import islice
 TYPE_CHECKING = False  # typing is imported for annotations only, never at run time
 if TYPE_CHECKING:
     from typing import Sequence
@@ -18,7 +19,7 @@ if TYPE_CHECKING:
 from .bicat import Bicategory, identity_lax_functor
 from .bifib import Trihomomorphism, induced_trihomomorphism, validate_trihomomorphism
 from .fib1 import LaxFunctorToCat, grothendieck_cat, validate_laxcat
-from .fincat import PT, FinCategory, Functor, validate_category, validate_functor
+from .fincat import PT, FinCategory, Functor, InvalidInput, validate_category, validate_functor
 from . import fixtures as fx
 
 
@@ -31,34 +32,35 @@ def _compose_functors(outer: Functor, inner: Functor) -> Functor:
     )
 
 
+class _NoThinDag(InvalidInput):
+    pass
+
+
 def gen_acyclic_category(seed: int, size: int) -> FinCategory:
-    """Path category of a random DAG on `size` objects; size 1 is PT exactly."""
+    """Path category of a random DAG on `size` objects; size 1 is PT exactly.
+
+    A DAG with more than 40 paths has too many composites for desk scale, so it is drawn again,
+    thinner, from seed + 1000, seed + 2000, ...; no fit in 1,000 draws is an input error.
+    """
     if size <= 1:
         return PT
-    rng = random.Random(f"acyclic:{seed}")
+    for attempt in range(1000):
+        rng = random.Random(f"acyclic:{seed + 1000 * attempt}")
+        by_src: dict[str, list[tuple[str, str]]] = {}
+        for i, j in islice(((i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.45), 41):
+            by_src.setdefault(str(i), []).append((f"e{i}_{j}", str(j)))
+        # paths from each object, depth first; each edge is a path, so drawing and listing stop at the 41st
+        all_paths: list[tuple[tuple[str, ...], str, str]] = []
+        pending = [((name,), x, y) for x in reversed(by_src) for name, y in reversed(by_src[x])]
+        while pending and len(all_paths) <= 40:
+            path, x, y = pending.pop()
+            all_paths.append((path, x, y))
+            pending += [(path + (name,), x, z) for name, z in reversed(by_src.get(y, []))]
+        if len(all_paths) <= 40:
+            break
+    else:
+        raise _NoThinDag(f"no DAG on {size} objects with at most 40 paths in 1000 draws from seed {seed}")
     objects = [str(i) for i in range(size)]
-    edges = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < 0.45:
-                edges.append((f"e{i}_{j}", str(i), str(j)))
-    # paths from each object, composable left to right
-    all_paths: list[tuple[tuple[str, ...], str, str]] = []
-    by_src = {}
-    for name, src, dst in edges:
-        by_src.setdefault(src, []).append((name, src, dst))
-
-    def extend(prefix, at, start):
-        for name, src, dst in by_src.get(at, []):
-            path = prefix + (name,)
-            all_paths.append((path, start, dst))
-            extend(path, dst, start)
-
-    for x in objects:
-        extend((), x, x)
-    if len(all_paths) > 40:
-        # too many composites for desk scale; thin the DAG and retry
-        return gen_acyclic_category(seed + 1000, size)
     morphisms = [(f"id{x}", x, x) for x in objects]
     path_name = {path: "+".join(path) for path, _, _ in all_paths}
     for path, src, dst in all_paths:

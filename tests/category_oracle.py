@@ -9,14 +9,27 @@ triple scan is the oracle of the library's associativity check on a
 generating set (Light's test), and `is_cartesian_morphism` lists the
 lifts of every (g, h) separately, also for an isomorphism.  They
 stay here, test-only, as the slow paths the indexed code must agree with.
+`grothendieck_total` assembles the Grothendieck construction as the
+library did before a strict functor's coherence became identities: along
+a strict and a coherent path, composing every pair of morphisms that
+meet, and validating the projection as a functor.
 `nerve_euler` is an independent oracle of chi on acyclic categories: the
 alternating sum of the nerve's nondegenerate chain counts.
 """
 
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
+from bicat_euler import fincat
 from bicat_euler.exactq import Record
-from bicat_euler.fib1 import FibrationReport, reverse_functor
+from bicat_euler.fib1 import (
+    FibrationReport,
+    GrothendieckCat,
+    IncoherentData,
+    LaxFunctorToCat,
+    is_strict,
+    reverse_functor,
+    validate_laxcat,
+)
 from bicat_euler.fincat import FinCategory, Functor, InvalidCategory, InvalidInput, Morphism, Violation, acyclic_witness
 
 
@@ -195,6 +208,72 @@ def classify_fibration(p: Functor) -> FibrationReport:
     assert not report.fibered_in_groupoids or report.fibered
     assert not report.cofibered_in_groupoids or report.cofibered
     return report
+
+
+def grothendieck_total(f: LaxFunctorToCat) -> GrothendieckCat:
+    """The Grothendieck construction over all pairs of morphisms, with a separate strict path."""
+    validate_laxcat(f)
+    base = f.base
+    objects = sorted((b, x) for b in base.objects for x in f.fiber[b].objects)
+
+    hom: dict[tuple, list[tuple[str, str, str]]] = {(o1, o2): [] for o1 in objects for o2 in objects}
+    morphisms: list[Morphism] = []
+    for o1 in objects:
+        b, x = o1
+        for o2 in objects:
+            c, y = o2
+            for bf in base.hom(b, c):
+                fy = f.pullback[bf].ob(y)
+                for u in f.fiber[b].hom(x, fy):
+                    # y is part of the morphism: (f, u) alone does not pin the
+                    # target when the pullback is not injective on objects
+                    m = (bf, u, y)
+                    hom[(o1, o2)].append(m)
+                    morphisms.append(Morphism(m, o1, o2))
+
+    strict = f.comp_iso is None and is_strict(f)
+    if f.comp_iso is None and not strict:
+        return GrothendieckCat(tuple(objects), {k: tuple(v) for k, v in hom.items()}, None, None)
+
+    def gamma(g: str, ff: str, z: str) -> Optional[str]:
+        if strict:
+            return None
+        return f.comp_iso[(g, ff)][z]
+
+    identity = {}
+    for o in objects:
+        b, x = o
+        if strict:
+            unit = f.fiber[b].identity[x]
+        else:
+            unit = f.unit_iso[b][x]
+        identity[o] = (base.identity[b], unit, x)
+
+    compose: dict[tuple, tuple[str, str, str]] = {}
+    for m2 in morphisms:  # (g, v): (c,y) -> (d,z)
+        g, v, z = m2.name
+        for m1 in morphisms:  # (f, u): (b,x) -> (c,y)
+            if m1.dst != m2.src:
+                continue
+            bf, u, _ = m1.name
+            b, _ = m1.src
+            fb = f.fiber[b]
+            w = fb.compose2(f.pullback[bf].mor(v), u)
+            g_comp = gamma(g, bf, z)
+            if g_comp is not None:
+                w = fb.compose2(g_comp, w)
+            compose[(m2.name, m1.name)] = (base.compose2(g, bf), w, z)
+    try:
+        total = fincat.validate_category(objects, morphisms, identity, compose)
+    except InvalidCategory as exc:
+        raise IncoherentData(f"supplied coherence does not assemble a category: {exc}") from exc
+    projection = fincat.validate_functor(
+        total,
+        base,
+        {o: o[0] for o in objects},
+        {m.name: m.name[0] for m in morphisms},
+    )
+    return GrothendieckCat(tuple(objects), {k: tuple(v) for k, v in hom.items()}, total, projection)
 
 
 class ChainComplexCount(Record):

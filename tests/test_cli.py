@@ -9,6 +9,7 @@ import pathlib
 import runpy
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -475,6 +476,25 @@ def test_gen_smallest_acyclic_is_pt(capsys, fixture_dir):
     code, out, _ = run(capsys, "gen", "acyclic-cat", "--seed", "0", "--size", "1")
     assert code == 0
     assert out == (fixture_dir / "pt.catj").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("size", [13, 30])
+def test_gen_acyclic_past_desk_scale_is_an_input_error(capsys, size):
+    # No DAG in 1,000 thinned draws has at most 40 paths; the generator says so within a second or so.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "acyclic-cat", "--size", str(size))
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert err == f"input error: no DAG on {size} objects with at most 40 paths in 1000 draws from seed 0\n"
+
+
+def test_gen_acyclic_at_size_12_keeps_its_bytes(capsys):
+    # Seed 0 at size 12 fits at its 115th draw, from seed 114,000; the document is pinned by its digest.
+    code, out, _ = run(capsys, "gen", "acyclic-cat", "--size", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "9b5a58b03860674aac81030abd3150e74924a650a6ca182e0f1fda8b03d3d6d3"
+    )
 
 
 @pytest.mark.parametrize("size", ["-3", "0", "two"])

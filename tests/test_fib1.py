@@ -10,6 +10,7 @@ from bicat_euler import fixtures as fx
 from bicat_euler.bifib import fiber_bicategory
 from bicat_euler.catdsl import parse, serialize
 from bicat_euler.fib1 import (
+    GrothendieckCat,
     IncoherentData,
     LaxFunctorToCat,
     NotBiFibered,
@@ -379,6 +380,52 @@ def test_serialize_rejects_a_tuple_label():
     # Grothendieck objects and morphisms are tuples; only `gen fib-groupoids-functor` writes them as text.
     with pytest.raises(TypeError):
         serialize(grothendieck_cat(catalog.ARROW_BASE_LAXCAT).projection)
+
+
+def _assert_assembled_as_the_oracle(lax: LaxFunctorToCat) -> GrothendieckCat:
+    """grothendieck_cat(lax) equals the all-pairs assembly, and its projection's maps iterate in total's order."""
+    gr = grothendieck_cat(lax)
+    assert gr == category_oracle.grothendieck_total(lax)
+    if gr.projection is not None:
+        assert list(gr.projection.object_map) == list(gr.total.objects)
+        assert list(gr.projection.morphism_map) == [m.name for m in gr.total.morphisms]
+    return gr
+
+
+def test_grothendieck_assembly_matches_the_oracle_on_the_catalog_and_fixtures(fixture_dir):
+    docs = [parse(path.read_text(encoding="utf-8")).document for path in sorted(fixture_dir.glob("*.catj"))]
+    laxcats = [d.value for d in docs if d.kind == "laxcat"]
+    laxcats += [v for v in vars(catalog).values() if isinstance(v, LaxFunctorToCat)]
+    assert len(laxcats) == 4
+    for lax in laxcats:
+        assert _assert_assembled_as_the_oracle(lax).total is not None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_grothendieck_assembly_matches_the_oracle_on_generated_laxcats(seed):
+    for size in range(1, 5):
+        assert _assert_assembled_as_the_oracle(gen_groupoid_valued_laxcat(seed, size)).total is not None
+
+
+def test_grothendieck_assembly_matches_the_oracle_on_built_laxcats():
+    full = [
+        validate_laxcat(_nonstrict_chain_laxcat(with_coherence=True)),
+        _comma_laxcat(),
+        _discrete_laxcat(["a", "a,"], ["b", ",b"]),
+    ]
+    for lax in full:
+        assert _assert_assembled_as_the_oracle(lax).total is not None
+    for lax, _ in NONSTRICT.values():
+        assert _assert_assembled_as_the_oracle(validate_laxcat(lax)).total is None
+
+
+def test_non_cocycle_coherence_fails_as_in_the_oracle():
+    lax = validate_laxcat(_non_cocycle_laxcat())
+    with pytest.raises(IncoherentData) as exc:
+        grothendieck_cat(lax)
+    with pytest.raises(IncoherentData) as oracle_exc:
+        category_oracle.grothendieck_total(lax)
+    assert str(exc.value) == str(oracle_exc.value)
 
 
 def test_product_formula_quotient():
